@@ -103,7 +103,11 @@ impl BackendProgram {
 
 /// One accelerator architecture behind the graph IR. See the module
 /// docs for the contract; all methods take `&self` — backends are
-/// stateless descriptions, and execution carries no cross-run state.
+/// descriptions of an architecture, and execution carries no
+/// *observable* cross-run state: a backend may keep weight-derived
+/// state resident between runs, as the hardware keeps its weights (the
+/// circulant backend's kernel spectra), provided every run returns
+/// exactly what a fresh backend would.
 pub trait Backend {
     /// The capability descriptor.
     fn caps(&self) -> BackendCaps;

@@ -10,6 +10,35 @@
 //! is: FFT each input block once, multiply-accumulate in the frequency
 //! domain across input blocks, one IFFT per output block.
 //!
+//! ## Weight-stationary runs
+//!
+//! "Compile time" here is the first run against a sublayer: the backend
+//! derives that sublayer's kernel spectra and float bias once and keeps
+//! them resident, the way the unit's kernel store holds them beside the
+//! MAC lanes, so later runs stream only activations. The resident state
+//! is a memo inside the backend, invisible from outside:
+//!
+//! * **Key.** An entry stores the exact inputs it was derived from — the
+//!   INT8 weight codes, every column's weight scale, the input scale and
+//!   the accumulator-domain bias — and a lookup compares all of them for
+//!   equality. There is no hash and no identity shortcut, so an entry can
+//!   be neither stale (a changed weight code misses) nor a collision.
+//! * **Bound.** At most four sublayers stay resident (two FFN blocks'
+//!   worth, ≈ 2 MiB each at 512 × 2048); the least recently used is
+//!   evicted.
+//! * **Clone.** A cloned backend starts with an empty memo, like
+//!   `transformer::Linear`'s packed-weight cache: derived state is
+//!   rebuilt on demand, never copied.
+//!
+//! Spectra are stored planar — separate `re`/`im` arrays indexed
+//! `[in_block][bin][out_block]` — so the spectral MAC of one input bin
+//! against every output block is a unit-stride loop the compiler
+//! vectorises. It accumulates into `[bin][out_block]` registers with the
+//! same per-product rounding shift as [`Cpx::mul`]; integer adds after
+//! that rounding are exact in any order, so outputs, check reports and
+//! fault behaviour equal the block-at-a-time formulation bit for bit
+//! (pinned against a frozen copy of it in this module's tests).
+//!
 //! This backend implements that unit for the **FFN ResBlock only**
 //! (`caps().supports_ffn`); attention stays on a systolic backend, which
 //! mirrors FTRANS itself (its block-circulant gains concentrate in the
@@ -46,7 +75,10 @@
 //! 1. **Accumulation checksum.** A separate register accumulates
 //!    `S = Σ_k Y_k` from the *products* as they are written to the
 //!    spectral SRAM (an adder tree beside the MAC lanes; never re-read
-//!    from the store). Since `y₀ = (1/b)·Σ_k Y_k`, the IFFT output must
+//!    from the store once it can have been corrupted — the model reads
+//!    the register as `Σ_k` of the accumulators *before* the
+//!    fault-injection point, the same integer as the running sum of the
+//!    products). Since `y₀ = (1/b)·Σ_k Y_k`, the IFFT output must
 //!    satisfy `b·y₀ = S`. Every bin contributes to `y₀`, so a bit flip
 //!    in **any** bin of the stored spectrum — DC included — diverges
 //!    from the independently-kept register.
@@ -57,6 +89,8 @@
 //! [`CirculantBackend::run_ffn_checked`] flags violations of either;
 //! injection is exercised in this module's tests and the
 //! fault-injection campaign's circulant smoke test.
+
+use std::sync::{Arc, Mutex};
 
 use fixedmath::fft::{self, Cpx};
 use fixedmath::fx::{self, FRAC};
@@ -200,14 +234,21 @@ pub struct CircFault {
 /// diagonal), so that `(x · W_block)_j ≈ (x ⊛ c)_j`.
 pub fn project_block(w: &Mat<f32>, r0: usize, c0: usize, b: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; b];
-    for d in 0..b {
+    project_block_into(|r, c| w[(r, c)], r0, c0, &mut c);
+    c
+}
+
+/// [`project_block`] over any element accessor, into a caller-owned
+/// kernel of length `b`.
+fn project_block_into(w: impl Fn(usize, usize) -> f32, r0: usize, c0: usize, kernel: &mut [f32]) {
+    let b = kernel.len();
+    for (d, out) in kernel.iter_mut().enumerate() {
         let mut acc = 0.0f32;
         for t in 0..b {
-            acc += w[(r0 + t, c0 + (t + d) % b)];
+            acc += w(r0 + t, c0 + (t + d) % b);
         }
-        c[d] = acc / b as f32;
+        *out = acc / b as f32;
     }
-    c
 }
 
 /// Rebuilds the full block-circulant approximation of `w` (every `b × b`
@@ -258,17 +299,193 @@ pub fn circulantize_ffn(block: &mut FfnResBlock, b: usize) {
     });
 }
 
+/// Sublayers whose compile-time state stays resident in one backend
+/// before the least recently used is evicted: both sublayers of two FFN
+/// blocks. Each 512 × 2048 entry holds ≈ 1 MiB of spectra and ≈ 1 MiB
+/// of key.
+const SPECTRA_MEMO_CAP: usize = 4;
+
+/// One sublayer's compile-time state — the kernel store's contents —
+/// together with the exact inputs it was derived from.
+struct KernelSpectra {
+    // Key: everything the derived state below is a function of (beside
+    // the backend's fixed block size).
+    w_q: Mat<i8>,
+    w_scales: Vec<f32>,
+    in_scale: f32,
+    bias_q: Vec<i32>,
+    /// Real parts of the kernel spectra, `[in_block][bin][out_block]`:
+    /// the length-`b` spectrum of the circulant kernel of input block
+    /// `i` / output block `j`, built from the *dequantized* INT8 weights
+    /// (the same effective weights the reference datapath multiplies
+    /// by).
+    re: Vec<i32>,
+    /// Imaginary parts, same layout.
+    im: Vec<i32>,
+    /// Bias per output column, dequantized from the accumulator domain.
+    bias_f: Vec<f32>,
+}
+
+impl KernelSpectra {
+    /// The compile-time weight transform: project every `b × b` block of
+    /// the dequantized weights onto its circulant kernel and FFT it.
+    fn build(lin: &QLinear, b: usize, tw: &[Cpx]) -> Self {
+        let wq = lin.weight_q();
+        let (nb_in, nb_out) = (wq.rows() / b, wq.cols() / b);
+        let w_scales: Vec<f32> = (0..wq.cols()).map(|c| lin.w_scale_of(c).scale()).collect();
+        let in_scale = lin.in_scale().scale();
+        let mut re = vec![0i32; nb_in * b * nb_out];
+        let mut im = vec![0i32; nb_in * b * nb_out];
+        let mut kernel = vec![0.0f32; b];
+        let mut spectrum = vec![Cpx::ZERO; b];
+        for i in 0..nb_in {
+            for j in 0..nb_out {
+                project_block_into(
+                    |r, c| wq[(r, c)] as f32 * w_scales[c],
+                    i * b,
+                    j * b,
+                    &mut kernel,
+                );
+                for (v, &c) in spectrum.iter_mut().zip(&kernel) {
+                    *v = Cpx::real(fx::to_fx(c, FRAC));
+                }
+                fft::fft_in_place(&mut spectrum, tw, FRAC);
+                for (k, v) in spectrum.iter().enumerate() {
+                    re[(i * b + k) * nb_out + j] = v.re;
+                    im[(i * b + k) * nb_out + j] = v.im;
+                }
+            }
+        }
+        let bias_f = lin
+            .bias_q()
+            .iter()
+            .zip(&w_scales)
+            .map(|(&bq, &ws)| bq as f32 * in_scale * ws)
+            .collect();
+        Self {
+            w_q: wq.clone(),
+            w_scales,
+            in_scale,
+            bias_q: lin.bias_q().to_vec(),
+            re,
+            im,
+            bias_f,
+        }
+    }
+
+    /// Whether this entry was derived from exactly `lin`'s weights,
+    /// scales and bias (cheap fields first; the weight codes are one
+    /// `memcmp`).
+    fn is_for(&self, lin: &QLinear) -> bool {
+        self.in_scale.to_bits() == lin.in_scale().scale().to_bits()
+            && self.bias_q == lin.bias_q()
+            && self
+                .w_scales
+                .iter()
+                .enumerate()
+                .all(|(c, s)| s.to_bits() == lin.w_scale_of(c).scale().to_bits())
+            && self.w_q == *lin.weight_q()
+    }
+}
+
+/// The backend's resident sublayers, least recently used first. Derived
+/// state only: see the module docs for key, bound and clone behaviour.
+#[derive(Default)]
+struct SpectraMemo(Mutex<Vec<Arc<KernelSpectra>>>);
+
+impl SpectraMemo {
+    /// The resident state for `lin`, derived now if it is not resident.
+    fn get(&self, lin: &QLinear, b: usize, tw: &[Cpx]) -> Arc<KernelSpectra> {
+        let mut resident = self
+            .0
+            .lock()
+            .expect("a run panicked while deriving kernel spectra");
+        let entry = match resident.iter().position(|e| e.is_for(lin)) {
+            Some(at) => resident.remove(at),
+            None => {
+                if resident.len() == SPECTRA_MEMO_CAP {
+                    resident.remove(0);
+                }
+                Arc::new(KernelSpectra::build(lin, b, tw))
+            }
+        };
+        resident.push(Arc::clone(&entry));
+        entry
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().map_or(0, |resident| resident.len())
+    }
+}
+
+impl std::fmt::Debug for SpectraMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SpectraMemo({} resident)", self.len())
+    }
+}
+
+/// `fixedmath::sat::rounding_shr(v, FRAC)` narrowed to the product
+/// word, in the four-operation form (add half, add the sign bit, shift):
+/// round-to-nearest, ties away from zero, with no sign split for the
+/// vectoriser to trip over. Equal to the library routine wherever
+/// `v ± 2^(FRAC-1)` does not overflow — products of two `i32` words
+/// never get near.
+#[inline(always)]
+fn round_product(v: i64) -> i32 {
+    ((v + (1i64 << (FRAC - 1)) + (v >> 63)) >> FRAC) as i32
+}
+
+/// Spectral MAC of one input block's spectrum `xs` against every output
+/// block: `acc[k][j] += xs[k] · K[k][j]` for all bins `k` and output
+/// blocks `j`, each product rounded exactly as [`Cpx::mul`] rounds it.
+/// `k_re`/`k_im` are the input block's `[bin][out_block]` slab of the
+/// planar kernel spectra; the inner loop runs unit-stride over `j`.
+fn spectral_mac(xs: &[Cpx], k_re: &[i32], k_im: &[i32], acc_re: &mut [i32], acc_im: &mut [i32]) {
+    let nb_out = acc_re.len() / xs.len();
+    let kernels = k_re.chunks_exact(nb_out).zip(k_im.chunks_exact(nb_out));
+    let accs = acc_re
+        .chunks_exact_mut(nb_out)
+        .zip(acc_im.chunks_exact_mut(nb_out));
+    for ((x, (k_re, k_im)), (acc_re, acc_im)) in xs.iter().zip(kernels).zip(accs) {
+        let (xr, xi) = (x.re as i64, x.im as i64);
+        let lanes = acc_re
+            .iter_mut()
+            .zip(acc_im.iter_mut())
+            .zip(k_re.iter().zip(k_im));
+        for ((a_re, a_im), (&kr, &ki)) in lanes {
+            let (kr, ki) = (kr as i64, ki as i64);
+            *a_re += round_product(xr * kr - xi * ki);
+            *a_im += round_product(xr * ki + xi * kr);
+        }
+    }
+}
+
 /// The block-circulant [`Backend`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CirculantBackend {
     cfg: CirculantConfig,
+    /// Forward twiddle ROM for length-`block` transforms.
+    tw: Vec<Cpx>,
+    memo: SpectraMemo,
+}
+
+impl Clone for CirculantBackend {
+    fn clone(&self) -> Self {
+        // The memo is derived state; the clone rebuilds it on demand.
+        Self::new(self.cfg.clone())
+    }
 }
 
 impl CirculantBackend {
     /// Wraps a validated configuration.
     pub fn new(cfg: CirculantConfig) -> Self {
         cfg.validate();
-        Self { cfg }
+        let tw = fft::twiddles(cfg.block, FRAC);
+        Self {
+            cfg,
+            tw,
+            memo: SpectraMemo::default(),
+        }
     }
 
     /// The FTRANS-style default point.
@@ -291,89 +508,72 @@ impl CirculantBackend {
         }
     }
 
-    /// Complex kernel spectra of a quantized sublayer: the compile-time
-    /// weight transform. `spec[i][j]` is the length-`b` spectrum of the
-    /// circulant kernel of input block `i` / output block `j`, built
-    /// from the *dequantized* INT8 weights (the same effective weights
-    /// the reference datapath multiplies by).
-    fn kernel_spectra(&self, lin: &QLinear, tw: &[Cpx]) -> Vec<Vec<Vec<Cpx>>> {
-        let b = self.cfg.block;
-        let wq = lin.weight_q();
-        let w_f = Mat::from_fn(wq.rows(), wq.cols(), |r, c| {
-            wq[(r, c)] as f32 * lin.w_scale_of(c).scale()
-        });
-        (0..wq.rows() / b)
-            .map(|i| {
-                (0..wq.cols() / b)
-                    .map(|j| {
-                        let c = project_block(&w_f, i * b, j * b, b);
-                        let c_fx: Vec<i32> = c.iter().map(|&v| fx::to_fx(v, FRAC)).collect();
-                        fft::fft_real(&c_fx, tw, FRAC)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// One FFN sublayer on the FFT unit: dequantize codes, FFT input
-    /// blocks, frequency-domain MAC, IFFT per output block (DC-bin
-    /// checked), bias (+ optional ReLU), requantize with the layer's
-    /// output scale.
-    #[allow(clippy::too_many_arguments)]
+    /// blocks, frequency-domain MAC against the resident kernel spectra,
+    /// IFFT per output block (DC-bin checked), bias (+ optional ReLU),
+    /// requantize with the layer's output scale.
     fn circ_layer(
         &self,
         x_codes: &Mat<i8>,
         lin: &QLinear,
         relu: bool,
-        tw: &[Cpx],
         layer: u8,
         fault: Option<&CircFault>,
         report: &mut CircCheckReport,
     ) -> Mat<i8> {
         let b = self.cfg.block;
-        let d_in = lin.weight_q().rows();
-        let d_out = lin.weight_q().cols();
+        let (d_in, d_out) = lin.weight_q().shape();
         assert_eq!(x_codes.cols(), d_in, "activation width mismatch");
-        let nb_in = d_in / b;
+        assert!(
+            d_in % b == 0 && d_out % b == 0,
+            "block must divide the sublayer's {d_in} x {d_out} weights"
+        );
         let nb_out = d_out / b;
-        let spec = self.kernel_spectra(lin, tw);
+        let slab = b * nb_out;
+        let tw = &self.tw[..];
+        let kernels = self.memo.get(lin, b, tw);
         let in_scale = lin.in_scale();
         let out_scale = lin.out_scale();
-        let bias_f: Vec<f32> = (0..d_out)
-            .map(|c| lin.bias_q()[c] as f32 * in_scale.scale() * lin.w_scale_of(c).scale())
-            .collect();
         let tol = dc_check_tolerance(b);
+        // Dequantization is a function of the code alone: one Q19.12
+        // word per INT8 code, indexed by the code's bit pattern.
+        let dequant: [i32; 256] =
+            std::array::from_fn(|code| fx::to_fx(in_scale.dequantize(code as u8 as i8), FRAC));
 
         let mut out = Mat::<i8>::zeros(x_codes.rows(), d_out);
-        let mut x_spec: Vec<Vec<Cpx>> = Vec::with_capacity(nb_in);
+        let mut xs = vec![Cpx::ZERO; b];
+        let mut acc_re = vec![0i32; slab];
+        let mut acc_im = vec![0i32; slab];
+        let mut acc = vec![Cpx::ZERO; b];
         for r in 0..x_codes.rows() {
-            // Transform: FFT each input block of this row once.
-            x_spec.clear();
-            for i in 0..nb_in {
-                let blk: Vec<i32> = (0..b)
-                    .map(|t| fx::to_fx(in_scale.dequantize(x_codes[(r, i * b + t)]), FRAC))
-                    .collect();
-                x_spec.push(fft::fft_real(&blk, tw, FRAC));
+            // Transform + accumulate: FFT each input block of this row
+            // once and MAC it into every output block's spectrum.
+            acc_re.fill(0);
+            acc_im.fill(0);
+            for (i, codes) in x_codes.row(r).chunks_exact(b).enumerate() {
+                for (x, &code) in xs.iter_mut().zip(codes) {
+                    *x = Cpx::real(dequant[code as u8 as usize]);
+                }
+                fft::fft_in_place(&mut xs, tw, FRAC);
+                let at = i * slab..(i + 1) * slab;
+                spectral_mac(
+                    &xs,
+                    &kernels.re[at.clone()],
+                    &kernels.im[at],
+                    &mut acc_re,
+                    &mut acc_im,
+                );
             }
-            // Accumulate: per output block, MAC spectra then IFFT.
-            // (`j` selects a column of `spec`'s middle axis, the fault
-            // site, and the output columns — an index loop over the
-            // block count, not an iteration over any one container.)
-            #[allow(clippy::needless_range_loop)]
+            // Drain: per output block, check and IFFT its spectrum.
             for j in 0..nb_out {
-                let mut acc = vec![Cpx::ZERO; b];
-                // ABFT checksum register: Σ_k Y_k accumulated from the
-                // same products as they are written to the spectral
-                // SRAM — an adder tree beside the MAC lanes, never
-                // re-read from the (corruptible) store.
+                // ABFT checksum register: Σ_k Y_k of the products as
+                // they were written to the spectral SRAM, read before
+                // the store can have been corrupted.
                 let (mut s_re, mut s_im) = (0i64, 0i64);
-                for (i, xs) in x_spec.iter().enumerate() {
-                    for (k, a) in acc.iter_mut().enumerate() {
-                        let p = xs[k].mul(spec[i][j][k], FRAC);
-                        *a = *a + p;
-                        s_re += p.re as i64;
-                        s_im += p.im as i64;
-                    }
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a = Cpx::new(acc_re[k * nb_out + j], acc_im[k * nb_out + j]);
+                    s_re += a.re as i64;
+                    s_im += a.im as i64;
                 }
                 if let Some(f) = fault {
                     if f.layer == layer && f.row == r && f.out_block == j {
@@ -395,11 +595,15 @@ impl CirculantBackend {
                 {
                     report.violations += 1;
                 }
-                for (t, v) in acc.iter().enumerate() {
-                    let col = j * b + t;
-                    let y = fx::to_f32(v.re, FRAC) + bias_f[col];
+                let cols = j * b..(j + 1) * b;
+                let drain = out.row_mut(r)[cols.clone()]
+                    .iter_mut()
+                    .zip(&kernels.bias_f[cols])
+                    .zip(&acc);
+                for ((o, &bias), v) in drain {
+                    let y = fx::to_f32(v.re, FRAC) + bias;
                     let y = if relu { y.max(0.0) } else { y };
-                    out[(r, col)] = out_scale.quantize(y);
+                    *o = out_scale.quantize(y);
                 }
             }
         }
@@ -413,13 +617,17 @@ impl CirculantBackend {
         let d_ff = self.cfg.base.model.d_ff;
         let d_model = self.cfg.base.model.d_model;
         let b = self.cfg.block;
-        let mut want = Vec::new();
-        want.push(CircOp::Transform { layer: 1 });
-        want.extend((0..d_ff / b).map(|j| CircOp::Accumulate { layer: 1, block: j }));
-        want.push(CircOp::Transform { layer: 2 });
-        want.extend((0..d_model / b).map(|j| CircOp::Accumulate { layer: 2, block: j }));
-        want.push(CircOp::LayerNorm);
-        assert_eq!(prog.ops, want, "malformed circulant program");
+        let sublayer = |layer: u8, d_out: usize| {
+            std::iter::once(CircOp::Transform { layer })
+                .chain((0..d_out / b).map(move |block| CircOp::Accumulate { layer, block }))
+        };
+        let want = sublayer(1, d_ff)
+            .chain(sublayer(2, d_model))
+            .chain(std::iter::once(CircOp::LayerNorm));
+        assert!(
+            prog.ops.iter().copied().eq(want),
+            "malformed circulant program"
+        );
     }
 
     /// Executes an FFN program with the DC-bin checker active and an
@@ -436,11 +644,9 @@ impl CirculantBackend {
         let prog = self.program(prog);
         self.validate_program(prog);
         let (w1, w2) = block.sublayers();
-        let b = self.cfg.block;
-        let tw = fft::twiddles(b, FRAC);
         let mut report = CircCheckReport::default();
-        let hidden = self.circ_layer(x, w1, true, &tw, 1, fault.as_ref(), &mut report);
-        let y2 = self.circ_layer(&hidden, w2, false, &tw, 2, fault.as_ref(), &mut report);
+        let hidden = self.circ_layer(x, w1, true, 1, fault.as_ref(), &mut report);
+        let y2 = self.circ_layer(&hidden, w2, false, 2, fault.as_ref(), &mut report);
         // Residual add in the shared x code domain, then the reference
         // integer LayerNorm — identical tail to `isa::execute_ffn`.
         let g = Mat::from_fn(x.rows(), x.cols(), |r, c| {
@@ -597,11 +803,134 @@ impl Backend for CirculantBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fixedmath::quant::QuantParams;
+    use fixedmath::sat::rounding_shr;
     use graph::ffn_graph;
+    use proptest::prelude::*;
     use quantized::sqnr::sqnr_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
     use transformer::config::ModelConfig;
+    use transformer::linear::Linear;
+
+    // ---- The pre-memo datapath, frozen as the reference ---------------
+    //
+    // Kernel spectra re-derived on every call into a nested store, one
+    // allocating FFT per block, and a scalar `Cpx::mul` MAC that walks
+    // one output block at a time while summing the checksum register
+    // product by product. The fast path must equal it bit for bit.
+
+    fn reference_kernel_spectra(b: usize, lin: &QLinear, tw: &[Cpx]) -> Vec<Vec<Vec<Cpx>>> {
+        let wq = lin.weight_q();
+        let w_f = Mat::from_fn(wq.rows(), wq.cols(), |r, c| {
+            wq[(r, c)] as f32 * lin.w_scale_of(c).scale()
+        });
+        (0..wq.rows() / b)
+            .map(|i| {
+                (0..wq.cols() / b)
+                    .map(|j| {
+                        let c = project_block(&w_f, i * b, j * b, b);
+                        let c_fx: Vec<i32> = c.iter().map(|&v| fx::to_fx(v, FRAC)).collect();
+                        fft::fft_real(&c_fx, tw, FRAC)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reference_circ_layer(
+        b: usize,
+        x_codes: &Mat<i8>,
+        lin: &QLinear,
+        relu: bool,
+        tw: &[Cpx],
+        layer: u8,
+        fault: Option<&CircFault>,
+        report: &mut CircCheckReport,
+    ) -> Mat<i8> {
+        let d_in = lin.weight_q().rows();
+        let d_out = lin.weight_q().cols();
+        assert_eq!(x_codes.cols(), d_in, "activation width mismatch");
+        let nb_in = d_in / b;
+        let nb_out = d_out / b;
+        let spec = reference_kernel_spectra(b, lin, tw);
+        let in_scale = lin.in_scale();
+        let out_scale = lin.out_scale();
+        let bias_f: Vec<f32> = (0..d_out)
+            .map(|c| lin.bias_q()[c] as f32 * in_scale.scale() * lin.w_scale_of(c).scale())
+            .collect();
+        let tol = dc_check_tolerance(b);
+
+        let mut out = Mat::<i8>::zeros(x_codes.rows(), d_out);
+        let mut x_spec: Vec<Vec<Cpx>> = Vec::with_capacity(nb_in);
+        for r in 0..x_codes.rows() {
+            x_spec.clear();
+            for i in 0..nb_in {
+                let blk: Vec<i32> = (0..b)
+                    .map(|t| fx::to_fx(in_scale.dequantize(x_codes[(r, i * b + t)]), FRAC))
+                    .collect();
+                x_spec.push(fft::fft_real(&blk, tw, FRAC));
+            }
+            #[allow(clippy::needless_range_loop)]
+            for j in 0..nb_out {
+                let mut acc = vec![Cpx::ZERO; b];
+                let (mut s_re, mut s_im) = (0i64, 0i64);
+                for (i, xs) in x_spec.iter().enumerate() {
+                    for (k, a) in acc.iter_mut().enumerate() {
+                        let p = xs[k].mul(spec[i][j][k], FRAC);
+                        *a = *a + p;
+                        s_re += p.re as i64;
+                        s_im += p.im as i64;
+                    }
+                }
+                if let Some(f) = fault {
+                    if f.layer == layer && f.row == r && f.out_block == j {
+                        acc[f.bin % b].re ^= 1i32 << (f.bit % 31);
+                    }
+                }
+                let dc = acc[0];
+                fft::ifft_in_place(&mut acc, tw, FRAC);
+                let time_sum: i64 = acc.iter().map(|v| v.re as i64).sum();
+                let y0 = acc[0];
+                report.blocks_checked += 1;
+                if (time_sum - dc.re as i64).abs() > tol
+                    || (b as i64 * y0.re as i64 - s_re).abs() > tol * b as i64
+                    || (b as i64 * y0.im as i64 - s_im).abs() > tol * b as i64
+                {
+                    report.violations += 1;
+                }
+                for (t, v) in acc.iter().enumerate() {
+                    let col = j * b + t;
+                    let y = fx::to_f32(v.re, FRAC) + bias_f[col];
+                    let y = if relu { y.max(0.0) } else { y };
+                    out[(r, col)] = out_scale.quantize(y);
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_run_ffn_checked(
+        b: usize,
+        block: &QuantFfnResBlock,
+        x: &Mat<i8>,
+        fault: Option<CircFault>,
+    ) -> (Mat<i8>, CircCheckReport) {
+        let (w1, w2) = block.sublayers();
+        let tw = fft::twiddles(b, FRAC);
+        let mut report = CircCheckReport::default();
+        let f = fault.as_ref();
+        let hidden = reference_circ_layer(b, x, w1, true, &tw, 1, f, &mut report);
+        let y2 = reference_circ_layer(b, &hidden, w2, false, &tw, 2, f, &mut report);
+        let g = Mat::from_fn(x.rows(), x.cols(), |r, c| {
+            y2[(r, c)] as i32 + x[(r, c)] as i32
+        });
+        (block.layernorm().forward(&g), report)
+    }
+
+    // ---- Fixtures ------------------------------------------------------
 
     fn tiny_backend() -> CirculantBackend {
         let mut base = AccelConfig::paper_default();
@@ -617,17 +946,42 @@ mod tests {
     /// A quantized FFN whose float weights are exactly block-circulant
     /// (the FTRANS training regime), plus a quantized test input.
     fn circulant_fixture() -> (QuantFfnResBlock, Mat<i8>, Mat<f32>) {
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(0xC1);
-        let mut block = FfnResBlock::new(&cfg, &mut rng);
+        fixture(&ModelConfig::tiny_for_tests(), 8, 0xC1)
+    }
+
+    /// A circulantized, quantized FFN of `cfg`'s shape with an `s`-row
+    /// input, all drawn from `seed`.
+    fn fixture(cfg: &ModelConfig, s: usize, seed: u64) -> (QuantFfnResBlock, Mat<i8>, Mat<f32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut block = FfnResBlock::new(cfg, &mut rng);
         circulantize_ffn(&mut block, 8);
         let calib: Vec<Mat<f32>> = (0..4)
-            .map(|_| tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0))
+            .map(|_| tensor::init::normal(&mut rng, s, cfg.d_model, 1.0))
             .collect();
         let q = QuantFfnResBlock::from_f32(&block, &calib);
         let x = calib[0].clone();
         let xq = q.quantize_input(&x);
         (q, xq, x)
+    }
+
+    /// The paper's evaluation point: 512/2048 at `s = 64`, one backend
+    /// (so its memo is warm after the first test that runs).
+    fn paper_point() -> &'static (CirculantBackend, BackendProgram, QuantFfnResBlock, Mat<i8>) {
+        static POINT: OnceLock<(CirculantBackend, BackendProgram, QuantFfnResBlock, Mat<i8>)> =
+            OnceLock::new();
+        POINT.get_or_init(|| {
+            let be = CirculantBackend::ftrans_default();
+            let cfg = be.config().base.model.clone();
+            let (q, xq, _) = fixture(&cfg, be.config().base.s, 0xC2);
+            let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
+            (be, prog, q, xq)
+        })
+    }
+
+    fn tiny_linear(seed: u64) -> QLinear {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lin = Linear::new("t", 16, 24, &mut rng);
+        QLinear::from_f32(&lin, QuantParams::new(0.05), QuantParams::new(0.1))
     }
 
     #[test]
@@ -691,20 +1045,233 @@ mod tests {
         let be = tiny_backend();
         let (q, xq, _) = circulant_fixture();
         let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
-        for (layer, bin) in [(1u8, 0usize), (1, 3), (2, 0), (2, 5)] {
-            let fault = CircFault {
-                layer,
-                row: 2,
-                out_block: 1,
-                bin,
-                bit: 17,
-            };
-            let (_, report) = be.run_ffn_checked(&prog, &q, &xq, Some(fault));
-            assert!(
-                report.violations >= 1,
-                "flip in layer {layer} bin {bin} escaped the DC check"
+        // Every bin: outside DC the IFFT identity cannot see the flip
+        // (neither Y[0] nor Σ_t y_t moves), so detection there is the
+        // accumulation-checksum register diverging from the corrupted
+        // store — it must have been latched before the flip.
+        for layer in [1u8, 2] {
+            for bin in 0..8 {
+                let fault = CircFault {
+                    layer,
+                    row: 2,
+                    out_block: 1,
+                    bin,
+                    bit: 17,
+                };
+                let (_, report) = be.run_ffn_checked(&prog, &q, &xq, Some(fault));
+                assert_eq!(
+                    report.violations, 1,
+                    "flip in layer {layer} bin {bin} escaped the checks"
+                );
+            }
+        }
+    }
+
+    // ---- Fast path vs the frozen reference ----------------------------
+
+    #[test]
+    fn round_product_is_rounding_shr() {
+        let half = 1i64 << (FRAC - 1);
+        let one = 1i64 << FRAC;
+        // Exhaustive around every tie of the first few hundred quotients,
+        // both signs, then the extremes of one i32 product and of the
+        // range where neither form's intermediate sum overflows.
+        for q in -300i64..=300 {
+            for d in -2i64..=2 {
+                let v = q * one + half + d;
+                assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32, "v={v}");
+                assert_eq!(round_product(-v), rounding_shr(-v, FRAC) as i32, "v={}", -v);
+            }
+        }
+        let square = (i32::MIN as i64) * (i32::MIN as i64);
+        let extremes = [square, -square, i64::MAX - half, i64::MIN + half + 1];
+        for v in extremes.into_iter().chain([0, 1, -1]) {
+            assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32, "v={v}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn round_product_is_rounding_shr_on_random_products(
+            a in i32::MIN..=i32::MAX, b in i32::MIN..=i32::MAX,
+            c in i32::MIN..=i32::MAX, d in i32::MIN..=i32::MAX,
+        ) {
+            let v = a as i64 * b as i64 - c as i64 * d as i64;
+            prop_assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32);
+        }
+    }
+
+    #[test]
+    fn planar_spectra_and_bias_equal_the_nested_reference() {
+        let (tiny, ..) = circulant_fixture();
+        let (_, _, paper, _) = paper_point();
+        for q in [&tiny, paper] {
+            let tw = fft::twiddles(8, FRAC);
+            for lin in [q.sublayers().0, q.sublayers().1] {
+                let got = KernelSpectra::build(lin, 8, &tw);
+                let want = reference_kernel_spectra(8, lin, &tw);
+                let nb_out = want[0].len();
+                for (i, row) in want.iter().enumerate() {
+                    for (j, spectrum) in row.iter().enumerate() {
+                        for (k, v) in spectrum.iter().enumerate() {
+                            let at = (i * 8 + k) * nb_out + j;
+                            assert_eq!(Cpx::new(got.re[at], got.im[at]), *v, "({i},{j},{k})");
+                        }
+                    }
+                }
+                assert!(got.is_for(lin));
+            }
+        }
+    }
+
+    #[test]
+    fn clean_runs_equal_the_frozen_reference() {
+        let (q, xq, _) = circulant_fixture();
+        let be = tiny_backend();
+        let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
+        assert_eq!(
+            be.run_ffn_checked(&prog, &q, &xq, None),
+            reference_run_ffn_checked(8, &q, &xq, None)
+        );
+        let (be, prog, q, xq) = paper_point();
+        let want = reference_run_ffn_checked(8, q, xq, None);
+        // cold (derives the spectra) and warm (resident) runs alike
+        assert_eq!(be.run_ffn_checked(prog, q, xq, None), want);
+        assert_eq!(be.run_ffn_checked(prog, q, xq, None), want);
+        assert_eq!(want.1.violations, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn faulted_runs_equal_the_frozen_reference_on_the_tiny_shape(
+            layer in 1u8..=2, row in 0usize..8, out_block in 0usize..8,
+            bin in 0usize..16, bit in 0u32..40,
+        ) {
+            let (q, xq, _) = circulant_fixture();
+            let be = tiny_backend();
+            let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
+            // (layer 2 has 4 output blocks: the upper half never fires,
+            // which must also agree)
+            let fault = Some(CircFault { layer, row, out_block, bin, bit });
+            prop_assert_eq!(
+                be.run_ffn_checked(&prog, &q, &xq, fault),
+                reference_run_ffn_checked(8, &q, &xq, fault)
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn faulted_runs_equal_the_frozen_reference_at_the_paper_point(
+            layer in 1u8..=2, row in 0usize..64, out_block in 0usize..64,
+            bin in 0usize..8, bit in 0u32..31,
+        ) {
+            let (be, prog, q, xq) = paper_point();
+            let fault = Some(CircFault { layer, row, out_block, bin, bit });
+            prop_assert_eq!(
+                be.run_ffn_checked(prog, q, xq, fault),
+                reference_run_ffn_checked(8, q, xq, fault)
+            );
+        }
+    }
+
+    // ---- The memo ------------------------------------------------------
+
+    #[test]
+    fn alternating_blocks_each_get_their_own_result() {
+        let cfg = ModelConfig::tiny_for_tests();
+        let (qa, xa, _) = fixture(&cfg, 8, 0xA);
+        let (qb, xb, _) = fixture(&cfg, 8, 0xB);
+        let be = tiny_backend();
+        let prog = be.lower_ffn(&ffn_graph(&qa.graph_config()));
+        let want_a = tiny_backend().run_ffn(&prog, &qa, &xa);
+        let want_b = tiny_backend().run_ffn(&prog, &qb, &xb);
+        assert_ne!(want_a, want_b);
+        for _ in 0..3 {
+            assert_eq!(be.run_ffn(&prog, &qa, &xa), want_a);
+            assert_eq!(be.run_ffn(&prog, &qb, &xb), want_b);
+        }
+        // two sublayers of two blocks, each derived once
+        assert_eq!(be.memo.len(), 4);
+    }
+
+    #[test]
+    fn a_one_code_weight_change_misses() {
+        let mut rng = StdRng::seed_from_u64(0x1C);
+        let w = tensor::init::normal(&mut rng, 16, 24, 1.0);
+        let (in_scale, out_scale) = (QuantParams::new(0.05), QuantParams::new(0.1));
+        let quantize = |w: &Mat<f32>| {
+            let lin = Linear::from_parts("t", w.clone(), vec![0.25; 24]);
+            QLinear::from_f32(&lin, in_scale, out_scale)
+        };
+        let a = quantize(&w);
+        // Nudge one non-extreme weight by two quantization steps: the
+        // tensor scale (set by the largest |w|) stays put.
+        let mut w2 = w.clone();
+        w2[(3, 5)] += 2.0 * a.w_scale().scale() * if w[(3, 5)] > 0.0 { -1.0 } else { 1.0 };
+        let b = quantize(&w2);
+        let differing = a
+            .weight_q()
+            .as_slice()
+            .iter()
+            .zip(b.weight_q().as_slice())
+            .filter(|(x, y)| x != y)
+            .count();
+        assert_eq!(differing, 1);
+        assert_eq!(a.w_scale(), b.w_scale());
+
+        let be = tiny_backend();
+        let for_a = be.memo.get(&a, 8, &be.tw);
+        let for_b = be.memo.get(&b, 8, &be.tw);
+        assert!(!Arc::ptr_eq(&for_a, &for_b), "changed weights must miss");
+        assert_ne!(for_a.re, for_b.re);
+        assert!(
+            Arc::ptr_eq(&for_a, &be.memo.get(&a, 8, &be.tw)),
+            "same weights must hit"
+        );
+        assert_eq!(be.memo.len(), 2);
+        // Scales and bias are part of the key too.
+        let lin = Linear::from_parts("t", w.clone(), vec![0.5; 24]);
+        let other_bias = QLinear::from_f32(&lin, in_scale, out_scale);
+        let lin = Linear::from_parts("t", w, vec![0.25; 24]);
+        let other_scale = QLinear::from_f32(&lin, QuantParams::new(0.06), out_scale);
+        assert!(!for_a.is_for(&other_bias));
+        assert!(!for_a.is_for(&other_scale));
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_memo() {
+        let be = tiny_backend();
+        let (q, xq, _) = circulant_fixture();
+        let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
+        let want = be.run_ffn(&prog, &q, &xq);
+        assert_eq!(be.memo.len(), 2);
+        let cloned = be.clone();
+        assert_eq!(cloned.memo.len(), 0);
+        assert_eq!(cloned.run_ffn(&prog, &q, &xq), want);
+        assert_eq!(be.memo.len(), 2);
+    }
+
+    #[test]
+    fn memo_stays_bounded_and_evicts_the_least_recently_used() {
+        let be = tiny_backend();
+        let lins: Vec<QLinear> = (0..SPECTRA_MEMO_CAP as u64 + 3).map(tiny_linear).collect();
+        let first = be.memo.get(&lins[0], 8, &be.tw);
+        for lin in &lins[1..SPECTRA_MEMO_CAP] {
+            be.memo.get(lin, 8, &be.tw);
+        }
+        // Touch the oldest, then overflow: the untouched ones go first.
+        assert!(Arc::ptr_eq(&first, &be.memo.get(&lins[0], 8, &be.tw)));
+        for lin in &lins[SPECTRA_MEMO_CAP..] {
+            be.memo.get(lin, 8, &be.tw);
+            assert_eq!(be.memo.len(), SPECTRA_MEMO_CAP);
+        }
+        assert!(Arc::ptr_eq(&first, &be.memo.get(&lins[0], 8, &be.tw)));
+        assert!(!be.memo.0.lock().unwrap().iter().any(|e| e.is_for(&lins[1])));
     }
 
     #[test]

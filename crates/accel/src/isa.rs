@@ -20,7 +20,7 @@
 use hwsim::cycles::Cycle;
 use hwsim::timeline::{EventId, Timeline};
 use quantized::softmax::scaled_masked_softmax;
-use quantized::{QLinear, QuantFfnResBlock, QuantMhaResBlock};
+use quantized::{QuantFfnResBlock, QuantMhaResBlock};
 use serde::Serialize;
 use tensor::{gemm, Mat};
 
@@ -297,19 +297,6 @@ pub fn validate_ffn_program(
     Ok(())
 }
 
-/// A slice of a quantized linear layer restricted to columns
-/// `[c0, c0 + width)`, applied bit-exactly.
-fn linear_cols(lin: &QLinear, x: &Mat<i8>, c0: usize, width: usize) -> Mat<i8> {
-    let w = lin
-        .weight_q()
-        .submatrix(0, c0, lin.weight_q().rows(), width)
-        .expect("column slice");
-    let acc = gemm::matmul_i8(x, &w).expect("widths");
-    Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-        lin.requantize_col(c0 + c, acc[(r, c)] + lin.bias_q()[c0 + c])
-    })
-}
-
 /// Bit-exact execution of [`mha_program`] against a quantized block.
 ///
 /// # Panics
@@ -330,7 +317,10 @@ pub fn execute_mha(
     let mut v: Vec<Option<Mat<i8>>> = vec![None; h];
     let mut scores: Vec<Option<Mat<i32>>> = vec![None; h];
     let mut probs: Vec<Option<Mat<i8>>> = vec![None; h];
-    let mut p_panels: Vec<Option<Mat<i8>>> = vec![None; h];
+    // P is assembled in place as each head's Context lands; every
+    // OutputPanel then streams the one shared matrix.
+    let mut p = Mat::<i8>::zeros(xq.rows(), h * d_k);
+    let mut ctx_done = vec![false; h];
     let mut g: Mat<i32> = Mat::zeros(xq.rows(), wq.weight_q().cols());
     let mut ln_out: Option<Mat<i8>> = None;
     let score_tiles = qk_plan(xkv.rows()).tiles;
@@ -338,13 +328,13 @@ pub fn execute_mha(
     for cmd in program {
         match *cmd {
             Command::ProjectQ { head } => {
-                q[head] = Some(linear_cols(wq, xq, head * d_k, d_k));
+                q[head] = Some(wq.forward_cols(xq, head * d_k, d_k));
             }
             Command::ProjectK { head } => {
-                k[head] = Some(linear_cols(wk, xkv, head * d_k, d_k));
+                k[head] = Some(wk.forward_cols(xkv, head * d_k, d_k));
             }
             Command::ProjectV { head } => {
-                v[head] = Some(linear_cols(wv, xkv, head * d_k, d_k));
+                v[head] = Some(wv.forward_cols(xkv, head * d_k, d_k));
             }
             Command::ScoreTile { head, tile } => {
                 // tiles are produced in order; compute the whole score
@@ -373,16 +363,21 @@ pub fn execute_mha(
                 let pr = probs[head].as_ref().expect("Softmax before Context");
                 let vi = v[head].as_ref().expect("ProjectV before Context");
                 let acc = gemm::matmul_i8(pr, vi).expect("shapes");
-                p_panels[head] = Some(acc.map(|&a| block.requantize_p(a)));
+                for r in 0..p.rows() {
+                    let dst = &mut p.row_mut(r)[head * d_k..(head + 1) * d_k];
+                    for (o, &a) in dst.iter_mut().zip(acc.row(r)) {
+                        *o = block.requantize_p(a);
+                    }
+                }
+                ctx_done[head] = true;
             }
             Command::OutputPanel { panel } => {
-                let p: Vec<Mat<i8>> = p_panels
-                    .iter()
-                    .map(|m| m.clone().expect("all Contexts before OutputPanel"))
-                    .collect();
-                let p = Mat::hconcat(&p).expect("heads share rows");
+                assert!(
+                    ctx_done.iter().all(|&done| done),
+                    "all Contexts before OutputPanel"
+                );
                 let c0 = panel * d_k;
-                let g_cols = linear_cols(wo, &p, c0, d_k);
+                let g_cols = wo.forward_cols(&p, c0, d_k);
                 for r in 0..g.rows() {
                     for c in 0..d_k {
                         g[(r, c0 + c)] = g_cols[(r, c)] as i32 + xq[(r, c0 + c)] as i32;
@@ -415,7 +410,7 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
             Command::FfnHidden { panel } => {
                 let c0 = panel * PANEL_COLS;
                 let width = PANEL_COLS.min(d_ff - c0);
-                let cols = linear_cols(w1, x, c0, width);
+                let cols = w1.forward_cols(x, c0, width);
                 for r in 0..hidden.rows() {
                     for c in 0..width {
                         hidden[(r, c0 + c)] = cols[(r, c)].max(0); // fused ReLU
@@ -425,7 +420,7 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
             Command::FfnOutput { panel } => {
                 let c0 = panel * PANEL_COLS;
                 let width = PANEL_COLS.min(d_model - c0);
-                let cols = linear_cols(w2, &hidden, c0, width);
+                let cols = w2.forward_cols(&hidden, c0, width);
                 for r in 0..g.rows() {
                     for c in 0..width {
                         g[(r, c0 + c)] = cols[(r, c)] as i32 + x[(r, c0 + c)] as i32;
@@ -549,6 +544,88 @@ mod tests {
         let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
         let xq = qmha.quantize_input_q(&calib[0]);
         (qmha, qffn, xq)
+    }
+
+    /// 64-wide heads, and a `d_ff` that leaves a ragged last panel.
+    fn ragged_cfg() -> ModelConfig {
+        ModelConfig {
+            name: "ragged64h".into(),
+            d_model: 128,
+            d_ff: 300,
+            h: 2,
+            n_layers: 1,
+            vocab: 16,
+            max_len: 8,
+        }
+    }
+
+    /// The interpreter's panel GEMM as it was before panels ran against
+    /// the resident prepacked weights, frozen as the reference: copy the
+    /// `k x width` weight panel out, re-pack and multiply it, then bias
+    /// and requantize element by element.
+    fn linear_cols_reference(
+        lin: &quantized::QLinear,
+        x: &Mat<i8>,
+        c0: usize,
+        width: usize,
+    ) -> Mat<i8> {
+        let w = lin
+            .weight_q()
+            .submatrix(0, c0, lin.weight_q().rows(), width)
+            .expect("column slice");
+        let acc = gemm::matmul_i8(x, &w).expect("widths");
+        Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
+            lin.requantize_col(c0 + c, acc[(r, c)] + lin.bias_q()[c0 + c])
+        })
+    }
+
+    #[test]
+    fn panel_gemm_matches_the_frozen_submatrix_reference() {
+        // Every panel the interpreter issues against Q/K/V/O/W1/W2: the
+        // tiny shape (d_k = 8, panels start inside a pack tile) and a
+        // 64-wide-head shape whose d_ff leaves a ragged last panel —
+        // on the dispatched kernels and with the scalar ones forced.
+        for force_scalar in [false, true] {
+            tensor::simd::set_simd_override(force_scalar.then_some(false));
+            for cfg in [ModelConfig::tiny_for_tests(), ragged_cfg()] {
+                let (qmha, qffn, xq) = blocks(&cfg, 8);
+                let d_k = qmha.d_k();
+                let (wq, wk, wv, wo) = qmha.projections();
+                for (name, lin) in [("Q", wq), ("K", wk), ("V", wv), ("O", wo)] {
+                    for head in 0..cfg.h {
+                        assert_eq!(
+                            lin.forward_cols(&xq, head * d_k, d_k),
+                            linear_cols_reference(lin, &xq, head * d_k, d_k),
+                            "{} W_{name} panel {head} scalar={force_scalar}",
+                            cfg.name
+                        );
+                    }
+                }
+                let (w1, w2) = qffn.sublayers();
+                let hidden = w1.forward(&xq);
+                for (name, lin, x) in [("1", w1, &xq), ("2", w2, &hidden)] {
+                    let d_out = lin.weight_q().cols();
+                    for c0 in (0..d_out).step_by(PANEL_COLS) {
+                        let width = PANEL_COLS.min(d_out - c0);
+                        assert_eq!(
+                            lin.forward_cols(x, c0, width),
+                            linear_cols_reference(lin, x, c0, width),
+                            "{} W_{name} cols {c0}+{width} scalar={force_scalar}",
+                            cfg.name
+                        );
+                    }
+                }
+            }
+        }
+        tensor::simd::set_simd_override(None);
+    }
+
+    #[test]
+    fn ragged_ffn_execution_is_bit_identical_to_the_datapath() {
+        let cfg = ragged_cfg();
+        let (_, qffn, xq) = blocks(&cfg, 8);
+        let got = execute_ffn(&ffn_program(cfg.d_model, cfg.d_ff), &qffn, &xq);
+        assert_eq!(got, qffn.forward(&xq).0);
     }
 
     #[test]

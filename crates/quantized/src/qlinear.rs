@@ -15,7 +15,7 @@
 use fixedmath::quant::{QuantParams, Requantizer};
 use fixedmath::sat::sat_i8;
 use serde::{Deserialize, Serialize};
-use tensor::prepack::{self, PackedI8};
+use tensor::prepack::{self, PackedI8, PackedI8Cols};
 use tensor::Mat;
 use transformer::linear::Linear;
 
@@ -317,6 +317,39 @@ impl QLinear {
         .expect("qlinear width mismatch")
     }
 
+    /// Output columns `[c0, c0 + width)` of [`QLinear::forward`] — the
+    /// GEMM one accelerator panel command issues. It runs against those
+    /// columns of the resident prepacked weights (no sub-matrix copy, no
+    /// re-pack), with bias add and per-column requantization in the
+    /// GEMM's drain. Bit-identical to the matching columns of
+    /// `forward(x)` on a fault-free run.
+    ///
+    /// This is the modelled array's datapath, not a serving-path GEMM:
+    /// it never passes through the fault seam, so it neither consumes
+    /// nor renumbers injector/ABFT GEMM passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != d_in` or the column range exceeds `d_out`.
+    pub fn forward_cols(&self, x: &Mat<i8>, c0: usize, width: usize) -> Mat<i8> {
+        let panel = PackedI8Cols::new(&self.w_packed, c0, width);
+        let bias = &self.bias_q[c0..c0 + width];
+        prepack::matmul_i8_prepacked_fused(x, panel, |_r, acc, out: &mut [i8]| {
+            if self.requants.len() == 1 {
+                let rq = self.requants[0];
+                for ((o, &a), &b) in out.iter_mut().zip(acc).zip(bias) {
+                    *o = rq.apply_sat_i8(a + b);
+                }
+            } else {
+                let requants = &self.requants[c0..c0 + width];
+                for (((o, &a), &b), rq) in out.iter_mut().zip(acc).zip(bias).zip(requants) {
+                    *o = rq.apply_sat_i8(a + b);
+                }
+            }
+        })
+        .expect("qlinear width mismatch")
+    }
+
     /// Requantizes an accumulator drained from output column `col`.
     pub fn requantize_col(&self, col: usize, acc: i32) -> i8 {
         let r = &self.requants[if self.requants.len() == 1 { 0 } else { col }];
@@ -483,6 +516,23 @@ mod tests {
         let pt = err(QuantScheme::PerTensor);
         let pc = err(QuantScheme::PerChannel);
         assert!(pc < pt * 0.5, "per-channel {pc} vs per-tensor {pt}");
+    }
+
+    #[test]
+    fn forward_cols_equals_the_matching_columns_of_forward() {
+        for scheme in [QuantScheme::PerTensor, QuantScheme::PerChannel] {
+            let (_, q, x) = make_layer(8, 24, 40, scheme);
+            let xq = q.quantize_input(&x);
+            let full = q.forward(&xq);
+            for (c0, width) in [(0, 16), (16, 24), (8, 8), (35, 5), (0, 40)] {
+                let want = full.submatrix(0, c0, full.rows(), width).unwrap();
+                assert_eq!(
+                    q.forward_cols(&xq, c0, width),
+                    want,
+                    "{scheme:?} {c0}+{width}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -186,6 +186,68 @@ impl PackedI8 {
     }
 }
 
+/// Columns `[c0, c0 + width)` of a [`PackedI8`], borrowed — what one
+/// accelerator panel command multiplies against. The quad layout is
+/// tile-major, so the column tiles covering the range are one contiguous
+/// slice of the pack: a panel GEMM streams the resident weights in place
+/// instead of copying a `k x width` sub-matrix out and re-packing it.
+/// The fused entry points ([`matmul_i8_prepacked_fused`] /
+/// [`matmul_i8_prepacked_epilogue`]) take this view; a whole
+/// `&PackedI8` converts into the full-width one.
+///
+/// A range that starts or ends inside a tile still works: the covering
+/// tiles are multiplied whole and the epilogue sees only the requested
+/// columns (lanes are independent, so the extra ones cannot perturb
+/// them). Tile-aligned ranges — the paper's 64-column panels — compute
+/// nothing extra.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedI8Cols<'a> {
+    /// Quads of the covering tiles.
+    quads: &'a [i8],
+    /// Column sums of the covering tiles.
+    colsum: &'a [i32],
+    /// Reduction depth.
+    k: usize,
+    /// Columns the covering tiles hold (a ragged last tile is clipped).
+    cover: usize,
+    /// Columns of the first covering tile that precede `c0`.
+    skip: usize,
+    /// Columns requested.
+    width: usize,
+}
+
+impl<'a> PackedI8Cols<'a> {
+    /// Borrows columns `[c0, c0 + width)` of `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds `b.n()`.
+    pub fn new(b: &'a PackedI8, c0: usize, width: usize) -> Self {
+        assert!(
+            c0 + width <= b.n,
+            "columns {c0}..{} exceed the packed width {}",
+            c0 + width,
+            b.n
+        );
+        let (t0, t1) = (c0 / gemm::NR, (c0 + width).div_ceil(gemm::NR));
+        let tile_len = b.k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
+        Self {
+            quads: &b.quads[t0 * tile_len..t1 * tile_len],
+            colsum: &b.colsum[t0 * gemm::NR..t1 * gemm::NR],
+            k: b.k,
+            cover: (t1 * gemm::NR).min(b.n) - t0 * gemm::NR,
+            skip: c0 - t0 * gemm::NR,
+            width,
+        }
+    }
+}
+
+impl<'a> From<&'a PackedI8> for PackedI8Cols<'a> {
+    fn from(b: &'a PackedI8) -> Self {
+        Self::new(b, 0, b.n)
+    }
+}
+
 /// `f32` GEMM against a prepacked `B`: returns `a * B`, bit-identical to
 /// [`crate::gemm::matmul`] on the original matrix.
 ///
@@ -288,16 +350,17 @@ where
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_i8_prepacked_fused<O, F>(
+pub fn matmul_i8_prepacked_fused<'b, O, F>(
     a: &Mat<i8>,
-    b: &PackedI8,
+    b: impl Into<PackedI8Cols<'b>>,
     epi: F,
 ) -> Result<Mat<O>, ShapeError>
 where
     O: Copy + Default + Send,
     F: Fn(usize, &[i32], &mut [O]) + Sync,
 {
-    matmul_i8_prepacked_epilogue(a, b, gemm::auto_threads(a.rows(), a.cols(), b.n), epi)
+    let b = b.into();
+    matmul_i8_prepacked_epilogue(a, b, gemm::auto_threads(a.rows(), a.cols(), b.width), epi)
 }
 
 /// `f32` GEMM against a prepacked `B` with a **fused epilogue**: after a
@@ -353,12 +416,16 @@ where
 /// same kernels), so any per-element epilogue matching the unfused op
 /// sequence yields bit-identical results to the unfused pipeline.
 ///
+/// `b` is a whole `&PackedI8` or a [`PackedI8Cols`] column range of
+/// one; for a range the product (and every row handed to `epi`) has the
+/// range's width, equal to multiplying the copied-out sub-matrix.
+///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_i8_prepacked_epilogue<O, F>(
+pub fn matmul_i8_prepacked_epilogue<'b, O, F>(
     a: &Mat<i8>,
-    b: &PackedI8,
+    b: impl Into<PackedI8Cols<'b>>,
     threads: usize,
     epi: F,
 ) -> Result<Mat<O>, ShapeError>
@@ -366,14 +433,18 @@ where
     O: Copy + Default + Send,
     F: Fn(usize, &[i32], &mut [O]) + Sync,
 {
+    let b = b.into();
     if a.cols() != b.k {
         return Err(ShapeError::new(
             "matmul_i8_prepacked",
             a.shape(),
-            (b.k, b.n),
+            (b.k, b.width),
         ));
     }
-    let (m, n) = (a.rows(), b.n);
+    // The kernels run over the covering tiles (`cover` columns); the
+    // epilogue drains the requested `n` of them.
+    let (m, n, cover) = (a.rows(), b.width, b.cover);
+    let wanted = b.skip..b.skip + n;
     let mut out = Mat::<O>::zeros(m, n);
     if n == 0 {
         return Ok(out);
@@ -384,17 +455,17 @@ where
         Vec::new()
     };
     if m == 1 {
-        let mut acc = vec![0i32; n];
-        gemm::run_gemv_i8q(a, &au, &b.quads, &b.colsum, &mut acc, n);
-        epi(0, &acc, out.as_mut_slice());
+        let mut acc = vec![0i32; cover];
+        gemm::run_gemv_i8q(a, &au, b.quads, b.colsum, &mut acc, cover);
+        epi(0, &acc[wanted], out.as_mut_slice());
         return Ok(out);
     }
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         let rows = band.len() / n;
-        let mut acc = vec![0i32; rows * n];
-        gemm::run_band_i8q(a, &au, &b.quads, &b.colsum, first_row, &mut acc, n);
-        for (r, (acc_row, out_row)) in acc.chunks(n).zip(band.chunks_mut(n)).enumerate() {
-            epi(first_row + r, acc_row, out_row);
+        let mut acc = vec![0i32; rows * cover];
+        gemm::run_band_i8q(a, &au, b.quads, b.colsum, first_row, &mut acc, cover);
+        for (r, (acc_row, out_row)) in acc.chunks(cover).zip(band.chunks_mut(n)).enumerate() {
+            epi(first_row + r, &acc_row[wanted.clone()], out_row);
         }
     });
     Ok(out)
@@ -509,6 +580,46 @@ mod tests {
             });
             assert_eq!(fused, want, "m={m}");
         }
+    }
+
+    #[test]
+    fn column_range_matches_the_copied_out_submatrix() {
+        // Tile-aligned panels, ranges that start/end inside a tile, the
+        // ragged last tile, an empty range, and the m == 1 GEMV.
+        let b = Mat::from_fn(37, 150, |r, c| ((r * 13 + c * 5) % 251) as i8);
+        let packed = PackedI8::from_i8(&b);
+        let ranges = [
+            (0, 64),
+            (64, 64),
+            (128, 22),
+            (8, 8),
+            (24, 40),
+            (145, 5),
+            (0, 150),
+            (16, 0),
+        ];
+        for m in [1usize, 2, 9] {
+            let a = Mat::from_fn(m, 37, |r, c| ((r * 31 + c * 7) % 255) as i8);
+            for (c0, width) in ranges {
+                let got: Mat<i32> = matmul_i8_prepacked_epilogue(
+                    &a,
+                    PackedI8Cols::new(&packed, c0, width),
+                    3,
+                    |_r, acc, out| out.copy_from_slice(acc),
+                )
+                .unwrap();
+                let sub = b.submatrix(0, c0, 37, width).unwrap();
+                let want = gemm::matmul_i8(&a, &sub).unwrap();
+                assert_eq!(got, want, "m={m} cols {c0}..{}", c0 + width);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the packed width")]
+    fn column_range_past_the_end_is_rejected() {
+        let packed = PackedI8::from_i8(&Mat::<i8>::zeros(4, 20));
+        let _ = PackedI8Cols::new(&packed, 16, 5);
     }
 
     #[test]
