@@ -50,11 +50,13 @@ fn main() {
     };
     let mut door = FrontDoor::new(&model, door_cfg).expect("bind front door");
     eprintln!(
-        "front door listening on {} (src_vocab={}, tgt_vocab={}, max_len={})",
+        "front door listening on {} (src_vocab={}, tgt_vocab={}, max_len={}, threads={}, int8 kernel={:?})",
         door.local_addr().expect("local addr"),
         cfg.vocab,
         cfg.vocab,
         cfg.max_len,
+        tensor::par::threads(),
+        tensor::simd::int8_kernel(),
     );
 
     // Runs until killed; the door itself never panics on client input.

@@ -50,7 +50,11 @@ fn chaos_gauntlet_no_panics_no_leaks_canary_bit_identical() {
             max_buffered: 8,
             // Tenant 5 is the quota burner: a tight contract the
             // exhaustion scenario can hit without throttling others.
-            tenant_buckets: vec![(5, 60.0, 10.0)],
+            // Tenant 0 is the canary, which may be shed only by the
+            // storm: at the 220 requests a second it completes on the
+            // tile kernels, the default bucket (4096 + 2048/s) runs dry
+            // inside the three-second gauntlet.
+            tenant_buckets: vec![(5, 60.0, 10.0), (0, 1e9, 1e9)],
             ..AdmissionConfig::default()
         },
         idle_timeout: Duration::from_millis(250),
@@ -73,7 +77,18 @@ fn chaos_gauntlet_no_panics_no_leaks_canary_bit_identical() {
         })
         .collect();
 
+    /// Stops the door when the scope body unwinds: a failed assertion
+    /// below would otherwise wait forever for the door thread, and the
+    /// test would hang instead of failing.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
     let (door, canary_checked, outcome) = std::thread::scope(|s| {
+        let _stop_on_unwind = StopOnDrop(&stop);
         let door_handle = s.spawn(|| {
             door.run(&stop).expect("event loop");
             door

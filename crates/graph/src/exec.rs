@@ -1,5 +1,7 @@
 //! The [`Executor`] trait and the value environment graphs run in.
 
+use std::sync::Arc;
+
 use tensor::Mat;
 
 use crate::graph::Graph;
@@ -40,13 +42,16 @@ pub struct ExecStats {
 /// outputs.
 #[derive(Debug)]
 pub struct Env<V> {
-    names: Vec<String>,
+    names: Arc<[String]>,
     values: Vec<Option<V>>,
 }
 
 impl<V> Env<V> {
-    /// Builds an environment with one empty slot per name.
-    pub fn new(names: Vec<String>) -> Self {
+    /// Builds an environment with one empty slot per name (a
+    /// `Vec<String>`, or a plan's shared
+    /// [`slot_names`](crate::ExecPlan::slot_names)).
+    pub fn new(names: impl Into<Arc<[String]>>) -> Self {
+        let names = names.into();
         let values = names.iter().map(|_| None).collect();
         Env { names, values }
     }

@@ -1,6 +1,8 @@
 //! The ResBlock graphs: nodes over named tensors, builders, and the
 //! slot-resolved execution plan.
 
+use std::sync::Arc;
+
 use crate::op::{Op, WeightId};
 
 /// The shape parameters a graph is built from — the subset of the model
@@ -188,7 +190,7 @@ impl Graph {
             .collect();
         let output_slot = slot_of(&self.output, slot_names.len());
         ExecPlan {
-            slot_names,
+            slot_names: slot_names.into(),
             steps,
             output_slot,
         }
@@ -212,7 +214,9 @@ pub struct PlanStep {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPlan {
     /// Slot index → tensor name (graph inputs first, then node outputs).
-    pub slot_names: Vec<String>,
+    /// Shared, so every [`Env`](crate::Env) of a run borrows the plan's
+    /// names instead of cloning ~70 `String`s.
+    pub slot_names: Arc<[String]>,
     /// Steps in graph-node order.
     pub steps: Vec<PlanStep>,
     /// Slot holding the graph's declared output.

@@ -21,7 +21,9 @@
 //! probability codes — so a chunked prefill is bit-identical to feeding
 //! the same rows one step at a time.
 
-use graph::{Env, ExecStats, Executor, Graph, GraphKind, Node, Op, PlanStep, WeightId};
+use std::sync::OnceLock;
+
+use graph::{Env, ExecPlan, ExecStats, Executor, Graph, GraphKind, Node, Op, PlanStep, WeightId};
 use tensor::kvpool::{KvPool, KvSeq};
 use tensor::{gemm, Mat};
 
@@ -29,6 +31,40 @@ use crate::ffn::QuantFfnResBlock;
 use crate::mha::QuantMhaResBlock;
 use crate::qlinear::{residual_add_i8, QLinear};
 use crate::softmax::scaled_masked_softmax;
+
+/// A block's operator graph with its slot plan resolved. A block builds
+/// one on first use and runs it from then on: per run, building the
+/// graph, validating it and resolving ~70 tensor names cost as much as
+/// a small GEMM.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedGraph {
+    pub(crate) graph: Graph,
+    pub(crate) plan: ExecPlan,
+}
+
+impl PlannedGraph {
+    pub(crate) fn new(graph: Graph) -> Self {
+        let plan = graph.plan();
+        Self { graph, plan }
+    }
+}
+
+/// A ResBlock's graph as `forward` runs it — fused or not, as
+/// [`tensor::envcfg::fuse_enabled`] says at the call (the override can
+/// flip at run time) — each variant built once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockGraphs {
+    unfused: OnceLock<PlannedGraph>,
+    fused: OnceLock<PlannedGraph>,
+}
+
+impl BlockGraphs {
+    pub(crate) fn get(&self, build: impl FnOnce() -> Graph) -> &PlannedGraph {
+        let fuse = tensor::envcfg::fuse_enabled();
+        let cell = if fuse { &self.fused } else { &self.unfused };
+        cell.get_or_init(|| PlannedGraph::new(graph::fuse_if(build(), fuse)))
+    }
+}
 
 /// Value domain of [`QuantExec`]: INT8 code matrices on the wires,
 /// INT32 accumulators between a GEMM (or residual adder) and the module
@@ -228,17 +264,17 @@ impl<'a> QuantExec<'a> {
     }
 }
 
-impl Executor for QuantExec<'_> {
-    type Value = QVal;
-
-    fn run(
+impl QuantExec<'_> {
+    /// [`Executor::run`] on a graph whose plan is already resolved
+    /// (a block's [`PlannedGraph`]).
+    pub(crate) fn run_planned(
         &mut self,
         graph: &Graph,
+        plan: &ExecPlan,
         inputs: Vec<(&str, QVal)>,
         mask: Option<&Mat<bool>>,
     ) -> Env<QVal> {
         let detected0 = faults::hooks_active().then(|| faults::counters().detected);
-        let plan = graph.plan();
         let mut env = Env::new(plan.slot_names.clone());
         for (name, value) in inputs {
             let slot = env.slot(name);
@@ -304,6 +340,19 @@ impl Executor for QuantExec<'_> {
             self.stats.faults_detected += faults::counters().detected.saturating_sub(d0) as usize;
         }
         env
+    }
+}
+
+impl Executor for QuantExec<'_> {
+    type Value = QVal;
+
+    fn run(
+        &mut self,
+        graph: &Graph,
+        inputs: Vec<(&str, QVal)>,
+        mask: Option<&Mat<bool>>,
+    ) -> Env<QVal> {
+        self.run_planned(graph, &graph.plan(), inputs, mask)
     }
 
     fn stats(&self) -> ExecStats {
@@ -639,12 +688,13 @@ fn head_section_chunk(
     out
 }
 
-impl<'a> Executor for QuantRowExec<'a> {
-    type Value = QRowVal<'a>;
-
-    fn run(
+impl<'a> QuantRowExec<'a> {
+    /// [`Executor::run`] on a graph whose plan is already resolved
+    /// (a block's [`PlannedGraph`]).
+    pub(crate) fn run_planned(
         &mut self,
         graph: &Graph,
+        plan: &ExecPlan,
         inputs: Vec<(&str, QRowVal<'a>)>,
         mask: Option<&Mat<bool>>,
     ) -> Env<QRowVal<'a>> {
@@ -658,7 +708,6 @@ impl<'a> Executor for QuantRowExec<'a> {
             mask.is_none(),
             "cached decoding is causal by construction; no run-time mask"
         );
-        let plan = graph.plan();
         let mut env = Env::new(plan.slot_names.clone());
         for (name, value) in inputs {
             let slot = env.slot(name);
@@ -788,6 +837,19 @@ impl<'a> Executor for QuantRowExec<'a> {
         let out_slot = env.slot("y");
         env.set(out_slot, QRowVal::Codes(y));
         env
+    }
+}
+
+impl<'a> Executor for QuantRowExec<'a> {
+    type Value = QRowVal<'a>;
+
+    fn run(
+        &mut self,
+        graph: &Graph,
+        inputs: Vec<(&str, QRowVal<'a>)>,
+        mask: Option<&Mat<bool>>,
+    ) -> Env<QRowVal<'a>> {
+        self.run_planned(graph, &graph.plan(), inputs, mask)
     }
 
     fn stats(&self) -> ExecStats {

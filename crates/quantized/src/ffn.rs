@@ -2,12 +2,12 @@
 //! Algorithm 1 lines 14–22.
 
 use fixedmath::quant::QuantParams;
-use graph::Executor;
 use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{ops, Mat};
 use transformer::ffn::FfnResBlock;
 
 use crate::calib::{linear_f32, FfnScales};
+use crate::exec::BlockGraphs;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
 
@@ -17,6 +17,8 @@ pub struct QuantFfnResBlock {
     lin1: QLinear,
     lin2: QLinear,
     ln: HwLayerNorm,
+    /// [`graph::ffn_graph`] as [`Self::forward`] runs it.
+    graphs: BlockGraphs,
 }
 
 impl QuantFfnResBlock {
@@ -79,7 +81,12 @@ impl QuantFfnResBlock {
         let lin2 = QLinear::from_f32_scheme(l2, scales.hidden, scales.x, scheme);
         let lnp = block.layernorm();
         let ln = HwLayerNorm::from_f32(lnp.gamma(), lnp.beta(), scales.x, scales.out);
-        Self { lin1, lin2, ln }
+        Self {
+            lin1,
+            lin2,
+            ln,
+            graphs: BlockGraphs::default(),
+        }
     }
 
     /// The two quantized linear sublayers `(W1, W2)`.
@@ -115,12 +122,14 @@ impl QuantFfnResBlock {
         // [`crate::exec::QuantExec`]. ReLU on symmetric INT8 codes is a
         // plain max(0, ·), fused into the output of the bias adders
         // (Fig. 5's ReLU block).
-        let g = graph::fuse_if(
-            graph::ffn_graph(&self.graph_config()),
-            tensor::envcfg::fuse_enabled(),
-        );
+        let g = self.graphs.get(|| graph::ffn_graph(&self.graph_config()));
         let mut exec = crate::exec::QuantExec::ffn(self);
-        let mut env = exec.run(&g, vec![("x", crate::exec::QVal::I8(x.clone()))], None);
+        let mut env = exec.run_planned(
+            &g.graph,
+            &g.plan,
+            vec![("x", crate::exec::QVal::I8(x.clone()))],
+            None,
+        );
         let hidden = env.take("hidden").into_i8();
         (env.take("y").into_i8(), hidden)
     }

@@ -32,7 +32,6 @@
 //! steps), with the executor's intra-chunk causal mask keeping the
 //! result bit-identical to token-at-a-time ingestion.
 
-use graph::{Executor, Graph};
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
 use tensor::Mat;
 use transformer::tasks::{BOS, EOS};
@@ -134,18 +133,11 @@ pub struct QuantIncrementalSession {
     p_buf: Mat<i8>,
 }
 
-/// The cached-KV operator graph shared by every decoder MHA ResBlock
-/// (all layers have the same `d_model`/`h`, so one graph serves all).
-fn cached_graph(block: &QuantMhaResBlock) -> Graph {
-    graph::mha_cached_graph(&block.graph_config())
-}
-
 /// One cached-attention ResBlock applied to a single row of codes,
 /// through [`QuantRowExec`]'s zero-allocation scratch path. `p_buf`
 /// (1 × d_model) receives the concatenated requantized head outputs;
 /// every column is written, so its previous contents are irrelevant.
 fn resblock_row(
-    g: &Graph,
     block: &QuantMhaResBlock,
     x_row: &Mat<i8>,
     keys: CacheRef<'_>,
@@ -153,8 +145,10 @@ fn resblock_row(
     p_buf: &mut Mat<i8>,
 ) -> Mat<i8> {
     let mut exec = QuantRowExec::with_scratch(block, p_buf);
-    let mut env = exec.run(
-        g,
+    let g = block.cached_graph();
+    let mut env = exec.run_planned(
+        &g.graph,
+        &g.plan,
         vec![
             ("x", QRowVal::Codes(x_row.clone())),
             ("keys", QRowVal::Caches(vec![keys])),
@@ -171,7 +165,6 @@ fn resblock_row(
 /// `causal` set the executor masks each row's intra-chunk future, so
 /// the chunk is bit-identical to feeding its rows one step at a time.
 fn resblock_chunks(
-    g: &Graph,
     block: &QuantMhaResBlock,
     x: &Mat<i8>,
     groups: &[usize],
@@ -180,8 +173,10 @@ fn resblock_chunks(
     causal: bool,
 ) -> Mat<i8> {
     let mut exec = QuantRowExec::prefill(block, groups, causal);
-    let mut env = exec.run(
-        g,
+    let g = block.cached_graph();
+    let mut env = exec.run_planned(
+        &g.graph,
+        &g.plan,
         vec![
             ("x", QRowVal::Codes(x.clone())),
             ("keys", QRowVal::Caches(keys)),
@@ -240,10 +235,10 @@ impl QuantSeq2Seq {
         session: &mut QuantIncrementalSession,
         token: usize,
     ) -> Vec<f32> {
-        let emb = self.tgt_embedding().embed_at(token, session.pos);
-        let emb_row = Mat::from_vec(1, emb.len(), emb).expect("row");
+        let mut emb_row = Mat::zeros(1, self.tgt_embedding().d_model());
+        self.tgt_embedding()
+            .embed_into(token, session.pos, emb_row.row_mut(0));
         let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb_row);
-        let g = cached_graph(&self.decoder_layers()[0].self_mha);
         let QuantIncrementalSession { layers, p_buf, .. } = session;
         for (layer, cache) in self.decoder_layers().iter().zip(layers.iter_mut()) {
             // Extend the projected self-attention cache with this row.
@@ -253,7 +248,6 @@ impl QuantSeq2Seq {
             arena.k.push_row(&mut cache.self_k, k_new.row(0));
             arena.v.push_row(&mut cache.self_v, v_new.row(0));
             let a = resblock_row(
-                &g,
                 &layer.self_mha,
                 &x,
                 CacheRef::paged(&arena.k, &cache.self_k),
@@ -261,7 +255,6 @@ impl QuantSeq2Seq {
                 p_buf,
             );
             let b = resblock_row(
-                &g,
                 &layer.cross_mha,
                 &a,
                 CacheRef::flat(&cache.cross_k),
@@ -346,13 +339,12 @@ impl QuantSeq2Seq {
         let mut r = 0;
         for (session, chunk) in sessions.iter().zip(chunks) {
             for (j, &token) in chunk.iter().enumerate() {
-                emb.row_mut(r)
-                    .copy_from_slice(&self.tgt_embedding().embed_at(token, session.pos + j));
+                self.tgt_embedding()
+                    .embed_into(token, session.pos + j, emb.row_mut(r));
                 r += 1;
             }
         }
         let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb);
-        let g = cached_graph(&self.decoder_layers()[0].self_mha);
         for (l, layer) in self.decoder_layers().iter().enumerate() {
             // Extend every session's projected self-attention cache with
             // its chunk's rows of this step's batched K/V projections.
@@ -369,7 +361,6 @@ impl QuantSeq2Seq {
                 r0 += chunk.len();
             }
             let a = resblock_chunks(
-                &g,
                 &layer.self_mha,
                 &x,
                 &groups,
@@ -384,7 +375,6 @@ impl QuantSeq2Seq {
                 true,
             );
             let bm = resblock_chunks(
-                &g,
                 &layer.cross_mha,
                 &a,
                 &groups,

@@ -1,14 +1,16 @@
 //! The quantized MHA ResBlock — the INT8 dataflow of Fig. 3a /
 //! Algorithm 1 lines 1–13, bit-exact with the accelerator.
 
+use std::sync::OnceLock;
+
 use fixedmath::quant::{QuantParams, Requantizer};
-use graph::Executor;
 use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{gemm, ops, Mat};
 use transformer::functional::softmax_rows;
 use transformer::mha::MhaResBlock;
 
 use crate::calib::{linear_f32, MhaScales};
+use crate::exec::{BlockGraphs, PlannedGraph};
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
 use crate::softmax::{prob_scale, SoftmaxMode};
@@ -27,6 +29,10 @@ pub struct QuantMhaResBlock {
     p_requant: Requantizer,
     p_scale: QuantParams,
     mode: SoftmaxMode,
+    /// [`graph::mha_graph`] as [`Self::forward`] runs it.
+    graphs: BlockGraphs,
+    /// [`graph::mha_cached_graph`], for the incremental decoders.
+    cached_graph: OnceLock<PlannedGraph>,
 }
 
 impl QuantMhaResBlock {
@@ -192,6 +198,8 @@ impl QuantMhaResBlock {
             p_requant: Requantizer::from_ratio(p_ratio),
             p_scale: scales.p,
             mode,
+            graphs: BlockGraphs::default(),
+            cached_graph: OnceLock::new(),
         }
     }
 
@@ -282,13 +290,11 @@ impl QuantMhaResBlock {
         // [`crate::exec::QuantExec`]: Algorithm 1's first loop fans out
         // per head across threads, the second loop (W_G, residual,
         // LayerNorm) runs in plan order.
-        let g = graph::fuse_if(
-            graph::mha_graph(&self.graph_config()),
-            tensor::envcfg::fuse_enabled(),
-        );
+        let g = self.graphs.get(|| graph::mha_graph(&self.graph_config()));
         let mut exec = crate::exec::QuantExec::mha(self);
-        let mut env = exec.run(
-            &g,
+        let mut env = exec.run_planned(
+            &g.graph,
+            &g.plan,
             vec![
                 ("x_q", crate::exec::QVal::I8(xq.clone())),
                 ("x_k", crate::exec::QVal::I8(xkv.clone())),
@@ -298,6 +304,12 @@ impl QuantMhaResBlock {
         );
         let p = env.take("p").into_i8();
         (env.take("y").into_i8(), p)
+    }
+
+    /// The cached-KV operator graph of this block, planned once.
+    pub(crate) fn cached_graph(&self) -> &PlannedGraph {
+        self.cached_graph
+            .get_or_init(|| PlannedGraph::new(graph::mha_cached_graph(&self.graph_config())))
     }
 
     /// The graph-shape parameters of this block (`d_ff` is not an MHA

@@ -209,6 +209,82 @@ band_kernel!(band_f32, f32, f32, widen_f32);
 /// adjacent `k` values one `vpdpbusd` lane consumes.
 pub(crate) const KQ: usize = 4;
 
+/// Bytes of a cache line, and of one `kq` row of the quad pack.
+pub(crate) const LINE: usize = 64;
+
+/// `i8` storage whose first byte sits on a cache-line boundary.
+///
+/// A `kq` row of the quad pack is 64 bytes — one line exactly when the
+/// pack starts on one, two otherwise, and the system allocator starts a
+/// `Vec<i8>` 16 bytes into a line. An AMX `tileloadd` whose 16 rows each
+/// straddle two lines takes 16.8 ns instead of 3.0 (measured, L1-hot),
+/// which is the whole difference between the tile kernel and the VNNI
+/// one; `vpdpbusd`'s 64-byte loads gain too. So the packs (and the tile
+/// kernel's copy of misaligned activations) live in a `Vec` over-
+/// allocated by 63 bytes, addressed from its first aligned byte. The
+/// heap block never reallocates, so the offset holds for the value's
+/// lifetime; a clone is re-aligned.
+#[derive(Debug, Default)]
+pub(crate) struct AlignedI8 {
+    buf: Vec<i8>,
+    off: usize,
+    len: usize,
+}
+
+impl AlignedI8 {
+    /// `len` zero bytes, the first on a line boundary.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        let buf = vec![0i8; len + LINE - 1];
+        let off = buf.as_ptr().align_offset(LINE);
+        assert!(off < LINE, "a byte pointer can always be aligned");
+        Self { buf, off, len }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn as_slice(&self) -> &[i8] {
+        &self.buf[self.off..self.off + self.len]
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [i8] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl From<&[i8]> for AlignedI8 {
+    fn from(bytes: &[i8]) -> Self {
+        let mut aligned = Self::zeroed(bytes.len());
+        aligned.as_mut_slice().copy_from_slice(bytes);
+        aligned
+    }
+}
+
+impl Clone for AlignedI8 {
+    fn clone(&self) -> Self {
+        self.as_slice().into()
+    }
+}
+
+impl PartialEq for AlignedI8 {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl serde::Serialize for AlignedI8 {
+    fn to_value(&self) -> serde::value::Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl serde::Deserialize for AlignedI8 {
+    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
+        Vec::<i8>::from_value(v).map(|bytes| bytes.as_slice().into())
+    }
+}
+
 /// Packs an INT8 `b` (`k x n`) into `[tile][kq][lane][KQ]` quads plus
 /// per-`(tile, lane)` column sums.
 ///
@@ -223,14 +299,14 @@ pub(crate) const KQ: usize = 4;
 /// microkernel feeds activations as `a + 128` (u8) and subtracts
 /// `128 * colsum` afterwards, which is exact in `i32` — worst case
 /// `|acc| <= 4096 * 255 * 127 + 128 * 4096 * 128 < 2^31`.
-pub(crate) fn pack_quads(b: &Mat<i8>) -> (Vec<i8>, Vec<i32>) {
+pub(crate) fn pack_quads(b: &Mat<i8>) -> (AlignedI8, Vec<i32>) {
     let (k, n) = b.shape();
     let tiles = n.div_ceil(NR);
     let kq = k.div_ceil(KQ);
-    let mut quads = vec![0i8; tiles * kq * NR * KQ];
+    let mut quads = AlignedI8::zeroed(tiles * kq * NR * KQ);
     let mut colsum = vec![0i32; tiles * NR];
-    if !simd::pack_quads_into(b, &mut quads, &mut colsum) {
-        pack_quads_scalar_range(b, &mut quads, &mut colsum, 0, tiles);
+    if !simd::pack_quads_into(b, quads.as_mut_slice(), &mut colsum) {
+        pack_quads_scalar_range(b, quads.as_mut_slice(), &mut colsum, 0, tiles);
     }
     (quads, colsum)
 }
@@ -299,14 +375,14 @@ pub(crate) fn pack_quads_range(
 /// per call costs `O(n * k)` byte moves, which the multi-row chunked
 /// score GEMM amortises across its rows; the single-row decode shape
 /// keeps the direct `*_nt` kernel instead.
-pub(crate) fn pack_quads_t(bt: &Mat<i8>) -> (Vec<i8>, Vec<i32>) {
+pub(crate) fn pack_quads_t(bt: &Mat<i8>) -> (AlignedI8, Vec<i32>) {
     let (n, k) = bt.shape();
     let tiles = n.div_ceil(NR);
     let kq = k.div_ceil(KQ);
-    let mut quads = vec![0i8; tiles * kq * NR * KQ];
+    let mut quads = AlignedI8::zeroed(tiles * kq * NR * KQ);
     let mut colsum = vec![0i32; tiles * NR];
-    if !simd::pack_quads_t_into(bt, &mut quads, &mut colsum) {
-        pack_quads_t_scalar_range(bt, &mut quads, &mut colsum, 0, tiles);
+    if !simd::pack_quads_t_into(bt, quads.as_mut_slice(), &mut colsum) {
+        pack_quads_t_scalar_range(bt, quads.as_mut_slice(), &mut colsum, 0, tiles);
     }
     (quads, colsum)
 }
@@ -365,6 +441,18 @@ pub(crate) fn offset_rows(a: &Mat<i8>, threads_hint: usize) -> Vec<u8> {
         });
     }
     au
+}
+
+/// The activations in the form the INT8 band kernels of this GEMM will
+/// read: [`offset_rows`] when the VNNI tier takes it, nothing (an empty
+/// vector) when AMX tiles or the scalar kernel do — both read `a`
+/// itself.
+pub(crate) fn vnni_rows(a: &Mat<i8>, threads_hint: usize) -> Vec<u8> {
+    if simd::int8_simd_active() && !simd::amx_takes(a.rows(), a.cols()) {
+        offset_rows(a, threads_hint)
+    } else {
+        Vec::new()
+    }
 }
 
 /// Scalar band kernel over the INT8 quad layout: bit-identical to the
@@ -448,11 +536,12 @@ pub(crate) fn run_band_f32(
     band_f32(a, packed, first_row, out_band, n);
 }
 
-/// Runs the INT8 band kernel over the quad-packed layout: the VNNI
-/// microkernel from [`crate::simd`] when available/enabled (consuming
-/// the precomputed unsigned-offset activations `au`), otherwise the
-/// scalar quad kernel. Both are bit-identical, so dispatch only affects
-/// speed.
+/// Runs the INT8 band kernel over the quad-packed layout: the AMX tile
+/// kernel from [`crate::simd`] when the GEMM's shape and the host allow
+/// it, else the VNNI microkernel when available/enabled (consuming the
+/// unsigned-offset activations `au` from [`vnni_rows`]), otherwise the
+/// scalar quad kernel. All three are bit-identical, so dispatch only
+/// affects speed.
 #[inline]
 pub(crate) fn run_band_i8q(
     a: &Mat<i8>,
@@ -463,7 +552,9 @@ pub(crate) fn run_band_i8q(
     out_band: &mut [i32],
     n: usize,
 ) {
-    if crate::simd::band_i8q(au, a.cols(), quads, colsum, first_row, out_band, n) {
+    if simd::band_i8_amx(a, quads, first_row, out_band, n)
+        || simd::band_i8q(au, a.cols(), quads, colsum, first_row, out_band, n)
+    {
         return;
     }
     band_i8q(a, quads, first_row, out_band, n);
@@ -673,13 +764,9 @@ pub fn matmul_i8_with_threads(
         return Ok(out);
     }
     let (quads, colsum) = pack_quads(b);
-    let au = if crate::simd::int8_simd_active() {
-        offset_rows(a, threads)
-    } else {
-        Vec::new()
-    };
+    let au = vnni_rows(a, threads);
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-        run_band_i8q(a, &au, &quads, &colsum, first_row, band, n);
+        run_band_i8q(a, &au, quads.as_slice(), &colsum, first_row, band, n);
     });
     Ok(out)
 }
@@ -732,9 +819,9 @@ pub fn matmul_i8_nt_with_threads(
         // faster register-tiled GEMM microkernel — the `O(n * k)` pack
         // amortises across the chunk's rows.
         let (quads, colsum) = pack_quads_t(b);
-        let au = offset_rows(a, threads);
+        let au = vnni_rows(a, threads);
         par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-            run_band_i8q(a, &au, &quads, &colsum, first_row, band, n);
+            run_band_i8q(a, &au, quads.as_slice(), &colsum, first_row, band, n);
         });
         return Ok(out);
     }
@@ -1000,7 +1087,7 @@ mod tests {
             let mut q_ref = vec![0i8; tiles * kq * NR * KQ];
             let mut c_ref = vec![0i32; tiles * NR];
             pack_quads_scalar_range(&b, &mut q_ref, &mut c_ref, 0, tiles);
-            assert_eq!(q_fast, q_ref, "pack_quads quads ({k},{n})");
+            assert_eq!(q_fast.as_slice(), q_ref, "pack_quads quads ({k},{n})");
             assert_eq!(c_fast, c_ref, "pack_quads colsum ({k},{n})");
 
             // pack_quads_t parity on the transpose-given (n x k) shape.
@@ -1011,7 +1098,7 @@ mod tests {
             let mut qt_ref = vec![0i8; t2 * kq2 * NR * KQ];
             let mut ct_ref = vec![0i32; t2 * NR];
             pack_quads_t_scalar_range(&src, &mut qt_ref, &mut ct_ref, 0, t2);
-            assert_eq!(qt2, qt_ref, "pack_quads_t quads ({n},{k})");
+            assert_eq!(qt2.as_slice(), qt_ref, "pack_quads_t quads ({n},{k})");
             assert_eq!(ct2, ct_ref, "pack_quads_t colsum ({n},{k})");
         }
     }

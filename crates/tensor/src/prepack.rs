@@ -114,8 +114,9 @@ impl PackedMat<f32> {
 /// [`matmul_i8_prepacked`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedI8 {
-    /// Quad tiles in `[tile][kq][lane][KQ]` order.
-    quads: Vec<i8>,
+    /// Quad tiles in `[tile][kq][lane][KQ]` order, on a cache-line
+    /// boundary so every `kq` row is one line.
+    quads: gemm::AlignedI8,
     /// `tiles * NR` column sums (zero for padded lanes).
     colsum: Vec<i32>,
     /// Reduction depth (rows of the original `B`).
@@ -151,10 +152,11 @@ impl PackedI8 {
             };
         }
         let qstride = k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
-        let mut quads = vec![0i8; tiles * qstride];
+        let mut quads = gemm::AlignedI8::zeroed(tiles * qstride);
         let mut colsum = vec![0i32; tiles * gemm::NR];
         let tile_chunk = tiles.div_ceil(t);
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = quads
+            .as_mut_slice()
             .chunks_mut(tile_chunk * qstride)
             .zip(colsum.chunks_mut(tile_chunk * gemm::NR))
             .enumerate()
@@ -232,7 +234,7 @@ impl<'a> PackedI8Cols<'a> {
         let (t0, t1) = (c0 / gemm::NR, (c0 + width).div_ceil(gemm::NR));
         let tile_len = b.k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
         Self {
-            quads: &b.quads[t0 * tile_len..t1 * tile_len],
+            quads: &b.quads.as_slice()[t0 * tile_len..t1 * tile_len],
             colsum: &b.colsum[t0 * gemm::NR..t1 * gemm::NR],
             k: b.k,
             cover: (t1 * gemm::NR).min(b.n) - t0 * gemm::NR,
@@ -312,17 +314,13 @@ pub fn matmul_i8_prepacked_with_threads(
     }
     let (m, n) = (a.rows(), b.n);
     let mut out = Mat::<i32>::zeros(m, n);
-    let au = if crate::simd::int8_simd_active() {
-        gemm::offset_rows(a, threads)
-    } else {
-        Vec::new()
-    };
+    let au = gemm::vnni_rows(a, threads);
     if m == 1 {
-        gemm::run_gemv_i8q(a, &au, &b.quads, &b.colsum, out.as_mut_slice(), n);
+        gemm::run_gemv_i8q(a, &au, b.quads.as_slice(), &b.colsum, out.as_mut_slice(), n);
         return Ok(out);
     }
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-        gemm::run_band_i8q(a, &au, &b.quads, &b.colsum, first_row, band, n);
+        gemm::run_band_i8q(a, &au, b.quads.as_slice(), &b.colsum, first_row, band, n);
     });
     Ok(out)
 }
@@ -403,13 +401,54 @@ where
     Ok(out)
 }
 
+/// Byte budget of a worker's accumulator scratch in
+/// [`matmul_i8_prepacked_epilogue`]: a row block's `i32` accumulators
+/// must still be in L2 when the epilogue drains them, beside the weight
+/// tiles streaming through.
+const ACC_SCRATCH_BYTES: usize = 256 << 10;
+
+/// Fewest rows of a drain block — one `2 x 2` tile block of the AMX
+/// kernel, eight `MR`-row passes of the VNNI one. Wider outputs than
+/// `ACC_SCRATCH_BYTES / (4 * DRAIN_MIN_ROWS)` columns (2048) exceed the
+/// budget rather than split a register block.
+const DRAIN_MIN_ROWS: usize = 32;
+
+thread_local! {
+    /// This thread's accumulator scratch, kept between GEMMs so the
+    /// serving loop's per-call `rows x cover` allocation (and the page
+    /// faults of zeroing it) happens once per thread instead.
+    static ACC_SCRATCH: std::cell::Cell<Vec<i32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `body` on `len` elements of this thread's accumulator scratch.
+/// The contents are whatever the last GEMM left: every band kernel
+/// writes each element of its output before anyone reads it. The buffer
+/// is taken out of the slot while `body` runs, so an epilogue that
+/// itself multiplies finds an empty slot and allocates its own.
+fn with_acc_scratch<R>(len: usize, body: impl FnOnce(&mut [i32]) -> R) -> R {
+    // Start on a cache line (see `gemm::AlignedI8`): tile stores of
+    // line-straddling accumulator rows take twice as long.
+    const PAD: usize = gemm::LINE / 4;
+    let mut buf = ACC_SCRATCH.take();
+    if buf.len() < len + PAD {
+        buf.resize(len + PAD, 0);
+    }
+    let off = buf.as_ptr().align_offset(gemm::LINE).min(PAD);
+    let result = body(&mut buf[off..off + len]);
+    ACC_SCRATCH.set(buf);
+    result
+}
+
 /// INT8 GEMM against a prepacked `B` with a **fused epilogue** draining
 /// the `i32` accumulators directly into the output element type: each
-/// band accumulates into a band-local `i32` scratch (one row for the
-/// `m == 1` decode GEMV) and `epi(global_row, acc_row, out_row)` drains
-/// every row — bias add, requantize, ReLU, residual add — while the
-/// accumulators are still in cache. The full-tensor `i32` intermediate
-/// of the unfused path is never materialized.
+/// band accumulates one row block at a time (at least
+/// [`DRAIN_MIN_ROWS`] rows, as many as fit `ACC_SCRATCH_BYTES`) into the
+/// worker thread's reusable `i32` scratch, and
+/// `epi(global_row, acc_row, out_row)` drains the block's rows — bias
+/// add, requantize, ReLU, residual add — right after its last tile is
+/// stored, while the accumulators are still in cache. The full-tensor
+/// `i32` intermediate of the unfused path is never materialized, and
+/// nothing is allocated per call but the output.
 ///
 /// The accumulator rows handed to `epi` are bit-identical to
 /// [`matmul_i8_prepacked_with_threads`] output (integer accumulation,
@@ -449,24 +488,29 @@ where
     if n == 0 {
         return Ok(out);
     }
-    let au = if crate::simd::int8_simd_active() {
-        gemm::offset_rows(a, threads)
-    } else {
-        Vec::new()
-    };
+    let au = gemm::vnni_rows(a, threads);
     if m == 1 {
-        let mut acc = vec![0i32; cover];
-        gemm::run_gemv_i8q(a, &au, b.quads, b.colsum, &mut acc, cover);
-        epi(0, &acc[wanted], out.as_mut_slice());
+        with_acc_scratch(cover, |acc| {
+            gemm::run_gemv_i8q(a, &au, b.quads, b.colsum, acc, cover);
+            epi(0, &acc[wanted], out.as_mut_slice());
+        });
         return Ok(out);
     }
+    let block = (ACC_SCRATCH_BYTES / (4 * cover) / DRAIN_MIN_ROWS).max(1) * DRAIN_MIN_ROWS;
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         let rows = band.len() / n;
-        let mut acc = vec![0i32; rows * cover];
-        gemm::run_band_i8q(a, &au, b.quads, b.colsum, first_row, &mut acc, cover);
-        for (r, (acc_row, out_row)) in acc.chunks(cover).zip(band.chunks_mut(n)).enumerate() {
-            epi(first_row + r, &acc_row[wanted.clone()], out_row);
-        }
+        with_acc_scratch(block.min(rows) * cover, |scratch| {
+            for (i, out_block) in band.chunks_mut(block * n).enumerate() {
+                let row0 = first_row + i * block;
+                let acc = &mut scratch[..out_block.len() / n * cover];
+                gemm::run_band_i8q(a, &au, b.quads, b.colsum, row0, acc, cover);
+                for (r, (acc_row, out_row)) in
+                    acc.chunks(cover).zip(out_block.chunks_mut(n)).enumerate()
+                {
+                    epi(row0 + r, &acc_row[wanted.clone()], out_row);
+                }
+            }
+        });
     });
     Ok(out)
 }

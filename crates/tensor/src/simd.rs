@@ -3,10 +3,14 @@
 //! The scalar quad kernels in [`crate::gemm`] already auto-vectorise
 //! reasonably under `-C target-cpu=native`, but the INT8 GEMMs sit on
 //! the serving hot path (chunked prefill is one multi-row GEMM per
-//! weight matrix per chunk), so this module provides hand-written
-//! `std::arch` x86_64 **AVX-512 VNNI** kernels built around
-//! `vpdpbusd` — four `u8 x i8` products fused into each `i32` lane per
-//! instruction, i.e. 64 multiply-accumulates per 512-bit operation:
+//! weight matrix per chunk), so this module provides two hand-written
+//! x86_64 tiers above them, picked at run time ([`int8_kernel`]).
+//!
+//! # Tier 2: AVX-512 VNNI
+//!
+//! `std::arch` kernels built around `vpdpbusd` — four `u8 x i8`
+//! products fused into each `i32` lane per instruction, i.e. 64
+//! multiply-accumulates per 512-bit operation:
 //!
 //! * [`band_i8q`] — the `MR x NR` register-tiled GEMM microkernel over
 //!   the quad-packed `B` tiles ([`crate::gemm::pack_quads`]);
@@ -25,17 +29,81 @@
 //! **bit-identical** to the scalar quad kernels and the naive
 //! references for any input.
 //!
+//! # Tier 3: AMX-INT8 tiles
+//!
+//! [`band_i8_amx`] runs every multi-row GEMM whose reduction depth is a
+//! multiple of 64 on the host's tile unit — a `16 x 64`-byte INT8
+//! systolic array of its own, eight times the VNNI peak per
+//! instruction (`tdpbssd`: 16 x 16 x 64 MACs). It sits beneath the same
+//! dispatch site as the VNNI band kernel ([`crate::gemm::run_band_i8q`]),
+//! so every prepacked weight GEMM, the per-call-packed
+//! [`crate::gemm::matmul_i8`] and the transpose-packed multi-row
+//! `a * b^T` take it with no new entry point, option or pack format:
+//!
+//! * **Layout reuse.** The quad pack's `[tile][kq][lane][KQ]` layout is
+//!   the `tdpbssd` B-tile layout already: 16 consecutive `kq` rows of
+//!   one column tile, 64 bytes each, stride 64. `B` tiles load straight
+//!   from the resident pack. The pack starts on a cache line
+//!   ([`crate::gemm::AlignedI8`]) so each tile row is one line — a tile
+//!   load of line-straddling rows takes 16.8 ns instead of 3.0.
+//! * **Signed x signed.** `tdpbssd` multiplies `i8` by `i8`, so the
+//!   tier reads the activations themselves: no `a + 128` copy, no
+//!   `128 * colsum` compensation. For the same alignment reason a
+//!   band's rows are copied (plainly, no arithmetic, no allocation) into
+//!   a line-aligned thread-local buffer first.
+//! * **Register block.** `2 x 2`: four accumulator tiles, two `A` tiles
+//!   (32 rows), two `B` tiles (32 columns) — all eight tile registers,
+//!   one tile load per `tdpbssd`. Column-tile pairs are the outer loop,
+//!   as in the VNNI kernel, so the weights stream through once per
+//!   band.
+//! * **Remainders.** A ragged last row block runs as a second pass
+//!   under a partial-row tile configuration (`r` rows in the upper
+//!   tile, or 16 above and `r - 16` below): with AMX on, no row of an
+//!   eligible GEMM falls back to VNNI. A lone last column tile runs a
+//!   `2 x 1` block; a ragged one is stored through a stack copy.
+//!   `m == 1` keeps the VNNI GEMV, and a `k` that is not a multiple of
+//!   64 keeps the whole GEMM on VNNI (`AMX_MIN_ROWS`, `AMX_K_STEP`:
+//!   both set by measurement, see their docs).
+//! * **Permission.** Linux keeps tile data (8 KiB of XSAVE state per
+//!   thread) off until a process asks. Detection is `cpuid(7,0).edx`
+//!   bits 24/25, the palette-1 shape from `cpuid(0x1d,1)`, `XCR0` bits
+//!   17/18, then one `arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)`,
+//!   all behind one `OnceLock`; any failure leaves the VNNI/scalar
+//!   dispatch exactly as it was. Linux/x86_64 only.
+//! * **Tile state** never outlives a call: each pass configures the
+//!   calling thread's tiles (`ldtilecfg`) and releases them
+//!   (`tilerelease`) before returning, so pool workers are independent
+//!   and an idle thread carries no tile data through context switches.
+//!
+//! The instructions are issued through stable `asm!` (the
+//! `std::arch` AMX intrinsics are unstable); they assemble at any
+//! `target-cpu` and execute only behind the run-time check.
+//!
+//! # Dispatch
+//!
 //! Dispatch is runtime-gated: [`simd_enabled`] checks AVX-512
 //! F/BW/VNNI support via `is_x86_feature_detected!` (cached) and
 //! honours the [`ENV_FORCE_SCALAR`] environment variable, read once per
 //! process, plus an in-process override for tests
-//! ([`set_simd_override`]). On hardware without VNNI (or non-x86_64
-//! targets) the entry points report "not handled" and callers fall back
-//! to the scalar kernels.
+//! ([`set_simd_override`]); both switch AMX off together with VNNI. On
+//! hardware without VNNI (or non-x86_64 targets) the entry points
+//! report "not handled" and callers fall back to the scalar kernels.
+//! [`int8_kernel`] reports the tier in force.
 //!
-//! All `unsafe` in the `tensor` crate is confined to this module and the
-//! lifetime extension in [`crate::par`]; the rest of the crate remains
-//! `#![deny(unsafe_code)]`-clean.
+//! # Unsafe inventory
+//!
+//! All `unsafe` in the `tensor` crate is confined to this module's
+//! `x86` submodule (and the safe wrappers' calls into it) and to
+//! [`crate::par`] (the scoped-lifetime extension and the affinity
+//! syscall); the rest of the crate remains `#![deny(unsafe_code)]`-
+//! clean. In `x86`: the seven `#[target_feature]` VNNI/AVX-512 kernels
+//! and their two lane helpers (raw-pointer loads inside lengths the
+//! callers derive from the slices they pass), and in `x86::amx` the
+//! probe (`xgetbv`, the `arch_prctl` syscall), six one-instruction
+//! `asm!` wrappers, the accumulator store and the two kernel functions.
+//! The tile kernel's buffer contract is `assert!`ed in the safe
+//! [`band_i8_amx`] wrapper on every call and `debug_assert!`ed again
+//! where the pointers are formed.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -91,6 +159,73 @@ pub(crate) fn int8_simd_active() -> bool {
     simd_enabled()
 }
 
+/// The INT8 GEMM microkernel tiers, slowest to fastest. All three are
+/// bit-identical; see [`int8_kernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Int8Kernel {
+    /// Portable scalar quad kernels ([`crate::gemm`]).
+    Scalar,
+    /// AVX-512 VNNI `vpdpbusd` kernels.
+    Vnni,
+    /// AMX-INT8 `tdpbssd` tile kernel for multi-row GEMMs, with the VNNI
+    /// kernels under it for the shapes tiles do not take (`m == 1`, a
+    /// handful of rows, `k` not a multiple of 64).
+    Amx,
+}
+
+/// The best microkernel tier the next INT8 GEMM can dispatch to — what
+/// the hardware offers minus what [`ENV_FORCE_SCALAR`] /
+/// [`set_simd_override`] switch off (they disable VNNI and AMX
+/// together). Read-only; it only ever affects speed.
+pub fn int8_kernel() -> Int8Kernel {
+    if !simd_enabled() {
+        Int8Kernel::Scalar
+    } else if amx_available() {
+        Int8Kernel::Amx
+    } else {
+        Int8Kernel::Vnni
+    }
+}
+
+/// Fewest activation rows the tile kernel takes: every multi-row GEMM.
+/// Measured on the `512 x 2048` FFN weight, L2-hot, fused drain, VNNI →
+/// AMX: 23.5–30.7 → 13.7–14.8 us at `m = 2`, 33–39 → 14 at `m = 3` (a
+/// row count off the VNNI kernel's `MR = 4` grid runs its remainder one
+/// row at a time), 23–25 → 13–19 at `m = 4`, 50 → 18 at `m = 8`, 74–81
+/// → 22–32 at `m = 16`. `m = 1` never asks: the prepacked entry points
+/// send it to the VNNI GEMV (9–12 us here) before any band runs.
+const AMX_MIN_ROWS: usize = 2;
+
+/// Reduction bytes one tile row holds: the tile kernel walks `k` in
+/// whole 64-byte steps, and a `k` that is not a multiple of this keeps
+/// the whole GEMM on VNNI. No weight matrix of the model shapes has one
+/// (`d_model`, `d_ff`, `d_k` are multiples of 64); the attention `P * V`
+/// product over a ragged context does, at 3 % of a prefill pass in all,
+/// and a tail block would cost a second tile configuration plus padded
+/// copies of both operands' last step on every block visit.
+const AMX_K_STEP: usize = 64;
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn amx_available() -> bool {
+    static AMX: OnceLock<bool> = OnceLock::new();
+    *AMX.get_or_init(x86::amx::amx_request)
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+fn amx_available() -> bool {
+    false
+}
+
+/// Whether an `m`-row GEMM of reduction depth `k` runs on AMX tiles.
+/// The GEMM entry points ask once per call (tiles read the signed
+/// activations, so the `a + 128` copy is skipped) and [`band_i8_amx`]
+/// asks again per band, so an override flipped in between only changes
+/// which bit-identical kernel runs.
+#[inline]
+pub(crate) fn amx_takes(m: usize, k: usize) -> bool {
+    m >= AMX_MIN_ROWS && k > 0 && k.is_multiple_of(AMX_K_STEP) && int8_kernel() == Int8Kernel::Amx
+}
+
 /// Overrides SIMD dispatch for this process: `Some(false)` forces the
 /// scalar kernels, `Some(true)` requests the SIMD kernels (still subject
 /// to hardware support), `None` restores env + runtime detection.
@@ -103,6 +238,68 @@ pub fn set_simd_override(enabled: Option<bool>) {
         Some(true) => 2,
     };
     SIMD_OVERRIDE.store(v, Ordering::Relaxed);
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+thread_local! {
+    /// This thread's line-aligned copy of a band's activation rows, for
+    /// [`band_i8_amx`]; kept between GEMMs.
+    static AMX_ROWS: std::cell::Cell<crate::gemm::AlignedI8> =
+        std::cell::Cell::new(crate::gemm::AlignedI8::default());
+}
+
+/// AMX band GEMM over quad-packed `B` tiles: `out_band = a[first_row..]
+/// [..rows] * B` for the `rows = out_band.len() / n` rows of the band,
+/// reading the signed activations. Returns `false` (without touching
+/// `out_band`) when [`amx_takes`] declines the GEMM, in which case the
+/// caller runs the VNNI or scalar kernel.
+///
+/// The band's rows are first copied into a line-aligned thread-local
+/// buffer. A `Mat<i8>` from the system allocator starts 16 bytes into a
+/// cache line, so every row of an `A` tile loaded from it straddles two
+/// lines — 16.8 instead of 3.0 ns per tile load — and each row is
+/// loaded once per column-tile pair; the copy (`k` bytes a row, once
+/// per band, no `+ 128`, no allocation) pays for itself from the second
+/// pair on.
+#[inline]
+pub(crate) fn band_i8_amx(
+    a: &crate::Mat<i8>,
+    quads: &[i8],
+    first_row: usize,
+    out_band: &mut [i32],
+    n: usize,
+) -> bool {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        let (m, k) = a.shape();
+        if n > 0 && amx_takes(m, k) {
+            assert_eq!(out_band.len() % n, 0, "band must hold whole rows");
+            let rows = &a.as_slice()[first_row * k..(first_row + out_band.len() / n) * k];
+            // The kernel addresses `quads` and `out_band` through raw
+            // pointers; with the slice above these are its bounds.
+            assert!(
+                quads.len() >= n.div_ceil(crate::gemm::NR) * k * crate::gemm::NR,
+                "packed tiles too short"
+            );
+            let mut aligned = AMX_ROWS.take();
+            if aligned.len() < rows.len() {
+                aligned = crate::gemm::AlignedI8::zeroed(rows.len());
+            }
+            aligned.as_mut_slice()[..rows.len()].copy_from_slice(rows);
+            // SAFETY: `amx_takes` implies AMX-TILE/AMX-INT8 were detected
+            // and the kernel granted tile-data permission; the first
+            // argument holds exactly the band's `out_band.len() / n` rows
+            // of `k` bytes, and `quads` was checked above.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::amx::band_i8_amx(&aligned.as_slice()[..rows.len()], k, quads, out_band, n);
+            }
+            AMX_ROWS.set(aligned);
+            return true;
+        }
+    }
+    let _ = (a, quads, first_row, out_band, n);
+    false
 }
 
 /// VNNI band GEMM over quad-packed `B` tiles. Returns `false` (without
@@ -886,22 +1083,483 @@ mod x86 {
         }
         crate::gemm::pack_quads_t_scalar_range(bt, quads, colsum, full_tiles, tiles);
     }
+
+    /// The AMX-INT8 tile kernel. Linux only: tile data needs a
+    /// permission syscall ([`amx::amx_request`]).
+    #[cfg(target_os = "linux")]
+    pub(super) mod amx {
+        use crate::gemm::NR;
+        use std::arch::asm;
+        use std::arch::x86_64::{__cpuid, __cpuid_count};
+
+        /// Rows of a tile register, and of one `tdpbssd` row block.
+        const TILE_ROWS: usize = 16;
+        /// Bytes of a tile row: 64 reduction bytes of `A`, or one quad of
+        /// all `NR` lanes of `B`, or `NR` `i32` accumulators.
+        const TILE_ROW_BYTES: usize = 64;
+        /// Bytes of one `B` tile: `TILE_ROWS` consecutive `kq` rows.
+        const TILE_BYTES: usize = TILE_ROWS * TILE_ROW_BYTES;
+
+        /// Detects AMX-TILE + AMX-INT8 and asks the kernel for permission to
+        /// use tile data; `true` only when every step succeeds.
+        ///
+        /// * `cpuid(7,0).edx` bits 24 / 25 — the two ISA extensions;
+        /// * `cpuid(0x1d,1)` — palette 1 is the layout this kernel assumes
+        ///   (8 tiles of 16 rows x 64 bytes);
+        /// * `xgetbv(0)` bits 17 / 18 — the OS saves tile config and data;
+        /// * `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` — Linux
+        ///   keeps tile data off until a process asks (the state is 8 KiB per
+        ///   thread); the grant covers every thread of the process.
+        pub(in crate::simd) fn amx_request() -> bool {
+            const AMX_TILE: u32 = 1 << 24;
+            const AMX_INT8: u32 = 1 << 25;
+            const OSXSAVE: u32 = 1 << 27;
+            const XCR0_TILE: u32 = (1 << 17) | (1 << 18);
+            const SYS_ARCH_PRCTL: i64 = 158;
+            const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
+            const XFEATURE_XTILEDATA: i64 = 18;
+            extern "C" {
+                fn syscall(num: i64, ...) -> i64;
+            }
+            if __cpuid(0).eax < 0x1d {
+                return false;
+            }
+            let ext = __cpuid_count(7, 0).edx;
+            if ext & AMX_TILE == 0 || ext & AMX_INT8 == 0 || __cpuid(1).ecx & OSXSAVE == 0 {
+                return false;
+            }
+            let palette = __cpuid_count(0x1d, 1);
+            let want_eax = (8 * TILE_BYTES) as u32 | (TILE_BYTES as u32) << 16;
+            let want_ebx = TILE_ROW_BYTES as u32 | 8 << 16;
+            if palette.eax != want_eax
+                || palette.ebx != want_ebx
+                || palette.ecx & 0xffff != TILE_ROWS as u32
+            {
+                return false;
+            }
+            let xcr0: u32;
+            // SAFETY: OSXSAVE is set, so `xgetbv` with ecx = 0 is defined; it
+            // reads XCR0 into edx:eax and touches nothing else.
+            #[allow(unsafe_code)]
+            unsafe {
+                asm!("xgetbv", in("ecx") 0u32, out("eax") xcr0, out("edx") _,
+                     options(nomem, nostack, preserves_flags));
+            }
+            if xcr0 & XCR0_TILE != XCR0_TILE {
+                return false;
+            }
+            // SAFETY: glibc's variadic `syscall(2)` wrapper (std links glibc);
+            // `arch_prctl(ARCH_REQ_XCOMP_PERM, ..)` takes two integers and only
+            // changes this process's permitted XSAVE features.
+            #[allow(unsafe_code)]
+            let granted =
+                unsafe { syscall(SYS_ARCH_PRCTL, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) };
+            granted == 0
+        }
+
+        /// The 64-byte `ldtilecfg` operand (palette 1).
+        #[repr(C, align(64))]
+        struct TileCfg {
+            palette: u8,
+            start_row: u8,
+            reserved: [u8; 14],
+            colsb: [u16; 16],
+            rows: [u8; 16],
+        }
+
+        impl TileCfg {
+            /// The `2 x 2` register block's configuration: `tmm0..=3` are the
+            /// accumulators `C00 C01 C10 C11`, `tmm4/5` the activation tiles
+            /// of the upper (`r0` rows) and lower (`r1` rows) half of the row
+            /// block, `tmm6/7` two adjacent `B` tiles. `r1 == 0` leaves the
+            /// lower half unconfigured (a `1 x 2` block).
+            fn block(r0: usize, r1: usize) -> Self {
+                debug_assert!((1..=TILE_ROWS).contains(&r0) && r1 <= TILE_ROWS);
+                let mut cfg = TileCfg {
+                    palette: 1,
+                    start_row: 0,
+                    reserved: [0; 14],
+                    colsb: [0; 16],
+                    rows: [0; 16],
+                };
+                let tile_rows = [r0, r0, r1, r1, r0, r1, TILE_ROWS, TILE_ROWS];
+                for (t, &r) in tile_rows.iter().enumerate() {
+                    if r > 0 {
+                        cfg.rows[t] = r as u8;
+                        cfg.colsb[t] = TILE_ROW_BYTES as u16;
+                    }
+                }
+                cfg
+            }
+        }
+
+        /// `ldtilecfg`: configures (and zeroes) this thread's tiles.
+        ///
+        /// # Safety
+        ///
+        /// AMX must be available and permitted ([`amx_request`]).
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_config(cfg: &TileCfg) {
+            asm!("ldtilecfg [{}]", in(reg) cfg, options(nostack, readonly, preserves_flags));
+        }
+
+        /// `tilerelease`: returns the tiles to their init state, so context
+        /// switches stop saving 8 KiB of tile data for this thread.
+        ///
+        /// # Safety
+        ///
+        /// AMX must be available and permitted.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_release() {
+            asm!("tilerelease", options(nomem, nostack, preserves_flags));
+        }
+
+        /// `tilezero tmm<T>`.
+        ///
+        /// # Safety
+        ///
+        /// Tile `T` must be configured on this thread.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_zero<const T: usize>() {
+            asm!("tilezero tmm{t}", t = const T, options(nomem, nostack, preserves_flags));
+        }
+
+        /// `tileloadd tmm<T>, [base + stride]`: row `i` of the tile comes
+        /// from `base + i * stride`.
+        ///
+        /// # Safety
+        ///
+        /// Tile `T` must be configured on this thread, and every configured
+        /// row's `colsb` bytes at `base + i * stride` must be readable.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_load<const T: usize>(base: *const u8, stride: usize) {
+            asm!("tileloadd tmm{t}, [{b} + {s}]", t = const T, b = in(reg) base, s = in(reg) stride,
+                 options(nostack, readonly, preserves_flags));
+        }
+
+        /// `tilestored [base + stride], tmm<T>`.
+        ///
+        /// # Safety
+        ///
+        /// Tile `T` must be configured on this thread, and every configured
+        /// row's `colsb` bytes at `base + i * stride` must be writable.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_store<const T: usize>(base: *mut i32, stride: usize) {
+            asm!("tilestored [{b} + {s}], tmm{t}", t = const T, b = in(reg) base, s = in(reg) stride,
+                 options(nostack, preserves_flags));
+        }
+
+        /// `tdpbssd tmm<C>, tmm<A>, tmm<B>`: `C += A * B` with signed x
+        /// signed bytes, four per `i32` lane per step.
+        ///
+        /// # Safety
+        ///
+        /// The three tiles must be configured on this thread with matching
+        /// shapes (`C.rows == A.rows`, `A.colsb / 4 == B.rows`,
+        /// `C.colsb == B.colsb`), as [`TileCfg::block`] lays them out.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn tile_dp<const C: usize, const A: usize, const B: usize>() {
+            asm!("tdpbssd tmm{c}, tmm{a}, tmm{b}", c = const C, a = const A, b = const B,
+                 options(nomem, nostack, preserves_flags));
+        }
+
+        /// Stores accumulator tile `T` (`rows` rows) at `out[at..]` with row
+        /// stride `n`. A full-width tile is stored in place; a ragged last
+        /// column tile (`w < NR`) goes through a stack copy so no lane lands
+        /// beyond column `n`.
+        ///
+        /// # Safety
+        ///
+        /// Tile `T` must hold `rows` configured rows, and
+        /// `at + (rows - 1) * n + w <= out.len()`.
+        #[allow(unsafe_code)]
+        #[inline(always)]
+        unsafe fn store_acc<const T: usize>(
+            out: &mut [i32],
+            at: usize,
+            n: usize,
+            rows: usize,
+            w: usize,
+        ) {
+            debug_assert!(at + (rows - 1) * n + w <= out.len());
+            if w == NR {
+                tile_store::<T>(out.as_mut_ptr().add(at), n * 4);
+            } else {
+                let mut lanes = [0i32; TILE_ROWS * NR];
+                tile_store::<T>(lanes.as_mut_ptr(), TILE_ROW_BYTES);
+                for r in 0..rows {
+                    out[at + r * n..at + r * n + w].copy_from_slice(&lanes[r * NR..r * NR + w]);
+                }
+            }
+        }
+
+        /// One pass of the tile kernel over `blocks` row blocks of `r0 + r1`
+        /// rows each, starting at row `row0` of the band, under one tile
+        /// configuration.
+        ///
+        /// Column-tile pairs are the outer loop, as in the VNNI kernel: a
+        /// pair's `2 * k * NR` weight bytes stay cache-hot across every row
+        /// block, and the weights as a whole stream through once. Per
+        /// 64-byte step of `k` the `2 x 2` block issues two `A` loads, two
+        /// `B` loads and four `tdpbssd` — 16 KiB of MACs per 4 KiB loaded. A
+        /// `B` tile is 16 consecutive `kq` rows of the resident quad pack
+        /// (stride 64), an `A` tile 16 rows of the row-major activations
+        /// (stride `k`); nothing is repacked.
+        ///
+        /// # Safety
+        ///
+        /// AMX available and permitted; `k % 64 == 0`; `a` holds rows up to
+        /// `row0 + blocks * (r0 + r1)`, `quads` holds
+        /// `ceil(n / NR)` tiles of `k * NR` bytes, `out` rows up to
+        /// `row0 + blocks * (r0 + r1)` of width `n`.
+        #[allow(unsafe_code)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn amx_pass<const LOWER: bool>(
+            a: &[i8],
+            k: usize,
+            quads: &[i8],
+            row0: usize,
+            blocks: usize,
+            (r0, r1): (usize, usize),
+            out: &mut [i32],
+            n: usize,
+        ) {
+            debug_assert_eq!(LOWER, r1 > 0);
+            let steps = k / TILE_ROW_BYTES;
+            let tile_len = k * NR;
+            let tiles = n.div_ceil(NR);
+            debug_assert!(quads.len() >= tiles * tile_len);
+            debug_assert!(a.len() >= (row0 + blocks * (r0 + r1)) * k);
+            debug_assert!(out.len() >= (row0 + blocks * (r0 + r1)) * n);
+            tile_config(&TileCfg::block(r0, r1));
+            let mut t = 0;
+            while t < tiles {
+                let pair = t + 1 < tiles;
+                let b0 = quads.as_ptr().add(t * tile_len).cast::<u8>();
+                let b1 = b0.add(tile_len);
+                let j0 = t * NR;
+                let w0 = NR.min(n - j0);
+                let w1 = if pair { NR.min(n - j0 - NR) } else { 0 };
+                for blk in 0..blocks {
+                    let row = row0 + blk * (r0 + r1);
+                    let a0 = a.as_ptr().add(row * k).cast::<u8>();
+                    let a1 = a0.add(r0 * k);
+                    tile_zero::<0>();
+                    tile_zero::<1>();
+                    if LOWER {
+                        tile_zero::<2>();
+                        tile_zero::<3>();
+                    }
+                    for s in 0..steps {
+                        tile_load::<4>(a0.add(s * TILE_ROW_BYTES), k);
+                        tile_load::<6>(b0.add(s * TILE_BYTES), TILE_ROW_BYTES);
+                        tile_dp::<0, 4, 6>();
+                        if pair {
+                            tile_load::<7>(b1.add(s * TILE_BYTES), TILE_ROW_BYTES);
+                            tile_dp::<1, 4, 7>();
+                        }
+                        if LOWER {
+                            tile_load::<5>(a1.add(s * TILE_ROW_BYTES), k);
+                            tile_dp::<2, 5, 6>();
+                            if pair {
+                                tile_dp::<3, 5, 7>();
+                            }
+                        }
+                    }
+                    let at = row * n + j0;
+                    store_acc::<0>(out, at, n, r0, w0);
+                    if pair {
+                        store_acc::<1>(out, at + NR, n, r0, w1);
+                    }
+                    if LOWER {
+                        store_acc::<2>(out, at + r0 * n, n, r1, w0);
+                        if pair {
+                            store_acc::<3>(out, at + r0 * n + NR, n, r1, w1);
+                        }
+                    }
+                }
+                t += 2;
+            }
+            tile_release();
+        }
+
+        /// AMX-INT8 twin of [`super::band_i8q_vnni`] over the same resident quad
+        /// pack: `out_band = a * B` for the band's rows `a`. `tdpbssd` is signed
+        /// x signed, so it reads `a` itself — no `a + 128` copy, no
+        /// `128 * colsum` compensation. Integer accumulation is exact in any
+        /// order, so the result is bit-identical to the VNNI and scalar
+        /// kernels.
+        ///
+        /// Whole 32-row blocks run as one pass of `2 x 2` register blocks;
+        /// the ragged remainder (`1..=31` rows) runs as a second pass under a
+        /// partial-row tile configuration — `r` rows in the upper tile, or 16
+        /// above and `r - 16` below — so every row stays on tiles. Each pass
+        /// configures the calling thread's tiles and releases them before it
+        /// returns; tile state never outlives the call.
+        ///
+        /// # Safety
+        ///
+        /// AMX available and permitted ([`amx_request`]); `k % 64 == 0`,
+        /// `n > 0`, `a.len() >= out_band.len() / n * k`,
+        /// `quads.len() >= ceil(n / NR) * k * NR` (callers go through
+        /// [`super::super::band_i8_amx`], which asserts these).
+        #[allow(unsafe_code)]
+        pub(in crate::simd) unsafe fn band_i8_amx(
+            a: &[i8],
+            k: usize,
+            quads: &[i8],
+            out_band: &mut [i32],
+            n: usize,
+        ) {
+            let rows = out_band.len() / n;
+            let blocks = rows / (2 * TILE_ROWS);
+            if blocks > 0 {
+                let shape = (TILE_ROWS, TILE_ROWS);
+                amx_pass::<true>(a, k, quads, 0, blocks, shape, out_band, n);
+            }
+            let done = blocks * 2 * TILE_ROWS;
+            match rows - done {
+                0 => {}
+                r if r <= TILE_ROWS => amx_pass::<false>(a, k, quads, done, 1, (r, 0), out_band, n),
+                r => {
+                    let shape = (TILE_ROWS, r - TILE_ROWS);
+                    amx_pass::<true>(a, k, quads, done, 1, shape, out_band, n)
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The override is process-global and this binary's tests run on
+    /// parallel threads: the tests that flip it, and the ones that need
+    /// a tier to stay live while they call its kernel, hold this.
+    static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+        OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn override_controls_dispatch() {
-        let ambient = simd_enabled();
+        let _guard = override_lock();
+        let ambient = (simd_enabled(), int8_kernel());
         set_simd_override(Some(false));
         assert!(!simd_enabled());
+        assert_eq!(int8_kernel(), Int8Kernel::Scalar);
+        assert!(
+            !amx_takes(64, 512),
+            "the override switches AMX off with VNNI"
+        );
         set_simd_override(Some(true));
         // Forcing SIMD on still requires hardware support.
         assert_eq!(simd_enabled(), vnni_available());
+        assert_eq!(
+            int8_kernel() == Int8Kernel::Amx,
+            vnni_available() && amx_available()
+        );
         set_simd_override(None);
-        assert_eq!(simd_enabled(), ambient);
+        assert_eq!((simd_enabled(), int8_kernel()), ambient);
+    }
+
+    #[test]
+    fn tile_tier_declines_what_it_cannot_take() {
+        let _guard = override_lock();
+        // Whatever the host: one row is the GEMV's, and a reduction depth
+        // off the 64-byte step stays on VNNI.
+        assert!(!amx_takes(1, 512));
+        assert!(!amx_takes(64, 0));
+        assert!(!amx_takes(64, 300));
+        assert!(!amx_takes(64, 66));
+        assert_eq!(amx_takes(2, 64), int8_kernel() == Int8Kernel::Amx);
+        // A declined band leaves the output alone and says so.
+        set_simd_override(Some(false));
+        let a = crate::Mat::from_vec(2, 64, i8_stream(9, 128)).unwrap();
+        let (quads, _) = crate::gemm::pack_quads(&crate::Mat::filled(64, 16, 1i8));
+        let mut out = vec![i32::MIN; 32];
+        assert!(!band_i8_amx(&a, quads.as_slice(), 0, &mut out, 16));
+        assert!(out.iter().all(|&v| v == i32::MIN));
+        set_simd_override(None);
+    }
+
+    /// The three band kernels on one pack: AMX tiles, VNNI, and the
+    /// naive reference (which the scalar quad kernel is tested against
+    /// in `gemm`). Shapes cover every register-block case: `1 x 2` and
+    /// `2 x 2` blocks, a lone last column tile, ragged column tiles on
+    /// either side of a pair, partial-row tiles in the upper and the
+    /// lower half, bands that start inside `a`, and the extreme codes
+    /// (signed x signed, no `+ 128` offset anywhere).
+    #[test]
+    fn amx_band_matches_vnni_band_and_reference() {
+        let _guard = override_lock();
+        set_simd_override(None);
+        if int8_kernel() != Int8Kernel::Amx {
+            eprintln!(
+                "amx_band_matches_vnni_band_and_reference: skipped, no AMX tier on this host \
+                 (int8 kernel = {:?})",
+                int8_kernel()
+            );
+            return;
+        }
+        let extremes = |len: usize, phase: usize| -> Vec<i8> {
+            (0..len)
+                .map(|i| {
+                    if (i / 3 + phase).is_multiple_of(2) {
+                        -128
+                    } else {
+                        127
+                    }
+                })
+                .collect()
+        };
+        let mut seed = 40;
+        for k in [64usize, 192, 512] {
+            for n in [1usize, 15, 16, 17, 32, 33, 48, 100] {
+                for m in [2usize, 5, 16, 17, 31, 32, 33, 48, 49, 64, 70] {
+                    seed += 1;
+                    let extreme = seed % 4 == 0;
+                    let (av, bv) = if extreme {
+                        (extremes(m * k, 0), extremes(k * n, 1))
+                    } else {
+                        (i8_stream(seed, m * k), i8_stream(seed + 1000, k * n))
+                    };
+                    let a = crate::Mat::from_vec(m, k, av).unwrap();
+                    let b = crate::Mat::from_vec(k, n, bv).unwrap();
+                    let want = crate::gemm::matmul_i8_ref(&a, &b).unwrap();
+                    let (quads, colsum) = crate::gemm::pack_quads(&b);
+                    let au = crate::gemm::offset_rows(&a, 1);
+                    // The whole matrix as one band, then its tail as a
+                    // band of its own (`first_row > 0`).
+                    for first_row in [0, m / 3] {
+                        let rows = m - first_row;
+                        let mut amx = vec![i32::MIN; rows * n];
+                        let mut vnni = vec![i32::MIN; rows * n];
+                        assert!(band_i8_amx(&a, quads.as_slice(), first_row, &mut amx, n));
+                        assert!(band_i8q(
+                            &au,
+                            k,
+                            quads.as_slice(),
+                            &colsum,
+                            first_row,
+                            &mut vnni,
+                            n
+                        ));
+                        let tag = format!("({m},{k},{n}) from row {first_row}, extreme {extreme}");
+                        assert_eq!(amx, vnni, "amx vs vnni {tag}");
+                        assert_eq!(amx, want.as_slice()[first_row * n..], "amx vs ref {tag}");
+                    }
+                }
+            }
+        }
     }
 
     /// Deterministic pseudo-random i8 stream for the kernel tests.

@@ -355,8 +355,10 @@ impl IncrementalSession {
         token: usize,
     ) -> Vec<f32> {
         let g = cached_graph(model);
-        let emb = model.tgt_embedding().embed_at(token, self.pos);
-        let mut x = Mat::from_vec(1, emb.len(), emb).expect("row");
+        let mut x = Mat::zeros(1, model.config().d_model);
+        model
+            .tgt_embedding()
+            .embed_into(token, self.pos, x.row_mut(0));
         for (layer, cache) in model.decoder().layers().iter().zip(&mut self.layers) {
             let (self_blk, cross_blk, ffn_blk) = layer.blocks();
             // Append this position's projected self-attention K/V.
@@ -406,8 +408,9 @@ pub fn step_batch(
     let d_model = model.config().d_model;
     let mut x = Mat::zeros(b, d_model);
     for (r, (session, &token)) in sessions.iter().zip(tokens).enumerate() {
-        x.row_mut(r)
-            .copy_from_slice(&model.tgt_embedding().embed_at(token, session.pos));
+        model
+            .tgt_embedding()
+            .embed_into(token, session.pos, x.row_mut(r));
     }
     for (l, layer) in model.decoder().layers().iter().enumerate() {
         let (self_blk, cross_blk, ffn_blk) = layer.blocks();
