@@ -34,6 +34,7 @@
 
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
 use tensor::Mat;
+use transformer::greedy::GreedyStats;
 use transformer::tasks::{BOS, EOS};
 
 use crate::exec::{CacheRef, QRowVal, QuantRowExec};
@@ -325,6 +326,41 @@ impl QuantSeq2Seq {
         sessions: &mut [&mut QuantIncrementalSession],
         chunks: &[&[usize]],
     ) -> Vec<Vec<f32>> {
+        let last = self.prefill_last_rows(arena, sessions, chunks);
+        let logits = self.output_projection_rows(&last);
+        (0..logits.rows()).map(|i| logits.row(i).to_vec()).collect()
+    }
+
+    /// [`QuantSeq2Seq::prefill_sessions`] for greedy decoding: the same
+    /// pass over the same sessions, returning each session's next token
+    /// — `tensor::ops::argmax` of the logits `prefill_sessions` would
+    /// return, exactly, ties included — without forming the
+    /// `b x vocab` logits (`transformer::greedy`), plus what the greedy
+    /// head's screen did.
+    ///
+    /// # Panics
+    ///
+    /// As [`QuantSeq2Seq::prefill_sessions`]; a NaN logit panics as
+    /// `ops::argmax` does.
+    pub fn prefill_sessions_greedy(
+        &self,
+        arena: &mut KvArena,
+        sessions: &mut [&mut QuantIncrementalSession],
+        chunks: &[&[usize]],
+    ) -> (Vec<usize>, GreedyStats) {
+        let last = self.prefill_last_rows(arena, sessions, chunks);
+        self.output_projection_argmax(&last)
+    }
+
+    /// The decoder pass behind both heads: consumes every session's
+    /// chunk and returns the dequantized last row of each (one row per
+    /// session, in order) — the output projection's input.
+    fn prefill_last_rows(
+        &self,
+        arena: &mut KvArena,
+        sessions: &mut [&mut QuantIncrementalSession],
+        chunks: &[&[usize]],
+    ) -> Mat<f32> {
         assert_eq!(sessions.len(), chunks.len(), "one chunk per session");
         assert!(!sessions.is_empty(), "empty step batch");
         assert!(
@@ -403,9 +439,7 @@ impl QuantSeq2Seq {
             r0 += chunk.len();
             last.row_mut(i).copy_from_slice(x.row(r0 - 1));
         }
-        let last_f32 = last_ffn.dequantize_output(&last);
-        let logits = self.output_projection_rows(&last_f32);
-        (0..b).map(|i| logits.row(i).to_vec()).collect()
+        last_ffn.dequantize_output(&last)
     }
 
     /// Greedy decoding through the INT8 KV cache (private arena; pages

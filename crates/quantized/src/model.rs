@@ -5,6 +5,7 @@
 
 use tensor::{ops, Mat};
 use transformer::bleu::corpus_bleu;
+use transformer::greedy::GreedyStats;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::BOS;
 
@@ -129,7 +130,13 @@ impl QuantSeq2Seq {
             tgt_emb: model.tgt_embedding().clone(),
             enc_layers,
             dec_layers,
-            out_proj: model.output_projection().clone(),
+            // An inference copy: `Linear::clone` would also copy the
+            // `d_model x vocab` gradient buffer nothing here reads.
+            out_proj: transformer::linear::Linear::from_parts(
+                "out_proj",
+                model.output_projection().weight().clone(),
+                model.output_projection().bias().to_vec(),
+            ),
             max_len: cfg.max_len,
         }
     }
@@ -191,6 +198,13 @@ impl QuantSeq2Seq {
     /// `r` alone, bit for bit.
     pub(crate) fn output_projection_rows(&self, x: &Mat<f32>) -> Mat<f32> {
         self.out_proj.forward_inference(x)
+    }
+
+    /// `ops::argmax` of each row of
+    /// [`QuantSeq2Seq::output_projection_rows`] without forming the
+    /// logits (`Linear::argmax_rows`), plus the screen's counts.
+    pub(crate) fn output_projection_argmax(&self, x: &Mat<f32>) -> (Vec<usize>, GreedyStats) {
+        self.out_proj.argmax_rows(x)
     }
 
     /// Runs the quantized encoder, returning output codes (scale: last

@@ -14,8 +14,13 @@
 //! Waiting requests queue up, are admitted in length-sorted buckets
 //! ([`PaddedBatch::buckets`]), and every [`ContinuousBatcher::step`]
 //! advances *all* in-flight sessions together through one batched layer
-//! pass ([`QuantSeq2Seq::prefill_sessions`]) — one multi-row GEMM per
-//! weight matrix per step instead of one GEMM per request per layer.
+//! pass ([`QuantSeq2Seq::prefill_sessions_greedy`]) — one multi-row GEMM
+//! per weight matrix per step instead of one GEMM per request per layer.
+//! The step takes each row's next token from the greedy head
+//! (`transformer::greedy`: exactly the `argmax` of the FP32 output
+//! projection, without forming the `b x vocab` logits);
+//! [`ServingStats::greedy_candidate_tiles`] and
+//! [`ServingStats::greedy_fallback_rows`] report what it did.
 //!
 //! **Chunked prefill:** a request may carry a target-side *prompt*
 //! ([`Request::with_prompt`]) that must be ingested before generation.
@@ -64,7 +69,7 @@
 //!
 //! Under the hood every step runs the shared cached-KV operator graph
 //! (`graph::mha_cached_graph`) through the `Executor` seam:
-//! [`QuantSeq2Seq::prefill_sessions`] drives `quantized::QuantRowExec`
+//! [`QuantSeq2Seq::prefill_sessions_greedy`] drives `quantized::QuantRowExec`
 //! over the stacked chunk rows, so this layer is a *consumer* of the
 //! executor abstraction rather than a fifth hand-written forward path —
 //! swapping in another `graph::Executor` backend would not change any
@@ -380,6 +385,15 @@ pub struct ServingStats {
     /// re-materializing (whole resident pages of the reused rows;
     /// physically shared copy-on-write, so the arena pays them once).
     pub prefix_bytes_shared: usize,
+    /// Column tiles of the output projection the greedy head recomputed
+    /// exactly, summed over every row of every step (16 columns each;
+    /// `transformer::greedy`). Divided by `rows` this is the screen's
+    /// selectivity — a handful per row when it works.
+    pub greedy_candidate_tiles: usize,
+    /// Rows whose next token came from the full FP32 projection instead
+    /// (the greedy head's guards, or too many candidates): the head
+    /// degenerating to the cost it replaces.
+    pub greedy_fallback_rows: usize,
 }
 
 impl ServingStats {
@@ -419,6 +433,8 @@ impl ServingStats {
         self.prefix_misses += other.prefix_misses;
         self.prefix_rows_reused += other.prefix_rows_reused;
         self.prefix_bytes_shared += other.prefix_bytes_shared;
+        self.greedy_candidate_tiles += other.greedy_candidate_tiles;
+        self.greedy_fallback_rows += other.greedy_fallback_rows;
     }
 }
 
@@ -837,21 +853,22 @@ impl<'m> ContinuousBatcher<'m> {
         let chunk_refs: Vec<&[usize]> = plan.iter().map(|(_, c)| c.as_slice()).collect();
         let verify = faults::hooks_active() && faults::checker_enabled();
         let mut persistent_fault = false;
-        let logits = if verify {
+        let (tokens, greedy) = if verify {
             let mut attempt = 0;
             loop {
                 let before = faults::counters().detected;
                 let mut sessions = planned_sessions(&mut self.slots, &plan);
-                let logits = model.prefill_sessions(&mut self.arena, &mut sessions, &chunk_refs);
+                let out =
+                    model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs);
                 if faults::counters().detected == before {
-                    break logits;
+                    break out;
                 }
                 self.stats.faulty_steps += 1;
                 if attempt >= self.cfg.max_step_retries {
                     // Still flagged after every retry: accept the output
                     // (better degraded than lost) and charge the slots.
                     persistent_fault = true;
-                    break logits;
+                    break out;
                 }
                 attempt += 1;
                 self.stats.retries += 1;
@@ -865,8 +882,10 @@ impl<'m> ContinuousBatcher<'m> {
             }
         } else {
             let mut sessions = planned_sessions(&mut self.slots, &plan);
-            model.prefill_sessions(&mut self.arena, &mut sessions, &chunk_refs)
+            model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs)
         };
+        self.stats.greedy_candidate_tiles += greedy.candidate_tiles;
+        self.stats.greedy_fallback_rows += greedy.fallback_rows;
         // High-water mark before retirement hands pages back.
         self.stats.kv_bytes_peak = self.stats.kv_bytes_peak.max(self.arena.kv_bytes_in_use());
         if persistent_fault {
@@ -890,7 +909,7 @@ impl<'m> ContinuousBatcher<'m> {
         let wall_now = Instant::now();
         let past_wall = |slot: &Slot| slot.wall_deadline.is_some_and(|d| wall_now >= d);
         let mut retire: Vec<(usize, Retire)> = Vec::new();
-        for ((i, chunk), row) in plan.iter().zip(&logits) {
+        for ((i, chunk), &next) in plan.iter().zip(&tokens) {
             let slot = self.slots[*i].as_mut().expect("planned slot is occupied");
             slot.age += 1;
             for _ in 0..chunk.len() {
@@ -900,14 +919,13 @@ impl<'m> ContinuousBatcher<'m> {
                 self.stats.prefill_rows += chunk.len();
             }
             if !slot.pending.is_empty() {
-                // Mid-prefill: the chunk's last-row logits are an
+                // Mid-prefill: the chunk's last-row token is for an
                 // intermediate position, not the generation frontier.
                 if slot.deadline.is_some_and(|d| slot.age >= d) || past_wall(slot) {
                     retire.push((*i, Retire::Deadline));
                 }
                 continue;
             }
-            let next = tensor::ops::argmax(row);
             if next == EOS && !self.cfg.ignore_eos {
                 retire.push((*i, Retire::Eos));
                 continue;
@@ -1760,6 +1778,8 @@ mod tests {
             prefix_misses: 20,
             prefix_rows_reused: 21,
             prefix_bytes_shared: 22,
+            greedy_candidate_tiles: 23,
+            greedy_fallback_rows: 24,
         };
         let mut m = ServingStats::default();
         m.merge(&a);
@@ -1788,6 +1808,8 @@ mod tests {
         want.prefix_misses *= 2;
         want.prefix_rows_reused *= 2;
         want.prefix_bytes_shared *= 2;
+        want.greedy_candidate_tiles *= 2;
+        want.greedy_fallback_rows *= 2;
         assert_eq!(m, want);
     }
 }

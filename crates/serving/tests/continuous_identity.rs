@@ -99,3 +99,44 @@ proptest! {
         }
     }
 }
+
+/// The engine's step takes its tokens from the greedy head, not from
+/// logits: prompted requests (chunked prefill, then decode) still match
+/// the sequential logits-and-argmax reference token for token, and the
+/// head's counters reach the operator through `stats()` — every step row
+/// verified at least one tile, none fell back to the full projection.
+#[test]
+fn greedy_head_serves_every_row_and_reports_it() {
+    let q = model();
+    let srcs = sources();
+    let mut engine = ContinuousBatcher::new(
+        q,
+        EngineConfig {
+            max_batch: 3,
+            prefill_chunk: 2,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let prompts: Vec<Vec<usize>> = (0..6)
+        .map(|i| srcs[i].iter().copied().take(i).collect())
+        .collect();
+    for (id, prompt) in prompts.iter().enumerate() {
+        let req = Request::new(id as u64, srcs[id].clone(), 6).with_prompt(prompt.clone());
+        engine.submit(req).unwrap();
+    }
+    let responses = engine.run_to_completion();
+    assert_eq!(responses.len(), prompts.len());
+    for (resp, prompt) in responses.iter().zip(&prompts) {
+        let want = q.greedy_decode_with_prompt(&srcs[resp.id as usize], prompt, 6);
+        assert_eq!(resp.tokens, want, "id {}", resp.id);
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.greedy_fallback_rows, 0);
+    assert!(
+        stats.greedy_candidate_tiles >= stats.rows,
+        "{} tiles over {} step rows",
+        stats.greedy_candidate_tiles,
+        stats.rows
+    );
+}

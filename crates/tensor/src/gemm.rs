@@ -522,9 +522,11 @@ pub(crate) fn widen_i8(v: i8) -> i32 {
     i32::from(v)
 }
 
-/// Runs the `f32` band kernel over prepacked tiles (scalar only — float
-/// SIMD would reassociate sums and break bit-identity; the scalar loop
-/// auto-vectorises under `target-cpu=native` within those constraints).
+/// Runs the `f32` band kernel over prepacked tiles: the AVX-512 kernel
+/// from [`crate::simd`] when available/enabled, otherwise the scalar
+/// one. Both round every product and every ascending-`k` add separately
+/// (no FMA, no reassociation), so they are bit-identical and dispatch
+/// only affects speed.
 #[inline]
 pub(crate) fn run_band_f32(
     a: &Mat<f32>,
@@ -533,7 +535,9 @@ pub(crate) fn run_band_f32(
     out_band: &mut [f32],
     n: usize,
 ) {
-    band_f32(a, packed, first_row, out_band, n);
+    if !simd::band_f32(a, packed, first_row, out_band, n) {
+        band_f32(a, packed, first_row, out_band, n);
+    }
 }
 
 /// Runs the INT8 band kernel over the quad-packed layout: the AMX tile

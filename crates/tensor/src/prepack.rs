@@ -18,7 +18,8 @@
 //! stream, and the quad layout moves 1x the weight bytes per token
 //! instead of 4x.
 //!
-//! The [`matmul_prepacked`] / [`matmul_i8_prepacked`] entry points run
+//! The [`matmul_prepacked`] / [`matmul_i8_prepacked`] entry points (and
+//! [`matmul_prepacked_tile`], one row against one column tile) run
 //! the identical band kernels (including the VNNI microkernels from
 //! [`crate::simd`] and the dedicated `m == 1` GEMV) straight from the
 //! cached tiles. Results are **bit-identical** to
@@ -279,6 +280,47 @@ pub fn matmul_prepacked_with_threads(
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         gemm::run_band_f32(a, &b.packed, first_row, band, n);
     });
+    Ok(out)
+}
+
+/// Columns one packed column tile holds (the microkernel's lane count).
+pub const TILE_COLS: usize = gemm::NR;
+
+/// One row of `a` against one column tile of a prepacked `B`: the
+/// [`TILE_COLS`] products `a.row(row) * B[:, tile * TILE_COLS ..]`,
+/// bit-identical to those elements of [`matmul_prepacked`] — it runs
+/// the same band kernel on a one-row, one-tile band. Lanes past `b.n()`
+/// in a ragged last tile multiply the pack's zero padding.
+///
+/// This is the exact-recompute primitive for callers that need a few
+/// columns of a wide product (a verified arg-max), not the whole row.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `a.cols() != b.k()`.
+///
+/// # Panics
+///
+/// Panics if `row >= a.rows()` or the tile lies past `b.n()`.
+pub fn matmul_prepacked_tile(
+    a: &Mat<f32>,
+    row: usize,
+    b: &PackedMat<f32>,
+    tile: usize,
+) -> Result<[f32; TILE_COLS], ShapeError> {
+    if a.cols() != b.k {
+        return Err(ShapeError::new("matmul_prepacked", a.shape(), (b.k, b.n)));
+    }
+    assert!(row < a.rows(), "row {row} of {}", a.rows());
+    let stride = b.k * gemm::NR;
+    let mut out = [0f32; TILE_COLS];
+    gemm::run_band_f32(
+        a,
+        &b.packed[tile * stride..(tile + 1) * stride],
+        row,
+        &mut out,
+        TILE_COLS,
+    );
     Ok(out)
 }
 
@@ -546,6 +588,25 @@ mod tests {
             let got = matmul_i8_prepacked(&a, &packed).unwrap();
             assert_eq!(got, gemm::matmul_i8(&a, &b).unwrap(), "m={m}");
         }
+    }
+
+    #[test]
+    fn single_tile_matches_the_full_product() {
+        let a = Mat::from_fn(5, 33, |r, c| (r as f32 - c as f32) * 0.37);
+        let b = Mat::from_fn(33, 40, |r, c| (r * c) as f32 * 0.11 - 1.5);
+        let packed = PackedMat::from_f32(&b);
+        let full = matmul_prepacked(&a, &packed).unwrap();
+        for row in 0..5 {
+            for tile in 0..3 {
+                let got = matmul_prepacked_tile(&a, row, &packed, tile).unwrap();
+                for (lane, g) in got.iter().enumerate() {
+                    let col = tile * TILE_COLS + lane;
+                    let want = if col < 40 { full[(row, col)] } else { 0.0 };
+                    assert_eq!(g.to_bits(), want.to_bits(), "row {row} col {col}");
+                }
+            }
+        }
+        assert!(matmul_prepacked_tile(&Mat::zeros(1, 3), 0, &packed, 0).is_err());
     }
 
     #[test]

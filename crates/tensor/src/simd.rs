@@ -1,10 +1,21 @@
-//! Explicit SIMD microkernels for the INT8 datapath.
+//! Explicit SIMD microkernels for the INT8 datapath, and one for the
+//! `f32` weight GEMM.
 //!
 //! The scalar quad kernels in [`crate::gemm`] already auto-vectorise
 //! reasonably under `-C target-cpu=native`, but the INT8 GEMMs sit on
 //! the serving hot path (chunked prefill is one multi-row GEMM per
 //! weight matrix per chunk), so this module provides two hand-written
 //! x86_64 tiers above them, picked at run time ([`int8_kernel`]).
+//!
+//! # `f32`: AVX-512F
+//!
+//! [`band_f32`] is the explicit twin of the scalar `f32` band kernel
+//! (the FP32 output projection): a 16-row by 16-lane register block —
+//! one packed `B` vector per `k` step feeding 16 broadcast multiplies —
+//! that keeps `vmulps` and `vaddps` separate and `k` ascending, so it is
+//! bit-identical to the scalar kernel and the naive reference. A fused
+//! multiply-add rounds once where they round twice, and is never used.
+//! Gated on `avx512f` alone, under the same switches as the INT8 tiers.
 //!
 //! # Tier 2: AVX-512 VNNI
 //!
@@ -98,7 +109,9 @@
 //! syscall); the rest of the crate remains `#![deny(unsafe_code)]`-
 //! clean. In `x86`: the seven `#[target_feature]` VNNI/AVX-512 kernels
 //! and their two lane helpers (raw-pointer loads inside lengths the
-//! callers derive from the slices they pass), and in `x86::amx` the
+//! callers derive from the slices they pass), the `f32` band kernel with
+//! its two register-block helpers (bounds `assert!`ed in the safe
+//! [`band_f32`] wrapper on every call), and in `x86::amx` the
 //! probe (`xgetbv`, the `arch_prctl` syscall), six one-instruction
 //! `asm!` wrappers, the accumulator store and the two kernel functions.
 //! The tile kernel's buffer contract is `assert!`ed in the safe
@@ -137,6 +150,23 @@ fn vnni_available() -> bool {
     false
 }
 
+#[cfg(target_arch = "x86_64")]
+fn avx512f_available() -> bool {
+    static AVX512F: OnceLock<bool> = OnceLock::new();
+    *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// Whether a hand-written tier the hardware offers (`available`) is
+/// switched on: the in-process override first, then
+/// [`ENV_FORCE_SCALAR`].
+fn tier_enabled(available: fn() -> bool) -> bool {
+    match SIMD_OVERRIDE.load(Ordering::Relaxed) {
+        1 => false,
+        2 => available(),
+        _ => !force_scalar_env() && available(),
+    }
+}
+
 /// Whether the SIMD kernels will be used for the next INT8 GEMM.
 ///
 /// `true` iff the target is x86_64 with AVX-512 VNNI,
@@ -144,11 +174,7 @@ fn vnni_available() -> bool {
 /// scalar. Because SIMD and scalar kernels are bit-identical, this only
 /// affects speed.
 pub fn simd_enabled() -> bool {
-    match SIMD_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => vnni_available(),
-        _ => !force_scalar_env() && vnni_available(),
-    }
+    tier_enabled(vnni_available)
 }
 
 /// Crate-internal alias for [`simd_enabled`] used by the GEMM entry
@@ -299,6 +325,48 @@ pub(crate) fn band_i8_amx(
         }
     }
     let _ = (a, quads, first_row, out_band, n);
+    false
+}
+
+/// AVX-512 `f32` band GEMM over `[tile][p][lane]` packed `B` tiles:
+/// `out_band = a[first_row..][..rows] * B`. Returns `false` (without
+/// touching `out_band`) when AVX-512F is unavailable or switched off, in
+/// which case the caller runs the scalar band kernel.
+///
+/// Bit-identical to that kernel: per output element the same `k`
+/// products, each rounded by `vmulps`, are added in ascending `k` from
+/// `+0.0` by `vaddps` — never a fused multiply-add, which rounds once.
+#[inline]
+pub(crate) fn band_f32(
+    a: &crate::Mat<f32>,
+    packed: &[f32],
+    first_row: usize,
+    out_band: &mut [f32],
+    n: usize,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if n > 0 && tier_enabled(avx512f_available) {
+            let k = a.cols();
+            assert_eq!(out_band.len() % n, 0, "band must hold whole rows");
+            let rows = &a.as_slice()[first_row * k..(first_row + out_band.len() / n) * k];
+            // The kernel addresses `packed` through raw pointers; with
+            // the slice above this is its bound.
+            assert!(
+                packed.len() >= n.div_ceil(crate::gemm::NR) * k * crate::gemm::NR,
+                "packed tiles too short"
+            );
+            // SAFETY: AVX-512F was detected at run time; `rows` holds
+            // exactly the band's `out_band.len() / n` rows of `k` floats
+            // and `packed` was checked above.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::band_f32_avx512(rows, k, packed, out_band, n);
+            }
+            return true;
+        }
+    }
+    let _ = (a, packed, first_row, out_band, n);
     false
 }
 
@@ -495,14 +563,15 @@ mod x86 {
     use crate::gemm::{KQ, MR, NR};
     use crate::Mat;
     use std::arch::x86_64::{
-        __m512i, _mm256_loadu_si256, _mm512_add_epi32, _mm512_castsi512_si256,
-        _mm512_cvtepi16_epi32, _mm512_cvtepi8_epi16, _mm512_dpbusd_epi32, _mm512_dpwssd_epi32,
-        _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_maskz_loadu_epi8, _mm512_mullo_epi16,
+        __m512, __m512i, _mm256_loadu_si256, _mm512_add_epi32, _mm512_add_ps,
+        _mm512_castsi512_si256, _mm512_cvtepi16_epi32, _mm512_cvtepi8_epi16, _mm512_dpbusd_epi32,
+        _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64, _mm512_loadu_ps, _mm512_loadu_si512,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi8, _mm512_mul_ps, _mm512_mullo_epi16,
         _mm512_reduce_add_epi32, _mm512_set1_epi16, _mm512_set1_epi32, _mm512_set1_epi8,
-        _mm512_setzero_si512, _mm512_shuffle_i32x4, _mm512_slli_epi32, _mm512_storeu_si512,
-        _mm512_sub_epi32, _mm512_unpackhi_epi16, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64,
-        _mm512_unpackhi_epi8, _mm512_unpacklo_epi16, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
-        _mm512_unpacklo_epi8,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_shuffle_i32x4,
+        _mm512_slli_epi32, _mm512_storeu_si512, _mm512_sub_epi32, _mm512_unpackhi_epi16,
+        _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpackhi_epi8, _mm512_unpacklo_epi16,
+        _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_unpacklo_epi8,
     };
 
     /// Signed per-head dot products via `vpdpwssd`: both operands are
@@ -1084,6 +1153,149 @@ mod x86 {
         crate::gemm::pack_quads_t_scalar_range(bt, quads, colsum, full_tiles, tiles);
     }
 
+    /// An `R`-row by `T`-tile register block of the `f32` kernel: the
+    /// `R * T` accumulators of rows `a[r * k..]` against the `T` adjacent
+    /// packed tiles at `bt`, summed over all `k` in ascending order from
+    /// `+0.0` with a separate multiply and add.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `a` must hold `R * k` floats and `bt`
+    /// `T * k * NR`.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn f32_block<const R: usize, const T: usize>(
+        a: *const f32,
+        k: usize,
+        bt: *const f32,
+    ) -> [[__m512; T]; R] {
+        let tile_len = k * NR;
+        let mut c = [[_mm512_setzero_ps(); T]; R];
+        for p in 0..k {
+            let mut bv = [_mm512_setzero_ps(); T];
+            for (t, b) in bv.iter_mut().enumerate() {
+                *b = _mm512_loadu_ps(bt.add(t * tile_len + p * NR));
+            }
+            for (r, cr) in c.iter_mut().enumerate() {
+                let x = _mm512_set1_ps(*a.add(r * k + p));
+                for (acc, &b) in cr.iter_mut().zip(&bv) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(x, b));
+                }
+            }
+        }
+        c
+    }
+
+    /// Every row of a band against the `T` adjacent packed tiles at `bt`
+    /// (the first is tile `t0`), storing the lanes `masks` selects.
+    /// Rows run as 16-row register blocks one tile at a time (16
+    /// accumulators, one `B` load per `p` feeding 16 broadcast
+    /// multiplies: the two FP ports are the limit), then as `MR`-row and
+    /// single-row blocks across all `T` tiles, whose extra accumulators
+    /// hide the add latency.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `a` holds `rows * k` floats, `bt` `T` tiles of
+    /// `k * NR`, and `out` `rows` rows of `n` with every lane in `masks`
+    /// inside its row.
+    #[allow(unsafe_code)]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn f32_tile_group<const T: usize>(
+        a: *const f32,
+        k: usize,
+        rows: usize,
+        bt: *const f32,
+        out: *mut f32,
+        n: usize,
+        t0: usize,
+        masks: [u16; T],
+    ) {
+        let tile_len = k * NR;
+        let mut r = 0;
+        while r + 16 <= rows {
+            for (i, &mask) in masks.iter().enumerate() {
+                let c = f32_block::<16, 1>(a.add(r * k), k, bt.add(i * tile_len));
+                for (q, [v]) in c.iter().enumerate() {
+                    _mm512_mask_storeu_ps(out.add((r + q) * n + (t0 + i) * NR), mask, *v);
+                }
+            }
+            r += 16;
+        }
+        while r + MR <= rows {
+            let c = f32_block::<MR, T>(a.add(r * k), k, bt);
+            for (q, cr) in c.iter().enumerate() {
+                for (i, (&v, &mask)) in cr.iter().zip(&masks).enumerate() {
+                    _mm512_mask_storeu_ps(out.add((r + q) * n + (t0 + i) * NR), mask, v);
+                }
+            }
+            r += MR;
+        }
+        while r < rows {
+            let [c] = f32_block::<1, T>(a.add(r * k), k, bt);
+            for (i, (&v, &mask)) in c.iter().zip(&masks).enumerate() {
+                _mm512_mask_storeu_ps(out.add(r * n + (t0 + i) * NR), mask, v);
+            }
+            r += 1;
+        }
+    }
+
+    /// AVX-512 twin of the scalar `band_f32` kernel in [`crate::gemm`]
+    /// over the same `[tile][p][lane]` packed tiles, with the tile loop
+    /// outermost as there so the weights stream past once: tile pairs
+    /// through [`f32_tile_group`], or groups of four for a one-row band,
+    /// which has no other source of independent accumulators.
+    ///
+    /// Per element the `k` products are rounded by `vmulps` and summed
+    /// by `vaddps` in ascending `k` from `+0.0` — the scalar kernel's
+    /// operations exactly, so the result is bit-identical to it and to
+    /// [`crate::gemm::matmul_ref`]. `vfmadd` would round once per step
+    /// and is never used.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `n > 0`, `a.len() == out_band.len() / n * k`,
+    /// `packed.len() >= ceil(n / NR) * k * NR` (callers go through
+    /// [`super::band_f32`], which asserts these).
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn band_f32_avx512(
+        a: &[f32],
+        k: usize,
+        packed: &[f32],
+        out_band: &mut [f32],
+        n: usize,
+    ) {
+        let rows = out_band.len() / n;
+        let tiles = n.div_ceil(NR);
+        debug_assert!(a.len() >= rows * k && packed.len() >= tiles * k * NR);
+        let (ap, out) = (a.as_ptr(), out_band.as_mut_ptr());
+        let bt = |t: usize| packed.as_ptr().add(t * k * NR);
+        // Lanes of tile `t` that are real columns.
+        let lanes = |t: usize| -> u16 {
+            match n - t * NR {
+                w if w < NR => (1u16 << w) - 1,
+                _ => u16::MAX,
+            }
+        };
+        let mut t = 0;
+        while rows == 1 && t + 4 <= tiles {
+            let masks = [lanes(t), lanes(t + 1), lanes(t + 2), lanes(t + 3)];
+            f32_tile_group::<4>(ap, k, rows, bt(t), out, n, t, masks);
+            t += 4;
+        }
+        while t + 2 <= tiles {
+            f32_tile_group::<2>(ap, k, rows, bt(t), out, n, t, [lanes(t), lanes(t + 1)]);
+            t += 2;
+        }
+        if t < tiles {
+            f32_tile_group::<1>(ap, k, rows, bt(t), out, n, t, [lanes(t)]);
+        }
+    }
+
     /// The AMX-INT8 tile kernel. Linux only: tile data needs a
     /// permission syscall ([`amx::amx_request`]).
     #[cfg(target_os = "linux")]
@@ -1560,6 +1772,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The AVX-512 `f32` band against the naive reference, bit for bit,
+    /// over every register-block case: 16-, 4- and 1-row blocks, tile
+    /// groups of four (one-row bands), two and one, ragged last tiles,
+    /// bands that start inside `a`, and signed zeros / subnormals.
+    #[test]
+    fn f32_band_matches_reference_bitwise() {
+        let _guard = override_lock();
+        set_simd_override(None);
+        let mut seed = 7;
+        for k in [1usize, 3, 64, 130] {
+            for n in [1usize, 15, 16, 17, 33, 48, 64, 65, 100] {
+                for m in [1usize, 2, 4, 5, 16, 17, 20, 23, 37] {
+                    seed += 1;
+                    let f = |s: u64, len: usize| -> Vec<f32> {
+                        i8_stream(s, len)
+                            .iter()
+                            .map(|&v| match v {
+                                0 => -0.0,
+                                1 => f32::MIN_POSITIVE / 4.0,
+                                v => f32::from(v) * 0.37 + 0.011 * f32::from(v).powi(2),
+                            })
+                            .collect()
+                    };
+                    let a = crate::Mat::from_vec(m, k, f(seed, m * k)).unwrap();
+                    let b = crate::Mat::from_vec(k, n, f(seed + 500, k * n)).unwrap();
+                    let want = crate::gemm::matmul_ref(&a, &b).unwrap();
+                    let packed = crate::gemm::pack_tiles(&b, crate::gemm::widen_f32);
+                    for first_row in [0, m / 3] {
+                        let mut got = vec![f32::NAN; (m - first_row) * n];
+                        if !band_f32(&a, &packed, first_row, &mut got, n) {
+                            eprintln!("f32_band_matches_reference_bitwise: skipped, no AVX-512F");
+                            return;
+                        }
+                        let same = got
+                            .iter()
+                            .zip(&want.as_slice()[first_row * n..])
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "({m},{k},{n}) from row {first_row}");
+                    }
+                }
+            }
+        }
+        // Switched off, the band is declined and left alone.
+        set_simd_override(Some(false));
+        let a = crate::Mat::filled(1, 4, 1.0f32);
+        let mut out = [f32::NAN; 16];
+        assert!(!band_f32(&a, &[0.0; 64], 0, &mut out, 16));
+        assert!(out.iter().all(|v| v.is_nan()));
+        set_simd_override(None);
     }
 
     /// Deterministic pseudo-random i8 stream for the kernel tests.

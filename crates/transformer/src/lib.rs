@@ -47,6 +47,7 @@ pub mod encoder;
 pub mod exec;
 pub mod ffn;
 pub mod functional;
+pub mod greedy;
 pub mod incremental;
 pub mod layernorm;
 pub mod linear;

@@ -6,6 +6,7 @@ use rand::Rng;
 use tensor::prepack::{self, PackedF32};
 use tensor::{gemm, ops, Mat};
 
+use crate::greedy::{GreedyStats, Screen};
 use crate::opt::HasParams;
 
 /// A linear (dense) layer with weight `W: [in, out]` and bias
@@ -16,7 +17,8 @@ use crate::opt::HasParams;
 /// cached), so repeated decode steps never re-pack the weights. The
 /// cache is invalidated whenever the optimiser mutates the parameters
 /// through [`HasParams::visit_params`]; results are bit-identical with
-/// or without it.
+/// or without it. The INT8 screen behind [`Linear::argmax_rows`] is a
+/// second derived cache under the same rules.
 #[derive(Debug)]
 pub struct Linear {
     name: String,
@@ -26,12 +28,13 @@ pub struct Linear {
     grad_b: Vec<f32>,
     cache_x: Option<Mat<f32>>,
     packed: OnceLock<PackedF32>,
+    screen: OnceLock<Screen>,
 }
 
 impl Clone for Linear {
     fn clone(&self) -> Self {
-        // The packed cache is derived state; let the clone rebuild it on
-        // demand instead of copying the tiles.
+        // The packed cache and the screen are derived state; let the
+        // clone rebuild them on demand instead of copying them.
         Self {
             name: self.name.clone(),
             w: self.w.clone(),
@@ -40,6 +43,7 @@ impl Clone for Linear {
             grad_b: self.grad_b.clone(),
             cache_x: self.cache_x.clone(),
             packed: OnceLock::new(),
+            screen: OnceLock::new(),
         }
     }
 }
@@ -55,6 +59,7 @@ impl Linear {
             grad_b: vec![0.0; d_out],
             cache_x: None,
             packed: OnceLock::new(),
+            screen: OnceLock::new(),
         }
     }
 
@@ -75,6 +80,7 @@ impl Linear {
             grad_b: vec![0.0; shape.1],
             cache_x: None,
             packed: OnceLock::new(),
+            screen: OnceLock::new(),
         }
     }
 
@@ -109,15 +115,64 @@ impl Linear {
         y
     }
 
-    /// Forward pass without caching (inference only).
+    /// Forward pass without caching (inference only). The bias is added
+    /// in the GEMM's drain (`v + b` per element, as a separate pass
+    /// would), so no second copy of the output is made.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.d_in()`.
     pub fn forward_inference(&self, x: &Mat<f32>) -> Mat<f32> {
-        let packed = self.packed.get_or_init(|| PackedF32::from_f32(&self.w));
-        let xw = prepack::matmul_prepacked(x, packed).expect("linear: input width mismatch");
-        ops::add_row_bias(&xw, &self.b).expect("bias length invariant")
+        prepack::matmul_prepacked_fused(x, self.packed(), |_r, row| {
+            for (v, b) in row.iter_mut().zip(&self.b) {
+                *v += b;
+            }
+        })
+        .expect("linear: input width mismatch")
+    }
+
+    /// The prepacked weights, built on first use.
+    fn packed(&self) -> &PackedF32 {
+        self.packed.get_or_init(|| PackedF32::from_f32(&self.w))
+    }
+
+    /// Greedy head: `ops::argmax(self.forward_inference(x).row(r))` for
+    /// every row `r` — the same index, ties to the last — without
+    /// forming the logits, plus what the screen did. An INT8 copy of the
+    /// weights (built on first use, 1 byte per weight) brackets every
+    /// logit, and only the columns the brackets cannot rule out are
+    /// recomputed exactly; [`crate::greedy`] has the proof. Rows the
+    /// screen cannot take (all-zero, non-finite or huge activations, too
+    /// many candidates) run the full projection, so a NaN logit panics
+    /// as `ops::argmax` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != self.d_in()` or `self.d_out() == 0`.
+    pub fn argmax_rows(&self, x: &Mat<f32>) -> (Vec<usize>, GreedyStats) {
+        assert_eq!(x.cols(), self.d_in(), "linear: input width mismatch");
+        self.screen()
+            .argmax_rows(x, self.packed(), &self.b, |r| self.argmax_full(x.row(r)))
+    }
+
+    /// The full projection and `ops::argmax` for one activation row.
+    fn argmax_full(&self, x_row: &[f32]) -> usize {
+        let row = Mat::from_vec(1, x_row.len(), x_row.to_vec()).expect("one row");
+        ops::argmax(self.forward_inference(&row).row(0))
+    }
+
+    /// The INT8 screen, built on first use.
+    fn screen(&self) -> &Screen {
+        self.screen.get_or_init(|| Screen::build(&self.w, &self.b))
+    }
+
+    /// The certificate behind [`Linear::argmax_rows`]: for each row, the
+    /// interval `(lo_j, hi_j)` the screen proves column `j`'s logit lies
+    /// in, or `None` for a row it does not take.
+    #[doc(hidden)]
+    pub fn greedy_intervals(&self, x: &Mat<f32>) -> Vec<Option<Vec<(f64, f64)>>> {
+        assert_eq!(x.cols(), self.d_in(), "linear: input width mismatch");
+        self.screen().intervals(x)
     }
 
     /// Fused `Linear → ReLU` inference: `max(0, x W + b)` with bias and
@@ -130,8 +185,7 @@ impl Linear {
     ///
     /// Panics if `x.cols() != self.d_in()`.
     pub fn forward_inference_relu(&self, x: &Mat<f32>) -> Mat<f32> {
-        let packed = self.packed.get_or_init(|| PackedF32::from_f32(&self.w));
-        prepack::matmul_prepacked_fused(x, packed, |_r, row| {
+        prepack::matmul_prepacked_fused(x, self.packed(), |_r, row| {
             for (v, b) in row.iter_mut().zip(&self.b) {
                 *v = (*v + b).max(0.0);
             }
@@ -156,8 +210,7 @@ impl Linear {
             (x.rows(), self.d_out()),
             "residual shape must match the linear output"
         );
-        let packed = self.packed.get_or_init(|| PackedF32::from_f32(&self.w));
-        prepack::matmul_prepacked_fused(x, packed, |r, row| {
+        prepack::matmul_prepacked_fused(x, self.packed(), |r, row| {
             for ((v, b), res) in row.iter_mut().zip(&self.b).zip(residual.row(r)) {
                 *v = res + (*v + b);
             }
@@ -194,8 +247,9 @@ impl HasParams for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut [f32], &mut [f32])) {
         // The visitor gets mutable access to the weights (optimiser
         // steps), so the prepacked copy may go stale — drop it and let
-        // the next inference forward rebuild it.
+        // the next inference forward rebuild it. Likewise the screen.
         self.packed.take();
+        self.screen.take();
         let wname = format!("{}.w", self.name);
         f(&wname, self.w.as_mut_slice(), self.grad_w.as_mut_slice());
         let bname = format!("{}.b", self.name);

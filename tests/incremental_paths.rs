@@ -97,3 +97,47 @@ fn quant_single_row_and_batched_decodes_agree() {
         tokens = want.iter().map(|l| tensor::ops::argmax(l)).collect();
     }
 }
+
+/// The greedy head's batched entry point against the logits one: on
+/// forks of the same sessions, `prefill_sessions_greedy` returns the
+/// `argmax` of the logits `prefill_sessions` returns — for mixed chunk
+/// lengths (prefill chunks and single decode rows in one call), whatever
+/// the worker count and with the SIMD tiers forced off.
+#[test]
+fn greedy_prefill_tokens_are_the_argmax_of_the_logits() {
+    let (_, quant, srcs) = setup();
+    let prompts: [&[usize]; 4] = [&[BOS, 5, 9, 4, 11], &[BOS], &[BOS, 7, 7], &[BOS, 3]];
+    for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
+        tensor::par::set_thread_override(Some(threads));
+        tensor::simd::set_simd_override(simd);
+        let mut arena = KvArena::for_model(&quant);
+        let mut base: Vec<QuantIncrementalSession> = srcs
+            .iter()
+            .map(|s| quant.start_session(&mut arena, s))
+            .collect();
+        let mut chunks: Vec<Vec<usize>> = prompts.iter().map(|p| p.to_vec()).collect();
+        let mut screened = 0;
+        for step in 0..5 {
+            let mut forks: Vec<QuantIncrementalSession> =
+                base.iter().map(|s| s.fork(&mut arena)).collect();
+            let chunk_refs: Vec<&[usize]> = chunks.iter().map(|c| c.as_slice()).collect();
+            let mut refs: Vec<&mut QuantIncrementalSession> = forks.iter_mut().collect();
+            let logits = quant.prefill_sessions(&mut arena, &mut refs, &chunk_refs);
+            let want: Vec<usize> = logits.iter().map(|l| tensor::ops::argmax(l)).collect();
+            let mut refs: Vec<&mut QuantIncrementalSession> = base.iter_mut().collect();
+            let (got, stats) = quant.prefill_sessions_greedy(&mut arena, &mut refs, &chunk_refs);
+            assert_eq!(got, want, "step {step}, threads {threads}, simd {simd:?}");
+            for (fork, live) in forks.iter_mut().zip(&base) {
+                assert_eq!(fork.pos(), live.pos(), "both heads advance alike");
+                fork.release(&mut arena);
+            }
+            screened += stats.candidate_tiles;
+            assert_eq!(stats.fallback_rows, 0, "step {step}");
+            // Next step: every session decodes one row.
+            chunks = got.into_iter().map(|t| vec![t]).collect();
+        }
+        assert!(screened >= 5 * srcs.len(), "every row verifies a tile");
+        tensor::simd::set_simd_override(None);
+        tensor::par::set_thread_override(None);
+    }
+}
