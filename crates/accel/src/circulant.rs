@@ -94,6 +94,7 @@ use std::sync::{Arc, Mutex};
 
 use fixedmath::fft::{self, Cpx};
 use fixedmath::fx::{self, FRAC};
+use fixedmath::sat::rounding_shr;
 use graph::{Graph, GraphKind, Op, WeightId};
 use hwsim::memory::MemorySpec;
 use hwsim::resources::Resources;
@@ -424,17 +425,6 @@ impl std::fmt::Debug for SpectraMemo {
     }
 }
 
-/// `fixedmath::sat::rounding_shr(v, FRAC)` narrowed to the product
-/// word, in the four-operation form (add half, add the sign bit, shift):
-/// round-to-nearest, ties away from zero, with no sign split for the
-/// vectoriser to trip over. Equal to the library routine wherever
-/// `v ± 2^(FRAC-1)` does not overflow — products of two `i32` words
-/// never get near.
-#[inline(always)]
-fn round_product(v: i64) -> i32 {
-    ((v + (1i64 << (FRAC - 1)) + (v >> 63)) >> FRAC) as i32
-}
-
 /// Spectral MAC of one input block's spectrum `xs` against every output
 /// block: `acc[k][j] += xs[k] · K[k][j]` for all bins `k` and output
 /// blocks `j`, each product rounded exactly as [`Cpx::mul`] rounds it.
@@ -454,8 +444,8 @@ fn spectral_mac(xs: &[Cpx], k_re: &[i32], k_im: &[i32], acc_re: &mut [i32], acc_
             .zip(k_re.iter().zip(k_im));
         for ((a_re, a_im), (&kr, &ki)) in lanes {
             let (kr, ki) = (kr as i64, ki as i64);
-            *a_re += round_product(xr * kr - xi * ki);
-            *a_im += round_product(xr * ki + xi * kr);
+            *a_re += rounding_shr(xr * kr - xi * ki, FRAC) as i32;
+            *a_im += rounding_shr(xr * ki + xi * kr, FRAC) as i32;
         }
     }
 }
@@ -804,7 +794,6 @@ impl Backend for CirculantBackend {
 mod tests {
     use super::*;
     use fixedmath::quant::QuantParams;
-    use fixedmath::sat::rounding_shr;
     use graph::ffn_graph;
     use proptest::prelude::*;
     use quantized::sqnr::sqnr_db;
@@ -1068,38 +1057,6 @@ mod tests {
     }
 
     // ---- Fast path vs the frozen reference ----------------------------
-
-    #[test]
-    fn round_product_is_rounding_shr() {
-        let half = 1i64 << (FRAC - 1);
-        let one = 1i64 << FRAC;
-        // Exhaustive around every tie of the first few hundred quotients,
-        // both signs, then the extremes of one i32 product and of the
-        // range where neither form's intermediate sum overflows.
-        for q in -300i64..=300 {
-            for d in -2i64..=2 {
-                let v = q * one + half + d;
-                assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32, "v={v}");
-                assert_eq!(round_product(-v), rounding_shr(-v, FRAC) as i32, "v={}", -v);
-            }
-        }
-        let square = (i32::MIN as i64) * (i32::MIN as i64);
-        let extremes = [square, -square, i64::MAX - half, i64::MIN + half + 1];
-        for v in extremes.into_iter().chain([0, 1, -1]) {
-            assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32, "v={v}");
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn round_product_is_rounding_shr_on_random_products(
-            a in i32::MIN..=i32::MAX, b in i32::MIN..=i32::MAX,
-            c in i32::MIN..=i32::MAX, d in i32::MIN..=i32::MAX,
-        ) {
-            let v = a as i64 * b as i64 - c as i64 * d as i64;
-            prop_assert_eq!(round_product(v), rounding_shr(v, FRAC) as i32);
-        }
-    }
 
     #[test]
     fn planar_spectra_and_bias_equal_the_nested_reference() {

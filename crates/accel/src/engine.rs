@@ -390,7 +390,7 @@ impl ArrayEngine {
                 self.stats.faults_injected += inj.corrupt_softmax(&mut probs);
             }
             let p_acc = self.pass(&probs, &vi);
-            p_panels.push(p_acc.map(|&a| block.requantize_p(a)));
+            p_panels.push(block.requantize_p_panel(&p_acc));
         }
         let p = Mat::hconcat(&p_panels).expect("heads share rows");
         // Lines 9-11: G = P·W_G + bias (+ residual), panel per head.

@@ -365,9 +365,7 @@ pub fn execute_mha(
                 let acc = gemm::matmul_i8(pr, vi).expect("shapes");
                 for r in 0..p.rows() {
                     let dst = &mut p.row_mut(r)[head * d_k..(head + 1) * d_k];
-                    for (o, &a) in dst.iter_mut().zip(acc.row(r)) {
-                        *o = block.requantize_p(a);
-                    }
+                    block.requantize_p_into(acc.row(r), dst);
                 }
                 ctx_done[head] = true;
             }

@@ -139,7 +139,23 @@ impl Requantizer {
     /// Applies the multiplier and saturates to symmetric INT8.
     #[inline]
     pub fn apply_sat_i8(&self, acc: i32) -> i8 {
-        sat_i8(self.apply(acc).clamp(i32::MIN as i64, i32::MAX as i64) as i32)
+        self.apply(acc).clamp(-127, 127) as i8
+    }
+
+    /// [`Requantizer::apply_sat_i8`] over a slice — the array's output
+    /// drain: `out[i] = self.apply_sat_i8(acc[i])`, bit for bit. The
+    /// multiplier and shift are read once, so the loop is a straight
+    /// multiply / rounding-shift / clamp that vectorises.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn apply_sat_i8_slice(&self, acc: &[i32], out: &mut [i8]) {
+        assert_eq!(acc.len(), out.len(), "requantize drain length mismatch");
+        let rq = *self;
+        for (o, &a) in out.iter_mut().zip(acc) {
+            *o = rq.apply_sat_i8(a);
+        }
     }
 }
 

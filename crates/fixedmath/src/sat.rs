@@ -47,17 +47,17 @@ pub fn rounding_shr(x: i64, shift: u32) -> i64 {
     if shift == 0 {
         return x;
     }
-    // Branch-free ties-away-from-zero: round the magnitude, restore the
-    // sign via XOR/subtract. A data-dependent sign branch here would
-    // mispredict ~50% of the time on random-sign accumulators — this
-    // sits inside the softmax's per-element requantize loop, where that
-    // costs more than the shift itself — and it also blocks the loop
-    // from auto-vectorising.
-    let bias = 1i64 << (shift - 1);
-    let sign = x >> 63; // 0 for x >= 0, -1 for x < 0
-    let mag = (x ^ sign) - sign; // |x|
-    let r = (mag + bias) >> shift;
-    (r ^ sign) - sign
+    // Ties away from zero in four operations, with no sign split: add
+    // half, add the sign word (-1 for negatives), floor-shift. For
+    // `x >= 0` that is `floor((x + h) / 2^s)`. For `x < 0` the rounded
+    // magnitude negated is `-floor((|x| + h) / 2^s) = ceil((x - h) / 2^s)
+    // = floor((x - h + 2^s - 1) / 2^s) = floor((x + h - 1) / 2^s)`,
+    // because `2^s - h = h`. This sits inside the softmax, LayerNorm
+    // and requantize inner loops, where a data-dependent sign branch
+    // would mispredict half the time and block vectorisation, and where
+    // the magnitude/restore form costs twice the 64-bit lane operations.
+    let half = 1i64 << (shift - 1);
+    (x + (half + (x >> 63))) >> shift
 }
 
 /// Truncating arithmetic right shift (the plain `>>` of Verilog on a
@@ -97,6 +97,60 @@ mod tests {
         assert_eq!(rounding_shr(-7, 2), -2);
         assert_eq!(rounding_shr(0, 10), 0);
         assert_eq!(rounding_shr(123, 0), 123);
+    }
+
+    /// The magnitude form the four-operation body replaced: round `|x|`,
+    /// restore the sign.
+    fn rounding_shr_by_magnitude(x: i64, shift: u32) -> i64 {
+        let r = (x.unsigned_abs() + (1u64 << (shift - 1))) >> shift;
+        if x < 0 {
+            -(r as i64)
+        } else {
+            r as i64
+        }
+    }
+
+    #[test]
+    fn rounding_shr_equals_the_magnitude_form() {
+        let edges = [
+            0i64,
+            1,
+            2,
+            3,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 62) - 1,
+            1 << 62,
+            i64::MAX >> 1,
+        ];
+        for shift in 1..=62u32 {
+            let half = 1i64 << (shift - 1);
+            for &e in &edges {
+                for x in [e, e + half, e - half, e + half - 1, e - half + 1] {
+                    // Stay where `|x| + half` fits an i64 (every product
+                    // of two 32-bit words does).
+                    if x.unsigned_abs() > (i64::MAX - half) as u64 {
+                        continue;
+                    }
+                    for v in [x, -x] {
+                        assert_eq!(
+                            rounding_shr(v, shift),
+                            rounding_shr_by_magnitude(v, shift),
+                            "x={v} shift={shift}"
+                        );
+                    }
+                }
+            }
+        }
+        for x in -5000i64..5000 {
+            for shift in 1..12 {
+                assert_eq!(
+                    rounding_shr(x, shift),
+                    rounding_shr_by_magnitude(x, shift),
+                    "x={x} shift={shift}"
+                );
+            }
+        }
     }
 
     #[test]

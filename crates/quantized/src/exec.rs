@@ -16,10 +16,10 @@
 //! since both hand the GEMM the same per-head panel bytes. For chunked
 //! prefill the executor also accepts per-session row *groups*
 //! ([`QuantRowExec::prefill`]): each session contributes a chunk of
-//! consecutive rows that attend over its cache under an intra-chunk
-//! causal mask, which the masked softmax turns into exactly-zero
-//! probability codes — so a chunked prefill is bit-identical to feeding
-//! the same rows one step at a time.
+//! consecutive rows that attend over its cache, each row over its own
+//! legal prefix; the softmax leaves exactly-zero probability codes
+//! beyond it — so a chunked prefill is bit-identical to feeding the same
+//! rows one step at a time.
 
 use std::sync::OnceLock;
 
@@ -30,7 +30,7 @@ use tensor::{gemm, Mat};
 use crate::ffn::QuantFfnResBlock;
 use crate::mha::QuantMhaResBlock;
 use crate::qlinear::{residual_add_i8, QLinear};
-use crate::softmax::scaled_masked_softmax;
+use crate::softmax::{scaled_masked_softmax, scaled_prefix_softmax};
 
 /// A block's operator graph with its slot plan resolved. A block builds
 /// one on first use and runs it from then on: per run, building the
@@ -205,7 +205,7 @@ impl<'a> QuantExec<'a> {
                 };
                 let p_acc =
                     gemm::matmul_i8(input(0).as_i8(), input(1).as_i8()).expect("head shapes");
-                QVal::I8(p_acc.map(|&a| block.requantize_p(a)))
+                QVal::I8(block.requantize_p_panel(&p_acc))
             }
             Op::ScaledMaskedSoftmax => {
                 let block = match self.block {
@@ -221,10 +221,10 @@ impl<'a> QuantExec<'a> {
                 ))
             }
             Op::Concat => {
-                let panels: Vec<Mat<i8>> = step
+                let panels: Vec<&Mat<i8>> = step
                     .inputs
                     .iter()
-                    .map(|&s| scope.value(s).as_i8().clone())
+                    .map(|&s| scope.value(s).as_i8())
                     .collect();
                 QVal::I8(Mat::hconcat(&panels).expect("heads share rows"))
             }
@@ -397,8 +397,8 @@ impl<'a> CacheRef<'a> {
     }
 
     /// Copies the head panel (columns `c0 .. c0 + width`, all rows) into
-    /// a dense matrix. One copy either way: `Mat::submatrix` for flat
-    /// storage, [`KvPool::gather_panel`] for paged.
+    /// a dense matrix, one row slice at a time: `Mat::submatrix` for
+    /// flat storage, [`KvPool::gather_panel`] for paged.
     pub fn panel(&self, c0: usize, width: usize) -> Mat<i8> {
         match self {
             CacheRef::Flat(m) => m.submatrix(0, c0, m.rows(), width).expect("head panel"),
@@ -532,6 +532,9 @@ impl<'a> QuantRowExec<'a> {
     /// causal tail mask, so the group is bit-identical to feeding its
     /// rows one decode step at a time. With `causal = false`
     /// (cross-attention) every row attends the whole cache.
+    ///
+    /// Running it panics if a causal group's cache holds fewer rows than
+    /// its chunk (the chunk's K/V were not appended first).
     pub fn prefill(block: &'a QuantMhaResBlock, groups: &'a [usize], causal: bool) -> Self {
         Self {
             block,
@@ -577,9 +580,7 @@ fn head_section(
         let d_acc = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
         let probs = scaled_masked_softmax(&d_acc, block.d_scale(), d_k, None, block.softmax_mode());
         let p_acc = gemm::matmul_i8(&probs, &vi).expect("shapes");
-        for (slot, &a) in out[c0..c0 + d_k].iter_mut().zip(p_acc.row(0)) {
-            *slot = block.requantize_p(a);
-        }
+        block.requantize_p_into(p_acc.row(0), &mut out[c0..c0 + d_k]);
     }
 }
 
@@ -599,7 +600,7 @@ fn head_section(
 /// * **`P·V`** — [`tensor::simd::scaled_add_i8`] folds cache row `t`
 ///   into the head accumulators in ascending-`t` order, the same `k`
 ///   order as `matmul_i8(probs, vi)`; again exact integer adds.
-/// * **Requantize** — the identical per-element [`QuantMhaResBlock::requantize_p`].
+/// * **Requantize** — the same [`QuantMhaResBlock::requantize_p_into`] drain.
 fn head_section_fused(
     block: &QuantMhaResBlock,
     q: &Mat<i8>,
@@ -630,18 +631,18 @@ fn head_section_fused(
             tensor::simd::scaled_add_i8(&mut acc[c0..c0 + d_k], &vrow[c0..c0 + d_k], probs[(i, t)]);
         }
     }
-    for (slot, &a) in out[..d].iter_mut().zip(&acc) {
-        *slot = block.requantize_p(a);
-    }
+    block.requantize_p_into(&acc, &mut out[..d]);
 }
 
 /// The multi-row head section for one session's prefill chunk: rows
-/// `r0 .. r0 + rows` of `q` attend over the session's cache, with the
-/// intra-chunk causal tail masked when `causal` is set. Masked columns
-/// are excluded from the softmax max/sum and emit exactly-zero
-/// probability codes, contributing nothing to the `P·V` GEMM — which is
-/// what makes the chunked result bit-identical to `rows` sequential
-/// single-row steps.
+/// `r0 .. r0 + rows` of `q` attend over the session's cache. With
+/// `causal` set, row `j` attends only its legal prefix of the cache —
+/// stated to the softmax as a length, not a mask matrix. The columns
+/// beyond it (the chunk's own future rows) are excluded from the
+/// softmax max/sum and carry exactly-zero probability codes,
+/// contributing nothing to the `P·V` GEMM — which is what makes the
+/// chunked result bit-identical to `rows` sequential single-row steps.
+/// The caller has checked `ctx >= rows` for causal groups.
 fn head_section_chunk(
     block: &QuantMhaResBlock,
     q: &Mat<i8>,
@@ -661,9 +662,11 @@ fn head_section_chunk(
         head_section_fused(block, q, r0, keys, vals, &mut out.row_mut(0)[..]);
         return out;
     }
-    // Row j of the chunk may see cache positions 0 ..= ctx - rows + j;
+    // Row j of a causal chunk may see cache positions 0 ..= ctx - rows + j;
     // later columns are the chunk's own future rows.
-    let mask = (causal && rows > 1).then(|| Mat::from_fn(rows, ctx, |j, t| t > ctx - rows + j));
+    let live: Vec<usize> = (0..rows)
+        .map(|j| if causal { ctx - rows + j + 1 } else { ctx })
+        .collect();
     let mut out = Mat::zeros(rows, block.heads() * d_k);
     for i in 0..block.heads() {
         let c0 = i * d_k;
@@ -671,18 +674,11 @@ fn head_section_chunk(
         let ki = keys.panel(c0, d_k);
         let vi = vals.panel(c0, d_k);
         let d_acc = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
-        let probs = scaled_masked_softmax(
-            &d_acc,
-            block.d_scale(),
-            d_k,
-            mask.as_ref(),
-            block.softmax_mode(),
-        );
+        let probs =
+            scaled_prefix_softmax(&d_acc, block.d_scale(), d_k, &live, block.softmax_mode());
         let p_acc = gemm::matmul_i8(&probs, &vi).expect("shapes");
         for j in 0..rows {
-            for (slot, &a) in out.row_mut(j)[c0..c0 + d_k].iter_mut().zip(p_acc.row(j)) {
-                *slot = block.requantize_p(a);
-            }
+            block.requantize_p_into(p_acc.row(j), &mut out.row_mut(j)[c0..c0 + d_k]);
         }
     }
     out
@@ -730,6 +726,17 @@ impl<'a> QuantRowExec<'a> {
                     x.rows(),
                     "group sizes must sum to the input rows"
                 );
+                if self.causal {
+                    // A causal chunk's own K/V rows are already in its
+                    // cache; a shorter cache has no legal prefix to state.
+                    for (i, (&rows, k)) in groups.iter().zip(&keys).enumerate() {
+                        assert!(
+                            k.rows() >= rows,
+                            "causal prefill group {i}: cache holds {} rows, fewer than the chunk's {rows}",
+                            k.rows()
+                        );
+                    }
+                }
             }
             None => {
                 assert_eq!(x.rows(), keys.len(), "one key cache per row");
@@ -754,7 +761,8 @@ impl<'a> QuantRowExec<'a> {
         // The fused decode-attention drain never materialises the
         // per-head K/V panels — `2 * ctx * d_model` bytes per fused row.
         // It fires for every single-row section (and one-row prefill
-        // chunks); multi-row chunks keep the masked per-head GEMMs.
+        // chunks); multi-row chunks run the per-head GEMMs around a
+        // prefix-length softmax.
         if attention_fusible() {
             match self.groups {
                 Some(groups) => {
@@ -1118,6 +1126,44 @@ mod tests {
             true,
         );
         assert_eq!(flat_c, paged_c);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "causal prefill group 1: cache holds 2 rows, fewer than the chunk's 3"
+    )]
+    fn causal_chunk_longer_than_its_cache_is_rejected() {
+        // A causal group states each row's legal prefix as
+        // `ctx - rows + j + 1`; a cache that does not yet hold the
+        // chunk's own rows must be refused, not wrapped around.
+        let (q, calib, cfg) = setup();
+        let (_, wk, wv, _) = q.projections();
+        let xq = q.quantize_input_q(&calib[0]);
+        let full = (wk.forward(&xq), wv.forward(&xq));
+        let short = xq.submatrix(0, 0, 2, cfg.d_model).unwrap();
+        let short = (wk.forward(&short), wv.forward(&short));
+        let g = mha_cached_graph(&graph::GraphConfig {
+            d_model: cfg.d_model,
+            d_ff: 0,
+            h: cfg.h,
+        });
+        let groups = [3, 3];
+        let mut exec = QuantRowExec::prefill(&q, &groups, true);
+        let _ = exec.run(
+            &g,
+            vec![
+                ("x", QRowVal::Codes(xq.clone())),
+                (
+                    "keys",
+                    QRowVal::Caches(vec![CacheRef::flat(&full.0), CacheRef::flat(&short.0)]),
+                ),
+                (
+                    "vals",
+                    QRowVal::Caches(vec![CacheRef::flat(&full.1), CacheRef::flat(&short.1)]),
+                ),
+            ],
+            None,
+        );
     }
 
     #[test]

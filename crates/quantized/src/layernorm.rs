@@ -6,7 +6,7 @@
 use fixedmath::fx::{to_fx, FRAC};
 use fixedmath::quant::QuantParams;
 use fixedmath::rsqrt::{rsqrt_fx, OUT_FRAC};
-use fixedmath::sat::{rounding_shr, sat_i8};
+use fixedmath::sat::rounding_shr;
 use serde::{Deserialize, Serialize};
 use tensor::Mat;
 
@@ -128,21 +128,32 @@ impl HwLayerNorm {
 
     /// Normalizes one row given its (already accumulated) statistics.
     pub fn normalize_row(&self, g_row: &[i32], stats: &RowStats) -> Vec<i8> {
+        let mut out = vec![0i8; g_row.len()];
+        self.normalize_row_into(g_row, stats, &mut out);
+        out
+    }
+
+    /// [`HwLayerNorm::normalize_row`] written straight into `out` — the
+    /// module's output register row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g_row`, `out` and the module differ in width, or the
+    /// statistics cover a different number of elements.
+    pub fn normalize_row_into(&self, g_row: &[i32], stats: &RowStats, out: &mut [i8]) {
         assert_eq!(g_row.len(), self.dim(), "row width mismatch");
+        assert_eq!(out.len(), self.dim(), "output row width mismatch");
         assert_eq!(stats.n, g_row.len(), "stats cover a different row length");
         let mean = stats.mean_fx();
         let var = stats.var_fx() + self.eps_fx;
         let r = rsqrt_fx(var); // Q.24
-        g_row
-            .iter()
-            .zip(self.gamma_fx.iter().zip(&self.beta_fx))
-            .map(|(&g, (&gam, &bet))| {
-                let diff = ((g as i64) << FRAC) - mean; // Q.12
-                let norm = rounding_shr(diff * r, OUT_FRAC); // Q.12, ~N(0,1)
-                let out_fx = rounding_shr(norm * gam as i64, FRAC) + bet as i64;
-                sat_i8(rounding_shr(out_fx, FRAC).clamp(i32::MIN as i64, i32::MAX as i64) as i32)
-            })
-            .collect()
+        let params = self.gamma_fx.iter().zip(&self.beta_fx);
+        for ((o, &g), (&gam, &bet)) in out.iter_mut().zip(g_row).zip(params) {
+            let diff = ((g as i64) << FRAC) - mean; // Q.12
+            let norm = rounding_shr(diff * r, OUT_FRAC); // Q.12, ~N(0,1)
+            let out_fx = rounding_shr(norm * gam as i64, FRAC) + bet as i64;
+            *o = rounding_shr(out_fx, FRAC).clamp(-127, 127) as i8; // symmetric INT8
+        }
     }
 
     /// Full forward: `G` codes (`i32`, residual domain) to INT8 output
@@ -156,8 +167,7 @@ impl HwLayerNorm {
         let mut out = Mat::zeros(g.rows(), g.cols());
         for r in 0..g.rows() {
             let stats = self.row_stats(g.row(r));
-            let row = self.normalize_row(g.row(r), &stats);
-            out.row_mut(r).copy_from_slice(&row);
+            self.normalize_row_into(g.row(r), &stats, out.row_mut(r));
         }
         out
     }

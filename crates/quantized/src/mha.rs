@@ -252,6 +252,25 @@ impl QuantMhaResBlock {
         self.p_requant.apply_sat_i8(acc)
     }
 
+    /// [`QuantMhaResBlock::requantize_p`] over one drained accumulator
+    /// row: `out[i] = requantize_p(acc[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn requantize_p_into(&self, acc: &[i32], out: &mut [i8]) {
+        self.p_requant.apply_sat_i8_slice(acc, out);
+    }
+
+    /// Requantizes a whole `probs × V_i` accumulator panel into `P`
+    /// codes.
+    pub fn requantize_p_panel(&self, p_acc: &Mat<i32>) -> Mat<i8> {
+        let mut out = Mat::zeros(p_acc.rows(), p_acc.cols());
+        self.p_requant
+            .apply_sat_i8_slice(p_acc.as_slice(), out.as_mut_slice());
+        out
+    }
+
     /// Quantizes a query-side FP32 input into block input codes.
     pub fn quantize_input_q(&self, x: &Mat<f32>) -> Mat<i8> {
         self.wq.quantize_input(x)

@@ -290,12 +290,18 @@ impl<T: Copy + Default> KvPool<T> {
             c0 + width,
             self.cols
         );
-        let mut out = Mat::zeros(seq.rows, width);
-        for r in 0..seq.rows {
-            let src = self.row(seq, r);
-            out.row_mut(r).copy_from_slice(&src[c0..c0 + width]);
+        // Page by page, so the block table is walked once and no row
+        // pays a divide to find its page.
+        let mut data = Vec::with_capacity(seq.rows * width);
+        let mut left = seq.rows;
+        for &p in &seq.pages {
+            let rows = left.min(self.page_rows);
+            for src in self.pages[p].as_slice().chunks_exact(self.cols).take(rows) {
+                data.extend_from_slice(&src[c0..c0 + width]);
+            }
+            left -= rows;
         }
-        out
+        Mat::from_vec(seq.rows, width, data).expect("block table covers the sequence's rows")
     }
 
     /// Copies all of `seq`'s rows into a dense `rows × cols` matrix.

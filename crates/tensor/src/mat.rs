@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -101,7 +102,11 @@ impl<T: Copy + Default> Mat<T> {
                 (r0 + rows, c0 + cols),
             ));
         }
-        Ok(Mat::from_fn(rows, cols, |r, c| self[(r0 + r, c0 + c)]))
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in r0..r0 + rows {
+            data.extend_from_slice(&self.row(r)[c0..c0 + cols]);
+        }
+        Ok(Self { rows, cols, data })
     }
 
     /// Splits the matrix into consecutive column panels of width
@@ -130,29 +135,27 @@ impl<T: Copy + Default> Mat<T> {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `parts` is empty or row counts differ.
-    pub fn hconcat(parts: &[Self]) -> Result<Self, ShapeError> {
+    pub fn hconcat<P: Borrow<Self>>(parts: &[P]) -> Result<Self, ShapeError> {
         let first = parts
             .first()
-            .ok_or(ShapeError::new("hconcat", (0, 0), (0, 0)))?;
+            .ok_or(ShapeError::new("hconcat", (0, 0), (0, 0)))?
+            .borrow();
         let rows = first.rows;
         let mut cols = 0;
         for p in parts {
+            let p = p.borrow();
             if p.rows != rows {
                 return Err(ShapeError::new("hconcat", (rows, first.cols), p.shape()));
             }
             cols += p.cols;
         }
-        let mut out = Mat::zeros(rows, cols);
-        let mut c0 = 0;
-        for p in parts {
-            for r in 0..rows {
-                for c in 0..p.cols {
-                    out[(r, c0 + c)] = p[(r, c)];
-                }
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for p in parts {
+                data.extend_from_slice(p.borrow().row(r));
             }
-            c0 += p.cols;
         }
-        Ok(out)
+        Ok(Self { rows, cols, data })
     }
 
     /// Concatenates matrices top-to-bottom. All inputs must share a column
@@ -503,7 +506,7 @@ mod tests {
         let a = Mat::<i32>::zeros(2, 2);
         let b = Mat::<i32>::zeros(3, 2);
         assert!(Mat::hconcat(&[a, b]).is_err());
-        assert!(Mat::<i32>::hconcat(&[]).is_err());
+        assert!(Mat::<i32>::hconcat::<Mat<i32>>(&[]).is_err());
     }
 
     #[test]

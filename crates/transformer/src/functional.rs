@@ -21,29 +21,47 @@ pub fn softmax_rows(scores: &Mat<f32>, mask: Option<&Mat<bool>>) -> Mat<f32> {
     let (rows, cols) = scores.shape();
     let mut out = Mat::zeros(rows, cols);
     for r in 0..rows {
-        let legal = |c: usize| mask.is_none_or(|m| !m[(r, c)]);
-        let mut max = f32::NEG_INFINITY;
-        for c in 0..cols {
-            if legal(c) {
-                max = max.max(scores[(r, c)]);
-            }
-        }
-        if max == f32::NEG_INFINITY {
-            continue; // fully masked row -> all zeros
-        }
-        let mut sum = 0.0;
-        for c in 0..cols {
-            if legal(c) {
-                let e = (scores[(r, c)] - max).exp();
-                out[(r, c)] = e;
-                sum += e;
-            }
-        }
-        for c in 0..cols {
-            out[(r, c)] /= sum;
-        }
+        softmax_row(scores.row(r), mask.map(|m| m.row(r)), out.row_mut(r));
     }
     out
+}
+
+/// One row of [`softmax_rows`]: `dead[c] == true` marks an illegal
+/// column. Every element of `out` is written (zeros for illegal columns
+/// and for a fully masked row).
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn softmax_row(scores: &[f32], dead: Option<&[bool]>, out: &mut [f32]) {
+    assert_eq!(scores.len(), out.len(), "softmax row length mismatch");
+    if let Some(d) = dead {
+        assert_eq!(d.len(), scores.len(), "mask row length mismatch");
+    }
+    let legal = |c: usize| dead.is_none_or(|d| !d[c]);
+    let mut max = f32::NEG_INFINITY;
+    for (c, &s) in scores.iter().enumerate() {
+        if legal(c) {
+            max = max.max(s);
+        }
+    }
+    if max == f32::NEG_INFINITY {
+        out.fill(0.0); // fully masked row -> all zeros
+        return;
+    }
+    let mut sum = 0.0;
+    for (c, (o, &s)) in out.iter_mut().zip(scores).enumerate() {
+        *o = if legal(c) {
+            let e = (s - max).exp();
+            sum += e;
+            e
+        } else {
+            0.0
+        };
+    }
+    for o in out.iter_mut() {
+        *o /= sum;
+    }
 }
 
 /// Backward pass of row-wise softmax: given probabilities `p` (the

@@ -141,3 +141,67 @@ fn greedy_prefill_tokens_are_the_argmax_of_the_logits() {
         tensor::par::set_thread_override(None);
     }
 }
+
+/// Ragged prefill chunks against token-at-a-time decoding: two sessions
+/// take chunks of 1, 2, 63, 64 and 65 rows (in different orders, so each
+/// call mixes lengths) at contexts that are never a multiple of 16 or 64
+/// — every row's legal prefix ends mid-vector and mid-tile. The logits
+/// after each chunk must equal, bit for bit, the logits `step_session`
+/// gives at that position, whatever the worker count and with the SIMD
+/// tiers forced off.
+#[test]
+fn ragged_prefill_chunks_match_sequential_steps() {
+    let (_, quant, srcs) = setup();
+    // Contexts after each chunk: 3, 68, 69, 132, 134, 198 and
+    // 5, 6, 70, 72, 137, 200.
+    let lens: [[usize; 6]; 2] = [[3, 65, 1, 63, 2, 64], [5, 1, 64, 2, 65, 63]];
+    let total: usize = lens[0].iter().sum::<usize>().max(lens[1].iter().sum());
+    let prompts: Vec<Vec<usize>> = (0..2)
+        .map(|s| {
+            let mut p = vec![BOS];
+            p.extend(srcs[s].iter().cycle().take(total - 1));
+            p
+        })
+        .collect();
+    for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
+        tensor::par::set_thread_override(Some(threads));
+        tensor::simd::set_simd_override(simd);
+        let mut arena_s = KvArena::for_model(&quant);
+        let mut arena_c = KvArena::for_model(&quant);
+        let mut chunked: Vec<QuantIncrementalSession> = (0..2)
+            .map(|s| quant.start_session(&mut arena_c, &srcs[s]))
+            .collect();
+        // Sequential logits at every position of both prompts.
+        let sequential: Vec<Vec<Vec<f32>>> = (0..2)
+            .map(|s| {
+                let mut session = quant.start_session(&mut arena_s, &srcs[s]);
+                let n: usize = lens[s].iter().sum();
+                prompts[s][..n]
+                    .iter()
+                    .map(|&t| quant.step_session(&mut arena_s, &mut session, t))
+                    .collect()
+            })
+            .collect();
+        let mut pos = [0usize; 2];
+        for step in 0..lens[0].len() {
+            let chunks: Vec<&[usize]> = (0..2)
+                .map(|s| &prompts[s][pos[s]..pos[s] + lens[s][step]])
+                .collect();
+            let mut refs: Vec<&mut QuantIncrementalSession> = chunked.iter_mut().collect();
+            let got = quant.prefill_sessions(&mut arena_c, &mut refs, &chunks);
+            for s in 0..2 {
+                pos[s] += lens[s][step];
+                assert!(pos[s] % 16 != 0, "context {} defeats the test", pos[s]);
+                assert_eq!(
+                    got[s],
+                    sequential[s][pos[s] - 1],
+                    "session {s} after {} rows, threads {threads}, simd {simd:?}",
+                    pos[s]
+                );
+                assert_eq!(chunked[s].pos(), pos[s]);
+            }
+        }
+        tensor::simd::set_simd_override(None);
+        tensor::par::set_thread_override(None);
+    }
+}
