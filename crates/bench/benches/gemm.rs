@@ -40,7 +40,7 @@ fn bench_gemm(c: &mut Criterion) {
     let a = tensor::init::uniform_i8(&mut rng, 64, 2048);
     let b = tensor::init::uniform_i8(&mut rng, 2048, 64);
     c.bench_function("gemm_i8_blocked/64x2048x64", |bench| {
-        bench.iter(|| black_box(gemm::matmul_i8_blocked(&a, &b).unwrap()))
+        bench.iter(|| black_box(gemm::matmul_i8_with_threads(&a, &b, 1).unwrap()))
     });
 
     // The QK^T path (no materialised transpose).

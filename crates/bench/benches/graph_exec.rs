@@ -1,7 +1,7 @@
 //! Criterion benchmarks of ResBlock forwards through the operator-graph
 //! executors: graph construction cost, FP32 `FloatExec`, INT8
-//! `QuantExec`, and the single-row cached-KV path (`QuantRowExec` via
-//! `step_session`) that serving's decode loop drives.
+//! `QuantExec`, and the cached-KV decode step (`cached_mha_rows` via
+//! `step_session`, a one-row chunk) that serving's decode loop drives.
 
 use std::hint::black_box;
 
@@ -62,9 +62,9 @@ fn bench_block_executors(c: &mut Criterion) {
     });
 }
 
-fn bench_row_executor(c: &mut Criterion) {
-    // QuantRowExec through the serving-facing decode step: one token
-    // through all layers of a small model (the p_buf hot path).
+fn bench_cached_step(c: &mut Criterion) {
+    // The serving-facing decode step: one token through all layers of a
+    // small model (a one-row chunk through `cached_mha_rows`).
     let mut cfg = ModelConfig::tiny_for_tests();
     cfg.n_layers = 2;
     let mut rng = StdRng::seed_from_u64(6);
@@ -85,6 +85,6 @@ criterion_group!(
     benches,
     bench_graph_build,
     bench_block_executors,
-    bench_row_executor
+    bench_cached_step
 );
 criterion_main!(benches);

@@ -2,7 +2,9 @@
 //! text tables and JSON result dumps under `results/`.
 //!
 //! Each binary regenerates one artifact of the paper's evaluation
-//! section; see DESIGN.md's experiment index (E1–E11) and EXPERIMENTS.md
+//! section or of an extension; see DESIGN.md's experiment index (the
+//! binaries are E1–E16, E18 and E19 — the serving experiments E17, E20
+//! and E21 are `spine` workloads under `benchmark/`) and EXPERIMENTS.md
 //! for the paper-vs-measured record.
 
 #![forbid(unsafe_code)]

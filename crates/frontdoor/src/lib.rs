@@ -24,10 +24,11 @@
 //!   sockets *and* the engine: accept → parse → admit → feed → step →
 //!   stream → flush → reap, with wall-clock deadlines, write budgets,
 //!   idle timeouts, and disconnect-cancels-request semantics.
-//! * [`client`], [`workload`], [`chaos`] — a blocking protocol
-//!   client, a seeded open-loop workload generator (Poisson/bursty
-//!   arrivals, Zipf lengths, tenant mixes), and the chaos scenarios
-//!   the integration tests and CI soak job run against a live door.
+//! * [`client`], [`chaos`] — a blocking protocol client and the chaos
+//!   scenarios the integration tests and CI soak job run against a live
+//!   door. (Load generation lives with the benchmark: `spine`'s
+//!   `wire_open` workload drives a door with its own seeded open-loop
+//!   generator, `benchmark/src/gen.rs`.)
 
 #![deny(unsafe_code)] // narrowly re-allowed in `poll` for the epoll FFI
 #![warn(missing_docs)]
@@ -38,10 +39,8 @@ pub mod client;
 pub mod frame;
 pub mod poll;
 pub mod server;
-pub mod workload;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, TokenBucket};
 pub use client::{Client, Completion};
 pub use frame::{ClientFrame, Decoder, FrameError, RejectCode, ServerFrame, Submit};
 pub use server::{DoorConfig, DoorStats, FrontDoor};
-pub use workload::{Arrival, Timed, Workload, WorkloadConfig};

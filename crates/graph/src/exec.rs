@@ -17,17 +17,9 @@ pub struct ExecStats {
     /// Datapath/program-store corruptions the executor's checkers
     /// detected (always zero for executors without a checker seam).
     pub faults_detected: usize,
-    /// Resident KV-cache bytes the most recent run attended over
-    /// (across the sessions in the batch; zero for executors that do
-    /// not consume KV caches). With paged caches this counts whole
-    /// resident pages — and a page shared between sessions (prefix-
-    /// cache forks) exactly **once** — so it is the number the serving
-    /// layer's memory budget actually pays, not the sum of per-session
-    /// logical bytes.
-    pub kv_bytes_in_use: usize,
     /// Fused nodes executed so far ([`crate::Op::LinearRelu`] /
-    /// [`crate::Op::LinearAdd`] interpretations, plus the hand-fused
-    /// drains of the row executors). Zero when fusion is disabled.
+    /// [`crate::Op::LinearAdd`] interpretations). Zero when fusion is
+    /// disabled.
     pub ops_fused: usize,
     /// Bytes of intermediate tensors that fusion did **not** materialize
     /// — for each fused node, the size of the producer output the
@@ -107,9 +99,9 @@ impl<V> Env<V> {
 /// A backend that can run a ResBlock graph.
 ///
 /// Implementations interpret the same dataflow with their own value
-/// representation (`FP32` matrices, INT8 code matrices, cached-KV row
-/// views, or accelerator command streams) and must be **bit-identical**
-/// to the hand-rolled forward path they replaced.
+/// representation (`FP32` matrices, INT8 code matrices, or accelerator
+/// command streams) and must be **bit-identical** to the hand-rolled
+/// forward path they replaced.
 pub trait Executor {
     /// The tensor representation this backend computes with.
     type Value;

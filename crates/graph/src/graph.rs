@@ -347,11 +347,13 @@ pub fn mha_graph(cfg: &GraphConfig) -> Graph {
     g
 }
 
-/// The cached-KV MHA ResBlock graph used by incremental decoding:
-/// inputs `x` (one active row per session), `keys`/`vals` (per-row
-/// projected caches); output `y`. The K/V projections are *not* part of
-/// this graph — cache rows are projected once when appended, which is
-/// the entire point of KV caching.
+/// The cached-KV MHA ResBlock dataflow of incremental decoding,
+/// written down: inputs `x` (one active row per session), `keys`/`vals`
+/// (per-row projected caches); output `y`. The K/V projections are
+/// *not* part of this graph — cache rows are projected once when
+/// appended, which is the entire point of KV caching. No executor runs
+/// it (the decoders implement it as plain functions; see the crate
+/// docs); the fusion pass is tested and timed on it.
 ///
 /// # Panics
 ///

@@ -1,23 +1,33 @@
 //! Operator-graph IR for the paper's two ResBlocks, plus the pluggable
-//! [`Executor`] layer that every forward path in the workspace runs
-//! through.
+//! [`Executor`] layer that every whole-block forward path in the
+//! workspace runs through.
 //!
 //! The paper's core claim is that **one** shared `s × 64` systolic array
 //! executes both the MHA and FFN ResBlocks under a single Algorithm-1
 //! schedule. This crate makes that "one dataflow, many backends" idea
 //! first-class in software: the ResBlock dataflow is written down once
 //! as a small graph of named-tensor operators ([`mha_graph`],
-//! [`ffn_graph`], [`mha_cached_graph`]), and each backend — FP32
-//! reference, INT8 datapath, KV-cached row decoding, and the
-//! accelerator's command stream — is an [`Executor`] that interprets or
-//! lowers the same graph:
+//! [`ffn_graph`]), and each backend — FP32 reference, INT8 datapath,
+//! and the accelerator's command stream — is an [`Executor`] that
+//! interprets or lowers the same graph:
 //!
 //! | Executor | Crate | Interprets the graph as |
 //! |---|---|---|
 //! | `FloatExec` | `transformer` | FP32 reference ops |
 //! | `QuantExec` | `quantized` | bit-exact INT8/fixed-point ops |
-//! | `RowExec` / `QuantRowExec` | `transformer` / `quantized` | cached-KV multi-row decode |
 //! | `AccelExec` | `accel` | `isa::Command` streams + cycle counts |
+//!
+//! Cached-KV incremental decoding is **not** an executor: the
+//! attention ResBlock over per-session caches is a plain function in
+//! each numeric domain (`transformer::incremental::step_batch`'s block,
+//! `quantized::cached_mha_rows`). It fuses the per-head group into one
+//! kernel rather than walking nodes, and its inputs are borrowed caches
+//! of differing lengths that no other executor can take (`AccelExec`
+//! rejects the cached kind) — behind the trait it would offer no
+//! substitutability, only a name-keyed environment for its one caller
+//! to build and unwrap around every call. The dataflow it implements is
+//! still written down as [`mha_cached_graph`], which the fusion pass's
+//! tests consume.
 //!
 //! The non-negotiable invariant is **bit-identity**: every executor
 //! produces exactly the bits its hand-rolled predecessor produced, so

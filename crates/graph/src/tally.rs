@@ -1,12 +1,13 @@
 //! Process-wide fusion tallies.
 //!
 //! Each [`crate::Executor`] reports per-run fusion counters in its
-//! [`crate::ExecStats`], but the serving engine's decode path builds a
-//! fresh short-lived executor per ResBlock pass, so those per-run stats
-//! are gone before the engine can read them. Executors therefore also
-//! add their fused-op counts to these monotonic process-wide counters
-//! (relaxed atomics — same pattern as the `faults` crate's tallies),
-//! and the engine records the per-step delta in its own stats.
+//! [`crate::ExecStats`], but the serving engine's decode path never
+//! holds one: the block `forward`s build a short-lived executor per
+//! pass, and the cached-attention ResBlock is a plain function with no
+//! stats at all. Both therefore add their fused-op counts to these
+//! monotonic process-wide counters (relaxed atomics — same pattern as
+//! the `faults` crate's tallies), and the engine records the per-step
+//! delta in its own stats.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,7 +38,8 @@ impl FusionTally {
 
 /// Adds `ops` fused nodes and `bytes` elided intermediate bytes to the
 /// process-wide tally. Executors call this alongside their per-run
-/// [`crate::ExecStats`] bumps; zero adds are skipped.
+/// [`crate::ExecStats`] bumps, the cached-attention functions on their
+/// own; zero adds are skipped.
 pub fn note_fused(ops: usize, bytes: usize) {
     if ops == 0 {
         return;

@@ -1,4 +1,5 @@
-//! INT8 executors for the ResBlock operator graphs.
+//! The INT8 executor for the ResBlock operator graphs, and the
+//! cached-KV attention ResBlock of incremental decoding.
 //!
 //! [`QuantExec`] interprets a graph with the bit-accurate INT8
 //! primitives — it is what [`QuantMhaResBlock::forward`] and
@@ -7,23 +8,21 @@
 //! bit-exact integer arithmetic and panels are merged in head order, so
 //! the result is identical for any thread count.
 //!
-//! [`QuantRowExec`] executes the cached-KV graph for incremental INT8
-//! decoding. In the single-row hot path it writes the requantized head
-//! outputs straight into a caller-provided scratch row (the session's
-//! `p_buf`), so the per-token loop never allocates head panels. Caches
-//! are consumed through [`CacheRef`], which reads either a flat code
-//! matrix or a paged [`tensor::kvpool`] sequence — bit-identically,
-//! since both hand the GEMM the same per-head panel bytes. For chunked
-//! prefill the executor also accepts per-session row *groups*
-//! ([`QuantRowExec::prefill`]): each session contributes a chunk of
-//! consecutive rows that attend over its cache, each row over its own
-//! legal prefix; the softmax leaves exactly-zero probability codes
-//! beyond it — so a chunked prefill is bit-identical to feeding the same
-//! rows one step at a time.
+//! [`cached_mha_rows`] is the cached-KV MHA ResBlock of incremental INT8
+//! decoding — a plain function, not an [`Executor`]: it never
+//! interprets a graph, and its inputs are borrowed caches no other
+//! executor could take. Each session contributes a group of consecutive
+//! rows (a prefill chunk; a decode step is a one-row chunk) that attend
+//! over its cache, each row over its own legal prefix; the softmax
+//! leaves exactly-zero probability codes beyond it — so a chunk is
+//! bit-identical to feeding the same rows one at a time. Caches are
+//! consumed through [`CacheRef`], which reads either a flat code matrix
+//! or a paged [`tensor::kvpool`] sequence — bit-identically, since both
+//! hand the GEMM the same per-head panel bytes.
 
 use std::sync::OnceLock;
 
-use graph::{Env, ExecPlan, ExecStats, Executor, Graph, GraphKind, Node, Op, PlanStep, WeightId};
+use graph::{Env, ExecPlan, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
 use tensor::kvpool::{KvPool, KvSeq};
 use tensor::{gemm, Mat};
 
@@ -415,135 +414,6 @@ impl<'a> CacheRef<'a> {
             CacheRef::Paged { pool, seq } => pool.row(seq, r),
         }
     }
-
-    /// Bytes of storage resident for this cache — logical rows for flat
-    /// matrices, whole pages for paged sequences (what the memory
-    /// budget actually pays). Per-sequence view: a page shared with a
-    /// forked sibling is charged to **each** holder here; use
-    /// [`CacheRef::distinct_resident_bytes`] for the global number.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            CacheRef::Flat(m) => m.rows() * m.cols(),
-            CacheRef::Paged { pool, seq } => pool.resident_rows(seq) * pool.cols(),
-        }
-    }
-
-    /// Total resident bytes across `caches`, counting every shared page
-    /// **once**: paged caches dedupe on `(pool, page)` identity, so N
-    /// prefix-sharing forks of one sequence cost ~1× its pages, not N×.
-    /// Flat caches (cross-attention K/V, one per session) sum directly.
-    /// This is what a global memory-budget stat must report; summing
-    /// [`CacheRef::resident_bytes`] double-counts shared pages.
-    pub fn distinct_resident_bytes<'b>(caches: impl IntoIterator<Item = CacheRef<'b>>) -> usize {
-        let mut seen: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-        let mut bytes = 0usize;
-        for c in caches {
-            match c {
-                CacheRef::Flat(m) => bytes += m.rows() * m.cols(),
-                CacheRef::Paged { pool, seq } => {
-                    let pid = pool as *const KvPool<i8> as usize;
-                    let page_bytes = pool.page_rows() * pool.cols();
-                    for &p in seq.page_ids() {
-                        if seen.insert((pid, p)) {
-                            bytes += page_bytes;
-                        }
-                    }
-                }
-            }
-        }
-        bytes
-    }
-}
-
-/// Value domain of [`QuantRowExec`]: INT8 row stacks or per-session
-/// borrowed code caches.
-#[derive(Debug)]
-pub enum QRowVal<'a> {
-    /// A `b × d_model` matrix of per-session code rows.
-    Codes(Mat<i8>),
-    /// One borrowed projected-K/V cache per session.
-    Caches(Vec<CacheRef<'a>>),
-}
-
-impl QRowVal<'_> {
-    /// Unwraps the code-rows variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this value holds caches.
-    pub fn into_codes(self) -> Mat<i8> {
-        match self {
-            QRowVal::Codes(m) => m,
-            QRowVal::Caches(_) => panic!("expected code rows, found per-session caches"),
-        }
-    }
-}
-
-/// Cached-KV INT8 executor for the [`GraphKind::MhaCached`] graph.
-///
-/// Each of the `b` input rows attends over its own session's key/value
-/// code cache. With a scratch row attached ([`QuantRowExec::with_scratch`])
-/// and `b == 1`, the requantized head outputs are written directly into
-/// the scratch's column panels — the zero-allocation single-token decode
-/// hot path. Multi-row batches fan rows out across threads; row `r` is
-/// bit-identical to a single-row run on row `r` alone (integer GEMMs are
-/// row-independent).
-#[derive(Debug)]
-pub struct QuantRowExec<'a> {
-    block: &'a QuantMhaResBlock,
-    scratch: Option<&'a mut Mat<i8>>,
-    groups: Option<&'a [usize]>,
-    causal: bool,
-    stats: ExecStats,
-}
-
-impl<'a> QuantRowExec<'a> {
-    /// Executor over one quantized MHA ResBlock.
-    pub fn new(block: &'a QuantMhaResBlock) -> Self {
-        Self {
-            block,
-            scratch: None,
-            groups: None,
-            causal: true,
-            stats: ExecStats::default(),
-        }
-    }
-
-    /// Attaches a `1 × d_model` scratch row that single-row runs write
-    /// the concatenated `P` codes into (every column is overwritten, so
-    /// its previous contents are irrelevant).
-    pub fn with_scratch(block: &'a QuantMhaResBlock, scratch: &'a mut Mat<i8>) -> Self {
-        Self {
-            block,
-            scratch: Some(scratch),
-            groups: None,
-            causal: true,
-            stats: ExecStats::default(),
-        }
-    }
-
-    /// Chunked-prefill executor: the `b` input rows are partitioned into
-    /// per-session groups (`groups[i]` consecutive rows for session `i`,
-    /// summing to `b`), each attending over its own session's cache.
-    ///
-    /// With `causal = true` (self-attention), row `j` of a group whose
-    /// cache holds `L` rows — the chunk's own K/V having already been
-    /// appended — attends positions `0 ..= L - rows + j`: an intra-chunk
-    /// causal tail mask, so the group is bit-identical to feeding its
-    /// rows one decode step at a time. With `causal = false`
-    /// (cross-attention) every row attends the whole cache.
-    ///
-    /// Running it panics if a causal group's cache holds fewer rows than
-    /// its chunk (the chunk's K/V were not appended first).
-    pub fn prefill(block: &'a QuantMhaResBlock, groups: &'a [usize], causal: bool) -> Self {
-        Self {
-            block,
-            scratch: None,
-            groups: Some(groups),
-            causal,
-            stats: ExecStats::default(),
-        }
-    }
 }
 
 /// Whether the fused decode-attention drain may run: fusion enabled and
@@ -556,39 +426,11 @@ fn attention_fusible() -> bool {
     tensor::envcfg::fuse_enabled() && !faults::hooks_active()
 }
 
-/// Computes row `r`'s concatenated requantized head outputs into `out`
-/// (one full `d_model` row) — the SplitHeads → score → softmax →
-/// context → requantize section of the cached graph.
-fn head_section(
-    block: &QuantMhaResBlock,
-    q: &Mat<i8>,
-    r: usize,
-    keys: &CacheRef<'_>,
-    vals: &CacheRef<'_>,
-    out: &mut [i8],
-) {
-    if attention_fusible() {
-        head_section_fused(block, q, r, keys, vals, out);
-        return;
-    }
-    let d_k = block.d_k();
-    for i in 0..block.heads() {
-        let c0 = i * d_k;
-        let qi = q.submatrix(r, c0, 1, d_k).expect("head panel");
-        let ki = keys.panel(c0, d_k);
-        let vi = vals.panel(c0, d_k);
-        let d_acc = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
-        let probs = scaled_masked_softmax(&d_acc, block.d_scale(), d_k, None, block.softmax_mode());
-        let p_acc = gemm::matmul_i8(&probs, &vi).expect("shapes");
-        block.requantize_p_into(p_acc.row(0), &mut out[c0..c0 + d_k]);
-    }
-}
-
 /// The fused single-row attention drain: score, softmax, and `P·V` for
 /// **all** heads in one streaming pass over the cache rows, with no
 /// per-head K/V panel gathers and no per-head GEMV dispatch.
 ///
-/// Bit-identity with [`head_section`]'s per-head GEMM path:
+/// Bit-identity with [`head_section_chunk`]'s per-head GEMM path:
 ///
 /// * **Scores** — [`tensor::simd::head_dots_i8`] accumulates each
 ///   head's `q · k_t` in ascending-`j` order, exactly the inner product
@@ -655,8 +497,8 @@ fn head_section_chunk(
     let d_k = block.d_k();
     let ctx = keys.rows();
     // A one-row chunk (the decode steady state: every session advances
-    // one token per engine step) has no intra-chunk mask and is exactly
-    // the single-row section — take the fused drain when it is legal.
+    // one token per engine step) has no intra-chunk mask — its row
+    // attends the whole cache — so take the fused drain when it is legal.
     if rows == 1 && attention_fusible() {
         let mut out = Mat::zeros(1, block.heads() * d_k);
         head_section_fused(block, q, r0, keys, vals, &mut out.row_mut(0)[..]);
@@ -684,192 +526,108 @@ fn head_section_chunk(
     out
 }
 
-impl<'a> QuantRowExec<'a> {
-    /// [`Executor::run`] on a graph whose plan is already resolved
-    /// (a block's [`PlannedGraph`]).
-    pub(crate) fn run_planned(
-        &mut self,
-        graph: &Graph,
-        plan: &ExecPlan,
-        inputs: Vec<(&str, QRowVal<'a>)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<QRowVal<'a>> {
-        assert_eq!(
-            graph.kind,
-            GraphKind::MhaCached,
-            "QuantRowExec executes the cached-KV MHA graph only"
-        );
-        let detected0 = faults::hooks_active().then(|| faults::counters().detected);
-        debug_assert!(
-            mask.is_none(),
-            "cached decoding is causal by construction; no run-time mask"
-        );
-        let mut env = Env::new(plan.slot_names.clone());
-        for (name, value) in inputs {
-            let slot = env.slot(name);
-            env.set(slot, value);
+/// One cached-attention MHA ResBlock over per-session row groups: the
+/// `x.rows()` input rows are partitioned into `groups[i]` consecutive
+/// rows for session `i` (summing to `x.rows()`), each group attending
+/// over its own session's cache `keys[i]` / `vals[i]`. `W_Q`, `W_G` and
+/// the LayerNorm run once over all rows; the per-group attention (cache
+/// lengths differ) fans out across threads. Integer GEMMs are
+/// row-independent, so a group's rows are bit-identical whatever else
+/// is in the batch.
+///
+/// With `causal = true` (self-attention), row `j` of a group whose
+/// cache holds `L` rows — the chunk's own K/V having already been
+/// appended — attends positions `0 ..= L - rows + j`: an intra-chunk
+/// causal tail, so the group is bit-identical to feeding its rows one
+/// decode step at a time. With `causal = false` (cross-attention) every
+/// row attends the whole cache.
+///
+/// # Panics
+///
+/// Panics if the group, key and value counts differ, the group sizes do
+/// not sum to the input rows, or a causal group's cache holds fewer
+/// rows than its chunk (the chunk's K/V were not appended first).
+pub fn cached_mha_rows(
+    block: &QuantMhaResBlock,
+    x: &Mat<i8>,
+    groups: &[usize],
+    keys: &[CacheRef<'_>],
+    vals: &[CacheRef<'_>],
+    causal: bool,
+) -> Mat<i8> {
+    assert_eq!(groups.len(), keys.len(), "one key cache per group");
+    assert_eq!(groups.len(), vals.len(), "one value cache per group");
+    assert_eq!(
+        groups.iter().sum::<usize>(),
+        x.rows(),
+        "group sizes must sum to the input rows"
+    );
+    if causal {
+        // A causal chunk's own K/V rows are already in its cache; a
+        // shorter cache has no legal prefix to state.
+        for (i, (&rows, k)) in groups.iter().zip(keys).enumerate() {
+            assert!(
+                k.rows() >= rows,
+                "causal prefill group {i}: cache holds {} rows, fewer than the chunk's {rows}",
+                k.rows()
+            );
         }
-        let x = match env.take("x") {
-            QRowVal::Codes(m) => m,
-            QRowVal::Caches(_) => panic!("input \"x\" must be code rows"),
-        };
-        let (keys, vals) = match (env.take("keys"), env.take("vals")) {
-            (QRowVal::Caches(k), QRowVal::Caches(v)) => (k, v),
-            _ => panic!("inputs \"keys\"/\"vals\" must be per-session caches"),
-        };
-        match self.groups {
-            Some(groups) => {
-                assert_eq!(groups.len(), keys.len(), "one key cache per group");
-                assert_eq!(groups.len(), vals.len(), "one value cache per group");
-                assert_eq!(
-                    groups.iter().sum::<usize>(),
-                    x.rows(),
-                    "group sizes must sum to the input rows"
-                );
-                if self.causal {
-                    // A causal chunk's own K/V rows are already in its
-                    // cache; a shorter cache has no legal prefix to state.
-                    for (i, (&rows, k)) in groups.iter().zip(&keys).enumerate() {
-                        assert!(
-                            k.rows() >= rows,
-                            "causal prefill group {i}: cache holds {} rows, fewer than the chunk's {rows}",
-                            k.rows()
-                        );
-                    }
-                }
-            }
-            None => {
-                assert_eq!(x.rows(), keys.len(), "one key cache per row");
-                assert_eq!(x.rows(), vals.len(), "one value cache per row");
-            }
-        }
-        // Shared-once accounting: prefix-cache forks alias pages across
-        // sessions, and a shared page must hit the budget stat once.
-        self.stats.kv_bytes_in_use =
-            CacheRef::distinct_resident_bytes(keys.iter().chain(vals.iter()).copied());
-
-        let block = self.block;
-        let causal = self.causal;
-        let (wq, _, _, wo) = block.projections();
-        let q = wq.forward(&x);
-        // The Wo projection and the residual add fuse into one drain
-        // (the fused-graph `LinearAdd(Wo)` rewrite, applied here by
-        // hand since this executor never walks the tail nodes); the
-        // projection's INT8 output codes are never materialized.
-        let mut fused_ops = 0usize;
-        let mut elided_bytes = 0usize;
-        // The fused decode-attention drain never materialises the
-        // per-head K/V panels — `2 * ctx * d_model` bytes per fused row.
-        // It fires for every single-row section (and one-row prefill
-        // chunks); multi-row chunks run the per-head GEMMs around a
-        // prefix-length softmax.
-        if attention_fusible() {
-            match self.groups {
-                Some(groups) => {
-                    for (i, &rows) in groups.iter().enumerate() {
-                        if rows == 1 {
-                            fused_ops += 1;
-                            elided_bytes += 2 * keys[i].rows() * x.cols();
-                        }
-                    }
-                }
-                None => {
-                    for k in &keys {
-                        fused_ops += 1;
-                        elided_bytes += 2 * k.rows() * x.cols();
-                    }
-                }
-            }
-        }
-        let mut project_add = |p: &Mat<i8>| -> Mat<i32> {
-            if tensor::envcfg::fuse_enabled() {
+    }
+    let (wq, _, _, wo) = block.projections();
+    let q = wq.forward(x);
+    let mut fused_ops = 0usize;
+    let mut elided_bytes = 0usize;
+    // The fused decode-attention drain never materialises the per-head
+    // K/V panels — `2 * ctx * d_model` bytes per fused row. It fires for
+    // one-row chunks (decode steps); multi-row chunks run the per-head
+    // GEMMs around a prefix-length softmax.
+    if attention_fusible() {
+        for (&rows, k) in groups.iter().zip(keys) {
+            if rows == 1 {
                 fused_ops += 1;
-                elided_bytes += p.rows() * x.cols();
-                wo.forward_add(p, &x)
-            } else {
-                residual_add_i8(&wo.forward(p), &x)
+                elided_bytes += 2 * k.rows() * x.cols();
             }
-        };
-        let g = if let Some(groups) = self.groups {
-            // Chunked prefill: fan per-session chunks out across threads;
-            // each chunk is a contiguous row group attending its own cache.
-            let offsets: Vec<usize> = groups
-                .iter()
-                .scan(0usize, |acc, &g| {
-                    let r0 = *acc;
-                    *acc += g;
-                    Some(r0)
-                })
-                .collect();
-            let idx: Vec<usize> = (0..groups.len()).collect();
-            let chunks = tensor::par::par_map(&idx, |&i| {
-                head_section_chunk(block, &q, offsets[i], groups[i], &keys[i], &vals[i], causal)
-            });
-            let mut p = Mat::zeros(x.rows(), x.cols());
-            for (i, chunk) in chunks.iter().enumerate() {
-                for j in 0..chunk.rows() {
-                    p.row_mut(offsets[i] + j).copy_from_slice(chunk.row(j));
-                }
-            }
-            project_add(&p)
-        } else if x.rows() == 1 {
-            if let Some(p_buf) = self.scratch.as_deref_mut() {
-                head_section(block, &q, 0, &keys[0], &vals[0], &mut p_buf.row_mut(0)[..]);
-                project_add(p_buf)
-            } else {
-                let mut p = Mat::zeros(1, x.cols());
-                head_section(block, &q, 0, &keys[0], &vals[0], &mut p.row_mut(0)[..]);
-                project_add(&p)
-            }
-        } else {
-            let rows: Vec<usize> = (0..x.rows()).collect();
-            let p_rows = tensor::par::par_map(&rows, |&r| {
-                let mut p_row = vec![0i8; x.cols()];
-                head_section(block, &q, r, &keys[r], &vals[r], &mut p_row);
-                p_row
-            });
-            let mut p = Mat::zeros(x.rows(), x.cols());
-            for (r, row) in p_rows.iter().enumerate() {
-                p.row_mut(r).copy_from_slice(row);
-            }
-            project_add(&p)
-        };
-        self.stats.ops_fused += fused_ops;
-        self.stats.intermediates_elided_bytes += elided_bytes;
-        graph::tally::note_fused(fused_ops, elided_bytes);
-        let y = block.layernorm().forward(&g);
-        self.stats.nodes += graph.nodes.len();
-        if let Some(d0) = detected0 {
-            self.stats.faults_detected += faults::counters().detected.saturating_sub(d0) as usize;
         }
-        let out_slot = env.slot("y");
-        env.set(out_slot, QRowVal::Codes(y));
-        env
     }
-}
-
-impl<'a> Executor for QuantRowExec<'a> {
-    type Value = QRowVal<'a>;
-
-    fn run(
-        &mut self,
-        graph: &Graph,
-        inputs: Vec<(&str, QRowVal<'a>)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<QRowVal<'a>> {
-        self.run_planned(graph, &graph.plan(), inputs, mask)
+    // Fan per-session chunks out across threads; each chunk is a
+    // contiguous row group attending its own cache.
+    let offsets: Vec<usize> = groups
+        .iter()
+        .scan(0usize, |acc, &g| {
+            let r0 = *acc;
+            *acc += g;
+            Some(r0)
+        })
+        .collect();
+    let idx: Vec<usize> = (0..groups.len()).collect();
+    let chunks = tensor::par::par_map(&idx, |&i| {
+        head_section_chunk(block, &q, offsets[i], groups[i], &keys[i], &vals[i], causal)
+    });
+    let mut p = Mat::zeros(x.rows(), x.cols());
+    for (i, chunk) in chunks.iter().enumerate() {
+        for j in 0..chunk.rows() {
+            p.row_mut(offsets[i] + j).copy_from_slice(chunk.row(j));
+        }
     }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
-    }
+    // The Wo projection and the residual add fuse into one drain (the
+    // fused-graph `LinearAdd(Wo)` rewrite, applied by hand); the
+    // projection's INT8 output codes are never materialized.
+    let g = if tensor::envcfg::fuse_enabled() {
+        fused_ops += 1;
+        elided_bytes += p.rows() * x.cols();
+        wo.forward_add(&p, x)
+    } else {
+        residual_add_i8(&wo.forward(&p), x)
+    };
+    graph::tally::note_fused(fused_ops, elided_bytes);
+    block.layernorm().forward(&g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::softmax::SoftmaxMode;
-    use graph::{mha_cached_graph, mha_graph};
+    use graph::mha_graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use transformer::config::ModelConfig;
@@ -964,44 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn row_exec_scratch_and_alloc_paths_agree() {
-        let (q, calib, cfg) = setup();
-        let (_, wk, wv, _) = q.projections();
-        let xq = q.quantize_input_q(&calib[0]);
-        let keys = wk.forward(&xq);
-        let vals = wv.forward(&xq);
-        let row = xq.submatrix(2, 0, 1, cfg.d_model).unwrap();
-        let g = mha_cached_graph(&graph::GraphConfig {
-            d_model: cfg.d_model,
-            d_ff: 0,
-            h: cfg.h,
-        });
-        let run = |scratch: Option<&mut Mat<i8>>| -> Mat<i8> {
-            let mut exec = match scratch {
-                Some(s) => QuantRowExec::with_scratch(&q, s),
-                None => QuantRowExec::new(&q),
-            };
-            let mut env = exec.run(
-                &g,
-                vec![
-                    ("x", QRowVal::Codes(row.clone())),
-                    ("keys", QRowVal::Caches(vec![CacheRef::flat(&keys)])),
-                    ("vals", QRowVal::Caches(vec![CacheRef::flat(&vals)])),
-                ],
-                None,
-            );
-            env.take("y").into_codes()
-        };
-        let mut p_buf = Mat::zeros(1, cfg.d_model);
-        let with_scratch = run(Some(&mut p_buf));
-        let without = run(None);
-        assert_eq!(with_scratch, without);
-        // scratch received the concatenated P codes
-        assert!(p_buf.as_slice().iter().any(|&v| v != 0));
-    }
-
-    #[test]
-    fn row_exec_batch_rows_match_single_rows() {
+    fn batched_rows_match_single_rows() {
         let (q, calib, cfg) = setup();
         let (_, wk, wv, _) = q.projections();
         let xq = q.quantize_input_q(&calib[3]);
@@ -1012,41 +733,12 @@ mod tests {
             })
             .collect();
         let x = xq.submatrix(0, 0, 3, cfg.d_model).unwrap();
-        let g = mha_cached_graph(&graph::GraphConfig {
-            d_model: cfg.d_model,
-            d_ff: 0,
-            h: cfg.h,
-        });
-        let mut batched = QuantRowExec::new(&q);
-        let mut env = batched.run(
-            &g,
-            vec![
-                ("x", QRowVal::Codes(x.clone())),
-                (
-                    "keys",
-                    QRowVal::Caches(caches.iter().map(|c| CacheRef::flat(&c.0)).collect()),
-                ),
-                (
-                    "vals",
-                    QRowVal::Caches(caches.iter().map(|c| CacheRef::flat(&c.1)).collect()),
-                ),
-            ],
-            None,
-        );
-        let got = env.take("y").into_codes();
-        for (r, cache) in caches.iter().enumerate() {
+        let keys: Vec<CacheRef<'_>> = caches.iter().map(|c| CacheRef::flat(&c.0)).collect();
+        let vals: Vec<CacheRef<'_>> = caches.iter().map(|c| CacheRef::flat(&c.1)).collect();
+        let got = cached_mha_rows(&q, &x, &[1, 1, 1], &keys, &vals, true);
+        for r in 0..caches.len() {
             let row = x.submatrix(r, 0, 1, cfg.d_model).unwrap();
-            let mut single = QuantRowExec::new(&q);
-            let mut env = single.run(
-                &g,
-                vec![
-                    ("x", QRowVal::Codes(row)),
-                    ("keys", QRowVal::Caches(vec![CacheRef::flat(&cache.0)])),
-                    ("vals", QRowVal::Caches(vec![CacheRef::flat(&cache.1)])),
-                ],
-                None,
-            );
-            let want = env.take("y").into_codes();
+            let want = cached_mha_rows(&q, &row, &[1], &keys[r..=r], &vals[r..=r], true);
             assert_eq!(got.row(r), want.row(0), "row {r}");
         }
     }
@@ -1054,8 +746,8 @@ mod tests {
     #[test]
     fn paged_caches_are_bit_identical_to_flat() {
         // The same K/V rows served flat and served through a tiny-page
-        // pool must produce identical outputs — single-row, batched, and
-        // chunked-prefill paths alike.
+        // pool must produce identical outputs — for a one-row decode
+        // chunk and a multi-row prefill chunk alike.
         let (q, calib, cfg) = setup();
         let (_, wk, wv, _) = q.projections();
         let xq = q.quantize_input_q(&calib[0]);
@@ -1069,63 +761,28 @@ mod tests {
             pool_k.push_row(&mut seq_k, keys.row(r));
             pool_v.push_row(&mut seq_v, vals.row(r));
         }
-        let paged_k = CacheRef::paged(&pool_k, &seq_k);
-        assert_eq!(paged_k.rows(), keys.rows());
-        assert!(paged_k.resident_bytes() >= CacheRef::flat(&keys).resident_bytes());
-        let g = mha_cached_graph(&graph::GraphConfig {
-            d_model: cfg.d_model,
-            d_ff: 0,
-            h: cfg.h,
-        });
-        let run = |keys: CacheRef<'_>, vals: CacheRef<'_>, rows: Mat<i8>, chunk: bool| {
-            let groups = [rows.rows()];
-            let mut exec = if chunk {
-                QuantRowExec::prefill(&q, &groups, true)
-            } else {
-                QuantRowExec::new(&q)
-            };
-            let mut env = exec.run(
-                &g,
-                vec![
-                    ("x", QRowVal::Codes(rows)),
-                    ("keys", QRowVal::Caches(vec![keys])),
-                    ("vals", QRowVal::Caches(vec![vals])),
-                ],
-                None,
+        assert_eq!(CacheRef::paged(&pool_k, &seq_k).rows(), keys.rows());
+        // The caches already hold the last `n` rows the chunk feeds.
+        for n in [1, 3] {
+            let rows = xq.submatrix(xq.rows() - n, 0, n, cfg.d_model).unwrap();
+            let flat = cached_mha_rows(
+                &q,
+                &rows,
+                &[n],
+                &[CacheRef::flat(&keys)],
+                &[CacheRef::flat(&vals)],
+                true,
             );
-            (env.take("y").into_codes(), exec.stats().kv_bytes_in_use)
-        };
-        let row = xq.submatrix(xq.rows() - 1, 0, 1, cfg.d_model).unwrap();
-        let (flat_y, flat_kv) = run(
-            CacheRef::flat(&keys),
-            CacheRef::flat(&vals),
-            row.clone(),
-            false,
-        );
-        let (paged_y, paged_kv) = run(
-            CacheRef::paged(&pool_k, &seq_k),
-            CacheRef::paged(&pool_v, &seq_v),
-            row,
-            false,
-        );
-        assert_eq!(flat_y, paged_y);
-        assert!(paged_kv >= flat_kv, "paged stat counts whole pages");
-        // Chunked prefill over the last 3 rows (the caches already hold
-        // them): flat and paged storage must agree bit for bit.
-        let tail = xq.submatrix(xq.rows() - 3, 0, 3, cfg.d_model).unwrap();
-        let (flat_c, _) = run(
-            CacheRef::flat(&keys),
-            CacheRef::flat(&vals),
-            tail.clone(),
-            true,
-        );
-        let (paged_c, _) = run(
-            CacheRef::paged(&pool_k, &seq_k),
-            CacheRef::paged(&pool_v, &seq_v),
-            tail,
-            true,
-        );
-        assert_eq!(flat_c, paged_c);
+            let paged = cached_mha_rows(
+                &q,
+                &rows,
+                &[n],
+                &[CacheRef::paged(&pool_k, &seq_k)],
+                &[CacheRef::paged(&pool_v, &seq_v)],
+                true,
+            );
+            assert_eq!(flat, paged, "{n}-row chunk");
+        }
     }
 
     #[test]
@@ -1142,106 +799,13 @@ mod tests {
         let full = (wk.forward(&xq), wv.forward(&xq));
         let short = xq.submatrix(0, 0, 2, cfg.d_model).unwrap();
         let short = (wk.forward(&short), wv.forward(&short));
-        let g = mha_cached_graph(&graph::GraphConfig {
-            d_model: cfg.d_model,
-            d_ff: 0,
-            h: cfg.h,
-        });
-        let groups = [3, 3];
-        let mut exec = QuantRowExec::prefill(&q, &groups, true);
-        let _ = exec.run(
-            &g,
-            vec![
-                ("x", QRowVal::Codes(xq.clone())),
-                (
-                    "keys",
-                    QRowVal::Caches(vec![CacheRef::flat(&full.0), CacheRef::flat(&short.0)]),
-                ),
-                (
-                    "vals",
-                    QRowVal::Caches(vec![CacheRef::flat(&full.1), CacheRef::flat(&short.1)]),
-                ),
-            ],
-            None,
-        );
-    }
-
-    #[test]
-    fn shared_pages_are_counted_once_in_kv_stat() {
-        // Two sessions whose caches are prefix-cache forks of the same
-        // pages must not double-charge those pages in the executor's
-        // kv_bytes_in_use stat — while each session's own
-        // resident_bytes view stays per-sequence.
-        let (q, calib, cfg) = setup();
-        let (_, wk, wv, _) = q.projections();
-        let xq = q.quantize_input_q(&calib[0]);
-        let keys = wk.forward(&xq);
-        let vals = wv.forward(&xq);
-        let mut pool_k = KvPool::<i8>::new(2, cfg.d_model);
-        let mut pool_v = KvPool::<i8>::new(2, cfg.d_model);
-        let mut seq_k = KvSeq::new();
-        let mut seq_v = KvSeq::new();
-        for r in 0..4 {
-            // page-aligned: forks share everything
-            pool_k.push_row(&mut seq_k, keys.row(r));
-            pool_v.push_row(&mut seq_v, vals.row(r));
-        }
-        let fork_k = pool_k.fork(&seq_k);
-        let fork_v = pool_v.fork(&seq_v);
-        // Per-sequence view: the fork pays the same logical bytes.
-        assert_eq!(
-            CacheRef::paged(&pool_k, &fork_k).resident_bytes(),
-            CacheRef::paged(&pool_k, &seq_k).resident_bytes()
-        );
-        let solo = CacheRef::distinct_resident_bytes([
-            CacheRef::paged(&pool_k, &seq_k),
-            CacheRef::paged(&pool_v, &seq_v),
-        ]);
-        let naive: usize = [
-            CacheRef::paged(&pool_k, &seq_k),
-            CacheRef::paged(&pool_k, &fork_k),
-            CacheRef::paged(&pool_v, &seq_v),
-            CacheRef::paged(&pool_v, &fork_v),
-        ]
-        .iter()
-        .map(|c| c.resident_bytes())
-        .sum();
-        assert_eq!(naive, 2 * solo, "per-sequence sums double-count");
-        // The executor's stat must report the deduped number.
-        let g = mha_cached_graph(&graph::GraphConfig {
-            d_model: cfg.d_model,
-            d_ff: 0,
-            h: cfg.h,
-        });
-        let mut x = Mat::zeros(2, cfg.d_model);
-        x.row_mut(0).copy_from_slice(xq.row(3));
-        x.row_mut(1).copy_from_slice(xq.row(3));
-        let mut exec = QuantRowExec::new(&q);
-        let _ = exec.run(
-            &g,
-            vec![
-                ("x", QRowVal::Codes(x)),
-                (
-                    "keys",
-                    QRowVal::Caches(vec![
-                        CacheRef::paged(&pool_k, &seq_k),
-                        CacheRef::paged(&pool_k, &fork_k),
-                    ]),
-                ),
-                (
-                    "vals",
-                    QRowVal::Caches(vec![
-                        CacheRef::paged(&pool_v, &seq_v),
-                        CacheRef::paged(&pool_v, &fork_v),
-                    ]),
-                ),
-            ],
-            None,
-        );
-        assert_eq!(
-            exec.stats().kv_bytes_in_use,
-            solo,
-            "shared pages must hit the stat once"
+        let _ = cached_mha_rows(
+            &q,
+            &xq,
+            &[3, 3],
+            &[CacheRef::flat(&full.0), CacheRef::flat(&short.0)],
+            &[CacheRef::flat(&full.1), CacheRef::flat(&short.1)],
+            true,
         );
     }
 }

@@ -19,26 +19,27 @@
 //! every decode remains bit-identical. Cross-attention K/V are exact-size
 //! flat matrices (their length is the source length, known up front).
 //!
-//! Sessions can also advance **together**: [`QuantSeq2Seq::step_sessions`]
-//! stacks one active row per session and runs each layer's projections,
-//! output matmul and FFN as single multi-row GEMMs (one `matmul_i8` per
-//! weight matrix per step instead of one per request). The GEMM kernels
-//! never reorder a row's accumulation, so every batched row is
-//! bit-identical to the single-session path for any batch composition —
-//! the property the `serving` crate's continuous batcher is built on.
-//! [`QuantSeq2Seq::prefill_sessions`] extends the same argument to
-//! multi-row **chunks**: a prompt of length L is consumed in fixed-size
-//! chunks (one GEMM per weight matrix per chunk instead of L sequential
-//! steps), with the executor's intra-chunk causal mask keeping the
-//! result bit-identical to token-at-a-time ingestion.
+//! There is **one step body**, [`QuantSeq2Seq::prefill_sessions`] (and
+//! its greedy twin): every session hands in a chunk of tokens, the
+//! chunk rows of all sessions are stacked into one matrix, and each
+//! layer's projections, output matmul and FFN run as single multi-row
+//! GEMMs while [`cached_mha_rows`] fans the per-session attention out
+//! across threads. A decode step is a one-row chunk
+//! ([`QuantSeq2Seq::step_sessions`]; [`QuantSeq2Seq::step_session`] is
+//! the same at one session). The GEMM kernels never reorder a row's
+//! accumulation and the intra-chunk causal prefix leaves exactly-zero
+//! probability codes for a row's future, so a row's result depends on
+//! neither the batch composition nor the chunk shape it arrived in —
+//! the property the `serving` crate's continuous batcher is built on,
+//! pinned against the full-prefix recompute
+//! ([`QuantSeq2Seq::forward_logits`]) by `tests/incremental_paths.rs`.
 
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
 use tensor::Mat;
 use transformer::greedy::GreedyStats;
 use transformer::tasks::{BOS, EOS};
 
-use crate::exec::{CacheRef, QRowVal, QuantRowExec};
-use crate::mha::QuantMhaResBlock;
+use crate::exec::{cached_mha_rows, CacheRef};
 use crate::model::QuantSeq2Seq;
 
 /// The shared paged store for projected self-attention K/V codes: one
@@ -97,16 +98,6 @@ impl KvArena {
     pub fn pages_in_use(&self) -> usize {
         self.k.pages_in_use() + self.v.pages_in_use()
     }
-
-    /// The key-code pool (for building [`CacheRef`]s in tests/benches).
-    pub fn key_pool(&self) -> &KvPool<i8> {
-        &self.k
-    }
-
-    /// The value-code pool.
-    pub fn val_pool(&self) -> &KvPool<i8> {
-        &self.v
-    }
 }
 
 #[derive(Debug)]
@@ -128,64 +119,6 @@ pub struct QuantIncrementalSession {
     memory_rows: usize,
     layers: Vec<QLayerCache>,
     pos: usize,
-    /// Scratch row for the concatenated head outputs `P` — allocated
-    /// once per session and fully overwritten by every ResBlock pass, so
-    /// the per-token hot loop never allocates head panels.
-    p_buf: Mat<i8>,
-}
-
-/// One cached-attention ResBlock applied to a single row of codes,
-/// through [`QuantRowExec`]'s zero-allocation scratch path. `p_buf`
-/// (1 × d_model) receives the concatenated requantized head outputs;
-/// every column is written, so its previous contents are irrelevant.
-fn resblock_row(
-    block: &QuantMhaResBlock,
-    x_row: &Mat<i8>,
-    keys: CacheRef<'_>,
-    vals: CacheRef<'_>,
-    p_buf: &mut Mat<i8>,
-) -> Mat<i8> {
-    let mut exec = QuantRowExec::with_scratch(block, p_buf);
-    let g = block.cached_graph();
-    let mut env = exec.run_planned(
-        &g.graph,
-        &g.plan,
-        vec![
-            ("x", QRowVal::Codes(x_row.clone())),
-            ("keys", QRowVal::Caches(vec![keys])),
-            ("vals", QRowVal::Caches(vec![vals])),
-        ],
-        None,
-    );
-    env.take("y").into_codes()
-}
-
-/// One cached-attention ResBlock applied to per-session multi-row
-/// chunks through [`QuantRowExec::prefill`]. `groups[i]` consecutive
-/// rows of `x` belong to session `i` and attend over cache `i`; with
-/// `causal` set the executor masks each row's intra-chunk future, so
-/// the chunk is bit-identical to feeding its rows one step at a time.
-fn resblock_chunks(
-    block: &QuantMhaResBlock,
-    x: &Mat<i8>,
-    groups: &[usize],
-    keys: Vec<CacheRef<'_>>,
-    vals: Vec<CacheRef<'_>>,
-    causal: bool,
-) -> Mat<i8> {
-    let mut exec = QuantRowExec::prefill(block, groups, causal);
-    let g = block.cached_graph();
-    let mut env = exec.run_planned(
-        &g.graph,
-        &g.plan,
-        vec![
-            ("x", QRowVal::Codes(x.clone())),
-            ("keys", QRowVal::Caches(keys)),
-            ("vals", QRowVal::Caches(vals)),
-        ],
-        None,
-    );
-    env.take("y").into_codes()
 }
 
 impl QuantSeq2Seq {
@@ -196,16 +129,15 @@ impl QuantSeq2Seq {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is empty.
+    /// Panics if `src` is empty or `arena` is not `d_model` wide.
     pub fn start_session(&self, arena: &mut KvArena, src: &[usize]) -> QuantIncrementalSession {
         assert!(!src.is_empty(), "source must be non-empty");
-        let memory = self.encode(src);
-        let d_model = memory.cols();
         assert_eq!(
             arena.k.cols(),
-            d_model,
+            self.tgt_embedding().d_model(),
             "arena width does not match the model's d_model"
         );
+        let memory = self.encode(src);
         let layers = self
             .decoder_layers()
             .iter()
@@ -223,63 +155,32 @@ impl QuantSeq2Seq {
             memory_rows: memory.rows(),
             layers,
             pos: 0,
-            p_buf: Mat::zeros(1, d_model),
         }
     }
 
     /// Feeds one target token and returns the next-token logits (FP32,
-    /// from the output projection). Bit-identical to the full-prefix
-    /// decode at the same position.
+    /// from the output projection): [`QuantSeq2Seq::prefill_sessions`]
+    /// on one session and a one-token chunk. Bit-identical to the
+    /// full-prefix decode at the same position.
     pub fn step_session(
         &self,
         arena: &mut KvArena,
         session: &mut QuantIncrementalSession,
         token: usize,
     ) -> Vec<f32> {
-        let mut emb_row = Mat::zeros(1, self.tgt_embedding().d_model());
-        self.tgt_embedding()
-            .embed_into(token, session.pos, emb_row.row_mut(0));
-        let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb_row);
-        let QuantIncrementalSession { layers, p_buf, .. } = session;
-        for (layer, cache) in self.decoder_layers().iter().zip(layers.iter_mut()) {
-            // Extend the projected self-attention cache with this row.
-            let (_, wk, wv, _) = layer.self_mha.projections();
-            let k_new = wk.forward(&x);
-            let v_new = wv.forward(&x);
-            arena.k.push_row(&mut cache.self_k, k_new.row(0));
-            arena.v.push_row(&mut cache.self_v, v_new.row(0));
-            let a = resblock_row(
-                &layer.self_mha,
-                &x,
-                CacheRef::paged(&arena.k, &cache.self_k),
-                CacheRef::paged(&arena.v, &cache.self_v),
-                p_buf,
-            );
-            let b = resblock_row(
-                &layer.cross_mha,
-                &a,
-                CacheRef::flat(&cache.cross_k),
-                CacheRef::flat(&cache.cross_v),
-                p_buf,
-            );
-            let (c, _) = layer.ffn.forward(&b);
-            x = c;
-        }
-        session.pos += 1;
-        let last_ffn = &self.decoder_layers().last().expect("nonempty decoder").ffn;
-        let x_f32 = last_ffn.dequantize_output(&x);
-        self.output_projection_logits(&x_f32)
+        self.prefill_sessions(arena, &mut [session], &[&[token]])
+            .remove(0)
     }
 
-    /// Advances several sessions by one token each, batching the GEMMs:
-    /// the active rows are stacked into one `b × d_model` matrix and each
+    /// Advances several sessions by one token each —
+    /// [`QuantSeq2Seq::prefill_sessions`] with one-token chunks: the
+    /// active rows are stacked into one `b × d_model` matrix and each
     /// layer's `W_K`/`W_V`/`W_Q`/`W_G` projections, FFN sublayers and the
     /// final output projection run **once** over all rows, while the
     /// per-session attention (whose cache lengths differ) fans out across
-    /// threads. Row `r`'s logits are bit-identical to
-    /// [`QuantSeq2Seq::step_session`] on session `r` alone — the GEMM
-    /// kernels never reorder a row's accumulation — so continuous
-    /// batching cannot change any decode.
+    /// threads. Row `r`'s logits are bit-identical to advancing session
+    /// `r` alone — the GEMM kernels never reorder a row's accumulation —
+    /// so continuous batching cannot change any decode.
     ///
     /// Sessions may sit at different positions; each token is embedded at
     /// its own session's position.
@@ -303,12 +204,13 @@ impl QuantSeq2Seq {
     /// chunked-prefill step. Chunk rows are stacked across sessions into
     /// one matrix, so each layer's projections, output matmul and FFN
     /// run as a single GEMM over `sum(chunk lengths)` rows; per-session
-    /// attention (with the executor's intra-chunk causal mask) fans out
-    /// across threads. Returns each session's **last-row** logits — the
-    /// next-token distribution after its chunk — bit-identical to
-    /// feeding the same tokens one [`step_session`] at a time (masked
-    /// softmax columns produce exactly-zero probability codes, which
-    /// contribute nothing to the context GEMM).
+    /// attention ([`cached_mha_rows`], with its intra-chunk causal
+    /// prefix) fans out across threads. Returns each session's
+    /// **last-row** logits — the next-token distribution after its chunk
+    /// — bit-identical to feeding the same tokens one [`step_session`]
+    /// at a time (softmax columns beyond a row's prefix carry
+    /// exactly-zero probability codes, which contribute nothing to the
+    /// context GEMM).
     ///
     /// Chunks may have different lengths; a length-1 chunk is exactly a
     /// decode step, so prefill chunks and decode steps can share one
@@ -396,34 +298,24 @@ impl QuantSeq2Seq {
                 }
                 r0 += chunk.len();
             }
-            let a = resblock_chunks(
-                &layer.self_mha,
-                &x,
-                &groups,
-                sessions
-                    .iter()
-                    .map(|s| CacheRef::paged(&arena.k, &s.layers[l].self_k))
-                    .collect(),
-                sessions
-                    .iter()
-                    .map(|s| CacheRef::paged(&arena.v, &s.layers[l].self_v))
-                    .collect(),
-                true,
-            );
-            let bm = resblock_chunks(
-                &layer.cross_mha,
-                &a,
-                &groups,
-                sessions
-                    .iter()
-                    .map(|s| CacheRef::flat(&s.layers[l].cross_k))
-                    .collect(),
-                sessions
-                    .iter()
-                    .map(|s| CacheRef::flat(&s.layers[l].cross_v))
-                    .collect(),
-                false,
-            );
+            let self_k: Vec<CacheRef<'_>> = sessions
+                .iter()
+                .map(|s| CacheRef::paged(&arena.k, &s.layers[l].self_k))
+                .collect();
+            let self_v: Vec<CacheRef<'_>> = sessions
+                .iter()
+                .map(|s| CacheRef::paged(&arena.v, &s.layers[l].self_v))
+                .collect();
+            let a = cached_mha_rows(&layer.self_mha, &x, &groups, &self_k, &self_v, true);
+            let cross_k: Vec<CacheRef<'_>> = sessions
+                .iter()
+                .map(|s| CacheRef::flat(&s.layers[l].cross_k))
+                .collect();
+            let cross_v: Vec<CacheRef<'_>> = sessions
+                .iter()
+                .map(|s| CacheRef::flat(&s.layers[l].cross_v))
+                .collect();
+            let bm = cached_mha_rows(&layer.cross_mha, &a, &groups, &cross_k, &cross_v, false);
             let (c, _) = layer.ffn.forward(&bm);
             x = c;
         }
@@ -462,12 +354,11 @@ impl QuantSeq2Seq {
     }
 
     /// Sequential (token-at-a-time) reference for prompted decoding:
-    /// feeds `BOS` then every prompt token through single-row steps,
-    /// then greedily generates up to `max_new` tokens. Returns only the
-    /// generated tokens. The chunked-prefill serving path must match
-    /// this bit for bit — it is the differential test's golden path and
-    /// the throughput bench's "token-at-a-time prompt ingestion"
-    /// baseline.
+    /// feeds `BOS` then every prompt token as one-token steps of one
+    /// session, then greedily generates up to `max_new` tokens. Returns
+    /// only the generated tokens. The serving path — any batch, any
+    /// chunk size, any page size — must match this bit for bit; it is
+    /// the differential suites' golden path.
     pub fn greedy_decode_with_prompt(
         &self,
         src: &[usize],
@@ -516,36 +407,28 @@ impl QuantIncrementalSession {
             .sum()
     }
 
-    /// Rewinds the session by one step: drops the newest row from every
-    /// layer's projected self-attention K/V cache and decrements `pos`.
+    /// Rewinds the session by `rows` steps: drops the newest `rows` rows
+    /// from every layer's projected self-attention K/V cache and moves
+    /// `pos` back.
     ///
     /// The caches hold *inputs* to the datapath (the projected codes of
-    /// tokens already consumed), so after a rollback the next
-    /// `step_session` with the same token is bit-identical to the first
-    /// attempt — the recovery primitive the serving layer's
-    /// retry-on-detected-fault path is built on. Truncation crosses page
-    /// boundaries: a page emptied by the rollback goes back to the
-    /// arena's free list.
+    /// tokens already consumed), so after a rollback, feeding the same
+    /// tokens again is bit-identical to the first attempt — the recovery
+    /// primitive the serving layer's retry-on-detected-fault path is
+    /// built on (a faulted chunk is rolled back and replayed whole,
+    /// whether it held one decode row or a prefill chunk). Truncation
+    /// crosses page boundaries: a page emptied by the rollback goes back
+    /// to the arena's free list.
     ///
     /// # Panics
     ///
-    /// Panics if the session has not consumed any tokens yet.
-    pub fn rollback_step(&mut self, arena: &mut KvArena) {
-        self.rollback_rows(arena, 1);
-    }
-
-    /// Rewinds the session by `rows` steps — the chunk-sized rollback a
-    /// faulted prefill step needs (a chunk is replayed whole, exactly
-    /// like a faulted decode row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has consumed fewer than `rows` tokens.
+    /// Panics if `rows` is zero or the session has consumed fewer than
+    /// `rows` tokens.
     pub fn rollback_rows(&mut self, arena: &mut KvArena, rows: usize) {
         assert!(rows > 0, "rollback of zero rows");
         assert!(
             self.pos >= rows,
-            "rollback_step on a fresh session (pos {} < rows {rows})",
+            "rollback of {rows} rows on a session at pos {}",
             self.pos
         );
         self.pos -= rows;
@@ -588,7 +471,6 @@ impl QuantIncrementalSession {
                 })
                 .collect(),
             pos: self.pos,
-            p_buf: Mat::zeros(1, self.p_buf.cols()),
         }
     }
 }
@@ -843,13 +725,13 @@ mod tests {
         let second = q.step_session(&mut arena, &mut s, 4);
         // Rewind the second step and replay it: logits and caches must
         // come back bit-identical.
-        s.rollback_step(&mut arena);
+        s.rollback_rows(&mut arena, 1);
         assert_eq!(s.pos(), 1);
         let replay = q.step_session(&mut arena, &mut s, 4);
         assert_eq!(second, replay);
         // Rewind everything and replay both steps.
-        s.rollback_step(&mut arena);
-        s.rollback_step(&mut arena);
+        s.rollback_rows(&mut arena, 1);
+        s.rollback_rows(&mut arena, 1);
         assert_eq!(s.pos(), 0);
         for cache in &s.layers {
             assert_eq!(cache.self_k.rows(), 0);
@@ -965,12 +847,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rollback_step on a fresh session")]
+    #[should_panic(expected = "rollback of 1 rows on a session at pos 0")]
     fn rollback_on_fresh_session_panics() {
         let (q, corpus) = setup();
         let mut arena = KvArena::for_model(&q);
         let mut s = q.start_session(&mut arena, &corpus[0].0);
-        s.rollback_step(&mut arena);
+        s.rollback_rows(&mut arena, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena width does not match")]
+    fn start_session_rejects_an_arena_of_the_wrong_width() {
+        let (q, corpus) = setup();
+        let mut arena = KvArena::new(q.tgt_embedding().d_model() + 8);
+        let _ = q.start_session(&mut arena, &corpus[0].0);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The quantized MHA ResBlock — the INT8 dataflow of Fig. 3a /
 //! Algorithm 1 lines 1–13, bit-exact with the accelerator.
 
-use std::sync::OnceLock;
-
 use fixedmath::quant::{QuantParams, Requantizer};
 use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{gemm, ops, Mat};
@@ -10,7 +8,7 @@ use transformer::functional::softmax_rows;
 use transformer::mha::MhaResBlock;
 
 use crate::calib::{linear_f32, MhaScales};
-use crate::exec::{BlockGraphs, PlannedGraph};
+use crate::exec::BlockGraphs;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
 use crate::softmax::{prob_scale, SoftmaxMode};
@@ -31,8 +29,6 @@ pub struct QuantMhaResBlock {
     mode: SoftmaxMode,
     /// [`graph::mha_graph`] as [`Self::forward`] runs it.
     graphs: BlockGraphs,
-    /// [`graph::mha_cached_graph`], for the incremental decoders.
-    cached_graph: OnceLock<PlannedGraph>,
 }
 
 impl QuantMhaResBlock {
@@ -199,7 +195,6 @@ impl QuantMhaResBlock {
             p_scale: scales.p,
             mode,
             graphs: BlockGraphs::default(),
-            cached_graph: OnceLock::new(),
         }
     }
 
@@ -323,12 +318,6 @@ impl QuantMhaResBlock {
         );
         let p = env.take("p").into_i8();
         (env.take("y").into_i8(), p)
-    }
-
-    /// The cached-KV operator graph of this block, planned once.
-    pub(crate) fn cached_graph(&self) -> &PlannedGraph {
-        self.cached_graph
-            .get_or_init(|| PlannedGraph::new(graph::mha_cached_graph(&self.graph_config())))
     }
 
     /// The graph-shape parameters of this block (`d_ff` is not an MHA

@@ -186,16 +186,9 @@ impl QuantSeq2Seq {
         &self.tgt_emb
     }
 
-    /// Applies the FP32 output projection to a decoder row, returning
-    /// vocabulary logits.
-    pub(crate) fn output_projection_logits(&self, x_row: &Mat<f32>) -> Vec<f32> {
-        self.out_proj.forward_inference(x_row).row(0).to_vec()
-    }
-
     /// Applies the FP32 output projection to a stack of decoder rows
     /// (one logit row per input row). The GEMM is row-independent, so
-    /// row `r` equals [`QuantSeq2Seq::output_projection_logits`] on row
-    /// `r` alone, bit for bit.
+    /// row `r` is the same bits whatever other rows are stacked with it.
     pub(crate) fn output_projection_rows(&self, x: &Mat<f32>) -> Mat<f32> {
         self.out_proj.forward_inference(x)
     }

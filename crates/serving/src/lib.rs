@@ -36,8 +36,8 @@
 //! exhausted.
 //!
 //! **Bit-identity guarantee:** the batched datapath is row-independent
-//! and the executor's intra-chunk causal mask produces exactly-zero
-//! probability codes for masked columns, so every response is
+//! and the intra-chunk causal prefix leaves exactly-zero probability
+//! codes for a row's future columns, so every response is
 //! bit-identical to decoding that request alone token-at-a-time
 //! ([`QuantSeq2Seq::greedy_decode_incremental`] /
 //! [`QuantSeq2Seq::greedy_decode_with_prompt`]) — regardless of batch
@@ -67,13 +67,14 @@
 //! [`ShardedRun::failures`] while every other shard's responses come
 //! back unaffected.
 //!
-//! Under the hood every step runs the shared cached-KV operator graph
-//! (`graph::mha_cached_graph`) through the `Executor` seam:
-//! [`QuantSeq2Seq::prefill_sessions_greedy`] drives `quantized::QuantRowExec`
-//! over the stacked chunk rows, so this layer is a *consumer* of the
-//! executor abstraction rather than a fifth hand-written forward path —
-//! swapping in another `graph::Executor` backend would not change any
-//! scheduling logic here.
+//! Under the hood there is one model call per step and one body
+//! behind it: [`QuantSeq2Seq::prefill_sessions_greedy`] stacks the
+//! chunk rows of every slot, runs each layer's weight GEMMs once over
+//! the stack (the FFN ResBlocks through `quantized::QuantExec`), and
+//! calls `quantized::cached_mha_rows` — a plain function over borrowed
+//! per-session caches, not a `graph::Executor` — for the attention
+//! ResBlocks. A decode row, a prefill chunk, a forked session and a
+//! replayed (rolled-back) chunk all take that same path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -364,7 +365,7 @@ pub struct ServingStats {
     /// [`Response`] and its KV pages return to the free list at once.
     pub cancelled: usize,
     /// Fused graph nodes executed by this engine's steps (`LinearRelu`,
-    /// `LinearAdd`, and the row executors' hand-fused drains). Zero when
+    /// `LinearAdd`, and `cached_mha_rows`' hand-fused drains). Zero when
     /// `ACCEL_NO_FUSE=1`.
     pub ops_fused: usize,
     /// Bytes of intermediate tensors fusion never materialized across

@@ -775,18 +775,6 @@ pub fn matmul_i8_with_threads(
     Ok(out)
 }
 
-/// Serial cache-blocked INT8 GEMM — the single-thread configuration of
-/// [`matmul_i8`], kept as a distinct entry point so benchmarks can
-/// isolate blocking gains from parallel speedup.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.rows()`.
-pub fn matmul_i8_blocked(a: &Mat<i8>, b: &Mat<i8>) -> Result<Mat<i32>, ShapeError> {
-    matmul_i8_with_threads(a, b, 1)
-        .map_err(|_| ShapeError::new("matmul_i8_blocked", a.shape(), b.shape()))
-}
-
 /// INT8 GEMM against the transpose of `b`: returns `a * b^T` with `i32`
 /// accumulation.
 ///
@@ -1035,7 +1023,11 @@ mod tests {
             let a = crate::init::uniform_i8(&mut rng, m, k);
             let b = crate::init::uniform_i8(&mut rng, k, n);
             let want = matmul_i8_ref(&a, &b).unwrap();
-            assert_eq!(matmul_i8_blocked(&a, &b).unwrap(), want, "({m},{k},{n})");
+            assert_eq!(
+                matmul_i8_with_threads(&a, &b, 1).unwrap(),
+                want,
+                "({m},{k},{n})"
+            );
             assert_eq!(matmul_i8(&a, &b).unwrap(), want, "({m},{k},{n})");
         }
     }
@@ -1044,7 +1036,7 @@ mod tests {
     fn blocked_i8_gemm_shape_error() {
         let a = Mat::<i8>::zeros(2, 3);
         let b = Mat::<i8>::zeros(2, 3);
-        assert!(matmul_i8_blocked(&a, &b).is_err());
+        assert!(matmul_i8_with_threads(&a, &b, 1).is_err());
     }
 
     #[test]

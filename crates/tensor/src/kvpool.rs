@@ -375,11 +375,9 @@ mod tests {
     fn gather_panel_matches_flat_submatrix() {
         let mut pool = KvPool::<i8>::new(3, 8);
         let mut seq = KvSeq::new();
-        let mut flat = Mat::zeros(0, 8);
+        let flat = Mat::from_fn(7, 8, |r, c| (r * 8 + c) as i8);
         for r in 0..7 {
-            let row: Vec<i8> = (0..8).map(|c| (r * 8 + c) as i8).collect();
-            pool.push_row(&mut seq, &row);
-            flat.push_row(&row);
+            pool.push_row(&mut seq, flat.row(r));
         }
         for (c0, w) in [(0usize, 8usize), (2, 4), (6, 2)] {
             assert_eq!(

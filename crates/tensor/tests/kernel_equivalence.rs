@@ -58,11 +58,6 @@ fn check_i8(m: usize, k: usize, n: usize, seed: u64) {
         want,
         "matmul_i8 ({m},{k},{n})"
     );
-    assert_eq!(
-        gemm::matmul_i8_blocked(&a, &b).unwrap(),
-        want,
-        "blocked ({m},{k},{n})"
-    );
     for t in THREADS {
         let got = gemm::matmul_i8_with_threads(&a, &b, t).unwrap();
         assert_eq!(got, want, "matmul_i8 ({m},{k},{n}) t={t}");

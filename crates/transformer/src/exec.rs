@@ -1,22 +1,21 @@
-//! FP32 executors for the ResBlock operator graphs.
+//! The FP32 executor for the ResBlock operator graphs.
 //!
 //! [`FloatExec`] interprets a graph node-by-node with the reference FP32
 //! primitives — it is what [`crate::mha::MhaResBlock::forward_inference`],
 //! [`crate::mha::MultiHeadAttention::forward_inference`] and
 //! [`crate::ffn::FfnResBlock::forward_inference`] run through.
-//! [`RowExec`] executes the cached-KV graph for incremental decoding,
-//! where every session attends over its own cache length; it fuses the
-//! per-head group into a per-row kernel and fans rows out across threads.
 //!
-//! Both are **bit-identical** to the hand-rolled loops they replaced:
-//! they call the same primitives (`gemm`, `ops`, `softmax_rows`,
+//! It is **bit-identical** to the hand-rolled loops it replaced: it
+//! calls the same primitives (`gemm`, `ops`, `softmax_rows`,
 //! `layernorm_rows`) in the same order, and the GEMM kernels never
-//! reorder a row's accumulation.
+//! reorder a row's accumulation. Cached-KV incremental decoding does
+//! not run through an executor: [`crate::incremental`] calls its
+//! ResBlock as a plain function (it never interprets a graph, and its
+//! inputs are per-session caches no other executor could take).
 
-use graph::{Env, ExecStats, Executor, Graph, GraphKind, Node, Op, PlanStep, WeightId};
+use graph::{Env, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
 use tensor::{gemm, ops, Mat};
 
-use crate::attention::attention_forward;
 use crate::ffn::FfnResBlock;
 use crate::functional::softmax_rows;
 use crate::layernorm::LayerNorm;
@@ -166,145 +165,12 @@ impl Executor for FloatExec<'_> {
     }
 }
 
-/// Value domain of [`RowExec`]: either a stack of active rows (one per
-/// session) or the per-session projected K/V caches those rows attend
-/// over.
-#[derive(Debug)]
-pub enum RowVal<'a> {
-    /// A `b × d_model` matrix of per-session rows.
-    Rows(Mat<f32>),
-    /// One borrowed cache matrix per session (lengths may differ).
-    Caches(Vec<&'a Mat<f32>>),
-}
-
-impl RowVal<'_> {
-    /// Unwraps the row-stack variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this value holds caches.
-    pub fn into_rows(self) -> Mat<f32> {
-        match self {
-            RowVal::Rows(m) => m,
-            RowVal::Caches(_) => panic!("expected a row tensor, found per-session caches"),
-        }
-    }
-}
-
-/// Cached-KV executor for the [`GraphKind::MhaCached`] graph: each of
-/// the `b` input rows attends over its own session's key/value cache.
-///
-/// The per-head group is fused into one per-row kernel (the caches have
-/// different lengths, so heads cannot be batched across sessions); rows
-/// fan out across threads via [`tensor::par::par_map`] when `b > 1` and
-/// run inline when `b == 1` (the single-token decode hot path). Row `r`
-/// of the output is bit-identical to running the executor on row `r`
-/// alone, for any batch composition.
-#[derive(Debug)]
-pub struct RowExec<'a> {
-    block: &'a MhaResBlock,
-    stats: ExecStats,
-}
-
-impl<'a> RowExec<'a> {
-    /// Executor over one MHA ResBlock's parameters.
-    pub fn new(block: &'a MhaResBlock) -> Self {
-        Self {
-            block,
-            stats: ExecStats::default(),
-        }
-    }
-}
-
-impl<'a> Executor for RowExec<'a> {
-    type Value = RowVal<'a>;
-
-    fn run(
-        &mut self,
-        graph: &Graph,
-        inputs: Vec<(&str, RowVal<'a>)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<RowVal<'a>> {
-        assert_eq!(
-            graph.kind,
-            GraphKind::MhaCached,
-            "RowExec executes the cached-KV MHA graph only"
-        );
-        debug_assert!(
-            mask.is_none(),
-            "cached decoding is causal by construction; no run-time mask"
-        );
-        let plan = graph.plan();
-        let mut env = Env::new(plan.slot_names.clone());
-        for (name, value) in inputs {
-            let slot = env.slot(name);
-            env.set(slot, value);
-        }
-        let x = match env.take("x") {
-            RowVal::Rows(m) => m,
-            RowVal::Caches(_) => panic!("input \"x\" must be a row tensor"),
-        };
-        let (keys, vals) = match (env.take("keys"), env.take("vals")) {
-            (RowVal::Caches(k), RowVal::Caches(v)) => (k, v),
-            _ => panic!("inputs \"keys\"/\"vals\" must be per-session caches"),
-        };
-        assert_eq!(x.rows(), keys.len(), "one key cache per row");
-        assert_eq!(x.rows(), vals.len(), "one value cache per row");
-
-        let mha = self.block.mha();
-        let (wq, _, _, wo) = mha.projections();
-        let h = mha.heads();
-        debug_assert_eq!(h, graph.cfg.h, "executor/graph head count mismatch");
-        let d_k = wq.d_in() / h;
-        let scale = 1.0 / (d_k as f32).sqrt();
-        let q = wq.forward_inference(&x);
-        let attend = |r: usize| -> Mat<f32> {
-            let (keys, vals) = (keys[r], vals[r]);
-            let mut heads = Vec::with_capacity(h);
-            for i in 0..h {
-                let c0 = i * d_k;
-                let qi = q.submatrix(r, c0, 1, d_k).expect("head panel");
-                let ki = keys.submatrix(0, c0, keys.rows(), d_k).expect("head panel");
-                let vi = vals.submatrix(0, c0, vals.rows(), d_k).expect("head panel");
-                let (out, _) = attention_forward(&qi, &ki, &vi, None, scale);
-                heads.push(out);
-            }
-            Mat::hconcat(&heads).expect("heads share rows")
-        };
-        let att_rows: Vec<Mat<f32>> = if x.rows() == 1 {
-            vec![attend(0)]
-        } else {
-            let rows: Vec<usize> = (0..x.rows()).collect();
-            tensor::par::par_map(&rows, |&r| attend(r))
-        };
-        let concat = Mat::vconcat(&att_rows).expect("rows share width");
-        let res = if tensor::envcfg::fuse_enabled() {
-            let bytes = concat.rows() * wo.d_out() * std::mem::size_of::<f32>();
-            self.stats.ops_fused += 1;
-            self.stats.intermediates_elided_bytes += bytes;
-            graph::tally::note_fused(1, bytes);
-            wo.forward_inference_add(&concat, &x)
-        } else {
-            let sub = wo.forward_inference(&concat);
-            ops::add(&x, &sub).expect("residual shape")
-        };
-        let y = self.block.layernorm().forward_inference(&res);
-        self.stats.nodes += graph.nodes.len();
-        let out_slot = env.slot("y");
-        env.set(out_slot, RowVal::Rows(y));
-        env
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::attention_forward;
     use crate::config::ModelConfig;
-    use graph::{ffn_graph, mha_cached_graph, mha_graph, GraphConfig};
+    use graph::{ffn_graph, mha_graph, GraphConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -413,90 +279,6 @@ mod tests {
         let _ = env.take("y");
         assert_eq!(exec.stats().nodes, g.nodes.len());
         assert_eq!(exec.stats().cycles, None);
-    }
-
-    #[test]
-    fn row_exec_single_row_matches_full_graph() {
-        // One row attending over a cache equals the full MHA graph on the
-        // same data when the cache holds the projected K/V of the whole
-        // prefix and the query is the last row.
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(16);
-        let block = MhaResBlock::new(&cfg, &mut rng);
-        let x = tensor::init::normal(&mut rng, 4, cfg.d_model, 1.0);
-        let (_, wk, wv, _) = block.mha().projections();
-        let keys = wk.forward_inference(&x);
-        let vals = wv.forward_inference(&x);
-        let last = x.submatrix(3, 0, 1, cfg.d_model).unwrap();
-
-        let g = mha_cached_graph(&gcfg(&cfg));
-        let mut exec = RowExec::new(&block);
-        let mut env = exec.run(
-            &g,
-            vec![
-                ("x", RowVal::Rows(last.clone())),
-                ("keys", RowVal::Caches(vec![&keys])),
-                ("vals", RowVal::Caches(vec![&vals])),
-            ],
-            None,
-        );
-        let got = env.take("y").into_rows();
-
-        // Full graph on the whole prefix; causal row 3 sees all 4 keys.
-        let full = block.forward_inference(&x, &x, &x, None);
-        for c in 0..cfg.d_model {
-            assert_eq!(got[(0, c)], full[(3, c)]);
-        }
-    }
-
-    #[test]
-    fn row_exec_batch_rows_are_independent() {
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(17);
-        let block = MhaResBlock::new(&cfg, &mut rng);
-        let x = tensor::init::normal(&mut rng, 3, cfg.d_model, 1.0);
-        let caches: Vec<(Mat<f32>, Mat<f32>)> = (0..3)
-            .map(|i| {
-                let m = tensor::init::normal(&mut rng, 2 + i, cfg.d_model, 1.0);
-                let (_, wk, wv, _) = block.mha().projections();
-                (wk.forward_inference(&m), wv.forward_inference(&m))
-            })
-            .collect();
-        let g = mha_cached_graph(&gcfg(&cfg));
-
-        let mut batched = RowExec::new(&block);
-        let mut env = batched.run(
-            &g,
-            vec![
-                ("x", RowVal::Rows(x.clone())),
-                (
-                    "keys",
-                    RowVal::Caches(caches.iter().map(|c| &c.0).collect()),
-                ),
-                (
-                    "vals",
-                    RowVal::Caches(caches.iter().map(|c| &c.1).collect()),
-                ),
-            ],
-            None,
-        );
-        let got = env.take("y").into_rows();
-
-        for (r, cache) in caches.iter().enumerate() {
-            let row = x.submatrix(r, 0, 1, cfg.d_model).unwrap();
-            let mut single = RowExec::new(&block);
-            let mut env = single.run(
-                &g,
-                vec![
-                    ("x", RowVal::Rows(row)),
-                    ("keys", RowVal::Caches(vec![&cache.0])),
-                    ("vals", RowVal::Caches(vec![&cache.1])),
-                ],
-                None,
-            );
-            let want = env.take("y").into_rows();
-            assert_eq!(got.row(r), want.row(0), "row {r}");
-        }
     }
 
     #[test]

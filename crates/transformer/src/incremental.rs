@@ -24,13 +24,18 @@
 //!
 //! Sessions hold only block tables; call
 //! [`IncrementalSession::release`] (or drop the arena) to recycle pages.
+//!
+//! There is one step body, [`step_batch`]: the active rows of any
+//! number of sessions are stacked so each layer's projections and FFN
+//! run as one GEMM, and the cached-attention ResBlock is a plain
+//! function over per-session caches. [`IncrementalSession::step`] is
+//! `step_batch` on one session.
 
 use fixedmath::quant::QuantParams;
-use graph::{Executor, Graph, GraphConfig};
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
-use tensor::Mat;
+use tensor::{ops, Mat};
 
-use crate::exec::{RowExec, RowVal};
+use crate::attention::attention_forward;
 use crate::mha::MhaResBlock;
 use crate::model::Seq2SeqTransformer;
 
@@ -213,41 +218,46 @@ pub struct IncrementalSession {
     pos: usize,
 }
 
-/// The cached-KV graph for this model's decoder blocks, built once per
-/// step and shared by the self- and cross-attention ResBlocks (same
-/// shape parameters).
-fn cached_graph(model: &Seq2SeqTransformer) -> Graph {
-    graph::mha_cached_graph(&GraphConfig {
-        d_model: model.config().d_model,
-        d_ff: 0,
-        h: model.config().h,
-    })
-}
-
-/// Applies a full MHA ResBlock to a stack of rows, one per session, by
-/// running the cached-KV graph through [`RowExec`]: the `W_Q` and `W_O`
-/// projections run once over all rows; the per-session attention
-/// (different cache lengths) fans out across threads. The GEMM kernels
-/// never reorder a row's accumulation, so row `r` is bit-identical to a
+/// Applies a full MHA ResBlock to a stack of rows, one per session,
+/// each attending over its own session's projected K/V cache: the `W_Q`
+/// and `W_O` projections run once over all rows; the per-session
+/// attention (different cache lengths, so heads cannot be batched
+/// across sessions) fans out across threads. The GEMM kernels never
+/// reorder a row's accumulation, so row `r` is bit-identical to a
 /// single-row run on row `r` alone.
-fn resblock_rows(
-    g: &Graph,
-    block: &MhaResBlock,
-    x: &Mat<f32>,
-    kvs: &[(&Mat<f32>, &Mat<f32>)],
-) -> Mat<f32> {
-    debug_assert_eq!(x.rows(), kvs.len());
-    let mut exec = RowExec::new(block);
-    let mut env = exec.run(
-        g,
-        vec![
-            ("x", RowVal::Rows(x.clone())),
-            ("keys", RowVal::Caches(kvs.iter().map(|kv| kv.0).collect())),
-            ("vals", RowVal::Caches(kvs.iter().map(|kv| kv.1).collect())),
-        ],
-        None,
-    );
-    env.take("y").into_rows()
+fn resblock_rows(block: &MhaResBlock, x: &Mat<f32>, kvs: &[(&Mat<f32>, &Mat<f32>)]) -> Mat<f32> {
+    assert_eq!(x.rows(), kvs.len(), "one K/V cache pair per row");
+    let (wq, _, _, wo) = block.mha().projections();
+    let h = block.mha().heads();
+    let d_k = wq.d_in() / h;
+    let scale = 1.0 / (d_k as f32).sqrt();
+    let q = wq.forward_inference(x);
+    let rows: Vec<usize> = (0..x.rows()).collect();
+    let att_rows = tensor::par::par_map(&rows, |&r| {
+        let (keys, vals) = kvs[r];
+        let mut heads = Vec::with_capacity(h);
+        for i in 0..h {
+            let c0 = i * d_k;
+            let qi = q.submatrix(r, c0, 1, d_k).expect("head panel");
+            let ki = keys.submatrix(0, c0, keys.rows(), d_k).expect("head panel");
+            let vi = vals.submatrix(0, c0, vals.rows(), d_k).expect("head panel");
+            let (out, _) = attention_forward(&qi, &ki, &vi, None, scale);
+            heads.push(out);
+        }
+        Mat::hconcat(&heads).expect("heads share rows")
+    });
+    let concat = Mat::vconcat(&att_rows).expect("rows share width");
+    // The W_O projection and the residual add fuse into one drain (the
+    // fused-graph `LinearAdd(Wo)` rewrite, applied by hand).
+    let res = if tensor::envcfg::fuse_enabled() {
+        let bytes = concat.rows() * wo.d_out() * std::mem::size_of::<f32>();
+        graph::tally::note_fused(1, bytes);
+        wo.forward_inference_add(&concat, x)
+    } else {
+        let sub = wo.forward_inference(&concat);
+        ops::add(x, &sub).expect("residual shape")
+    };
+    block.layernorm().forward_inference(&res)
 }
 
 impl IncrementalSession {
@@ -343,7 +353,7 @@ impl IncrementalSession {
     }
 
     /// Feeds one target token (at the next position) and returns the
-    /// next-token vocabulary logits.
+    /// next-token vocabulary logits: [`step_batch`] on this session alone.
     ///
     /// # Panics
     ///
@@ -354,43 +364,17 @@ impl IncrementalSession {
         arena: &mut FpKvArena,
         token: usize,
     ) -> Vec<f32> {
-        let g = cached_graph(model);
-        let mut x = Mat::zeros(1, model.config().d_model);
-        model
-            .tgt_embedding()
-            .embed_into(token, self.pos, x.row_mut(0));
-        for (layer, cache) in model.decoder().layers().iter().zip(&mut self.layers) {
-            let (self_blk, cross_blk, ffn_blk) = layer.blocks();
-            // Append this position's projected self-attention K/V.
-            let (_, wk, wv, _) = self_blk.mha().projections();
-            let k_new = wk.forward_inference(&x);
-            let v_new = wv.forward_inference(&x);
-            arena.k.push(&mut cache.self_k, k_new.row(0));
-            arena.v.push(&mut cache.self_v, v_new.row(0));
-            // Causal self-attention over the cache (past + current only).
-            let sk = arena.k.to_mat(&cache.self_k);
-            let sv = arena.v.to_mat(&cache.self_v);
-            let a = resblock_rows(&g, self_blk, &x, &[(&sk, &sv)]);
-            // Cross-attention over the fixed encoder K/V.
-            let b = resblock_rows(&g, cross_blk, &a, &[(&cache.cross_k, &cache.cross_v)]);
-            // Position-wise FFN on the single row.
-            x = ffn_blk.forward_inference(&b);
-        }
-        self.pos += 1;
-        // Route through forward_inference so the output projection's
-        // prepacked weights are reused across steps.
-        let logits = model.output_projection().forward_inference(&x);
-        logits.row(0).to_vec()
+        step_batch(model, arena, &mut [self], &[token]).remove(0)
     }
 }
 
 /// Advances several sessions by one token each, batching the GEMMs: the
 /// active rows are stacked into one `b × d_model` matrix, and each
 /// layer's projections, FFN sublayers and the output projection run once
-/// over all rows. Row `r`'s logits are bit-identical to
-/// [`IncrementalSession::step`] on session `r` alone (the GEMM kernels
-/// never reorder a row's accumulation), for any batch composition.
-/// Sessions may sit at different positions.
+/// over all rows — the one step body of FP32 incremental decoding.
+/// Row `r`'s logits are bit-identical to advancing session `r` alone
+/// (the GEMM kernels never reorder a row's accumulation), for any batch
+/// composition. Sessions may sit at different positions.
 ///
 /// # Panics
 ///
@@ -403,7 +387,6 @@ pub fn step_batch(
 ) -> Vec<Vec<f32>> {
     assert_eq!(sessions.len(), tokens.len(), "one token per session");
     assert!(!sessions.is_empty(), "empty step batch");
-    let g = cached_graph(model);
     let b = sessions.len();
     let d_model = model.config().d_model;
     let mut x = Mat::zeros(b, d_model);
@@ -432,12 +415,12 @@ pub fn step_batch(
             .collect();
         let self_kvs: Vec<(&Mat<f32>, &Mat<f32>)> =
             self_mats.iter().map(|kv| (&kv.0, &kv.1)).collect();
-        let a = resblock_rows(&g, self_blk, &x, &self_kvs);
+        let a = resblock_rows(self_blk, &x, &self_kvs);
         let cross_kvs: Vec<(&Mat<f32>, &Mat<f32>)> = sessions
             .iter()
             .map(|s| (&s.layers[l].cross_k, &s.layers[l].cross_v))
             .collect();
-        let bm = resblock_rows(&g, cross_blk, &a, &cross_kvs);
+        let bm = resblock_rows(cross_blk, &a, &cross_kvs);
         x = ffn_blk.forward_inference(&bm);
     }
     for session in sessions.iter_mut() {
@@ -615,6 +598,48 @@ mod tests {
             agree * 2 > total,
             "Int8 paged decodes diverged on {agree}/{total} prompts"
         );
+    }
+
+    #[test]
+    fn resblock_single_row_matches_full_block() {
+        // One row attending over a cache equals the full MHA ResBlock on
+        // the same data when the cache holds the projected K/V of the
+        // whole prefix and the query is the last row.
+        let cfg = ModelConfig::tiny_for_tests();
+        let mut rng = StdRng::seed_from_u64(16);
+        let block = MhaResBlock::new(&cfg, &mut rng);
+        let x = tensor::init::normal(&mut rng, 4, cfg.d_model, 1.0);
+        let (_, wk, wv, _) = block.mha().projections();
+        let keys = wk.forward_inference(&x);
+        let vals = wv.forward_inference(&x);
+        let last = x.submatrix(3, 0, 1, cfg.d_model).unwrap();
+        let got = resblock_rows(&block, &last, &[(&keys, &vals)]);
+        // Unmasked full block: its row 3 sees all 4 keys, as the cached
+        // row does.
+        let full = block.forward_inference(&x, &x, &x, None);
+        assert_eq!(got.row(0), full.row(3));
+    }
+
+    #[test]
+    fn resblock_batch_rows_are_independent() {
+        let cfg = ModelConfig::tiny_for_tests();
+        let mut rng = StdRng::seed_from_u64(17);
+        let block = MhaResBlock::new(&cfg, &mut rng);
+        let x = tensor::init::normal(&mut rng, 3, cfg.d_model, 1.0);
+        let (_, wk, wv, _) = block.mha().projections();
+        let caches: Vec<(Mat<f32>, Mat<f32>)> = (0..3)
+            .map(|i| {
+                let m = tensor::init::normal(&mut rng, 2 + i, cfg.d_model, 1.0);
+                (wk.forward_inference(&m), wv.forward_inference(&m))
+            })
+            .collect();
+        let kvs: Vec<(&Mat<f32>, &Mat<f32>)> = caches.iter().map(|c| (&c.0, &c.1)).collect();
+        let got = resblock_rows(&block, &x, &kvs);
+        for r in 0..3 {
+            let row = x.submatrix(r, 0, 1, cfg.d_model).unwrap();
+            let want = resblock_rows(&block, &row, &kvs[r..=r]);
+            assert_eq!(got.row(r), want.row(0), "row {r}");
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! (`tensor::prepack::matmul_prepacked_epilogue` and the INT8
 //! equivalent). Because the fused drains apply the identical per-element
 //! operations in the identical order, fused and unfused paths are
-//! bit-identical — these tests pin that across all five executors
-//! (`FloatExec`, `RowExec`, `QuantExec`, `QuantRowExec`, `AccelExec`),
-//! the serving engine's chunked prefill, and the rollback-after-fault
-//! decode path, plus the `ACCEL_NO_FUSE=1` escape hatch restoring the
-//! unfused graph byte-for-byte.
+//! bit-identical — these tests pin that across the three executors
+//! (`FloatExec`, `QuantExec`, `AccelExec`), the two cached-KV decode
+//! bodies (`transformer::incremental::step_batch`,
+//! `quantized::cached_mha_rows`) with their hand-fused `W_O` + residual
+//! drains, the serving engine's chunked prefill, and the
+//! rollback-after-fault decode path, plus the `ACCEL_NO_FUSE=1` escape
+//! hatch restoring the unfused graph byte-for-byte.
 //!
 //! The fuse switch is process-wide (`tensor::envcfg`), so every test
 //! here serializes on one mutex.
@@ -104,7 +106,7 @@ fn row_exec_incremental_decode_is_bit_identical() {
         let (f, u) = both_ways(|| {
             greedy_decode_incremental_paged(&model, src, BOS, EOS, 8, PagedKvMode::Fp32)
         });
-        assert_eq!(f, u, "RowExec decode diverged under fusion, src {src:?}");
+        assert_eq!(f, u, "cached decode diverged under fusion, src {src:?}");
         // And against the full-prefix recompute, so the fused cached
         // path stays anchored to the reference, not just to itself.
         assert_eq!(f, model.greedy_decode(src, BOS, EOS, 8));
@@ -136,8 +138,9 @@ fn quant_exec_fused_is_bit_identical() {
 
 #[test]
 fn serving_decode_and_chunked_prefill_are_bit_identical() {
-    // QuantRowExec end to end: single-token decode, batched decode, and
-    // chunked prefill through the paged KV arena, fused vs unfused.
+    // `cached_mha_rows` end to end: batched one-row decode chunks and
+    // multi-row prefill chunks through the paged KV arena, fused vs
+    // unfused.
     let _l = FuseLock::acquire();
     let (_, quant, srcs) = models(0xF5E2);
     let prompts: Vec<Vec<usize>> = srcs

@@ -1,11 +1,15 @@
-//! Cross-crate differential decode: the same prompts pushed through the
-//! single-row and batched incremental paths — both now driven by the
-//! shared cached-KV operator graph through `RowExec` (FP32) and
-//! `QuantRowExec` (INT8) — must produce bit-identical logits and the
-//! same greedy decodes as the full-prefix recompute, every CI run.
+//! Cross-crate differential decode. Each incremental decoder has one
+//! step body (`transformer::incremental::step_batch`,
+//! `QuantSeq2Seq::prefill_sessions`); the same prompts pushed through it
+//! one session at a time, batched, and in ragged chunks must produce
+//! bit-identical logits — independent of batch composition and chunk
+//! shape — and, against the full-prefix recompute (which shares no
+//! attention code with the cached path), the same bits and the same
+//! greedy decodes, every CI run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tensor::Mat;
 use transformer_accel::quantized::incremental::{KvArena, QuantIncrementalSession};
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
@@ -142,66 +146,124 @@ fn greedy_prefill_tokens_are_the_argmax_of_the_logits() {
     }
 }
 
-/// Ragged prefill chunks against token-at-a-time decoding: two sessions
-/// take chunks of 1, 2, 63, 64 and 65 rows (in different orders, so each
-/// call mixes lengths) at contexts that are never a multiple of 16 or 64
-/// — every row's legal prefix ends mid-vector and mid-tile. The logits
-/// after each chunk must equal, bit for bit, the logits `step_session`
-/// gives at that position, whatever the worker count and with the SIMD
-/// tiers forced off.
-#[test]
-fn ragged_prefill_chunks_match_sequential_steps() {
-    let (_, quant, srcs) = setup();
-    // Contexts after each chunk: 3, 68, 69, 132, 134, 198 and
-    // 5, 6, 70, 72, 137, 200.
-    let lens: [[usize; 6]; 2] = [[3, 65, 1, 63, 2, 64], [5, 1, 64, 2, 65, 63]];
-    let total: usize = lens[0].iter().sum::<usize>().max(lens[1].iter().sum());
-    let prompts: Vec<Vec<usize>> = (0..2)
+/// The ragged chunk schedule of the two tests below: two sessions take
+/// chunks of 1, 2, 63, 64 and 65 rows (in different orders, so each call
+/// mixes lengths and the sessions sit at different positions) at
+/// contexts that are never a multiple of 16 or 64 — every row's legal
+/// prefix ends mid-vector and mid-tile. Contexts after each chunk:
+/// 3, 68, 69, 132, 134, 198 and 5, 6, 70, 72, 137, 200. Returns the
+/// chunk lengths and one prompt per session covering them.
+fn ragged_schedule(srcs: &[Vec<usize>]) -> ([[usize; 6]; 2], Vec<Vec<usize>>) {
+    let lens = [[3, 65, 1, 63, 2, 64], [5, 1, 64, 2, 65, 63]];
+    let prompts = (0..2)
         .map(|s| {
+            let n: usize = lens[s].iter().sum();
             let mut p = vec![BOS];
-            p.extend(srcs[s].iter().cycle().take(total - 1));
+            p.extend(srcs[s].iter().cycle().take(n - 1));
             p
         })
         .collect();
+    (lens, prompts)
+}
+
+/// Feeds both sessions their ragged chunks through `prefill_sessions`
+/// and checks, after every chunk, each session's logits against
+/// `want(session, rows consumed)`.
+fn check_ragged_chunks(
+    quant: &QuantSeq2Seq,
+    srcs: &[Vec<usize>],
+    want: impl Fn(usize, usize) -> Vec<f32>,
+    config: &str,
+) {
+    let (lens, prompts) = ragged_schedule(srcs);
+    let mut arena = KvArena::for_model(quant);
+    let mut chunked: Vec<QuantIncrementalSession> = (0..2)
+        .map(|s| quant.start_session(&mut arena, &srcs[s]))
+        .collect();
+    let mut pos = [0usize; 2];
+    for step in 0..lens[0].len() {
+        let chunks: Vec<&[usize]> = (0..2)
+            .map(|s| &prompts[s][pos[s]..pos[s] + lens[s][step]])
+            .collect();
+        let mut refs: Vec<&mut QuantIncrementalSession> = chunked.iter_mut().collect();
+        let got = quant.prefill_sessions(&mut arena, &mut refs, &chunks);
+        for s in 0..2 {
+            pos[s] += lens[s][step];
+            assert!(pos[s] % 16 != 0, "context {} defeats the test", pos[s]);
+            assert_eq!(
+                got[s],
+                want(s, pos[s]),
+                "session {s} after {} rows, {config}",
+                pos[s]
+            );
+            assert_eq!(chunked[s].pos(), pos[s]);
+        }
+    }
+}
+
+/// Chunk-shape independence: the logits after each ragged chunk must
+/// equal, bit for bit, the logits `step_session` (one-row chunks of one
+/// session) gives at that position, whatever the worker count and with
+/// the SIMD tiers forced off.
+#[test]
+fn ragged_prefill_chunks_match_sequential_steps() {
+    let (_, quant, srcs) = setup();
+    let (_, prompts) = ragged_schedule(&srcs);
     for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
         tensor::par::set_thread_override(Some(threads));
         tensor::simd::set_simd_override(simd);
-        let mut arena_s = KvArena::for_model(&quant);
-        let mut arena_c = KvArena::for_model(&quant);
-        let mut chunked: Vec<QuantIncrementalSession> = (0..2)
-            .map(|s| quant.start_session(&mut arena_c, &srcs[s]))
-            .collect();
         // Sequential logits at every position of both prompts.
+        let mut arena = KvArena::for_model(&quant);
         let sequential: Vec<Vec<Vec<f32>>> = (0..2)
             .map(|s| {
-                let mut session = quant.start_session(&mut arena_s, &srcs[s]);
-                let n: usize = lens[s].iter().sum();
-                prompts[s][..n]
+                let mut session = quant.start_session(&mut arena, &srcs[s]);
+                prompts[s]
                     .iter()
-                    .map(|&t| quant.step_session(&mut arena_s, &mut session, t))
+                    .map(|&t| quant.step_session(&mut arena, &mut session, t))
                     .collect()
             })
             .collect();
-        let mut pos = [0usize; 2];
-        for step in 0..lens[0].len() {
-            let chunks: Vec<&[usize]> = (0..2)
-                .map(|s| &prompts[s][pos[s]..pos[s] + lens[s][step]])
-                .collect();
-            let mut refs: Vec<&mut QuantIncrementalSession> = chunked.iter_mut().collect();
-            let got = quant.prefill_sessions(&mut arena_c, &mut refs, &chunks);
-            for s in 0..2 {
-                pos[s] += lens[s][step];
-                assert!(pos[s] % 16 != 0, "context {} defeats the test", pos[s]);
-                assert_eq!(
-                    got[s],
-                    sequential[s][pos[s] - 1],
-                    "session {s} after {} rows, threads {threads}, simd {simd:?}",
-                    pos[s]
-                );
-                assert_eq!(chunked[s].pos(), pos[s]);
-            }
-        }
+        check_ragged_chunks(
+            &quant,
+            &srcs,
+            |s, rows| sequential[s][rows - 1].clone(),
+            &format!("threads {threads}, simd {simd:?}"),
+        );
         tensor::simd::set_simd_override(None);
         tensor::par::set_thread_override(None);
+    }
+}
+
+/// The one INT8 step body against a reference that shares no attention
+/// code with it: the logits after each ragged chunk must equal, bit for
+/// bit, the matching row of `forward_logits` — the full recompute of the
+/// whole prompt through `QuantExec`, dense per-head GEMMs and a causal
+/// mask matrix — whatever the worker count, with the SIMD tiers forced
+/// off, and with the fused drains (one-row attention, `W_G` + residual)
+/// on and off.
+#[test]
+fn ragged_prefill_chunks_match_full_recompute() {
+    let (_, quant, srcs) = setup();
+    let (_, prompts) = ragged_schedule(&srcs);
+    let full: Vec<Mat<f32>> = (0..2)
+        .map(|s| quant.forward_logits(&srcs[s], &prompts[s]))
+        .collect();
+    for threads in [1, 2] {
+        for simd in [None, Some(false)] {
+            for fuse in [true, false] {
+                tensor::par::set_thread_override(Some(threads));
+                tensor::simd::set_simd_override(simd);
+                tensor::envcfg::set_fuse_override(Some(fuse));
+                check_ragged_chunks(
+                    &quant,
+                    &srcs,
+                    |s, rows| full[s].row(rows - 1).to_vec(),
+                    &format!("threads {threads}, simd {simd:?}, fuse {fuse}"),
+                );
+                tensor::envcfg::set_fuse_override(None);
+                tensor::simd::set_simd_override(None);
+                tensor::par::set_thread_override(None);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Differential suite for the shared-prefix KV cache: decode from a
 //! forked, page-aligned prefix snapshot must be **byte-identical** to a
 //! cold start that prefilled every row itself — across the FP32 and
-//! INT8 row executors, through the serving engine's admission path, and
+//! INT8 incremental decoders, through the serving engine's admission path, and
 //! through an ABFT fault-rollback that lands on a shared page boundary
 //! (the rollback must copy-on-write, never mutate a page the cache
 //! still holds).
