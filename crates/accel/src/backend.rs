@@ -23,10 +23,14 @@
 //!
 //! Implementations:
 //!
-//! * [`PaperBackend`] — the SOCC'20 engine, byte-for-byte the
-//!   pre-refactor lowering/ISA/scheduler/area stack (golden ISA
-//!   programs and the MHA 20998 / FFN 35846 cycle pins are asserted
-//!   unchanged by `tests/isa_golden.rs`);
+//! * [`PaperBackend`] — the SOCC'20 engine: the graph lowering
+//!   ([`crate::exec`]), the two interpreters of the lowered command
+//!   stream ([`crate::isa`]: bit-exact execution and the one timing
+//!   walk) and the Table-II area model. It is the public way to run a
+//!   ResBlock on the modelled array — [`crate::top::Accelerator`] is a
+//!   length-checked wrapper over it (golden ISA programs, schedules and
+//!   the MHA 20998 / FFN 35846 cycle pins are asserted by
+//!   `tests/isa_golden.rs`);
 //! * [`crate::tiled::TiledBackend`] — a KV260-style small tiled array
 //!   with explicit DDR tile traffic and a bandwidth-aware cycle model;
 //! * [`crate::circulant::CirculantBackend`] — FTRANS-style
@@ -163,14 +167,11 @@ pub trait Backend {
     fn run_ffn(&self, prog: &BackendProgram, block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8>;
 }
 
-/// The SOCC'20 design as a [`Backend`]: a thin adapter over the
-/// existing lowering ([`crate::exec::lower_mha`] /
-/// [`crate::exec::lower_ffn`]), the bit-exact ISA interpreter
-/// ([`crate::isa::execute_mha`] / [`crate::isa::execute_ffn`]), the
-/// timing interpreter ([`crate::isa::schedule_program`]) and the
-/// Table-II area model. Every call delegates to the exact functions the
-/// golden tests pin, so wrapping the paper engine in the trait cannot
-/// move a single cycle or bit.
+/// The SOCC'20 design as a [`Backend`]: the graph lowering
+/// ([`crate::exec::lower_mha`] / [`crate::exec::lower_ffn`]), the
+/// bit-exact interpreter of the lowered command stream, the timing walk
+/// of the same stream ([`crate::isa::schedule_program`]) and the
+/// Table-II area model.
 #[derive(Debug, Clone)]
 pub struct PaperBackend {
     cfg: AccelConfig,
@@ -193,7 +194,7 @@ impl PaperBackend {
         &self.cfg
     }
 
-    fn isa<'p>(&self, prog: &'p BackendProgram) -> &'p [Command] {
+    pub(crate) fn isa<'p>(&self, prog: &'p BackendProgram) -> &'p [Command] {
         match prog {
             BackendProgram::Isa(p) => p,
             other => panic!("paper backend fed a foreign program ({} ops)", other.len()),
@@ -258,9 +259,9 @@ mod tests {
 
     #[test]
     fn paper_backend_lowering_and_timing_equal_the_unwrapped_stack() {
-        // The trait adapter must be a zero-cost rename: identical
-        // command streams and identical cycle counts, including the
-        // pinned paper point (MHA 20998 / FFN 35846).
+        // The trait adds nothing of its own: the command streams are
+        // the `isa` programs and the cycle counts the pinned paper
+        // point (MHA 20998 / FFN 35846).
         let be = PaperBackend::paper_default();
         let cfg = be.config().clone();
         let gcfg = GraphConfig {
@@ -314,12 +315,22 @@ mod tests {
         let got = be.run_mha(&prog, &qmha, &xq, &xq, None);
         let (want, _) = qmha.forward(&xq, &xq, None);
         assert_eq!(got, want);
+        let mha_cycles = be.cycles(&prog, 8);
+        assert_eq!(
+            mha_cycles,
+            isa::schedule_program(be.config(), &isa::mha_program(mcfg.h, 8), 8).get()
+        );
 
         let x = qffn.quantize_input(&calib[1]);
         let prog = be.lower_ffn(&ffn_graph(&gcfg));
         let got = be.run_ffn(&prog, &qffn, &x);
         let (want, _) = qffn.forward(&x);
         assert_eq!(got, want);
+        // A layer's cycles are the sum over the programs it ran.
+        let layer = mha_cycles + be.cycles(&prog, 8);
+        let blocks = crate::scheduler::schedule_mha(be.config()).cycles
+            + crate::scheduler::schedule_ffn(be.config()).cycles;
+        assert_eq!(layer, blocks.get());
     }
 
     #[test]

@@ -638,7 +638,7 @@ impl CirculantBackend {
         let hidden = self.circ_layer(x, w1, true, 1, fault.as_ref(), &mut report);
         let y2 = self.circ_layer(&hidden, w2, false, 2, fault.as_ref(), &mut report);
         // Residual add in the shared x code domain, then the reference
-        // integer LayerNorm — identical tail to `isa::execute_ffn`.
+        // integer LayerNorm — identical tail to the ISA interpreter's.
         let g = Mat::from_fn(x.rows(), x.cols(), |r, c| {
             y2[(r, c)] as i32 + x[(r, c)] as i32
         });

@@ -301,18 +301,10 @@ impl ArrayEngine {
     /// A full linear sublayer: every 64-column weight panel streamed
     /// through the array, bias added and requantized on the drain path.
     fn linear(&mut self, lin: &QLinear, x: &Mat<i8>) -> Mat<i8> {
-        let panels = lin.weight_q().col_panels(PANEL_COLS);
-        let mut outs = Vec::with_capacity(panels.len());
-        let mut c0 = 0usize;
-        for panel in &panels {
-            let acc = self.pass(x, panel);
-            let bias = &lin.bias_q()[c0..c0 + panel.cols()];
-            outs.push(Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-                lin.requantize_col(c0 + c, acc[(r, c)] + bias[c])
-            }));
-            c0 += panel.cols();
-        }
-        Mat::hconcat(&outs).expect("panels share rows")
+        let acc = self.linear_acc(lin, x);
+        Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
+            lin.requantize_col(c, acc[(r, c)])
+        })
     }
 
     /// Like [`ArrayEngine::linear`] but the raw accumulators (+bias) are

@@ -1,24 +1,33 @@
 //! The accelerator's command stream: Algorithm 1 as an explicit
-//! instruction sequence, with two interpreters.
+//! instruction sequence, and the only place its schedule is written
+//! down.
 //!
 //! A real implementation of the paper's design has a small control unit
 //! stepping through a static schedule; this module makes that program
-//! first-class:
+//! first-class and gives it one interpreter per semantics:
 //!
 //! * [`mha_program`] / [`ffn_program`] — the instruction list for one
-//!   ResBlock;
-//! * [`execute_mha`] / [`execute_ffn`] — a **bit-exact interpreter**
-//!   driving the quantized datapath command by command (outputs equal
+//!   ResBlock, lowered from the operator graph;
+//! * the **bit-exact interpreter** (`execute_mha` / `execute_ffn`,
+//!   reached through [`crate::backend::Backend::run_mha`] /
+//!   [`crate::backend::Backend::run_ffn`]) driving the quantized
+//!   datapath command by command (outputs equal
 //!   [`quantized::QuantMhaResBlock::forward`] exactly);
-//! * [`schedule_program`] — a **timing interpreter** mapping the same
-//!   commands onto the unit timeline (cycle counts equal
-//!   [`crate::scheduler`]'s, asserted by tests).
+//! * the **timing walk** behind [`schedule_program`] and every
+//!   [`crate::scheduler`] report — the *only* schedule: Algorithm 1's
+//!   dependency edges and the `overlap_*` policy switches are read
+//!   there and nowhere else, so a cycle count cannot drift from the
+//!   program that was run;
+//! * [`validate_mha_program`] / [`validate_ffn_program`] /
+//!   [`harden_program`] — the control unit's structural check of the
+//!   command store and its recompute-from-source recovery.
 //!
 //! One program, two semantics — the strongest form of the workspace's
 //! "numerics and timing never diverge" rule.
 
+use faults::{FaultKind, Injector};
 use hwsim::cycles::Cycle;
-use hwsim::timeline::{EventId, Timeline};
+use hwsim::timeline::{EventId, Timeline, UnitId};
 use quantized::softmax::scaled_masked_softmax;
 use quantized::{QuantFfnResBlock, QuantMhaResBlock};
 use serde::Serialize;
@@ -297,12 +306,62 @@ pub fn validate_ffn_program(
     Ok(())
 }
 
+/// Applies a fault to a command's index field (the bits a program-store
+/// upset would corrupt). `LayerNorm` carries no operand bits and is
+/// returned unchanged.
+fn corrupt_command(cmd: Command, kind: FaultKind) -> Command {
+    let flip = |v: usize| kind.apply_word(v as u32, 32) as usize;
+    match cmd {
+        Command::ProjectQ { head } => Command::ProjectQ { head: flip(head) },
+        Command::ProjectK { head } => Command::ProjectK { head: flip(head) },
+        Command::ProjectV { head } => Command::ProjectV { head: flip(head) },
+        Command::ScoreTile { head, tile } => Command::ScoreTile {
+            head: flip(head),
+            tile,
+        },
+        Command::Softmax { head } => Command::Softmax { head: flip(head) },
+        Command::Context { head } => Command::Context { head: flip(head) },
+        Command::OutputPanel { panel } => Command::OutputPanel { panel: flip(panel) },
+        Command::FfnHidden { panel } => Command::FfnHidden { panel: flip(panel) },
+        Command::FfnOutput { panel } => Command::FfnOutput { panel: flip(panel) },
+        Command::LayerNorm => Command::LayerNorm,
+    }
+}
+
+/// Lowers a program into a faulty command store and hardens it: claims
+/// the injector's next program index, applies that program's scheduled
+/// `IsaCommand` faults to the lowered stream, then puts it through the
+/// control unit's structural validator — the hardware analogue of an
+/// instruction-store parity + ordering check. A program that fails
+/// validation is discarded and re-lowered from the graph
+/// (recompute-from-source recovery). Returns the program to run and
+/// whether a fault was detected.
+pub fn harden_program(
+    inj: &mut Injector,
+    lower: impl Fn() -> Vec<Command>,
+    validate: impl Fn(&[Command]) -> Result<(), ProgramFault>,
+) -> (Vec<Command>, bool) {
+    let mut prog = lower();
+    let mut hit = 0usize;
+    for (slot, kind) in inj.isa_faults() {
+        if slot < prog.len() {
+            prog[slot] = corrupt_command(prog[slot], kind);
+            hit += 1;
+        }
+    }
+    inj.note_injected(hit);
+    if hit > 0 && validate(&prog).is_err() {
+        return (lower(), true);
+    }
+    (prog, false)
+}
+
 /// Bit-exact execution of [`mha_program`] against a quantized block.
 ///
 /// # Panics
 ///
 /// Panics on malformed programs (commands out of Algorithm-1 order).
-pub fn execute_mha(
+pub(crate) fn execute_mha(
     program: &[Command],
     block: &QuantMhaResBlock,
     xq: &Mat<i8>,
@@ -396,7 +455,7 @@ pub fn execute_mha(
 /// # Panics
 ///
 /// Panics on malformed programs.
-pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
+pub(crate) fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
     let (w1, w2) = block.sublayers();
     let d_ff = w1.weight_q().cols();
     let d_model = w2.weight_q().cols();
@@ -434,14 +493,19 @@ pub fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -
     ln_out.expect("program must end with LayerNorm")
 }
 
-/// Timing interpretation of a program: maps every command onto the unit
-/// timeline under the configuration's scheduling policy. For the
-/// Algorithm-1 programs this reproduces [`crate::scheduler`]'s cycle
-/// counts exactly (asserted by tests).
-pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> Cycle {
+/// The one Algorithm-1 timing walk: maps every command onto the
+/// four-unit timeline (SA, output drain, Softmax, LayerNorm) under the
+/// configuration's scheduling policy and returns it with the SA's unit
+/// id. The dependency edges written here — score tiles wait for both
+/// projections, the softmax for the last tile, `V W_V` for the softmax
+/// unless it overlaps, the context for both, every `G`/`FfnOutput` panel
+/// for the whole `P`, LayerNorm for the last panel — exist nowhere else;
+/// [`schedule_program`] and [`crate::scheduler`] only read the result.
+pub(crate) fn walk(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> (Timeline, UnitId) {
     let d_model = cfg.model.d_model;
     let d_ff = cfg.model.d_ff;
     let d_k = cfg.model.d_k();
+    let h = cfg.model.h;
     let pol = cfg.sched;
     let mut tl = Timeline::new();
     let sa = tl.add_unit("systolic_array");
@@ -449,65 +513,79 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
     let sm_u = tl.add_unit("softmax");
     let ln_u = tl.add_unit("layernorm");
 
+    // One GEMM pass: a `k`-cycle stream through the array plus the
+    // 64-cycle column-serial drain, which blocks the array unless the
+    // accumulators are double-buffered. Returns the event whose end
+    // marks the *drained* result.
     let drain_cycles = Cycle(PANEL_COLS as u64);
-    let gemm = |tl: &mut Timeline, k: usize, deps: &[EventId]| -> EventId {
+    let gemm = |tl: &mut Timeline, label: String, k: usize, deps: &[EventId]| -> EventId {
         if pol.overlap_drain {
-            let stream = tl.schedule(sa, "stream", Cycle(k as u64), deps);
-            tl.schedule(drain_u, "drain", drain_cycles, &[stream])
+            let stream = tl.schedule(sa, format!("{label}:stream"), Cycle(k as u64), deps);
+            tl.schedule(drain_u, format!("{label}:drain"), drain_cycles, &[stream])
         } else {
-            tl.schedule(sa, "gemm", Cycle(k as u64) + drain_cycles, deps)
+            tl.schedule(sa, label, Cycle(k as u64) + drain_cycles, deps)
         }
     };
 
-    let h = cfg.model.h;
     let mut proj_q: Vec<Option<EventId>> = vec![None; h];
     let mut proj_k: Vec<Option<EventId>> = vec![None; h];
     let mut last_score: Vec<Option<EventId>> = vec![None; h];
     let mut softmax_ev: Vec<Option<EventId>> = vec![None; h];
     let mut proj_v: Vec<Option<EventId>> = vec![None; h];
-    let mut contexts: Vec<EventId> = Vec::new();
+    // The drained `P` panels (MHA contexts or FFN hidden panels) every
+    // output panel's reduction spans.
+    let mut p_panels: Vec<EventId> = Vec::new();
     let mut last_out: Option<EventId> = None;
 
     for cmd in program {
         match *cmd {
-            Command::ProjectQ { head } => proj_q[head] = Some(gemm(&mut tl, d_model, &[])),
-            Command::ProjectK { head } => proj_k[head] = Some(gemm(&mut tl, d_model, &[])),
-            Command::ScoreTile { head, .. } => {
+            Command::ProjectQ { head } => {
+                proj_q[head] = Some(gemm(&mut tl, format!("h{head}:QWq"), d_model, &[]));
+            }
+            Command::ProjectK { head } => {
+                proj_k[head] = Some(gemm(&mut tl, format!("h{head}:KWk"), d_model, &[]));
+            }
+            Command::ScoreTile { head, tile } => {
                 let deps = [proj_q[head].expect("order"), proj_k[head].expect("order")];
-                last_score[head] = Some(gemm(&mut tl, d_k, &deps));
+                last_score[head] = Some(gemm(&mut tl, format!("h{head}:QK^T.{tile}"), d_k, &deps));
             }
             Command::Softmax { head } => {
                 softmax_ev[head] = Some(tl.schedule(
                     sm_u,
-                    "softmax",
+                    format!("h{head}:softmax"),
                     softmax_module::latency_after_last_input(s_kv),
                     &[last_score[head].expect("order")],
                 ));
             }
             Command::ProjectV { head } => {
-                let deps: Vec<EventId> = if pol.overlap_softmax {
-                    vec![]
+                // In parallel with the softmax when the policy allows
+                // (line 6, the paper's key overlap).
+                let deps: &[EventId] = if pol.overlap_softmax {
+                    &[]
                 } else {
-                    vec![softmax_ev[head].expect("order")]
+                    &[softmax_ev[head].expect("order")]
                 };
-                proj_v[head] = Some(gemm(&mut tl, d_model, &deps));
+                proj_v[head] = Some(gemm(&mut tl, format!("h{head}:VWv"), d_model, deps));
             }
             Command::Context { head } => {
                 let deps = [
                     softmax_ev[head].expect("order"),
                     proj_v[head].expect("order"),
                 ];
-                contexts.push(gemm(&mut tl, s_kv, &deps));
+                p_panels.push(gemm(&mut tl, format!("h{head}:PV"), s_kv, &deps));
             }
-            Command::OutputPanel { .. } => {
-                last_out = Some(gemm(&mut tl, d_model, &contexts));
+            Command::OutputPanel { panel } => {
+                last_out = Some(gemm(&mut tl, format!("G{panel}"), d_model, &p_panels));
             }
-            Command::FfnHidden { .. } => {
-                contexts.push(gemm(&mut tl, d_model, &[]));
+            // ReLU fuses into the bias adders on the drain path (Fig. 5).
+            Command::FfnHidden { panel } => {
+                p_panels.push(gemm(&mut tl, format!("P{panel}"), d_model, &[]));
             }
-            Command::FfnOutput { .. } => {
-                last_out = Some(gemm(&mut tl, d_ff, &contexts));
+            Command::FfnOutput { panel } => {
+                last_out = Some(gemm(&mut tl, format!("G{panel}"), d_ff, &p_panels));
             }
+            // The accumulators ran inline with the `G` drains (per the
+            // policy); the tail starts at the last `G` column.
             Command::LayerNorm => {
                 tl.schedule(
                     ln_u,
@@ -518,7 +596,14 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
             }
         }
     }
-    tl.makespan()
+    (tl, sa)
+}
+
+/// Timing interpretation of a program: the makespan of the one timing
+/// walk under the configuration's scheduling policy (`s_kv` = key/value
+/// length, the `Context` reduction depth and the softmax width).
+pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> Cycle {
+    walk(cfg, program, s_kv).0.makespan()
 }
 
 #[cfg(test)]
@@ -681,38 +766,60 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn timing_interpreter_matches_the_scheduler_exactly() {
-        let cfg = AccelConfig::paper_default();
-        let mha_prog = mha_program(cfg.model.h, cfg.s);
-        assert_eq!(
-            schedule_program(&cfg, &mha_prog, cfg.s),
-            crate::scheduler::schedule_mha(&cfg).cycles
-        );
-        let ffn_prog = ffn_program(cfg.model.d_model, cfg.model.d_ff);
-        assert_eq!(
-            schedule_program(&cfg, &ffn_prog, cfg.s),
-            crate::scheduler::schedule_ffn(&cfg).cycles
-        );
+    /// An injector whose plan flips bit 0 of one command slot of the
+    /// first program lowered.
+    fn bit_flip_in_program_0(slot: usize) -> Injector {
+        use faults::{FaultEvent, FaultPlan, FaultSite};
+        Injector::new(FaultPlan::from_events(vec![FaultEvent {
+            site: FaultSite::IsaCommand { program: 0, slot },
+            kind: FaultKind::BitFlip { bit: 0 },
+        }]))
     }
 
     #[test]
-    fn timing_interpreter_matches_under_every_policy() {
-        use crate::config::SchedPolicy;
-        for pol in [
-            SchedPolicy::naive(),
-            SchedPolicy::paper(),
-            SchedPolicy::aggressive(),
-        ] {
-            let mut cfg = AccelConfig::paper_default();
-            cfg.sched = pol;
-            let prog = mha_program(cfg.model.h, cfg.s);
-            assert_eq!(
-                schedule_program(&cfg, &prog, cfg.s),
-                crate::scheduler::schedule_mha(&cfg).cycles,
-                "{pol:?}"
-            );
-        }
+    fn isa_command_fault_is_detected_and_recovered_by_relowering() {
+        let cfg = ModelConfig::tiny_for_tests();
+        let (qmha, _, xq) = blocks(&cfg, 8);
+        let pristine = mha_program(cfg.h, 8);
+        let want = execute_mha(&pristine, &qmha, &xq, &xq, None);
+        // Slot 2 is head 0's ScoreTile; flipping its head index makes
+        // the program reference an unprojected head — the structural
+        // validator flags it and the program is re-lowered.
+        let mut inj = bit_flip_in_program_0(2);
+        let harden = |inj: &mut Injector| {
+            harden_program(
+                inj,
+                || mha_program(cfg.h, 8),
+                |p| validate_mha_program(p, cfg.h, 8),
+            )
+        };
+        let (prog, detected) = harden(&mut inj);
+        assert!(detected);
+        assert_eq!(inj.injected(), 1);
+        assert_eq!(
+            execute_mha(&prog, &qmha, &xq, &xq, None),
+            want,
+            "re-lowered program must compute correctly"
+        );
+        // The next program index carries no events: clean, no detection.
+        let (prog, detected) = harden(&mut inj);
+        assert!(!detected);
+        assert_eq!(prog, pristine);
+        assert_eq!(inj.injected(), 1);
+    }
+
+    #[test]
+    fn out_of_range_isa_fault_is_inert() {
+        let (h, s_kv) = (4, 8);
+        let mut inj = bit_flip_in_program_0(10_000);
+        let (prog, detected) = harden_program(
+            &mut inj,
+            || mha_program(h, s_kv),
+            |p| validate_mha_program(p, h, s_kv),
+        );
+        assert_eq!(prog, mha_program(h, s_kv));
+        assert!(!detected);
+        assert_eq!(inj.injected(), 0);
     }
 
     #[test]

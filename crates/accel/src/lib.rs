@@ -12,14 +12,24 @@
 //!   (numerics live in [`quantized::softmax`]);
 //! * [`layernorm_module`] — the Fig. 7 latency-optimised LayerNorm
 //!   timing in all three published variants;
-//! * [`scheduler`] — Algorithm 1: the static op schedule for the MHA and
-//!   FFN ResBlocks, with the paper's two overlap optimisations as
-//!   toggleable policies;
+//! * [`exec`] / [`isa`] — Algorithm 1 as data: the ResBlock operator
+//!   graphs lowered to a command stream, its bit-exact interpreter and
+//!   the one timing walk that places each command on the SA / drain /
+//!   Softmax / LayerNorm units, with the paper's two overlap
+//!   optimisations as toggleable policies;
+//! * [`scheduler`] — [`ScheduleReport`]s (cycles, SA utilization,
+//!   Gantt timeline) read off that walk for the MHA and FFN ResBlocks;
+//! * [`backend`] — the [`Backend`] trait, the public way to lower and
+//!   run a ResBlock; [`PaperBackend`] is this paper's design, beside the
+//!   tiled and block-circulant alternatives;
+//! * [`engine`] — the register-true PE-grid reference with the ABFT and
+//!   fault-injection seams, kept independent of the interpreter so the
+//!   two can be compared;
 //! * [`area`] — a parametric LUT/FF/BRAM/DSP model calibrated to the
 //!   paper's Table II, plus the 16.7 W power point;
 //! * [`analysis`] — Eq. (3) and MAC/parameter counting;
-//! * [`top`] — the [`Accelerator`] facade tying numerics and timing
-//!   together.
+//! * [`top`] — the [`Accelerator`] facade: loaded weights and length
+//!   checks over [`PaperBackend`].
 //!
 //! # Example
 //!
@@ -67,7 +77,7 @@ pub use backend::{Backend, BackendCaps, BackendProgram, PaperBackend};
 pub use circulant::CirculantBackend;
 pub use config::{AccelConfig, LayerNormMode, SchedPolicy};
 pub use engine::{ArrayEngine, CheckMode, EngineRun, EngineStats, Fidelity};
-pub use exec::{lower_ffn, lower_mha, AccelBlock, AccelExec};
+pub use exec::{lower_ffn, lower_mha};
 pub use isa::{validate_ffn_program, validate_mha_program, ProgramFault};
 pub use scheduler::ScheduleReport;
 pub use tiled::{TiledBackend, TiledConfig};

@@ -1,20 +1,26 @@
-//! Algorithm 1 — the static computation flow of the accelerator — as a
-//! dependency-driven schedule over the SA, Softmax and LayerNorm units.
+//! Algorithm 1 — the static computation flow of the accelerator — as
+//! [`ScheduleReport`]s over the one timing walk of the lowered command
+//! stream ([`crate::isa`]).
 //!
-//! Every GEMM is a `k`-cycle stream through the `s × 64` array followed
-//! by a 64-cycle column-serial drain; the policy decides whether the
-//! drain blocks the array ([`crate::config::SchedPolicy::overlap_drain`])
-//! and whether the softmax hides behind the `V·W_Vi` projection
+//! The schedule itself is data: [`crate::isa::mha_program`] /
+//! [`crate::isa::ffn_program`] lower the operator graph to commands and
+//! the walker in [`crate::isa`] places every command on the SA, drain,
+//! Softmax and LayerNorm units. Every GEMM is a `k`-cycle stream through
+//! the `s × 64` array followed by a 64-cycle column-serial drain; the
+//! policy decides whether the drain blocks the array
+//! ([`crate::config::SchedPolicy::overlap_drain`]) and whether the
+//! softmax hides behind the `V·W_Vi` projection
 //! ([`crate::config::SchedPolicy::overlap_softmax`], Algorithm 1 line 6).
+//! This module only range-checks the lengths and reads the resulting
+//! timeline.
 
 use hwsim::cycles::Cycle;
-use hwsim::timeline::{EventId, Timeline, UnitId};
+use hwsim::timeline::Timeline;
 use serde::Serialize;
 
 use crate::config::AccelConfig;
-use crate::layernorm_module;
-use crate::partition::{qk_plan, PANEL_COLS};
-use crate::softmax_module;
+use crate::isa::{self, Command};
+use crate::partition::PANEL_COLS;
 
 /// Outcome of scheduling one ResBlock.
 #[derive(Debug, Clone, Serialize)]
@@ -33,60 +39,27 @@ pub struct ScheduleReport {
     pub timeline: Timeline,
 }
 
-struct Units {
-    sa: UnitId,
-    drain: UnitId,
-    softmax: UnitId,
-    layernorm: UnitId,
-}
-
-fn units(tl: &mut Timeline) -> Units {
-    Units {
-        sa: tl.add_unit("systolic_array"),
-        drain: tl.add_unit("output_drain"),
-        softmax: tl.add_unit("softmax"),
-        layernorm: tl.add_unit("layernorm"),
-    }
-}
-
-/// Schedules one GEMM pass; returns the event whose end marks the
-/// *drained* result (what downstream consumers must wait for).
-fn gemm(
-    tl: &mut Timeline,
-    u: &Units,
-    label: &str,
-    k: usize,
-    overlap_drain: bool,
-    deps: &[EventId],
-) -> EventId {
-    let drain_cycles = Cycle(PANEL_COLS as u64);
-    if overlap_drain {
-        let stream = tl.schedule(u.sa, format!("{label}:stream"), Cycle(k as u64), deps);
-        tl.schedule(u.drain, format!("{label}:drain"), drain_cycles, &[stream])
-    } else {
-        tl.schedule(
-            u.sa,
-            label.to_string(),
-            Cycle(k as u64) + drain_cycles,
-            deps,
-        )
-    }
-}
-
-fn finish(cfg: &AccelConfig, tl: Timeline, sa: UnitId, _drain: UnitId) -> ScheduleReport {
-    let cycles = tl.makespan();
+/// Walks a lowered program and reads the report off its timeline.
+pub(crate) fn report(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> ScheduleReport {
+    let (timeline, sa) = isa::walk(cfg, program, s_kv);
+    let cycles = timeline.makespan();
+    let sa_busy = timeline.busy(sa);
     ScheduleReport {
         cycles,
         latency_us: cfg.clock.cycles_to_us(cycles),
-        sa_busy: tl.busy(sa),
-        sa_utilization: tl.busy(sa).get() as f64 / tl.makespan().get().max(1) as f64,
-        timeline: tl,
+        sa_busy,
+        sa_utilization: sa_busy.get() as f64 / cycles.get().max(1) as f64,
+        timeline,
     }
 }
 
 /// Schedules the MHA ResBlock (Algorithm 1 lines 1–13) for a self- or
 /// cross-attention instance with `s_q` query rows and `s_kv` key/value
 /// rows.
+///
+/// `s_q` is range-checked only: a GEMM's stream length is its reduction
+/// depth (`d_model`, `d_k` or `s_kv`), not its row count, so fewer query
+/// rows leave rows of the array idle without shortening any pass.
 ///
 /// # Panics
 ///
@@ -102,103 +75,7 @@ pub fn schedule_mha_cross(cfg: &AccelConfig, s_q: usize, s_kv: usize) -> Schedul
         s_kv > 0 && s_kv <= cfg.s.max(PANEL_COLS),
         "s_kv {s_kv} out of range"
     );
-    let d_model = cfg.model.d_model;
-    let h = cfg.model.h;
-    let d_k = cfg.model.d_k();
-    let pol = cfg.sched;
-
-    let mut tl = Timeline::new();
-    let u = units(&mut tl);
-    let mut pv_drains: Vec<EventId> = Vec::with_capacity(h);
-
-    for i in 0..h {
-        // Lines 3-4: Temp1 = Q·W_Qi + Bias, Temp2 = K·W_Ki + Bias.
-        let qw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:QWq"),
-            d_model,
-            pol.overlap_drain,
-            &[],
-        );
-        let kw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:KWk"),
-            d_model,
-            pol.overlap_drain,
-            &[],
-        );
-        // Line 5: Softmax_Input = Temp1 × Temp2^T (tiled per Section III).
-        let plan = qk_plan(s_kv);
-        let mut last_qk = qw; // placeholder, overwritten in loop
-        for t in 0..plan.tiles {
-            last_qk = gemm(
-                &mut tl,
-                &u,
-                &format!("h{i}:QK^T.{t}"),
-                d_k,
-                pol.overlap_drain,
-                &[qw, kw],
-            );
-        }
-        // Softmax over the s_kv score columns.
-        let smx = tl.schedule(
-            u.softmax,
-            format!("h{i}:softmax"),
-            softmax_module::latency_after_last_input(s_kv),
-            &[last_qk],
-        );
-        // Line 6: Temp2 = V·W_Vi + Bias — in parallel with the softmax
-        // when the policy allows (the paper's key overlap).
-        let vw_deps: Vec<EventId> = if pol.overlap_softmax {
-            vec![]
-        } else {
-            vec![smx]
-        };
-        let vw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:VWv"),
-            d_model,
-            pol.overlap_drain,
-            &vw_deps,
-        );
-        // Line 7: P_i = softmax_output × Temp2 (k = s_kv reduction).
-        let pv = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:PV"),
-            s_kv,
-            pol.overlap_drain,
-            &[smx, vw],
-        );
-        pv_drains.push(pv);
-    }
-
-    // Lines 9-11: G_i = P·W_Gi + Bias_Gi + Q_i — needs the complete P.
-    let mut last_g = *pv_drains.last().expect("h >= 1");
-    for i in 0..h {
-        last_g = gemm(
-            &mut tl,
-            &u,
-            &format!("G{i}"),
-            d_model,
-            pol.overlap_drain,
-            &pv_drains,
-        );
-    }
-
-    // Line 12: LayerNorm — accumulators ran inline with the G drains
-    // (per the policy); the tail starts at the last G column.
-    tl.schedule(
-        u.layernorm,
-        "layernorm",
-        layernorm_module::total_tail(pol.layernorm, d_model),
-        &[last_g],
-    );
-
-    finish(cfg, tl, u.sa, u.drain)
+    report(cfg, &isa::mha_program(cfg.model.h, s_kv), s_kv)
 }
 
 /// Schedules the self-attention MHA ResBlock at the configured maximum
@@ -216,6 +93,8 @@ pub fn schedule_mha(cfg: &AccelConfig) -> ScheduleReport {
 }
 
 /// Schedules the FFN ResBlock (Algorithm 1 lines 14–22) for `s` rows.
+/// Like `s_q` above, `s` is range-checked only (every FFN stream is
+/// `d_model` or `d_ff` deep).
 ///
 /// # Panics
 ///
@@ -227,217 +106,7 @@ pub fn schedule_ffn_len(cfg: &AccelConfig, s: usize) -> ScheduleReport {
         "s {s} out of range (array has {} rows)",
         cfg.s
     );
-    let d_model = cfg.model.d_model;
-    let d_ff = cfg.model.d_ff;
-    let pol = cfg.sched;
-    let panels_w1 = d_ff / PANEL_COLS; // 4h in Table-I configs
-    let panels_w2 = d_model / PANEL_COLS; // h
-
-    let mut tl = Timeline::new();
-    let u = units(&mut tl);
-
-    // Lines 15-17: P_i = ReLU(X·W_1i + b_1i) — ReLU fuses into the bias
-    // adders on the drain path (Fig. 5), costing no extra cycles.
-    let mut p_drains = Vec::with_capacity(panels_w1);
-    for i in 0..panels_w1 {
-        p_drains.push(gemm(
-            &mut tl,
-            &u,
-            &format!("P{i}"),
-            d_model,
-            pol.overlap_drain,
-            &[],
-        ));
-    }
-    // Lines 18-20: G_i = P·W_2i + b_2i + X_i — k spans the whole d_ff,
-    // so every P panel must be in the data memory first.
-    let mut last_g = *p_drains.last().expect("d_ff >= 64");
-    for i in 0..panels_w2 {
-        last_g = gemm(
-            &mut tl,
-            &u,
-            &format!("G{i}"),
-            d_ff,
-            pol.overlap_drain,
-            &p_drains,
-        );
-    }
-    // Line 21: LayerNorm.
-    tl.schedule(
-        u.layernorm,
-        "layernorm",
-        layernorm_module::total_tail(pol.layernorm, d_model),
-        &[last_g],
-    );
-
-    finish(cfg, tl, u.sa, u.drain)
-}
-
-/// Schedules a **fused encoder layer** — MHA ResBlock immediately
-/// followed by the FFN ResBlock on one timeline.
-///
-/// Extension beyond the paper: the FFN's first `X·W_1i` GEMM consumes
-/// `X` (the MHA LayerNorm output) one column per cycle, exactly the
-/// rate the LayerNorm module emits it — so with a bypass path the FFN
-/// can start streaming as soon as the LayerNorm's first output column
-/// appears, hiding almost the entire LayerNorm tail (~`d_model`
-/// cycles/layer). `fuse = false` reproduces the paper's sequential
-/// blocks.
-pub fn schedule_encoder_layer(cfg: &AccelConfig, fuse: bool) -> ScheduleReport {
-    cfg.validate();
-    let d_model = cfg.model.d_model;
-    let d_ff = cfg.model.d_ff;
-    let h = cfg.model.h;
-    let d_k = cfg.model.d_k();
-    let s = cfg.s;
-    let pol = cfg.sched;
-    let panels_w1 = d_ff / PANEL_COLS;
-    let panels_w2 = d_model / PANEL_COLS;
-
-    let mut tl = Timeline::new();
-    let u = units(&mut tl);
-
-    // ---- MHA ResBlock (as in schedule_mha_cross, self-attention) ----
-    let mut pv_drains: Vec<EventId> = Vec::with_capacity(h);
-    for i in 0..h {
-        let qw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:QWq"),
-            d_model,
-            pol.overlap_drain,
-            &[],
-        );
-        let kw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:KWk"),
-            d_model,
-            pol.overlap_drain,
-            &[],
-        );
-        let plan = qk_plan(s);
-        let mut last_qk = qw;
-        for t in 0..plan.tiles {
-            last_qk = gemm(
-                &mut tl,
-                &u,
-                &format!("h{i}:QK^T.{t}"),
-                d_k,
-                pol.overlap_drain,
-                &[qw, kw],
-            );
-        }
-        let smx = tl.schedule(
-            u.softmax,
-            format!("h{i}:softmax"),
-            softmax_module::latency_after_last_input(s),
-            &[last_qk],
-        );
-        let vw_deps: Vec<EventId> = if pol.overlap_softmax {
-            vec![]
-        } else {
-            vec![smx]
-        };
-        let vw = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:VWv"),
-            d_model,
-            pol.overlap_drain,
-            &vw_deps,
-        );
-        let pv = gemm(
-            &mut tl,
-            &u,
-            &format!("h{i}:PV"),
-            s,
-            pol.overlap_drain,
-            &[smx, vw],
-        );
-        pv_drains.push(pv);
-    }
-    let mut last_g = *pv_drains.last().expect("h >= 1");
-    for i in 0..h {
-        last_g = gemm(
-            &mut tl,
-            &u,
-            &format!("G{i}"),
-            d_model,
-            pol.overlap_drain,
-            &pv_drains,
-        );
-    }
-    let mha_ln = tl.schedule(
-        u.layernorm,
-        "mha:layernorm",
-        layernorm_module::total_tail(pol.layernorm, d_model),
-        &[last_g],
-    );
-
-    // ---- FFN ResBlock ----
-    // fused: the first X·W_1 stream chases the LayerNorm output columns
-    // (starts one cycle after the first column emerges); sequential:
-    // waits for the full LayerNorm output.
-    let ln_output_start = tl
-        .end_of(mha_ln)
-        .saturating_sub(layernorm_module::output_cycles(d_model));
-    let mut p_drains = Vec::with_capacity(panels_w1);
-    for i in 0..panels_w1 {
-        let ev = if fuse && i == 0 {
-            let drain_cycles = Cycle(PANEL_COLS as u64);
-            let dur = Cycle(d_model as u64)
-                + if pol.overlap_drain {
-                    Cycle::ZERO
-                } else {
-                    drain_cycles
-                };
-            let stream = tl.schedule_at(u.sa, "P0:chasing", ln_output_start + Cycle(1), dur, &[]);
-            if pol.overlap_drain {
-                tl.schedule(u.drain, "P0:drain", drain_cycles, &[stream])
-            } else {
-                stream
-            }
-        } else if fuse {
-            gemm(
-                &mut tl,
-                &u,
-                &format!("P{i}"),
-                d_model,
-                pol.overlap_drain,
-                &[],
-            )
-        } else {
-            gemm(
-                &mut tl,
-                &u,
-                &format!("P{i}"),
-                d_model,
-                pol.overlap_drain,
-                &[mha_ln],
-            )
-        };
-        p_drains.push(ev);
-    }
-    let mut last_ffn_g = *p_drains.last().expect("d_ff >= 64");
-    for i in 0..panels_w2 {
-        last_ffn_g = gemm(
-            &mut tl,
-            &u,
-            &format!("F{i}"),
-            d_ff,
-            pol.overlap_drain,
-            &p_drains,
-        );
-    }
-    tl.schedule(
-        u.layernorm,
-        "ffn:layernorm",
-        layernorm_module::total_tail(pol.layernorm, d_model),
-        &[last_ffn_g],
-    );
-
-    finish(cfg, tl, u.sa, u.drain)
+    report(cfg, &isa::ffn_program(cfg.model.d_model, cfg.model.d_ff), s)
 }
 
 /// Schedules the FFN ResBlock at the configured maximum sequence length.
@@ -587,40 +256,6 @@ mod tests {
     fn oversized_sequence_rejected() {
         let cfg = paper();
         let _ = schedule_mha_cross(&cfg, 65, 64);
-    }
-
-    #[test]
-    fn fused_layer_hides_the_mha_layernorm_tail() {
-        let cfg = paper();
-        let sequential = schedule_encoder_layer(&cfg, false);
-        let fused = schedule_encoder_layer(&cfg, true);
-        assert!(fused.cycles < sequential.cycles);
-        let saved = sequential.cycles.get() - fused.cycles.get();
-        // saves most of the MHA LayerNorm tail (518 cycles at d=512)
-        assert!((400..=520).contains(&saved), "saved {saved}");
-    }
-
-    #[test]
-    fn sequential_layer_equals_sum_of_blocks() {
-        let cfg = paper();
-        let seq = schedule_encoder_layer(&cfg, false);
-        let sum = schedule_mha(&cfg).cycles + schedule_ffn(&cfg).cycles;
-        assert_eq!(seq.cycles, sum);
-    }
-
-    #[test]
-    fn fused_layer_works_under_all_policies() {
-        for pol in [
-            SchedPolicy::naive(),
-            SchedPolicy::paper(),
-            SchedPolicy::aggressive(),
-        ] {
-            let mut cfg = paper();
-            cfg.sched = pol;
-            let fused = schedule_encoder_layer(&cfg, true);
-            let seq = schedule_encoder_layer(&cfg, false);
-            assert!(fused.cycles <= seq.cycles, "{pol:?}");
-        }
     }
 
     #[test]

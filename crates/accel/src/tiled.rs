@@ -25,9 +25,8 @@
 //! cannot overflow here (the accumulator headroom argument is the same
 //! as the paper datapath's), so the tiled array produces exactly the
 //! untiled result. Execution therefore replays the embedded command
-//! stream through the reference interpreter ([`crate::isa::execute_mha`]
-//! / [`crate::isa::execute_ffn`]) — a faithful bit-level model of the
-//! tiled datapath, asserted bit-identical against the quantized
+//! stream through the [`crate::isa`] interpreter [`crate::PaperBackend`]
+//! runs on — a faithful bit-level model of the tiled datapath, asserted bit-identical against the quantized
 //! reference in `tests/backend_identity.rs`.
 
 use graph::Graph;

@@ -1,15 +1,19 @@
 //! The top-level [`Accelerator`] facade (Fig. 5): quantized weights
 //! loaded into the weight memory, inputs streamed through the SA /
 //! Softmax / LayerNorm pipeline, outputs plus a cycle-accurate execution
-//! report.
+//! report. A checked wrapper over [`PaperBackend`]: it owns the weights,
+//! turns bad lengths into errors, lowers the ResBlock once and hands
+//! that one program to the backend's interpreter and to the timing walk.
 
 use std::error::Error;
 use std::fmt;
 
+use graph::GraphConfig;
 use quantized::{QuantFfnResBlock, QuantMhaResBlock};
 use tensor::Mat;
 
 use crate::area::{estimate_power, AreaModel, PowerEstimate};
+use crate::backend::{Backend, PaperBackend};
 use crate::config::AccelConfig;
 use crate::scheduler::{self, ScheduleReport};
 
@@ -51,13 +55,15 @@ pub struct RunReport {
 
 /// The accelerator: configuration + loaded quantized weights.
 ///
-/// Numerics are delegated to the bit-exact [`quantized`] datapath;
-/// timing to the [`scheduler`]. Both derive from the same configuration,
-/// so a run's outputs are exactly what the RTL would produce and its
-/// cycle count is what the control flow of Algorithm 1 implies.
+/// A run lowers the configured model's ResBlock graph to its
+/// Algorithm-1 command stream and gives that one program both of its
+/// meanings: [`PaperBackend`]'s bit-exact interpreter produces the
+/// output (exactly what the RTL would) and the timing walk of the same
+/// commands produces the report, so the cycle count is that of the
+/// program that ran.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
-    cfg: AccelConfig,
+    backend: PaperBackend,
     mha: Option<QuantMhaResBlock>,
     ffn: Option<QuantFfnResBlock>,
 }
@@ -69,9 +75,8 @@ impl Accelerator {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: AccelConfig) -> Self {
-        cfg.validate();
         Self {
-            cfg,
+            backend: PaperBackend::new(cfg),
             mha: None,
             ffn: None,
         }
@@ -79,16 +84,38 @@ impl Accelerator {
 
     /// The configuration.
     pub fn config(&self) -> &AccelConfig {
-        &self.cfg
+        self.backend.config()
     }
 
     /// Loads quantized MHA ResBlock weights into the weight memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not the configured model's shape (the
+    /// program a run lowers is the configured model's).
     pub fn load_mha(&mut self, block: QuantMhaResBlock) {
+        let model = &self.config().model;
+        assert_eq!(
+            (block.heads(), block.heads() * block.d_k()),
+            (model.h, model.d_model),
+            "MHA block (h, d_model) does not match the configured model"
+        );
         self.mha = Some(block);
     }
 
     /// Loads quantized FFN ResBlock weights into the weight memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not the configured model's shape.
     pub fn load_ffn(&mut self, block: QuantFfnResBlock) {
+        let model = &self.config().model;
+        let (w1, w2) = block.sublayers();
+        assert_eq!(
+            (w2.weight_q().cols(), w1.weight_q().cols()),
+            (model.d_model, model.d_ff),
+            "FFN block (d_model, d_ff) does not match the configured model"
+        );
         self.ffn = Some(block);
     }
 
@@ -105,12 +132,12 @@ impl Accelerator {
     /// Timing-only schedule of the MHA ResBlock at `s = cfg.s` (no
     /// weights required).
     pub fn schedule_mha(&self) -> ScheduleReport {
-        scheduler::schedule_mha(&self.cfg)
+        scheduler::schedule_mha(self.config())
     }
 
     /// Timing-only schedule of the FFN ResBlock at `s = cfg.s`.
     pub fn schedule_ffn(&self) -> ScheduleReport {
-        scheduler::schedule_ffn(&self.cfg)
+        scheduler::schedule_ffn(self.config())
     }
 
     /// Executes the MHA ResBlock: INT8 inputs in the calibrated input
@@ -133,8 +160,12 @@ impl Accelerator {
             .ok_or(AccelError::WeightsNotLoaded("MHA"))?;
         self.check_len(xq.rows())?;
         self.check_len(xkv.rows())?;
-        let (out, _p) = block.forward(xq, xkv, mask);
-        let schedule = scheduler::schedule_mha_cross(&self.cfg, xq.rows(), xkv.rows());
+        let s_kv = xkv.rows();
+        let prog = self
+            .backend
+            .lower_mha(&graph::mha_graph(&self.graph_cfg()), s_kv);
+        let out = self.backend.run_mha(&prog, block, xq, xkv, mask);
+        let schedule = scheduler::report(self.config(), self.backend.isa(&prog), s_kv);
         Ok((out, RunReport { schedule }))
     }
 
@@ -150,26 +181,37 @@ impl Accelerator {
             .as_ref()
             .ok_or(AccelError::WeightsNotLoaded("FFN"))?;
         self.check_len(x.rows())?;
-        let (out, _hidden) = block.forward(x);
-        let schedule = scheduler::schedule_ffn_len(&self.cfg, x.rows());
+        let prog = self.backend.lower_ffn(&graph::ffn_graph(&self.graph_cfg()));
+        let out = self.backend.run_ffn(&prog, block, x);
+        let schedule = scheduler::report(self.config(), self.backend.isa(&prog), x.rows());
         Ok((out, RunReport { schedule }))
     }
 
     fn check_len(&self, s: usize) -> Result<(), AccelError> {
-        if s == 0 || s > self.cfg.s {
-            return Err(AccelError::SequenceTooLong { s, max: self.cfg.s });
+        let max = self.config().s;
+        if s == 0 || s > max {
+            return Err(AccelError::SequenceTooLong { s, max });
         }
         Ok(())
     }
 
+    fn graph_cfg(&self) -> GraphConfig {
+        let model = &self.config().model;
+        GraphConfig {
+            d_model: model.d_model,
+            d_ff: model.d_ff,
+            h: model.h,
+        }
+    }
+
     /// The calibrated area model for this configuration.
     pub fn area(&self) -> AreaModel {
-        AreaModel::new(self.cfg.clone())
+        AreaModel::new(self.config().clone())
     }
 
     /// Estimated on-chip power at the configured clock.
     pub fn power(&self) -> PowerEstimate {
-        estimate_power(&self.area(), &self.cfg)
+        estimate_power(&self.area(), self.config())
     }
 
     /// Renders a self-contained markdown report of this configuration:
@@ -178,7 +220,7 @@ impl Accelerator {
     pub fn full_report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let cfg = &self.cfg;
+        let cfg = self.config();
         let _ = writeln!(
             out,
             "# Accelerator report: {} (s = {}, {:.0} MHz)\n",
@@ -316,6 +358,14 @@ mod tests {
             Err(AccelError::SequenceTooLong { s: 17, max: 16 }) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the configured model")]
+    fn loading_a_block_of_another_shape_is_rejected() {
+        let (tiny, _) = tiny_accel();
+        let mut base = Accelerator::new(AccelConfig::paper_default());
+        base.load_ffn(tiny.ffn_block().unwrap().clone());
     }
 
     #[test]

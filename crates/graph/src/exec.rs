@@ -11,10 +11,7 @@ use crate::graph::Graph;
 pub struct ExecStats {
     /// Total graph nodes interpreted (or lowered) so far.
     pub nodes: usize,
-    /// Accumulated accelerator cycles, for executors that model timing
-    /// (`None` for pure software backends).
-    pub cycles: Option<u64>,
-    /// Datapath/program-store corruptions the executor's checkers
+    /// Datapath corruptions the executor's checkers
     /// detected (always zero for executors without a checker seam).
     pub faults_detected: usize,
     /// Fused nodes executed so far ([`crate::Op::LinearRelu`] /

@@ -71,20 +71,7 @@ impl Timeline {
         duration: Cycle,
         deps: &[EventId],
     ) -> EventId {
-        self.schedule_at(unit, label, Cycle::ZERO, duration, deps)
-    }
-
-    /// Like [`Timeline::schedule`] with an additional earliest-start
-    /// constraint.
-    pub fn schedule_at(
-        &mut self,
-        unit: UnitId,
-        label: impl Into<String>,
-        earliest: Cycle,
-        duration: Cycle,
-        deps: &[EventId],
-    ) -> EventId {
-        let mut start = self.unit_free[unit.0].max(earliest);
+        let mut start = self.unit_free[unit.0];
         for d in deps {
             start = start.max(self.events[d.0].end);
         }
@@ -179,7 +166,7 @@ impl Timeline {
                     path.push(prev);
                     current = prev.0;
                 }
-                None => break, // earliest-start constraint: path ends here
+                None => break, // nothing pinned the start: path ends here
             }
         }
         path.reverse();
@@ -261,14 +248,6 @@ mod tests {
         let pv = tl.schedule(sa, "pv", Cycle(64), &[smx, vw]);
         assert_eq!(tl.start_of(pv), Cycle(576));
         assert_eq!(tl.end_of(pv), Cycle(640));
-    }
-
-    #[test]
-    fn earliest_start_constraint() {
-        let mut tl = Timeline::new();
-        let u = tl.add_unit("u");
-        let e = tl.schedule_at(u, "late", Cycle(50), Cycle(10), &[]);
-        assert_eq!(tl.start_of(e), Cycle(50));
     }
 
     #[test]

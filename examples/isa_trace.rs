@@ -1,8 +1,8 @@
 //! Prints the accelerator's command stream (the static program a
 //! control unit would execute for Algorithm 1) together with each
-//! command's cost, and verifies that interpreting the program
-//! reproduces both the scheduler's cycle count and the datapath's exact
-//! output.
+//! command's cost, and verifies that interpreting the program through
+//! `PaperBackend` reproduces both the pinned cycle count and the
+//! datapath's exact output.
 //!
 //! ```text
 //! cargo run --example isa_trace
@@ -10,8 +10,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transformer_accel::accel::isa::{execute_mha, mha_program, schedule_program, Command};
-use transformer_accel::accel::{scheduler, AccelConfig};
+use transformer_accel::accel::isa::{mha_program, Command};
+use transformer_accel::accel::{AccelConfig, Backend, BackendProgram, PaperBackend};
 use transformer_accel::quantized::{QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::mha::MhaResBlock;
@@ -63,13 +63,10 @@ fn main() {
         }
     }
 
-    let cycles = schedule_program(&cfg, &program, cfg.s);
-    let reference = scheduler::schedule_mha(&cfg).cycles;
+    let cycles = PaperBackend::new(cfg.clone()).cycles(&BackendProgram::Isa(program), cfg.s);
     println!(
-        "\ntiming interpretation: {} cycles (scheduler: {} — exact match: {})",
-        cycles.get(),
-        reference.get(),
-        cycles == reference
+        "\ntiming interpretation: {cycles} cycles (pinned reproduction count: 20998 — exact match: {})",
+        cycles == 20_998
     );
 
     // And the same program, executed bit-exactly on a real block.
@@ -81,8 +78,13 @@ fn main() {
         .collect();
     let q = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
     let xq = q.quantize_input_q(&calib[0]);
-    let small_program = mha_program(model_cfg.h, 8);
-    let got = execute_mha(&small_program, &q, &xq, &xq, None);
+    let small = AccelConfig {
+        model: model_cfg.clone(),
+        s: 8,
+        ..cfg
+    };
+    let small_program = BackendProgram::Isa(mha_program(model_cfg.h, 8));
+    let got = PaperBackend::new(small).run_mha(&small_program, &q, &xq, &xq, None);
     let (want, _) = q.forward(&xq, &xq, None);
     println!(
         "execution interpretation on a tiny block: bit-identical to the datapath: {}",

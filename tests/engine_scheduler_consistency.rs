@@ -6,7 +6,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::engine::ArrayEngine;
-use transformer_accel::accel::{scheduler, AccelConfig};
+use transformer_accel::accel::isa::{ffn_program, Command};
+use transformer_accel::accel::scheduler::ScheduleReport;
+use transformer_accel::accel::{
+    scheduler, AccelConfig, Accelerator, Backend, BackendProgram, PaperBackend,
+};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
@@ -48,6 +52,15 @@ fn accel_cfg(s: usize) -> AccelConfig {
     }
 }
 
+/// Events the schedule placed on the systolic array.
+fn sa_events(rep: &ScheduleReport) -> usize {
+    rep.timeline
+        .events()
+        .iter()
+        .filter(|e| rep.timeline.unit_name(e.unit) == "systolic_array")
+        .count()
+}
+
 #[test]
 fn mha_gemm_pass_counts_agree() {
     let s = 16;
@@ -56,15 +69,7 @@ fn mha_gemm_pass_counts_agree() {
     let run = engine.execute_mha(&qmha, &codes, &codes, None);
 
     let rep = scheduler::schedule_mha_cross(&accel_cfg(s), s, s);
-    let scheduled_gemms = rep
-        .timeline
-        .events()
-        .iter()
-        .filter(|e| {
-            let u = rep.timeline.unit_name(e.unit);
-            u == "systolic_array" && e.label != "layernorm"
-        })
-        .count();
+    let scheduled_gemms = sa_events(&rep);
     assert_eq!(
         run.stats.gemm_passes, scheduled_gemms,
         "engine executed {} GEMM passes, scheduler issued {}",
@@ -82,13 +87,54 @@ fn ffn_gemm_pass_counts_agree() {
     let run = engine.execute_ffn(&qffn, &x);
 
     let rep = scheduler::schedule_ffn_len(&accel_cfg(s), s);
-    let scheduled_gemms = rep
-        .timeline
-        .events()
+    assert_eq!(run.stats.gemm_passes, sa_events(&rep));
+
+    // Off the 64h pattern: d_ff 300 and d_model 100 both leave a ragged
+    // last panel. The closed-form scheduler used to floor `d / 64`
+    // (5 GEMMs, 1126 cycles) while the program and the PE grid ran 7;
+    // the schedule is now the walk of the program, so all three
+    // inventories agree and the facade reports the cycles of the
+    // program it ran.
+    let model = ModelConfig {
+        name: "ragged".into(),
+        d_model: 100,
+        d_ff: 300,
+        h: 2,
+        n_layers: 1,
+        vocab: 16,
+        max_len: 16,
+    };
+    let mut rng = StdRng::seed_from_u64(0xFEED);
+    let ffn = FfnResBlock::new(&model, &mut rng);
+    let calib: Vec<_> = (0..3)
+        .map(|_| tensor::init::normal(&mut rng, s, model.d_model, 1.0))
+        .collect();
+    let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
+    let x = qffn.quantize_input(&calib[0]);
+    let cfg = AccelConfig {
+        model: model.clone(),
+        s,
+        ..AccelConfig::paper_default()
+    };
+
+    let run = ArrayEngine::new(s).execute_ffn(&qffn, &x);
+    let rep = scheduler::schedule_ffn_len(&cfg, s);
+    let program = ffn_program(model.d_model, model.d_ff);
+    let program_gemms = program
         .iter()
-        .filter(|e| rep.timeline.unit_name(e.unit) == "systolic_array")
+        .filter(|c| !matches!(c, Command::LayerNorm))
         .count();
-    assert_eq!(run.stats.gemm_passes, scheduled_gemms);
+    assert_eq!(run.stats.gemm_passes, 7);
+    assert_eq!(sa_events(&rep), 7);
+    assert_eq!(program_gemms, 7);
+
+    let mut accel = Accelerator::new(cfg.clone());
+    accel.load_ffn(qffn.clone());
+    let (out, report) = accel.run_ffn(&x).unwrap();
+    assert_eq!(out, run.out);
+    let ran = PaperBackend::new(cfg).cycles(&BackendProgram::Isa(program), s);
+    assert_eq!(report.schedule.cycles.get(), ran);
+    assert_eq!(ran, 1654);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! equivalent). Because the fused drains apply the identical per-element
 //! operations in the identical order, fused and unfused paths are
 //! bit-identical — these tests pin that across the three executors
-//! (`FloatExec`, `QuantExec`, `AccelExec`), the two cached-KV decode
+//! (`FloatExec`, `QuantExec`) and the accelerator's `PaperBackend`, the two cached-KV decode
 //! bodies (`transformer::incremental::step_batch`,
 //! `quantized::cached_mha_rows`) with their hand-fused `W_O` + residual
 //! drains, the serving engine's chunked prefill, and the
@@ -21,9 +21,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transformer_accel::accel::{AccelBlock, AccelConfig, AccelExec};
+use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
 use transformer_accel::faults::{FaultPlan, FaultSpace, SiteClass};
-use transformer_accel::graph::{self, Executor};
+use transformer_accel::graph;
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request, Response};
 use transformer_accel::tensor::{envcfg, Mat};
@@ -189,7 +189,11 @@ fn accel_exec_runs_fused_graphs_identically() {
         SoftmaxMode::Hardware,
     );
     let qffn = transformer_accel::quantized::QuantFfnResBlock::from_f32(&ffn, &calib);
-    let acfg = AccelConfig::paper_default();
+    let be = PaperBackend::new(AccelConfig {
+        model: cfg.clone(),
+        s: 8,
+        ..AccelConfig::paper_default()
+    });
     let gcfg = graph::GraphConfig {
         d_model: cfg.d_model,
         d_ff: cfg.d_ff,
@@ -199,26 +203,19 @@ fn accel_exec_runs_fused_graphs_identically() {
 
     let g = graph::mha_graph(&gcfg);
     let run_mha = |g: &graph::Graph| {
-        let mut exec = AccelExec::new(AccelBlock::Mha(&qmha), &acfg);
-        let mut env = exec.run(
-            g,
-            vec![
-                ("x_q", xq.clone()),
-                ("x_k", xq.clone()),
-                ("x_v", xq.clone()),
-            ],
-            None,
-        );
-        (env.take("y"), exec.stats().cycles)
+        let prog = be.lower_mha(g, 8);
+        (
+            be.run_mha(&prog, &qmha, &xq, &xq, None),
+            be.cycles(&prog, 8),
+        )
     };
     assert_eq!(run_mha(&graph::fuse(&g)), run_mha(&g));
 
     let g = graph::ffn_graph(&gcfg);
     let x = qffn.quantize_input(&calib[1]);
     let run_ffn = |g: &graph::Graph| {
-        let mut exec = AccelExec::new(AccelBlock::Ffn(&qffn), &acfg);
-        let mut env = exec.run(g, vec![("x", x.clone())], None);
-        (env.take("y"), exec.stats().cycles)
+        let prog = be.lower_ffn(g);
+        (be.run_ffn(&prog, &qffn, &x), be.cycles(&prog, 8))
     };
     assert_eq!(run_ffn(&graph::fuse(&g)), run_ffn(&g));
 }

@@ -1,20 +1,30 @@
 //! Three-way consistency: the same MHA ResBlock computed by (1) the
 //! quantized datapath, (2) the register-true array engine, and (3) the
-//! command-stream interpreter must agree bit for bit; and the ISA's
-//! timing interpretation must equal the scheduler for every policy and
-//! sequence length.
+//! command-stream interpreter (through `PaperBackend::run_*`) must
+//! agree bit for bit; and the scheduler's reports must be the timing
+//! walk of the same programs for every policy and sequence length (the
+//! numbers themselves are pinned in `tests/isa_golden.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::engine::ArrayEngine;
-use transformer_accel::accel::isa::{
-    execute_ffn, execute_mha, ffn_program, mha_program, schedule_program,
+use transformer_accel::accel::isa::{ffn_program, mha_program, schedule_program};
+use transformer_accel::accel::{
+    scheduler, AccelConfig, Backend, BackendProgram, PaperBackend, SchedPolicy,
 };
-use transformer_accel::accel::{scheduler, AccelConfig, SchedPolicy};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
 use transformer_accel::transformer::mha::MhaResBlock;
+
+/// The paper backend provisioned for `model` at `s` rows.
+fn backend(model: &ModelConfig, s: usize) -> PaperBackend {
+    PaperBackend::new(AccelConfig {
+        model: model.clone(),
+        s,
+        ..AccelConfig::paper_default()
+    })
+}
 
 fn mini_cfg() -> ModelConfig {
     ModelConfig {
@@ -42,7 +52,8 @@ fn three_way_mha_bit_identity() {
 
     let (datapath, _) = q.forward(&xq, &xq, None);
     let engine_out = ArrayEngine::new(s).execute_mha(&q, &xq, &xq, None).out;
-    let isa_out = execute_mha(&mha_program(cfg.h, s), &q, &xq, &xq, None);
+    let program = BackendProgram::Isa(mha_program(cfg.h, s));
+    let isa_out = backend(&cfg, s).run_mha(&program, &q, &xq, &xq, None);
 
     assert_eq!(datapath, engine_out, "datapath vs PE-grid engine");
     assert_eq!(datapath, isa_out, "datapath vs command stream");
@@ -62,7 +73,8 @@ fn three_way_ffn_bit_identity() {
 
     let (datapath, _) = q.forward(&x);
     let engine_out = ArrayEngine::new(s).execute_ffn(&q, &x).out;
-    let isa_out = execute_ffn(&ffn_program(cfg.d_model, cfg.d_ff), &q, &x);
+    let program = BackendProgram::Isa(ffn_program(cfg.d_model, cfg.d_ff));
+    let isa_out = backend(&cfg, s).run_ffn(&program, &q, &x);
 
     assert_eq!(datapath, engine_out);
     assert_eq!(datapath, isa_out);
