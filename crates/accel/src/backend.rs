@@ -70,8 +70,9 @@ pub struct BackendCaps {
     /// reference datapath on every input.
     pub exact: bool,
     /// Weight-storage compression factor (`1.0` = uncompressed; a
-    /// block-circulant backend with block size `b` stores `b×` fewer
-    /// weights).
+    /// block-circulant backend with block size `b` stores `b` real
+    /// numbers per `b × b` block — a kernel's half-spectrum — so `b×`
+    /// fewer weights).
     pub weight_compression: f64,
 }
 

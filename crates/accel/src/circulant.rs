@@ -24,7 +24,7 @@
 //!   equality. There is no hash and no identity shortcut, so an entry can
 //!   be neither stale (a changed weight code misses) nor a collision.
 //! * **Bound.** At most four sublayers stay resident (two FFN blocks'
-//!   worth, ≈ 2 MiB each at 512 × 2048); the least recently used is
+//!   worth, ≈ 1.6 MiB each at 512 × 2048); the least recently used is
 //!   evicted.
 //! * **Clone.** A cloned backend starts with an empty memo, like
 //!   `transformer::Linear`'s packed-weight cache: derived state is
@@ -37,7 +37,39 @@
 //! same per-product rounding shift as [`Cpx::mul`]; integer adds after
 //! that rounding are exact in any order, so outputs, check reports and
 //! fault behaviour equal the block-at-a-time formulation bit for bit
-//! (pinned against a frozen copy of it in this module's tests).
+//! (pinned against a frozen copy of it in this module's tests). The
+//! same `[k][lane]` layout is what [`fft::fft_planes`] transforms, so a
+//! row costs one batched FFT over its input blocks and one batched IFFT
+//! over its output blocks.
+//!
+//! ## Real-input symmetry
+//!
+//! Activations and circulant kernels are real, so the unit stores and
+//! multiplies only bins `0 ..= b/2`; the drain rebuilds bins above `b/2`
+//! as conjugates before the checksum register is latched, a fault is
+//! injected or the IFFT runs. In this fixed-point datapath that is exact,
+//! not approximate:
+//!
+//! 1. [`rounding_shr`] rounds ties away from zero, so it is odd,
+//!    `R(−v) = −R(v)`, and [`Cpx::mul`] commutes with conjugation:
+//!    `conj(a)·conj(b) = conj(a·b)` and `conj(a)·(−conj(w)) = −conj(a·w)`,
+//!    rounding included.
+//! 2. The twiddle ROM is mirror-symmetric, `tw[n/2 − k] = −conj(tw[k])`,
+//!    with `tw[0]` real. By induction over the radix-2 DIT stages
+//!    (`X[k] = E[k] + tw[k]·O[k]`, `X[k + n/2] = E[k] − tw[k]·O[k]`, the
+//!    half-length spectra `E`, `O` of real signals symmetric by
+//!    hypothesis), a real signal's spectrum has `X[n − k] = conj(X[k])`
+//!    and `Im X[0] = Im X[n/2] = 0`, bit for bit.
+//! 3. Products of two such spectra are symmetric by 1, and integer sums
+//!    of symmetric spectra are symmetric; in bins `0` and `b/2` both
+//!    factors are real, so the product is one real multiply.
+//!
+//! Each assumption is checked where it is made: the ROM's symmetry by an
+//! `assert!` in [`CirculantBackend::new`], every kernel spectrum by an
+//! `assert!` when a sublayer's store is built (before the mirrored bins
+//! are dropped), each row's input spectra by a `debug_assert!`;
+//! `fixedmath::fft`'s tests show the property failing under a
+//! round-half-up shift.
 //!
 //! This backend implements that unit for the **FFN ResBlock only**
 //! (`caps().supports_ffn`); attention stays on a systolic backend, which
@@ -302,8 +334,8 @@ pub fn circulantize_ffn(block: &mut FfnResBlock, b: usize) {
 
 /// Sublayers whose compile-time state stays resident in one backend
 /// before the least recently used is evicted: both sublayers of two FFN
-/// blocks. Each 512 × 2048 entry holds ≈ 1 MiB of spectra and ≈ 1 MiB
-/// of key.
+/// blocks. Each 512 × 2048 entry holds ≈ 0.6 MiB of half-spectra and
+/// ≈ 1 MiB of key.
 const SPECTRA_MEMO_CAP: usize = 4;
 
 /// One sublayer's compile-time state — the kernel store's contents —
@@ -315,13 +347,14 @@ struct KernelSpectra {
     w_scales: Vec<f32>,
     in_scale: f32,
     bias_q: Vec<i32>,
-    /// Real parts of the kernel spectra, `[in_block][bin][out_block]`:
-    /// the length-`b` spectrum of the circulant kernel of input block
-    /// `i` / output block `j`, built from the *dequantized* INT8 weights
-    /// (the same effective weights the reference datapath multiplies
-    /// by).
+    /// Real parts of the kernel half-spectra, `[in_block][bin][out_block]`
+    /// over bins `0 ..= b/2`: the spectrum of the circulant kernel of
+    /// input block `i` / output block `j`, built from the *dequantized*
+    /// INT8 weights (the same effective weights the reference datapath
+    /// multiplies by). Bins above `b/2` are the conjugates of the stored
+    /// ones and are never stored.
     re: Vec<i32>,
-    /// Imaginary parts, same layout.
+    /// Imaginary parts, same layout (all zero in bins `0` and `b/2`).
     im: Vec<i32>,
     /// Bias per output column, dequantized from the accumulator domain.
     bias_f: Vec<f32>,
@@ -329,16 +362,24 @@ struct KernelSpectra {
 
 impl KernelSpectra {
     /// The compile-time weight transform: project every `b × b` block of
-    /// the dequantized weights onto its circulant kernel and FFT it.
+    /// the dequantized weights onto its circulant kernel, FFT all of
+    /// them as one planar batch, and keep the non-redundant half.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel's spectrum is not exactly conjugate-symmetric
+    /// (see the module docs, "Real-input symmetry").
     fn build(lin: &QLinear, b: usize, tw: &[Cpx]) -> Self {
         let wq = lin.weight_q();
         let (nb_in, nb_out) = (wq.rows() / b, wq.cols() / b);
         let w_scales: Vec<f32> = (0..wq.cols()).map(|c| lin.w_scale_of(c).scale()).collect();
         let in_scale = lin.in_scale().scale();
-        let mut re = vec![0i32; nb_in * b * nb_out];
-        let mut im = vec![0i32; nb_in * b * nb_out];
+        // Time-domain kernels as `[t][in_block · nb_out + out_block]`
+        // planes: one transform lane per weight block.
+        let lanes = nb_in * nb_out;
+        let mut k_re = vec![0i32; b * lanes];
+        let mut k_im = vec![0i32; b * lanes];
         let mut kernel = vec![0.0f32; b];
-        let mut spectrum = vec![Cpx::ZERO; b];
         for i in 0..nb_in {
             for j in 0..nb_out {
                 project_block_into(
@@ -347,16 +388,26 @@ impl KernelSpectra {
                     j * b,
                     &mut kernel,
                 );
-                for (v, &c) in spectrum.iter_mut().zip(&kernel) {
-                    *v = Cpx::real(fx::to_fx(c, FRAC));
-                }
-                fft::fft_in_place(&mut spectrum, tw, FRAC);
-                for (k, v) in spectrum.iter().enumerate() {
-                    re[(i * b + k) * nb_out + j] = v.re;
-                    im[(i * b + k) * nb_out + j] = v.im;
+                for (t, &c) in kernel.iter().enumerate() {
+                    k_re[t * lanes + i * nb_out + j] = fx::to_fx(c, FRAC);
                 }
             }
         }
+        fft::fft_planes(&mut k_re, &mut k_im, lanes, tw, FRAC);
+        assert!(
+            is_hermitian(&k_re, &k_im, lanes),
+            "kernel spectra of real kernels must be conjugate-symmetric"
+        );
+        let half_store = |planes: &[i32]| {
+            let mut store = Vec::with_capacity(nb_in * (b / 2 + 1) * nb_out);
+            for i in 0..nb_in {
+                for k in 0..=b / 2 {
+                    store.extend_from_slice(&planes[k * lanes + i * nb_out..][..nb_out]);
+                }
+            }
+            store
+        };
+        let (re, im) = (half_store(&k_re), half_store(&k_im));
         let bias_f = lin
             .bias_q()
             .iter()
@@ -425,19 +476,46 @@ impl std::fmt::Debug for SpectraMemo {
     }
 }
 
-/// Spectral MAC of one input block's spectrum `xs` against every output
-/// block: `acc[k][j] += xs[k] · K[k][j]` for all bins `k` and output
-/// blocks `j`, each product rounded exactly as [`Cpx::mul`] rounds it.
-/// `k_re`/`k_im` are the input block's `[bin][out_block]` slab of the
-/// planar kernel spectra; the inner loop runs unit-stride over `j`.
+/// Whether every lane of a planar spectrum (`[bin][lane]`, as
+/// [`fft::fft_planes`] leaves it) is the spectrum of a real signal: bins
+/// `0` and `n/2` real, bin `n − k` the conjugate of bin `k`.
+fn is_hermitian(re: &[i32], im: &[i32], lanes: usize) -> bool {
+    fn bin(planes: &[i32], k: usize, lanes: usize) -> &[i32] {
+        &planes[k * lanes..(k + 1) * lanes]
+    }
+    let n = re.len() / lanes;
+    let real = |k| bin(im, k, lanes).iter().all(|&v| v == 0);
+    let mirrored = |k| {
+        let negated = bin(im, n - k, lanes).iter().map(|&v| -v);
+        bin(re, k, lanes) == bin(re, n - k, lanes) && bin(im, k, lanes).iter().copied().eq(negated)
+    };
+    real(0) && real(n / 2) && (1..n / 2).all(mirrored)
+}
+
+/// Spectral MAC of one input block's half-spectrum `xs` (bins
+/// `0 ..= b/2`) against every output block: `acc[k][j] += xs[k] · K[k][j]`
+/// for those bins and all output blocks `j`, each product rounded exactly
+/// as [`Cpx::mul`] rounds it. `k_re`/`k_im` are the input block's
+/// `[bin][out_block]` slab of the planar kernel half-spectra; the inner
+/// loop runs unit-stride over `j`. Bins above `b/2` of `acc` are not
+/// touched: they are the conjugates of what lands here.
 fn spectral_mac(xs: &[Cpx], k_re: &[i32], k_im: &[i32], acc_re: &mut [i32], acc_im: &mut [i32]) {
-    let nb_out = acc_re.len() / xs.len();
+    let nyquist = xs.len() - 1;
+    let nb_out = k_re.len() / xs.len();
     let kernels = k_re.chunks_exact(nb_out).zip(k_im.chunks_exact(nb_out));
     let accs = acc_re
         .chunks_exact_mut(nb_out)
         .zip(acc_im.chunks_exact_mut(nb_out));
-    for ((x, (k_re, k_im)), (acc_re, acc_im)) in xs.iter().zip(kernels).zip(accs) {
+    for (k, ((x, (k_re, k_im)), (acc_re, acc_im))) in xs.iter().zip(kernels).zip(accs).enumerate() {
         let (xr, xi) = (x.re as i64, x.im as i64);
+        if k == 0 || k == nyquist {
+            // Both factors are real here, so `Cpx::mul`'s real part is
+            // one multiply and its imaginary part is `R(0) = 0`.
+            for (a_re, &kr) in acc_re.iter_mut().zip(k_re) {
+                *a_re += rounding_shr(xr * kr as i64, FRAC) as i32;
+            }
+            continue;
+        }
         let lanes = acc_re
             .iter_mut()
             .zip(acc_im.iter_mut())
@@ -468,9 +546,19 @@ impl Clone for CirculantBackend {
 
 impl CirculantBackend {
     /// Wraps a validated configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid, or if the twiddle ROM is
+    /// not mirror-symmetric (see the module docs, "Real-input symmetry").
     pub fn new(cfg: CirculantConfig) -> Self {
         cfg.validate();
         let tw = fft::twiddles(cfg.block, FRAC);
+        let mirrored = |k: usize| Cpx::new(-tw[k].re, tw[k].im);
+        assert!(
+            tw[0].im == 0 && (1..tw.len()).all(|k| tw[tw.len() - k] == mirrored(k)),
+            "twiddle ROM must be mirror-symmetric for the half-spectrum datapath"
+        );
         Self {
             cfg,
             tw,
@@ -498,10 +586,11 @@ impl CirculantBackend {
         }
     }
 
-    /// One FFN sublayer on the FFT unit: dequantize codes, FFT input
-    /// blocks, frequency-domain MAC against the resident kernel spectra,
-    /// IFFT per output block (DC-bin checked), bias (+ optional ReLU),
-    /// requantize with the layer's output scale.
+    /// One FFN sublayer on the FFT unit, a row at a time: dequantize
+    /// codes, one batched FFT over the input blocks, frequency-domain MAC
+    /// of the half-spectra against the resident kernel store, one batched
+    /// IFFT over the output blocks (each ABFT-checked), bias (+ optional
+    /// ReLU), requantize with the layer's output scale.
     fn circ_layer(
         &self,
         x_codes: &Mat<i8>,
@@ -518,8 +607,9 @@ impl CirculantBackend {
             d_in % b == 0 && d_out % b == 0,
             "block must divide the sublayer's {d_in} x {d_out} weights"
         );
-        let nb_out = d_out / b;
-        let slab = b * nb_out;
+        let (nb_in, nb_out) = (d_in / b, d_out / b);
+        let bins = b / 2 + 1;
+        let slab = bins * nb_out;
         let tw = &self.tw[..];
         let kernels = self.memo.get(lin, b, tw);
         let in_scale = lin.in_scale();
@@ -529,22 +619,46 @@ impl CirculantBackend {
         // word per INT8 code, indexed by the code's bit pattern.
         let dequant: [i32; 256] =
             std::array::from_fn(|code| fx::to_fx(in_scale.dequantize(code as u8 as i8), FRAC));
+        // Per-lane sums over a `[plane][lane]` array.
+        let plane_sums = |planes: &[i32], sums: &mut [i64]| {
+            sums.fill(0);
+            for plane in planes.chunks_exact(sums.len()) {
+                for (s, &v) in sums.iter_mut().zip(plane) {
+                    *s += v as i64;
+                }
+            }
+        };
 
         let mut out = Mat::<i8>::zeros(x_codes.rows(), d_out);
-        let mut xs = vec![Cpx::ZERO; b];
-        let mut acc_re = vec![0i32; slab];
-        let mut acc_im = vec![0i32; slab];
-        let mut acc = vec![Cpx::ZERO; b];
+        // Input planes `[t][in_block]`, accumulator planes
+        // `[bin][out_block]`: every transform below is one planar batch.
+        let mut x_re = vec![0i32; d_in];
+        let mut x_im = vec![0i32; d_in];
+        let mut xs = vec![Cpx::ZERO; bins];
+        let mut acc_re = vec![0i32; d_out];
+        let mut acc_im = vec![0i32; d_out];
+        let mut dc_re = vec![0i32; nb_out];
+        let (mut s_re, mut s_im) = (vec![0i64; nb_out], vec![0i64; nb_out]);
+        let mut time_sum = vec![0i64; nb_out];
         for r in 0..x_codes.rows() {
-            // Transform + accumulate: FFT each input block of this row
-            // once and MAC it into every output block's spectrum.
+            // Transform: FFT every input block of this row at once.
+            let codes = x_codes.row(r);
+            for (t, plane) in x_re.chunks_exact_mut(nb_in).enumerate() {
+                for (i, x) in plane.iter_mut().enumerate() {
+                    *x = dequant[codes[i * b + t] as u8 as usize];
+                }
+            }
+            x_im.fill(0);
+            fft::fft_planes(&mut x_re, &mut x_im, nb_in, tw, FRAC);
+            debug_assert!(is_hermitian(&x_re, &x_im, nb_in));
+            // Accumulate: MAC each input block's half-spectrum into
+            // every output block's.
             acc_re.fill(0);
             acc_im.fill(0);
-            for (i, codes) in x_codes.row(r).chunks_exact(b).enumerate() {
-                for (x, &code) in xs.iter_mut().zip(codes) {
-                    *x = Cpx::real(dequant[code as u8 as usize]);
+            for i in 0..nb_in {
+                for (k, x) in xs.iter_mut().enumerate() {
+                    *x = Cpx::new(x_re[k * nb_in + i], x_im[k * nb_in + i]);
                 }
-                fft::fft_in_place(&mut xs, tw, FRAC);
                 let at = i * slab..(i + 1) * slab;
                 spectral_mac(
                     &xs,
@@ -554,44 +668,49 @@ impl CirculantBackend {
                     &mut acc_im,
                 );
             }
-            // Drain: per output block, check and IFFT its spectrum.
+            // Drain. The bins the MAC skipped are the conjugates of the
+            // ones it ran; rebuild them first, so that everything from
+            // here on sees the full spectra the store would hold.
+            for k in 1..b / 2 {
+                let (bin, mirror) = (k * nb_out..(k + 1) * nb_out, (b - k) * nb_out);
+                acc_re.copy_within(bin.clone(), mirror);
+                acc_im.copy_within(bin, mirror);
+                for v in &mut acc_im[mirror..mirror + nb_out] {
+                    *v = -*v;
+                }
+            }
+            // ABFT checksum registers: Σ_k Y_k of the products as they
+            // were written to the spectral SRAM, read before the store
+            // can have been corrupted.
+            plane_sums(&acc_re, &mut s_re);
+            plane_sums(&acc_im, &mut s_im);
+            if let Some(f) = fault {
+                if f.layer == layer && f.row == r && f.out_block < nb_out {
+                    acc_re[(f.bin % b) * nb_out + f.out_block] ^= 1i32 << (f.bit % 31);
+                }
+            }
+            dc_re.copy_from_slice(&acc_re[..nb_out]);
+            fft::ifft_planes(&mut acc_re, &mut acc_im, nb_out, tw, FRAC);
+            // Two invariants per output block: (1) IFFT
+            // self-consistency, Σ_t y_t = Y[0]; (2) the accumulation
+            // checksum, b·y₀ = Σ_k Y_k (every bin contributes to y₀, so
+            // a flip in *any* bin of the stored spectrum diverges from
+            // the register).
+            plane_sums(&acc_re, &mut time_sum);
+            report.blocks_checked += nb_out as u64;
             for j in 0..nb_out {
-                // ABFT checksum register: Σ_k Y_k of the products as
-                // they were written to the spectral SRAM, read before
-                // the store can have been corrupted.
-                let (mut s_re, mut s_im) = (0i64, 0i64);
-                for (k, a) in acc.iter_mut().enumerate() {
-                    *a = Cpx::new(acc_re[k * nb_out + j], acc_im[k * nb_out + j]);
-                    s_re += a.re as i64;
-                    s_im += a.im as i64;
-                }
-                if let Some(f) = fault {
-                    if f.layer == layer && f.row == r && f.out_block == j {
-                        acc[f.bin % b].re ^= 1i32 << (f.bit % 31);
-                    }
-                }
-                let dc = acc[0];
-                fft::ifft_in_place(&mut acc, tw, FRAC);
-                // Two invariants: (1) IFFT self-consistency, Σ_t y_t =
-                // Y[0]; (2) the accumulation checksum, b·y₀ = Σ_k Y_k
-                // (every bin contributes to y₀, so a flip in *any* bin
-                // of the stored spectrum diverges from the register).
-                let time_sum: i64 = acc.iter().map(|v| v.re as i64).sum();
-                let y0 = acc[0];
-                report.blocks_checked += 1;
-                if (time_sum - dc.re as i64).abs() > tol
-                    || (b as i64 * y0.re as i64 - s_re).abs() > tol * b as i64
-                    || (b as i64 * y0.im as i64 - s_im).abs() > tol * b as i64
+                let (y0_re, y0_im) = (acc_re[j] as i64, acc_im[j] as i64);
+                if (time_sum[j] - dc_re[j] as i64).abs() > tol
+                    || (b as i64 * y0_re - s_re[j]).abs() > tol * b as i64
+                    || (b as i64 * y0_im - s_im[j]).abs() > tol * b as i64
                 {
                     report.violations += 1;
                 }
-                let cols = j * b..(j + 1) * b;
-                let drain = out.row_mut(r)[cols.clone()]
-                    .iter_mut()
-                    .zip(&kernels.bias_f[cols])
-                    .zip(&acc);
-                for ((o, &bias), v) in drain {
-                    let y = fx::to_f32(v.re, FRAC) + bias;
+            }
+            let blocks = out.row_mut(r).chunks_exact_mut(b);
+            for (j, (codes, bias)) in blocks.zip(kernels.bias_f.chunks_exact(b)).enumerate() {
+                for (t, (o, &bias)) in codes.iter_mut().zip(bias).enumerate() {
+                    let y = fx::to_f32(acc_re[t * nb_out + j], FRAC) + bias;
                     let y = if relu { y.max(0.0) } else { y };
                     *o = out_scale.quantize(y);
                 }
@@ -646,9 +765,12 @@ impl CirculantBackend {
     }
 
     /// INT16-packed spectral words the unit stores for both FFN weight
-    /// matrices: `2 · d_model · d_ff / b` complex words — a `b×`
-    /// parameter compression over the dense `2 · d_model · d_ff`
-    /// scalars.
+    /// matrices: `2 · d_model · d_ff / b` complex words, i.e. `b` real
+    /// numbers per `b × b` block — a `b×` parameter compression over the
+    /// dense `2 · d_model · d_ff` scalars. The figure is literal for the
+    /// half-spectrum store: bins `0` and `b/2` hold one real number each
+    /// and bins `1 .. b/2` two, `b` in all (a full-spectrum store would
+    /// hold `2b`, only a `b/2×` compression).
     pub fn stored_weight_words(&self) -> usize {
         let m = &self.cfg.base.model;
         2 * m.d_model * m.d_ff / self.cfg.block
@@ -922,12 +1044,16 @@ mod tests {
     // ---- Fixtures ------------------------------------------------------
 
     fn tiny_backend() -> CirculantBackend {
+        tiny_backend_at(8)
+    }
+
+    fn tiny_backend_at(block: usize) -> CirculantBackend {
         let mut base = AccelConfig::paper_default();
         base.model = ModelConfig::tiny_for_tests();
         base.s = 8;
         CirculantBackend::new(CirculantConfig {
             base,
-            block: 8,
+            block,
             lanes: 4,
         })
     }
@@ -941,9 +1067,19 @@ mod tests {
     /// A circulantized, quantized FFN of `cfg`'s shape with an `s`-row
     /// input, all drawn from `seed`.
     fn fixture(cfg: &ModelConfig, s: usize, seed: u64) -> (QuantFfnResBlock, Mat<i8>, Mat<f32>) {
+        fixture_at(cfg, s, seed, 8)
+    }
+
+    /// [`fixture`] with `b × b` circulant blocks.
+    fn fixture_at(
+        cfg: &ModelConfig,
+        s: usize,
+        seed: u64,
+        b: usize,
+    ) -> (QuantFfnResBlock, Mat<i8>, Mat<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut block = FfnResBlock::new(cfg, &mut rng);
-        circulantize_ffn(&mut block, 8);
+        circulantize_ffn(&mut block, b);
         let calib: Vec<Mat<f32>> = (0..4)
             .map(|_| tensor::init::normal(&mut rng, s, cfg.d_model, 1.0))
             .collect();
@@ -965,6 +1101,15 @@ mod tests {
             let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
             (be, prog, q, xq)
         })
+    }
+
+    /// The tiny shape at block size `b`: backend, lowered program, a
+    /// block circulantized at `b` and its input.
+    fn tiny_point(b: usize) -> (CirculantBackend, BackendProgram, QuantFfnResBlock, Mat<i8>) {
+        let be = tiny_backend_at(b);
+        let (q, xq, _) = fixture_at(&ModelConfig::tiny_for_tests(), 8, 0xC3, b);
+        let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
+        (be, prog, q, xq)
     }
 
     fn tiny_linear(seed: u64) -> QLinear {
@@ -1071,8 +1216,12 @@ mod tests {
                 for (i, row) in want.iter().enumerate() {
                     for (j, spectrum) in row.iter().enumerate() {
                         for (k, v) in spectrum.iter().enumerate() {
-                            let at = (i * 8 + k) * nb_out + j;
-                            assert_eq!(Cpx::new(got.re[at], got.im[at]), *v, "({i},{j},{k})");
+                            // Bins 0..=4 are stored; 5..8 are what the
+                            // drain rebuilds, the conjugates of 3..=1.
+                            let at = (i * 5 + k.min(8 - k)) * nb_out + j;
+                            let stored = Cpx::new(got.re[at], got.im[at]);
+                            let bin = if k > 4 { stored.conj() } else { stored };
+                            assert_eq!(bin, *v, "({i},{j},{k})");
                         }
                     }
                 }
@@ -1133,6 +1282,56 @@ mod tests {
                 be.run_ffn_checked(prog, q, xq, fault),
                 reference_run_ffn_checked(8, q, xq, fault)
             );
+        }
+    }
+
+    // ---- Other block sizes: b = 2 has no complex bin at all, b = 4 one,
+    // b = 16 seven -------------------------------------------------------
+
+    #[test]
+    fn clean_runs_equal_the_frozen_reference_at_every_block_size() {
+        for b in [2, 4, 16] {
+            let (be, prog, q, xq) = tiny_point(b);
+            let want = reference_run_ffn_checked(b, &q, &xq, None);
+            assert_eq!(be.run_ffn_checked(&prog, &q, &xq, None), want, "b = {b}");
+            assert_eq!(want.1.violations, 0, "b = {b}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn faulted_runs_equal_the_frozen_reference_at_every_block_size(
+            size in 0usize..3, layer in 1u8..=2, row in 0usize..8,
+            out_block in 0usize..32, bin in 0usize..32, bit in 0u32..40,
+        ) {
+            // (out_block and bin overshoot the smaller geometries: a
+            // block that does not exist never fires, a bin wraps)
+            let b = [2, 4, 16][size];
+            let (be, prog, q, xq) = tiny_point(b);
+            let fault = Some(CircFault { layer, row, out_block, bin, bit });
+            prop_assert_eq!(
+                be.run_ffn_checked(&prog, &q, &xq, fault),
+                reference_run_ffn_checked(b, &q, &xq, fault)
+            );
+        }
+    }
+
+    #[test]
+    fn hermitian_check_rejects_each_way_a_spectrum_can_break() {
+        // Two lanes of a length-4 spectrum, `[bin][lane]`.
+        let re = [5, -3, 2, 7, 9, 1, 2, 7];
+        let im = [0, 0, 4, -6, 0, 0, -4, 6];
+        assert!(is_hermitian(&re, &im, 2));
+        for (at, in_re) in [(0, false), (5, false), (6, true), (7, false)] {
+            let (mut re, mut im) = (re, im);
+            if in_re {
+                re[at] += 1
+            } else {
+                im[at] += 1
+            }
+            assert!(!is_hermitian(&re, &im, 2), "missed [{at}] (re: {in_re})");
         }
     }
 

@@ -91,8 +91,9 @@ pub fn twiddles(n: usize, frac: u32) -> Vec<Cpx> {
         .collect()
 }
 
-fn bit_reverse_permute(x: &mut [Cpx]) {
-    let n = x.len();
+/// Calls `swap(i, j)` for every pair `i < j` that the bit-reversal
+/// permutation of `0..n` exchanges.
+fn bit_reversed_pairs(n: usize, mut swap: impl FnMut(usize, usize)) {
     let mut j = 0usize;
     for i in 1..n {
         let mut bit = n >> 1;
@@ -102,9 +103,13 @@ fn bit_reverse_permute(x: &mut [Cpx]) {
         }
         j |= bit;
         if i < j {
-            x.swap(i, j);
+            swap(i, j);
         }
     }
+}
+
+fn bit_reverse_permute(x: &mut [Cpx]) {
+    bit_reversed_pairs(x.len(), |i, j| x.swap(i, j));
 }
 
 /// In-place radix-2 decimation-in-time FFT. `tw` must come from
@@ -167,10 +172,81 @@ pub fn fft_real(x: &[i32], tw: &[Cpx], frac: u32) -> Vec<Cpx> {
     buf
 }
 
+/// [`fft_in_place`] over `lanes` independent length-`n` transforms held
+/// planar: `re`/`im` are `n` planes of `lanes` words each, element `k`
+/// of lane `l` at `[k * lanes + l]`. The bit-reversal swaps whole planes
+/// and each butterfly is one unit-stride loop over the lanes, rounding
+/// its product exactly as [`Cpx::mul`] does, so every lane ends
+/// bit-identical to a scalar transform of it.
+///
+/// # Panics
+///
+/// Panics if `lanes` is zero, the planes differ in size or are not a
+/// whole number of lanes, or `n` and `tw` break [`fft_in_place`]'s
+/// conditions.
+pub fn fft_planes(re: &mut [i32], im: &mut [i32], lanes: usize, tw: &[Cpx], frac: u32) {
+    assert!(lanes > 0, "planar FFT needs at least one lane");
+    assert_eq!(re.len(), im.len(), "re/im plane size mismatch");
+    assert_eq!(re.len() % lanes, 0, "planes must hold whole lanes");
+    let n = re.len() / lanes;
+    assert!(n.is_power_of_two(), "FFT size must be a power of two");
+    assert_eq!(tw.len(), n / 2, "twiddle table size mismatch");
+    bit_reversed_pairs(n, |i, j| {
+        for planes in [&mut *re, &mut *im] {
+            let (lo, hi) = planes.split_at_mut(j * lanes);
+            lo[i * lanes..(i + 1) * lanes].swap_with_slice(&mut hi[..lanes]);
+        }
+    });
+    let mut len = 2;
+    while len <= n {
+        let step = n / len;
+        let half = len / 2 * lanes;
+        for start in (0..n).step_by(len) {
+            for k in 0..len / 2 {
+                let (wr, wi) = (tw[k * step].re as i64, tw[k * step].im as i64);
+                let at = (start + k) * lanes;
+                let (a_re, b_re) = re[at..at + half + lanes].split_at_mut(half);
+                let (a_im, b_im) = im[at..at + half + lanes].split_at_mut(half);
+                let upper = a_re[..lanes].iter_mut().zip(&mut a_im[..lanes]);
+                let lower = b_re.iter_mut().zip(b_im.iter_mut());
+                for ((ar, ai), (br, bi)) in upper.zip(lower) {
+                    let (xr, xi) = (*br as i64, *bi as i64);
+                    let pr = rounding_shr(xr * wr - xi * wi, frac) as i32;
+                    let pi = rounding_shr(xr * wi + xi * wr, frac) as i32;
+                    (*br, *bi) = (*ar - pr, *ai - pi);
+                    (*ar, *ai) = (*ar + pr, *ai + pi);
+                }
+            }
+        }
+        len <<= 1;
+    }
+}
+
+/// [`ifft_in_place`] over the planar layout of [`fft_planes`]: conjugate,
+/// forward transform, conjugate again with the `1/n` rounding shift.
+///
+/// # Panics
+///
+/// Same conditions as [`fft_planes`].
+pub fn ifft_planes(re: &mut [i32], im: &mut [i32], lanes: usize, tw: &[Cpx], frac: u32) {
+    for v in im.iter_mut() {
+        *v = -*v;
+    }
+    fft_planes(re, im, lanes, tw, frac);
+    let shift = (re.len() / lanes).trailing_zeros();
+    for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+        *r = rounding_shr(*r as i64, shift) as i32;
+        *i = rounding_shr(-*i as i64, shift) as i32;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fx::{self, FRAC};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn naive_dft(x: &[Cpx]) -> Vec<(f64, f64)> {
         let n = x.len();
@@ -272,6 +348,114 @@ mod tests {
             );
             assert!(prod[t].im.abs() <= 64, "real inputs, real output");
         }
+    }
+
+    // ---- Planar batched transforms -------------------------------------
+
+    #[test]
+    fn planar_transforms_equal_the_scalar_ones_lane_by_lane() {
+        let mut rng = StdRng::seed_from_u64(0xF17);
+        for n in [2usize, 4, 8, 16] {
+            let tw = twiddles(n, FRAC);
+            for lanes in [1usize, 3, 64, 256] {
+                let mut re: Vec<i32> = (0..n * lanes)
+                    .map(|_| rng.random_range(-(1 << 24)..1 << 24))
+                    .collect();
+                let mut im: Vec<i32> = (0..n * lanes)
+                    .map(|_| rng.random_range(-(1 << 24)..1 << 24))
+                    .collect();
+                let lane = |re: &[i32], im: &[i32], l: usize| -> Vec<Cpx> {
+                    (0..n)
+                        .map(|k| Cpx::new(re[k * lanes + l], im[k * lanes + l]))
+                        .collect()
+                };
+                let mut want: Vec<Vec<Cpx>> = (0..lanes).map(|l| lane(&re, &im, l)).collect();
+                fft_planes(&mut re, &mut im, lanes, &tw, FRAC);
+                for (l, w) in want.iter_mut().enumerate() {
+                    fft_in_place(w, &tw, FRAC);
+                    assert_eq!(
+                        lane(&re, &im, l),
+                        *w,
+                        "forward n={n} lanes={lanes} lane {l}"
+                    );
+                }
+                ifft_planes(&mut re, &mut im, lanes, &tw, FRAC);
+                for (l, w) in want.iter_mut().enumerate() {
+                    ifft_in_place(w, &tw, FRAC);
+                    assert_eq!(
+                        lane(&re, &im, l),
+                        *w,
+                        "inverse n={n} lanes={lanes} lane {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole lanes")]
+    fn ragged_planes_rejected() {
+        fft_planes(&mut [0; 9], &mut [0; 9], 2, &twiddles(4, FRAC), FRAC);
+    }
+
+    // ---- Real input: the exact symmetry the half-spectrum unit rests on -
+
+    /// Bins `0` and `n/2` real, bin `n − k` the conjugate of bin `k`.
+    fn is_hermitian(x: &[Cpx]) -> bool {
+        let n = x.len();
+        x[0].im == 0 && x[n / 2].im == 0 && (1..n / 2).all(|k| x[n - k] == x[k].conj())
+    }
+
+    /// [`fft_real`] with the rounding shift as a parameter: the mutation
+    /// harness for the symmetry property.
+    fn fft_real_rounded_by(x: &[i32], tw: &[Cpx], round: fn(i64, u32) -> i64) -> Vec<Cpx> {
+        let n = x.len();
+        let mut x: Vec<Cpx> = x.iter().map(|&v| Cpx::real(v)).collect();
+        bit_reverse_permute(&mut x);
+        let mut len = 2;
+        while len <= n {
+            for start in (0..n).step_by(len) {
+                for k in 0..len / 2 {
+                    let (w, a, b) = (tw[k * (n / len)], x[start + k], x[start + k + len / 2]);
+                    let re = b.re as i64 * w.re as i64 - b.im as i64 * w.im as i64;
+                    let im = b.re as i64 * w.im as i64 + b.im as i64 * w.re as i64;
+                    let b = Cpx::new(round(re, FRAC) as i32, round(im, FRAC) as i32);
+                    x[start + k] = a + b;
+                    x[start + k + len / 2] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+        x
+    }
+
+    proptest! {
+        #[test]
+        fn spectrum_of_a_real_signal_is_exactly_hermitian(
+            log2n in 1u32..=4,
+            samples in proptest::collection::vec(-(1i32 << 24)..1 << 24, 16),
+        ) {
+            let n = 1usize << log2n;
+            let tw = twiddles(n, FRAC);
+            let spectrum = fft_real(&samples[..n], &tw, FRAC);
+            prop_assert!(is_hermitian(&spectrum), "{:?}", spectrum);
+            // (and the mutation harness below is this transform)
+            prop_assert_eq!(fft_real_rounded_by(&samples[..n], &tw, rounding_shr), spectrum);
+        }
+    }
+
+    #[test]
+    fn a_round_half_up_shift_breaks_the_symmetry() {
+        // `rounding_shr` rounds ties away from zero, so it is odd and
+        // commutes with the conjugation that maps bin k to bin n − k.
+        // Round-half-up sends the tie −90.5 to −90 but +90.5 to +91: a
+        // single sample of 128 LSB at t = 1 puts exactly that tie into
+        // the cos 45° butterflies of a length-8 transform.
+        let half_up = |v: i64, s: u32| (v + (1 << (s - 1))) >> s;
+        let tw = twiddles(8, FRAC);
+        let x = [0, 128, 0, 0, 0, 0, 0, 0];
+        assert!(is_hermitian(&fft_real_rounded_by(&x, &tw, rounding_shr)));
+        assert!(!is_hermitian(&fft_real_rounded_by(&x, &tw, half_up)));
     }
 
     #[test]
