@@ -19,7 +19,26 @@
 //! consumed through [`CacheRef`], which reads either a flat code matrix
 //! or a paged [`tensor::kvpool`] sequence — bit-identically, since both
 //! hand the GEMM the same per-head panel bytes.
+//!
+//! **Shared-prefix cohorts.** Sessions forked from one prefix snapshot
+//! hold the same leading KV pages, and forks of one session hold the
+//! same cross-attention K/V allocation. [`attention_cohorts`] groups the
+//! row groups whose caches begin with the same storage (compared by
+//! address and page id, never by bytes). A cohort's shared rows are
+//! scored by one `QKᵀ` GEMM and summed by one `P·V` GEMM per head over
+//! all its members' stacked rows, so each shared K/V panel is read once
+//! per cohort and layer instead of once per row — the array's own
+//! GEMM-over-`s`-rows form (Algorithm 1) rather than a GEMV per decode
+//! row. Each group's remaining rows run as before: the fused all-head
+//! drain for a decode row, per-head GEMMs for a prefill chunk. The
+//! softmax still runs once per row over the assembled full row. Scores
+//! are exact `i32` dot products and `P·V` an exact `i32` sum, so a row's
+//! bits do not depend on its cohort; with no cohort (`shared = 0`) the
+//! computation is exactly the per-group one. Cohorts share the fused
+//! drain's gate: with fault hooks live or fusion off every group
+//! attends alone on the per-head path.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use graph::{Env, ExecPlan, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
@@ -395,13 +414,16 @@ impl<'a> CacheRef<'a> {
         }
     }
 
-    /// Copies the head panel (columns `c0 .. c0 + width`, all rows) into
-    /// a dense matrix, one row slice at a time: `Mat::submatrix` for
-    /// flat storage, [`KvPool::gather_panel`] for paged.
-    pub fn panel(&self, c0: usize, width: usize) -> Mat<i8> {
+    /// Copies the head panel (columns `c0 .. c0 + width`, cache rows
+    /// `rows`) into a dense matrix, one row slice at a time:
+    /// `Mat::submatrix` for flat storage, [`KvPool::gather_panel`] for
+    /// paged.
+    pub fn panel(&self, rows: Range<usize>, c0: usize, width: usize) -> Mat<i8> {
         match self {
-            CacheRef::Flat(m) => m.submatrix(0, c0, m.rows(), width).expect("head panel"),
-            CacheRef::Paged { pool, seq } => pool.gather_panel(seq, c0, width),
+            CacheRef::Flat(m) => m
+                .submatrix(rows.start, c0, rows.len(), width)
+                .expect("head panel"),
+            CacheRef::Paged { pool, seq } => pool.gather_panel(seq, rows, c0, width),
         }
     }
 
@@ -414,78 +436,201 @@ impl<'a> CacheRef<'a> {
             CacheRef::Paged { pool, seq } => pool.row(seq, r),
         }
     }
+
+    /// The block table of a paged cache.
+    fn seq(&self) -> Option<&'a KvSeq> {
+        match self {
+            CacheRef::Flat(_) => None,
+            CacheRef::Paged { seq, .. } => Some(seq),
+        }
+    }
 }
 
-/// Whether the fused decode-attention drain may run: fusion enabled and
-/// no fault hooks installed. The fault injector numbers and probes the
-/// per-head GEMM passes, so with hooks live the per-head path (whose
-/// pass sequence the seeded campaigns calibrate against) must be taken —
-/// the same fallback seam the fused `QLinear` forwards use. Both paths
-/// are bit-identical, so this only affects speed.
+/// Whether the fused decode-attention drain and the shared-prefix
+/// cohorts may run: fusion enabled and no fault hooks installed. The
+/// fault injector numbers and probes the per-head GEMM passes, so with
+/// hooks live the per-head path (whose pass sequence the seeded
+/// campaigns calibrate against) must be taken — the same fallback seam
+/// the fused `QLinear` forwards use. Both paths are bit-identical, so
+/// this only affects speed.
 fn attention_fusible() -> bool {
     tensor::envcfg::fuse_enabled() && !faults::hooks_active()
 }
 
-/// The fused single-row attention drain: score, softmax, and `P·V` for
-/// **all** heads in one streaming pass over the cache rows, with no
-/// per-head K/V panel gathers and no per-head GEMV dispatch.
-///
-/// Bit-identity with [`head_section_chunk`]'s per-head GEMM path:
-///
-/// * **Scores** — [`tensor::simd::head_dots_i8`] accumulates each
-///   head's `q · k_t` in ascending-`j` order, exactly the inner product
-///   `matmul_i8_nt` computes; integer sums are order-independent.
-/// * **Softmax** — one `heads × ctx` call instead of `heads` separate
-///   `1 × ctx` calls. Both softmax modes process rows independently
-///   (per-row max, sum, and normalisation), so batching rows cannot
-///   change any bit.
-/// * **`P·V`** — [`tensor::simd::scaled_add_i8`] folds cache row `t`
-///   into the head accumulators in ascending-`t` order, the same `k`
-///   order as `matmul_i8(probs, vi)`; again exact integer adds.
-/// * **Requantize** — the same [`QuantMhaResBlock::requantize_p_into`] drain.
-fn head_section_fused(
-    block: &QuantMhaResBlock,
-    q: &Mat<i8>,
-    r: usize,
-    keys: &CacheRef<'_>,
-    vals: &CacheRef<'_>,
-    out: &mut [i8],
-) {
-    let d_k = block.d_k();
-    let h = block.heads();
-    let d = h * d_k;
-    let ctx = keys.rows();
-    let qrow = &q.row(r)[..d];
-    let mut scores = Mat::zeros(h, ctx);
-    let mut col = vec![0i32; h];
-    for t in 0..ctx {
-        tensor::simd::head_dots_i8(qrow, &keys.row(t)[..d], d_k, &mut col);
-        for (i, &s) in col.iter().enumerate() {
-            scores[(i, t)] = s;
-        }
-    }
-    let probs = scaled_masked_softmax(&scores, block.d_scale(), d_k, None, block.softmax_mode());
-    let mut acc = vec![0i32; d];
-    for t in 0..ctx {
-        let vrow = &vals.row(t)[..d];
-        for i in 0..h {
-            let c0 = i * d_k;
-            tensor::simd::scaled_add_i8(&mut acc[c0..c0 + d_k], &vrow[c0..c0 + d_k], probs[(i, t)]);
-        }
-    }
-    block.requantize_p_into(&acc, &mut out[..d]);
+/// Row groups of one [`cached_mha_rows`] call whose caches begin with
+/// the same storage: the first `shared` rows of every member's K and V
+/// caches are the same bytes at the same place, so their scores and
+/// their `P·V` terms are computed once for the cohort — one `QKᵀ` GEMM
+/// and one `P·V` GEMM per head over the members' stacked rows — instead
+/// of once per row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cohort {
+    /// The member groups' indices, ascending.
+    pub members: Vec<usize>,
+    /// Leading cache rows every member attends from the shared storage;
+    /// `0` for a cohort of one.
+    pub shared: usize,
 }
 
-/// The multi-row head section for one session's prefill chunk: rows
-/// `r0 .. r0 + rows` of `q` attend over the session's cache. With
-/// `causal` set, row `j` attends only its legal prefix of the cache —
-/// stated to the softmax as a length, not a mask matrix. The columns
-/// beyond it (the chunk's own future rows) are excluded from the
-/// softmax max/sum and carry exactly-zero probability codes,
-/// contributing nothing to the `P·V` GEMM — which is what makes the
-/// chunked result bit-identical to `rows` sequential single-row steps.
-/// The caller has checked `ctx >= rows` for causal groups.
-fn head_section_chunk(
+impl Cohort {
+    fn single(group: usize) -> Self {
+        Cohort {
+            members: vec![group],
+            shared: 0,
+        }
+    }
+}
+
+/// The storage a group's caches begin with, as identity — addresses and
+/// page ids, never bytes: the K and V allocations of a flat cache, or
+/// the K and V pools and first pages of a paged one.
+#[derive(PartialEq)]
+enum Lead {
+    Flat(*const Mat<i8>, *const Mat<i8>),
+    Paged(*const KvPool<i8>, *const KvPool<i8>, usize, usize),
+}
+
+/// [`Lead`] of one group's caches; `None` when nothing could be shared
+/// (a paged first page not yet full, or mixed layouts).
+fn lead(keys: &CacheRef<'_>, vals: &CacheRef<'_>) -> Option<Lead> {
+    match (*keys, *vals) {
+        (CacheRef::Flat(k), CacheRef::Flat(v)) => Some(Lead::Flat(k, v)),
+        (CacheRef::Paged { pool: kp, seq: ks }, CacheRef::Paged { pool: vp, seq: vs }) => {
+            let full = ks.rows() >= kp.page_rows() && vs.rows() >= vp.page_rows();
+            full.then(|| Lead::Paged(kp, vp, ks.page_ids()[0], vs.page_ids()[0]))
+        }
+        _ => None,
+    }
+}
+
+/// Partitions the row groups of one [`cached_mha_rows`] call (same
+/// arguments) into [`Cohort`]s, ordered by first member.
+///
+/// Groups join one cohort when their K **and** V caches begin with the
+/// same storage:
+///
+/// * **flat** caches (cross-attention K/V): the same allocations for
+///   both; every row is then shared, `shared = ctx`;
+/// * **paged** caches (self-attention K/V): the same full first page in
+///   the same pools; `shared` is [`KvPool::shared_prefix_rows`] over the
+///   members' K tables and over their V tables, the smaller of the two —
+///   whole pages, full in every member.
+///
+/// With `causal`, `shared` is also capped at every member's
+/// `ctx - rows`, so the shared rows lie before every group's own chunk
+/// rows and every row of every member attends all of them. A cohort
+/// needs two members and a shared row; every other group is a cohort of
+/// one with `shared = 0`.
+pub fn attention_cohorts(
+    groups: &[usize],
+    keys: &[CacheRef<'_>],
+    vals: &[CacheRef<'_>],
+    causal: bool,
+) -> Vec<Cohort> {
+    let mut cohorts: Vec<Cohort> = Vec::new();
+    let mut leads: Vec<(Lead, usize)> = Vec::new();
+    for g in 0..groups.len() {
+        let Some(l) = lead(&keys[g], &vals[g]) else {
+            cohorts.push(Cohort::single(g));
+            continue;
+        };
+        match leads.iter().find(|(m, _)| *m == l) {
+            Some(&(_, c)) => cohorts[c].members.push(g),
+            None => {
+                leads.push((l, cohorts.len()));
+                cohorts.push(Cohort::single(g));
+            }
+        }
+    }
+    let mut planned: Vec<Cohort> = Vec::with_capacity(groups.len());
+    for mut cohort in cohorts {
+        if cohort.members.len() > 1 {
+            cohort.shared = shared_rows(&cohort.members, groups, keys, vals, causal);
+        }
+        if cohort.shared > 0 {
+            planned.push(cohort);
+        } else {
+            planned.extend(cohort.members.into_iter().map(Cohort::single));
+        }
+    }
+    planned.sort_by_key(|c| c.members[0]);
+    planned
+}
+
+/// The rows a cohort's members share (see [`attention_cohorts`]).
+fn shared_rows<'a>(
+    members: &[usize],
+    groups: &[usize],
+    keys: &[CacheRef<'a>],
+    vals: &[CacheRef<'a>],
+    causal: bool,
+) -> usize {
+    let common = match (keys[members[0]], vals[members[0]]) {
+        (CacheRef::Paged { pool: kp, .. }, CacheRef::Paged { pool: vp, .. }) => {
+            let tables = |caches: &[CacheRef<'a>]| -> Vec<&'a KvSeq> {
+                members.iter().filter_map(|&g| caches[g].seq()).collect()
+            };
+            kp.shared_prefix_rows(&tables(keys))
+                .min(vp.shared_prefix_rows(&tables(vals)))
+        }
+        _ => keys[members[0]].rows(),
+    };
+    if causal {
+        members.iter().fold(common, |s, &g| {
+            s.min(keys[g].rows().saturating_sub(groups[g]))
+        })
+    } else {
+        common
+    }
+}
+
+/// One group's share of [`cohort_attention`]: its `P·V` accumulators over
+/// its private cache rows (`rows × d_model`), and its probability codes
+/// over the cohort's shared rows, head-major (row `i * rows + j` is head
+/// `i`, chunk row `j`; no columns when nothing is shared).
+struct GroupAttention {
+    acc: Mat<i32>,
+    shared_probs: Mat<i8>,
+}
+
+/// A group's view of its cohort's scores against the shared cache rows
+/// `0 .. rows`: head `i`, chunk row `j` is row `s0 + j` of `heads[i]`.
+/// Nothing shared is `rows = 0` over no heads.
+#[derive(Clone, Copy)]
+struct SharedScores<'a> {
+    rows: usize,
+    heads: &'a [Mat<i32>],
+    s0: usize,
+}
+
+impl SharedScores<'_> {
+    fn row(&self, head: usize, j: usize) -> &[i32] {
+        self.heads[head].row(self.s0 + j)
+    }
+}
+
+/// One group's attention given its scores against the cohort's shared
+/// cache rows (`shared_scores`, rows `0 .. shared`): the rest of each
+/// score row — the private rows `shared .. ctx` — is computed here, the
+/// softmax runs once over the assembled full row, and `P·V` is summed
+/// over the private rows. With `shared = 0` this is the group attending
+/// its whole cache alone.
+///
+/// A one-row group on the fused path streams its private rows once for
+/// **all** heads, with no per-head panel gathers or GEMV dispatch:
+/// [`tensor::simd::head_dots_i8`] accumulates each head's `q · k_t` in
+/// ascending order (the inner product `matmul_i8_nt` computes; integer
+/// sums are order-independent), one `heads × ctx` softmax replaces
+/// `heads` calls of `1 × ctx` (both softmax modes work row by row), and
+/// [`tensor::simd::scaled_add_i8`] folds cache row `t` into the head
+/// accumulators. Every other group runs a score GEMM and a `P·V` GEMM
+/// per head around a prefix-length softmax: with `causal`, chunk row `j`
+/// attends cache positions `0 ..= ctx - rows + j`, and the later columns
+/// (the chunk's own future rows) carry exactly-zero probability codes —
+/// which is what makes a chunk bit-identical to its rows fed one at a
+/// time. The caller has checked `ctx >= rows` for causal groups.
+#[allow(clippy::too_many_arguments)]
+fn private_attention(
     block: &QuantMhaResBlock,
     q: &Mat<i8>,
     r0: usize,
@@ -493,47 +638,228 @@ fn head_section_chunk(
     keys: &CacheRef<'_>,
     vals: &CacheRef<'_>,
     causal: bool,
-) -> Mat<i8> {
-    let d_k = block.d_k();
+    fused: bool,
+    shared_scores: SharedScores<'_>,
+) -> GroupAttention {
+    let (h, d_k) = (block.heads(), block.d_k());
+    let d = h * d_k;
     let ctx = keys.rows();
-    // A one-row chunk (the decode steady state: every session advances
-    // one token per engine step) has no intra-chunk mask — its row
-    // attends the whole cache — so take the fused drain when it is legal.
-    if rows == 1 && attention_fusible() {
-        let mut out = Mat::zeros(1, block.heads() * d_k);
-        head_section_fused(block, q, r0, keys, vals, &mut out.row_mut(0)[..]);
-        return out;
+    let shared = shared_scores.rows;
+    if rows == 1 && fused {
+        let qrow = &q.row(r0)[..d];
+        let mut scores = Mat::zeros(h, ctx);
+        for i in 0..shared_scores.heads.len() {
+            scores.row_mut(i)[..shared].copy_from_slice(shared_scores.row(i, 0));
+        }
+        let mut col = vec![0i32; h];
+        for t in shared..ctx {
+            tensor::simd::head_dots_i8(qrow, &keys.row(t)[..d], d_k, &mut col);
+            for (i, &s) in col.iter().enumerate() {
+                scores[(i, t)] = s;
+            }
+        }
+        let probs =
+            scaled_masked_softmax(&scores, block.d_scale(), d_k, None, block.softmax_mode());
+        let mut acc = Mat::zeros(1, d);
+        let out = acc.row_mut(0);
+        for t in shared..ctx {
+            let vrow = &vals.row(t)[..d];
+            for i in 0..h {
+                let c0 = i * d_k;
+                tensor::simd::scaled_add_i8(
+                    &mut out[c0..c0 + d_k],
+                    &vrow[c0..c0 + d_k],
+                    probs[(i, t)],
+                );
+            }
+        }
+        let mut shared_probs = Mat::zeros(h, shared);
+        for i in 0..h {
+            shared_probs
+                .row_mut(i)
+                .copy_from_slice(&probs.row(i)[..shared]);
+        }
+        return GroupAttention { acc, shared_probs };
     }
-    // Row j of a causal chunk may see cache positions 0 ..= ctx - rows + j;
-    // later columns are the chunk's own future rows.
     let live: Vec<usize> = (0..rows)
         .map(|j| if causal { ctx - rows + j + 1 } else { ctx })
         .collect();
-    let mut out = Mat::zeros(rows, block.heads() * d_k);
-    for i in 0..block.heads() {
+    let mut acc = Mat::zeros(rows, d);
+    let mut shared_probs = Mat::zeros(h * rows, shared);
+    for i in 0..h {
         let c0 = i * d_k;
         let qi = q.submatrix(r0, c0, rows, d_k).expect("head panel");
-        let ki = keys.panel(c0, d_k);
-        let vi = vals.panel(c0, d_k);
-        let d_acc = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
-        let probs =
-            scaled_prefix_softmax(&d_acc, block.d_scale(), d_k, &live, block.softmax_mode());
-        let p_acc = gemm::matmul_i8(&probs, &vi).expect("shapes");
+        let ki = keys.panel(shared..ctx, c0, d_k);
+        let vi = vals.panel(shared..ctx, c0, d_k);
+        let own = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
+        let softmax = |scores: &Mat<i32>| {
+            scaled_prefix_softmax(scores, block.d_scale(), d_k, &live, block.softmax_mode())
+        };
+        let own_probs = if shared == 0 {
+            softmax(&own)
+        } else {
+            let mut scores = Mat::zeros(rows, ctx);
+            for j in 0..rows {
+                let row = scores.row_mut(j);
+                row[..shared].copy_from_slice(shared_scores.row(i, j));
+                row[shared..].copy_from_slice(own.row(j));
+            }
+            let probs = softmax(&scores);
+            let mut own_probs = Mat::zeros(rows, ctx - shared);
+            for j in 0..rows {
+                let (s, o) = probs.row(j).split_at(shared);
+                shared_probs.row_mut(i * rows + j).copy_from_slice(s);
+                own_probs.row_mut(j).copy_from_slice(o);
+            }
+            own_probs
+        };
+        let p_acc = gemm::matmul_i8(&own_probs, &vi).expect("shapes");
         for j in 0..rows {
-            block.requantize_p_into(p_acc.row(j), &mut out.row_mut(j)[c0..c0 + d_k]);
+            acc.row_mut(j)[c0..c0 + d_k].copy_from_slice(p_acc.row(j));
         }
     }
-    out
+    GroupAttention { acc, shared_probs }
+}
+
+/// The `P` codes of every row of a [`cached_mha_rows`] call under the
+/// cohort plan `cohorts`: each cohort's shared rows through one score
+/// GEMM and one `P·V` GEMM per head over its members' stacked rows, each
+/// group's private rows through [`private_attention`]. Heads fan out
+/// across threads, then groups, then heads again.
+///
+/// Bit-identical to every group attending its whole cache alone: a
+/// score is the same exact `i32` dot product whichever GEMM computes it,
+/// so the softmax sees the same row; the `P·V` accumulator is an `i32`
+/// sum of the same products, split as shared + private — exact, since
+/// probability codes lie in `0..=127`, so `|Σ| ≤ 127 · 128 · ctx` stays
+/// below `2³¹` for any context under 132,000 rows; and the same
+/// [`QuantMhaResBlock::requantize_p_into`] drains it. The prefix-length
+/// softmax masks a chunk's future rows whatever the split, so the cap
+/// on `shared` ([`attention_cohorts`]) is asserted here as the plan's
+/// contract rather than relied on for the masking.
+#[allow(clippy::too_many_arguments)]
+fn cohort_attention(
+    block: &QuantMhaResBlock,
+    q: &Mat<i8>,
+    groups: &[usize],
+    keys: &[CacheRef<'_>],
+    vals: &[CacheRef<'_>],
+    causal: bool,
+    fused: bool,
+    cohorts: &[Cohort],
+) -> Mat<i8> {
+    let (h, d_k) = (block.heads(), block.d_k());
+    let offsets: Vec<usize> = groups
+        .iter()
+        .scan(0usize, |acc, &g| {
+            let r0 = *acc;
+            *acc += g;
+            Some(r0)
+        })
+        .collect();
+    // Each group's cohort, and its first row in the cohort's stack.
+    let mut place = vec![(0usize, 0usize); groups.len()];
+    for (c, cohort) in cohorts.iter().enumerate() {
+        let mut s0 = 0;
+        for &g in &cohort.members {
+            assert!(
+                !causal || cohort.shared + groups[g] <= keys[g].rows(),
+                "group {g}: shared rows {} reach into its chunk",
+                cohort.shared
+            );
+            place[g] = (c, s0);
+            s0 += groups[g];
+        }
+    }
+    // One task per (cohort with shared rows, head); a cohort's heads are
+    // consecutive tasks from `first[c]`.
+    let tasks: Vec<(usize, usize)> = cohorts
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.shared > 0)
+        .flat_map(|(c, _)| (0..h).map(move |i| (c, i)))
+        .collect();
+    let mut first = vec![0usize; cohorts.len()];
+    for (t, &(c, _)) in tasks.iter().enumerate().step_by(h) {
+        first[c] = t;
+    }
+    let scores = tensor::par::par_map(&tasks, |&(c, i)| {
+        let cohort = &cohorts[c];
+        let c0 = i * d_k;
+        let stacked: usize = cohort.members.iter().map(|&g| groups[g]).sum();
+        let mut qs = Mat::zeros(stacked, d_k);
+        let mut r = 0;
+        for &g in &cohort.members {
+            for j in 0..groups[g] {
+                qs.row_mut(r)
+                    .copy_from_slice(&q.row(offsets[g] + j)[c0..c0 + d_k]);
+                r += 1;
+            }
+        }
+        let k = keys[cohort.members[0]].panel(0..cohort.shared, c0, d_k);
+        gemm::matmul_i8_nt(&qs, &k).expect("head shapes")
+    });
+    let idx: Vec<usize> = (0..groups.len()).collect();
+    let mut parts = tensor::par::par_map(&idx, |&g| {
+        let (c, s0) = place[g];
+        let rows = cohorts[c].shared;
+        let heads = if rows > 0 {
+            &scores[first[c]..first[c] + h]
+        } else {
+            &[]
+        };
+        let shared = SharedScores { rows, heads, s0 };
+        private_attention(
+            block, q, offsets[g], groups[g], &keys[g], &vals[g], causal, fused, shared,
+        )
+    });
+    let shared_pv = tensor::par::par_map(&tasks, |&(c, i)| {
+        let cohort = &cohorts[c];
+        let stacked: usize = cohort.members.iter().map(|&g| groups[g]).sum();
+        let mut probs = Mat::zeros(stacked, cohort.shared);
+        let mut r = 0;
+        for &g in &cohort.members {
+            for j in 0..groups[g] {
+                probs
+                    .row_mut(r)
+                    .copy_from_slice(parts[g].shared_probs.row(i * groups[g] + j));
+                r += 1;
+            }
+        }
+        let v = vals[cohort.members[0]].panel(0..cohort.shared, i * d_k, d_k);
+        gemm::matmul_i8(&probs, &v).expect("head shapes")
+    });
+    let mut p = Mat::zeros(q.rows(), q.cols());
+    for (g, part) in parts.iter_mut().enumerate() {
+        let (c, s0) = place[g];
+        if cohorts[c].shared > 0 {
+            for (i, pv) in shared_pv[first[c]..first[c] + h].iter().enumerate() {
+                let c0 = i * d_k;
+                for j in 0..groups[g] {
+                    let acc = &mut part.acc.row_mut(j)[c0..c0 + d_k];
+                    for (a, &s) in acc.iter_mut().zip(pv.row(s0 + j)) {
+                        *a += s;
+                    }
+                }
+            }
+        }
+        for j in 0..groups[g] {
+            block.requantize_p_into(part.acc.row(j), p.row_mut(offsets[g] + j));
+        }
+    }
+    p
 }
 
 /// One cached-attention MHA ResBlock over per-session row groups: the
 /// `x.rows()` input rows are partitioned into `groups[i]` consecutive
 /// rows for session `i` (summing to `x.rows()`), each group attending
 /// over its own session's cache `keys[i]` / `vals[i]`. `W_Q`, `W_G` and
-/// the LayerNorm run once over all rows; the per-group attention (cache
-/// lengths differ) fans out across threads. Integer GEMMs are
-/// row-independent, so a group's rows are bit-identical whatever else
-/// is in the batch.
+/// the LayerNorm run once over all rows; the attention fans out across
+/// threads, with groups whose caches begin with the same storage
+/// attending it together ([`attention_cohorts`]; gated like the fused
+/// drain). Integer GEMMs are row-independent and every score and `P·V`
+/// sum is exact, so a group's rows are bit-identical whatever else is in
+/// the batch.
 ///
 /// With `causal = true` (self-attention), row `j` of a group whose
 /// cache holds `L` rows — the chunk's own K/V having already been
@@ -575,13 +901,14 @@ pub fn cached_mha_rows(
     }
     let (wq, _, _, wo) = block.projections();
     let q = wq.forward(x);
+    let fused = attention_fusible();
     let mut fused_ops = 0usize;
     let mut elided_bytes = 0usize;
     // The fused decode-attention drain never materialises the per-head
     // K/V panels — `2 * ctx * d_model` bytes per fused row. It fires for
     // one-row chunks (decode steps); multi-row chunks run the per-head
     // GEMMs around a prefix-length softmax.
-    if attention_fusible() {
+    if fused {
         for (&rows, k) in groups.iter().zip(keys) {
             if rows == 1 {
                 fused_ops += 1;
@@ -589,26 +916,12 @@ pub fn cached_mha_rows(
             }
         }
     }
-    // Fan per-session chunks out across threads; each chunk is a
-    // contiguous row group attending its own cache.
-    let offsets: Vec<usize> = groups
-        .iter()
-        .scan(0usize, |acc, &g| {
-            let r0 = *acc;
-            *acc += g;
-            Some(r0)
-        })
-        .collect();
-    let idx: Vec<usize> = (0..groups.len()).collect();
-    let chunks = tensor::par::par_map(&idx, |&i| {
-        head_section_chunk(block, &q, offsets[i], groups[i], &keys[i], &vals[i], causal)
-    });
-    let mut p = Mat::zeros(x.rows(), x.cols());
-    for (i, chunk) in chunks.iter().enumerate() {
-        for j in 0..chunk.rows() {
-            p.row_mut(offsets[i] + j).copy_from_slice(chunk.row(j));
-        }
-    }
+    let cohorts = if fused {
+        attention_cohorts(groups, keys, vals, causal)
+    } else {
+        (0..groups.len()).map(Cohort::single).collect()
+    };
+    let p = cohort_attention(block, &q, groups, keys, vals, causal, fused, &cohorts);
     // The Wo projection and the residual add fuse into one drain (the
     // fused-graph `LinearAdd(Wo)` rewrite, applied by hand); the
     // projection's INT8 output codes are never materialized.

@@ -17,7 +17,9 @@
 //! [released](QuantIncrementalSession::release). Since the pages store
 //! exactly the same i8 codes a flat cache held, paging is lossless:
 //! every decode remains bit-identical. Cross-attention K/V are exact-size
-//! flat matrices (their length is the source length, known up front).
+//! flat matrices (their length is the source length, known up front),
+//! shared by reference count between a session and its forks — which
+//! also lets forks attend them together ([`crate::attention_cohorts`]).
 //!
 //! There is **one step body**, [`QuantSeq2Seq::prefill_sessions`] (and
 //! its greedy twin): every session hands in a chunk of tokens, the
@@ -33,6 +35,8 @@
 //! the property the `serving` crate's continuous batcher is built on,
 //! pinned against the full-prefix recompute
 //! ([`QuantSeq2Seq::forward_logits`]) by `tests/incremental_paths.rs`.
+
+use std::sync::Arc;
 
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
 use tensor::Mat;
@@ -100,12 +104,17 @@ impl KvArena {
     }
 }
 
+/// One decoder layer's caches. The cross-attention K/V belong to the
+/// source sentence, never change after [`QuantSeq2Seq::start_session`],
+/// and are shared by every fork of the session (one allocation — which
+/// is also what lets forks attend them together, see
+/// [`crate::attention_cohorts`]).
 #[derive(Debug)]
 struct QLayerCache {
     self_k: KvSeq,
     self_v: KvSeq,
-    cross_k: Mat<i8>,
-    cross_v: Mat<i8>,
+    cross_k: Arc<Mat<i8>>,
+    cross_v: Arc<Mat<i8>>,
 }
 
 /// An INT8 decoding session over one source sentence. Self-attention
@@ -146,8 +155,8 @@ impl QuantSeq2Seq {
                 QLayerCache {
                     self_k: KvSeq::new(),
                     self_v: KvSeq::new(),
-                    cross_k: wk.forward(&memory),
-                    cross_v: wv.forward(&memory),
+                    cross_k: Arc::new(wk.forward(&memory)),
+                    cross_v: Arc::new(wv.forward(&memory)),
                 }
             })
             .collect();
@@ -298,23 +307,13 @@ impl QuantSeq2Seq {
                 }
                 r0 += chunk.len();
             }
-            let self_k: Vec<CacheRef<'_>> = sessions
+            let (self_k, self_v): (Vec<_>, Vec<_>) = sessions
                 .iter()
-                .map(|s| CacheRef::paged(&arena.k, &s.layers[l].self_k))
-                .collect();
-            let self_v: Vec<CacheRef<'_>> = sessions
-                .iter()
-                .map(|s| CacheRef::paged(&arena.v, &s.layers[l].self_v))
-                .collect();
+                .map(|s| s.self_attention_caches(arena, l))
+                .unzip();
             let a = cached_mha_rows(&layer.self_mha, &x, &groups, &self_k, &self_v, true);
-            let cross_k: Vec<CacheRef<'_>> = sessions
-                .iter()
-                .map(|s| CacheRef::flat(&s.layers[l].cross_k))
-                .collect();
-            let cross_v: Vec<CacheRef<'_>> = sessions
-                .iter()
-                .map(|s| CacheRef::flat(&s.layers[l].cross_v))
-                .collect();
+            let (cross_k, cross_v): (Vec<_>, Vec<_>) =
+                sessions.iter().map(|s| s.cross_attention_caches(l)).unzip();
             let bm = cached_mha_rows(&layer.cross_mha, &a, &groups, &cross_k, &cross_v, false);
             let (c, _) = layer.ffn.forward(&bm);
             x = c;
@@ -395,6 +394,35 @@ impl QuantIncrementalSession {
         self.memory_rows
     }
 
+    /// Decoder layer `layer`'s self-attention `(K, V)` caches, as the
+    /// step's attention reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is not a decoder layer.
+    pub fn self_attention_caches<'a>(
+        &'a self,
+        arena: &'a KvArena,
+        layer: usize,
+    ) -> (CacheRef<'a>, CacheRef<'a>) {
+        let c = &self.layers[layer];
+        (
+            CacheRef::paged(&arena.k, &c.self_k),
+            CacheRef::paged(&arena.v, &c.self_v),
+        )
+    }
+
+    /// Decoder layer `layer`'s cross-attention `(K, V)` caches — the
+    /// same allocations in every fork of this session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is not a decoder layer.
+    pub fn cross_attention_caches(&self, layer: usize) -> (CacheRef<'_>, CacheRef<'_>) {
+        let c = &self.layers[layer];
+        (CacheRef::flat(&c.cross_k), CacheRef::flat(&c.cross_v))
+    }
+
     /// Bytes of paged KV storage resident for this session (whole
     /// pages, K and V, all layers).
     pub fn resident_kv_bytes(&self, arena: &KvArena) -> usize {
@@ -452,11 +480,12 @@ impl QuantIncrementalSession {
     /// Forks this session: the child sees the same consumed prefix at
     /// the same position, **sharing** every full KV page with the
     /// parent (refcount bump — near-zero copy; only partially-filled
-    /// tail pages are duplicated) and cloning the per-source cross-
-    /// attention K/V. Parent and child then advance, roll back, and
-    /// release fully independently — divergent pushes copy-on-write, so
-    /// neither can perturb the other's bits. This is the primitive the
-    /// serving layer's shared-prefix cache hits fork on admission.
+    /// tail pages are duplicated) and sharing the per-source cross-
+    /// attention K/V allocations. Parent and child then advance, roll
+    /// back, and release fully independently — divergent pushes
+    /// copy-on-write, so neither can perturb the other's bits. This is
+    /// the primitive the serving layer's shared-prefix cache hits fork
+    /// on admission.
     pub fn fork(&self, arena: &mut KvArena) -> QuantIncrementalSession {
         QuantIncrementalSession {
             memory_rows: self.memory_rows,
@@ -466,8 +495,8 @@ impl QuantIncrementalSession {
                 .map(|c| QLayerCache {
                     self_k: arena.k.fork(&c.self_k),
                     self_v: arena.v.fork(&c.self_v),
-                    cross_k: c.cross_k.clone(),
-                    cross_v: c.cross_v.clone(),
+                    cross_k: Arc::clone(&c.cross_k),
+                    cross_v: Arc::clone(&c.cross_v),
                 })
                 .collect(),
             pos: self.pos,

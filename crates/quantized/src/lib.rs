@@ -50,7 +50,7 @@ pub mod qlinear;
 pub mod softmax;
 pub mod sqnr;
 
-pub use exec::{cached_mha_rows, CacheRef, QVal, QuantExec};
+pub use exec::{attention_cohorts, cached_mha_rows, CacheRef, Cohort, QVal, QuantExec};
 pub use ffn::QuantFfnResBlock;
 pub use mha::QuantMhaResBlock;
 pub use model::QuantSeq2Seq;

@@ -421,10 +421,15 @@ pub(crate) fn pack_quads_t_scalar_range(
 /// The activation matrix recoded for the VNNI microkernel: each row of
 /// `a` as `a + 128` (u8), zero-padded to a whole number of quads.
 /// Padded bytes multiply the packed `B`'s zero padding, contributing
-/// exactly nothing.
+/// exactly nothing. At `k = 0` there is nothing to recode: the result is
+/// empty, which sends the GEMM to the scalar kernels (their empty dot
+/// products are the zero matrix).
 pub(crate) fn offset_rows(a: &Mat<i8>, threads_hint: usize) -> Vec<u8> {
     let (m, k) = a.shape();
     let kq4 = k.div_ceil(KQ) * KQ;
+    if kq4 == 0 {
+        return Vec::new();
+    }
     let mut au = vec![0u8; m * kq4];
     let fill = |first_row: usize, chunk: &mut [u8]| {
         for (r, dst) in chunk.chunks_mut(kq4).enumerate() {

@@ -28,9 +28,19 @@
 //! the last holder lets go. This is what the serving layer's
 //! shared-prefix cache is built on.
 //!
+//! **Reading shared rows once:** [`KvPool::shared_prefix_rows`] says how
+//! many leading rows a set of sequences holds in the very same pages —
+//! same page id at the same block-table index, full in every sequence.
+//! Attention reads those rows once for all the sequences
+//! (`quantized::attention_cohorts`), and [`KvPool::gather_panel`] takes
+//! a row range so the shared rows and each sequence's own rows can be
+//! gathered apart.
+//!
 //! The page size is tunable via the `ACCEL_KV_PAGE` environment
 //! variable (see [`page_rows_from_env`]); CI runs a tiny-page stress
 //! matrix so page-boundary paths are exercised on every change.
+
+use std::ops::Range;
 
 use crate::Mat;
 
@@ -276,37 +286,71 @@ impl<T: Copy + Default> KvPool<T> {
         self.pages[seq.pages[r / self.page_rows]].row(r % self.page_rows)
     }
 
-    /// Copies `seq`'s rows, columns `c0 .. c0 + width`, into a dense
-    /// matrix — the paged equivalent of `Mat::submatrix` over a flat
-    /// cache, and bit-identical to it (same values, same order).
+    /// Copies `seq`'s logical rows `rows`, columns `c0 .. c0 + width`,
+    /// into a dense matrix — the paged equivalent of `Mat::submatrix`
+    /// over a flat cache, and bit-identical to it (same values, same
+    /// order).
     ///
     /// # Panics
     ///
-    /// Panics if the column range exceeds the pool width.
-    pub fn gather_panel(&self, seq: &KvSeq, c0: usize, width: usize) -> Mat<T> {
+    /// Panics if the column range exceeds the pool width or the row range
+    /// runs past the sequence's rows.
+    pub fn gather_panel(&self, seq: &KvSeq, rows: Range<usize>, c0: usize, width: usize) -> Mat<T> {
         assert!(
             c0 + width <= self.cols,
             "panel {c0}..{} exceeds cols {}",
             c0 + width,
             self.cols
         );
+        assert!(
+            rows.start <= rows.end && rows.end <= seq.rows,
+            "panel rows {}..{} exceed the sequence's {}",
+            rows.start,
+            rows.end,
+            seq.rows
+        );
         // Page by page, so the block table is walked once and no row
         // pays a divide to find its page.
-        let mut data = Vec::with_capacity(seq.rows * width);
-        let mut left = seq.rows;
-        for &p in &seq.pages {
-            let rows = left.min(self.page_rows);
-            for src in self.pages[p].as_slice().chunks_exact(self.cols).take(rows) {
+        let mut data = Vec::with_capacity(rows.len() * width);
+        let mut r = rows.start;
+        while r < rows.end {
+            let (p, first) = (r / self.page_rows, r % self.page_rows);
+            let take = (self.page_rows - first).min(rows.end - r);
+            let page = &self.pages[seq.pages[p]].as_slice()[first * self.cols..];
+            for src in page.chunks_exact(self.cols).take(take) {
                 data.extend_from_slice(&src[c0..c0 + width]);
             }
-            left -= rows;
+            r += take;
         }
-        Mat::from_vec(seq.rows, width, data).expect("block table covers the sequence's rows")
+        Mat::from_vec(rows.len(), width, data).expect("block table covers the sequence's rows")
     }
 
     /// Copies all of `seq`'s rows into a dense `rows × cols` matrix.
     pub fn to_mat(&self, seq: &KvSeq) -> Mat<T> {
-        self.gather_panel(seq, 0, self.cols)
+        self.gather_panel(seq, 0..seq.rows, 0, self.cols)
+    }
+
+    /// Rows that every sequence in `seqs` holds in the same storage: the
+    /// leading pages with the same pool page at the same block-table
+    /// index in every one of them **and full in every one of them**. A
+    /// fork rolled back into a shared page keeps that page's id but
+    /// fewer valid rows, so a page partial in any sequence ends the
+    /// count. Always a whole number of pages; `0` for no sequences.
+    /// Attention reads these rows once for all the sequences
+    /// (`quantized::attention_cohorts`).
+    pub fn shared_prefix_rows(&self, seqs: &[&KvSeq]) -> usize {
+        let Some((first, rest)) = seqs.split_first() else {
+            return 0;
+        };
+        let full = seqs
+            .iter()
+            .map(|s| s.rows / self.page_rows)
+            .min()
+            .unwrap_or(0);
+        let pages = (0..full)
+            .take_while(|&p| rest.iter().all(|s| s.pages[p] == first.pages[p]))
+            .count();
+        pages * self.page_rows
     }
 
     /// Shrinks `seq` to its first `rows` rows, dropping this sequence's
@@ -380,10 +424,15 @@ mod tests {
             pool.push_row(&mut seq, flat.row(r));
         }
         for (c0, w) in [(0usize, 8usize), (2, 4), (6, 2)] {
-            assert_eq!(
-                pool.gather_panel(&seq, c0, w),
-                flat.submatrix(0, c0, 7, w).unwrap()
-            );
+            // Whole sequence, a page-aligned tail, a range inside one
+            // page, one straddling two boundaries, and an empty range.
+            for (r0, r1) in [(0usize, 7usize), (3, 7), (4, 5), (2, 7), (5, 5)] {
+                assert_eq!(
+                    pool.gather_panel(&seq, r0..r1, c0, w),
+                    flat.submatrix(r0, c0, r1 - r0, w).unwrap(),
+                    "rows {r0}..{r1}, cols {c0}+{w}"
+                );
+            }
         }
         assert_eq!(pool.to_mat(&seq), flat);
     }

@@ -90,11 +90,13 @@ proptest! {
         check_f32(m, k, n, seed);
     }
 
-    /// Random shapes crossing the BK/BN block boundaries (integer).
+    /// Random shapes crossing the BK/BN block boundaries (integer),
+    /// `k = 0` included: an empty reduction is the zero matrix for
+    /// `matmul_i8` and `matmul_i8_nt` alike, on every kernel tier.
     #[test]
     fn random_shapes_i8_bit_identical(
         m in 1usize..40,
-        k in 1usize..150,
+        k in 0usize..150,
         n in 1usize..150,
         seed in 0u64..1_000_000,
     ) {
@@ -104,10 +106,15 @@ proptest! {
 
 #[test]
 fn degenerate_dims_bit_identical() {
-    // Single row / single reduction step / single column, plus
+    // Single row / empty or single reduction step / single column, plus
     // non-multiples of the 64/128 block sizes.
     for &(m, k, n) in &[
         (1usize, 1usize, 1usize),
+        (1, 0, 16),
+        (2, 0, 1),
+        (8, 0, 40),
+        (33, 0, 16),
+        (64, 0, 40),
         (1, 512, 64),
         (64, 1, 64),
         (64, 512, 1),

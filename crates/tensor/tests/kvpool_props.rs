@@ -141,7 +141,7 @@ proptest! {
             if sh.is_empty() {
                 continue;
             }
-            let panel = pool.gather_panel(s, 0, cols);
+            let panel = pool.gather_panel(s, 0..sh.len(), 0, cols);
             for (r, want) in sh.iter().enumerate() {
                 prop_assert_eq!(panel.row(r), &want[..]);
             }
@@ -154,6 +154,65 @@ proptest! {
         }
         prop_assert_eq!(pool.pages_in_use(), 0);
         prop_assert_eq!(pool.bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn shared_prefix_rows_matches_a_row_by_row_definition(
+        ops in proptest::collection::vec(op_strategy(4), 1..120),
+    ) {
+        // Row `t` is shared by a set of sequences when each of them holds
+        // it, at the same pool page, in a page that is full in each of
+        // them; `shared_prefix_rows` is the leading run of such rows.
+        // Checked after every step of a random schedule, for every subset
+        // of two or more sequences, and the rows it reports must really be
+        // one storage: the same bytes at the same address in every member.
+        let page_rows = 4;
+        let mut pool: KvPool<i8> = KvPool::new(page_rows, 3);
+        let mut seqs: Vec<KvSeq> = (0..4).map(|_| KvSeq::new()).collect();
+        let mut stamp = 0usize;
+        for op in &ops {
+            match *op {
+                Op::Push { seq, n } => {
+                    for _ in 0..n {
+                        pool.push_row(&mut seqs[seq], &row_bytes(seq, stamp, 3));
+                        stamp += 1;
+                    }
+                }
+                Op::Rollback { seq, n } => {
+                    let keep = seqs[seq].rows().saturating_sub(n);
+                    pool.truncate(&mut seqs[seq], keep);
+                }
+                Op::Release { seq } => pool.release(&mut seqs[seq]),
+                Op::Fork { src, dst } => {
+                    let mut old = std::mem::take(&mut seqs[dst]);
+                    pool.release(&mut old);
+                    seqs[dst] = pool.fork(&seqs[src]);
+                }
+            }
+            for mask in 1u32..16 {
+                let set: Vec<&KvSeq> = (0..4)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| &seqs[i])
+                    .collect();
+                if set.len() < 2 {
+                    continue;
+                }
+                let shared_row = |t: usize| {
+                    let p = t / page_rows;
+                    set.iter().all(|s| {
+                        (p + 1) * page_rows <= s.rows() && s.page_ids()[p] == set[0].page_ids()[p]
+                    })
+                };
+                let want = (0..).take_while(|&t| shared_row(t)).count();
+                let got = pool.shared_prefix_rows(&set);
+                prop_assert_eq!(got, want, "sequences {:#b}", mask);
+                for t in 0..got {
+                    for s in &set[1..] {
+                        prop_assert!(std::ptr::eq(pool.row(s, t), pool.row(set[0], t)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
