@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Counters summed over a scenario's requests.
@@ -55,6 +56,19 @@ impl Outcome {
             Completion::Rejected(RejectCode::Malformed) => self.malformed += 1,
             Completion::Rejected(_) => self.other_reject += 1,
         }
+    }
+}
+
+/// Sets a door's `stop` flag when dropped. Held by the scope that runs
+/// the door's event loop on another thread, it stops the door when the
+/// scope's body unwinds: a failed assertion would otherwise leave the
+/// scope waiting forever for the door thread, and the test would hang
+/// instead of failing.
+pub struct StopOnDrop<'a>(pub &'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 

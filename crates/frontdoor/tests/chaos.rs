@@ -8,7 +8,7 @@
 //! * every well-formed request settles as `Done` or a typed `Reject`,
 //! * afterwards the door is idle and holds zero KV bytes.
 
-use frontdoor::chaos::{self, Outcome};
+use frontdoor::chaos::{self, Outcome, StopOnDrop};
 use frontdoor::{AdmissionConfig, Completion, DoorConfig, FrontDoor};
 use quantized::QuantSeq2Seq;
 use rand::rngs::StdRng;
@@ -76,16 +76,6 @@ fn chaos_gauntlet_no_panics_no_leaks_canary_bit_identical() {
                 .collect()
         })
         .collect();
-
-    /// Stops the door when the scope body unwinds: a failed assertion
-    /// below would otherwise wait forever for the door thread, and the
-    /// test would hang instead of failing.
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
 
     let (door, canary_checked, outcome) = std::thread::scope(|s| {
         let _stop_on_unwind = StopOnDrop(&stop);

@@ -2,7 +2,9 @@
 //! must stream byte-for-byte the tokens the model produces offline,
 //! and every admission refusal must arrive as its typed reject code.
 
-use frontdoor::{AdmissionConfig, Client, RejectCode};
+use frontdoor::chaos::StopOnDrop;
+use frontdoor::frame::encode_client;
+use frontdoor::{AdmissionConfig, Client, ClientFrame, RejectCode};
 use frontdoor::{Completion, DoorConfig, FrontDoor, ServerFrame, Submit};
 use quantized::QuantSeq2Seq;
 use rand::rngs::StdRng;
@@ -32,7 +34,8 @@ fn setup(n: usize) -> (QuantSeq2Seq, Vec<Vec<usize>>) {
 }
 
 /// Runs `body` against a live door and returns the door afterwards so
-/// callers can assert on its final state.
+/// callers can assert on its final state. A panicking body stops the
+/// door, so a failed assertion fails the test instead of hanging it.
 fn with_door<R>(
     model: &QuantSeq2Seq,
     cfg: DoorConfig,
@@ -42,6 +45,7 @@ fn with_door<R>(
     let addr = door.local_addr().expect("addr");
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
+        let _stop_on_unwind = StopOnDrop(&stop);
         let handle = s.spawn(|| {
             door.run(&stop).expect("event loop");
             door
@@ -177,17 +181,19 @@ fn invalid_submissions_get_typed_rejects() {
             .unwrap();
         assert_eq!(got, Completion::Rejected(RejectCode::TooLong));
 
-        // Duplicate in-flight client id: submit a long-running request
-        // then reuse its id before it finishes.
+        // Duplicate in-flight client id: request 4 and a reuse of its id
+        // go out in one write, so the door reads the duplicate while
+        // request 4 is still in flight however fast the engine is.
         let mut a = base.clone();
         a.id = 4;
         a.max_new = 64;
-        client.submit(a).unwrap();
         let mut b = base.clone();
         b.id = 4;
-        let mut dup_rejected = false;
-        client.submit(b).unwrap();
-        loop {
+        let mut both = encode_client(&ClientFrame::Submit(a));
+        both.extend(encode_client(&ClientFrame::Submit(b)));
+        client.send_raw(&both).unwrap();
+        let (mut rejects, mut dones) = (0, 0);
+        while rejects + dones < 2 {
             match client
                 .recv(Duration::from_secs(30))
                 .expect("recv")
@@ -196,12 +202,13 @@ fn invalid_submissions_get_typed_rejects() {
                 ServerFrame::Reject {
                     id: 4,
                     code: RejectCode::DuplicateId,
-                } => dup_rejected = true,
-                ServerFrame::Done { id: 4, .. } => break,
-                _ => {}
+                } => rejects += 1,
+                ServerFrame::Done { id: 4, .. } => dones += 1,
+                ServerFrame::Token { id: 4, .. } => {}
+                other => panic!("unexpected frame {other:?}"),
             }
         }
-        assert!(dup_rejected, "duplicate id must be rejected");
+        assert_eq!((rejects, dones), (1, 1), "duplicate id must be rejected");
     });
     assert!(door.idle());
     assert_eq!(door.kv_bytes_in_use(), 0);
@@ -211,11 +218,15 @@ fn invalid_submissions_get_typed_rejects() {
 #[test]
 fn wall_deadlines_complete_every_request_without_leaks() {
     let (q, srcs) = setup(6);
+    // One slot, and no request ends before its 48 tokens.
     let cfg = DoorConfig {
-        engine: EngineConfig::with_max_batch(1),
+        engine: EngineConfig {
+            ignore_eos: true,
+            ..EngineConfig::with_max_batch(1)
+        },
         ..DoorConfig::default()
     };
-    let (door, deadline_hits) = with_door(&q, cfg, |addr| {
+    let (door, deadlines) = with_door(&q, cfg, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         for (i, src) in srcs.iter().enumerate() {
             client
@@ -223,9 +234,10 @@ fn wall_deadlines_complete_every_request_without_leaks() {
                     id: i as u64,
                     tenant: 0,
                     priority: 1,
-                    // Tight wall deadline on a 1-slot engine: the back
-                    // of the line cannot possibly finish in time.
-                    deadline_ms: 40,
+                    // The back of the line waits behind five 48-token
+                    // requests (240 decode steps) on a 1-slot engine:
+                    // its 1 ms wall deadline cannot be met in any build.
+                    deadline_ms: if i + 1 == srcs.len() { 1 } else { 0 },
                     max_new: 48,
                     src: as_u32(src),
                     prompt: vec![],
@@ -233,26 +245,30 @@ fn wall_deadlines_complete_every_request_without_leaks() {
                 .expect("submit");
         }
         let mut done = 0;
-        let mut deadline_hits = 0;
+        let mut deadlines = Vec::new();
         while done < srcs.len() {
             match client
                 .recv(Duration::from_secs(30))
                 .expect("recv")
                 .expect("no timeout")
             {
-                ServerFrame::Done { reason, .. } => {
+                ServerFrame::Done { id, reason, .. } => {
                     done += 1;
                     if reason == FinishReason::Deadline {
-                        deadline_hits += 1;
+                        deadlines.push(id);
                     }
                 }
                 ServerFrame::Reject { id, code } => panic!("request {id} rejected: {code:?}"),
                 ServerFrame::Token { .. } => {}
             }
         }
-        deadline_hits
+        deadlines
     });
-    assert!(deadline_hits > 0, "tight deadlines must cut someone off");
+    assert_eq!(
+        deadlines,
+        vec![srcs.len() as u64 - 1],
+        "only the back of the line is cut off"
+    );
     assert!(door.idle(), "every request settled");
     assert_eq!(door.kv_bytes_in_use(), 0, "deadline paths release KV");
 }

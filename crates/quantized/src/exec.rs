@@ -9,9 +9,10 @@
 //! the result is identical for any thread count.
 //!
 //! [`cached_mha_rows`] is the cached-KV MHA ResBlock of incremental INT8
-//! decoding — a plain function, not an [`Executor`]: it never
-//! interprets a graph, and its inputs are borrowed caches no other
-//! executor could take. Each session contributes a group of consecutive
+//! decoding (and of the stacked encoder pass that opens sessions, where
+//! each source attends its own K/V) — a plain function, not an
+//! [`Executor`]: it never interprets a graph, and its inputs are
+//! borrowed caches no other executor could take. Each session contributes a group of consecutive
 //! rows (a prefill chunk; a decode step is a one-row chunk) that attend
 //! over its cache, each row over its own legal prefix; the softmax
 //! leaves exactly-zero probability codes beyond it — so a chunk is

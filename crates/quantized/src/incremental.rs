@@ -21,6 +21,16 @@
 //! shared by reference count between a session and its forks — which
 //! also lets forks attend them together ([`crate::attention_cohorts`]).
 //!
+//! Sessions are opened in batches: [`QuantSeq2Seq::start_sessions`]
+//! encodes all of its sources as one stacked pass — each encoder weight
+//! GEMM and each decoder layer's cross-attention `W_K`/`W_V` run once
+//! over every source's rows, the way the array streams `s` rows through
+//! resident weights — while attention stays per source. Each new
+//! session's cross K/V are then copied into allocations of its own, so
+//! sessions started together are never mistaken for forks of one
+//! session. [`QuantSeq2Seq::start_session`] is the same body at one
+//! source, and a session is bit-identical whichever batch opened it.
+//!
 //! There is **one step body**, [`QuantSeq2Seq::prefill_sessions`] (and
 //! its greedy twin): every session hands in a chunk of tokens, the
 //! chunk rows of all sessions are stacked into one matrix, and each
@@ -44,7 +54,7 @@ use transformer::greedy::GreedyStats;
 use transformer::tasks::{BOS, EOS};
 
 use crate::exec::{cached_mha_rows, CacheRef};
-use crate::model::QuantSeq2Seq;
+use crate::model::{split_rows, QuantSeq2Seq};
 
 /// The shared paged store for projected self-attention K/V codes: one
 /// page pool for keys, one for values, serving every session and every
@@ -132,39 +142,76 @@ pub struct QuantIncrementalSession {
 
 impl QuantSeq2Seq {
     /// Opens an incremental decoding session in `arena`: encodes `src`
-    /// and precomputes each decoder layer's cross-attention K/V codes.
-    /// Self-attention KV pages are allocated on demand as tokens are
-    /// consumed — a fresh session holds no pages.
+    /// and precomputes each decoder layer's cross-attention K/V codes —
+    /// [`QuantSeq2Seq::start_sessions`] over one source. Self-attention
+    /// KV pages are allocated on demand as tokens are consumed — a fresh
+    /// session holds no pages.
     ///
     /// # Panics
     ///
     /// Panics if `src` is empty or `arena` is not `d_model` wide.
     pub fn start_session(&self, arena: &mut KvArena, src: &[usize]) -> QuantIncrementalSession {
-        assert!(!src.is_empty(), "source must be non-empty");
+        self.start_sessions(arena, &[src])
+            .pop()
+            .expect("one session per source")
+    }
+
+    /// Opens one session per source (in order) as **one** stacked pass:
+    /// the sources are encoded together (each encoder weight GEMM once
+    /// over all their rows, attention per source), and each decoder
+    /// layer's cross-attention `W_K`/`W_V` projections run once over the
+    /// stacked encoder output. Each session's
+    /// cross-attention K/V are then copied into allocations of its own,
+    /// so sessions started together never share storage — only a
+    /// [`fork`](QuantIncrementalSession::fork) does, which is what
+    /// [`crate::attention_cohorts`] keys on. Every session is
+    /// bit-identical to [`QuantSeq2Seq::start_session`] on its source
+    /// alone. No sources, no sessions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any source is empty or `arena` is not `d_model` wide.
+    pub fn start_sessions(
+        &self,
+        arena: &mut KvArena,
+        srcs: &[&[usize]],
+    ) -> Vec<QuantIncrementalSession> {
+        assert!(
+            srcs.iter().all(|s| !s.is_empty()),
+            "source must be non-empty"
+        );
         assert_eq!(
             arena.k.cols(),
             self.tgt_embedding().d_model(),
             "arena width does not match the model's d_model"
         );
-        let memory = self.encode(src);
-        let layers = self
-            .decoder_layers()
+        if srcs.is_empty() {
+            return Vec::new();
+        }
+        let groups: Vec<usize> = srcs.iter().map(|s| s.len()).collect();
+        let memory = self.encode_stacked(srcs);
+        let mut sessions: Vec<QuantIncrementalSession> = groups
             .iter()
-            .map(|layer| {
-                let (_, wk, wv, _) = layer.cross_mha.projections();
-                QLayerCache {
-                    self_k: KvSeq::new(),
-                    self_v: KvSeq::new(),
-                    cross_k: Arc::new(wk.forward(&memory)),
-                    cross_v: Arc::new(wv.forward(&memory)),
-                }
+            .map(|&rows| QuantIncrementalSession {
+                memory_rows: rows,
+                layers: Vec::with_capacity(self.decoder_layers().len()),
+                pos: 0,
             })
             .collect();
-        QuantIncrementalSession {
-            memory_rows: memory.rows(),
-            layers,
-            pos: 0,
+        for layer in self.decoder_layers() {
+            let (_, wk, wv, _) = layer.cross_mha.projections();
+            let keys = split_rows(&wk.forward(&memory), &groups);
+            let vals = split_rows(&wv.forward(&memory), &groups);
+            for ((session, k), v) in sessions.iter_mut().zip(keys).zip(vals) {
+                session.layers.push(QLayerCache {
+                    self_k: KvSeq::new(),
+                    self_v: KvSeq::new(),
+                    cross_k: Arc::new(k),
+                    cross_v: Arc::new(v),
+                });
+            }
         }
+        sessions
     }
 
     /// Feeds one target token and returns the next-token logits (FP32,

@@ -9,9 +9,24 @@ use transformer::greedy::GreedyStats;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::BOS;
 
+use crate::exec::{cached_mha_rows, CacheRef};
 use crate::ffn::QuantFfnResBlock;
 use crate::mha::QuantMhaResBlock;
 use crate::softmax::SoftmaxMode;
+
+/// Copies each group of consecutive rows of `m` (`groups[i]` rows for
+/// group `i`, in order) into a matrix of its own.
+pub(crate) fn split_rows(m: &Mat<i8>, groups: &[usize]) -> Vec<Mat<i8>> {
+    let mut r0 = 0;
+    groups
+        .iter()
+        .map(|&rows| {
+            let part = m.submatrix(r0, 0, rows, m.cols()).expect("group rows");
+            r0 += rows;
+            part
+        })
+        .collect()
+}
 
 /// One quantized encoder layer.
 #[derive(Debug, Clone)]
@@ -200,13 +215,52 @@ impl QuantSeq2Seq {
         self.out_proj.argmax_rows(x)
     }
 
+    /// The (FP32) source embedding the encoder input is built with.
+    pub fn src_embedding(&self) -> &transformer::embedding::Embedding {
+        &self.src_emb
+    }
+
     /// Runs the quantized encoder, returning output codes (scale: last
-    /// FFN block's `out_scale`).
+    /// FFN block's `out_scale`) — the stacked encoder pass
+    /// [`QuantSeq2Seq::start_sessions`] runs, over one source.
     pub fn encode(&self, src: &[usize]) -> Mat<i8> {
-        let x = self.src_emb.forward_inference(src);
-        let mut codes = self.enc_layers[0].mha.quantize_input_q(&x);
+        self.encode_stacked(&[src])
+    }
+
+    /// Runs the quantized encoder over several sources as **one**
+    /// stacked pass and returns their output codes stacked in the same
+    /// order (source `i`'s rows follow source `i - 1`'s).
+    ///
+    /// Each layer's `W_K`/`W_V`/`W_Q`/`W_G` projections and both FFN
+    /// sublayers run once over all the sources' rows, so the encoder
+    /// weights stream once per call rather than once per source. The
+    /// attention is per source: [`cached_mha_rows`] with each source's
+    /// K/V in its own allocation (so no two sources can look like a
+    /// shared-storage cohort) and `causal = false`. Every integer GEMM is
+    /// row-independent and the attention sees only its own source's rows,
+    /// so each source's codes are bit-identical to encoding it alone.
+    /// Input rows are embedded with [`Embedding::embed_into`], whose
+    /// memoised position rows are the recomputed ones bit for bit.
+    ///
+    /// [`Embedding::embed_into`]: transformer::embedding::Embedding::embed_into
+    pub(crate) fn encode_stacked(&self, srcs: &[&[usize]]) -> Mat<i8> {
+        let groups: Vec<usize> = srcs.iter().map(|s| s.len()).collect();
+        let mut emb = Mat::zeros(groups.iter().sum(), self.src_emb.d_model());
+        let mut r = 0;
+        for src in srcs {
+            for (pos, &token) in src.iter().enumerate() {
+                self.src_emb.embed_into(token, pos, emb.row_mut(r));
+                r += 1;
+            }
+        }
+        let mut codes = self.enc_layers[0].mha.quantize_input_q(&emb);
         for layer in &self.enc_layers {
-            let (a, _) = layer.mha.forward(&codes, &codes, None);
+            let (_, wk, wv, _) = layer.mha.projections();
+            let keys = split_rows(&wk.forward(&codes), &groups);
+            let vals = split_rows(&wv.forward(&codes), &groups);
+            let keys: Vec<CacheRef<'_>> = keys.iter().map(CacheRef::flat).collect();
+            let vals: Vec<CacheRef<'_>> = vals.iter().map(CacheRef::flat).collect();
+            let a = cached_mha_rows(&layer.mha, &codes, &groups, &keys, &vals, false);
             let (b, _) = layer.ffn.forward(&a);
             codes = b;
         }

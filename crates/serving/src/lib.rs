@@ -22,6 +22,15 @@
 //! [`ServingStats::greedy_candidate_tiles`] and
 //! [`ServingStats::greedy_fallback_rows`] report what it did.
 //!
+//! **Admission** is batched the same way: each refill collects every
+//! request it admits without a prefix hit — across all of its length
+//! buckets — and opens their sessions with one stacked
+//! [`QuantSeq2Seq::start_sessions`] pass, so the encoder's weights and
+//! the cross-attention `W_K`/`W_V` stream once per refill rather than
+//! once per source. [`ServingStats::admission_batches`] and
+//! [`ServingStats::sources_encoded`] count those passes and their
+//! sources.
+//!
 //! **Chunked prefill:** a request may carry a target-side *prompt*
 //! ([`Request::with_prompt`]) that must be ingested before generation.
 //! Instead of feeding it one token per step (L steps for an L-token
@@ -334,6 +343,16 @@ pub struct ServingStats {
     pub peak_batch: usize,
     /// Requests admitted into slots.
     pub admitted: usize,
+    /// Stacked encoder passes admission ran: one per refill that
+    /// admitted at least one request without a prefix hit
+    /// (`QuantSeq2Seq::start_sessions`).
+    pub admission_batches: usize,
+    /// Sources those passes encoded — every admission that did not fork
+    /// a cached prefix, so `sources_encoded + prefix_hits == admitted`.
+    /// Divided by [`Self::admission_batches`] this is admission's
+    /// batching factor: how many sources share one stream of the encoder
+    /// weights.
+    pub sources_encoded: usize,
     /// Requests retired (EOS, budget, deadline, or quarantine).
     pub retired: usize,
     /// Resident KV-pool bytes after the most recent step (whole pages
@@ -418,6 +437,8 @@ impl ServingStats {
         self.tokens_generated += other.tokens_generated;
         self.peak_batch = self.peak_batch.max(other.peak_batch);
         self.admitted += other.admitted;
+        self.admission_batches += other.admission_batches;
+        self.sources_encoded += other.sources_encoded;
         self.retired += other.retired;
         self.kv_bytes_in_use += other.kv_bytes_in_use;
         self.kv_bytes_peak += other.kv_bytes_peak;
@@ -479,6 +500,18 @@ enum Retire {
 struct Queued {
     req: Request,
     wall_deadline: Option<Instant>,
+}
+
+/// A request one refill has taken off the queue for `slot`: a prefix
+/// hit arrives with its forked session, a miss waits for the refill's
+/// one stacked `start_sessions` call.
+struct Admit {
+    slot: usize,
+    queued: Queued,
+    /// The target rows still to ingest (past the reused prefix).
+    pending: VecDeque<usize>,
+    hit: Option<QuantIncrementalSession>,
+    prefix_key: Vec<usize>,
 }
 
 /// Borrows the planned slots' sessions in slot order. `plan` holds
@@ -679,7 +712,10 @@ impl<'m> ContinuousBatcher<'m> {
     /// from the queue, admitting the bucket containing the oldest
     /// waiting request first (so similar-length sources land together
     /// and no request starves). Buckets are formed on source length;
-    /// prompts only shape the prefill schedule, not admission.
+    /// prompts only shape the prefill schedule, not admission. Every
+    /// request admitted without a prefix hit — across all the buckets of
+    /// the call — is then started by one stacked
+    /// [`QuantSeq2Seq::start_sessions`] pass.
     fn refill(&mut self) {
         // Retire queued requests whose wall-clock deadline has already
         // passed — they finish with zero tokens and never consume a
@@ -703,12 +739,17 @@ impl<'m> ContinuousBatcher<'m> {
             }
             self.pending = keep;
         }
+        let mut admits: Vec<Admit> = Vec::new();
         while self.pending.front().is_some() {
             let free: Vec<usize> = (0..self.slots.len())
-                .filter(|&i| self.slots[i].is_none() && !self.quarantined[i])
+                .filter(|&i| {
+                    self.slots[i].is_none()
+                        && !self.quarantined[i]
+                        && !admits.iter().any(|a| a.slot == i)
+                })
                 .collect();
             if free.is_empty() {
-                return;
+                break;
             }
             let seqs: Vec<Vec<usize>> = self.pending.iter().map(|q| q.req.src.clone()).collect();
             let buckets = PaddedBatch::buckets(&seqs, self.cfg.bucket_max_waste);
@@ -723,23 +764,22 @@ impl<'m> ContinuousBatcher<'m> {
             let mut queue_positions: Vec<usize> = oldest_bucket.indices.clone();
             queue_positions.sort_unstable();
             queue_positions.truncate(free.len());
-            for (removed, (slot_i, qpos)) in free.iter().zip(queue_positions).enumerate() {
-                let Queued { req, wall_deadline } = self
+            for (removed, (&slot, qpos)) in free.iter().zip(queue_positions).enumerate() {
+                let queued = self
                     .pending
                     .remove(qpos - removed)
                     .expect("position in range");
-                let model = self.model;
-                let mut target = Vec::with_capacity(1 + req.prompt.len());
+                let mut target = Vec::with_capacity(1 + queued.req.prompt.len());
                 target.push(BOS);
-                target.extend(req.prompt.iter().copied());
+                target.extend(queued.req.prompt.iter().copied());
                 // Shared-prefix fast path: attach to the longest cached
                 // page-aligned prefix of (src, target) and prefill only
                 // the suffix. Capped at `target.len() - 1` rows so the
                 // session always re-ingests the row whose logits seed
                 // generation — decode from a fork is bit-identical to a
                 // cold prefill, so hits change scheduling, never tokens.
-                let (session, reused, prefix_key) = if self.prefix.enabled() {
-                    let key = prefix::prefix_key(&req.src, &target);
+                let (hit, reused, prefix_key) = if self.prefix.enabled() {
+                    let key = prefix::prefix_key(&queued.req.src, &target);
                     match self.prefix.lookup(&key, target.len() - 1) {
                         Some((snap, rows)) => {
                             // The snapshot may hold more rows than this
@@ -756,40 +796,63 @@ impl<'m> ContinuousBatcher<'m> {
                             self.stats.prefix_rows_reused += rows;
                             self.stats.prefix_bytes_shared +=
                                 session.resident_kv_bytes(&self.arena);
-                            (session, rows, key)
+                            (Some(session), rows, key)
                         }
                         None => {
                             self.stats.prefix_misses += 1;
-                            (model.start_session(&mut self.arena, &req.src), 0, key)
+                            (None, 0, key)
                         }
                     }
                 } else {
-                    (
-                        model.start_session(&mut self.arena, &req.src),
-                        0,
-                        Vec::new(),
-                    )
+                    (None, 0, Vec::new())
                 };
-                let pending: VecDeque<usize> = target[reused..].iter().copied().collect();
-                self.slots[*slot_i] = Some(Slot {
-                    id: req.id,
-                    session,
-                    pending,
-                    in_prefill: true,
+                admits.push(Admit {
+                    slot,
+                    queued,
+                    pending: target[reused..].iter().copied().collect(),
+                    hit,
                     prefix_key,
-                    out: Vec::new(),
-                    budget: req.max_new_tokens,
-                    first_token_step: None,
-                    age: 0,
-                    deadline: req.deadline_steps.or(self.cfg.deadline_steps),
-                    wall_deadline,
                 });
-                self.stats.admitted += 1;
             }
-            if whole_bucket {
-                continue; // whole bucket admitted; maybe room for another
+            if !whole_bucket {
+                break; // slots exhausted mid-bucket
             }
-            return; // slots exhausted mid-bucket
+            // Whole bucket admitted; maybe room for another.
+        }
+        // Every cold admission of this refill, across buckets, is
+        // encoded and cross-projected in one stacked pass.
+        let cold: Vec<&[usize]> = admits
+            .iter()
+            .filter(|a| a.hit.is_none())
+            .map(|a| a.queued.req.src.as_slice())
+            .collect();
+        let mut started = if cold.is_empty() {
+            Vec::new()
+        } else {
+            self.stats.admission_batches += 1;
+            self.stats.sources_encoded += cold.len();
+            self.model.start_sessions(&mut self.arena, &cold)
+        }
+        .into_iter();
+        for a in admits {
+            let Queued { req, wall_deadline } = a.queued;
+            let session = a
+                .hit
+                .unwrap_or_else(|| started.next().expect("one started session per miss"));
+            self.slots[a.slot] = Some(Slot {
+                id: req.id,
+                session,
+                pending: a.pending,
+                in_prefill: true,
+                prefix_key: a.prefix_key,
+                out: Vec::new(),
+                budget: req.max_new_tokens,
+                first_token_step: None,
+                age: 0,
+                deadline: req.deadline_steps.or(self.cfg.deadline_steps),
+                wall_deadline,
+            });
+            self.stats.admitted += 1;
         }
     }
 
@@ -1781,6 +1844,8 @@ mod tests {
             prefix_bytes_shared: 22,
             greedy_candidate_tiles: 23,
             greedy_fallback_rows: 24,
+            admission_batches: 25,
+            sources_encoded: 26,
         };
         let mut m = ServingStats::default();
         m.merge(&a);
@@ -1811,6 +1876,8 @@ mod tests {
         want.prefix_bytes_shared *= 2;
         want.greedy_candidate_tiles *= 2;
         want.greedy_fallback_rows *= 2;
+        want.admission_batches *= 2;
+        want.sources_encoded *= 2;
         assert_eq!(m, want);
     }
 }

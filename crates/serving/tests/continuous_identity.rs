@@ -80,6 +80,9 @@ proptest! {
         }
         let responses = engine.run_to_completion();
         prop_assert_eq!(responses.len(), picks.len());
+        let stats = engine.stats();
+        prop_assert_eq!(stats.sources_encoded + stats.prefix_hits, stats.admitted);
+        prop_assert!(stats.admission_batches <= stats.sources_encoded);
 
         // Responses come back sorted by id, and ids were assigned in
         // submit order, so zipping against `picks` pairs each response
@@ -98,6 +101,61 @@ proptest! {
             );
         }
     }
+}
+
+/// Admission encodes each refill's cold requests in one stacked pass.
+/// Driven like `spine`'s `decode_c16` — 16 closed-loop clients in four
+/// waves eight steps apart, 32 tokens each, 16–48-token sources that the
+/// default padding budget spreads over different length buckets — every
+/// refill admits one wave, so each pass encodes exactly four sources.
+#[test]
+fn a_decode_c16_shaped_engine_encodes_a_whole_wave_per_pass() {
+    const CLIENTS: usize = 16;
+    const WAVES: usize = 4;
+    const MAX_NEW: usize = 32;
+    let q = model();
+    let mut engine = ContinuousBatcher::new(
+        q,
+        EngineConfig {
+            ignore_eos: true,
+            prefix_cache_bytes: 1 << 20,
+            ..EngineConfig::with_max_batch(CLIENTS)
+        },
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5E44);
+    let vocab = q.src_vocab();
+    // The step from which each client may submit its next request.
+    let mut ready: Vec<Option<usize>> = (0..CLIENTS)
+        .map(|c| Some(c % WAVES * MAX_NEW.div_ceil(WAVES)))
+        .collect();
+    let mut owner = std::collections::HashMap::new();
+    let mut next_id = 0u64;
+    for step in 0..3 * MAX_NEW {
+        for (c, due) in ready.iter_mut().enumerate() {
+            if due.is_some_and(|d| d <= step) {
+                let len = rng.random_range(16..=48);
+                let src = (0..len).map(|_| rng.random_range(3..vocab)).collect();
+                engine.submit(Request::new(next_id, src, MAX_NEW)).unwrap();
+                owner.insert(next_id, c);
+                next_id += 1;
+                *due = None;
+            }
+        }
+        assert!(engine.step());
+        for r in engine.drain_finished() {
+            ready[owner[&r.id]] = Some(step + 1);
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.sources_encoded + stats.prefix_hits, stats.admitted);
+    assert_eq!(stats.prefix_hits, 0, "no prompt: nothing to reuse");
+    assert!(stats.admission_batches >= 8, "{stats:?}");
+    assert_eq!(
+        stats.sources_encoded as f64 / stats.admission_batches as f64,
+        4.0,
+        "{stats:?}"
+    );
 }
 
 /// The engine's step takes its tokens from the greedy head, not from

@@ -105,15 +105,16 @@ fn baseline(n: usize) -> Vec<Response> {
     decode(4, n).0
 }
 
-/// Global GEMM-pass count consumed by prefilling the first `n` sources
-/// in admission order — every later pass index lands inside batched
-/// decode steps (the retry-protected region).
+/// Global GEMM-pass count consumed by admitting the first `n` sources
+/// the way the engine's first refill does (every test here admits them
+/// all at once): one stacked `start_sessions` over them. Every later
+/// pass index lands inside batched decode steps (the retry-protected
+/// region), starting with the first.
 fn prefill_passes(n: usize) -> u64 {
     faults::install(FaultPlan::empty());
     let mut arena = quantized::incremental::KvArena::for_model(model());
-    for src in sources().iter().take(n) {
-        let _ = model().start_session(&mut arena, src);
-    }
+    let srcs: Vec<&[usize]> = sources().iter().take(n).map(|s| s.as_slice()).collect();
+    let _ = model().start_sessions(&mut arena, &srcs);
     let p = faults::with_injector(|i| i.passes_seen()).expect("plan installed");
     faults::clear();
     p
@@ -122,10 +123,34 @@ fn prefill_passes(n: usize) -> u64 {
 /// GEMM passes per batched decode step for the 2-layer tiny model: each
 /// layer runs W_K, W_V (cache extension), W_Q, W_O twice (self + cross
 /// attention) and the two FFN sublayers — 8 QLinear forwards per layer.
-/// Used only as a conservative *lower bound* on the first step's pass
-/// window, so faults scheduled inside it fire on the first attempt and
-/// never on the (clean) retry.
+/// Faults scheduled inside the first step's window fire on the first
+/// attempt and never on the (clean) retry.
 const PASSES_PER_STEP: u64 = 16;
+
+#[test]
+fn admission_passes_end_where_the_first_decode_step_begins() {
+    // `prefill_passes` must count exactly the passes the engine's
+    // admission runs: one engine step (admission, then the first decode
+    // step) consumes it plus one step's worth, so the pass windows the
+    // tests below schedule from it open inside the first decode step.
+    let _g = FaultGuard::acquire();
+    for n in 1..=4 {
+        let p0 = prefill_passes(n);
+        faults::install(FaultPlan::empty());
+        let mut engine = ContinuousBatcher::new(model(), engine_cfg(n)).unwrap();
+        for (id, src) in sources().iter().take(n).enumerate() {
+            engine
+                .submit(Request::new(id as u64, src.clone(), MAX_NEW))
+                .unwrap();
+        }
+        assert!(engine.step());
+        let seen = faults::with_injector(|i| i.passes_seen()).expect("plan installed");
+        faults::clear();
+        assert_eq!(seen, p0 + PASSES_PER_STEP, "{n} sources");
+        assert_eq!(engine.stats().admission_batches, 1, "{n} sources");
+        assert_eq!(engine.stats().sources_encoded, n, "{n} sources");
+    }
+}
 
 #[test]
 fn checker_on_without_plan_changes_no_output_bits() {
@@ -192,8 +217,10 @@ fn weight_sram_flip_is_detected_and_healed_by_retry() {
     let c = faults::counters();
     assert!(c.injected > 0, "weight faults must have fired");
     assert!(c.detected >= 1, "row checksum must flag the corruption");
-    assert!(stats.faulty_steps >= 1);
-    assert!(stats.retries >= 1, "flagged step must be recomputed");
+    // Every event lies in the first decode step: that one step is
+    // flagged, and its one replay runs past the plan.
+    assert_eq!(stats.faulty_steps, 1, "only the first decode step is hit");
+    assert_eq!(stats.retries, 1, "flagged step must be recomputed once");
     assert_eq!(stats.quarantined, 0);
     assert_eq!(
         got, want,
@@ -329,7 +356,11 @@ fn env_seeded_fault_is_detected_and_healed() {
     let c = faults::counters();
     assert_eq!(c.injected, 1, "seed {seed}: the scheduled flip must fire");
     assert!(c.detected >= 1, "seed {seed}: must be detected");
-    assert!(stats.retries >= 1, "seed {seed}: must be retried");
+    assert_eq!(
+        stats.faulty_steps, 1,
+        "seed {seed}: the flip lands in the first decode step"
+    );
+    assert_eq!(stats.retries, 1, "seed {seed}: must be retried once");
     assert_eq!(got, want, "seed {seed}: retry must restore bit-identity");
     // Reproducibility: the same seed regenerates the same plan.
     assert_eq!(

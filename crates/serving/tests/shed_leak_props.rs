@@ -49,6 +49,14 @@ fn mem(engine: &ContinuousBatcher<'_>) -> (usize, usize) {
     (engine.kv_bytes_in_use(), engine.prefix_cache_bytes())
 }
 
+/// Every admission either forked a cached prefix or was encoded by one
+/// of the engine's stacked admission passes.
+fn admissions_add_up(engine: &ContinuousBatcher<'_>) {
+    let s = engine.stats();
+    assert_eq!(s.sources_encoded + s.prefix_hits, s.admitted, "{s:?}");
+    assert!(s.admission_batches <= s.sources_encoded, "{s:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -98,6 +106,7 @@ proptest! {
         prop_assert_eq!(engine.kv_bytes_in_use(), 0, "all KV released");
         prop_assert_eq!(engine.stats().shed, sheds);
         prop_assert_eq!(responses.len(), admitted.len());
+        admissions_add_up(&engine);
 
         // Survivors decode bit-identically to an engine that never
         // experienced the overload.
@@ -166,6 +175,7 @@ proptest! {
         let responses = engine.run_to_completion();
         prop_assert_eq!(engine.kv_bytes_in_use(), 0);
         prop_assert_eq!(engine.stats().cancelled, cancelled.len());
+        admissions_add_up(&engine);
         prop_assert_eq!(responses.len(), n - cancelled.len(),
             "cancelled requests yield no response");
 
@@ -228,6 +238,7 @@ proptest! {
             }
         }
         prop_assert_eq!(engine.stats().expired_in_queue, doomed.len());
+        admissions_add_up(&engine);
 
         // Survivors decode exactly as if the doomed never existed.
         let mut control = ContinuousBatcher::new(q, EngineConfig {
