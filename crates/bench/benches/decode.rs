@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the decoding strategies: full-prefix
-//! recompute vs KV-cached incremental, FP32 vs INT8, and beam search.
+//! Criterion benchmarks of the INT8 decoding strategies: full-prefix
+//! recompute vs KV-cached incremental.
 
 use std::hint::black_box;
 
@@ -7,13 +7,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use quantized::{QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transformer::decode::beam_search;
-use transformer::incremental::greedy_decode_incremental;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS, EOS};
 use transformer::train::study_config;
 
-fn setup() -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<usize>) {
+fn setup() -> (QuantSeq2Seq, Vec<usize>) {
     let cfg = study_config();
     let mut rng = StdRng::seed_from_u64(31);
     let model = Seq2SeqTransformer::new(&cfg, &mut rng);
@@ -21,24 +19,12 @@ fn setup() -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<usize>) {
     let corpus = gen.corpus(4, &mut StdRng::seed_from_u64(32));
     let quant = QuantSeq2Seq::from_trained(&model, &corpus, SoftmaxMode::Hardware);
     let src = corpus[0].0.clone();
-    (model, quant, src)
+    (quant, src)
 }
 
 fn bench_decode(c: &mut Criterion) {
-    let (model, quant, src) = setup();
+    let (quant, src) = setup();
     let max_len = 10;
-
-    let mut m = model.clone();
-    c.bench_function("fp32_greedy_full_recompute", |b| {
-        b.iter(|| black_box(m.greedy_decode(&src, BOS, EOS, max_len)))
-    });
-    c.bench_function("fp32_greedy_kv_cached", |b| {
-        b.iter(|| black_box(greedy_decode_incremental(&model, &src, BOS, EOS, max_len)))
-    });
-    let mut m2 = model.clone();
-    c.bench_function("fp32_beam4", |b| {
-        b.iter(|| black_box(beam_search(&mut m2, &src, BOS, EOS, max_len, 4, 0.6)))
-    });
     c.bench_function("int8_greedy_full_recompute", |b| {
         b.iter(|| black_box(quant.greedy_decode(&src, BOS, EOS, max_len)))
     });

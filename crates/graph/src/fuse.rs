@@ -47,10 +47,8 @@
 //! references ("hidden", "g") and executor taps keep resolving; only
 //! the producer's name disappears. Fused and unfused graphs are
 //! **bit-identical** under every executor (the differential suite
-//! `tests/fusion_identity.rs` pins all five), so fusion is enabled by
-//! default with `ACCEL_NO_FUSE=1` as the escape hatch — gating happens
-//! at the block-level call sites via `tensor::envcfg::fuse_enabled`,
-//! and [`fuse_if`] returns the input graph byte-for-byte when disabled.
+//! `tests/fusion_identity.rs` pins all five against the unfused
+//! graphs), so the blocks always run the fused graph.
 
 use crate::graph::{Graph, Node};
 use crate::op::Op;
@@ -152,17 +150,6 @@ pub fn fuse(g: &Graph) -> Graph {
     fused
 }
 
-/// [`fuse`] gated on a flag: the fused graph when `enabled`, the input
-/// graph **byte-for-byte** otherwise (the `ACCEL_NO_FUSE=1` escape
-/// hatch). Callers pass `tensor::envcfg::fuse_enabled()`.
-pub fn fuse_if(g: Graph, enabled: bool) -> Graph {
-    if enabled {
-        fuse(&g)
-    } else {
-        g
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,12 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn fuse_is_idempotent_and_fuse_if_is_an_escape_hatch() {
+    fn fuse_is_idempotent() {
         let g = ffn_graph(&cfg());
         let once = fuse(&g);
         assert_eq!(fuse(&once), once);
-        assert_eq!(fuse_if(g.clone(), false), g);
-        assert_eq!(fuse_if(g.clone(), true), once);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! times that program.
 //!
 //! Cached-KV incremental decoding is **not** an executor: the
-//! attention ResBlock over per-session caches is a plain function in
-//! each numeric domain (`transformer::incremental::step_batch`'s block,
-//! `quantized::cached_mha_rows`). It fuses the per-head group into one
+//! attention ResBlock over per-session caches is a plain function,
+//! `quantized::cached_mha_rows`. It fuses the per-head group into one
 //! kernel rather than walking nodes, and its inputs are borrowed caches
 //! of differing lengths that no other executor can take (the
 //! accelerator lowering rejects the cached kind) — behind the trait it
@@ -47,7 +46,7 @@ mod op;
 pub mod tally;
 
 pub use exec::{Env, ExecStats, Executor};
-pub use fuse::{fuse, fuse_if};
+pub use fuse::fuse;
 pub use graph::{
     ffn_graph, mha_cached_graph, mha_graph, ExecPlan, Graph, GraphConfig, GraphKind, Node, PlanStep,
 };

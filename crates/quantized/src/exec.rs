@@ -35,12 +35,11 @@
 //! softmax still runs once per row over the assembled full row. Scores
 //! are exact `i32` dot products and `P·V` an exact `i32` sum, so a row's
 //! bits do not depend on its cohort; with no cohort (`shared = 0`) the
-//! computation is exactly the per-group one. Cohorts share the fused
-//! drain's gate: with fault hooks live or fusion off every group
-//! attends alone on the per-head path.
+//! computation is exactly the per-group one. This is the only attention
+//! path: attention GEMMs never reach the fault injector (only `QLinear`
+//! passes do), so a checker-on engine attends exactly as production does.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use graph::{Env, ExecPlan, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
 use tensor::kvpool::{KvPool, KvSeq};
@@ -62,26 +61,11 @@ pub(crate) struct PlannedGraph {
 }
 
 impl PlannedGraph {
-    pub(crate) fn new(graph: Graph) -> Self {
+    /// Fuses `graph` ([`graph::fuse`]) and resolves its plan.
+    pub(crate) fn fused(graph: &Graph) -> Self {
+        let graph = graph::fuse(graph);
         let plan = graph.plan();
         Self { graph, plan }
-    }
-}
-
-/// A ResBlock's graph as `forward` runs it — fused or not, as
-/// [`tensor::envcfg::fuse_enabled`] says at the call (the override can
-/// flip at run time) — each variant built once.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BlockGraphs {
-    unfused: OnceLock<PlannedGraph>,
-    fused: OnceLock<PlannedGraph>,
-}
-
-impl BlockGraphs {
-    pub(crate) fn get(&self, build: impl FnOnce() -> Graph) -> &PlannedGraph {
-        let fuse = tensor::envcfg::fuse_enabled();
-        let cell = if fuse { &self.fused } else { &self.unfused };
-        cell.get_or_init(|| PlannedGraph::new(graph::fuse_if(build(), fuse)))
     }
 }
 
@@ -447,17 +431,6 @@ impl<'a> CacheRef<'a> {
     }
 }
 
-/// Whether the fused decode-attention drain and the shared-prefix
-/// cohorts may run: fusion enabled and no fault hooks installed. The
-/// fault injector numbers and probes the per-head GEMM passes, so with
-/// hooks live the per-head path (whose pass sequence the seeded
-/// campaigns calibrate against) must be taken — the same fallback seam
-/// the fused `QLinear` forwards use. Both paths are bit-identical, so
-/// this only affects speed.
-fn attention_fusible() -> bool {
-    tensor::envcfg::fuse_enabled() && !faults::hooks_active()
-}
-
 /// Row groups of one [`cached_mha_rows`] call whose caches begin with
 /// the same storage: the first `shared` rows of every member's K and V
 /// caches are the same bytes at the same place, so their scores and
@@ -617,7 +590,7 @@ impl SharedScores<'_> {
 /// over the private rows. With `shared = 0` this is the group attending
 /// its whole cache alone.
 ///
-/// A one-row group on the fused path streams its private rows once for
+/// A one-row group (a decode step) streams its private rows once for
 /// **all** heads, with no per-head panel gathers or GEMV dispatch:
 /// [`tensor::simd::head_dots_i8`] accumulates each head's `q · k_t` in
 /// ascending order (the inner product `matmul_i8_nt` computes; integer
@@ -639,14 +612,13 @@ fn private_attention(
     keys: &CacheRef<'_>,
     vals: &CacheRef<'_>,
     causal: bool,
-    fused: bool,
     shared_scores: SharedScores<'_>,
 ) -> GroupAttention {
     let (h, d_k) = (block.heads(), block.d_k());
     let d = h * d_k;
     let ctx = keys.rows();
     let shared = shared_scores.rows;
-    if rows == 1 && fused {
+    if rows == 1 {
         let qrow = &q.row(r0)[..d];
         let mut scores = Mat::zeros(h, ctx);
         for i in 0..shared_scores.heads.len() {
@@ -746,7 +718,6 @@ fn cohort_attention(
     keys: &[CacheRef<'_>],
     vals: &[CacheRef<'_>],
     causal: bool,
-    fused: bool,
     cohorts: &[Cohort],
 ) -> Mat<i8> {
     let (h, d_k) = (block.heads(), block.d_k());
@@ -811,7 +782,7 @@ fn cohort_attention(
         };
         let shared = SharedScores { rows, heads, s0 };
         private_attention(
-            block, q, offsets[g], groups[g], &keys[g], &vals[g], causal, fused, shared,
+            block, q, offsets[g], groups[g], &keys[g], &vals[g], causal, shared,
         )
     });
     let shared_pv = tensor::par::par_map(&tasks, |&(c, i)| {
@@ -857,10 +828,9 @@ fn cohort_attention(
 /// over its own session's cache `keys[i]` / `vals[i]`. `W_Q`, `W_G` and
 /// the LayerNorm run once over all rows; the attention fans out across
 /// threads, with groups whose caches begin with the same storage
-/// attending it together ([`attention_cohorts`]; gated like the fused
-/// drain). Integer GEMMs are row-independent and every score and `P·V`
-/// sum is exact, so a group's rows are bit-identical whatever else is in
-/// the batch.
+/// attending it together ([`attention_cohorts`]). Integer GEMMs are
+/// row-independent and every score and `P·V` sum is exact, so a group's
+/// rows are bit-identical whatever else is in the batch.
 ///
 /// With `causal = true` (self-attention), row `j` of a group whose
 /// cache holds `L` rows — the chunk's own K/V having already been
@@ -902,37 +872,25 @@ pub fn cached_mha_rows(
     }
     let (wq, _, _, wo) = block.projections();
     let q = wq.forward(x);
-    let fused = attention_fusible();
-    let mut fused_ops = 0usize;
-    let mut elided_bytes = 0usize;
     // The fused decode-attention drain never materialises the per-head
     // K/V panels — `2 * ctx * d_model` bytes per fused row. It fires for
     // one-row chunks (decode steps); multi-row chunks run the per-head
     // GEMMs around a prefix-length softmax.
-    if fused {
-        for (&rows, k) in groups.iter().zip(keys) {
-            if rows == 1 {
-                fused_ops += 1;
-                elided_bytes += 2 * k.rows() * x.cols();
-            }
+    let (mut fused_ops, mut elided_bytes) = (0usize, 0usize);
+    for (&rows, k) in groups.iter().zip(keys) {
+        if rows == 1 {
+            fused_ops += 1;
+            elided_bytes += 2 * k.rows() * x.cols();
         }
     }
-    let cohorts = if fused {
-        attention_cohorts(groups, keys, vals, causal)
-    } else {
-        (0..groups.len()).map(Cohort::single).collect()
-    };
-    let p = cohort_attention(block, &q, groups, keys, vals, causal, fused, &cohorts);
+    let cohorts = attention_cohorts(groups, keys, vals, causal);
+    let p = cohort_attention(block, &q, groups, keys, vals, causal, &cohorts);
     // The Wo projection and the residual add fuse into one drain (the
     // fused-graph `LinearAdd(Wo)` rewrite, applied by hand); the
     // projection's INT8 output codes are never materialized.
-    let g = if tensor::envcfg::fuse_enabled() {
-        fused_ops += 1;
-        elided_bytes += p.rows() * x.cols();
-        wo.forward_add(&p, x)
-    } else {
-        residual_add_i8(&wo.forward(&p), x)
-    };
+    let g = wo.forward_add(&p, x);
+    fused_ops += 1;
+    elided_bytes += p.rows() * x.cols();
     graph::tally::note_fused(fused_ops, elided_bytes);
     block.layernorm().forward(&g)
 }

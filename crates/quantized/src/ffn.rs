@@ -1,13 +1,15 @@
 //! The quantized FFN ResBlock — the INT8 dataflow of Fig. 3b /
 //! Algorithm 1 lines 14–22.
 
+use std::sync::OnceLock;
+
 use fixedmath::quant::QuantParams;
 use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{ops, Mat};
 use transformer::ffn::FfnResBlock;
 
 use crate::calib::{linear_f32, FfnScales};
-use crate::exec::BlockGraphs;
+use crate::exec::PlannedGraph;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
 
@@ -17,8 +19,9 @@ pub struct QuantFfnResBlock {
     lin1: QLinear,
     lin2: QLinear,
     ln: HwLayerNorm,
-    /// [`graph::ffn_graph`] as [`Self::forward`] runs it.
-    graphs: BlockGraphs,
+    /// [`graph::ffn_graph`], fused, as [`Self::forward`] runs it; built
+    /// on first use.
+    graph: OnceLock<PlannedGraph>,
 }
 
 impl QuantFfnResBlock {
@@ -85,7 +88,7 @@ impl QuantFfnResBlock {
             lin1,
             lin2,
             ln,
-            graphs: BlockGraphs::default(),
+            graph: OnceLock::new(),
         }
     }
 
@@ -122,7 +125,9 @@ impl QuantFfnResBlock {
         // [`crate::exec::QuantExec`]. ReLU on symmetric INT8 codes is a
         // plain max(0, ·), fused into the output of the bias adders
         // (Fig. 5's ReLU block).
-        let g = self.graphs.get(|| graph::ffn_graph(&self.graph_config()));
+        let g = self
+            .graph
+            .get_or_init(|| PlannedGraph::fused(&graph::ffn_graph(&self.graph_config())));
         let mut exec = crate::exec::QuantExec::ffn(self);
         let mut env = exec.run_planned(
             &g.graph,

@@ -1,7 +1,7 @@
 //! KV-cached incremental decoding for the quantized model, over a
 //! shared **paged** KV arena.
 //!
-//! Mirrors `transformer::incremental` in the INT8 domain: the projected
+//! The workspace's one incremental decoder: the projected
 //! self-attention K/V *codes* of every decoder layer are cached, and the
 //! fixed cross-attention K/V codes are computed once per source
 //! sentence. Every integer operation per row is identical to the full

@@ -1,6 +1,8 @@
 //! The quantized MHA ResBlock — the INT8 dataflow of Fig. 3a /
 //! Algorithm 1 lines 1–13, bit-exact with the accelerator.
 
+use std::sync::OnceLock;
+
 use fixedmath::quant::{QuantParams, Requantizer};
 use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{gemm, ops, Mat};
@@ -8,7 +10,7 @@ use transformer::functional::softmax_rows;
 use transformer::mha::MhaResBlock;
 
 use crate::calib::{linear_f32, MhaScales};
-use crate::exec::BlockGraphs;
+use crate::exec::PlannedGraph;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
 use crate::softmax::{prob_scale, SoftmaxMode};
@@ -27,8 +29,9 @@ pub struct QuantMhaResBlock {
     p_requant: Requantizer,
     p_scale: QuantParams,
     mode: SoftmaxMode,
-    /// [`graph::mha_graph`] as [`Self::forward`] runs it.
-    graphs: BlockGraphs,
+    /// [`graph::mha_graph`], fused, as [`Self::forward`] runs it; built
+    /// on first use.
+    graph: OnceLock<PlannedGraph>,
 }
 
 impl QuantMhaResBlock {
@@ -194,7 +197,7 @@ impl QuantMhaResBlock {
             p_requant: Requantizer::from_ratio(p_ratio),
             p_scale: scales.p,
             mode,
-            graphs: BlockGraphs::default(),
+            graph: OnceLock::new(),
         }
     }
 
@@ -304,7 +307,9 @@ impl QuantMhaResBlock {
         // [`crate::exec::QuantExec`]: Algorithm 1's first loop fans out
         // per head across threads, the second loop (W_G, residual,
         // LayerNorm) runs in plan order.
-        let g = self.graphs.get(|| graph::mha_graph(&self.graph_config()));
+        let g = self
+            .graph
+            .get_or_init(|| PlannedGraph::fused(&graph::mha_graph(&self.graph_config())));
         let mut exec = crate::exec::QuantExec::mha(self);
         let mut env = exec.run_planned(
             &g.graph,

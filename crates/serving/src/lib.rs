@@ -384,8 +384,7 @@ pub struct ServingStats {
     /// [`Response`] and its KV pages return to the free list at once.
     pub cancelled: usize,
     /// Fused graph nodes executed by this engine's steps (`LinearRelu`,
-    /// `LinearAdd`, and `cached_mha_rows`' hand-fused drains). Zero when
-    /// `ACCEL_NO_FUSE=1`.
+    /// `LinearAdd`, and `cached_mha_rows`' hand-fused drains).
     pub ops_fused: usize,
     /// Bytes of intermediate tensors fusion never materialized across
     /// this engine's steps — the memory traffic the fused drains
@@ -1471,16 +1470,11 @@ mod tests {
         }
         let _ = engine.run_to_completion();
         let stats = engine.stats();
-        if tensor::envcfg::fuse_enabled() {
-            // Every decode ResBlock pass fuses at least the Wo → residual
-            // drain, so a full run must report fused work and the bytes
-            // its elided intermediates would have cost.
-            assert!(stats.ops_fused > 0, "fused drains must be counted");
-            assert!(stats.intermediates_elided_bytes > 0);
-        } else {
-            assert_eq!(stats.ops_fused, 0, "ACCEL_NO_FUSE must zero the counters");
-            assert_eq!(stats.intermediates_elided_bytes, 0);
-        }
+        // Every decode ResBlock pass fuses at least the Wo → residual
+        // drain, so a full run must report fused work and the bytes its
+        // elided intermediates would have cost.
+        assert!(stats.ops_fused > 0, "fused drains must be counted");
+        assert!(stats.intermediates_elided_bytes > 0);
         // merge() rolls the new counters up like the KV byte counters.
         let mut merged = ServingStats::default();
         merged.merge(&stats);

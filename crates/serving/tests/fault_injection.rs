@@ -17,13 +17,14 @@ use std::sync::{MutexGuard, OnceLock};
 
 use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, SiteClass};
 use proptest::prelude::*;
-use quantized::{QuantSeq2Seq, SoftmaxMode};
+use quantized::incremental::{KvArena, QuantIncrementalSession};
+use quantized::{attention_cohorts, CacheRef, Cohort, QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serving::{ContinuousBatcher, EngineConfig, Request, Response};
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
-use transformer::tasks::{Task, TaskGen};
+use transformer::tasks::{Task, TaskGen, BOS};
 
 const MAX_NEW: usize = 6;
 
@@ -377,4 +378,105 @@ fn env_seeded_fault_is_detected_and_healed() {
             }
         )
     );
+}
+
+/// Layer 0's self- and cross-attention cohort plans for one decode row
+/// per session — after a step, what that step's attention planned.
+fn decode_plans(arena: &KvArena, sessions: &[QuantIncrementalSession]) -> [Vec<Cohort>; 2] {
+    let groups = vec![1; sessions.len()];
+    let (sk, sv): (Vec<CacheRef<'_>>, Vec<CacheRef<'_>>) = sessions
+        .iter()
+        .map(|s| s.self_attention_caches(arena, 0))
+        .unzip();
+    let (ck, cv): (Vec<CacheRef<'_>>, Vec<CacheRef<'_>>) =
+        sessions.iter().map(|s| s.cross_attention_caches(0)).unzip();
+    [
+        attention_cohorts(&groups, &sk, &sv, true),
+        attention_cohorts(&groups, &ck, &cv, false),
+    ]
+}
+
+#[test]
+fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
+    // Three forks of one prefix snapshot decode together with the checker
+    // on; a seeded accumulator flip lands in their first step. The step
+    // is flagged, rolled back and replayed as the engine's retry does,
+    // the forks attend their shared pages (and shared cross K/V) as one
+    // cohort throughout — through the same fused decode drains as a
+    // checker-off run — and every step's logits equal that run's bit for
+    // bit.
+    let _g = FaultGuard::acquire();
+    let seed = faults::env_seed().unwrap_or(7);
+    let (q, src, page) = (model(), &sources()[0], 4);
+    let mut prompt = vec![BOS];
+    prompt.extend(src.iter().cycle().take(11));
+    let mut arena = KvArena::with_page_rows(q.tgt_embedding().d_model(), page);
+    let mut snap = q.start_session(&mut arena, src);
+    q.prefill_sessions(&mut arena, &mut [&mut snap], &[&prompt]);
+    let cohort = |shared| {
+        vec![Cohort {
+            members: vec![0, 1, 2],
+            shared,
+        }]
+    };
+    let planned = [cohort(prompt.len() / page * page), cohort(src.len())];
+
+    let mut run = |checker: bool| {
+        let mut forks: Vec<QuantIncrementalSession> =
+            (0..3).map(|_| snap.fork(&mut arena)).collect();
+        let (mut tokens, mut steps, mut retries, mut fused_ops) = (vec![5, 6, 7], vec![], 0, 0);
+        faults::set_checker(Some(checker));
+        for _ in 0..4 {
+            let chunks: Vec<[usize; 1]> = tokens.iter().map(|&t| [t]).collect();
+            let chunks: Vec<&[usize]> = chunks.iter().map(|c| c.as_slice()).collect();
+            let before = graph::fusion_tally();
+            let logits = loop {
+                let detected = faults::counters().detected;
+                let mut refs: Vec<&mut QuantIncrementalSession> = forks.iter_mut().collect();
+                let logits = q.prefill_sessions(&mut arena, &mut refs, &chunks);
+                if faults::counters().detected == detected {
+                    break logits;
+                }
+                retries += 1;
+                forks
+                    .iter_mut()
+                    .for_each(|f| f.rollback_rows(&mut arena, 1));
+            };
+            fused_ops = graph::fusion_tally().since(&before).ops_fused;
+            assert_eq!(decode_plans(&arena, &forks), planned, "checker {checker}");
+            tokens = logits.iter().map(|l| tensor::ops::argmax(l)).collect();
+            steps.push(
+                logits
+                    .concat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u32>>(),
+            );
+        }
+        faults::clear();
+        faults::set_checker(Some(false));
+        forks.iter_mut().for_each(|f| f.release(&mut arena));
+        (steps, retries, fused_ops)
+    };
+
+    let (want, clean_retries, clean_fused) = run(false);
+    assert_eq!(clean_retries, 0);
+    faults::reset_counters();
+    let space = FaultSpace {
+        index_lo: 1,
+        index_hi: PASSES_PER_STEP - 1,
+        rows: 3,
+        cols: 8,
+        classes: vec![SiteClass::Accumulator],
+    };
+    faults::install(FaultPlan::seeded(seed, 1, &space));
+    let (got, retries, fused) = run(true);
+    let c = faults::counters();
+    assert_eq!(c.injected, 1, "seed {seed}: the scheduled flip must fire");
+    assert!(c.detected >= 1, "seed {seed}: must be detected");
+    assert_eq!(retries, 1, "seed {seed}: the first step replays once");
+    assert_eq!(got, want, "seed {seed}: survivors must be bit-identical");
+    assert_eq!(fused, clean_fused, "a fault-free step drains alike");
+    snap.release(&mut arena);
+    assert_eq!(arena.kv_bytes_in_use(), 0);
 }

@@ -12,10 +12,10 @@
 //! Caching policy:
 //!
 //! * `ACCEL_THREADS`, `ACCEL_FORCE_SCALAR`, `ACCEL_ABFT`,
-//!   `ACCEL_FAULT_SEED`, `ACCEL_NO_FUSE`, `ACCEL_PIN` — read **once**
-//!   per process (these sit on or gate hot paths; a `getenv` per GEMM
-//!   is measurable). In-process retuning for tests goes through the
-//!   override setters ([`set_fuse_override`], [`set_pin_override`],
+//!   `ACCEL_FAULT_SEED`, `ACCEL_PIN` — read **once** per process (these
+//!   sit on or gate hot paths; a `getenv` per GEMM is measurable).
+//!   In-process retuning for tests goes through the override setters
+//!   ([`set_pin_override`],
 //!   [`crate::par::set_thread_override`],
 //!   [`crate::simd::set_simd_override`], `faults::set_checker`).
 //! * `ACCEL_KV_PAGE`, `ACCEL_PREFIX_CACHE` — parsed on **every** call
@@ -43,12 +43,6 @@ pub const ENV_ABFT: &str = "ACCEL_ABFT";
 /// Seed for the env-driven fault-injection campaign (`u64`). Consumed
 /// by the `faults` crate.
 pub const ENV_FAULT_SEED: &str = "ACCEL_FAULT_SEED";
-
-/// Disables the graph-IR operator fusion pass (any non-empty value
-/// other than `0`), restoring the unfused graphs byte-for-byte. Fusion
-/// is on by default because fused and unfused execution are
-/// bit-identical; this is the escape hatch.
-pub const ENV_NO_FUSE: &str = "ACCEL_NO_FUSE";
 
 /// Opts in to pinning pool workers to cores (any non-empty value other
 /// than `0`). Off by default: pinning helps dedicated serving boxes and
@@ -171,40 +165,9 @@ pub fn fault_seed() -> Option<u64> {
     })
 }
 
-/// In-process override for [`fuse_enabled`]:
+/// In-process override for [`pin_enabled`]:
 /// 0 = follow env, 1 = force off, 2 = force on.
-static FUSE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// In-process override for [`pin_enabled`]: same encoding.
 static PIN_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the graph-IR fusion pass should run: an explicit
-/// [`set_fuse_override`], else on unless `ACCEL_NO_FUSE` is set.
-///
-/// Fused and unfused execution are bit-identical (the differential
-/// suite pins this), so flipping the gate only affects speed and which
-/// graph shape the executors see.
-pub fn fuse_enabled() -> bool {
-    static CELL: OnceLock<bool> = OnceLock::new();
-    match FUSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => !*CELL.get_or_init(|| flag(ENV_NO_FUSE)),
-    }
-}
-
-/// Overrides [`fuse_enabled`] for this process (`None` restores the
-/// env resolution). Intended for the fused-vs-unfused differential
-/// tests and benchmarks; safe to flip at any time because both graph
-/// shapes produce bit-identical results.
-pub fn set_fuse_override(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    FUSE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Whether pool workers should be pinned to cores: an explicit
 /// [`set_pin_override`], else the `ACCEL_PIN` opt-in.
@@ -240,17 +203,6 @@ mod tests {
         // only check the contract that holds either way).
         let got = kv_page_rows(16);
         assert!(got > 0);
-    }
-
-    #[test]
-    fn fuse_override_wins_and_clears() {
-        let base = fuse_enabled();
-        set_fuse_override(Some(false));
-        assert!(!fuse_enabled());
-        set_fuse_override(Some(true));
-        assert!(fuse_enabled());
-        set_fuse_override(None);
-        assert_eq!(fuse_enabled(), base);
     }
 
     #[test]

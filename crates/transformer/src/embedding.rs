@@ -8,7 +8,7 @@ use std::sync::RwLock;
 use rand::Rng;
 use tensor::Mat;
 
-use crate::opt::HasParams;
+use crate::opt::{grad_buf, HasParams};
 
 /// Element `j` of the sinusoidal encoding of position `pos`. The one
 /// expression every encoding in this module evaluates, so a memoised
@@ -34,7 +34,7 @@ pub fn sinusoidal_pos_encoding(s: usize, d_model: usize) -> Mat<f32> {
 const POS_ROWS_MEMOISED: usize = 4096;
 
 /// Encoding rows of positions `0..len / d_model`, grown on demand by the
-/// incremental decoders (`powf` + `sin`/`cos` per element cost 6.5 us a
+/// INT8 incremental decoder (`powf` + `sin`/`cos` per element cost 6.5 us a
 /// token at `d_model = 512`, against 0.1 us for the copy).
 #[derive(Debug, Default)]
 struct PosRows(RwLock<Vec<f32>>);
@@ -51,7 +51,8 @@ impl Clone for PosRows {
 pub struct Embedding {
     name: String,
     table: Mat<f32>,
-    grad: Mat<f32>,
+    /// Allocated on first use ([`grad_buf`]).
+    grad: Option<Mat<f32>>,
     cache_tokens: Option<Vec<usize>>,
     pos_rows: PosRows,
 }
@@ -62,7 +63,7 @@ impl Embedding {
         Self {
             name: name.into(),
             table: tensor::init::normal(rng, vocab, d_model, 1.0 / (d_model as f32).sqrt()),
-            grad: Mat::zeros(vocab, d_model),
+            grad: None,
             cache_tokens: None,
             pos_rows: PosRows::default(),
         }
@@ -187,8 +188,9 @@ impl Embedding {
             "dy shape mismatch"
         );
         let scale = (self.d_model() as f32).sqrt();
+        let grad = grad_buf(&mut self.grad, self.table.shape());
         for (r, &t) in tokens.iter().enumerate() {
-            for (g, v) in self.grad.row_mut(t).iter_mut().zip(dy.row(r)) {
+            for (g, v) in grad.row_mut(t).iter_mut().zip(dy.row(r)) {
                 *g += v * scale;
             }
         }
@@ -198,7 +200,8 @@ impl Embedding {
 impl HasParams for Embedding {
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut [f32], &mut [f32])) {
         let n = format!("{}.table", self.name);
-        f(&n, self.table.as_mut_slice(), self.grad.as_mut_slice());
+        let grad = grad_buf(&mut self.grad, self.table.shape());
+        f(&n, self.table.as_mut_slice(), grad.as_mut_slice());
     }
 }
 

@@ -8,10 +8,7 @@
 //! It is **bit-identical** to the hand-rolled loops it replaced: it
 //! calls the same primitives (`gemm`, `ops`, `softmax_rows`,
 //! `layernorm_rows`) in the same order, and the GEMM kernels never
-//! reorder a row's accumulation. Cached-KV incremental decoding does
-//! not run through an executor: [`crate::incremental`] calls its
-//! ResBlock as a plain function (it never interprets a graph, and its
-//! inputs are per-session caches no other executor could take).
+//! reorder a row's accumulation.
 
 use graph::{Env, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
 use tensor::{gemm, ops, Mat};

@@ -63,13 +63,10 @@ impl FfnResBlock {
     }
 
     /// Inference-only forward (no gradient caches touched). Runs the
-    /// [`graph::ffn_graph`] dataflow through
+    /// [`graph::ffn_graph`] dataflow, fused by [`graph::fuse`], through
     /// [`crate::exec::FloatExec`].
     pub fn forward_inference(&self, x: &Mat<f32>) -> Mat<f32> {
-        let g = graph::fuse_if(
-            graph::ffn_graph(&self.graph_config()),
-            tensor::envcfg::fuse_enabled(),
-        );
+        let g = graph::fuse(&graph::ffn_graph(&self.graph_config()));
         let mut exec = crate::exec::FloatExec::ffn_res(self);
         let mut env = exec.run(&g, vec![("x", x.clone())], None);
         env.take("y")

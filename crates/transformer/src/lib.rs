@@ -48,7 +48,6 @@ pub mod exec;
 pub mod ffn;
 pub mod functional;
 pub mod greedy;
-pub mod incremental;
 pub mod layernorm;
 pub mod linear;
 pub mod loss;

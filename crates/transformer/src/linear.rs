@@ -7,10 +7,12 @@ use tensor::prepack::{self, PackedF32};
 use tensor::{gemm, ops, Mat};
 
 use crate::greedy::{GreedyStats, Screen};
-use crate::opt::HasParams;
+use crate::opt::{grad_buf, HasParams};
 
 /// A linear (dense) layer with weight `W: [in, out]` and bias
-/// `b: [out]`, holding its own gradients and forward cache.
+/// `b: [out]`, holding its own gradients and forward cache. The weight
+/// gradient is allocated on the first `backward` or
+/// [`HasParams::visit_params`].
 ///
 /// Inference forwards run against a lazily built **prepacked** copy of
 /// `W` (the GEMM microkernel's tile layout, built on first use and
@@ -24,7 +26,7 @@ pub struct Linear {
     name: String,
     w: Mat<f32>,
     b: Vec<f32>,
-    grad_w: Mat<f32>,
+    grad_w: Option<Mat<f32>>,
     grad_b: Vec<f32>,
     cache_x: Option<Mat<f32>>,
     packed: OnceLock<PackedF32>,
@@ -55,7 +57,7 @@ impl Linear {
             name: name.into(),
             w: tensor::init::xavier(rng, d_in, d_out),
             b: vec![0.0; d_out],
-            grad_w: Mat::zeros(d_in, d_out),
+            grad_w: None,
             grad_b: vec![0.0; d_out],
             cache_x: None,
             packed: OnceLock::new(),
@@ -71,13 +73,13 @@ impl Linear {
     /// Panics if `b.len() != w.cols()`.
     pub fn from_parts(name: impl Into<String>, w: Mat<f32>, b: Vec<f32>) -> Self {
         assert_eq!(b.len(), w.cols(), "bias length must match output width");
-        let shape = w.shape();
+        let d_out = w.cols();
         Self {
             name: name.into(),
             w,
             b,
-            grad_w: Mat::zeros(shape.0, shape.1),
-            grad_b: vec![0.0; shape.1],
+            grad_w: None,
+            grad_b: vec![0.0; d_out],
             cache_x: None,
             packed: OnceLock::new(),
             screen: OnceLock::new(),
@@ -231,7 +233,8 @@ impl Linear {
         assert_eq!(dy.shape(), (x.rows(), self.d_out()), "dy shape mismatch");
         // dW += X^T dY
         let dw = gemm::matmul(&x.transposed(), dy).expect("shapes checked");
-        self.grad_w = ops::add(&self.grad_w, &dw).expect("grad shape invariant");
+        let grad_w = grad_buf(&mut self.grad_w, self.w.shape());
+        *grad_w = ops::add(grad_w, &dw).expect("grad shape invariant");
         // db += column sums of dY
         for r in 0..dy.rows() {
             for (gb, v) in self.grad_b.iter_mut().zip(dy.row(r)) {
@@ -251,7 +254,8 @@ impl HasParams for Linear {
         self.packed.take();
         self.screen.take();
         let wname = format!("{}.w", self.name);
-        f(&wname, self.w.as_mut_slice(), self.grad_w.as_mut_slice());
+        let grad_w = grad_buf(&mut self.grad_w, self.w.shape());
+        f(&wname, self.w.as_mut_slice(), grad_w.as_mut_slice());
         let bname = format!("{}.b", self.name);
         f(&bname, &mut self.b, &mut self.grad_b);
     }

@@ -215,8 +215,8 @@ impl MhaResBlock {
 
     /// Inference-only forward (no gradient caches touched). Runs the
     /// full [`graph::mha_graph`] dataflow — projections, heads, concat,
-    /// output projection, residual and LayerNorm — through
-    /// [`crate::exec::FloatExec`].
+    /// output projection, residual and LayerNorm — fused by
+    /// [`graph::fuse`], through [`crate::exec::FloatExec`].
     pub fn forward_inference(
         &self,
         xq: &Mat<f32>,
@@ -224,10 +224,7 @@ impl MhaResBlock {
         xv: &Mat<f32>,
         mask: Option<&Mat<bool>>,
     ) -> Mat<f32> {
-        let g = graph::fuse_if(
-            graph::mha_graph(&self.mha.graph_config()),
-            tensor::envcfg::fuse_enabled(),
-        );
+        let g = graph::fuse(&graph::mha_graph(&self.mha.graph_config()));
         let mut exec = crate::exec::FloatExec::mha_res(self);
         let mut env = exec.run(
             &g,

@@ -6,6 +6,8 @@
 //! square-root warmup schedule of Vaswani et al. (2017) available via
 //! [`noam_lr`].
 
+use tensor::Mat;
+
 /// A layer (or model) exposing `(name, params, grads)` triples in a
 /// stable, deterministic order.
 ///
@@ -45,6 +47,14 @@ pub trait HasParams {
             }
         });
     }
+}
+
+/// A weight-sized gradient buffer, allocated (zeroed) on first use by
+/// `backward` or [`HasParams::visit_params`]. Layers hold `None` until
+/// then, so a model built only for inference — and every clone of it —
+/// never allocates its gradients.
+pub(crate) fn grad_buf(grad: &mut Option<Mat<f32>>, shape: (usize, usize)) -> &mut Mat<f32> {
+    grad.get_or_insert_with(|| Mat::zeros(shape.0, shape.1))
 }
 
 /// Adam optimizer with decoupled per-buffer first/second moments.

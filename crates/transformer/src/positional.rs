@@ -5,7 +5,7 @@
 use rand::Rng;
 use tensor::Mat;
 
-use crate::opt::HasParams;
+use crate::opt::{grad_buf, HasParams};
 
 /// A trainable `[max_len, d_model]` position table, added to the token
 /// embeddings.
@@ -13,7 +13,8 @@ use crate::opt::HasParams;
 pub struct LearnedPositional {
     name: String,
     table: Mat<f32>,
-    grad: Mat<f32>,
+    /// Allocated on first use ([`grad_buf`]).
+    grad: Option<Mat<f32>>,
     cache_len: Option<usize>,
 }
 
@@ -28,7 +29,7 @@ impl LearnedPositional {
         Self {
             name: name.into(),
             table: tensor::init::normal(rng, max_len, d_model, 0.02),
-            grad: Mat::zeros(max_len, d_model),
+            grad: None,
             cache_len: None,
         }
     }
@@ -79,8 +80,9 @@ impl LearnedPositional {
     pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let len = self.cache_len.take().expect("backward without forward");
         assert_eq!(dy.shape(), (len, self.d_model()), "dy shape mismatch");
+        let grad = grad_buf(&mut self.grad, self.table.shape());
         for r in 0..len {
-            for (g, v) in self.grad.row_mut(r).iter_mut().zip(dy.row(r)) {
+            for (g, v) in grad.row_mut(r).iter_mut().zip(dy.row(r)) {
                 *g += v;
             }
         }
@@ -91,7 +93,8 @@ impl LearnedPositional {
 impl HasParams for LearnedPositional {
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut [f32], &mut [f32])) {
         let n = format!("{}.pos", self.name);
-        f(&n, self.table.as_mut_slice(), self.grad.as_mut_slice());
+        let grad = grad_buf(&mut self.grad, self.table.shape());
+        f(&n, self.table.as_mut_slice(), grad.as_mut_slice());
     }
 }
 

@@ -8,7 +8,7 @@ use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::transformer::checkpoint::state_dict;
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::model::Seq2SeqTransformer;
-use transformer_accel::transformer::tasks::{Task, TaskGen};
+use transformer_accel::transformer::tasks::{Task, TaskGen, BOS, EOS};
 use transformer_accel::transformer::train::{train, TrainSpec};
 
 fn spec() -> TrainSpec {
@@ -40,6 +40,25 @@ fn training_is_bit_deterministic() {
     let (losses_b, params_b) = run();
     assert_eq!(losses_a, losses_b, "loss curves must be identical");
     assert_eq!(params_a, params_b, "trained parameters must be identical");
+}
+
+#[test]
+fn training_a_clone_of_an_untrained_model_is_bit_identical() {
+    // Weight gradients are allocated on first use, so an untrained model
+    // and its clones hold none. A clone — fresh, or after an inference
+    // pass — must train to exactly the bits the original does.
+    let cfg = tiny_cfg();
+    let gen = TaskGen::new(Task::Reverse, cfg.vocab, 3, 6);
+    let fresh = Seq2SeqTransformer::new(&cfg, &mut StdRng::seed_from_u64(11));
+    let mut used = fresh.clone();
+    let _ = used.greedy_decode(&[4, 5, 6], BOS, EOS, 4);
+    let run = |mut model: Seq2SeqTransformer| {
+        let report = train(&mut model, &gen, &spec());
+        (report.losses, state_dict(&mut model))
+    };
+    let want = run(fresh.clone());
+    assert_eq!(run(fresh), want, "the original");
+    assert_eq!(run(used), want, "a clone that ran inference");
 }
 
 #[test]

@@ -1,8 +1,7 @@
-//! Cross-crate differential decode. Each incremental decoder has one
-//! step body (`transformer::incremental::step_batch`,
-//! `QuantSeq2Seq::prefill_sessions`); the same prompts pushed through it
-//! one session at a time, batched, and in ragged chunks must produce
-//! bit-identical logits — independent of batch composition and chunk
+//! Cross-crate differential decode. The incremental decoder has one
+//! step body (`QuantSeq2Seq::prefill_sessions`); the same prompts pushed
+//! through it one session at a time, batched, and in ragged chunks must
+//! produce bit-identical logits — independent of batch composition and chunk
 //! shape — and, against the full-prefix recompute (which shares no
 //! attention code with the cached path), the same bits and the same
 //! greedy decodes, every CI run.
@@ -13,13 +12,10 @@ use tensor::Mat;
 use transformer_accel::quantized::incremental::{KvArena, QuantIncrementalSession};
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
-use transformer_accel::transformer::incremental::{
-    greedy_decode_incremental, step_batch, FpKvArena, IncrementalSession,
-};
 use transformer_accel::transformer::model::Seq2SeqTransformer;
 use transformer_accel::transformer::tasks::{Task, TaskGen, BOS, EOS};
 
-fn setup() -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<Vec<usize>>) {
+fn setup() -> (QuantSeq2Seq, Vec<Vec<usize>>) {
     let mut cfg = ModelConfig::tiny_for_tests();
     cfg.n_layers = 2;
     let mut rng = StdRng::seed_from_u64(0x1DE);
@@ -28,49 +24,12 @@ fn setup() -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<Vec<usize>>) {
     let corpus = gen.corpus(4, &mut StdRng::seed_from_u64(0x1DF));
     let quant = QuantSeq2Seq::from_trained(&model, &corpus, SoftmaxMode::Hardware);
     let srcs = corpus.into_iter().map(|(s, _)| s).collect();
-    (model, quant, srcs)
-}
-
-#[test]
-fn float_single_row_and_batched_decodes_agree() {
-    let (mut model, _, srcs) = setup();
-    // Full-prefix recompute vs single-row cached decode per prompt.
-    for src in &srcs {
-        assert_eq!(
-            model.greedy_decode(src, BOS, EOS, 8),
-            greedy_decode_incremental(&model, src, BOS, EOS, 8),
-            "src {src:?}"
-        );
-    }
-    // Single-row vs batched: advance every prompt in lockstep and
-    // compare each step's logits bit for bit.
-    let mut arena_s = FpKvArena::for_model(&model);
-    let mut arena_b = FpKvArena::for_model(&model);
-    let mut singles: Vec<IncrementalSession> = srcs
-        .iter()
-        .map(|s| IncrementalSession::new(&model, &mut arena_s, s))
-        .collect();
-    let mut batched: Vec<IncrementalSession> = srcs
-        .iter()
-        .map(|s| IncrementalSession::new(&model, &mut arena_b, s))
-        .collect();
-    let mut tokens: Vec<usize> = vec![BOS; srcs.len()];
-    for _ in 0..6 {
-        let want: Vec<Vec<f32>> = singles
-            .iter_mut()
-            .zip(&tokens)
-            .map(|(s, &t)| s.step(&model, &mut arena_s, t))
-            .collect();
-        let mut refs: Vec<&mut IncrementalSession> = batched.iter_mut().collect();
-        let got = step_batch(&model, &mut arena_b, &mut refs, &tokens);
-        assert_eq!(want, got, "batched logits must be bit-identical");
-        tokens = want.iter().map(|l| tensor::ops::argmax(l)).collect();
-    }
+    (quant, srcs)
 }
 
 #[test]
 fn quant_single_row_and_batched_decodes_agree() {
-    let (_, quant, srcs) = setup();
+    let (quant, srcs) = setup();
     for src in &srcs {
         assert_eq!(
             quant.greedy_decode(src, BOS, EOS, 8),
@@ -109,7 +68,7 @@ fn quant_single_row_and_batched_decodes_agree() {
 /// the worker count and with the SIMD tiers forced off.
 #[test]
 fn greedy_prefill_tokens_are_the_argmax_of_the_logits() {
-    let (_, quant, srcs) = setup();
+    let (quant, srcs) = setup();
     let prompts: [&[usize]; 4] = [&[BOS, 5, 9, 4, 11], &[BOS], &[BOS, 7, 7], &[BOS, 3]];
     for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
         tensor::par::set_thread_override(Some(threads));
@@ -207,7 +166,7 @@ fn check_ragged_chunks(
 /// the SIMD tiers forced off.
 #[test]
 fn ragged_prefill_chunks_match_sequential_steps() {
-    let (_, quant, srcs) = setup();
+    let (quant, srcs) = setup();
     let (_, prompts) = ragged_schedule(&srcs);
     for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
         tensor::par::set_thread_override(Some(threads));
@@ -238,32 +197,27 @@ fn ragged_prefill_chunks_match_sequential_steps() {
 /// code with it: the logits after each ragged chunk must equal, bit for
 /// bit, the matching row of `forward_logits` — the full recompute of the
 /// whole prompt through `QuantExec`, dense per-head GEMMs and a causal
-/// mask matrix — whatever the worker count, with the SIMD tiers forced
-/// off, and with the fused drains (one-row attention, `W_G` + residual)
-/// on and off.
+/// mask matrix — whatever the worker count and with the SIMD tiers
+/// forced off.
 #[test]
 fn ragged_prefill_chunks_match_full_recompute() {
-    let (_, quant, srcs) = setup();
+    let (quant, srcs) = setup();
     let (_, prompts) = ragged_schedule(&srcs);
     let full: Vec<Mat<f32>> = (0..2)
         .map(|s| quant.forward_logits(&srcs[s], &prompts[s]))
         .collect();
     for threads in [1, 2] {
         for simd in [None, Some(false)] {
-            for fuse in [true, false] {
-                tensor::par::set_thread_override(Some(threads));
-                tensor::simd::set_simd_override(simd);
-                tensor::envcfg::set_fuse_override(Some(fuse));
-                check_ragged_chunks(
-                    &quant,
-                    &srcs,
-                    |s, rows| full[s].row(rows - 1).to_vec(),
-                    &format!("threads {threads}, simd {simd:?}, fuse {fuse}"),
-                );
-                tensor::envcfg::set_fuse_override(None);
-                tensor::simd::set_simd_override(None);
-                tensor::par::set_thread_override(None);
-            }
+            tensor::par::set_thread_override(Some(threads));
+            tensor::simd::set_simd_override(simd);
+            check_ragged_chunks(
+                &quant,
+                &srcs,
+                |s, rows| full[s].row(rows - 1).to_vec(),
+                &format!("threads {threads}, simd {simd:?}"),
+            );
+            tensor::simd::set_simd_override(None);
+            tensor::par::set_thread_override(None);
         }
     }
 }

@@ -1,27 +1,23 @@
 //! Differential tests for the long-context serving path: chunked
 //! prefill through the paged INT8 KV cache versus the sequential
-//! token-at-a-time reference, and the FP32 model's two KV page modes
+//! token-at-a-time reference, and paged decode at several page heights
 //! versus the never-paged full-recompute decode.
 //!
-//! The INT8 paged path stores exactly the i8 codes a flat cache held,
-//! so chunked prefill + paging must be **bit-identical** to
-//! `greedy_decode_with_prompt` at every chunk size and page size. The
-//! FP32 model's `Fp32` page mode carries the same guarantee against
-//! `greedy_decode`; its `Int8` page mode is lossy by design and is held
-//! to a pinned SQNR/agreement budget instead.
+//! The paged path stores exactly the i8 codes a flat cache held, so
+//! chunked prefill + paging must be **bit-identical** to
+//! `greedy_decode_with_prompt` at every chunk size and page size, and
+//! the cached decode to `greedy_decode`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use transformer_accel::quantized::incremental::KvArena;
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request};
 use transformer_accel::transformer::config::ModelConfig;
-use transformer_accel::transformer::incremental::{
-    greedy_decode_incremental_paged, FpKvArena, IncrementalSession, PagedKvMode,
-};
 use transformer_accel::transformer::model::Seq2SeqTransformer;
 use transformer_accel::transformer::tasks::{Task, TaskGen, BOS, EOS};
 
-fn setup(seed: u64) -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<Vec<usize>>) {
+fn setup(seed: u64) -> (QuantSeq2Seq, Vec<Vec<usize>>) {
     let mut cfg = ModelConfig::tiny_for_tests();
     cfg.n_layers = 2;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -30,7 +26,7 @@ fn setup(seed: u64) -> (Seq2SeqTransformer, QuantSeq2Seq, Vec<Vec<usize>>) {
     let corpus = gen.corpus(6, &mut StdRng::seed_from_u64(seed ^ 0xABCD));
     let quant = QuantSeq2Seq::from_trained(&model, &corpus, SoftmaxMode::Hardware);
     let srcs = corpus.into_iter().map(|(s, _)| s).collect();
-    (model, quant, srcs)
+    (quant, srcs)
 }
 
 /// Long target-side prompts built from valid vocabulary tokens.
@@ -47,7 +43,7 @@ fn chunked_prefill_paged_int8_matches_sequential_reference() {
     // golden path, across chunk sizes and prefill budgets. Page size
     // follows ACCEL_KV_PAGE here, so the CI page-stress matrix also
     // exercises 1-row pages through this test.
-    let (_, quant, srcs) = setup(0xC0FFEE);
+    let (quant, srcs) = setup(0xC0FFEE);
     let prompts = prompts(&srcs, 19);
     let want: Vec<Vec<usize>> = srcs
         .iter()
@@ -80,77 +76,29 @@ fn chunked_prefill_paged_int8_matches_sequential_reference() {
 }
 
 #[test]
-fn fp32_page_mode_is_bit_identical_to_pre_paging_decode() {
-    // Fp32 pages reproduce the exact bytes a flat cache held: the paged
-    // incremental decode must equal the full-prefix recompute (the
-    // pre-paging reference) at every page size, and the per-step logits
-    // must not differ by a single bit between page sizes.
-    let (mut model, _, srcs) = setup(0xF00D);
+fn int8_pages_are_bit_identical_at_every_page_height() {
+    // Pages hold exactly the i8 codes a flat cache held: the cached
+    // decode must equal the full-prefix recompute, and the per-step
+    // logits must not differ by a single bit between page heights.
+    let (quant, srcs) = setup(0xF00D);
     for src in &srcs {
-        let full = model.greedy_decode(src, BOS, EOS, 8);
-        let paged = greedy_decode_incremental_paged(&model, src, BOS, EOS, 8, PagedKvMode::Fp32);
-        assert_eq!(full, paged, "src {src:?}");
+        let full = quant.greedy_decode(src, BOS, EOS, 8);
+        assert_eq!(full, quant.greedy_decode_incremental(src, 8), "src {src:?}");
     }
-    let d_model = model.config().d_model;
+    let d_model = quant.tgt_embedding().d_model();
     let prefix = [1usize, 5, 8, 6, 2, 9, 4, 3];
     for src in &srcs {
-        let mut logits_by_page: Vec<Vec<Vec<u32>>> = Vec::new();
+        let mut by_page = Vec::new();
         for page_rows in [1usize, 3, 64] {
-            let mut arena = FpKvArena::with_page_rows(d_model, PagedKvMode::Fp32, page_rows);
-            let mut session = IncrementalSession::new(&model, &mut arena, src);
-            let steps: Vec<Vec<u32>> = prefix
+            let mut arena = KvArena::with_page_rows(d_model, page_rows);
+            let mut s = quant.start_session(&mut arena, src);
+            let logits: Vec<f32> = prefix
                 .iter()
-                .map(|&t| {
-                    session
-                        .step(&model, &mut arena, t)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect()
-                })
+                .flat_map(|&t| quant.step_session(&mut arena, &mut s, t))
                 .collect();
-            logits_by_page.push(steps);
+            by_page.push(logits.iter().map(|v| v.to_bits()).collect::<Vec<u32>>());
         }
-        assert_eq!(logits_by_page[0], logits_by_page[1], "page 1 vs 3");
-        assert_eq!(logits_by_page[0], logits_by_page[2], "page 1 vs 64");
+        assert_eq!(by_page[0], by_page[1], "page 1 vs 3");
+        assert_eq!(by_page[0], by_page[2], "page 1 vs 64");
     }
-}
-
-#[test]
-fn int8_page_mode_stays_within_pinned_accuracy_budget() {
-    // Int8 FP32-model pages are lossy; the budget pinned here: (1)
-    // teacher-forced logits keep >= 20 dB SQNR against the exact path
-    // at every step, and (2) greedy decodes agree on a clear majority
-    // of random tiny models.
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for seed in [0xBEEFu64, 0xBEF0, 0xBEF1, 0xBEF2, 0xBEF3] {
-        let (model, _, srcs) = setup(seed);
-        let src = &srcs[0];
-        let d_model = model.config().d_model;
-        let mut fa = FpKvArena::with_page_rows(d_model, PagedKvMode::Fp32, 4);
-        let mut qa = FpKvArena::with_page_rows(d_model, PagedKvMode::Int8, 4);
-        let mut fs = IncrementalSession::new(&model, &mut fa, src);
-        let mut qs = IncrementalSession::new(&model, &mut qa, src);
-        for &t in &[1usize, 5, 8, 6, 2, 9] {
-            let exact = fs.step(&model, &mut fa, t);
-            let lossy = qs.step(&model, &mut qa, t);
-            let (mut sig, mut err) = (0.0f64, 0.0f64);
-            for (e, l) in exact.iter().zip(&lossy) {
-                sig += (*e as f64).powi(2);
-                err += (*e as f64 - *l as f64).powi(2);
-            }
-            let sqnr_db = 10.0 * (sig / err.max(1e-30)).log10();
-            assert!(sqnr_db > 20.0, "seed {seed:#x}: logit SQNR {sqnr_db:.1} dB");
-        }
-        total += 1;
-        let fp = greedy_decode_incremental_paged(&model, src, BOS, EOS, 8, PagedKvMode::Fp32);
-        let q8 = greedy_decode_incremental_paged(&model, src, BOS, EOS, 8, PagedKvMode::Int8);
-        if fp == q8 {
-            agree += 1;
-        }
-    }
-    assert!(
-        agree * 2 > total,
-        "Int8 paged decode agreed on only {agree}/{total} models"
-    );
 }

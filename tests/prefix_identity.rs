@@ -1,21 +1,21 @@
 //! Differential suite for the shared-prefix KV cache: decode from a
 //! forked, page-aligned prefix snapshot must be **byte-identical** to a
-//! cold start that prefilled every row itself — across the FP32 and
-//! INT8 incremental decoders, through the serving engine's admission path, and
+//! cold start that prefilled every row itself — through the INT8
+//! incremental decoder's sessions, the serving engine's admission path, and
 //! through an ABFT fault-rollback that lands on a shared page boundary
 //! (the rollback must copy-on-write, never mutate a page the cache
 //! still holds).
 
+use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serving::{ContinuousBatcher, EngineConfig, Request, Response};
 use transformer::config::ModelConfig;
-use transformer::incremental::{FpKvArena, IncrementalSession, PagedKvMode};
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS};
 
-fn fp32_model() -> (Seq2SeqTransformer, ModelConfig, Vec<Vec<usize>>) {
+fn quant_model() -> (QuantSeq2Seq, Vec<Vec<usize>>) {
     let mut cfg = ModelConfig::tiny_for_tests();
     cfg.n_layers = 2;
     let mut rng = StdRng::seed_from_u64(0x9EF1);
@@ -26,12 +26,6 @@ fn fp32_model() -> (Seq2SeqTransformer, ModelConfig, Vec<Vec<usize>>) {
         .into_iter()
         .map(|(s, _)| s)
         .collect();
-    (model, cfg, srcs)
-}
-
-fn quant_model() -> (QuantSeq2Seq, Vec<Vec<usize>>) {
-    let (model, cfg, srcs) = fp32_model();
-    let gen = TaskGen::new(Task::Reverse, cfg.vocab, 3, 7);
     let corpus = gen.corpus(8, &mut StdRng::seed_from_u64(0x9EF3));
     (
         QuantSeq2Seq::from_trained(&model, &corpus, SoftmaxMode::Hardware),
@@ -39,109 +33,79 @@ fn quant_model() -> (QuantSeq2Seq, Vec<Vec<usize>>) {
     )
 }
 
-/// Ingests `target` rows into a fresh FP32 session (logits discarded —
-/// prefill), then greedily decodes `n` tokens, returning every decode
-/// step's logits as raw bits plus the chosen tokens.
-fn fp32_cold_decode(
-    model: &Seq2SeqTransformer,
-    arena: &mut FpKvArena,
-    src: &[usize],
-    target: &[usize],
+/// Feeds `rows` to `s` one step at a time, then greedily decodes `n`
+/// tokens from the last row's logits. Returns every logits row from the
+/// last fed one on, as raw bits, plus the chosen tokens.
+fn replay_then_decode(
+    q: &QuantSeq2Seq,
+    arena: &mut KvArena,
+    s: &mut QuantIncrementalSession,
+    rows: &[usize],
     n: usize,
 ) -> (Vec<Vec<u32>>, Vec<usize>) {
-    let mut s = IncrementalSession::new(model, arena, src);
     let mut logits = Vec::new();
-    for &t in target {
-        logits = s.step(model, arena, t);
+    for &t in rows {
+        logits = q.step_session(arena, s, t);
     }
-    let (bits, tokens) = fp32_greedy(model, arena, &mut s, logits, n);
-    s.release(arena);
-    (bits, tokens)
-}
-
-/// Greedy continuation shared by the cold and forked paths: `logits`
-/// are the frontier row the first token is sampled from.
-fn fp32_greedy(
-    model: &Seq2SeqTransformer,
-    arena: &mut FpKvArena,
-    s: &mut IncrementalSession,
-    mut logits: Vec<f32>,
-    n: usize,
-) -> (Vec<Vec<u32>>, Vec<usize>) {
     let mut bits = vec![logits.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()];
     let mut tokens = Vec::new();
     for _ in 0..n {
         let next = tensor::ops::argmax(&logits);
         tokens.push(next);
-        logits = s.step(model, arena, next);
+        logits = q.step_session(arena, s, next);
         bits.push(logits.iter().map(|x| x.to_bits()).collect());
     }
     (bits, tokens)
 }
 
 #[test]
-fn fp32_decode_from_forked_prefix_is_byte_identical_to_cold_start() {
-    let (model, cfg, srcs) = fp32_model();
+fn int8_decode_from_forked_prefix_is_byte_identical_to_cold_start() {
+    let (q, srcs) = quant_model();
     let src = &srcs[0];
     let prompt: Vec<usize> = src.iter().cycle().take(13).copied().collect();
     let mut target = vec![BOS];
     target.extend_from_slice(&prompt);
-    for mode in [PagedKvMode::Fp32, PagedKvMode::Int8] {
-        let mut arena = FpKvArena::with_page_rows(cfg.d_model, mode, 4);
-        let (want_bits, want_tokens) = fp32_cold_decode(&model, &mut arena, src, &target, 6);
+    let mut arena = KvArena::with_page_rows(q.tgt_embedding().d_model(), 4);
 
-        // Build the cache entry the way the engine does: full prefill,
-        // fork, roll the fork back to a page boundary.
-        let mut live = IncrementalSession::new(&model, &mut arena, src);
-        for &t in &target {
-            let _ = live.step(&model, &mut arena, t);
-        }
-        let aligned = (target.len() / 4) * 4;
-        let mut entry = live.fork(&mut arena);
-        entry.rollback_rows(&mut arena, target.len() - aligned);
-        live.release(&mut arena);
+    // Cold: prefill every row, then decode.
+    let mut cold = q.start_session(&mut arena, src);
+    let (want_bits, want_tokens) = replay_then_decode(&q, &mut arena, &mut cold, &target, 6);
+    cold.release(&mut arena);
 
-        // Hit: fork the entry, replay only the suffix, decode. Every
-        // logits row must match the cold run bit for bit.
-        let mut hit = entry.fork(&mut arena);
-        let mut logits = Vec::new();
-        for &t in &target[aligned..] {
-            logits = hit.step(&model, &mut arena, t);
-        }
-        let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
-        assert_eq!(tokens, want_tokens, "mode {mode:?}");
-        assert_eq!(
-            bits, want_bits,
-            "mode {mode:?}: logits must be byte-identical"
-        );
+    // Build the cache entry the way the engine does: full prefill,
+    // fork, roll the fork back to a page boundary.
+    let mut live = q.start_session(&mut arena, src);
+    let _ = replay_then_decode(&q, &mut arena, &mut live, &target, 0);
+    let aligned = (target.len() / 4) * 4;
+    let mut entry = live.fork(&mut arena);
+    entry.rollback_rows(&mut arena, target.len() - aligned);
+    live.release(&mut arena);
 
-        // Roll the hit session back *into* the shared region (mid page)
-        // and replay: the re-pushed rows must copy-on-write, and the
-        // replayed continuation stays byte-identical.
-        let back_to = aligned - 2;
-        hit.rollback_rows(&mut arena, hit.pos() - back_to);
-        let mut logits = Vec::new();
-        for &t in &target[back_to..] {
-            logits = hit.step(&model, &mut arena, t);
-        }
-        let (bits, tokens) = fp32_greedy(&model, &mut arena, &mut hit, logits, 6);
-        assert_eq!(tokens, want_tokens, "mode {mode:?} after mid-page rollback");
-        assert_eq!(bits, want_bits, "mode {mode:?} after mid-page rollback");
-        hit.release(&mut arena);
+    // Hit: fork the entry, replay only the suffix, decode. Every logits
+    // row must match the cold run bit for bit.
+    let mut hit = entry.fork(&mut arena);
+    let (bits, tokens) = replay_then_decode(&q, &mut arena, &mut hit, &target[aligned..], 6);
+    assert_eq!(tokens, want_tokens);
+    assert_eq!(bits, want_bits, "logits must be byte-identical");
 
-        // The entry was never mutated by any of that: a fresh fork
-        // still reproduces the cold run.
-        let mut again = entry.fork(&mut arena);
-        let mut logits = Vec::new();
-        for &t in &target[aligned..] {
-            logits = again.step(&model, &mut arena, t);
-        }
-        let (bits, _) = fp32_greedy(&model, &mut arena, &mut again, logits, 6);
-        assert_eq!(bits, want_bits, "mode {mode:?}: entry must be immutable");
-        again.release(&mut arena);
-        entry.release(&mut arena);
-        assert_eq!(arena.kv_bytes_in_use(), 0, "mode {mode:?}: no page leaked");
-    }
+    // Roll the hit session back *into* the shared region (mid page) and
+    // replay: the re-pushed rows must copy-on-write, and the replayed
+    // continuation stays byte-identical.
+    let back_to = aligned - 2;
+    hit.rollback_rows(&mut arena, hit.pos() - back_to);
+    let (bits, tokens) = replay_then_decode(&q, &mut arena, &mut hit, &target[back_to..], 6);
+    assert_eq!(tokens, want_tokens, "after mid-page rollback");
+    assert_eq!(bits, want_bits, "after mid-page rollback");
+    hit.release(&mut arena);
+
+    // The entry was never mutated by any of that: a fresh fork still
+    // reproduces the cold run.
+    let mut again = entry.fork(&mut arena);
+    let (bits, _) = replay_then_decode(&q, &mut arena, &mut again, &target[aligned..], 6);
+    assert_eq!(bits, want_bits, "entry must be immutable");
+    again.release(&mut arena);
+    entry.release(&mut arena);
+    assert_eq!(arena.kv_bytes_in_use(), 0, "no page leaked");
 }
 
 fn decoded(responses: &[Response]) -> Vec<(u64, Vec<usize>, bool)> {

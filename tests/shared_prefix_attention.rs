@@ -531,11 +531,45 @@ fn one_source_started_twice_forms_no_cross_cohort() {
 }
 
 #[test]
-fn fault_hooks_live_take_the_per_head_path() {
-    // With fault hooks live the cohorts, like the fused decode drain,
-    // are gated off: every group attends alone on the per-head GEMMs
-    // (whose pass sequence the seeded fault campaigns index). The tokens
-    // do not change; the fused-drain tally shows the path taken.
+fn checker_on_engine_serves_prefix_hits_like_checker_off() {
+    // End to end: requests that hit one cached prefix fork its snapshot
+    // and decode as one cohort. With the checker on (no fault plan) the
+    // engine returns the same tokens and counts the same fused drains as
+    // with it off — it runs the production attention path.
+    let (q, srcs) = model();
+    // Same lock order as `fault_hooks_live_keep_the_cohort_path`.
+    let _faults = faults::exclusive();
+    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
+    let prompt: Vec<usize> = tokens(35, 15);
+    let serve = |checker: bool| {
+        faults::set_checker(Some(checker));
+        let mut cfg = serving::EngineConfig::with_max_batch(3);
+        cfg.prefix_cache_bytes = usize::MAX;
+        let mut engine = serving::ContinuousBatcher::new(&q, cfg).unwrap();
+        let request =
+            |id: u64| serving::Request::new(id, srcs[2].clone(), 6).with_prompt(prompt.clone());
+        engine.submit(request(0)).unwrap();
+        let mut out = engine.run_to_completion();
+        (1..4).for_each(|id| engine.submit(request(id)).unwrap());
+        out.extend(engine.run_to_completion());
+        faults::set_checker(None);
+        let stats = engine.stats();
+        assert_eq!(stats.prefix_hits, 3, "checker {checker}");
+        let tokens: Vec<(u64, Vec<usize>)> = out.into_iter().map(|r| (r.id, r.tokens)).collect();
+        (tokens, stats.ops_fused, stats.intermediates_elided_bytes)
+    };
+    let off = serve(false);
+    let on = serve(true);
+    assert_eq!(faults::counters().detected, 0, "nothing was injected");
+    assert_eq!(on, off, "(tokens, fused drains, elided bytes)");
+}
+
+#[test]
+fn fault_hooks_live_keep_the_cohort_path() {
+    // Attention has no fault seam (only `QLinear` passes reach the
+    // injector), so a checker-on engine attends exactly as a checker-off
+    // one: the same cohorts, the same fused decode drains. The tokens do
+    // not change; the fused-drain tally shows the path taken.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
     let _faults = faults::exclusive();
@@ -553,6 +587,7 @@ fn fault_hooks_live_take_the_per_head_path() {
             oracle.logits(&l.src, &[l.fed.as_slice(), c].concat());
         }
         let mut fused_ops = Vec::new();
+        let mut cohorts = Vec::new();
         let detected = faults::counters().detected;
         for checker in [false, true] {
             faults::set_checker(Some(checker));
@@ -566,6 +601,7 @@ fn fault_hooks_live_take_the_per_head_path() {
                 &format!("{what} checker {checker}"),
             );
             fused_ops.push(graph::fusion_tally().since(&before).ops_fused);
+            cohorts.push(plans(&q, &arena, &[&a, &b], &[1, 1]));
             a.rollback(&mut arena, 1);
             b.rollback(&mut arena, 1);
         }
@@ -575,13 +611,21 @@ fn fault_hooks_live_take_the_per_head_path() {
             detected,
             "{what}: nothing was injected"
         );
-        // Each step ran twice (logits, then greedy); each one-row group
-        // skips the fused drain in both attentions of every layer.
-        let drained = if tensor::envcfg::fuse_enabled() {
-            2 * 2 * 2 * q.decoder_layers().len() as u64
-        } else {
-            0
-        };
-        assert_eq!(fused_ops[0] - fused_ops[1], drained, "{what}");
+        assert_eq!(
+            fused_ops[0], fused_ops[1],
+            "{what}: checker changed the drains"
+        );
+        assert_eq!(
+            cohorts[0],
+            (
+                vec![cohort(&[0, 1], 2 * p)],
+                vec![cohort(&[0, 1], srcs[1].len())]
+            ),
+            "{what}"
+        );
+        assert_eq!(
+            cohorts[0], cohorts[1],
+            "{what}: checker changed the cohorts"
+        );
     });
 }
