@@ -65,51 +65,41 @@ pub enum CheckMode {
     AbftGolden,
 }
 
-/// Execution statistics of one engine run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Number of systolic-array GEMM passes executed.
-    pub gemm_passes: usize,
-    /// Total multiply-accumulates performed by the PE grid.
-    pub macs: u64,
-    /// Sum of isolated per-pass array cycles (compute + drain). This is
-    /// the *unpipelined* cost; the scheduler's makespan is lower because
-    /// consecutive passes overlap through the wavefront skew.
-    pub isolated_cycles: Cycle,
-    /// MAC capacity of the PE grids these passes occupied: Σ over passes
-    /// of `pass_cycles × rows × cols` *of the grid that ran the pass*.
-    /// Recorded by [`ArrayEngine`]; zero for hand-modeled stats. This is
-    /// what makes [`EngineStats::array_utilization`] correct for
-    /// rectangular (non-`64×64`) arrays and for stats merged across
-    /// engines of different geometry, where no single `pe_count` exists.
-    pub pe_cycles: u64,
-    /// ABFT tile verifications performed.
-    pub abft_checked: usize,
-    /// Faults the injector actually landed (in-range plan events).
-    pub faults_injected: usize,
-    /// Corruptions detected (ABFT mismatch, golden-model divergence, or
-    /// program-store validation failure).
-    pub faults_detected: usize,
-    /// Corruptions the golden model saw but the ABFT checksums missed —
-    /// the checker's measured escape rate.
-    pub faults_escaped: usize,
+tensor::counters! {
+    /// Execution statistics of one engine run. [`EngineStats::merge`]
+    /// rolls a batch of per-block [`EngineRun`]s (e.g. every ResBlock of
+    /// one continuous-batching decode step) up into one figure.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        /// Number of systolic-array GEMM passes executed.
+        pub gemm_passes: usize => sum,
+        /// Total multiply-accumulates performed by the PE grid.
+        pub macs: u64 => sum,
+        /// Sum of isolated per-pass array cycles (compute + drain). This is
+        /// the *unpipelined* cost; the scheduler's makespan is lower because
+        /// consecutive passes overlap through the wavefront skew.
+        pub isolated_cycles: Cycle => sum,
+        /// MAC capacity of the PE grids these passes occupied: Σ over passes
+        /// of `pass_cycles × rows × cols` *of the grid that ran the pass*.
+        /// Recorded by [`ArrayEngine`]; zero for hand-modeled stats. This is
+        /// what makes [`EngineStats::array_utilization`] correct for
+        /// rectangular (non-`64×64`) arrays and for stats merged across
+        /// engines of different geometry, where no single `pe_count` exists.
+        pub pe_cycles: u64 => sum,
+        /// ABFT tile verifications performed.
+        pub abft_checked: usize => sum,
+        /// Faults the injector actually landed (in-range plan events).
+        pub faults_injected: usize => sum,
+        /// Corruptions detected (ABFT mismatch, golden-model divergence, or
+        /// program-store validation failure).
+        pub faults_detected: usize => sum,
+        /// Corruptions the golden model saw but the ABFT checksums missed —
+        /// the checker's measured escape rate.
+        pub faults_escaped: usize => sum,
+    }
 }
 
 impl EngineStats {
-    /// Accumulates another run's statistics into this one — how a batch
-    /// of per-block [`EngineRun`]s (e.g. every ResBlock of one
-    /// continuous-batching decode step) rolls up into one figure.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.gemm_passes += other.gemm_passes;
-        self.macs += other.macs;
-        self.isolated_cycles += other.isolated_cycles;
-        self.pe_cycles += other.pe_cycles;
-        self.abft_checked += other.abft_checked;
-        self.faults_injected += other.faults_injected;
-        self.faults_detected += other.faults_detected;
-        self.faults_escaped += other.faults_escaped;
-    }
-
     /// Fraction of the array's multiply-accumulate capacity these passes
     /// actually used. When the engine recorded per-pass capacity
     /// ([`EngineStats::pe_cycles`] > 0) this is `macs / pe_cycles`, which

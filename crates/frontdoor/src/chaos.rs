@@ -19,35 +19,27 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Counters summed over a scenario's requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Outcome {
-    /// Requests that completed (`Done`, any finish reason).
-    pub done: u64,
-    /// `Reject{QueueFull}` responses.
-    pub shed: u64,
-    /// `Reject{Quota}` responses.
-    pub quota: u64,
-    /// `Reject{Malformed}` responses.
-    pub malformed: u64,
-    /// Other rejects (bad token, too long, duplicate id).
-    pub other_reject: u64,
-    /// Connections the server closed on us (expected for misbehaving
-    /// scenarios).
-    pub closed: u64,
+tensor::counters! {
+    /// Counters summed over a scenario's requests.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Outcome {
+        /// Requests that completed (`Done`, any finish reason).
+        pub done: u64 => sum,
+        /// `Reject{QueueFull}` responses.
+        pub shed: u64 => sum,
+        /// `Reject{Quota}` responses.
+        pub quota: u64 => sum,
+        /// `Reject{Malformed}` responses.
+        pub malformed: u64 => sum,
+        /// Other rejects (bad token, too long, duplicate id).
+        pub other_reject: u64 => sum,
+        /// Connections the server closed on us (expected for misbehaving
+        /// scenarios).
+        pub closed: u64 => sum,
+    }
 }
 
 impl Outcome {
-    /// Folds another outcome in.
-    pub fn merge(&mut self, o: &Outcome) {
-        self.done += o.done;
-        self.shed += o.shed;
-        self.quota += o.quota;
-        self.malformed += o.malformed;
-        self.other_reject += o.other_reject;
-        self.closed += o.closed;
-    }
-
     fn absorb(&mut self, completion: &Completion) {
         match completion {
             Completion::Done { .. } => self.done += 1,

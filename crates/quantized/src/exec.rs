@@ -17,38 +17,46 @@
 //! over its cache, each row over its own legal prefix; the softmax
 //! leaves exactly-zero probability codes beyond it — so a chunk is
 //! bit-identical to feeding the same rows one at a time. Caches are
-//! consumed through [`CacheRef`], which reads either a flat code matrix
-//! or a paged [`tensor::kvpool`] sequence — bit-identically, since both
-//! hand the GEMM the same per-head panel bytes.
+//! consumed through [`CacheRef`], either a flat code matrix or a paged
+//! [`tensor::kvpool`] sequence, and **read in place**: attention walks a
+//! cache as page-resident runs ([`tensor::kvpool::KvPool::page_runs`];
+//! a flat cache is one run) and hands each run straight to the all-head
+//! block kernels [`tensor::simd::attn_scores_i8`] and
+//! [`tensor::simd::attn_pv_i8`]. No head panel is gathered or re-packed,
+//! and the score, probability and accumulator grids live in a per-thread
+//! scratch reused across calls.
 //!
 //! **Shared-prefix cohorts.** Sessions forked from one prefix snapshot
 //! hold the same leading KV pages, and forks of one session hold the
 //! same cross-attention K/V allocation. [`attention_cohorts`] groups the
 //! row groups whose caches begin with the same storage (compared by
 //! address and page id, never by bytes). A cohort's shared rows are
-//! scored by one `QKᵀ` GEMM and summed by one `P·V` GEMM per head over
-//! all its members' stacked rows, so each shared K/V panel is read once
-//! per cohort and layer instead of once per row — the array's own
-//! GEMM-over-`s`-rows form (Algorithm 1) rather than a GEMV per decode
-//! row. Each group's remaining rows run as before: the fused all-head
-//! drain for a decode row, per-head GEMMs for a prefill chunk. The
-//! softmax still runs once per row over the assembled full row. Scores
-//! are exact `i32` dot products and `P·V` an exact `i32` sum, so a row's
-//! bits do not depend on its cohort; with no cohort (`shared = 0`) the
-//! computation is exactly the per-group one. This is the only attention
-//! path: attention GEMMs never reach the fault injector (only `QLinear`
-//! passes do), so a checker-on engine attends exactly as production does.
+//! scored and summed once for all its members' stacked rows — one kernel
+//! call per page-run, each shared K/V row read once per cohort and layer
+//! instead of once per row: the array's own GEMM-over-`s`-rows form
+//! (Algorithm 1) rather than a GEMV per decode row. Each member's own
+//! rows follow through the same kernels, and the softmax runs once per
+//! row over the assembled full row. Scores are exact `i32` dot products
+//! and `P·V` an exact `i32` sum, so a row's bits do not depend on its
+//! cohort, its page height or the kernel tier; with no cohort
+//! (`shared = 0`) a decode row is just the one-row case of the same
+//! walk. This is the only attention path: attention never reaches the
+//! fault injector (only `QLinear` passes do), so a checker-on engine
+//! attends exactly as production does.
 
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use graph::{Env, ExecPlan, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
 use tensor::kvpool::{KvPool, KvSeq};
-use tensor::{gemm, Mat};
+use tensor::phase::{self, Phase};
+use tensor::{gemm, simd, Mat};
 
 use crate::ffn::QuantFfnResBlock;
 use crate::mha::QuantMhaResBlock;
 use crate::qlinear::{residual_add_i8, QLinear};
-use crate::softmax::{scaled_masked_softmax, scaled_prefix_softmax};
+use crate::softmax::{scaled_masked_softmax, RowSoftmax, SoftmaxBufs};
 
 /// A block's operator graph with its slot plan resolved. A block builds
 /// one on first use and runs it from then on: per run, building the
@@ -365,8 +373,8 @@ impl Executor for QuantExec<'_> {
 
 /// A borrowed projected-K/V code cache: either a flat matrix or a
 /// paged sequence inside a shared [`KvPool`]. Both expose the same
-/// rows in the same order, so every consumer is bit-identical across
-/// the two storage layouts.
+/// rows in the same order, so attention is bit-identical across the two
+/// storage layouts.
 #[derive(Debug, Clone, Copy)]
 pub enum CacheRef<'a> {
     /// A flat `rows × d_model` code matrix.
@@ -399,26 +407,32 @@ impl<'a> CacheRef<'a> {
         }
     }
 
-    /// Copies the head panel (columns `c0 .. c0 + width`, cache rows
-    /// `rows`) into a dense matrix, one row slice at a time:
-    /// `Mat::submatrix` for flat storage, [`KvPool::gather_panel`] for
-    /// paged.
-    pub fn panel(&self, rows: Range<usize>, c0: usize, width: usize) -> Mat<i8> {
-        match self {
-            CacheRef::Flat(m) => m
-                .submatrix(rows.start, c0, rows.len(), width)
-                .expect("head panel"),
-            CacheRef::Paged { pool, seq } => pool.gather_panel(seq, rows, c0, width),
-        }
-    }
-
-    /// Borrows logical row `r` (all `d_model` columns) — zero-copy for
-    /// both layouts, the access pattern of the fused decode-attention
-    /// drain.
+    /// Borrows logical row `r` (all `d_model` columns), zero-copy for
+    /// both layouts.
     pub fn row(&self, r: usize) -> &'a [i8] {
         match self {
             CacheRef::Flat(m) => m.row(r),
             CacheRef::Paged { pool, seq } => pool.row(seq, r),
+        }
+    }
+
+    /// Calls `f(first_row, run)` over cache rows `rows` in place, in
+    /// order: `run` holds its rows contiguously (`d_model` wide,
+    /// row-major). A flat cache is one run; a paged one is its
+    /// [`KvPool::page_runs`], one per page touched.
+    fn for_each_run(&self, rows: Range<usize>, mut f: impl FnMut(usize, &'a [i8])) {
+        match *self {
+            CacheRef::Flat(m) => {
+                let d = m.cols();
+                if !rows.is_empty() {
+                    f(rows.start, &m.as_slice()[rows.start * d..rows.end * d]);
+                }
+            }
+            CacheRef::Paged { pool, seq } => {
+                for (r, run) in pool.page_runs(seq, rows) {
+                    f(r, run);
+                }
+            }
         }
     }
 
@@ -434,9 +448,9 @@ impl<'a> CacheRef<'a> {
 /// Row groups of one [`cached_mha_rows`] call whose caches begin with
 /// the same storage: the first `shared` rows of every member's K and V
 /// caches are the same bytes at the same place, so their scores and
-/// their `P·V` terms are computed once for the cohort — one `QKᵀ` GEMM
-/// and one `P·V` GEMM per head over the members' stacked rows — instead
-/// of once per row.
+/// their `P·V` terms are computed once for the cohort — over the
+/// members' stacked rows, each shared row read once — instead of once
+/// per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cohort {
     /// The member groups' indices, ascending.
@@ -558,268 +572,217 @@ fn shared_rows<'a>(
     }
 }
 
-/// One group's share of [`cohort_attention`]: its `P·V` accumulators over
-/// its private cache rows (`rows × d_model`), and its probability codes
-/// over the cohort's shared rows, head-major (row `i * rows + j` is head
-/// `i`, chunk row `j`; no columns when nothing is shared).
-struct GroupAttention {
-    acc: Mat<i32>,
-    shared_probs: Mat<i8>,
+/// One worker thread's attention scratch, reused by every cohort the
+/// thread attends ([`CohortJob::attend`]): grown to the largest
+/// cohort it has seen, never shrunk, never zeroed beyond what a call
+/// uses.
+#[derive(Default)]
+struct AttnScratch {
+    /// A multi-member cohort's query rows, stacked in member order.
+    q: Vec<i8>,
+    /// Scores, `[head][stacked row][cache row]`.
+    scores: Vec<i32>,
+    /// Probability codes, same grid as `scores`.
+    probs: Vec<i8>,
+    /// `P·V` accumulators, `[stacked row][d_model]`.
+    acc: Vec<i32>,
+    softmax: SoftmaxBufs,
 }
 
-/// A group's view of its cohort's scores against the shared cache rows
-/// `0 .. rows`: head `i`, chunk row `j` is row `s0 + j` of `heads[i]`.
-/// Nothing shared is `rows = 0` over no heads.
-#[derive(Clone, Copy)]
-struct SharedScores<'a> {
-    rows: usize,
-    heads: &'a [Mat<i32>],
-    s0: usize,
+thread_local! {
+    static SCRATCH: RefCell<AttnScratch> = RefCell::new(AttnScratch::default());
 }
 
-impl SharedScores<'_> {
-    fn row(&self, head: usize, j: usize) -> &[i32] {
-        self.heads[head].row(self.s0 + j)
+/// Grows `buf` to at least `n` elements and returns its first `n`.
+fn scratch<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    if buf.len() < n {
+        buf.resize(n, T::default());
     }
+    &mut buf[..n]
 }
 
-/// One group's attention given its scores against the cohort's shared
-/// cache rows (`shared_scores`, rows `0 .. shared`): the rest of each
-/// score row — the private rows `shared .. ctx` — is computed here, the
-/// softmax runs once over the assembled full row, and `P·V` is summed
-/// over the private rows. With `shared = 0` this is the group attending
-/// its whole cache alone.
-///
-/// A one-row group (a decode step) streams its private rows once for
-/// **all** heads, with no per-head panel gathers or GEMV dispatch:
-/// [`tensor::simd::head_dots_i8`] accumulates each head's `q · k_t` in
-/// ascending order (the inner product `matmul_i8_nt` computes; integer
-/// sums are order-independent), one `heads × ctx` softmax replaces
-/// `heads` calls of `1 × ctx` (both softmax modes work row by row), and
-/// [`tensor::simd::scaled_add_i8`] folds cache row `t` into the head
-/// accumulators. Every other group runs a score GEMM and a `P·V` GEMM
-/// per head around a prefix-length softmax: with `causal`, chunk row `j`
-/// attends cache positions `0 ..= ctx - rows + j`, and the later columns
-/// (the chunk's own future rows) carry exactly-zero probability codes —
-/// which is what makes a chunk bit-identical to its rows fed one at a
-/// time. The caller has checked `ctx >= rows` for causal groups.
-#[allow(clippy::too_many_arguments)]
-fn private_attention(
-    block: &QuantMhaResBlock,
-    q: &Mat<i8>,
-    r0: usize,
-    rows: usize,
-    keys: &CacheRef<'_>,
-    vals: &CacheRef<'_>,
+/// The borrowed inputs of one [`cached_mha_rows`] call's attention.
+struct CohortJob<'j, 'c> {
+    block: &'j QuantMhaResBlock,
+    q: &'j Mat<i8>,
+    groups: &'j [usize],
+    keys: &'j [CacheRef<'c>],
+    vals: &'j [CacheRef<'c>],
     causal: bool,
-    shared_scores: SharedScores<'_>,
-) -> GroupAttention {
-    let (h, d_k) = (block.heads(), block.d_k());
-    let d = h * d_k;
-    let ctx = keys.rows();
-    let shared = shared_scores.rows;
-    if rows == 1 {
-        let qrow = &q.row(r0)[..d];
-        let mut scores = Mat::zeros(h, ctx);
-        for i in 0..shared_scores.heads.len() {
-            scores.row_mut(i)[..shared].copy_from_slice(shared_scores.row(i, 0));
-        }
-        let mut col = vec![0i32; h];
-        for t in shared..ctx {
-            tensor::simd::head_dots_i8(qrow, &keys.row(t)[..d], d_k, &mut col);
-            for (i, &s) in col.iter().enumerate() {
-                scores[(i, t)] = s;
-            }
-        }
-        let probs =
-            scaled_masked_softmax(&scores, block.d_scale(), d_k, None, block.softmax_mode());
-        let mut acc = Mat::zeros(1, d);
-        let out = acc.row_mut(0);
-        for t in shared..ctx {
-            let vrow = &vals.row(t)[..d];
-            for i in 0..h {
-                let c0 = i * d_k;
-                tensor::simd::scaled_add_i8(
-                    &mut out[c0..c0 + d_k],
-                    &vrow[c0..c0 + d_k],
-                    probs[(i, t)],
+}
+
+/// A group's first row in `q`, and its rows of the `P` output.
+type GroupRows<'p> = (usize, &'p mut [i8]);
+
+impl CohortJob<'_, '_> {
+    /// The `P` codes of every row under the cohort plan `cohorts`, one
+    /// cohort per task ([`CohortJob::attend`]).
+    ///
+    /// Bit-identical to every group attending its whole cache alone: a
+    /// score is the same exact `i32` dot product whichever kernel call
+    /// computes it, so the softmax sees the same row; the `P·V`
+    /// accumulator is an `i32` sum of the same products, split into shared
+    /// and private parts — exact, since probability codes lie in `0..=127`, so
+    /// `|Σ| ≤ 127 · 128 · ctx` stays below `2³¹` for any context under
+    /// 132,000 rows; and the same [`QuantMhaResBlock::requantize_p_into`]
+    /// drains it. The prefix-length softmax masks a chunk's future rows
+    /// whatever the split, so the cap on `shared` ([`attention_cohorts`])
+    /// is asserted here as the plan's contract rather than relied on for
+    /// the masking.
+    fn run(&self, cohorts: &[Cohort]) -> Mat<i8> {
+        let (groups, d) = (self.groups, self.q.cols());
+        for cohort in cohorts {
+            for &g in &cohort.members {
+                assert!(
+                    !self.causal || cohort.shared + groups[g] <= self.keys[g].rows(),
+                    "group {g}: shared rows {} reach into its chunk",
+                    cohort.shared
                 );
             }
         }
-        let mut shared_probs = Mat::zeros(h, shared);
-        for i in 0..h {
-            shared_probs
-                .row_mut(i)
-                .copy_from_slice(&probs.row(i)[..shared]);
+        let mut p = Mat::zeros(self.q.rows(), d);
+        // Each group's output rows, handed to the cohort that computes them.
+        let mut outs: Vec<Option<GroupRows<'_>>> = Vec::with_capacity(groups.len());
+        let mut rest = p.as_mut_slice();
+        let mut r0 = 0;
+        for &rows in groups {
+            let (mine, tail) = rest.split_at_mut(rows * d);
+            outs.push(Some((r0, mine)));
+            rest = tail;
+            r0 += rows;
         }
-        return GroupAttention { acc, shared_probs };
+        let tasks: Vec<(&Cohort, Mutex<Vec<GroupRows<'_>>>)> = cohorts
+            .iter()
+            .map(|c| {
+                let mine = c
+                    .members
+                    .iter()
+                    .map(|&g| outs[g].take().expect("one cohort per group"));
+                (c, Mutex::new(mine.collect()))
+            })
+            .collect();
+        tensor::par::par_map(&tasks, |(cohort, out)| {
+            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+            SCRATCH.with(|s| self.attend(cohort, &mut out, &mut s.borrow_mut()));
+        });
+        p
     }
-    let live: Vec<usize> = (0..rows)
-        .map(|j| if causal { ctx - rows + j + 1 } else { ctx })
-        .collect();
-    let mut acc = Mat::zeros(rows, d);
-    let mut shared_probs = Mat::zeros(h * rows, shared);
-    for i in 0..h {
-        let c0 = i * d_k;
-        let qi = q.submatrix(r0, c0, rows, d_k).expect("head panel");
-        let ki = keys.panel(shared..ctx, c0, d_k);
-        let vi = vals.panel(shared..ctx, c0, d_k);
-        let own = gemm::matmul_i8_nt(&qi, &ki).expect("shapes");
-        let softmax = |scores: &Mat<i32>| {
-            scaled_prefix_softmax(scores, block.d_scale(), d_k, &live, block.softmax_mode())
-        };
-        let own_probs = if shared == 0 {
-            softmax(&own)
-        } else {
-            let mut scores = Mat::zeros(rows, ctx);
-            for j in 0..rows {
-                let row = scores.row_mut(j);
-                row[..shared].copy_from_slice(shared_scores.row(i, j));
-                row[shared..].copy_from_slice(own.row(j));
-            }
-            let probs = softmax(&scores);
-            let mut own_probs = Mat::zeros(rows, ctx - shared);
-            for j in 0..rows {
-                let (s, o) = probs.row(j).split_at(shared);
-                shared_probs.row_mut(i * rows + j).copy_from_slice(s);
-                own_probs.row_mut(j).copy_from_slice(o);
-            }
-            own_probs
-        };
-        let p_acc = gemm::matmul_i8(&own_probs, &vi).expect("shapes");
-        for j in 0..rows {
-            acc.row_mut(j)[c0..c0 + d_k].copy_from_slice(p_acc.row(j));
-        }
-    }
-    GroupAttention { acc, shared_probs }
-}
 
-/// The `P` codes of every row of a [`cached_mha_rows`] call under the
-/// cohort plan `cohorts`: each cohort's shared rows through one score
-/// GEMM and one `P·V` GEMM per head over its members' stacked rows, each
-/// group's private rows through [`private_attention`]. Heads fan out
-/// across threads, then groups, then heads again.
-///
-/// Bit-identical to every group attending its whole cache alone: a
-/// score is the same exact `i32` dot product whichever GEMM computes it,
-/// so the softmax sees the same row; the `P·V` accumulator is an `i32`
-/// sum of the same products, split as shared + private — exact, since
-/// probability codes lie in `0..=127`, so `|Σ| ≤ 127 · 128 · ctx` stays
-/// below `2³¹` for any context under 132,000 rows; and the same
-/// [`QuantMhaResBlock::requantize_p_into`] drains it. The prefix-length
-/// softmax masks a chunk's future rows whatever the split, so the cap
-/// on `shared` ([`attention_cohorts`]) is asserted here as the plan's
-/// contract rather than relied on for the masking.
-#[allow(clippy::too_many_arguments)]
-fn cohort_attention(
-    block: &QuantMhaResBlock,
-    q: &Mat<i8>,
-    groups: &[usize],
-    keys: &[CacheRef<'_>],
-    vals: &[CacheRef<'_>],
-    causal: bool,
-    cohorts: &[Cohort],
-) -> Mat<i8> {
-    let (h, d_k) = (block.heads(), block.d_k());
-    let offsets: Vec<usize> = groups
-        .iter()
-        .scan(0usize, |acc, &g| {
-            let r0 = *acc;
-            *acc += g;
-            Some(r0)
-        })
-        .collect();
-    // Each group's cohort, and its first row in the cohort's stack.
-    let mut place = vec![(0usize, 0usize); groups.len()];
-    for (c, cohort) in cohorts.iter().enumerate() {
-        let mut s0 = 0;
-        for &g in &cohort.members {
-            assert!(
-                !causal || cohort.shared + groups[g] <= keys[g].rows(),
-                "group {g}: shared rows {} reach into its chunk",
-                cohort.shared
-            );
-            place[g] = (c, s0);
-            s0 += groups[g];
-        }
-    }
-    // One task per (cohort with shared rows, head); a cohort's heads are
-    // consecutive tasks from `first[c]`.
-    let tasks: Vec<(usize, usize)> = cohorts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.shared > 0)
-        .flat_map(|(c, _)| (0..h).map(move |i| (c, i)))
-        .collect();
-    let mut first = vec![0usize; cohorts.len()];
-    for (t, &(c, _)) in tasks.iter().enumerate().step_by(h) {
-        first[c] = t;
-    }
-    let scores = tensor::par::par_map(&tasks, |&(c, i)| {
-        let cohort = &cohorts[c];
-        let c0 = i * d_k;
-        let stacked: usize = cohort.members.iter().map(|&g| groups[g]).sum();
-        let mut qs = Mat::zeros(stacked, d_k);
-        let mut r = 0;
-        for &g in &cohort.members {
-            for j in 0..groups[g] {
-                qs.row_mut(r)
-                    .copy_from_slice(&q.row(offsets[g] + j)[c0..c0 + d_k]);
-                r += 1;
+    /// One cohort's attention, reading every K and V row where it lives.
+    /// `out` holds each member's `(first row in q, P rows)`, in member
+    /// order.
+    ///
+    /// The members' rows are stacked (`m` rows; one group's are already
+    /// contiguous in `q`) and scored, softmaxed and summed in one
+    /// `[head][stacked row][cache row]` grid whose row stride is the
+    /// longest member context:
+    ///
+    /// 1. shared scores — every stacked row against the cohort's shared
+    ///    K rows, one [`tensor::simd::attn_scores_i8`] per page-run;
+    /// 2. private scores — each member's rows against its own rows
+    ///    `shared .. ctx`, the same kernel over its page-runs;
+    /// 3. softmax once per assembled row over its legal prefix (with
+    ///    `causal`, chunk row `j` attends `0 ..= ctx - rows + j`; the
+    ///    columns past it get exactly-zero codes, which is what makes a
+    ///    chunk bit-identical to its rows fed one at a time);
+    /// 4. shared `P·V` — every stacked row over the shared V rows, one
+    ///    [`tensor::simd::attn_pv_i8`] per page-run — and private `P·V`
+    ///    over each member's own rows;
+    /// 5. the `P` requantize drain.
+    ///
+    /// A decode row is the `m = 1`, `shared = 0` case of the same walk.
+    fn attend(&self, cohort: &Cohort, out: &mut [GroupRows<'_>], s: &mut AttnScratch) {
+        let (block, groups, keys, vals) = (self.block, self.groups, self.keys, self.vals);
+        let (h, d_k) = (block.heads(), block.d_k());
+        let d = self.q.cols();
+        let members = &cohort.members;
+        let shared = cohort.shared;
+        let m: usize = members.iter().map(|&g| groups[g]).sum();
+        let stride = members.iter().map(|&g| keys[g].rows()).max().unwrap_or(0);
+        let hs = m * stride;
+        let AttnScratch {
+            q: qbuf,
+            scores,
+            probs,
+            acc,
+            softmax,
+        } = s;
+        let qs: &[i8] = match &out[..] {
+            [(r0, _)] => &self.q.as_slice()[r0 * d..(r0 + m) * d],
+            _ => {
+                let qs = scratch(qbuf, m * d);
+                let mut at = 0;
+                for (r0, rows) in out.iter().map(|(r0, o)| (*r0, o.len() / d)) {
+                    qs[at..at + rows * d]
+                        .copy_from_slice(&self.q.as_slice()[r0 * d..(r0 + rows) * d]);
+                    at += rows * d;
+                }
+                qs
             }
-        }
-        let k = keys[cohort.members[0]].panel(0..cohort.shared, c0, d_k);
-        gemm::matmul_i8_nt(&qs, &k).expect("head shapes")
-    });
-    let idx: Vec<usize> = (0..groups.len()).collect();
-    let mut parts = tensor::par::par_map(&idx, |&g| {
-        let (c, s0) = place[g];
-        let rows = cohorts[c].shared;
-        let heads = if rows > 0 {
-            &scores[first[c]..first[c] + h]
-        } else {
-            &[]
         };
-        let shared = SharedScores { rows, heads, s0 };
-        private_attention(
-            block, q, offsets[g], groups[g], &keys[g], &vals[g], causal, shared,
-        )
-    });
-    let shared_pv = tensor::par::par_map(&tasks, |&(c, i)| {
-        let cohort = &cohorts[c];
-        let stacked: usize = cohort.members.iter().map(|&g| groups[g]).sum();
-        let mut probs = Mat::zeros(stacked, cohort.shared);
-        let mut r = 0;
-        for &g in &cohort.members {
-            for j in 0..groups[g] {
-                probs
-                    .row_mut(r)
-                    .copy_from_slice(parts[g].shared_probs.row(i * groups[g] + j));
-                r += 1;
-            }
+        let scores = scratch(scores, h * hs);
+        let probs = scratch(probs, h * hs);
+        let acc = scratch(acc, m * d);
+        acc.fill(0);
+        // Each member's (group, stacked first row, rows, context).
+        let placed = || {
+            members.iter().scan(0usize, |s0, &g| {
+                let at = *s0;
+                *s0 += groups[g];
+                Some((g, at, groups[g], keys[g].rows()))
+            })
+        };
+        let mut clock = phase::phases();
+        if shared > 0 {
+            clock.enter(Phase::SharedScores);
+            keys[members[0]].for_each_run(0..shared, |t0, run| {
+                simd::attn_scores_i8(qs, run, d, d_k, &mut scores[t0..], hs, stride);
+            });
         }
-        let v = vals[cohort.members[0]].panel(0..cohort.shared, i * d_k, d_k);
-        gemm::matmul_i8(&probs, &v).expect("head shapes")
-    });
-    let mut p = Mat::zeros(q.rows(), q.cols());
-    for (g, part) in parts.iter_mut().enumerate() {
-        let (c, s0) = place[g];
-        if cohorts[c].shared > 0 {
-            for (i, pv) in shared_pv[first[c]..first[c] + h].iter().enumerate() {
-                let c0 = i * d_k;
-                for j in 0..groups[g] {
-                    let acc = &mut part.acc.row_mut(j)[c0..c0 + d_k];
-                    for (a, &s) in acc.iter_mut().zip(pv.row(s0 + j)) {
-                        *a += s;
-                    }
+        clock.enter(Phase::PrivateScores);
+        for (g, s0, rows, ctx) in placed() {
+            let qg = &qs[s0 * d..(s0 + rows) * d];
+            keys[g].for_each_run(shared..ctx, |t0, run| {
+                let at = s0 * stride + t0;
+                simd::attn_scores_i8(qg, run, d, d_k, &mut scores[at..], hs, stride);
+            });
+        }
+        clock.enter(Phase::Softmax);
+        let kernel = RowSoftmax::new(block.softmax_mode(), block.d_scale(), d_k);
+        for (_, s0, rows, ctx) in placed() {
+            for i in 0..h {
+                for j in 0..rows {
+                    let live = if self.causal { ctx - rows + j + 1 } else { ctx };
+                    let at = i * hs + (s0 + j) * stride;
+                    let row = &mut probs[at..at + ctx];
+                    row.fill(0);
+                    kernel.run(softmax, &scores[at..at + live], None, &mut row[..live]);
                 }
             }
         }
-        for j in 0..groups[g] {
-            block.requantize_p_into(part.acc.row(j), p.row_mut(offsets[g] + j));
+        if shared > 0 {
+            clock.enter(Phase::SharedPv);
+            vals[members[0]].for_each_run(0..shared, |t0, run| {
+                simd::attn_pv_i8(&probs[t0..], hs, stride, run, d, d_k, acc);
+            });
+        }
+        clock.enter(Phase::PrivatePv);
+        for (g, s0, rows, ctx) in placed() {
+            let ag = &mut acc[s0 * d..(s0 + rows) * d];
+            vals[g].for_each_run(shared..ctx, |t0, run| {
+                let at = s0 * stride + t0;
+                simd::attn_pv_i8(&probs[at..], hs, stride, run, d, d_k, ag);
+            });
+        }
+        clock.enter(Phase::PRequant);
+        let mut at = 0;
+        for (_, rows_out) in out.iter_mut() {
+            for row in rows_out.chunks_exact_mut(d) {
+                block.requantize_p_into(&acc[at..at + d], row);
+                at += d;
+            }
         }
     }
-    p
 }
 
 /// One cached-attention MHA ResBlock over per-session row groups: the
@@ -872,10 +835,10 @@ pub fn cached_mha_rows(
     }
     let (wq, _, _, wo) = block.projections();
     let q = wq.forward(x);
-    // The fused decode-attention drain never materialises the per-head
-    // K/V panels — `2 * ctx * d_model` bytes per fused row. It fires for
-    // one-row chunks (decode steps); multi-row chunks run the per-head
-    // GEMMs around a prefix-length softmax.
+    // Fusion tally, defined when one-row chunks (decode steps) first
+    // stopped materialising per-head K/V panels: each is one fused op
+    // eliding `2 * ctx * d_model` bytes. Every chunk now reads its cache
+    // in place; the tally keeps that definition so it stays comparable.
     let (mut fused_ops, mut elided_bytes) = (0usize, 0usize);
     for (&rows, k) in groups.iter().zip(keys) {
         if rows == 1 {
@@ -883,8 +846,18 @@ pub fn cached_mha_rows(
             elided_bytes += 2 * k.rows() * x.cols();
         }
     }
+    let plan = phase::span(Phase::CohortPlan);
     let cohorts = attention_cohorts(groups, keys, vals, causal);
-    let p = cohort_attention(block, &q, groups, keys, vals, causal, &cohorts);
+    drop(plan);
+    let job = CohortJob {
+        block,
+        q: &q,
+        groups,
+        keys,
+        vals,
+        causal,
+    };
+    let p = job.run(&cohorts);
     // The Wo projection and the residual add fuse into one drain (the
     // fused-graph `LinearAdd(Wo)` rewrite, applied by hand); the
     // projection's INT8 output codes are never materialized.

@@ -49,6 +49,7 @@
 use std::sync::Arc;
 
 use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
+use tensor::phase::{self, Phase};
 use tensor::Mat;
 use transformer::greedy::GreedyStats;
 use transformer::tasks::{BOS, EOS};
@@ -189,7 +190,11 @@ impl QuantSeq2Seq {
             return Vec::new();
         }
         let groups: Vec<usize> = srcs.iter().map(|s| s.len()).collect();
-        let memory = self.encode_stacked(srcs);
+        let memory = {
+            let _span = phase::span(Phase::Admission);
+            self.encode_stacked(srcs)
+        };
+        let _span = phase::span(Phase::CrossKv);
         let mut sessions: Vec<QuantIncrementalSession> = groups
             .iter()
             .map(|&rows| QuantIncrementalSession {
@@ -329,6 +334,7 @@ impl QuantSeq2Seq {
         let d_model = self.tgt_embedding().d_model();
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         let groups: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let embed = phase::span(Phase::Embed);
         let mut emb = Mat::zeros(total, d_model);
         let mut r = 0;
         for (session, chunk) in sessions.iter().zip(chunks) {
@@ -339,12 +345,14 @@ impl QuantSeq2Seq {
             }
         }
         let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb);
+        drop(embed);
         for (l, layer) in self.decoder_layers().iter().enumerate() {
             // Extend every session's projected self-attention cache with
             // its chunk's rows of this step's batched K/V projections.
             let (_, wk, wv, _) = layer.self_mha.projections();
             let k_new = wk.forward(&x);
             let v_new = wv.forward(&x);
+            let push = phase::span(Phase::KvPush);
             let mut r0 = 0;
             for (session, chunk) in sessions.iter_mut().zip(chunks) {
                 let cache = &mut session.layers[l];
@@ -354,6 +362,7 @@ impl QuantSeq2Seq {
                 }
                 r0 += chunk.len();
             }
+            drop(push);
             let (self_k, self_v): (Vec<_>, Vec<_>) = sessions
                 .iter()
                 .map(|s| s.self_attention_caches(arena, l))
@@ -370,6 +379,7 @@ impl QuantSeq2Seq {
         }
         // Only each session's last chunk row carries next-token logits;
         // gather those b rows and project once.
+        let _embed = phase::span(Phase::Embed);
         let last_ffn = &self.decoder_layers().last().expect("nonempty decoder").ffn;
         let mut last = Mat::zeros(b, d_model);
         let mut r0 = 0;
@@ -561,6 +571,13 @@ mod tests {
     use transformer::model::Seq2SeqTransformer;
     use transformer::tasks::{Task, TaskGen};
 
+    /// Every row of a paged cache, read through its page runs.
+    fn cache_rows(pool: &KvPool<i8>, seq: &KvSeq) -> Vec<i8> {
+        pool.page_runs(seq, 0..seq.rows())
+            .flat_map(|(_, run)| run.iter().copied())
+            .collect()
+    }
+
     #[allow(clippy::type_complexity)]
     fn setup() -> (QuantSeq2Seq, Vec<(Vec<usize>, Vec<usize>)>) {
         let mut cfg = ModelConfig::tiny_for_tests();
@@ -689,12 +706,12 @@ mod tests {
             assert_eq!(s.pos(), b.pos());
             for (lc_s, lc_b) in s.layers.iter().zip(&b.layers) {
                 assert_eq!(
-                    arena_s.k.to_mat(&lc_s.self_k),
-                    arena_b.k.to_mat(&lc_b.self_k)
+                    cache_rows(&arena_s.k, &lc_s.self_k),
+                    cache_rows(&arena_b.k, &lc_b.self_k)
                 );
                 assert_eq!(
-                    arena_s.v.to_mat(&lc_s.self_v),
-                    arena_b.v.to_mat(&lc_b.self_v)
+                    cache_rows(&arena_s.v, &lc_s.self_v),
+                    cache_rows(&arena_b.v, &lc_b.self_v)
                 );
             }
         }
@@ -734,8 +751,8 @@ mod tests {
             assert_eq!(s.pos(), s_ref.pos());
             for (lc, lc_ref) in s.layers.iter().zip(&s_ref.layers) {
                 assert_eq!(
-                    arena.k.to_mat(&lc.self_k),
-                    arena_ref.k.to_mat(&lc_ref.self_k),
+                    cache_rows(&arena.k, &lc.self_k),
+                    cache_rows(&arena_ref.k, &lc_ref.self_k),
                     "chunk size {split}"
                 );
             }

@@ -164,6 +164,7 @@ impl HwLayerNorm {
     /// Panics if `g.cols() != self.dim()`.
     pub fn forward(&self, g: &Mat<i32>) -> Mat<i8> {
         assert_eq!(g.cols(), self.dim(), "layernorm width mismatch");
+        let _span = tensor::phase::span(tensor::phase::Phase::LayerNorm);
         let mut out = Mat::zeros(g.rows(), g.cols());
         for r in 0..g.rows() {
             let stats = self.row_stats(g.row(r));

@@ -3,6 +3,7 @@
 //! projection (the paper only quantizes the Fig. 3 matrices — "other
 //! components beside the stacks ... have not been taken into account").
 
+use tensor::phase::{self, Phase};
 use tensor::{ops, Mat};
 use transformer::bleu::corpus_bleu;
 use transformer::greedy::GreedyStats;
@@ -212,6 +213,7 @@ impl QuantSeq2Seq {
     /// [`QuantSeq2Seq::output_projection_rows`] without forming the
     /// logits (`Linear::argmax_rows`), plus the screen's counts.
     pub(crate) fn output_projection_argmax(&self, x: &Mat<f32>) -> (Vec<usize>, GreedyStats) {
+        let _span = phase::span(Phase::GreedyHead);
         self.out_proj.argmax_rows(x)
     }
 

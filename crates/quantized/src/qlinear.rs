@@ -15,6 +15,7 @@
 use fixedmath::quant::{QuantParams, Requantizer};
 use fixedmath::sat::sat_i8;
 use serde::{Deserialize, Serialize};
+use tensor::phase::{self, Phase};
 use tensor::prepack::{self, PackedI8, PackedI8Cols};
 use tensor::Mat;
 use transformer::linear::Linear;
@@ -165,6 +166,7 @@ impl QLinear {
     ///
     /// Panics if `x.cols() != d_in`.
     pub fn forward_acc(&self, x: &Mat<i8>) -> Mat<i32> {
+        let _span = phase::span(Phase::WeightGemm);
         let mut acc =
             prepack::matmul_i8_prepacked(x, &self.w_packed).expect("qlinear width mismatch");
         // Zero-cost when off: one relaxed atomic load guards the whole
@@ -215,6 +217,7 @@ impl QLinear {
     /// check need the full pre-bias accumulator tensor
     /// ([`QLinear::forward_acc`]), which the drain never forms.
     pub fn forward(&self, x: &Mat<i8>) -> Mat<i8> {
+        let _span = phase::span(Phase::WeightGemm);
         if !faults::hooks_active() {
             return self.forward_cols(x, 0, self.bias_q.len());
         }
@@ -255,6 +258,7 @@ impl QLinear {
     ///
     /// Panics if `x.cols() != d_in`.
     pub fn forward_relu(&self, x: &Mat<i8>) -> Mat<i8> {
+        let _span = phase::span(Phase::WeightGemm);
         if faults::hooks_active() {
             return self.forward(x).map(|&v| v.max(0));
         }
@@ -299,6 +303,7 @@ impl QLinear {
             (x.rows(), self.bias_q.len()),
             "residual shape must match the linear output"
         );
+        let _span = phase::span(Phase::WeightGemm);
         if faults::hooks_active() {
             return residual_add_i8(&self.forward(x), residual);
         }

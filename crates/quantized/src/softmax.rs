@@ -132,72 +132,98 @@ fn softmax_by_row<'a>(
     mode: SoftmaxMode,
     legal: impl Fn(usize) -> Legal<'a>,
 ) -> Mat<i8> {
-    assert!(d_k > 0, "d_k must be positive");
     let (rows, cols) = d_acc.shape();
     let mut out = Mat::zeros(rows, cols);
-    let mut kernel = RowKernel::new(mode, d_scale, d_k, cols);
+    let kernel = RowSoftmax::new(mode, d_scale, d_k);
+    let mut bufs = SoftmaxBufs::default();
     for r in 0..rows {
         match legal(r) {
-            Legal::Prefix(n) => kernel.run(&d_acc.row(r)[..n], None, &mut out.row_mut(r)[..n]),
-            Legal::Dense(dead) => kernel.run(d_acc.row(r), Some(dead), out.row_mut(r)),
+            Legal::Prefix(n) => kernel.run(
+                &mut bufs,
+                &d_acc.row(r)[..n],
+                None,
+                &mut out.row_mut(r)[..n],
+            ),
+            Legal::Dense(dead) => kernel.run(&mut bufs, d_acc.row(r), Some(dead), out.row_mut(r)),
         }
     }
     out
 }
 
-/// One softmax row at a time, with the scratch rows the mode needs.
-enum RowKernel {
-    Hardware {
-        /// Stage 0: accumulator -> Q.12 fixed point, with 1/sqrt(d_k)
-        /// folded in. For d_k = 64 this ratio is exactly
-        /// d_scale * 2^12 / 8, i.e. the paper's ">> 3" after scale
-        /// alignment.
-        to_fx: Requantizer,
-        x_fx: Vec<i64>,
-        d32: Vec<i32>,
-    },
-    Fp32 {
-        scale: f32,
-        scores: Vec<f32>,
-        probs: Vec<f32>,
-    },
+/// One block's softmax row pipeline — its mode with the scale folded
+/// in — built once and run row by row over caller-owned buffers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowSoftmax {
+    /// Stage 0 of the hardware pipeline: accumulator -> Q.12 fixed
+    /// point, with 1/sqrt(d_k) folded in. For d_k = 64 this ratio is
+    /// exactly d_scale * 2^12 / 8, i.e. the paper's ">> 3" after scale
+    /// alignment.
+    Hardware { to_fx: Requantizer },
+    /// FP32 internals: the real scale of an accumulator over sqrt(d_k).
+    Fp32 { scale: f32 },
 }
 
-impl RowKernel {
-    fn new(mode: SoftmaxMode, d_scale: f32, d_k: usize, cols: usize) -> Self {
+/// The scratch rows [`RowSoftmax::run`] needs, reused across rows and
+/// calls (they only ever grow).
+#[derive(Debug, Default)]
+pub(crate) struct SoftmaxBufs {
+    x_fx: Vec<i64>,
+    d32: Vec<i32>,
+    scores: Vec<f32>,
+    probs: Vec<f32>,
+}
+
+impl RowSoftmax {
+    /// The pipeline of `mode` for score accumulators of real scale
+    /// `d_scale` and head width `d_k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_k == 0`.
+    pub(crate) fn new(mode: SoftmaxMode, d_scale: f32, d_k: usize) -> Self {
+        assert!(d_k > 0, "d_k must be positive");
         match mode {
             SoftmaxMode::Hardware => {
                 let ratio = d_scale as f64 / (d_k as f64).sqrt() * (1i64 << FRAC) as f64;
-                RowKernel::Hardware {
+                RowSoftmax::Hardware {
                     to_fx: Requantizer::from_ratio(ratio),
-                    x_fx: vec![0; cols],
-                    d32: vec![0; cols],
                 }
             }
-            SoftmaxMode::Fp32 => RowKernel::Fp32 {
+            SoftmaxMode::Fp32 => RowSoftmax::Fp32 {
                 scale: d_scale / (d_k as f32).sqrt(),
-                scores: vec![0.0; cols],
-                probs: vec![0.0; cols],
             },
         }
     }
 
     /// Probability codes of one row: `acc`, `dead` (when present) and
     /// `out` cover the same columns; `out` arrives zeroed.
-    fn run(&mut self, acc: &[i32], dead: Option<&[bool]>, out: &mut [i8]) {
+    pub(crate) fn run(
+        &self,
+        bufs: &mut SoftmaxBufs,
+        acc: &[i32],
+        dead: Option<&[bool]>,
+        out: &mut [i8],
+    ) {
         let n = acc.len();
-        match self {
-            RowKernel::Hardware { to_fx, x_fx, d32 } => {
-                hw_softmax_row(*to_fx, acc, dead, &mut x_fx[..n], &mut d32[..n], out)
+        match *self {
+            RowSoftmax::Hardware { to_fx } => {
+                grow(&mut bufs.x_fx, n);
+                grow(&mut bufs.d32, n);
+                hw_softmax_row(
+                    to_fx,
+                    acc,
+                    dead,
+                    &mut bufs.x_fx[..n],
+                    &mut bufs.d32[..n],
+                    out,
+                )
             }
-            RowKernel::Fp32 {
-                scale,
-                scores,
-                probs,
-            } => {
-                let (scores, probs) = (&mut scores[..n], &mut probs[..n]);
+            RowSoftmax::Fp32 { scale } => {
+                grow(&mut bufs.scores, n);
+                grow(&mut bufs.probs, n);
+                let (scores, probs) = (&mut bufs.scores[..n], &mut bufs.probs[..n]);
                 for (s, &a) in scores.iter_mut().zip(acc) {
-                    *s = a as f32 * *scale;
+                    *s = a as f32 * scale;
                 }
                 transformer::functional::softmax_row(scores, dead, probs);
                 for (o, &p) in out.iter_mut().zip(probs.iter()) {
@@ -205,6 +231,13 @@ impl RowKernel {
                 }
             }
         }
+    }
+}
+
+/// Grows `buf` to at least `n` elements (never shrinks).
+fn grow<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
+    if buf.len() < n {
+        buf.resize(n, T::default());
     }
 }
 

@@ -93,12 +93,14 @@ pub mod prefix;
 use std::any::Any;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 
 use crate::prefix::PrefixIndex;
 use quantized::QuantSeq2Seq;
+use tensor::phase::{self, Phase, PhaseRecorder, StepKind};
 use transformer::batching::PaddedBatch;
 use transformer::tasks::{BOS, EOS};
 
@@ -326,93 +328,97 @@ impl Default for EngineConfig {
     }
 }
 
-/// Counters accumulated across an engine's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServingStats {
-    /// Batched steps executed.
-    pub steps: usize,
-    /// Total active requests summed over all steps
-    /// (`≤ steps · max_batch`).
-    pub rows: usize,
-    /// Prompt rows consumed by chunked prefill (including each
-    /// request's `BOS` row), summed over all steps.
-    pub prefill_rows: usize,
-    /// Tokens appended to responses.
-    pub tokens_generated: usize,
-    /// Largest number of requests any single step carried.
-    pub peak_batch: usize,
-    /// Requests admitted into slots.
-    pub admitted: usize,
-    /// Stacked encoder passes admission ran: one per refill that
-    /// admitted at least one request without a prefix hit
-    /// (`QuantSeq2Seq::start_sessions`).
-    pub admission_batches: usize,
-    /// Sources those passes encoded — every admission that did not fork
-    /// a cached prefix, so `sources_encoded + prefix_hits == admitted`.
-    /// Divided by [`Self::admission_batches`] this is admission's
-    /// batching factor: how many sources share one stream of the encoder
-    /// weights.
-    pub sources_encoded: usize,
-    /// Requests retired (EOS, budget, deadline, or quarantine).
-    pub retired: usize,
-    /// Resident KV-pool bytes after the most recent step (whole pages
-    /// held by live sessions; retired sessions' pages are already back
-    /// on the free list).
-    pub kv_bytes_in_use: usize,
-    /// High-water mark of resident KV-pool bytes across all steps,
-    /// measured before retirement releases — the budget a deployment
-    /// must actually provision.
-    pub kv_bytes_peak: usize,
-    /// Steps the ABFT checker flagged (counting each failed attempt).
-    pub faulty_steps: usize,
-    /// Rollback-and-recompute retries performed.
-    pub retries: usize,
-    /// Slots quarantined after repeated persistent faults.
-    pub quarantined: usize,
-    /// Requests cut off by a deadline.
-    pub deadline_expired: usize,
-    /// Requests shed at submission because the bounded waiting queue
-    /// ([`EngineConfig::max_queue`]) was full.
-    pub shed: usize,
-    /// Requests whose wall-clock deadline expired while they were still
-    /// queued — retired with [`FinishReason::Deadline`] and zero tokens
-    /// without ever consuming a slot or a KV page (a subset of
-    /// [`Self::deadline_expired`]).
-    pub expired_in_queue: usize,
-    /// Requests cancelled via [`ContinuousBatcher::cancel`] (client
-    /// disconnect, caller abort); a cancelled request produces no
-    /// [`Response`] and its KV pages return to the free list at once.
-    pub cancelled: usize,
-    /// Fused graph nodes executed by this engine's steps (`LinearRelu`,
-    /// `LinearAdd`, and `cached_mha_rows`' hand-fused drains).
-    pub ops_fused: usize,
-    /// Bytes of intermediate tensors fusion never materialized across
-    /// this engine's steps — the memory traffic the fused drains
-    /// removed, the fusion analogue of [`Self::kv_bytes_in_use`].
-    pub intermediates_elided_bytes: usize,
-    /// Admissions that attached to a cached prefix (skipping its
-    /// prefill). Zero when the prefix cache is disabled.
-    pub prefix_hits: usize,
-    /// Admissions that searched the prefix cache and found nothing
-    /// reusable. Zero when the prefix cache is disabled.
-    pub prefix_misses: usize,
-    /// Prompt rows (including `BOS`) that prefix hits did **not**
-    /// re-ingest — prefill work the cache saved. `prefill_rows` shrinks
-    /// by exactly this amount relative to a cold engine.
-    pub prefix_rows_reused: usize,
-    /// Logical KV bytes prefix hits attached to instead of
-    /// re-materializing (whole resident pages of the reused rows;
-    /// physically shared copy-on-write, so the arena pays them once).
-    pub prefix_bytes_shared: usize,
-    /// Column tiles of the output projection the greedy head recomputed
-    /// exactly, summed over every row of every step (16 columns each;
-    /// `transformer::greedy`). Divided by `rows` this is the screen's
-    /// selectivity — a handful per row when it works.
-    pub greedy_candidate_tiles: usize,
-    /// Rows whose next token came from the full FP32 projection instead
-    /// (the greedy head's guards, or too many candidates): the head
-    /// degenerating to the cost it replaces.
-    pub greedy_fallback_rows: usize,
+tensor::counters! {
+    /// Counters accumulated across an engine's lifetime. [`ServingStats::merge`]
+    /// rolls shards up (KV byte counters add, since each shard owns its own
+    /// arena; `peak_batch` takes the larger).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServingStats {
+        /// Batched steps executed.
+        pub steps: usize => sum,
+        /// Total active requests summed over all steps
+        /// (`≤ steps · max_batch`).
+        pub rows: usize => sum,
+        /// Prompt rows consumed by chunked prefill (including each
+        /// request's `BOS` row), summed over all steps.
+        pub prefill_rows: usize => sum,
+        /// Tokens appended to responses.
+        pub tokens_generated: usize => sum,
+        /// Largest number of requests any single step carried.
+        pub peak_batch: usize => max,
+        /// Requests admitted into slots.
+        pub admitted: usize => sum,
+        /// Stacked encoder passes admission ran: one per refill that
+        /// admitted at least one request without a prefix hit
+        /// (`QuantSeq2Seq::start_sessions`).
+        pub admission_batches: usize => sum,
+        /// Sources those passes encoded — every admission that did not fork
+        /// a cached prefix, so `sources_encoded + prefix_hits == admitted`.
+        /// Divided by [`Self::admission_batches`] this is admission's
+        /// batching factor: how many sources share one stream of the encoder
+        /// weights.
+        pub sources_encoded: usize => sum,
+        /// Requests retired (EOS, budget, deadline, or quarantine).
+        pub retired: usize => sum,
+        /// Resident KV-pool bytes after the most recent step (whole pages
+        /// held by live sessions; retired sessions' pages are already back
+        /// on the free list).
+        pub kv_bytes_in_use: usize => sum,
+        /// High-water mark of resident KV-pool bytes across all steps,
+        /// measured before retirement releases — the budget a deployment
+        /// must actually provision.
+        pub kv_bytes_peak: usize => sum,
+        /// Steps the ABFT checker flagged (counting each failed attempt).
+        pub faulty_steps: usize => sum,
+        /// Rollback-and-recompute retries performed.
+        pub retries: usize => sum,
+        /// Slots quarantined after repeated persistent faults.
+        pub quarantined: usize => sum,
+        /// Requests cut off by a deadline.
+        pub deadline_expired: usize => sum,
+        /// Requests shed at submission because the bounded waiting queue
+        /// ([`EngineConfig::max_queue`]) was full.
+        pub shed: usize => sum,
+        /// Requests whose wall-clock deadline expired while they were still
+        /// queued — retired with [`FinishReason::Deadline`] and zero tokens
+        /// without ever consuming a slot or a KV page (a subset of
+        /// [`Self::deadline_expired`]).
+        pub expired_in_queue: usize => sum,
+        /// Requests cancelled via [`ContinuousBatcher::cancel`] (client
+        /// disconnect, caller abort); a cancelled request produces no
+        /// [`Response`] and its KV pages return to the free list at once.
+        pub cancelled: usize => sum,
+        /// Fused graph nodes executed by this engine's steps (`LinearRelu`,
+        /// `LinearAdd`, and `cached_mha_rows`' hand-fused drains).
+        pub ops_fused: usize => sum,
+        /// Bytes of intermediate tensors fusion never materialized across
+        /// this engine's steps — the memory traffic the fused drains
+        /// removed, the fusion analogue of [`Self::kv_bytes_in_use`].
+        pub intermediates_elided_bytes: usize => sum,
+        /// Admissions that attached to a cached prefix (skipping its
+        /// prefill). Zero when the prefix cache is disabled.
+        pub prefix_hits: usize => sum,
+        /// Admissions that searched the prefix cache and found nothing
+        /// reusable. Zero when the prefix cache is disabled.
+        pub prefix_misses: usize => sum,
+        /// Prompt rows (including `BOS`) that prefix hits did **not**
+        /// re-ingest — prefill work the cache saved. `prefill_rows` shrinks
+        /// by exactly this amount relative to a cold engine.
+        pub prefix_rows_reused: usize => sum,
+        /// Logical KV bytes prefix hits attached to instead of
+        /// re-materializing (whole resident pages of the reused rows;
+        /// physically shared copy-on-write, so the arena pays them once).
+        pub prefix_bytes_shared: usize => sum,
+        /// Column tiles of the output projection the greedy head recomputed
+        /// exactly, summed over every row of every step (16 columns each;
+        /// `transformer::greedy`). Divided by `rows` this is the screen's
+        /// selectivity — a handful per row when it works.
+        pub greedy_candidate_tiles: usize => sum,
+        /// Rows whose next token came from the full FP32 projection instead
+        /// (the greedy head's guards, or too many candidates): the head
+        /// degenerating to the cost it replaces.
+        pub greedy_fallback_rows: usize => sum,
+    }
 }
 
 impl ServingStats {
@@ -425,37 +431,6 @@ impl ServingStats {
             return 0.0;
         }
         self.rows as f64 / (self.steps * max_batch) as f64
-    }
-
-    /// Accumulates another engine's counters (used to roll up shards;
-    /// KV byte counters add because each shard owns its own arena).
-    pub fn merge(&mut self, other: &ServingStats) {
-        self.steps += other.steps;
-        self.rows += other.rows;
-        self.prefill_rows += other.prefill_rows;
-        self.tokens_generated += other.tokens_generated;
-        self.peak_batch = self.peak_batch.max(other.peak_batch);
-        self.admitted += other.admitted;
-        self.admission_batches += other.admission_batches;
-        self.sources_encoded += other.sources_encoded;
-        self.retired += other.retired;
-        self.kv_bytes_in_use += other.kv_bytes_in_use;
-        self.kv_bytes_peak += other.kv_bytes_peak;
-        self.faulty_steps += other.faulty_steps;
-        self.retries += other.retries;
-        self.quarantined += other.quarantined;
-        self.deadline_expired += other.deadline_expired;
-        self.shed += other.shed;
-        self.expired_in_queue += other.expired_in_queue;
-        self.cancelled += other.cancelled;
-        self.ops_fused += other.ops_fused;
-        self.intermediates_elided_bytes += other.intermediates_elided_bytes;
-        self.prefix_hits += other.prefix_hits;
-        self.prefix_misses += other.prefix_misses;
-        self.prefix_rows_reused += other.prefix_rows_reused;
-        self.prefix_bytes_shared += other.prefix_bytes_shared;
-        self.greedy_candidate_tiles += other.greedy_candidate_tiles;
-        self.greedy_fallback_rows += other.greedy_fallback_rows;
     }
 }
 
@@ -558,6 +533,9 @@ pub struct ContinuousBatcher<'m> {
     /// Shared-prefix KV cache (disabled at budget 0 — see
     /// [`EngineConfig::prefix_cache_bytes`]).
     prefix: PrefixIndex,
+    /// Step phase recorder; `None` until
+    /// [`ContinuousBatcher::record_phases`] first switches it on.
+    phases: Option<Arc<PhaseRecorder>>,
 }
 
 impl<'m> ContinuousBatcher<'m> {
@@ -584,6 +562,7 @@ impl<'m> ContinuousBatcher<'m> {
             emitted: Vec::new(),
             stats: ServingStats::default(),
             prefix: PrefixIndex::new(cfg.prefix_cache_bytes),
+            phases: None,
         })
     }
 
@@ -684,6 +663,23 @@ impl<'m> ContinuousBatcher<'m> {
         self.stats
     }
 
+    /// Switches the step phase recorder (`tensor::phase`) on or off.
+    /// The first switch-on allocates its span ring; totals survive
+    /// switching off. Recording never changes a step's output.
+    pub fn record_phases(&mut self, on: bool) {
+        match &self.phases {
+            Some(rec) => rec.set_enabled(on),
+            None if on => self.phases = Some(Arc::new(PhaseRecorder::new())),
+            None => {}
+        }
+    }
+
+    /// The phase recorder, once [`ContinuousBatcher::record_phases`]
+    /// has switched it on: per-step-kind totals and the recent spans.
+    pub fn phase_recorder(&self) -> Option<&PhaseRecorder> {
+        self.phases.as_deref()
+    }
+
     /// Resident KV-pool bytes right now (whole pages held by live
     /// sessions *and* by cached prefix snapshots; shared pages count
     /// once).
@@ -738,6 +734,7 @@ impl<'m> ContinuousBatcher<'m> {
             }
             self.pending = keep;
         }
+        let lookup = phase::span(Phase::Admission);
         let mut admits: Vec<Admit> = Vec::new();
         while self.pending.front().is_some() {
             let free: Vec<usize> = (0..self.slots.len())
@@ -818,6 +815,7 @@ impl<'m> ContinuousBatcher<'m> {
             }
             // Whole bucket admitted; maybe room for another.
         }
+        drop(lookup);
         // Every cold admission of this refill, across buckets, is
         // encoded and cross-projected in one stacked pass.
         let cold: Vec<&[usize]> = admits
@@ -906,6 +904,26 @@ impl<'m> ContinuousBatcher<'m> {
     /// transient-upset replay is bit-identical to a fault-free step, so
     /// detected faults are invisible in the output stream.
     pub fn step(&mut self) -> bool {
+        let Some(rec) = self.phases.clone() else {
+            return self.run_step();
+        };
+        let _active = rec.activate();
+        rec.begin_step();
+        let before = self.stats;
+        let ran = self.run_step();
+        let kind = if self.stats.admitted > before.admitted {
+            StepKind::Admit
+        } else if self.stats.prefill_rows > before.prefill_rows {
+            StepKind::Prefill
+        } else {
+            StepKind::Decode
+        };
+        rec.end_step(ran.then_some(kind));
+        ran
+    }
+
+    /// [`ContinuousBatcher::step`]'s body.
+    fn run_step(&mut self) -> bool {
         self.refill();
         let plan = self.plan_step();
         if plan.is_empty() {
@@ -1812,7 +1830,10 @@ mod tests {
     fn merge_round_trips_every_counter() {
         // Each field gets a distinct value so a merge that drops or
         // cross-wires any counter — including the front-door additions
-        // (shed / expired_in_queue / cancelled) — fails loudly.
+        // (shed / expired_in_queue / cancelled) — fails loudly. The
+        // literal names every field (no `..`), so a counter added to the
+        // struct must be added here, and `want` below must say how it
+        // merges or the comparison fails.
         let a = ServingStats {
             steps: 1,
             rows: 2,
@@ -1873,5 +1894,19 @@ mod tests {
         want.admission_batches *= 2;
         want.sources_encoded *= 2;
         assert_eq!(m, want);
+        // A field folded by the wrong rule shows against a second
+        // operand with different values: the high-water mark takes the
+        // larger side, whichever it is, and every sum adds.
+        for peak in [1, 50] {
+            let b = ServingStats {
+                peak_batch: peak,
+                ..a
+            };
+            let mut got = a;
+            got.merge(&b);
+            let mut want = want;
+            want.peak_batch = a.peak_batch.max(peak);
+            assert_eq!(got, want, "merge with peak_batch {peak}");
+        }
     }
 }

@@ -11,12 +11,13 @@
 //! as rows are pushed, shrink across page boundaries on rollback, and
 //! release every page copy-free on retirement.
 //!
-//! **Bit-identity:** a page stores exactly the rows that a flat `Mat`
-//! would hold, in the same order; [`KvPool::gather_panel`] copies them
-//! out row by row, so any kernel consuming a gathered panel sees the
-//! same bytes it would have read from the flat cache. (The attention
-//! executors already copy per-head panels out of flat caches, so the
-//! gather is cost-neutral — one copy either way.)
+//! **Reading in place:** a page stores exactly the rows that a flat
+//! `Mat` would hold, in the same order, contiguously (`page_rows × cols`,
+//! row-major). [`KvPool::page_runs`] walks a row range of a sequence as
+//! maximal page-resident *runs* — borrowed slices, one per page touched —
+//! so attention reads K and V where they live, with no copy. Page storage
+//! starts on a 64-byte cache line, so with `cols` a multiple of 64 bytes
+//! every row (and every 64-byte head block of it) is line-aligned.
 //!
 //! **Sharing:** pages are reference-counted, so a sequence can be
 //! [`KvPool::fork`]ed in O(pages) without copying KV bytes: full pages
@@ -32,17 +33,15 @@
 //! many leading rows a set of sequences holds in the very same pages —
 //! same page id at the same block-table index, full in every sequence.
 //! Attention reads those rows once for all the sequences
-//! (`quantized::attention_cohorts`), and [`KvPool::gather_panel`] takes
-//! a row range so the shared rows and each sequence's own rows can be
-//! gathered apart.
+//! (`quantized::attention_cohorts`), and [`KvPool::page_runs`] takes a
+//! row range so the shared rows and each sequence's own rows are walked
+//! apart.
 //!
 //! The page size is tunable via the `ACCEL_KV_PAGE` environment
 //! variable (see [`page_rows_from_env`]); CI runs a tiny-page stress
 //! matrix so page-boundary paths are exercised on every change.
 
 use std::ops::Range;
-
-use crate::Mat;
 
 /// Default page height (rows per page) when `ACCEL_KV_PAGE` is unset.
 pub const DEFAULT_PAGE_ROWS: usize = 16;
@@ -96,14 +95,58 @@ impl KvSeq {
     }
 }
 
+/// Cache-line size page storage is aligned to.
+const LINE: usize = 64;
+
+/// One page's `page_rows × cols` storage, starting on a cache line (the
+/// allocation is over-sized by up to a line and `off` skips to the first
+/// boundary).
+#[derive(Debug)]
+struct Page<T> {
+    buf: Vec<T>,
+    off: usize,
+    len: usize,
+}
+
+impl<T: Copy + Default> Page<T> {
+    fn zeroed(len: usize) -> Self {
+        let pad = LINE.div_ceil(std::mem::size_of::<T>().max(1));
+        let buf = vec![T::default(); len + pad];
+        // `align_offset` may decline (odd element sizes): then the page
+        // is merely unaligned, never wrong.
+        let off = match buf.as_ptr().align_offset(LINE) {
+            o if o <= pad => o,
+            _ => 0,
+        };
+        Self { buf, off, len }
+    }
+
+    fn data(&self) -> &[T] {
+        &self.buf[self.off..self.off + self.len]
+    }
+
+    fn data_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl<T: Copy + Default> Clone for Page<T> {
+    fn clone(&self) -> Self {
+        // A cloned `Vec` lands wherever the allocator puts it: re-align.
+        let mut page = Self::zeroed(self.len);
+        page.data_mut().copy_from_slice(self.data());
+        page
+    }
+}
+
 /// A shared pool of fixed-size `page_rows × cols` pages with free-list
 /// recycling. One pool serves every session and layer of a model side
 /// (all caches share `cols = d_model`).
 #[derive(Debug, Clone)]
-pub struct KvPool<T> {
+pub struct KvPool<T: Copy + Default> {
     page_rows: usize,
     cols: usize,
-    pages: Vec<Mat<T>>,
+    pages: Vec<Page<T>>,
     /// Per-page reference count, parallel to `pages`. `0` means the
     /// page sits on the free list; forking a sequence bumps the count
     /// of every shared page.
@@ -189,7 +232,7 @@ impl<T: Copy + Default> KvPool<T> {
                 "KV pool exhausted: {max} pages allocated and none free"
             );
         }
-        self.pages.push(Mat::zeros(self.page_rows, self.cols));
+        self.pages.push(Page::zeroed(self.page_rows * self.cols));
         self.refs.push(1);
         self.pages.len() - 1
     }
@@ -208,10 +251,7 @@ impl<T: Copy + Default> KvPool<T> {
             return old;
         }
         let fresh = self.acquire_page();
-        for r in 0..valid_rows {
-            let row = self.pages[old].row(r).to_vec();
-            self.pages[fresh].row_mut(r).copy_from_slice(&row);
-        }
+        self.copy_rows(old, fresh, valid_rows);
         self.refs[old] -= 1;
         seq.pages[p] = fresh;
         fresh
@@ -241,8 +281,22 @@ impl<T: Copy + Default> KvPool<T> {
         let p = seq.rows / self.page_rows;
         let r = seq.rows % self.page_rows;
         let page = self.ensure_exclusive(seq, p, r);
-        self.pages[page].row_mut(r).copy_from_slice(row);
+        let cols = self.cols;
+        self.pages[page].data_mut()[r * cols..(r + 1) * cols].copy_from_slice(row);
         seq.rows += 1;
+    }
+
+    /// Copies the first `rows` rows of page `src` into page `dst`.
+    fn copy_rows(&mut self, src: usize, dst: usize, rows: usize) {
+        let n = rows * self.cols;
+        let (src, dst) = if src < dst {
+            let (lo, hi) = self.pages.split_at_mut(dst);
+            (&lo[src], &mut hi[0])
+        } else {
+            let (lo, hi) = self.pages.split_at_mut(src);
+            (&hi[0], &mut lo[dst])
+        };
+        dst.data_mut()[..n].copy_from_slice(&src.data()[..n]);
     }
 
     /// Forks `seq`: the returned sequence sees exactly the same logical
@@ -264,10 +318,7 @@ impl<T: Copy + Default> KvPool<T> {
         if tail_rows > 0 {
             let src = seq.pages[full];
             let fresh = self.acquire_page();
-            for r in 0..tail_rows {
-                let row = self.pages[src].row(r).to_vec();
-                self.pages[fresh].row_mut(r).copy_from_slice(&row);
-            }
+            self.copy_rows(src, fresh, tail_rows);
             pages.push(fresh);
         }
         KvSeq {
@@ -283,51 +334,34 @@ impl<T: Copy + Default> KvPool<T> {
     /// Panics if `r >= seq.rows()`.
     pub fn row<'a>(&'a self, seq: &KvSeq, r: usize) -> &'a [T] {
         assert!(r < seq.rows, "row {r} out of bounds ({})", seq.rows);
-        self.pages[seq.pages[r / self.page_rows]].row(r % self.page_rows)
+        let first = (r % self.page_rows) * self.cols;
+        &self.pages[seq.pages[r / self.page_rows]].data()[first..first + self.cols]
     }
 
-    /// Copies `seq`'s logical rows `rows`, columns `c0 .. c0 + width`,
-    /// into a dense matrix — the paged equivalent of `Mat::submatrix`
-    /// over a flat cache, and bit-identical to it (same values, same
-    /// order).
+    /// Walks `seq`'s logical rows `rows` as page-resident runs: each item
+    /// is `(first logical row, slice)`, the slice holding that run's rows
+    /// (`slice.len() / cols` of them) contiguously, row-major, borrowed
+    /// from the page they live in. Runs tile `rows` in order, never cross
+    /// a page, and are maximal (a run ends only at a page end or at
+    /// `rows.end`). This is how attention reads a paged cache in place.
     ///
     /// # Panics
     ///
-    /// Panics if the column range exceeds the pool width or the row range
-    /// runs past the sequence's rows.
-    pub fn gather_panel(&self, seq: &KvSeq, rows: Range<usize>, c0: usize, width: usize) -> Mat<T> {
-        assert!(
-            c0 + width <= self.cols,
-            "panel {c0}..{} exceeds cols {}",
-            c0 + width,
-            self.cols
-        );
+    /// Panics if the row range runs past the sequence's rows.
+    pub fn page_runs<'a>(&'a self, seq: &'a KvSeq, rows: Range<usize>) -> PageRuns<'a, T> {
         assert!(
             rows.start <= rows.end && rows.end <= seq.rows,
-            "panel rows {}..{} exceed the sequence's {}",
+            "rows {}..{} exceed the sequence's {}",
             rows.start,
             rows.end,
             seq.rows
         );
-        // Page by page, so the block table is walked once and no row
-        // pays a divide to find its page.
-        let mut data = Vec::with_capacity(rows.len() * width);
-        let mut r = rows.start;
-        while r < rows.end {
-            let (p, first) = (r / self.page_rows, r % self.page_rows);
-            let take = (self.page_rows - first).min(rows.end - r);
-            let page = &self.pages[seq.pages[p]].as_slice()[first * self.cols..];
-            for src in page.chunks_exact(self.cols).take(take) {
-                data.extend_from_slice(&src[c0..c0 + width]);
-            }
-            r += take;
+        PageRuns {
+            pool: self,
+            seq,
+            next: rows.start,
+            end: rows.end,
         }
-        Mat::from_vec(rows.len(), width, data).expect("block table covers the sequence's rows")
-    }
-
-    /// Copies all of `seq`'s rows into a dense `rows × cols` matrix.
-    pub fn to_mat(&self, seq: &KvSeq) -> Mat<T> {
-        self.gather_panel(seq, 0..seq.rows, 0, self.cols)
     }
 
     /// Rows that every sequence in `seqs` holds in the same storage: the
@@ -391,9 +425,43 @@ impl<T: Copy + Default> KvPool<T> {
     }
 }
 
+/// Iterator of [`KvPool::page_runs`].
+#[derive(Debug, Clone)]
+pub struct PageRuns<'a, T: Copy + Default> {
+    pool: &'a KvPool<T>,
+    seq: &'a KvSeq,
+    next: usize,
+    end: usize,
+}
+
+impl<'a, T: Copy + Default> Iterator for PageRuns<'a, T> {
+    type Item = (usize, &'a [T]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let r = self.next;
+        if r >= self.end {
+            return None;
+        }
+        let pr = self.pool.page_rows;
+        let (p, first) = (r / pr, r % pr);
+        let take = (pr - first).min(self.end - r);
+        let cols = self.pool.cols;
+        let data = &self.pool.pages[self.seq.pages[p]].data()[first * cols..(first + take) * cols];
+        self.next = r + take;
+        Some((r, data))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All of `seq`'s rows, read through [`KvPool::page_runs`].
+    fn rows_of<T: Copy + Default>(pool: &KvPool<T>, seq: &KvSeq) -> Vec<T> {
+        pool.page_runs(seq, 0..seq.rows())
+            .flat_map(|(_, run)| run.iter().copied())
+            .collect()
+    }
 
     fn fill(pool: &mut KvPool<i8>, seq: &mut KvSeq, n: usize, base: i8) {
         for i in 0..n {
@@ -416,25 +484,54 @@ mod tests {
     }
 
     #[test]
-    fn gather_panel_matches_flat_submatrix() {
+    fn page_runs_read_rows_in_place() {
         let mut pool = KvPool::<i8>::new(3, 8);
         let mut seq = KvSeq::new();
-        let flat = Mat::from_fn(7, 8, |r, c| (r * 8 + c) as i8);
-        for r in 0..7 {
-            pool.push_row(&mut seq, flat.row(r));
+        let flat: Vec<i8> = (0..7 * 8).map(|v| v as i8).collect();
+        for row in flat.chunks(8) {
+            pool.push_row(&mut seq, row);
         }
-        for (c0, w) in [(0usize, 8usize), (2, 4), (6, 2)] {
-            // Whole sequence, a page-aligned tail, a range inside one
-            // page, one straddling two boundaries, and an empty range.
-            for (r0, r1) in [(0usize, 7usize), (3, 7), (4, 5), (2, 7), (5, 5)] {
-                assert_eq!(
-                    pool.gather_panel(&seq, r0..r1, c0, w),
-                    flat.submatrix(r0, c0, r1 - r0, w).unwrap(),
-                    "rows {r0}..{r1}, cols {c0}+{w}"
+        // Whole sequence, a page-aligned tail, a range inside one page,
+        // one straddling two boundaries, and an empty range.
+        for (r0, r1) in [(0usize, 7usize), (3, 7), (4, 5), (2, 7), (5, 5)] {
+            let runs: Vec<(usize, &[i8])> = pool.page_runs(&seq, r0..r1).collect();
+            let mut at = r0;
+            for &(start, run) in &runs {
+                assert_eq!(start, at, "runs tile the range in order");
+                let n = run.len() / 8;
+                assert!(
+                    n > 0 && start / 3 == (start + n - 1) / 3,
+                    "one page per run"
                 );
+                assert!(
+                    start % 3 == 0 || start == r0,
+                    "a run starts a page or the range"
+                );
+                at += n;
+            }
+            assert_eq!(at, r1);
+            let read: Vec<i8> = runs
+                .iter()
+                .flat_map(|(_, run)| run.iter().copied())
+                .collect();
+            assert_eq!(read, flat[r0 * 8..r1 * 8], "rows {r0}..{r1}");
+        }
+        assert_eq!(rows_of(&pool, &seq), flat);
+    }
+
+    #[test]
+    fn pages_start_on_a_cache_line() {
+        let mut pool = KvPool::<i8>::new(4, 64);
+        let mut seq = KvSeq::new();
+        for i in 0..9 {
+            pool.push_row(&mut seq, &[i as i8; 64]);
+        }
+        let cloned = pool.clone();
+        for p in [&pool, &cloned] {
+            for (_, run) in p.page_runs(&seq, 0..9) {
+                assert_eq!(run.as_ptr() as usize % LINE, 0);
             }
         }
-        assert_eq!(pool.to_mat(&seq), flat);
     }
 
     #[test]
@@ -511,7 +608,7 @@ mod tests {
         assert_eq!(a.page_ids()[..2], b.page_ids()[..2]);
         assert_ne!(a.page_ids()[2], b.page_ids()[2]);
         assert_eq!(pool.page_ref(a.page_ids()[0]), 2);
-        assert_eq!(pool.to_mat(&a), pool.to_mat(&b));
+        assert_eq!(rows_of(&pool, &a), rows_of(&pool, &b));
     }
 
     #[test]
@@ -522,7 +619,7 @@ mod tests {
         let used = pool.pages_in_use();
         let b = pool.fork(&a);
         assert_eq!(pool.pages_in_use(), used);
-        assert_eq!(pool.to_mat(&a), pool.to_mat(&b));
+        assert_eq!(rows_of(&pool, &a), rows_of(&pool, &b));
     }
 
     #[test]
@@ -531,9 +628,9 @@ mod tests {
         let mut a = KvSeq::new();
         fill(&mut pool, &mut a, 10, 1);
         let mut b = pool.fork(&a);
-        let snap_a = pool.to_mat(&a);
+        let snap_a = rows_of(&pool, &a);
         fill(&mut pool, &mut b, 3, 100); // grows b's private tail
-        assert_eq!(pool.to_mat(&a), snap_a);
+        assert_eq!(rows_of(&pool, &a), snap_a);
         assert_eq!(b.rows(), 13);
         assert_eq!(pool.row(&b, 10), &[100, 100]);
     }
@@ -547,10 +644,10 @@ mod tests {
         assert_eq!(pool.page_ref(a.page_ids()[1]), 2);
         // Roll b back below the page boundary, into the shared page...
         pool.truncate(&mut b, 6);
-        let snap_a = pool.to_mat(&a);
+        let snap_a = rows_of(&pool, &a);
         // ...then re-push: the shared page must be copied, not mutated.
         fill(&mut pool, &mut b, 2, 50);
-        assert_eq!(pool.to_mat(&a), snap_a, "write leaked through fork");
+        assert_eq!(rows_of(&pool, &a), snap_a, "write leaked through fork");
         assert_eq!(pool.row(&b, 5), &[6, 6]);
         assert_eq!(pool.row(&b, 6), &[50, 50]);
         assert_eq!(pool.page_ref(a.page_ids()[1]), 1);

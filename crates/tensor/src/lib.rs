@@ -35,6 +35,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 pub mod envcfg;
 mod error;
 pub mod gemm;
@@ -44,6 +45,7 @@ mod mat;
 pub mod norm;
 pub mod ops;
 pub mod par;
+pub mod phase;
 pub mod prepack;
 pub mod simd;
 

@@ -29,7 +29,10 @@
 //!   four packed tiles at once to keep independent accumulator chains
 //!   busy;
 //! * [`band_nt_i8q`] — the `a * b^T` kernel (attention scores), reading
-//!   `b`'s rows directly with 64-byte `vpdpbusd` strides.
+//!   `b`'s rows directly with 64-byte `vpdpbusd` strides;
+//! * [`attn_scores_i8`] / [`attn_pv_i8`] — cached attention's all-head
+//!   block kernels, scoring and summing a block of K / V cache rows read
+//!   in place (a KV page-run) for every head and query row at once.
 //!
 //! `vpdpbusd`'s first operand is **unsigned**, so activations are fed
 //! as `a + 128` (prepared once per GEMM by
@@ -107,9 +110,11 @@
 //! `x86` submodule (and the safe wrappers' calls into it) and to
 //! [`crate::par`] (the scoped-lifetime extension and the affinity
 //! syscall); the rest of the crate remains `#![deny(unsafe_code)]`-
-//! clean. In `x86`: the seven `#[target_feature]` VNNI/AVX-512 kernels
-//! and their two lane helpers (raw-pointer loads inside lengths the
-//! callers derive from the slices they pass), the `f32` band kernel with
+//! clean. In `x86`: the ten `#[target_feature]` VNNI/AVX-512 kernels
+//! and their five lane helpers (raw-pointer loads inside lengths the
+//! callers derive from the slices they pass, or — for the attention
+//! block kernels — inside the grid `attn_block_shape` asserts on every
+//! call), the `f32` band kernel with
 //! its two register-block helpers (bounds `assert!`ed in the safe
 //! [`band_f32`] wrapper on every call), and in `x86::amx` the
 //! probe (`xgetbv`, the `arch_prctl` syscall), six one-instruction
@@ -498,12 +503,11 @@ pub(crate) fn pack_quads_t_into(bt: &crate::Mat<i8>, quads: &mut [i8], colsum: &
 /// Per-head dot products of one activation row against one cache row:
 /// `out[i] = sum_j q[i*d_k + j] * krow[i*d_k + j]` for each head `i`.
 ///
-/// This is the score kernel of the fused decode-attention drain: instead
-/// of gathering per-head K panels and dispatching one `1 x ctx` GEMV per
-/// head, the caller walks the cache rows once and computes every head's
-/// score for that row in a single pass. Integer accumulation is exact
-/// and order-independent, so the result is bit-identical to the per-head
-/// GEMV path regardless of dispatch.
+/// The per-row score kernel the decode drain used before attention moved
+/// to [`attn_scores_i8`] (which scores a whole block of cache rows per
+/// call); kept as that kernel's reference and as a benchmark probe.
+/// Integer accumulation is exact and order-independent, so the result is
+/// bit-identical to the per-head GEMV path regardless of dispatch.
 pub fn head_dots_i8(q: &[i8], krow: &[i8], d_k: usize, out: &mut [i32]) {
     assert_eq!(q.len(), krow.len(), "row widths must match");
     assert_eq!(out.len() * d_k, q.len(), "heads * d_k must cover the row");
@@ -530,9 +534,9 @@ pub fn head_dots_i8(q: &[i8], krow: &[i8], d_k: usize, out: &mut [i32]) {
 
 /// Probability-weighted accumulation `acc[j] += p * v[j]`.
 ///
-/// The P*V kernel of the fused decode-attention drain: each cache V row
-/// is folded into the per-head accumulators as soon as it is visited, so
-/// no per-head V panel is ever materialised. `|p * v| <= 127 * 127`
+/// The per-row `P·V` kernel the decode drain used before attention moved
+/// to [`attn_pv_i8`]; kept as that kernel's reference and as a benchmark
+/// probe. `|p * v| <= 127 * 127`
 /// fits `i16` exactly and the adds are plain `i32`, so SIMD and scalar
 /// are bit-identical. `p == 0` (common after the hardware softmax
 /// floors small probabilities) is skipped outright — adding zero is a
@@ -558,6 +562,180 @@ pub fn scaled_add_i8(acc: &mut [i32], v: &[i8], p: i8) {
     }
 }
 
+/// Checks the shapes of an all-head attention block and returns
+/// `(m, n, h)`: `m` query rows of `a` (`m × d`), `n` cache rows of `b`
+/// (`n × d`), `h = d / d_k` heads; asserts that a `[head][row][t]` grid
+/// with strides `(head_stride, row_stride)` over `n` columns fits in
+/// `len` elements.
+fn attn_block_shape(
+    a: usize,
+    b: usize,
+    d: usize,
+    d_k: usize,
+    len: usize,
+    strides: (usize, usize),
+) -> (usize, usize, usize) {
+    assert!(
+        d > 0 && d_k > 0 && d.is_multiple_of(d_k),
+        "d_k must divide d"
+    );
+    assert!(
+        a.is_multiple_of(d) && b.is_multiple_of(d),
+        "rows must be d wide"
+    );
+    let (m, n, h) = (a / d, b / d, d / d_k);
+    if m > 0 && n > 0 {
+        let last = (h - 1) * strides.0 + (m - 1) * strides.1 + n;
+        assert!(
+            last <= len,
+            "[head][row][t] grid needs {last} elements, has {len}"
+        );
+    }
+    (m, n, h)
+}
+
+/// Attention scores of `m` query rows against a block of `n` cache rows,
+/// every head at once: `out[i * head_stride + j * row_stride + t] =
+/// Σ_c q[j][i·d_k + c] · k[t][i·d_k + c]` for head `i`, query row `j` and
+/// cache row `t`. `q` is `m × d` and `k` is `n × d`, both row-major, so
+/// `k` can be a page-resident run of a KV cache read in place (`d` is the
+/// cache width, `d_k` the head width).
+///
+/// The VNNI tier (for `d_k = 64`) loads a 16-row block of each head's
+/// keys once, transposes it so each lane holds one cache row, and then
+/// scores every query row against it with 16 `vpdpbusd` — one score per
+/// lane, no horizontal reduction, the block reused across the query rows.
+/// Keys enter as `k + 128` (unsigned) and `128 · Σ q` is subtracted per
+/// query row and head. Integer sums are exact in any order, so every tier
+/// is bit-identical to the per-head `matmul_i8_nt` and to
+/// [`head_dots_i8`].
+///
+/// # Panics
+///
+/// Panics if `d_k` does not divide `d`, `q` or `k` is not a whole number
+/// of rows, or the output grid does not fit in `out`.
+pub fn attn_scores_i8(
+    q: &[i8],
+    k: &[i8],
+    d: usize,
+    d_k: usize,
+    out: &mut [i32],
+    head_stride: usize,
+    row_stride: usize,
+) {
+    let (m, n, h) = attn_block_shape(
+        q.len(),
+        k.len(),
+        d,
+        d_k,
+        out.len(),
+        (head_stride, row_stride),
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_enabled() && d_k == 64 {
+            // SAFETY: `simd_enabled` implies VNNI was detected at run
+            // time; `attn_block_shape` checked every index the kernel
+            // forms.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::attn_scores_vnni(q, k, d, out, head_stride, row_stride);
+            }
+            return;
+        }
+    }
+    for j in 0..m {
+        let qj = &q[j * d..(j + 1) * d];
+        for t in 0..n {
+            let kt = &k[t * d..(t + 1) * d];
+            for i in 0..h {
+                let c = i * d_k..(i + 1) * d_k;
+                let dot = qj[c.clone()]
+                    .iter()
+                    .zip(&kt[c])
+                    .map(|(&a, &b)| i32::from(a) * i32::from(b))
+                    .sum();
+                out[i * head_stride + j * row_stride + t] = dot;
+            }
+        }
+    }
+}
+
+/// Probability-weighted sums of a block of `n` cache rows into `m`
+/// accumulator rows, every head at once: `acc[j][c] += Σ_t p[i·head_stride
+/// + j·row_stride + t] · v[t][c]` where `i = c / d_k` is column `c`'s head.
+/// `v` is `n × d` row-major (a page-resident run of a V cache read in
+/// place) and `acc` is `m × d`.
+///
+/// The VNNI tier (for `d_k = 64`) byte-interleaves four cache rows at a
+/// time so each `i32` lane holds one column's four values, and adds them
+/// with one `vpdpbusd` per 16 columns against the broadcast quad of the
+/// four rows' probabilities — a 16-row block interleaved once and reused
+/// across the accumulator rows. `vpdpbusd` reads probabilities as
+/// unsigned bytes, which softmax codes (`0..=127`) are; a block row
+/// holding a negative code is summed by a scalar loop instead. A block
+/// row whose probabilities are all zero — most of a long context, once
+/// the hardware softmax floors small probabilities — is skipped. Integer sums are exact in
+/// any order, so every tier is bit-identical to the per-head
+/// `matmul_i8` and to [`scaled_add_i8`].
+///
+/// # Panics
+///
+/// As [`attn_scores_i8`], with `acc` for `q` and `v` for `k`.
+pub fn attn_pv_i8(
+    p: &[i8],
+    head_stride: usize,
+    row_stride: usize,
+    v: &[i8],
+    d: usize,
+    d_k: usize,
+    acc: &mut [i32],
+) {
+    let (m, n, h) = attn_block_shape(
+        acc.len(),
+        v.len(),
+        d,
+        d_k,
+        p.len(),
+        (head_stride, row_stride),
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_enabled() && d_k == 64 {
+            // SAFETY: `simd_enabled` implies VNNI was detected at run
+            // time; `attn_block_shape` checked every index the kernel
+            // forms.
+            #[allow(unsafe_code)]
+            unsafe {
+                x86::attn_pv_vnni(p, head_stride, row_stride, v, d, acc);
+            }
+            return;
+        }
+    }
+    for j in 0..m {
+        let aj = &mut acc[j * d..(j + 1) * d];
+        for t in 0..n {
+            let vt = &v[t * d..(t + 1) * d];
+            for i in 0..h {
+                let w = i32::from(p[i * head_stride + j * row_stride + t]);
+                if w == 0 {
+                    continue;
+                }
+                let c = i * d_k..(i + 1) * d_k;
+                for (a, &x) in aj[c.clone()].iter_mut().zip(&vt[c]) {
+                    *a += w * i32::from(x);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::gemm::{KQ, MR, NR};
@@ -566,12 +744,13 @@ mod x86 {
         __m512, __m512i, _mm256_loadu_si256, _mm512_add_epi32, _mm512_add_ps,
         _mm512_castsi512_si256, _mm512_cvtepi16_epi32, _mm512_cvtepi8_epi16, _mm512_dpbusd_epi32,
         _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64, _mm512_loadu_ps, _mm512_loadu_si512,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi8, _mm512_mul_ps, _mm512_mullo_epi16,
-        _mm512_reduce_add_epi32, _mm512_set1_epi16, _mm512_set1_epi32, _mm512_set1_epi8,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_shuffle_i32x4,
-        _mm512_slli_epi32, _mm512_storeu_si512, _mm512_sub_epi32, _mm512_unpackhi_epi16,
-        _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpackhi_epi8, _mm512_unpacklo_epi16,
-        _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_unpacklo_epi8,
+        _mm512_mask_storeu_epi32, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi8, _mm512_mul_ps,
+        _mm512_mullo_epi16, _mm512_reduce_add_epi32, _mm512_set1_epi16, _mm512_set1_epi32,
+        _mm512_set1_epi8, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
+        _mm512_shuffle_i32x4, _mm512_slli_epi32, _mm512_storeu_si512, _mm512_sub_epi32,
+        _mm512_unpackhi_epi16, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpackhi_epi8,
+        _mm512_unpacklo_epi16, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_unpacklo_epi8,
+        _mm512_xor_si512,
     };
 
     /// Signed per-head dot products via `vpdpwssd`: both operands are
@@ -631,6 +810,328 @@ mod x86 {
         }
         for t in j..n {
             acc[t] += i32::from(p) * i32::from(v[t]);
+        }
+    }
+
+    /// The four-row byte interleave of a 64-column block: `z[w]` lane `c`
+    /// holds `(r0, r1, r2, r3)[16 w + c]` as one `i32` — each 16-column
+    /// group in natural order, the operand `vpdpbusd` sums four rows of.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/BW.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn interleave4(r0: __m512i, r1: __m512i, r2: __m512i, r3: __m512i) -> [__m512i; 4] {
+        // Per 128-bit lane L: interleave the four rows' bytes into
+        // [col][row] quad order.
+        let t01l = _mm512_unpacklo_epi8(r0, r1);
+        let t01h = _mm512_unpackhi_epi8(r0, r1);
+        let t23l = _mm512_unpacklo_epi8(r2, r3);
+        let t23h = _mm512_unpackhi_epi8(r2, r3);
+        let u0 = _mm512_unpacklo_epi16(t01l, t23l); // columns 0-3 of each lane
+        let u1 = _mm512_unpackhi_epi16(t01l, t23l); // 4-7
+        let u2 = _mm512_unpacklo_epi16(t01h, t23h); // 8-11
+        let u3 = _mm512_unpackhi_epi16(t01h, t23h); // 12-15
+                                                    // Gather each lane's four 128-bit pieces into one vector.
+        let w01l = _mm512_shuffle_i32x4::<0x44>(u0, u1);
+        let w23l = _mm512_shuffle_i32x4::<0x44>(u2, u3);
+        let w01h = _mm512_shuffle_i32x4::<0xee>(u0, u1);
+        let w23h = _mm512_shuffle_i32x4::<0xee>(u2, u3);
+        [
+            _mm512_shuffle_i32x4::<0x88>(w01l, w23l),
+            _mm512_shuffle_i32x4::<0xdd>(w01l, w23l),
+            _mm512_shuffle_i32x4::<0x88>(w01h, w23h),
+            _mm512_shuffle_i32x4::<0xdd>(w01h, w23h),
+        ]
+    }
+
+    /// The classic four-stage 16x16 `u32` transpose (`unpack
+    /// epi32/epi64`, then two `shuffle_i32x4` rounds): `out[j]` lane `l`
+    /// is dword `j` of `r[l]`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn transpose16(r: &[__m512i; 16]) -> [__m512i; 16] {
+        let mut s = [_mm512_setzero_si512(); 16];
+        for i in 0..8 {
+            s[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
+            s[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+        }
+        let mut u = [_mm512_setzero_si512(); 16];
+        for gp in 0..4 {
+            u[4 * gp] = _mm512_unpacklo_epi64(s[4 * gp], s[4 * gp + 2]);
+            u[4 * gp + 1] = _mm512_unpackhi_epi64(s[4 * gp], s[4 * gp + 2]);
+            u[4 * gp + 2] = _mm512_unpacklo_epi64(s[4 * gp + 1], s[4 * gp + 3]);
+            u[4 * gp + 3] = _mm512_unpackhi_epi64(s[4 * gp + 1], s[4 * gp + 3]);
+        }
+        let mut out = [_mm512_setzero_si512(); 16];
+        for c in 0..4 {
+            let p0 = _mm512_shuffle_i32x4::<0x88>(u[c], u[4 + c]);
+            let p1 = _mm512_shuffle_i32x4::<0xdd>(u[c], u[4 + c]);
+            let q0 = _mm512_shuffle_i32x4::<0x88>(u[8 + c], u[12 + c]);
+            let q1 = _mm512_shuffle_i32x4::<0xdd>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_i32x4::<0x88>(p0, q0);
+            out[c + 8] = _mm512_shuffle_i32x4::<0xdd>(p0, q0);
+            out[c + 4] = _mm512_shuffle_i32x4::<0x88>(p1, q1);
+            out[c + 12] = _mm512_shuffle_i32x4::<0xdd>(p1, q1);
+        }
+        out
+    }
+
+    /// Query rows whose `128 · Σ q` compensations one pass keeps.
+    const QCHUNK: usize = 32;
+
+    /// VNNI body of [`super::attn_scores_i8`] for `d_k = 64`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/BW/VNNI; the wrapper has checked the shapes
+    /// and that the output grid fits in `out`.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) unsafe fn attn_scores_vnni(
+        q: &[i8],
+        k: &[i8],
+        d: usize,
+        out: &mut [i32],
+        head_stride: usize,
+        row_stride: usize,
+    ) {
+        const DK: usize = 64;
+        let (m, n) = (q.len() / d, k.len() / d);
+        if m == 1 {
+            attn_scores_row_vnni(q, k, d, out, head_stride);
+            return;
+        }
+        let flip = _mm512_set1_epi8(i8::MIN);
+        let ones = _mm512_set1_epi8(1);
+        let zero = _mm512_setzero_si512();
+        for c0 in (0..d).step_by(DK) {
+            let head = c0 / DK;
+            for j0 in (0..m).step_by(QCHUNK) {
+                let jn = QCHUNK.min(m - j0);
+                // `k + 128` adds `128 · Σ q` to every score of a row.
+                let mut comp = [0i32; QCHUNK];
+                for (jj, cv) in comp[..jn].iter_mut().enumerate() {
+                    let qrow = _mm512_loadu_si512(q.as_ptr().add((j0 + jj) * d + c0).cast());
+                    *cv = 128 * _mm512_reduce_add_epi32(_mm512_dpbusd_epi32(zero, ones, qrow));
+                }
+                for t0 in (0..n).step_by(16) {
+                    let nb = 16.min(n - t0);
+                    let mut r = [zero; 16];
+                    for (l, rv) in r.iter_mut().enumerate().take(nb) {
+                        let row = k.as_ptr().add((t0 + l) * d + c0);
+                        *rv = _mm512_xor_si512(_mm512_loadu_si512(row.cast()), flip);
+                    }
+                    // kt[q] lane l: key bytes 4q..4q+4 of cache row t0 + l.
+                    let kt = transpose16(&r);
+                    let mask = (u32::MAX >> (32 - nb)) as u16;
+                    for (jj, &cv) in comp[..jn].iter().enumerate() {
+                        let qp = q.as_ptr().add((j0 + jj) * d + c0).cast::<i32>();
+                        let mut a0 = zero;
+                        let mut a1 = zero;
+                        for qd in (0..16).step_by(2) {
+                            let b0 = _mm512_set1_epi32(qp.add(qd).read_unaligned());
+                            let b1 = _mm512_set1_epi32(qp.add(qd + 1).read_unaligned());
+                            a0 = _mm512_dpbusd_epi32(a0, kt[qd], b0);
+                            a1 = _mm512_dpbusd_epi32(a1, kt[qd + 1], b1);
+                        }
+                        let dots =
+                            _mm512_sub_epi32(_mm512_add_epi32(a0, a1), _mm512_set1_epi32(cv));
+                        let dst = out
+                            .as_mut_ptr()
+                            .add(head * head_stride + (j0 + jj) * row_stride + t0);
+                        _mm512_mask_storeu_epi32(dst.cast(), mask, dots);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lane sums of 16 vectors: lane `j` of the result is the sum of
+    /// `v[j]`'s 16 lanes (a transpose-and-add tree, 30 shuffles for 16
+    /// reductions).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lane_sums16(v: &[__m512i; 16]) -> __m512i {
+        // Per 128-bit lane: [a02, b02, a13, b13] for each pair (a, b).
+        let mut w = [_mm512_setzero_si512(); 8];
+        for (i, wv) in w.iter_mut().enumerate() {
+            let (a, b) = (v[2 * i], v[2 * i + 1]);
+            *wv = _mm512_add_epi32(_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b));
+        }
+        // Per 128-bit lane: that quarter's sums of four vectors.
+        let mut x = [_mm512_setzero_si512(); 4];
+        for (i, xv) in x.iter_mut().enumerate() {
+            let (a, b) = (w[2 * i], w[2 * i + 1]);
+            *xv = _mm512_add_epi32(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b));
+        }
+        // Fold the four quarters.
+        let fold = |a: __m512i, b: __m512i| {
+            _mm512_add_epi32(
+                _mm512_shuffle_i32x4::<0x88>(a, b),
+                _mm512_shuffle_i32x4::<0xdd>(a, b),
+            )
+        };
+        fold(fold(x[0], x[1]), fold(x[2], x[3]))
+    }
+
+    /// The one-query-row case of [`attn_scores_vnni`]: no block is
+    /// reused, so instead of transposing keys it takes each key row's
+    /// head segment against the query's in one `vpdpbusd` and reduces 16
+    /// rows' lanes at once ([`lane_sums16`]). The `128 · Σ q`
+    /// compensations of up to 16 heads come out of one more reduction.
+    ///
+    /// # Safety
+    ///
+    /// As [`attn_scores_vnni`], with one query row.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    unsafe fn attn_scores_row_vnni(
+        q: &[i8],
+        k: &[i8],
+        d: usize,
+        out: &mut [i32],
+        head_stride: usize,
+    ) {
+        const DK: usize = 64;
+        let (n, heads) = (k.len() / d, d / DK);
+        let flip = _mm512_set1_epi8(i8::MIN);
+        let ones = _mm512_set1_epi8(1);
+        let zero = _mm512_setzero_si512();
+        for h0 in (0..heads).step_by(16) {
+            let hn = 16.min(heads - h0);
+            let mut sums = [zero; 16];
+            for (i, sv) in sums.iter_mut().enumerate().take(hn) {
+                let qv = _mm512_loadu_si512(q.as_ptr().add((h0 + i) * DK).cast());
+                *sv = _mm512_dpbusd_epi32(zero, ones, qv);
+            }
+            // `k + 128` adds `128 · Σ q` to every score of a head.
+            let mut comps = [0i32; 16];
+            let comp_v = _mm512_slli_epi32(lane_sums16(&sums), 7);
+            _mm512_storeu_si512(comps.as_mut_ptr().cast(), comp_v);
+            for (i, &comp) in comps.iter().enumerate().take(hn) {
+                let (head, c0) = (h0 + i, (h0 + i) * DK);
+                let qv = _mm512_loadu_si512(q.as_ptr().add(c0).cast());
+                let comp = _mm512_set1_epi32(comp);
+                for t0 in (0..n).step_by(16) {
+                    let nb = 16.min(n - t0);
+                    let mut dots = [zero; 16];
+                    for (l, dv) in dots.iter_mut().enumerate().take(nb) {
+                        let row = k.as_ptr().add((t0 + l) * d + c0);
+                        let ku = _mm512_xor_si512(_mm512_loadu_si512(row.cast()), flip);
+                        *dv = _mm512_dpbusd_epi32(zero, ku, qv);
+                    }
+                    let scores = _mm512_sub_epi32(lane_sums16(&dots), comp);
+                    let mask = (u32::MAX >> (32 - nb)) as u16;
+                    let dst = out.as_mut_ptr().add(head * head_stride + t0);
+                    _mm512_mask_storeu_epi32(dst.cast(), mask, scores);
+                }
+            }
+        }
+    }
+
+    /// VNNI body of [`super::attn_pv_i8`] for `d_k = 64`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/BW/VNNI; the wrapper has checked the shapes
+    /// and that the probability grid fits in `p`.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) unsafe fn attn_pv_vnni(
+        p: &[i8],
+        head_stride: usize,
+        row_stride: usize,
+        v: &[i8],
+        d: usize,
+        acc: &mut [i32],
+    ) {
+        const DK: usize = 64;
+        let (m, n) = (acc.len() / d, v.len() / d);
+        let zero = _mm512_setzero_si512();
+        for c0 in (0..d).step_by(DK) {
+            let head = c0 / DK;
+            for t0 in (0..n).step_by(16) {
+                let nb = 16.min(n - t0);
+                // Row `j`'s 16 probabilities of this block (zero past it),
+                // and the copy they are read from.
+                let mut pb = [0u8; 16];
+                let mut probs = |j: usize| -> (*const u8, u128) {
+                    let src = p.as_ptr().add(head * head_stride + j * row_stride + t0);
+                    let at = if nb == 16 {
+                        src.cast::<u8>()
+                    } else {
+                        std::ptr::copy_nonoverlapping(src.cast::<u8>(), pb.as_mut_ptr(), nb);
+                        pb.as_ptr()
+                    };
+                    (at, at.cast::<u128>().read_unaligned())
+                };
+                // The hardware softmax floors small probabilities to code
+                // 0, and a zero row adds nothing: skip it, and the whole
+                // block when every row is zero.
+                if (0..m).all(|j| probs(j).1 == 0) {
+                    continue;
+                }
+                // z[4 qd + w]: rows t0 + 4 qd .. + 4, columns c0 + 16 w ..
+                let mut z = [zero; 16];
+                for qd in 0..nb.div_ceil(4) {
+                    let mut r = [zero; 4];
+                    for (u, rv) in r.iter_mut().enumerate() {
+                        let t = t0 + 4 * qd + u;
+                        if t < n {
+                            *rv = _mm512_loadu_si512(v.as_ptr().add(t * d + c0).cast());
+                        }
+                    }
+                    let w4 = interleave4(r[0], r[1], r[2], r[3]);
+                    z[4 * qd..4 * qd + 4].copy_from_slice(&w4);
+                }
+                for j in 0..m {
+                    let (quads, bits) = probs(j);
+                    if bits == 0 {
+                        continue;
+                    }
+                    let a = acc.as_mut_ptr().add(j * d + c0);
+                    if bits & u128::from_le_bytes([0x80; 16]) != 0 {
+                        // A negative code is no probability and no `u8`:
+                        // sum this row's block exactly, one row at a time.
+                        for (tt, &w) in bits.to_le_bytes()[..nb].iter().enumerate() {
+                            let vrow = v.as_ptr().add((t0 + tt) * d + c0);
+                            for c in 0..DK {
+                                *a.add(c) += i32::from(w as i8) * i32::from(*vrow.add(c));
+                            }
+                        }
+                        continue;
+                    }
+                    let quads = quads.cast::<i32>();
+                    let mut s = [
+                        _mm512_loadu_si512(a.cast()),
+                        _mm512_loadu_si512(a.add(16).cast()),
+                        _mm512_loadu_si512(a.add(32).cast()),
+                        _mm512_loadu_si512(a.add(48).cast()),
+                    ];
+                    for qd in 0..nb.div_ceil(4) {
+                        let pq = _mm512_set1_epi32(quads.add(qd).read_unaligned());
+                        for (w, sv) in s.iter_mut().enumerate() {
+                            *sv = _mm512_dpbusd_epi32(*sv, pq, z[4 * qd + w]);
+                        }
+                    }
+                    for (w, &sv) in s.iter().enumerate() {
+                        _mm512_storeu_si512(a.add(16 * w).cast(), sv);
+                    }
+                }
+            }
         }
     }
 
@@ -1026,27 +1527,8 @@ mod x86 {
                 let r1 = _mm512_loadu_si512(b.row(q * KQ + 1).as_ptr().add(j0).cast());
                 let r2 = _mm512_loadu_si512(b.row(q * KQ + 2).as_ptr().add(j0).cast());
                 let r3 = _mm512_loadu_si512(b.row(q * KQ + 3).as_ptr().add(j0).cast());
-                // Per 128-bit lane L (tile t0 + L): interleave the four
-                // rows' bytes into [col][row] quad order.
-                let t01l = _mm512_unpacklo_epi8(r0, r1);
-                let t01h = _mm512_unpackhi_epi8(r0, r1);
-                let t23l = _mm512_unpacklo_epi8(r2, r3);
-                let t23h = _mm512_unpackhi_epi8(r2, r3);
-                let u0 = _mm512_unpacklo_epi16(t01l, t23l); // lanes 0-3 of each tile
-                let u1 = _mm512_unpackhi_epi16(t01l, t23l); // lanes 4-7
-                let u2 = _mm512_unpacklo_epi16(t01h, t23h); // lanes 8-11
-                let u3 = _mm512_unpackhi_epi16(t01h, t23h); // lanes 12-15
-                                                            // Gather each tile's four 128-bit pieces into one vector.
-                let w01l = _mm512_shuffle_i32x4::<0x44>(u0, u1);
-                let w23l = _mm512_shuffle_i32x4::<0x44>(u2, u3);
-                let w01h = _mm512_shuffle_i32x4::<0xee>(u0, u1);
-                let w23h = _mm512_shuffle_i32x4::<0xee>(u2, u3);
-                let z = [
-                    _mm512_shuffle_i32x4::<0x88>(w01l, w23l),
-                    _mm512_shuffle_i32x4::<0xdd>(w01l, w23l),
-                    _mm512_shuffle_i32x4::<0x88>(w01h, w23h),
-                    _mm512_shuffle_i32x4::<0xdd>(w01h, w23h),
-                ];
+                // Tile t0 + l is vector l: its 16 lanes' quads.
+                let z = interleave4(r0, r1, r2, r3);
                 for (l, &zv) in z.iter().enumerate() {
                     let dst = quads.as_mut_ptr().add((t0 + l) * tile_len + q * NR * KQ);
                     _mm512_storeu_si512(dst.cast(), zv);
@@ -1107,30 +1589,8 @@ mod x86 {
                 for (l, rv) in r.iter_mut().enumerate() {
                     *rv = _mm512_loadu_si512(bt.row(j0 + l).as_ptr().add(off).cast());
                 }
-                // 16x16 u32 transpose: rows l -> columns (quads).
-                let mut s = [_mm512_setzero_si512(); 16];
-                for i in 0..8 {
-                    s[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
-                    s[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
-                }
-                let mut u = [_mm512_setzero_si512(); 16];
-                for gp in 0..4 {
-                    u[4 * gp] = _mm512_unpacklo_epi64(s[4 * gp], s[4 * gp + 2]);
-                    u[4 * gp + 1] = _mm512_unpackhi_epi64(s[4 * gp], s[4 * gp + 2]);
-                    u[4 * gp + 2] = _mm512_unpacklo_epi64(s[4 * gp + 1], s[4 * gp + 3]);
-                    u[4 * gp + 3] = _mm512_unpackhi_epi64(s[4 * gp + 1], s[4 * gp + 3]);
-                }
-                let mut out = [_mm512_setzero_si512(); 16];
-                for c in 0..4 {
-                    let p0 = _mm512_shuffle_i32x4::<0x88>(u[c], u[4 + c]);
-                    let p1 = _mm512_shuffle_i32x4::<0xdd>(u[c], u[4 + c]);
-                    let q0 = _mm512_shuffle_i32x4::<0x88>(u[8 + c], u[12 + c]);
-                    let q1 = _mm512_shuffle_i32x4::<0xdd>(u[8 + c], u[12 + c]);
-                    out[c] = _mm512_shuffle_i32x4::<0x88>(p0, q0);
-                    out[c + 8] = _mm512_shuffle_i32x4::<0xdd>(p0, q0);
-                    out[c + 4] = _mm512_shuffle_i32x4::<0x88>(p1, q1);
-                    out[c + 12] = _mm512_shuffle_i32x4::<0xdd>(p1, q1);
-                }
+                // Rows l -> columns (quads).
+                let out = transpose16(&r);
                 for (j, &ov) in out.iter().enumerate() {
                     let dst = quads.as_mut_ptr().add(tbase + (blk * NR + j) * NR * KQ);
                     _mm512_storeu_si512(dst.cast(), ov);
@@ -1883,6 +2343,90 @@ mod tests {
                 .map(|(&a, &x)| a + i32::from(p) * i32::from(x))
                 .collect();
             assert_eq!(got, want, "len={len} p={p}");
+        }
+    }
+
+    /// Reference grid: every head's score / `P·V` term per the drain
+    /// kernels [`head_dots_i8`] / [`scaled_add_i8`], one row at a time.
+    fn attn_reference(q: &[i8], k: &[i8], p: &[i8], d: usize, d_k: usize) -> (Vec<i32>, Vec<i32>) {
+        let (m, n, h) = (q.len() / d, k.len() / d, d / d_k);
+        let mut scores = vec![0i32; h * m * n];
+        let mut acc = vec![0i32; m * d];
+        let mut col = vec![0i32; h];
+        for j in 0..m {
+            for t in 0..n {
+                head_dots_i8(
+                    &q[j * d..(j + 1) * d],
+                    &k[t * d..(t + 1) * d],
+                    d_k,
+                    &mut col,
+                );
+                for (i, &sc) in col.iter().enumerate() {
+                    scores[(i * m + j) * n + t] = sc;
+                }
+                for i in 0..h {
+                    let c = j * d + i * d_k..j * d + (i + 1) * d_k;
+                    let w = p[(i * m + j) * n + t];
+                    scaled_add_i8(&mut acc[c], &k[t * d + i * d_k..t * d + (i + 1) * d_k], w);
+                }
+            }
+        }
+        (scores, acc)
+    }
+
+    #[test]
+    fn attention_blocks_match_the_drain_kernels_in_every_tier() {
+        let _guard = override_lock();
+        // d_k = 64 takes the VNNI tier where the host has it; 16 and 96
+        // always run the scalar loops. Block heights straddle the
+        // 16-row key block and the 4-row value quad; query counts
+        // straddle the 32-row compensation chunk.
+        for (d, d_k, m, n, seed) in [
+            (512usize, 64usize, 1usize, 16usize, 11u64),
+            (512, 64, 3, 17, 12),
+            (128, 64, 40, 5, 13),
+            (256, 64, 33, 64, 14),
+            (64, 16, 2, 7, 15),
+            (192, 96, 2, 3, 16),
+        ] {
+            let h = d / d_k;
+            let q = i8_stream(seed, m * d);
+            let k = i8_stream(seed + 50, n * d);
+            // Softmax codes are 0..=127.
+            let p: Vec<i8> = i8_stream(seed + 90, h * m * n)
+                .iter()
+                .map(|&x| x & 0x7f)
+                .collect();
+            let (want_s, want_acc) = attn_reference(&q, &k, &p, d, d_k);
+            for simd in [Some(false), None] {
+                set_simd_override(simd);
+                let mut scores = vec![i32::MIN; h * m * n];
+                attn_scores_i8(&q, &k, d, d_k, &mut scores, m * n, n);
+                assert_eq!(scores, want_s, "scores d={d} m={m} n={n} simd={simd:?}");
+                let mut acc = vec![0i32; m * d];
+                attn_pv_i8(&p, m * n, n, &k, d, d_k, &mut acc);
+                assert_eq!(acc, want_acc, "P·V d={d} m={m} n={n} simd={simd:?}");
+                // Mostly-zero probabilities, as a long context's softmax
+                // leaves them: whole zero block rows are skipped.
+                let sparse: Vec<i8> = p
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| if i % 23 == 0 { x } else { 0 })
+                    .collect();
+                let (_, want_sparse) = attn_reference(&q, &k, &sparse, d, d_k);
+                let mut acc = vec![0i32; m * d];
+                attn_pv_i8(&sparse, m * n, n, &k, d, d_k, &mut acc);
+                assert_eq!(acc, want_sparse, "sparse P·V d={d} m={m} n={n}");
+                // A negative code is outside the unsigned tier's domain
+                // and still sums exactly.
+                let mut neg = p.clone();
+                neg[0] = -5;
+                let (_, want_neg) = attn_reference(&q, &k, &neg, d, d_k);
+                let mut acc = vec![0i32; m * d];
+                attn_pv_i8(&neg, m * n, n, &k, d, d_k, &mut acc);
+                assert_eq!(acc, want_neg, "negative code d={d} m={m} n={n}");
+            }
+            set_simd_override(None);
         }
     }
 }

@@ -14,7 +14,11 @@
 //!   flat no-sharing shadow maintained in plain `Vec`s, so a page
 //!   recycled while still referenced — or mutated while shared — would
 //!   be caught immediately),
-//! * `gather_panel` stays bit-identical to slicing the flat shadow.
+//! * `page_runs` tiles any row range exactly, in order, one page per
+//!   run, reading back the flat shadow's bytes in place — and a run
+//!   starts on a 64-byte cache line whenever rows are whole lines,
+//! * `bytes_in_use` stays whole resident pages, exactly (the serving
+//!   layer's `kv_peak_bytes` is built on it).
 
 use std::collections::HashMap;
 
@@ -66,8 +70,10 @@ proptest! {
     #[test]
     fn random_schedules_never_leak_or_alias(
         page_rows in 1usize..=7,
-        cols in 1usize..=6,
+        // Mostly narrow rows; one draw in eight is a whole cache line.
+        cols in (0usize..8).prop_map(|c| if c == 7 { 64 } else { c + 1 }),
         ops in proptest::collection::vec(op_strategy(4), 1..120),
+        cut in 0usize..1000,
     ) {
         let n_seqs = 4;
         let mut pool: KvPool<i8> = KvPool::new(page_rows, cols);
@@ -134,17 +140,37 @@ proptest! {
                     prop_assert_eq!(pool.row(s, r), &want[..], "seq {} row {}", si, r);
                 }
             }
-        }
 
-        // gather_panel over the full width matches flat slicing.
-        for (s, sh) in seqs.iter().zip(&shadow) {
-            if sh.is_empty() {
-                continue;
+            // Page runs over the whole sequence and over a suffix (the
+            // private rows past a shared prefix): they tile the range in
+            // order, stay inside one page each, end only at a page end
+            // or the range end, and read the shadow's bytes in place.
+            for (s, sh) in seqs.iter().zip(&shadow) {
+                for r0 in [0, cut % (sh.len() + 1)] {
+                    let mut at = r0;
+                    for (start, run) in pool.page_runs(s, r0..sh.len()) {
+                        prop_assert_eq!(start, at);
+                        prop_assert_eq!(run.len() % cols, 0);
+                        let n = run.len() / cols;
+                        prop_assert!(n > 0);
+                        prop_assert_eq!(start / page_rows, (start + n - 1) / page_rows);
+                        let ends_page = (start + n) % page_rows == 0;
+                        prop_assert!(ends_page || start + n == sh.len());
+                        if cols % 64 == 0 {
+                            prop_assert_eq!(run.as_ptr() as usize % 64, 0);
+                        }
+                        for (j, row) in run.chunks(cols).enumerate() {
+                            prop_assert_eq!(row, &sh[start + j][..]);
+                        }
+                        at += n;
+                    }
+                    prop_assert_eq!(at, sh.len());
+                }
             }
-            let panel = pool.gather_panel(s, 0..sh.len(), 0, cols);
-            for (r, want) in sh.iter().enumerate() {
-                prop_assert_eq!(panel.row(r), &want[..]);
-            }
+            prop_assert_eq!(
+                pool.bytes_in_use(),
+                pool.pages_in_use() * page_rows * cols
+            );
         }
 
         // Releasing everything returns the pool to zero resident bytes
