@@ -611,12 +611,58 @@ struct CohortJob<'j, 'c> {
     causal: bool,
 }
 
-/// A group's first row in `q`, and its rows of the `P` output.
-type GroupRows<'p> = (usize, &'p mut [i8]);
+/// Rows of one group that one task attends: `out.len() / d_model` query
+/// rows starting at row `r0` of `q`, the last of which attends `ctx`
+/// rows of group `g`'s caches, and their rows of the `P` output.
+struct Piece<'p> {
+    g: usize,
+    r0: usize,
+    ctx: usize,
+    out: &'p mut [i8],
+}
+
+impl Piece<'_> {
+    /// Splits off the first `k` rows. With `causal` those rows attend
+    /// `ctx - (rows - k)` rows at most, so the first part's `ctx` is
+    /// that: row `j` keeps its legal prefix `0 ..= ctx - rows + j`.
+    fn split_at(self, k: usize, d: usize, causal: bool) -> (Self, Self) {
+        let rows = self.out.len() / d;
+        let (head, tail) = self.out.split_at_mut(k * d);
+        let ctx = if causal {
+            self.ctx - (rows - k)
+        } else {
+            self.ctx
+        };
+        (
+            Piece {
+                g: self.g,
+                r0: self.r0,
+                ctx,
+                out: head,
+            },
+            Piece {
+                g: self.g,
+                r0: self.r0 + k,
+                ctx: self.ctx,
+                out: tail,
+            },
+        )
+    }
+}
+
+/// One task of [`CohortJob::run`]: a cohort's `shared` rows and some of
+/// its members' rows.
+type Task<'p> = (usize, Mutex<Vec<Piece<'p>>>);
 
 impl CohortJob<'_, '_> {
-    /// The `P` codes of every row under the cohort plan `cohorts`, one
-    /// cohort per task ([`CohortJob::attend`]).
+    /// The `P` codes of every row under the cohort plan `cohorts`.
+    ///
+    /// Each cohort is one task ([`CohortJob::attend`]) unless it holds
+    /// more than its share of the call's rows — `rows / workers`, rounded
+    /// up — and then its stacked rows are cut into tasks of at most that
+    /// many, each attending the shared rows itself. At one worker
+    /// nothing is cut. So a lone cohort of forks, or a lone prefill
+    /// chunk, still spreads over every worker.
     ///
     /// Bit-identical to every group attending its whole cache alone: a
     /// score is the same exact `i32` dot product whichever kernel call
@@ -625,10 +671,11 @@ impl CohortJob<'_, '_> {
     /// and private parts — exact, since probability codes lie in `0..=127`, so
     /// `|Σ| ≤ 127 · 128 · ctx` stays below `2³¹` for any context under
     /// 132,000 rows; and the same [`QuantMhaResBlock::requantize_p_into`]
-    /// drains it. The prefix-length softmax masks a chunk's future rows
-    /// whatever the split, so the cap on `shared` ([`attention_cohorts`])
-    /// is asserted here as the plan's contract rather than relied on for
-    /// the masking.
+    /// drains it. Every row is independent of the others, so how the
+    /// rows are cut into tasks changes no bit. The prefix-length softmax
+    /// masks a chunk's future rows whatever the split, so the cap on
+    /// `shared` ([`attention_cohorts`]) is asserted here as the plan's
+    /// contract rather than relied on for the masking.
     fn run(&self, cohorts: &[Cohort]) -> Mat<i8> {
         let (groups, d) = (self.groups, self.q.cols());
         for cohort in cohorts {
@@ -641,45 +688,63 @@ impl CohortJob<'_, '_> {
             }
         }
         let mut p = Mat::zeros(self.q.rows(), d);
-        // Each group's output rows, handed to the cohort that computes them.
-        let mut outs: Vec<Option<GroupRows<'_>>> = Vec::with_capacity(groups.len());
+        // Each group's rows as one piece, handed to its cohort's tasks.
+        let mut pieces: Vec<Option<Piece<'_>>> = Vec::with_capacity(groups.len());
         let mut rest = p.as_mut_slice();
         let mut r0 = 0;
-        for &rows in groups {
-            let (mine, tail) = rest.split_at_mut(rows * d);
-            outs.push(Some((r0, mine)));
+        for (g, &rows) in groups.iter().enumerate() {
+            let (out, tail) = rest.split_at_mut(rows * d);
+            pieces.push(Some(Piece {
+                g,
+                r0,
+                ctx: self.keys[g].rows(),
+                out,
+            }));
             rest = tail;
             r0 += rows;
         }
-        let tasks: Vec<(&Cohort, Mutex<Vec<GroupRows<'_>>>)> = cohorts
-            .iter()
-            .map(|c| {
-                let mine = c
-                    .members
-                    .iter()
-                    .map(|&g| outs[g].take().expect("one cohort per group"));
-                (c, Mutex::new(mine.collect()))
-            })
-            .collect();
-        tensor::par::par_map(&tasks, |(cohort, out)| {
-            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
-            SCRATCH.with(|s| self.attend(cohort, &mut out, &mut s.borrow_mut()));
+        let cap = self.q.rows().div_ceil(tensor::par::threads()).max(1);
+        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(cohorts.len());
+        for cohort in cohorts {
+            let mut task = Vec::new();
+            let mut room = cap;
+            for &g in &cohort.members {
+                let mut piece = pieces[g].take().expect("one cohort per group");
+                while piece.out.len() / d > room {
+                    if room > 0 {
+                        let (head, tail) = piece.split_at(room, d, self.causal);
+                        task.push(head);
+                        piece = tail;
+                    }
+                    tasks.push((cohort.shared, Mutex::new(std::mem::take(&mut task))));
+                    room = cap;
+                }
+                room -= piece.out.len() / d;
+                task.push(piece);
+            }
+            if !task.is_empty() {
+                tasks.push((cohort.shared, Mutex::new(task)));
+            }
+        }
+        tensor::par::par_map(&tasks, |(shared, task)| {
+            let mut task = task.lock().unwrap_or_else(|e| e.into_inner());
+            SCRATCH.with(|s| self.attend(*shared, &mut task, &mut s.borrow_mut()));
         });
         p
     }
 
-    /// One cohort's attention, reading every K and V row where it lives.
-    /// `out` holds each member's `(first row in q, P rows)`, in member
-    /// order.
+    /// One task's attention, reading every K and V row where it lives:
+    /// the first `shared` rows of the caches every piece's group begins
+    /// with, and each piece's own rows `shared .. ctx`.
     ///
-    /// The members' rows are stacked (`m` rows; one group's are already
+    /// The pieces' rows are stacked (`m` rows; one piece's are already
     /// contiguous in `q`) and scored, softmaxed and summed in one
     /// `[head][stacked row][cache row]` grid whose row stride is the
-    /// longest member context:
+    /// longest piece context:
     ///
     /// 1. shared scores — every stacked row against the cohort's shared
     ///    K rows, one [`tensor::simd::attn_scores_i8`] per page-run;
-    /// 2. private scores — each member's rows against its own rows
+    /// 2. private scores — each piece's rows against its own rows
     ///    `shared .. ctx`, the same kernel over its page-runs;
     /// 3. softmax once per assembled row over its legal prefix (with
     ///    `causal`, chunk row `j` attends `0 ..= ctx - rows + j`; the
@@ -687,18 +752,16 @@ impl CohortJob<'_, '_> {
     ///    chunk bit-identical to its rows fed one at a time);
     /// 4. shared `P·V` — every stacked row over the shared V rows, one
     ///    [`tensor::simd::attn_pv_i8`] per page-run — and private `P·V`
-    ///    over each member's own rows;
+    ///    over each piece's own rows;
     /// 5. the `P` requantize drain.
     ///
     /// A decode row is the `m = 1`, `shared = 0` case of the same walk.
-    fn attend(&self, cohort: &Cohort, out: &mut [GroupRows<'_>], s: &mut AttnScratch) {
-        let (block, groups, keys, vals) = (self.block, self.groups, self.keys, self.vals);
+    fn attend(&self, shared: usize, pieces: &mut [Piece<'_>], s: &mut AttnScratch) {
+        let (block, keys, vals) = (self.block, self.keys, self.vals);
         let (h, d_k) = (block.heads(), block.d_k());
         let d = self.q.cols();
-        let members = &cohort.members;
-        let shared = cohort.shared;
-        let m: usize = members.iter().map(|&g| groups[g]).sum();
-        let stride = members.iter().map(|&g| keys[g].rows()).max().unwrap_or(0);
+        let m: usize = pieces.iter().map(|pc| pc.out.len() / d).sum();
+        let stride = pieces.iter().map(|pc| pc.ctx).max().unwrap_or(0);
         let hs = m * stride;
         let AttnScratch {
             q: qbuf,
@@ -707,12 +770,12 @@ impl CohortJob<'_, '_> {
             acc,
             softmax,
         } = s;
-        let qs: &[i8] = match &out[..] {
-            [(r0, _)] => &self.q.as_slice()[r0 * d..(r0 + m) * d],
+        let qs: &[i8] = match &pieces[..] {
+            [pc] => &self.q.as_slice()[pc.r0 * d..(pc.r0 + m) * d],
             _ => {
                 let qs = scratch(qbuf, m * d);
                 let mut at = 0;
-                for (r0, rows) in out.iter().map(|(r0, o)| (*r0, o.len() / d)) {
+                for (r0, rows) in pieces.iter().map(|pc| (pc.r0, pc.out.len() / d)) {
                     qs[at..at + rows * d]
                         .copy_from_slice(&self.q.as_slice()[r0 * d..(r0 + rows) * d]);
                     at += rows * d;
@@ -724,18 +787,18 @@ impl CohortJob<'_, '_> {
         let probs = scratch(probs, h * hs);
         let acc = scratch(acc, m * d);
         acc.fill(0);
-        // Each member's (group, stacked first row, rows, context).
+        // Each piece's (group, stacked first row, rows, context).
         let placed = || {
-            members.iter().scan(0usize, |s0, &g| {
-                let at = *s0;
-                *s0 += groups[g];
-                Some((g, at, groups[g], keys[g].rows()))
+            pieces.iter().scan(0usize, move |s0, pc| {
+                let (at, rows) = (*s0, pc.out.len() / d);
+                *s0 += rows;
+                Some((pc.g, at, rows, pc.ctx))
             })
         };
         let mut clock = phase::phases();
         if shared > 0 {
             clock.enter(Phase::SharedScores);
-            keys[members[0]].for_each_run(0..shared, |t0, run| {
+            keys[pieces[0].g].for_each_run(0..shared, |t0, run| {
                 simd::attn_scores_i8(qs, run, d, d_k, &mut scores[t0..], hs, stride);
             });
         }
@@ -762,7 +825,7 @@ impl CohortJob<'_, '_> {
         }
         if shared > 0 {
             clock.enter(Phase::SharedPv);
-            vals[members[0]].for_each_run(0..shared, |t0, run| {
+            vals[pieces[0].g].for_each_run(0..shared, |t0, run| {
                 simd::attn_pv_i8(&probs[t0..], hs, stride, run, d, d_k, acc);
             });
         }
@@ -776,8 +839,8 @@ impl CohortJob<'_, '_> {
         }
         clock.enter(Phase::PRequant);
         let mut at = 0;
-        for (_, rows_out) in out.iter_mut() {
-            for row in rows_out.chunks_exact_mut(d) {
+        for pc in pieces.iter_mut() {
+            for row in pc.out.chunks_exact_mut(d) {
                 block.requantize_p_into(&acc[at..at + d], row);
                 at += d;
             }

@@ -534,7 +534,7 @@ pub struct ContinuousBatcher<'m> {
     /// [`EngineConfig::prefix_cache_bytes`]).
     prefix: PrefixIndex,
     /// Step phase recorder; `None` until
-    /// [`ContinuousBatcher::record_phases`] first switches it on.
+    /// [`ContinuousBatcher::record_phases`] switches it on.
     phases: Option<Arc<PhaseRecorder>>,
 }
 
@@ -663,15 +663,12 @@ impl<'m> ContinuousBatcher<'m> {
         self.stats
     }
 
-    /// Switches the step phase recorder (`tensor::phase`) on or off.
-    /// The first switch-on allocates its span ring; totals survive
-    /// switching off. Recording never changes a step's output.
-    pub fn record_phases(&mut self, on: bool) {
-        match &self.phases {
-            Some(rec) => rec.set_enabled(on),
-            None if on => self.phases = Some(Arc::new(PhaseRecorder::new())),
-            None => {}
-        }
+    /// Switches the step phase recorder (`tensor::phase`) on for every
+    /// later step; a second call keeps the recorder and its totals.
+    /// Recording never changes a step's output.
+    pub fn record_phases(&mut self) {
+        self.phases
+            .get_or_insert_with(|| Arc::new(PhaseRecorder::new()));
     }
 
     /// The phase recorder, once [`ContinuousBatcher::record_phases`]

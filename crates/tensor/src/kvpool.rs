@@ -15,9 +15,7 @@
 //! `Mat` would hold, in the same order, contiguously (`page_rows × cols`,
 //! row-major). [`KvPool::page_runs`] walks a row range of a sequence as
 //! maximal page-resident *runs* — borrowed slices, one per page touched —
-//! so attention reads K and V where they live, with no copy. Page storage
-//! starts on a 64-byte cache line, so with `cols` a multiple of 64 bytes
-//! every row (and every 64-byte head block of it) is line-aligned.
+//! so attention reads K and V where they live, with no copy.
 //!
 //! **Sharing:** pages are reference-counted, so a sequence can be
 //! [`KvPool::fork`]ed in O(pages) without copying KV bytes: full pages
@@ -42,6 +40,8 @@
 //! matrix so page-boundary paths are exercised on every change.
 
 use std::ops::Range;
+
+use crate::Mat;
 
 /// Default page height (rows per page) when `ACCEL_KV_PAGE` is unset.
 pub const DEFAULT_PAGE_ROWS: usize = 16;
@@ -95,58 +95,14 @@ impl KvSeq {
     }
 }
 
-/// Cache-line size page storage is aligned to.
-const LINE: usize = 64;
-
-/// One page's `page_rows × cols` storage, starting on a cache line (the
-/// allocation is over-sized by up to a line and `off` skips to the first
-/// boundary).
-#[derive(Debug)]
-struct Page<T> {
-    buf: Vec<T>,
-    off: usize,
-    len: usize,
-}
-
-impl<T: Copy + Default> Page<T> {
-    fn zeroed(len: usize) -> Self {
-        let pad = LINE.div_ceil(std::mem::size_of::<T>().max(1));
-        let buf = vec![T::default(); len + pad];
-        // `align_offset` may decline (odd element sizes): then the page
-        // is merely unaligned, never wrong.
-        let off = match buf.as_ptr().align_offset(LINE) {
-            o if o <= pad => o,
-            _ => 0,
-        };
-        Self { buf, off, len }
-    }
-
-    fn data(&self) -> &[T] {
-        &self.buf[self.off..self.off + self.len]
-    }
-
-    fn data_mut(&mut self) -> &mut [T] {
-        &mut self.buf[self.off..self.off + self.len]
-    }
-}
-
-impl<T: Copy + Default> Clone for Page<T> {
-    fn clone(&self) -> Self {
-        // A cloned `Vec` lands wherever the allocator puts it: re-align.
-        let mut page = Self::zeroed(self.len);
-        page.data_mut().copy_from_slice(self.data());
-        page
-    }
-}
-
 /// A shared pool of fixed-size `page_rows × cols` pages with free-list
 /// recycling. One pool serves every session and layer of a model side
 /// (all caches share `cols = d_model`).
 #[derive(Debug, Clone)]
-pub struct KvPool<T: Copy + Default> {
+pub struct KvPool<T> {
     page_rows: usize,
     cols: usize,
-    pages: Vec<Page<T>>,
+    pages: Vec<Mat<T>>,
     /// Per-page reference count, parallel to `pages`. `0` means the
     /// page sits on the free list; forking a sequence bumps the count
     /// of every shared page.
@@ -232,7 +188,7 @@ impl<T: Copy + Default> KvPool<T> {
                 "KV pool exhausted: {max} pages allocated and none free"
             );
         }
-        self.pages.push(Page::zeroed(self.page_rows * self.cols));
+        self.pages.push(Mat::zeros(self.page_rows, self.cols));
         self.refs.push(1);
         self.pages.len() - 1
     }
@@ -281,8 +237,7 @@ impl<T: Copy + Default> KvPool<T> {
         let p = seq.rows / self.page_rows;
         let r = seq.rows % self.page_rows;
         let page = self.ensure_exclusive(seq, p, r);
-        let cols = self.cols;
-        self.pages[page].data_mut()[r * cols..(r + 1) * cols].copy_from_slice(row);
+        self.pages[page].row_mut(r).copy_from_slice(row);
         seq.rows += 1;
     }
 
@@ -296,7 +251,7 @@ impl<T: Copy + Default> KvPool<T> {
             let (lo, hi) = self.pages.split_at_mut(src);
             (&hi[0], &mut lo[dst])
         };
-        dst.data_mut()[..n].copy_from_slice(&src.data()[..n]);
+        dst.as_mut_slice()[..n].copy_from_slice(&src.as_slice()[..n]);
     }
 
     /// Forks `seq`: the returned sequence sees exactly the same logical
@@ -334,8 +289,7 @@ impl<T: Copy + Default> KvPool<T> {
     /// Panics if `r >= seq.rows()`.
     pub fn row<'a>(&'a self, seq: &KvSeq, r: usize) -> &'a [T] {
         assert!(r < seq.rows, "row {r} out of bounds ({})", seq.rows);
-        let first = (r % self.page_rows) * self.cols;
-        &self.pages[seq.pages[r / self.page_rows]].data()[first..first + self.cols]
+        self.pages[seq.pages[r / self.page_rows]].row(r % self.page_rows)
     }
 
     /// Walks `seq`'s logical rows `rows` as page-resident runs: each item
@@ -427,14 +381,14 @@ impl<T: Copy + Default> KvPool<T> {
 
 /// Iterator of [`KvPool::page_runs`].
 #[derive(Debug, Clone)]
-pub struct PageRuns<'a, T: Copy + Default> {
+pub struct PageRuns<'a, T> {
     pool: &'a KvPool<T>,
     seq: &'a KvSeq,
     next: usize,
     end: usize,
 }
 
-impl<'a, T: Copy + Default> Iterator for PageRuns<'a, T> {
+impl<'a, T> Iterator for PageRuns<'a, T> {
     type Item = (usize, &'a [T]);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -446,7 +400,8 @@ impl<'a, T: Copy + Default> Iterator for PageRuns<'a, T> {
         let (p, first) = (r / pr, r % pr);
         let take = (pr - first).min(self.end - r);
         let cols = self.pool.cols;
-        let data = &self.pool.pages[self.seq.pages[p]].data()[first * cols..(first + take) * cols];
+        let data =
+            &self.pool.pages[self.seq.pages[p]].as_slice()[first * cols..(first + take) * cols];
         self.next = r + take;
         Some((r, data))
     }
@@ -517,21 +472,6 @@ mod tests {
             assert_eq!(read, flat[r0 * 8..r1 * 8], "rows {r0}..{r1}");
         }
         assert_eq!(rows_of(&pool, &seq), flat);
-    }
-
-    #[test]
-    fn pages_start_on_a_cache_line() {
-        let mut pool = KvPool::<i8>::new(4, 64);
-        let mut seq = KvSeq::new();
-        for i in 0..9 {
-            pool.push_row(&mut seq, &[i as i8; 64]);
-        }
-        let cloned = pool.clone();
-        for p in [&pool, &cloned] {
-            for (_, run) in p.page_runs(&seq, 0..9) {
-                assert_eq!(run.as_ptr() as usize % LINE, 0);
-            }
-        }
     }
 
     #[test]

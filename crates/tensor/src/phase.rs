@@ -2,13 +2,13 @@
 //!
 //! A [`PhaseRecorder`] keeps a fixed ring of `(phase, start, end)`
 //! [`Span`]s plus per-step-kind totals. It is owned by whoever runs the
-//! steps (the serving engine), switched on through a method there, and
-//! reached by the code inside a step through this thread's *active*
-//! recorder ([`PhaseRecorder::activate`]): a kernel site opens a
-//! [`span`] (or a [`phases`] cursor) and the guard records on drop.
-//! Nothing allocates on the hot path: the ring is sized when recording
-//! is switched on, and each thread's pending-span buffer when it first
-//! activates a recorder.
+//! steps (the serving engine, which creates one when recording is
+//! switched on there), and reached by the code inside a step through
+//! this thread's *active* recorder ([`PhaseRecorder::activate`]): a
+//! kernel site opens a [`span`] (or a [`phases`] cursor) and the guard
+//! records on drop. Nothing allocates on the hot path: the ring is sized
+//! when the recorder is created, and each thread's pending-span buffer
+//! when it first activates a recorder.
 //!
 //! **Cost.** With no recorder active, [`span`] is one thread-local read;
 //! with one active it adds one relaxed load of the step's sampling flag.
@@ -175,7 +175,7 @@ const RING_SPANS: usize = 4096;
 #[derive(Debug)]
 struct State {
     ring: Vec<Span>,
-    /// Steps opened while switched on (recorded or not).
+    /// Steps opened (recorded or not).
     seen: u64,
     /// Next ring slot to write (the ring is full once it wraps).
     next: usize,
@@ -194,8 +194,6 @@ pub const SAMPLE_EVERY: u64 = 4;
 /// docs.
 #[derive(Debug)]
 pub struct PhaseRecorder {
-    /// The owner's switch.
-    on: AtomicBool,
     /// Whether the open step is one the recorder samples: the one gate
     /// a span checks.
     live: AtomicBool,
@@ -257,6 +255,15 @@ fn open_level() -> Option<bool> {
     })
 }
 
+/// Queues a closed span, handing the buffer over once it holds a
+/// ring's worth (so it never grows past its reserved size).
+fn queue(local: &mut Local, span: Span) {
+    local.pending.push(span);
+    if local.pending.len() >= RING_SPANS {
+        flush_pending(local);
+    }
+}
+
 /// Closes one level, queueing `span` when it was the outermost.
 #[inline]
 fn close_level(span: Option<Span>) {
@@ -264,19 +271,15 @@ fn close_level(span: Option<Span>) {
         let mut l = l.borrow_mut();
         l.depth = l.depth.saturating_sub(1);
         if let Some(span) = span {
-            l.pending.push(span);
-            if l.pending.len() >= RING_SPANS {
-                flush_pending(&mut l);
-            }
+            queue(&mut l, span);
         }
     });
 }
 
 impl PhaseRecorder {
-    /// A recorder, switched on, with its ring allocated.
+    /// A recorder with its ring allocated.
     pub fn new() -> Self {
         Self {
-            on: AtomicBool::new(true),
             live: AtomicBool::new(false),
             state: Mutex::new(State {
                 ring: Vec::with_capacity(RING_SPANS),
@@ -287,16 +290,6 @@ impl PhaseRecorder {
                 totals: [StepTotals::default(); 3],
             }),
         }
-    }
-
-    /// Switches recording on or off; totals are kept.
-    pub fn set_enabled(&self, on: bool) {
-        self.on.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether spans are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.on.load(Ordering::Relaxed)
     }
 
     /// Makes this recorder the calling thread's active one until the
@@ -326,9 +319,6 @@ impl PhaseRecorder {
     /// Opens a step: phase time recorded from now on belongs to it, if
     /// it is one of the [`SAMPLE_EVERY`] the recorder samples.
     pub fn begin_step(&self) {
-        if !self.enabled() {
-            return;
-        }
         self.flush_mine();
         let mut s = self.lock();
         let sampled = s.seen.is_multiple_of(SAMPLE_EVERY);
@@ -423,14 +413,15 @@ impl Drop for Activation {
 #[must_use = "a span measures until it is dropped"]
 pub struct SpanGuard {
     phase: Phase,
-    /// Set when this thread had an enabled recorder at open time; holds
+    /// Set when this thread's recorder was sampling at open time; holds
     /// the start when the span is the outermost.
     open: Option<Option<Instant>>,
 }
 
 /// Opens a span of `phase` on this thread's active recorder. Inert (one
-/// thread-local read, one relaxed load) when no recorder is active or it
-/// is switched off; a span opened inside another reads no clock.
+/// thread-local read, one relaxed load) when no recorder is active or
+/// the open step is not sampled; a span opened inside another reads no
+/// clock.
 #[inline]
 pub fn span(phase: Phase) -> SpanGuard {
     SpanGuard {
@@ -460,7 +451,7 @@ impl Drop for SpanGuard {
 #[derive(Debug)]
 #[must_use = "a cursor measures until it is dropped"]
 pub struct Phases {
-    /// Set when this thread had an enabled recorder at creation; whether
+    /// Set when this thread's recorder was sampling at creation; whether
     /// the cursor is outermost.
     on: Option<bool>,
     open: Option<(Phase, Instant)>,
@@ -484,7 +475,7 @@ impl Phases {
         }
         let now = Instant::now();
         if let Some(span) = self.close(now) {
-            LOCAL.with(|l| l.borrow_mut().pending.push(span));
+            LOCAL.with(|l| queue(&mut l.borrow_mut(), span));
         }
         self.open = Some((phase, now));
     }
@@ -543,19 +534,20 @@ mod tests {
     }
 
     #[test]
-    fn switched_off_records_nothing_and_ring_wraps() {
+    fn the_ring_wraps_and_pending_buffers_never_grow() {
         let rec = Arc::new(PhaseRecorder::new());
         let _active = rec.activate();
-        rec.set_enabled(false);
-        rec.begin_step();
-        drop(span(Phase::KvPush));
-        rec.end_step(Some(StepKind::Decode));
-        assert!(rec.spans().is_empty());
-        rec.set_enabled(true);
+        let reserved = LOCAL.with(|l| l.borrow().pending.capacity());
         rec.begin_step();
         for _ in 0..RING_SPANS + 5 {
             drop(span(Phase::KvPush));
         }
+        let mut cursor = phases();
+        for _ in 0..RING_SPANS + 5 {
+            cursor.enter(Phase::Softmax);
+        }
+        drop(cursor);
+        assert_eq!(LOCAL.with(|l| l.borrow().pending.capacity()), reserved);
         rec.end_step(Some(StepKind::Decode));
         assert_eq!(rec.spans().len(), RING_SPANS);
     }

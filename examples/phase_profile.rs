@@ -19,10 +19,11 @@
 //! the median ratio of a recorded decode step's time to the unrecorded
 //! one after it, and that cost amortised over the steps. Runs at one
 //! worker thread, as the benchmark does, so every phase executes on the
-//! stepping thread.
+//! stepping thread; `--threads N` runs at `N` workers instead (work the
+//! pool's other workers do then reads as unaccounted).
 //!
 //! ```text
-//! cargo run --release --example phase_profile [-- --requests 96] [-- --overhead]
+//! cargo run --release --example phase_profile [-- --requests 96] [-- --threads 2] [-- --overhead]
 //! ```
 
 use std::time::{Duration, Instant};
@@ -204,14 +205,16 @@ fn print_totals(kind: StepKind, t: &StepTotals) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let requests = args
-        .iter()
-        .position(|a| a == "--requests")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96usize);
+    let value = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+            .and_then(|v| v.parse::<usize>().ok())
+    };
+    let requests = value("--requests").unwrap_or(96);
+    let threads = value("--threads").unwrap_or(1);
     let overhead = args.iter().any(|a| a == "--overhead");
-    transformer_accel::tensor::par::set_thread_override(Some(1));
+    transformer_accel::tensor::par::set_thread_override(Some(threads));
 
     let cfg = base6l();
     let fp32 = Seq2SeqTransformer::new(&cfg, &mut StdRng::seed_from_u64(0x0D00_DE06));
@@ -229,7 +232,7 @@ fn main() {
         println!("decode_c16 decode steps, recorder switched on, adjacent pairs:");
         for run in 0..3 {
             let mut engine = ContinuousBatcher::new(&model, engine_config()).expect("engine");
-            engine.record_phases(true);
+            engine.record_phases();
             let (_, times) = drive(&mut engine, DECODE_C16, cfg.vocab, requests, 0, |_, _| {});
             let mut ratios: Vec<f64> = times
                 .chunks_exact(SAMPLE_EVERY as usize)
@@ -252,7 +255,7 @@ fn main() {
         let mut engine = ContinuousBatcher::new(&model, engine_config()).expect("engine");
         // One untimed pass warms the prefix cache and the allocator.
         drive(&mut engine, shape, cfg.vocab, shape.clients, 0, |_, _| {});
-        engine.record_phases(true);
+        engine.record_phases();
         let (tokens, times) = drive(&mut engine, shape, cfg.vocab, requests, 1 << 20, |_, _| {});
         println!(
             "{}: {requests} requests, {tokens} tokens, {:.0} tok/s",

@@ -17,7 +17,10 @@
 //! heights 1, 3, 16 and 64; partial tail pages; forks rolled back into a
 //! shared page and re-pushed (copy-on-write); flat cross caches of 16–48
 //! rows; cohorts of 2–16 members with shared rows; causal chunks of 1–64
-//! rows; the SIMD tiers on and off, at one and two workers.
+//! rows, alone or cut across workers (a call's rows are cut into
+//! per-worker tasks, mid-chunk and mid-cohort, once a cohort holds more
+//! than its share); the SIMD tiers on and off, at one, two and three
+//! workers.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -36,8 +39,8 @@ use transformer::mha::MhaResBlock;
 /// tests take turns.
 static SETTINGS: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with the SIMD tiers off and as detected, at one and two
-/// workers, restoring the process-wide settings afterwards.
+/// Runs `body` with the SIMD tiers off and as detected, at one, two and
+/// three workers, restoring the process-wide settings afterwards.
 fn each_tier(mut body: impl FnMut(&str)) {
     struct Restore;
     impl Drop for Restore {
@@ -48,7 +51,7 @@ fn each_tier(mut body: impl FnMut(&str)) {
     }
     let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = Restore;
-    for (simd, threads) in [(Some(false), 1), (None, 1), (None, 2)] {
+    for (simd, threads) in [(Some(false), 1), (None, 1), (None, 2), (None, 3)] {
         tensor::simd::set_simd_override(simd);
         tensor::par::set_thread_override(Some(threads));
         body(&format!("simd {simd:?}, {threads} workers"));
@@ -513,4 +516,36 @@ fn scalar_widths_and_fp32_softmax_match_too() {
         let what = format!("d_model {d_model}, {h} heads, {mode:?}");
         check(&block, &x, &groups, &keys, &vals, true, &what);
     }
+}
+
+#[test]
+fn lone_chunks_cut_across_workers_match_the_frozen_segments() {
+    // One group alone in the call: at more than one worker its rows are
+    // cut into tasks, and with `causal` each earlier cut attends a
+    // shorter prefix.
+    let block = block(128, 2, SoftmaxMode::Hardware);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut kp = KvPool::new(16, 128);
+    let mut vp = KvPool::new(16, 128);
+    for (ctx, rows) in [(100usize, 64usize), (64, 64), (37, 5), (2, 2)] {
+        let seq = paged(&mut kp, &mut vp, &kv_rows(&block, &mut rng, ctx));
+        let keys = [CacheRef::paged(&kp, &seq.0)];
+        let vals = [CacheRef::paged(&vp, &seq.1)];
+        let x = tensor::init::uniform_i8(&mut rng, rows, 128);
+        let what = format!("causal chunk of {rows} over {ctx} rows");
+        check(&block, &x, &[rows], &keys, &vals, true, &what);
+    }
+    let cross = kv_rows(&block, &mut rng, 48);
+    let x = tensor::init::uniform_i8(&mut rng, 33, 128);
+    let keys = [CacheRef::flat(&cross.0)];
+    let vals = [CacheRef::flat(&cross.1)];
+    check(
+        &block,
+        &x,
+        &[33],
+        &keys,
+        &vals,
+        false,
+        "33 rows over a flat cache",
+    );
 }
