@@ -64,19 +64,6 @@ pub fn qk_ratio_closed_form(h: usize, s: usize) -> f64 {
     s as f64 / (s as f64 + 256.0 * (h * h) as f64 + 64.0)
 }
 
-/// Trainable-parameter count of one MHA ResBlock (weights + biases +
-/// LayerNorm affine).
-pub fn mha_params(cfg: &ModelConfig) -> u64 {
-    let d = cfg.d_model as u64;
-    4 * (d * d + d) + 2 * d
-}
-
-/// Trainable-parameter count of one FFN ResBlock.
-pub fn ffn_params(cfg: &ModelConfig) -> u64 {
-    let (d, f) = (cfg.d_model as u64, cfg.d_ff as u64);
-    d * f + f + f * d + d + 2 * d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,19 +118,5 @@ mod tests {
         assert_eq!(ffn_macs(&cfg, 64), 2 * 64 * 512 * 2048);
         // lower bound 32,768 cycles on a 64x64 array
         assert_eq!(ffn_macs(&cfg, 64) / (64 * 64), 32_768);
-    }
-
-    #[test]
-    fn parameter_counts_match_vaswani() {
-        let cfg = ModelConfig::transformer_base();
-        // 4 * 512 * 512 weights + biases + layernorm
-        assert_eq!(mha_params(&cfg), 4 * (512 * 512 + 512) + 1024);
-        assert_eq!(
-            ffn_params(&cfg),
-            512 * 2048 + 2048 + 2048 * 512 + 512 + 1024
-        );
-        // FFN holds roughly 2x the MHA parameters (the paper's "most of
-        // the trainable parameters" observation)
-        assert!(ffn_params(&cfg) > 2 * mha_params(&cfg) * 9 / 10);
     }
 }

@@ -35,23 +35,23 @@ pub const LUT_PER_PE: f64 = 420_867.0 / 4096.0;
 /// Flip-flops per PE.
 pub const FF_PER_PE: f64 = 173_110.0 / 4096.0;
 /// LUTs per softmax row lane.
-pub const LUT_PER_SOFTMAX_LANE: f64 = 21_190.0 / 64.0;
+pub(crate) const LUT_PER_SOFTMAX_LANE: f64 = 21_190.0 / 64.0;
 /// Flip-flops per softmax row lane.
-pub const FF_PER_SOFTMAX_LANE: f64 = 32_623.0 / 64.0;
+pub(crate) const FF_PER_SOFTMAX_LANE: f64 = 32_623.0 / 64.0;
 /// LUTs per LayerNorm row lane.
-pub const LUT_PER_LN_LANE: f64 = 10_551.0 / 64.0;
+pub(crate) const LUT_PER_LN_LANE: f64 = 10_551.0 / 64.0;
 /// Flip-flops per LayerNorm row lane.
-pub const FF_PER_LN_LANE: f64 = 5_325.0 / 64.0;
+pub(crate) const FF_PER_LN_LANE: f64 = 5_325.0 / 64.0;
 /// BRAM calibration factor of the LayerNorm buffers (see module docs).
-pub const LN_BRAM_CALIBRATION: f64 = 27.5 / 16.0;
+pub(crate) const LN_BRAM_CALIBRATION: f64 = 27.5 / 16.0;
 /// LUTs of weight-memory addressing per BRAM block.
-pub const LUT_PER_WEIGHT_BRAM: f64 = 3_379.0 / 456.0;
+pub(crate) const LUT_PER_WEIGHT_BRAM: f64 = 3_379.0 / 456.0;
 /// Control/misc LUTs per array row (Top residual at the base point).
-pub const MISC_LUT_PER_ROW: f64 = 15_576.0 / 64.0;
+pub(crate) const MISC_LUT_PER_ROW: f64 = 15_576.0 / 64.0;
 /// Control/misc FFs per array row.
-pub const MISC_FF_PER_ROW: f64 = 6_721.0 / 64.0;
+pub(crate) const MISC_FF_PER_ROW: f64 = 6_721.0 / 64.0;
 /// Control/misc BRAM per array row.
-pub const MISC_BRAM_PER_ROW: f64 = 14.5 / 64.0;
+pub(crate) const MISC_BRAM_PER_ROW: f64 = 14.5 / 64.0;
 
 /// How the PE multipliers are mapped (an ablation the paper resolves
 /// in favour of LUTs — Table II shows 0 DSPs in the SA).
@@ -67,9 +67,9 @@ pub enum PeImpl {
 }
 
 /// LUT shim per DSP-mapped PE (operand mux + valid chaining).
-pub const LUT_PER_DSP_PE: f64 = 12.0;
+pub(crate) const LUT_PER_DSP_PE: f64 = 12.0;
 /// FFs per DSP-mapped PE (pipeline registers outside the DSP).
-pub const FF_PER_DSP_PE: f64 = 10.0;
+pub(crate) const FF_PER_DSP_PE: f64 = 10.0;
 
 /// One row of the utilization report.
 #[derive(Debug, Clone, Serialize)]
@@ -143,7 +143,7 @@ impl AreaModel {
 
     /// Control logic, data-memory addressing and the two banks of `s`
     /// bias/residual adders (the Top-row residual).
-    pub fn misc(&self) -> Resources {
+    pub(crate) fn misc(&self) -> Resources {
         let s = self.cfg.s as f64;
         Resources::new(
             MISC_LUT_PER_ROW * s,
@@ -219,10 +219,10 @@ impl PowerEstimate {
 
 /// Dynamic-power coefficient, calibrated so that the base design at
 /// 200 MHz dissipates the published 13.3 W.
-pub const DYNAMIC_W_PER_LUT_MHZ: f64 = 13.3 / (471_563.0 * 200.0);
+pub(crate) const DYNAMIC_W_PER_LUT_MHZ: f64 = 13.3 / (471_563.0 * 200.0);
 
 /// Published VU13P static power at the paper's operating point.
-pub const STATIC_W: f64 = 3.4;
+pub(crate) const STATIC_W: f64 = 3.4;
 
 /// Energy of one operation lasting `latency_us` at `power_w` total
 /// on-chip power, in microjoules. With the paper's 16.7 W and the MHA

@@ -92,7 +92,7 @@ pub enum BackendProgram {
 
 impl BackendProgram {
     /// Number of top-level operations in the program.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             BackendProgram::Isa(p) => p.len(),
             BackendProgram::Tiled(p) => p.ops.len(),

@@ -170,7 +170,7 @@ pub struct CirculantConfig {
 
 impl CirculantConfig {
     /// The FTRANS-style default: paper model, `b = 8`, 16 lanes.
-    pub fn ftrans_default() -> Self {
+    pub(crate) fn ftrans_default() -> Self {
         Self {
             base: AccelConfig::paper_default(),
             block: 8,
@@ -184,7 +184,7 @@ impl CirculantConfig {
     ///
     /// Panics if `block` is not a power of two ≥ 2, does not divide
     /// `d_model`/`d_ff`, or `lanes == 0`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.base.validate();
         assert!(
             self.block.is_power_of_two() && self.block >= 2,
@@ -265,7 +265,7 @@ pub struct CircFault {
 /// its nearest circulant in the Frobenius sense: kernel
 /// `c[d] = mean_t w[r0+t][c0+(t+d) mod b]` (the mean of each wrapped
 /// diagonal), so that `(x · W_block)_j ≈ (x ⊛ c)_j`.
-pub fn project_block(w: &Mat<f32>, r0: usize, c0: usize, b: usize) -> Vec<f32> {
+pub(crate) fn project_block(w: &Mat<f32>, r0: usize, c0: usize, b: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; b];
     project_block_into(|r, c| w[(r, c)], r0, c0, &mut c);
     c
@@ -290,7 +290,7 @@ fn project_block_into(w: impl Fn(usize, usize) -> f32, r0: usize, c0: usize, ker
 /// # Panics
 ///
 /// Panics if `b` does not divide both dimensions of `w`.
-pub fn project_circulant(w: &Mat<f32>, b: usize) -> Mat<f32> {
+pub(crate) fn project_circulant(w: &Mat<f32>, b: usize) -> Mat<f32> {
     assert_eq!(w.rows() % b, 0, "b must divide rows");
     assert_eq!(w.cols() % b, 0, "b must divide cols");
     let mut out = Mat::zeros(w.rows(), w.cols());

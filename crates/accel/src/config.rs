@@ -94,15 +94,12 @@ impl AccelConfig {
         }
     }
 
-    /// Columns of the systolic array (fixed at 64 = `d_k`).
-    pub const SA_COLS: usize = 64;
-
     /// Validates structural assumptions.
     ///
     /// # Panics
     ///
     /// Panics if the model config is invalid or `s == 0`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.model.validate();
         assert!(self.s > 0, "sequence length must be positive");
     }

@@ -15,9 +15,6 @@ use serde::Serialize;
 use crate::config::AccelConfig;
 use crate::partition::PANEL_COLS;
 
-/// Bits per UltraRAM block (4,096 words × 72 bits).
-pub const URAM_BITS: u64 = 4_096 * 72;
-
 /// URAM blocks available on the paper's VU13P.
 pub const VU13P_URAM: u64 = 1_280;
 
@@ -37,14 +34,14 @@ pub struct BufferSpec {
 
 impl BufferSpec {
     /// Total bits stored.
-    pub fn bits(&self) -> u64 {
+    pub(crate) fn bits(&self) -> u64 {
         self.rows as u64 * self.cols as u64 * self.bits_per_elem
     }
 
     /// URAM blocks needed: the datapath reads one `s`-element column per
     /// cycle, so the buffer is banked `ceil(s·bits/72)` wide; depth then
     /// rides within one block for every Table-I configuration.
-    pub fn uram_blocks(&self) -> u64 {
+    pub(crate) fn uram_blocks(&self) -> u64 {
         let width_bits = self.rows as u64 * self.bits_per_elem;
         let columns = width_bits.div_ceil(72);
         let depth_per_block = 4_096u64;
@@ -54,7 +51,7 @@ impl BufferSpec {
 }
 
 /// The full Fig. 5 buffer inventory for a configuration.
-pub fn buffers(cfg: &AccelConfig) -> Vec<BufferSpec> {
+pub(crate) fn buffers(cfg: &AccelConfig) -> Vec<BufferSpec> {
     let s = cfg.s;
     let d_model = cfg.model.d_model;
     let d_ff = cfg.model.d_ff;

@@ -30,7 +30,7 @@ use crate::systolic::SystolicArray;
 /// timing is a closed form of the operand shape alone. They differ only
 /// in simulation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Fidelity {
+pub(crate) enum Fidelity {
     /// Cycle-by-cycle register-true PE-grid simulation
     /// ([`SystolicArray::simulate`]): `O(cycles · PEs)` per pass. Use
     /// when validating the dataflow itself.
@@ -79,13 +79,6 @@ tensor::counters! {
         /// the *unpipelined* cost; the scheduler's makespan is lower because
         /// consecutive passes overlap through the wavefront skew.
         pub isolated_cycles: Cycle => sum,
-        /// MAC capacity of the PE grids these passes occupied: Σ over passes
-        /// of `pass_cycles × rows × cols` *of the grid that ran the pass*.
-        /// Recorded by [`ArrayEngine`]; zero for hand-modeled stats. This is
-        /// what makes [`EngineStats::array_utilization`] correct for
-        /// rectangular (non-`64×64`) arrays and for stats merged across
-        /// engines of different geometry, where no single `pe_count` exists.
-        pub pe_cycles: u64 => sum,
         /// ABFT tile verifications performed.
         pub abft_checked: usize => sum,
         /// Faults the injector actually landed (in-range plan events).
@@ -96,28 +89,6 @@ tensor::counters! {
         /// Corruptions the golden model saw but the ABFT checksums missed —
         /// the checker's measured escape rate.
         pub faults_escaped: usize => sum,
-    }
-}
-
-impl EngineStats {
-    /// Fraction of the array's multiply-accumulate capacity these passes
-    /// actually used. When the engine recorded per-pass capacity
-    /// ([`EngineStats::pe_cycles`] > 0) this is `macs / pe_cycles`, which
-    /// is exact for rectangular grids and for stats merged across arrays
-    /// of different geometry; `pe_count` is then ignored. For
-    /// hand-modeled stats with no recorded capacity it falls back to the
-    /// historical `macs / (isolated_cycles · pe_count)`, which is only
-    /// meaningful if every pass ran on the same `pe_count`-PE grid.
-    /// Zero when no cycles were recorded.
-    pub fn array_utilization(&self, pe_count: u64) -> f64 {
-        if self.pe_cycles > 0 {
-            return self.macs as f64 / self.pe_cycles as f64;
-        }
-        let cycles = self.isolated_cycles.get();
-        if cycles == 0 || pe_count == 0 {
-            return 0.0;
-        }
-        self.macs as f64 / (cycles as f64 * pe_count as f64)
     }
 }
 
@@ -159,7 +130,7 @@ impl ArrayEngine {
 
     /// Creates an engine around an `s_max × 64` array with an explicit
     /// fidelity mode.
-    pub fn with_fidelity(s_max: usize, fidelity: Fidelity) -> Self {
+    pub(crate) fn with_fidelity(s_max: usize, fidelity: Fidelity) -> Self {
         Self {
             sa: SystolicArray::paper(s_max),
             stats: EngineStats::default(),
@@ -182,39 +153,9 @@ impl ArrayEngine {
         self
     }
 
-    /// Installs or removes the fault plan in place.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.injector = plan.map(Injector::new);
-    }
-
-    /// Sets the per-pass checker mode in place.
-    pub fn set_check_mode(&mut self, check: CheckMode) {
-        self.check = check;
-    }
-
-    /// The active checker mode.
-    pub fn check_mode(&self) -> CheckMode {
-        self.check
-    }
-
-    /// Faults the injector has landed so far (across runs).
-    pub fn injected_faults(&self) -> u64 {
-        self.injector.as_ref().map_or(0, Injector::injected)
-    }
-
     /// Creates a register-true engine (cycle-by-cycle PE simulation).
     pub fn register_true(s_max: usize) -> Self {
         Self::with_fidelity(s_max, Fidelity::RegisterTrue)
-    }
-
-    /// The underlying array geometry.
-    pub fn array(&self) -> &SystolicArray {
-        &self.sa
-    }
-
-    /// The engine's fidelity mode.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
     }
 
     /// One GEMM pass through the PE grid, with bookkeeping. The fault
@@ -230,7 +171,6 @@ impl ArrayEngine {
             self.stats.gemm_passes += 1;
             self.stats.macs += (a.rows() * a.cols() * b.cols()) as u64;
             self.stats.isolated_cycles += sim.total;
-            self.stats.pe_cycles += sim.total.get() * self.sa.pe_count() as u64;
             return sim.out;
         }
         self.checked_pass(a, b)
@@ -284,7 +224,6 @@ impl ArrayEngine {
         self.stats.gemm_passes += 1;
         self.stats.macs += (a.rows() * a.cols() * b.cols()) as u64;
         self.stats.isolated_cycles += sim.total;
-        self.stats.pe_cycles += sim.total.get() * self.sa.pe_count() as u64;
         out
     }
 
@@ -537,8 +476,8 @@ mod tests {
             let (qmha, _, codes) = setup(s);
             let mut fast = ArrayEngine::new(8);
             let mut slow = ArrayEngine::register_true(8);
-            assert_eq!(fast.fidelity(), Fidelity::Analytic);
-            assert_eq!(slow.fidelity(), Fidelity::RegisterTrue);
+            assert_eq!(fast.fidelity, Fidelity::Analytic);
+            assert_eq!(slow.fidelity, Fidelity::RegisterTrue);
             let mask = tensor::ops::causal_mask(s);
             for xq in &codes {
                 let x = xq.submatrix(0, 0, s, xq.cols()).unwrap();
@@ -584,54 +523,6 @@ mod tests {
         );
         let summed: EngineStats = [a, b].into_iter().sum();
         assert_eq!(summed, merged);
-        let util = merged.array_utilization(8 * 64);
-        assert!(util > 0.0 && util <= 1.0, "utilization {util}");
-        assert_eq!(EngineStats::default().array_utilization(64), 0.0);
-    }
-
-    #[test]
-    fn utilization_is_correct_for_rectangular_and_mixed_geometries() {
-        let (qmha, _, codes) = setup(8);
-        // A non-square 8×64 grid: capacity is tracked per pass, so the
-        // pe_count argument is ignored and the figure is exact.
-        let mut small = ArrayEngine::new(8);
-        let a = small.execute_mha(&qmha, &codes[0], &codes[0], None).stats;
-        assert_eq!(
-            a.pe_cycles,
-            a.isolated_cycles.get() * (8 * 64),
-            "every pass ran on the 8×64 grid"
-        );
-        let exact = a.macs as f64 / a.pe_cycles as f64;
-        assert!((a.array_utilization(8 * 64) - exact).abs() < 1e-12);
-        assert!((a.array_utilization(12_345) - exact).abs() < 1e-12);
-
-        // Stats merged across two different grid heights: the correct
-        // utilization is the capacity-weighted one; dividing by either
-        // single grid's pe_count would over- or under-count.
-        let mut tall = ArrayEngine::new(16);
-        let xs = codes[1].submatrix(0, 0, 8, codes[1].cols()).unwrap();
-        let b = tall.execute_mha(&qmha, &xs, &xs, None).stats;
-        assert_eq!(b.pe_cycles, b.isolated_cycles.get() * (16 * 64));
-        let mut merged = a;
-        merged.merge(&b);
-        let want = (a.macs + b.macs) as f64 / (a.pe_cycles + b.pe_cycles) as f64;
-        let got = merged.array_utilization(0);
-        assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
-        assert!(got > 0.0 && got <= 1.0);
-        let naive_small = merged.macs as f64 / (merged.isolated_cycles.get() as f64 * (8.0 * 64.0));
-        assert!(
-            (got - naive_small).abs() > 1e-9,
-            "single-geometry formula cannot express the mixed-grid figure"
-        );
-
-        // Hand-modeled stats (no recorded capacity) keep the historical
-        // cycles × pe_count fallback.
-        let hand = EngineStats {
-            macs: 64,
-            isolated_cycles: Cycle(2),
-            ..EngineStats::default()
-        };
-        assert!((hand.array_utilization(64) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl ExploreConfig {
     /// backend, 8/16/32-wide tiled grids at nominal and starved DDR
     /// bandwidth with and without a 256 KiB weight cache, and circulant
     /// blocks 4/8/16.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self {
             base: AccelConfig::paper_default(),
             tiled_grids: vec![8, 16, 32],

@@ -17,15 +17,11 @@
 //!   [`crate::scheduler`] report — the *only* schedule: Algorithm 1's
 //!   dependency edges and the `overlap_*` policy switches are read
 //!   there and nowhere else, so a cycle count cannot drift from the
-//!   program that was run;
-//! * [`validate_mha_program`] / [`validate_ffn_program`] /
-//!   [`harden_program`] — the control unit's structural check of the
-//!   command store and its recompute-from-source recovery.
+//!   program that was run.
 //!
 //! One program, two semantics — the strongest form of the workspace's
 //! "numerics and timing never diverge" rule.
 
-use faults::{FaultKind, Injector};
 use hwsim::cycles::Cycle;
 use hwsim::timeline::{EventId, Timeline, UnitId};
 use quantized::softmax::scaled_masked_softmax;
@@ -117,243 +113,6 @@ pub fn ffn_program(d_model: usize, d_ff: usize) -> Vec<Command> {
         h: 1,
     });
     crate::exec::lower_ffn(&g)
-}
-
-/// A structural defect found in a command stream — the control unit's
-/// detection vocabulary for faults injected into the ISA program store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgramFault {
-    /// A command's head/tile/panel index exceeds the block's geometry.
-    IndexOutOfRange {
-        /// Offending command slot.
-        slot: usize,
-    },
-    /// A command ran before its data dependencies (e.g. `ScoreTile`
-    /// before both projections), or after the terminating `LayerNorm`,
-    /// or belongs to the other ResBlock's program.
-    OrderViolation {
-        /// Offending command slot.
-        slot: usize,
-    },
-    /// The program does not visit every required site exactly once
-    /// (a duplicated command always shadows a missing one).
-    CoverageViolation {
-        /// Which command family is mis-covered.
-        what: &'static str,
-    },
-    /// The program does not end with a `LayerNorm`.
-    MissingLayerNorm,
-}
-
-impl std::fmt::Display for ProgramFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProgramFault::IndexOutOfRange { slot } => {
-                write!(f, "command {slot}: index out of range")
-            }
-            ProgramFault::OrderViolation { slot } => {
-                write!(f, "command {slot}: dependency order violated")
-            }
-            ProgramFault::CoverageViolation { what } => {
-                write!(f, "{what} commands do not cover every site exactly once")
-            }
-            ProgramFault::MissingLayerNorm => write!(f, "program does not end with LayerNorm"),
-        }
-    }
-}
-
-impl std::error::Error for ProgramFault {}
-
-/// Structurally validates an MHA command stream against the block
-/// geometry `(h, s_kv)`: every index in range, every dependency
-/// satisfied in order, every projection/score-tile/softmax/context/
-/// output-panel site covered exactly once, `LayerNorm` terminal.
-///
-/// The Algorithm-1 schedule is a *static* program, so the checker can
-/// demand exact coverage — which is what makes single bit flips in the
-/// command store detectable: flipping an index bit either leaves the
-/// valid range (range check), runs a command before its operands exist
-/// (order check), or duplicates one site while starving another
-/// (coverage check).
-pub fn validate_mha_program(
-    program: &[Command],
-    h: usize,
-    s_kv: usize,
-) -> Result<(), ProgramFault> {
-    let tiles = qk_plan(s_kv).tiles;
-    let mut pq = vec![0usize; h];
-    let mut pk = vec![0usize; h];
-    let mut pv = vec![0usize; h];
-    let mut sm = vec![0usize; h];
-    let mut ctx = vec![0usize; h];
-    let mut score = vec![vec![0usize; tiles]; h];
-    let mut out = vec![0usize; h];
-    let mut ln = 0usize;
-    for (slot, cmd) in program.iter().enumerate() {
-        if ln > 0 {
-            return Err(ProgramFault::OrderViolation { slot });
-        }
-        match *cmd {
-            Command::ProjectQ { head } if head < h => pq[head] += 1,
-            Command::ProjectK { head } if head < h => pk[head] += 1,
-            Command::ProjectV { head } if head < h => pv[head] += 1,
-            Command::ScoreTile { head, tile } if head < h && tile < tiles => {
-                if pq[head] == 0 || pk[head] == 0 {
-                    return Err(ProgramFault::OrderViolation { slot });
-                }
-                score[head][tile] += 1;
-            }
-            Command::Softmax { head } if head < h => {
-                if score[head].contains(&0) {
-                    return Err(ProgramFault::OrderViolation { slot });
-                }
-                sm[head] += 1;
-            }
-            Command::Context { head } if head < h => {
-                if sm[head] == 0 || pv[head] == 0 {
-                    return Err(ProgramFault::OrderViolation { slot });
-                }
-                ctx[head] += 1;
-            }
-            Command::OutputPanel { panel } if panel < h => {
-                if ctx.contains(&0) {
-                    return Err(ProgramFault::OrderViolation { slot });
-                }
-                out[panel] += 1;
-            }
-            Command::LayerNorm => ln += 1,
-            Command::ProjectQ { .. }
-            | Command::ProjectK { .. }
-            | Command::ProjectV { .. }
-            | Command::ScoreTile { .. }
-            | Command::Softmax { .. }
-            | Command::Context { .. }
-            | Command::OutputPanel { .. } => {
-                return Err(ProgramFault::IndexOutOfRange { slot });
-            }
-            Command::FfnHidden { .. } | Command::FfnOutput { .. } => {
-                return Err(ProgramFault::OrderViolation { slot });
-            }
-        }
-    }
-    if ln == 0 {
-        return Err(ProgramFault::MissingLayerNorm);
-    }
-    for head in 0..h {
-        if pq[head] != 1 || pk[head] != 1 || pv[head] != 1 {
-            return Err(ProgramFault::CoverageViolation { what: "projection" });
-        }
-        if score[head].iter().any(|&n| n != 1) {
-            return Err(ProgramFault::CoverageViolation { what: "score-tile" });
-        }
-        if sm[head] != 1 {
-            return Err(ProgramFault::CoverageViolation { what: "softmax" });
-        }
-        if ctx[head] != 1 {
-            return Err(ProgramFault::CoverageViolation { what: "context" });
-        }
-        if out[head] != 1 {
-            return Err(ProgramFault::CoverageViolation {
-                what: "output-panel",
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Structurally validates an FFN command stream against `(d_model,
-/// d_ff)`: every hidden panel written exactly once before any output
-/// panel reads the hidden matrix, every output panel written exactly
-/// once, `LayerNorm` terminal.
-pub fn validate_ffn_program(
-    program: &[Command],
-    d_model: usize,
-    d_ff: usize,
-) -> Result<(), ProgramFault> {
-    let hidden_panels = d_ff.div_ceil(PANEL_COLS);
-    let out_panels = d_model.div_ceil(PANEL_COLS);
-    let mut hidden = vec![0usize; hidden_panels];
-    let mut out = vec![0usize; out_panels];
-    let mut ln = 0usize;
-    for (slot, cmd) in program.iter().enumerate() {
-        if ln > 0 {
-            return Err(ProgramFault::OrderViolation { slot });
-        }
-        match *cmd {
-            Command::FfnHidden { panel } if panel < hidden_panels => hidden[panel] += 1,
-            Command::FfnOutput { panel } if panel < out_panels => {
-                if hidden.contains(&0) {
-                    return Err(ProgramFault::OrderViolation { slot });
-                }
-                out[panel] += 1;
-            }
-            Command::LayerNorm => ln += 1,
-            Command::FfnHidden { .. } | Command::FfnOutput { .. } => {
-                return Err(ProgramFault::IndexOutOfRange { slot });
-            }
-            _ => return Err(ProgramFault::OrderViolation { slot }),
-        }
-    }
-    if ln == 0 {
-        return Err(ProgramFault::MissingLayerNorm);
-    }
-    if hidden.iter().any(|&n| n != 1) {
-        return Err(ProgramFault::CoverageViolation { what: "ffn-hidden" });
-    }
-    if out.iter().any(|&n| n != 1) {
-        return Err(ProgramFault::CoverageViolation { what: "ffn-output" });
-    }
-    Ok(())
-}
-
-/// Applies a fault to a command's index field (the bits a program-store
-/// upset would corrupt). `LayerNorm` carries no operand bits and is
-/// returned unchanged.
-fn corrupt_command(cmd: Command, kind: FaultKind) -> Command {
-    let flip = |v: usize| kind.apply_word(v as u32, 32) as usize;
-    match cmd {
-        Command::ProjectQ { head } => Command::ProjectQ { head: flip(head) },
-        Command::ProjectK { head } => Command::ProjectK { head: flip(head) },
-        Command::ProjectV { head } => Command::ProjectV { head: flip(head) },
-        Command::ScoreTile { head, tile } => Command::ScoreTile {
-            head: flip(head),
-            tile,
-        },
-        Command::Softmax { head } => Command::Softmax { head: flip(head) },
-        Command::Context { head } => Command::Context { head: flip(head) },
-        Command::OutputPanel { panel } => Command::OutputPanel { panel: flip(panel) },
-        Command::FfnHidden { panel } => Command::FfnHidden { panel: flip(panel) },
-        Command::FfnOutput { panel } => Command::FfnOutput { panel: flip(panel) },
-        Command::LayerNorm => Command::LayerNorm,
-    }
-}
-
-/// Lowers a program into a faulty command store and hardens it: claims
-/// the injector's next program index, applies that program's scheduled
-/// `IsaCommand` faults to the lowered stream, then puts it through the
-/// control unit's structural validator — the hardware analogue of an
-/// instruction-store parity + ordering check. A program that fails
-/// validation is discarded and re-lowered from the graph
-/// (recompute-from-source recovery). Returns the program to run and
-/// whether a fault was detected.
-pub fn harden_program(
-    inj: &mut Injector,
-    lower: impl Fn() -> Vec<Command>,
-    validate: impl Fn(&[Command]) -> Result<(), ProgramFault>,
-) -> (Vec<Command>, bool) {
-    let mut prog = lower();
-    let mut hit = 0usize;
-    for (slot, kind) in inj.isa_faults() {
-        if slot < prog.len() {
-            prog[slot] = corrupt_command(prog[slot], kind);
-            hit += 1;
-        }
-    }
-    inj.note_injected(hit);
-    if hit > 0 && validate(&prog).is_err() {
-        return (lower(), true);
-    }
-    (prog, false)
 }
 
 /// Bit-exact execution of [`mha_program`] against a quantized block.
@@ -764,155 +523,6 @@ mod tests {
         let got = execute_ffn(&program, &qffn, &x);
         let (want, _) = qffn.forward(&x);
         assert_eq!(got, want);
-    }
-
-    /// An injector whose plan flips bit 0 of one command slot of the
-    /// first program lowered.
-    fn bit_flip_in_program_0(slot: usize) -> Injector {
-        use faults::{FaultEvent, FaultPlan, FaultSite};
-        Injector::new(FaultPlan::from_events(vec![FaultEvent {
-            site: FaultSite::IsaCommand { program: 0, slot },
-            kind: FaultKind::BitFlip { bit: 0 },
-        }]))
-    }
-
-    #[test]
-    fn isa_command_fault_is_detected_and_recovered_by_relowering() {
-        let cfg = ModelConfig::tiny_for_tests();
-        let (qmha, _, xq) = blocks(&cfg, 8);
-        let pristine = mha_program(cfg.h, 8);
-        let want = execute_mha(&pristine, &qmha, &xq, &xq, None);
-        // Slot 2 is head 0's ScoreTile; flipping its head index makes
-        // the program reference an unprojected head — the structural
-        // validator flags it and the program is re-lowered.
-        let mut inj = bit_flip_in_program_0(2);
-        let harden = |inj: &mut Injector| {
-            harden_program(
-                inj,
-                || mha_program(cfg.h, 8),
-                |p| validate_mha_program(p, cfg.h, 8),
-            )
-        };
-        let (prog, detected) = harden(&mut inj);
-        assert!(detected);
-        assert_eq!(inj.injected(), 1);
-        assert_eq!(
-            execute_mha(&prog, &qmha, &xq, &xq, None),
-            want,
-            "re-lowered program must compute correctly"
-        );
-        // The next program index carries no events: clean, no detection.
-        let (prog, detected) = harden(&mut inj);
-        assert!(!detected);
-        assert_eq!(prog, pristine);
-        assert_eq!(inj.injected(), 1);
-    }
-
-    #[test]
-    fn out_of_range_isa_fault_is_inert() {
-        let (h, s_kv) = (4, 8);
-        let mut inj = bit_flip_in_program_0(10_000);
-        let (prog, detected) = harden_program(
-            &mut inj,
-            || mha_program(h, s_kv),
-            |p| validate_mha_program(p, h, s_kv),
-        );
-        assert_eq!(prog, mha_program(h, s_kv));
-        assert!(!detected);
-        assert_eq!(inj.injected(), 0);
-    }
-
-    #[test]
-    fn lowered_programs_validate_clean() {
-        for (h, s_kv) in [(8, 64), (2, 8), (4, 128)] {
-            validate_mha_program(&mha_program(h, s_kv), h, s_kv).expect("lowered MHA is valid");
-        }
-        for (d_model, d_ff) in [(512, 2048), (64, 256), (100, 300)] {
-            validate_ffn_program(&ffn_program(d_model, d_ff), d_model, d_ff)
-                .expect("lowered FFN is valid");
-        }
-    }
-
-    #[test]
-    fn validator_catches_any_single_index_corruption() {
-        // Flip every index field of every command of the canonical MHA
-        // program in turn: exact-coverage validation must flag each one
-        // (a corrupted index either leaves the range, runs before its
-        // operands, or double-covers one site while starving another).
-        let (h, s_kv) = (4usize, 64usize);
-        let prog = mha_program(h, s_kv);
-        for slot in 0..prog.len() {
-            for bit in 0..8u32 {
-                let mut bad = prog.clone();
-                let corrupted = match bad[slot] {
-                    Command::ProjectQ { head } => Command::ProjectQ {
-                        head: head ^ (1 << bit),
-                    },
-                    Command::ProjectK { head } => Command::ProjectK {
-                        head: head ^ (1 << bit),
-                    },
-                    Command::ProjectV { head } => Command::ProjectV {
-                        head: head ^ (1 << bit),
-                    },
-                    Command::ScoreTile { head, tile } => Command::ScoreTile {
-                        head: head ^ (1 << bit),
-                        tile,
-                    },
-                    Command::Softmax { head } => Command::Softmax {
-                        head: head ^ (1 << bit),
-                    },
-                    Command::Context { head } => Command::Context {
-                        head: head ^ (1 << bit),
-                    },
-                    Command::OutputPanel { panel } => Command::OutputPanel {
-                        panel: panel ^ (1 << bit),
-                    },
-                    Command::LayerNorm => continue, // no index field to corrupt
-                    _ => unreachable!("MHA program"),
-                };
-                bad[slot] = corrupted;
-                assert!(
-                    validate_mha_program(&bad, h, s_kv).is_err(),
-                    "slot {slot} bit {bit} escaped validation"
-                );
-            }
-        }
-        let prog = ffn_program(128, 256);
-        for slot in 0..prog.len() {
-            let mut bad = prog.clone();
-            let corrupted = match bad[slot] {
-                Command::FfnHidden { panel } => Command::FfnHidden { panel: panel ^ 1 },
-                Command::FfnOutput { panel } => Command::FfnOutput { panel: panel ^ 1 },
-                Command::LayerNorm => continue,
-                _ => unreachable!("FFN program"),
-            };
-            bad[slot] = corrupted;
-            assert!(
-                validate_ffn_program(&bad, 128, 256).is_err(),
-                "slot {slot} escaped validation"
-            );
-        }
-    }
-
-    #[test]
-    fn validator_rejects_truncated_and_cross_block_programs() {
-        let mut prog = mha_program(2, 8);
-        assert!(validate_mha_program(&prog[..prog.len() - 1], 2, 8).is_err());
-        prog.insert(0, Command::FfnHidden { panel: 0 });
-        assert!(validate_mha_program(&prog, 2, 8).is_err());
-        let ffn = ffn_program(64, 256);
-        assert!(validate_ffn_program(&ffn[..ffn.len() - 1], 64, 256).is_err());
-        let mut ffn_bad = ffn.clone();
-        ffn_bad.insert(0, Command::Softmax { head: 0 });
-        assert!(validate_ffn_program(&ffn_bad, 64, 256).is_err());
-        // Hidden panels must all land before the first output panel.
-        let mut swapped = ffn.clone();
-        let first_out = swapped
-            .iter()
-            .position(|c| matches!(c, Command::FfnOutput { .. }))
-            .unwrap();
-        swapped.swap(0, first_out);
-        assert!(validate_ffn_program(&swapped, 64, 256).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::config::LayerNormMode;
 
 /// Pipeline latency of the `x^(-1/2)` ROM lookup plus the mean/variance
 /// combine (Fig. 8's subtract/multiply chain).
-pub const RSQRT_LATENCY: u64 = 6;
+pub(crate) const RSQRT_LATENCY: u64 = 6;
 
 /// Cycles between the last input column of `G` and the first output
 /// column, for the given optimisation level (Fig. 7).
@@ -40,7 +40,7 @@ pub fn output_cycles(d_model: usize) -> Cycle {
 }
 
 /// End-to-end added cost of the LayerNorm module once `G` is complete.
-pub fn total_tail(mode: LayerNormMode, d_model: usize) -> Cycle {
+pub(crate) fn total_tail(mode: LayerNormMode, d_model: usize) -> Cycle {
     added_latency(mode, d_model) + output_cycles(d_model)
 }
 

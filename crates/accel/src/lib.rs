@@ -73,12 +73,11 @@ pub mod tiled;
 pub mod top;
 pub mod weights;
 
-pub use backend::{Backend, BackendCaps, BackendProgram, PaperBackend};
+pub use backend::{Backend, BackendProgram, PaperBackend};
 pub use circulant::CirculantBackend;
 pub use config::{AccelConfig, LayerNormMode, SchedPolicy};
-pub use engine::{ArrayEngine, CheckMode, EngineRun, EngineStats, Fidelity};
+pub use engine::{ArrayEngine, CheckMode, EngineStats};
 pub use exec::{lower_ffn, lower_mha};
-pub use isa::{validate_ffn_program, validate_mha_program, ProgramFault};
 pub use scheduler::ScheduleReport;
 pub use tiled::{TiledBackend, TiledConfig};
 pub use top::Accelerator;

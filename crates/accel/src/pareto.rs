@@ -14,7 +14,7 @@
 /// # Panics
 ///
 /// Panics if the objective vectors differ in length.
-pub fn dominates(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
     assert_eq!(a.len(), b.len(), "objective arity mismatch");
     let mut strictly_better = false;
     for (&x, &y) in a.iter().zip(b) {
@@ -43,7 +43,7 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 ///
 /// Panics if any objective is NaN (dominance would be ill-defined) or
 /// the extractor returns vectors of differing arity.
-pub fn front_by<T: Clone>(points: &[T], objectives: impl Fn(&T) -> Vec<f64>) -> Vec<T> {
+pub(crate) fn front_by<T: Clone>(points: &[T], objectives: impl Fn(&T) -> Vec<f64>) -> Vec<T> {
     let objs: Vec<Vec<f64>> = points
         .iter()
         .map(|p| {

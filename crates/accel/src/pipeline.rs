@@ -33,13 +33,13 @@ impl Default for PipelineConfig {
 }
 
 /// INT8 weight bytes of one MHA ResBlock (four projections + biases).
-pub fn mha_weight_bytes(cfg: &AccelConfig) -> u64 {
+pub(crate) fn mha_weight_bytes(cfg: &AccelConfig) -> u64 {
     let d = cfg.model.d_model as u64;
     4 * (d * d + d)
 }
 
 /// INT8 weight bytes of one FFN ResBlock (two sublayers + biases).
-pub fn ffn_weight_bytes(cfg: &AccelConfig) -> u64 {
+pub(crate) fn ffn_weight_bytes(cfg: &AccelConfig) -> u64 {
     let d = cfg.model.d_model as u64;
     let f = cfg.model.d_ff as u64;
     2 * d * f + f + d
@@ -53,7 +53,7 @@ fn load_cycles(bytes: u64, pcfg: &PipelineConfig) -> Cycle {
 /// `cfg.s`: weights in (the dominant term), input activations in and
 /// output activations back out. Everything between the two ResBlocks
 /// stays on chip (the Fig. 5 data memory).
-pub fn layer_traffic(cfg: &AccelConfig) -> TrafficLedger {
+pub(crate) fn layer_traffic(cfg: &AccelConfig) -> TrafficLedger {
     let mut t = TrafficLedger::new();
     let act_bytes = (cfg.s * cfg.model.d_model) as u64; // INT8
     t.record("mha weights", Direction::In, mha_weight_bytes(cfg));
@@ -87,7 +87,7 @@ pub struct LayerLatency {
 
 impl LayerLatency {
     /// Total cycles for the layer.
-    pub fn total(&self) -> Cycle {
+    pub(crate) fn total(&self) -> Cycle {
         self.mha + self.ffn + self.weight_stall
     }
 }
@@ -124,7 +124,7 @@ pub struct InferenceReport {
 }
 
 /// Schedules the `n_layers`-deep encoder stack at `s = cfg.s`.
-pub fn encoder_stack(cfg: &AccelConfig, pcfg: &PipelineConfig, n_layers: usize) -> Cycle {
+pub(crate) fn encoder_stack(cfg: &AccelConfig, pcfg: &PipelineConfig, n_layers: usize) -> Cycle {
     let per_layer = encoder_layer(cfg, pcfg).total();
     // First layer additionally waits for its own MHA weights.
     let prologue = load_cycles(mha_weight_bytes(cfg), pcfg);
@@ -134,34 +134,10 @@ pub fn encoder_stack(cfg: &AccelConfig, pcfg: &PipelineConfig, n_layers: usize) 
 /// One autoregressive decoder step at target position `t` (1-based):
 /// causal self-attention over `t` cached positions, cross-attention
 /// over `s_src` encoder positions, plus the FFN.
-pub fn decoder_step(cfg: &AccelConfig, t: usize, s_src: usize) -> Cycle {
+pub(crate) fn decoder_step(cfg: &AccelConfig, t: usize, s_src: usize) -> Cycle {
     let t = t.min(cfg.s);
     let self_mha = scheduler::schedule_mha_cross(cfg, t, t).cycles;
     let cross_mha = scheduler::schedule_mha_cross(cfg, t, s_src).cycles;
-    let ffn = scheduler::schedule_ffn_len(cfg, t).cycles;
-    self_mha + cross_mha + ffn
-}
-
-/// One autoregressive decoder step *with KV caching*.
-///
-/// A notable negative result of the timing model: on this
-/// weight-streaming architecture a KV cache barely helps. Every GEMM
-/// costs its reduction depth `k` in stream cycles regardless of how
-/// many array rows are occupied, so projecting K/V for *one* new row
-/// costs exactly what projecting them for the whole prefix costs. The
-/// only GEMMs a cache removes are the **cross-attention K/V
-/// projections** (computable once at encode time) — `2h` GEMMs of
-/// `k = d_model` per layer per step, roughly 30% of the step's MHA
-/// cycles. Contrast with GPUs, where KV caching changes the
-/// asymptotics.
-pub fn decoder_step_cached(cfg: &AccelConfig, t: usize, s_src: usize) -> Cycle {
-    let t = t.min(cfg.s);
-    let self_mha = scheduler::schedule_mha_cross(cfg, t, t).cycles;
-    let cross_full = scheduler::schedule_mha_cross(cfg, t, s_src).cycles;
-    // Remove the cached K and V projections: 2 GEMMs x (d_model stream +
-    // 64 drain) per head under the paper policy (blocking drain).
-    let kv_proj = Cycle(2 * cfg.model.h as u64 * (cfg.model.d_model as u64 + 64));
-    let cross_mha = cross_full.saturating_sub(kv_proj);
     let ffn = scheduler::schedule_ffn_len(cfg, t).cycles;
     self_mha + cross_mha + ffn
 }
@@ -293,19 +269,6 @@ mod tests {
         let early = decoder_step(&cfg, 1, 64);
         let late = decoder_step(&cfg, 64, 64);
         assert!(late > early, "{early} vs {late}");
-    }
-
-    #[test]
-    fn kv_cache_saves_only_the_cross_projections() {
-        let (cfg, _) = base();
-        let full = decoder_step(&cfg, 32, 64);
-        let cached = decoder_step_cached(&cfg, 32, 64);
-        let saved = full.get() - cached.get();
-        // exactly 2h GEMMs of (d_model + 64) cycles
-        assert_eq!(saved, 2 * 8 * (512 + 64));
-        // and that is well under half the step — the cache does NOT
-        // transform the asymptotics on a weight-streaming array
-        assert!(saved * 2 < full.get());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use fixedmath::explog::{exp_unit, ln_unit};
 use fixedmath::fx::FRAC;
 
 /// Emits the INT8 multiply-accumulate processing element.
-pub fn emit_pe() -> String {
+pub(crate) fn emit_pe() -> String {
     String::from(
         r#"// Auto-generated by transformer-accel (accel::rtl). Do not edit.
 // INT8 output-stationary MAC PE: operands register through to the
@@ -72,7 +72,7 @@ endmodule
 /// # Panics
 ///
 /// Panics if either dimension is zero.
-pub fn emit_systolic_array(rows: usize, cols: usize) -> String {
+pub(crate) fn emit_systolic_array(rows: usize, cols: usize) -> String {
     assert!(rows > 0 && cols > 0, "array dimensions must be positive");
     format!(
         r#"// Auto-generated by transformer-accel (accel::rtl). Do not edit.
@@ -136,7 +136,7 @@ endmodule
 /// Emits the shift-add EXP unit (`exp(x) = 2^(x·log2 e)` with
 /// `x·log2 e ≈ x + x>>1 − x>>4` and `2^f ≈ 1 + f`), Q19.12 in/out —
 /// the exact arithmetic of [`fixedmath::explog::exp_unit`].
-pub fn emit_exp_unit() -> String {
+pub(crate) fn emit_exp_unit() -> String {
     format!(
         r#"// Auto-generated by transformer-accel (accel::rtl). Do not edit.
 // Matches fixedmath::explog::exp_unit bit-for-bit (Q19.{frac}, x <= 0).
@@ -164,7 +164,7 @@ endmodule
 /// Emits the shift-add LN unit (`ln(x) = ln2 · (e + m − 1)` from the
 /// leading-one position) — the exact arithmetic of
 /// [`fixedmath::explog::ln_unit`].
-pub fn emit_ln_unit() -> String {
+pub(crate) fn emit_ln_unit() -> String {
     format!(
         r#"// Auto-generated by transformer-accel (accel::rtl). Do not edit.
 // Matches fixedmath::explog::ln_unit bit-for-bit (Q19.{frac}, x > 0).
@@ -195,7 +195,7 @@ endmodule
 
 /// Emits the `x^(-1/2)` ROM with the exact 192 Q1.15 entries the Rust
 /// model uses.
-pub fn emit_rsqrt_rom() -> String {
+pub(crate) fn emit_rsqrt_rom() -> String {
     let mut body = String::new();
     for i in 0..fixedmath::rsqrt::LUT_ENTRIES {
         // reconstruct the table exactly as fixedmath builds it
@@ -224,7 +224,7 @@ endmodule
 
 /// Golden stimulus/response vectors for `exp_unit`: one `xxxxxxxx
 /// yyyyyyyy` hex pair per line, inputs swept over `[-16, 0]` in Q19.12.
-pub fn golden_exp_vectors(n: usize) -> String {
+pub(crate) fn golden_exp_vectors(n: usize) -> String {
     assert!(n > 1, "need at least two vectors");
     let lo = fixedmath::fx::to_fx(-16.0, FRAC) as i64;
     let mut out = String::new();
@@ -238,7 +238,7 @@ pub fn golden_exp_vectors(n: usize) -> String {
 
 /// Golden stimulus/response vectors for `ln_unit`, inputs swept over
 /// `(0, 512]` in Q19.12.
-pub fn golden_ln_vectors(n: usize) -> String {
+pub(crate) fn golden_ln_vectors(n: usize) -> String {
     assert!(n > 1, "need at least two vectors");
     let hi = 512i64 << FRAC;
     let mut out = String::new();
@@ -265,7 +265,7 @@ pub fn golden_ln_vectors(n: usize) -> String {
 ///
 /// The stimulus and expectation are produced by the register-true Rust
 /// simulation, so a matching RTL simulation must agree bit-for-bit.
-pub fn golden_gemm_vectors(rows: usize, k: usize, cols: usize, seed: u64) -> String {
+pub(crate) fn golden_gemm_vectors(rows: usize, k: usize, cols: usize, seed: u64) -> String {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);

@@ -17,7 +17,7 @@
 use hwsim::cycles::Cycle;
 
 /// Pipeline latency of the LN unit (leading-one detect + shift-add).
-pub const LN_LATENCY: u64 = 4;
+pub(crate) const LN_LATENCY: u64 = 4;
 
 /// Latency from the last input column to the last output column.
 pub fn latency_after_last_input(s_cols: usize) -> Cycle {

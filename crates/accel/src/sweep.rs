@@ -28,7 +28,7 @@ pub struct DesignPoint {
 }
 
 /// Evaluates one configuration.
-pub fn evaluate_point(model: &ModelConfig, s: usize) -> DesignPoint {
+pub(crate) fn evaluate_point(model: &ModelConfig, s: usize) -> DesignPoint {
     let cfg = AccelConfig {
         model: model.clone(),
         s,

@@ -9,15 +9,10 @@
 //! product matrix column by column, so each column has `s` elements"),
 //! through the `s` bias adders.
 //!
-//! Two views are provided:
-//!
-//! * [`SystolicArray::simulate`] — a register-true, cycle-by-cycle PE
-//!   grid simulation, used by tests to prove the dataflow computes the
-//!   exact INT8 GEMM and to validate the closed-form timing;
-//! * [`SystolicArray::stream_cycles`]/[`SystolicArray::drain_cycles`] —
-//!   the closed-form costs the scheduler uses (in steady state,
-//!   back-to-back GEMMs pipeline through the skew, so throughput is `k`
-//!   cycles per GEMM plus the drain policy).
+//! [`SystolicArray::simulate`] is a register-true, cycle-by-cycle PE
+//! grid simulation, used by tests to prove the dataflow computes the
+//! exact INT8 GEMM and to validate the closed-form timing of
+//! [`SystolicArray::simulate_analytic`].
 
 use hwsim::cycles::Cycle;
 use tensor::{gemm, Mat};
@@ -57,33 +52,6 @@ impl SystolicArray {
     /// The paper's array for max sequence length `s`: `s × 64`.
     pub fn paper(s: usize) -> Self {
         Self::new(s, crate::partition::PANEL_COLS)
-    }
-
-    /// Row count (`s`).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count (64).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of processing elements (`64 s` multipliers + adders, the
-    /// "biggest module in our design").
-    pub fn pe_count(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Steady-state streaming cost of a GEMM with reduction depth `k`:
-    /// one operand column/row pair per cycle.
-    pub fn stream_cycles(&self, k: usize) -> Cycle {
-        Cycle(k as u64)
-    }
-
-    /// Column-serial drain cost of one result (`cols` cycles).
-    pub fn drain_cycles(&self) -> Cycle {
-        Cycle(self.cols as u64)
     }
 
     /// Register-true simulation of one GEMM `a · b`.
@@ -169,7 +137,7 @@ impl SystolicArray {
     /// # Panics
     ///
     /// Panics if the operands exceed the array or widths mismatch.
-    pub fn simulate_analytic(&self, a: &Mat<i8>, b: &Mat<i8>) -> SimResult {
+    pub(crate) fn simulate_analytic(&self, a: &Mat<i8>, b: &Mat<i8>) -> SimResult {
         let (rows_a, k) = a.shape();
         let (kb, cols_b) = b.shape();
         assert_eq!(k, kb, "reduction depth mismatch: {k} vs {kb}");
@@ -233,8 +201,6 @@ mod tests {
         let sim = sa.simulate(&a, &b);
         assert_eq!(sim.compute, Cycle(40 + 16 + 16 - 2));
         assert_eq!(sim.total, Cycle(40 + 16 + 16 - 2 + 16));
-        assert_eq!(sa.stream_cycles(40), Cycle(40));
-        assert_eq!(sa.drain_cycles(), Cycle(16));
     }
 
     #[test]
@@ -270,9 +236,9 @@ mod tests {
     #[test]
     fn pe_count_and_geometry() {
         let sa = SystolicArray::paper(64);
-        assert_eq!(sa.pe_count(), 4096);
-        assert_eq!(sa.rows(), 64);
-        assert_eq!(sa.cols(), 64);
+        assert_eq!(sa.rows * sa.cols, 4096);
+        assert_eq!(sa.rows, 64);
+        assert_eq!(sa.cols, 64);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct TiledConfig {
 impl TiledConfig {
     /// A KV260-class default: 16×16 PEs, 512-deep tile buffers, 8 B per
     /// cycle of DDR bandwidth, paper model/clock/policy.
-    pub fn kv260_default() -> Self {
+    pub(crate) fn kv260_default() -> Self {
         Self {
             base: AccelConfig::paper_default(),
             rows: 16,
@@ -95,7 +95,7 @@ impl TiledConfig {
     /// # Panics
     ///
     /// Panics if any dimension or the bandwidth is zero.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.base.validate();
         assert!(
             self.rows > 0 && self.cols > 0 && self.tile_k > 0,
@@ -237,7 +237,7 @@ fn is_weight_gemm(cmd: &Command) -> bool {
 /// are pinned resident first-fit in program order, each only if the
 /// cycle model agrees residency does not lose (see the config field
 /// docs).
-pub fn tile_schedule(
+pub(crate) fn tile_schedule(
     cfg: &TiledConfig,
     program: &[Command],
     s: usize,
@@ -363,7 +363,7 @@ impl TiledBackend {
     /// two, so each tile costs `max(compute, mem)`. The first tile's
     /// fetch cannot be hidden and is charged as a prologue, and a
     /// resident weight's one-time DDR fill is charged the same way.
-    pub fn gemm_cycles(&self, g: &TiledGemm) -> u64 {
+    pub(crate) fn gemm_cycles(&self, g: &TiledGemm) -> u64 {
         gemm_cycles_for(&self.cfg, g)
     }
 

@@ -213,77 +213,6 @@ impl Accelerator {
     pub fn power(&self) -> PowerEstimate {
         estimate_power(&self.area(), self.config())
     }
-
-    /// Renders a self-contained markdown report of this configuration:
-    /// timing of both ResBlocks, resource table, data-memory plan and
-    /// the power/energy operating point.
-    pub fn full_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let cfg = self.config();
-        let _ = writeln!(
-            out,
-            "# Accelerator report: {} (s = {}, {:.0} MHz)\n",
-            cfg.model.name,
-            cfg.s,
-            cfg.clock.as_mhz()
-        );
-
-        let mha = self.schedule_mha();
-        let ffn = self.schedule_ffn();
-        let _ = writeln!(out, "## Timing\n");
-        let _ = writeln!(out, "| block | cycles | latency | SA utilization |");
-        let _ = writeln!(out, "|---|---|---|---|");
-        let _ = writeln!(
-            out,
-            "| MHA ResBlock | {} | {:.1} us | {:.1}% |",
-            mha.cycles.get(),
-            mha.latency_us,
-            100.0 * mha.sa_utilization
-        );
-        let _ = writeln!(
-            out,
-            "| FFN ResBlock | {} | {:.1} us | {:.1}% |",
-            ffn.cycles.get(),
-            ffn.latency_us,
-            100.0 * ffn.sa_utilization
-        );
-
-        let area = self.area();
-        let _ = writeln!(out, "\n## Resources (Table-II model)\n");
-        let _ = writeln!(out, "| module | LUT | FF | BRAM | DSP |");
-        let _ = writeln!(out, "|---|---|---|---|---|");
-        for m in area.table2() {
-            let _ = writeln!(
-                out,
-                "| {} | {:.0} | {:.0} | {:.1} | {:.0} |",
-                m.name, m.resources.lut, m.resources.ff, m.resources.bram, m.resources.dsp
-            );
-        }
-
-        let dm = crate::datamem::plan(cfg);
-        let _ = writeln!(
-            out,
-            "\n## Data memory (URAM)\n\n{} blocks of {} ({:.2} Mbit across {} buffers)",
-            dm.total_uram,
-            crate::datamem::VU13P_URAM,
-            dm.total_bits as f64 / 1e6,
-            dm.buffers.len()
-        );
-
-        let p = self.power();
-        let _ = writeln!(
-            out,
-            "\n## Power & energy\n\n{:.1} W total ({:.1} dynamic + {:.1} static); \
-             MHA {:.2} mJ, FFN {:.2} mJ per inference",
-            p.total_w(),
-            p.dynamic_w,
-            p.static_w,
-            crate::area::energy_uj(p.total_w(), mha.latency_us) / 1000.0,
-            crate::area::energy_uj(p.total_w(), ffn.latency_us) / 1000.0,
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -374,24 +303,6 @@ mod tests {
         assert!(e.to_string().contains("100"));
         let e = AccelError::WeightsNotLoaded("MHA");
         assert!(e.to_string().contains("MHA"));
-    }
-
-    #[test]
-    fn full_report_contains_every_section() {
-        let accel = Accelerator::new(AccelConfig::paper_default());
-        let rep = accel.full_report();
-        for needle in [
-            "# Accelerator report: Transformer-base",
-            "## Timing",
-            "20998",
-            "## Resources",
-            "471563",
-            "## Data memory",
-            "## Power & energy",
-            "16.7 W total",
-        ] {
-            assert!(rep.contains(needle), "missing '{needle}' in report");
-        }
     }
 
     #[test]

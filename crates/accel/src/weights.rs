@@ -9,13 +9,13 @@
 //! provisions (456 BRAM36 = two buffers of 1 MB + bias storage).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use quantized::{QuantFfnResBlock, QuantMhaResBlock};
+use quantized::QuantMhaResBlock;
 use tensor::Mat;
 
 use crate::partition::PANEL_COLS;
 
 /// Bytes per weight-memory word (512-bit port = one panel row).
-pub const WORD_BYTES: usize = PANEL_COLS;
+pub(crate) const WORD_BYTES: usize = PANEL_COLS;
 
 /// Directory entry: where one panel lives in the image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,21 +76,9 @@ impl WeightImage {
         }
     }
 
-    /// Packs an FFN ResBlock's two sublayer matrices (`W_1, W_2`).
-    pub fn from_ffn(block: &QuantFfnResBlock) -> Self {
-        let (w1, w2) = block.sublayers();
-        let mut buf = BytesMut::new();
-        let mut dir = Vec::new();
-        pack_matrix(&mut buf, &mut dir, "w1", w1.weight_q());
-        pack_matrix(&mut buf, &mut dir, "w2", w2.weight_q());
-        Self {
-            data: buf.freeze(),
-            directory: dir,
-        }
-    }
-
     /// The raw image bytes (what the host DMAs).
-    pub fn data(&self) -> &Bytes {
+    #[cfg(test)]
+    pub(crate) fn data(&self) -> &Bytes {
         &self.data
     }
 
@@ -110,7 +98,8 @@ impl WeightImage {
     }
 
     /// Looks up a panel by name.
-    pub fn find(&self, name: &str) -> Option<&PanelEntry> {
+    #[cfg(test)]
+    pub(crate) fn find(&self, name: &str) -> Option<&PanelEntry> {
         self.directory.iter().find(|e| e.name == name)
     }
 
@@ -120,7 +109,8 @@ impl WeightImage {
     /// # Panics
     ///
     /// Panics if the panel name is unknown.
-    pub fn unpack(&self, name: &str, cols: usize) -> Mat<i8> {
+    #[cfg(test)]
+    pub(crate) fn unpack(&self, name: &str, cols: usize) -> Mat<i8> {
         let entry = self
             .find(name)
             .unwrap_or_else(|| panic!("unknown panel '{name}'"));
@@ -138,10 +128,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use transformer::config::ModelConfig;
-    use transformer::ffn::FfnResBlock;
     use transformer::mha::MhaResBlock;
 
-    fn blocks() -> (QuantMhaResBlock, QuantFfnResBlock) {
+    fn mha_block() -> QuantMhaResBlock {
         // A Table-I-patterned mini config so panels are exactly 64 wide.
         let cfg = ModelConfig {
             name: "img".into(),
@@ -154,19 +143,15 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(9);
         let mha = MhaResBlock::new(&cfg, &mut rng);
-        let ffn = FfnResBlock::new(&cfg, &mut rng);
         let calib: Vec<_> = (0..2)
             .map(|_| tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0))
             .collect();
-        (
-            QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware),
-            QuantFfnResBlock::from_f32(&ffn, &calib),
-        )
+        QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware)
     }
 
     #[test]
     fn mha_image_size_matches_weight_bytes() {
-        let (mha, _) = blocks();
+        let mha = mha_block();
         let img = WeightImage::from_mha(&mha);
         // 4 matrices of 128x128 INT8, panels exactly 64 wide
         assert_eq!(img.byte_len(), 4 * 128 * 128);
@@ -177,24 +162,19 @@ mod tests {
 
     #[test]
     fn panels_round_trip_losslessly() {
-        let (mha, ffn) = blocks();
+        let mha = mha_block();
         let img = WeightImage::from_mha(&mha);
         let (wq, _, _, wo) = mha.projections();
         let want_q0 = wq.weight_q().col_panels(64)[0].clone();
         assert_eq!(img.unpack("wq.0", 64), want_q0);
         let want_g1 = wo.weight_q().col_panels(64)[1].clone();
         assert_eq!(img.unpack("wg.1", 64), want_g1);
-
-        let fimg = WeightImage::from_ffn(&ffn);
-        let (w1, w2) = ffn.sublayers();
-        assert_eq!(fimg.unpack("w1.7", 64), w1.weight_q().col_panels(64)[7]);
-        assert_eq!(fimg.unpack("w2.0", 64), w2.weight_q().col_panels(64)[0]);
     }
 
     #[test]
     fn directory_is_contiguous_and_ordered() {
-        let (_, ffn) = blocks();
-        let img = WeightImage::from_ffn(&ffn);
+        let mha = mha_block();
+        let img = WeightImage::from_mha(&mha);
         let mut expected_offset = 0;
         for e in img.directory() {
             assert_eq!(e.word_offset, expected_offset, "{}", e.name);
@@ -219,8 +199,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown panel")]
     fn unknown_panel_rejected() {
-        let (_, ffn) = blocks();
-        let img = WeightImage::from_ffn(&ffn);
+        let mha = mha_block();
+        let img = WeightImage::from_mha(&mha);
         let _ = img.unpack("nope.0", 64);
     }
 

@@ -47,12 +47,12 @@ pub struct OpTrace {
 
 impl OpTrace {
     /// Number of dispatched operations.
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.ops.len()
     }
 
     /// Total device FLOPs.
-    pub fn total_flops(&self) -> u64 {
+    pub(crate) fn total_flops(&self) -> u64 {
         self.ops.iter().map(|o| o.flops).sum()
     }
 }
@@ -148,7 +148,8 @@ impl GpuModel {
     }
 
     /// Fraction of the predicted latency spent in framework overhead.
-    pub fn overhead_fraction(&self, trace: &OpTrace) -> f64 {
+    #[cfg(test)]
+    fn overhead_fraction(&self, trace: &OpTrace) -> f64 {
         let total = self.latency_us(trace);
         trace.op_count() as f64 * self.per_op_overhead_us / total
     }
@@ -158,7 +159,7 @@ impl GpuModel {
     /// 60% of peak (a typical fp32 GEMM ceiling). **Assumption, not a
     /// measurement** — used only for the qualitative batch-crossover
     /// extension (the paper's comparison is strictly batch 1).
-    pub fn efficiency_at_batch(&self, batch: usize) -> f64 {
+    pub(crate) fn efficiency_at_batch(&self, batch: usize) -> f64 {
         (self.batch1_efficiency * (batch as f64).powf(0.85)).min(0.60)
     }
 

@@ -8,13 +8,10 @@
 //!   why the paper measures a 14.6× speed-up on MHA but only 3.4× on
 //!   FFN. The model makes that mechanism explicit and is calibrated to
 //!   reproduce the two published latencies.
-//! * [`cpu`] — a measured (not modelled) single-thread CPU execution of
-//!   the FP32 reference blocks, as a sanity floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpu;
 pub mod gpu;
 
 pub use gpu::GpuModel;

@@ -71,11 +71,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("[results] wrote {}", path.display());
 }
 
-/// Formats a float with fixed precision, for table cells.
-pub fn fmt_f(x: f64, digits: usize) -> String {
-    format!("{x:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +93,5 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         let _ = render_table(&["a", "b"], &[vec!["only-one".into()]]);
-    }
-
-    #[test]
-    fn fmt_f_precision() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(10.0, 1), "10.0");
     }
 }

@@ -6,11 +6,10 @@
 //! that failure mode *deterministically*: a [`FaultPlan`] is a seeded,
 //! reproducible list of [`FaultEvent`]s, each addressing a physical
 //! [`FaultSite`] (a weight-SRAM word on a given GEMM pass, an
-//! accumulator register, a softmax or LayerNorm datapath value, an ISA
-//! command-stream slot) with a [`FaultKind`] (single/multi bit flip or
-//! stuck-at). Replaying the same plan against the same workload corrupts
-//! the same bits — which is what makes fault-tolerance machinery
-//! testable at all.
+//! accumulator register, a softmax or LayerNorm datapath value) with a
+//! [`FaultKind`] (single/multi bit flip or stuck-at). Replaying the same
+//! plan against the same workload corrupts the same bits — which is what
+//! makes fault-tolerance machinery testable at all.
 //!
 //! Two consumption styles:
 //!
@@ -65,7 +64,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Applies the fault to a `width`-bit word (width ≤ 32).
-    pub fn apply_word(self, word: u32, width: u32) -> u32 {
+    pub(crate) fn apply_word(self, word: u32, width: u32) -> u32 {
         debug_assert!((1..=32).contains(&width));
         let keep = if width >= 32 {
             u32::MAX
@@ -103,8 +102,7 @@ impl FaultKind {
 ///
 /// GEMM-adjacent sites are addressed by a monotonically increasing
 /// *pass index* (which GEMM pass through the array), softmax/LayerNorm
-/// sites by a per-module *call index*, and ISA sites by a *program
-/// index* (which lowered command stream).
+/// sites by a per-module *call index*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// A weight-SRAM word: the resident `B` tile of GEMM pass `pass`,
@@ -147,13 +145,6 @@ pub enum FaultSite {
         /// Column of the residual tile.
         col: usize,
     },
-    /// A command slot of the `program`-th lowered ISA command stream.
-    IsaCommand {
-        /// Program (lowering) index.
-        program: u64,
-        /// Command slot within the program.
-        slot: usize,
-    },
 }
 
 /// One scheduled fault: a site plus the corruption applied there. The
@@ -179,19 +170,16 @@ pub enum SiteClass {
     SoftmaxValue,
     /// LayerNorm input values.
     LayerNormValue,
-    /// ISA command slots.
-    IsaCommand,
 }
 
 /// The sampling space for [`FaultPlan::seeded`].
 #[derive(Debug, Clone)]
 pub struct FaultSpace {
-    /// First pass/call/program index eligible for faults.
+    /// First pass/call index eligible for faults.
     pub index_lo: u64,
     /// One past the last eligible index.
     pub index_hi: u64,
-    /// Row extent sampled for matrix sites (and the slot extent for ISA
-    /// sites).
+    /// Row extent sampled for matrix sites.
     pub rows: usize,
     /// Column extent sampled for matrix sites.
     pub cols: usize,
@@ -254,10 +242,6 @@ impl FaultPlan {
                         row,
                         col,
                     },
-                    SiteClass::IsaCommand => FaultSite::IsaCommand {
-                        program: index,
-                        slot: row,
-                    },
                 };
                 let kind = FaultKind::BitFlip {
                     bit: rng.random_range(0u32..32) as u8,
@@ -272,19 +256,9 @@ impl FaultPlan {
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
-
-    /// True when the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
 }
 
-/// Stateful fault injector: a [`FaultPlan`] plus the pass/call/program
+/// Stateful fault injector: a [`FaultPlan`] plus the pass/call
 /// counters that resolve its site addresses as execution advances.
 #[derive(Debug, Clone)]
 pub struct Injector {
@@ -292,8 +266,6 @@ pub struct Injector {
     passes: u64,
     softmax_calls: u64,
     layernorm_calls: u64,
-    programs: u64,
-    injected: u64,
 }
 
 impl Injector {
@@ -304,14 +276,7 @@ impl Injector {
             passes: 0,
             softmax_calls: 0,
             layernorm_calls: 0,
-            programs: 0,
-            injected: 0,
         }
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Claims the next GEMM pass index.
@@ -326,15 +291,9 @@ impl Injector {
         self.passes
     }
 
-    /// Total faults actually injected (in-range events that fired).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Weight-SRAM events scheduled for `pass` as `(row, col, kind)`.
     /// Read-only: callers that cannot mutate the shared weight tile
-    /// apply these as accumulator deltas and then call
-    /// [`Injector::note_injected`].
+    /// apply these as accumulator deltas.
     pub fn weight_events(&self, pass: u64) -> Vec<(usize, usize, FaultKind)> {
         self.plan
             .events
@@ -348,12 +307,6 @@ impl Injector {
             .collect()
     }
 
-    /// Records `n` faults injected by a caller that applied
-    /// [`Injector::weight_events`] itself.
-    pub fn note_injected(&mut self, n: usize) {
-        self.injected += n as u64;
-    }
-
     /// Corrupts the resident weight tile for `pass` in place; returns
     /// the number of faults that landed in range.
     pub fn corrupt_weights(&mut self, pass: u64, tile: &mut Mat<i8>) -> usize {
@@ -364,7 +317,6 @@ impl Injector {
                 hit += 1;
             }
         }
-        self.injected += hit as u64;
         hit
     }
 
@@ -379,7 +331,6 @@ impl Injector {
                 }
             }
         }
-        self.injected += hit as u64;
         hit
     }
 
@@ -397,7 +348,6 @@ impl Injector {
                 }
             }
         }
-        self.injected += hit as u64;
         hit
     }
 
@@ -415,25 +365,7 @@ impl Injector {
                 }
             }
         }
-        self.injected += hit as u64;
         hit
-    }
-
-    /// Claims the next lowered ISA program and returns the command-slot
-    /// faults scheduled for it as `(slot, kind)`. The caller applies
-    /// them to its command stream (the injector cannot name `accel`'s
-    /// `Command` type) and reports hits via [`Injector::note_injected`].
-    pub fn isa_faults(&mut self) -> Vec<(usize, FaultKind)> {
-        let program = self.programs;
-        self.programs += 1;
-        self.plan
-            .events
-            .iter()
-            .filter_map(|e| match e.site {
-                FaultSite::IsaCommand { program: p, slot } if p == program => Some((slot, e.kind)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// One serving-path GEMM pass: claims a pass index, applies its
@@ -456,7 +388,6 @@ impl Injector {
                 hit += 1;
             }
         }
-        self.injected += hit as u64;
         hit + self.corrupt_acc(pass, acc)
     }
 }
@@ -649,7 +580,7 @@ mod tests {
         let b = FaultPlan::seeded(42, 16, &space);
         assert_eq!(a, b);
         assert_ne!(a, FaultPlan::seeded(43, 16, &space));
-        assert_eq!(a.len(), 16);
+        assert_eq!(a.events().len(), 16);
         for e in a.events() {
             match e.site {
                 FaultSite::WeightSram { pass, row, col }
@@ -679,7 +610,6 @@ mod tests {
         let p1 = inj.begin_pass();
         assert_eq!(inj.corrupt_acc(p1, &mut acc), 1);
         assert_eq!(acc[(0, 0)], 1);
-        assert_eq!(inj.injected(), 1);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn exp_unit(x: i32) -> i32 {
 ///
 /// Panics if `frac` is 0 or ≥ 30.
 #[inline]
-pub fn exp_unit_with_frac(x: i32, frac: u32) -> i32 {
+pub(crate) fn exp_unit_with_frac(x: i32, frac: u32) -> i32 {
     assert!(frac > 0 && frac < 30, "frac {frac} out of range");
     let one = 1i32 << frac;
     let x = x.min(0);
@@ -93,7 +93,7 @@ pub fn ln_unit(x: i32) -> i32 {
 ///
 /// Panics if `x <= 0` or `frac` is 0 or ≥ 30.
 #[inline]
-pub fn ln_unit_with_frac(x: i32, frac: u32) -> i32 {
+pub(crate) fn ln_unit_with_frac(x: i32, frac: u32) -> i32 {
     assert!(frac > 0 && frac < 30, "frac {frac} out of range");
     assert!(x > 0, "ln_unit input must be positive, got {x}");
     let one = 1i32 << frac;
@@ -121,7 +121,7 @@ pub fn ln_unit_with_frac(x: i32, frac: u32) -> i32 {
 /// quantifying how much accuracy headroom the paper's single-segment
 /// choice left on the table (it needed none: see experiment E9).
 #[inline]
-pub fn exp_unit_pwl2(x: i32) -> i32 {
+pub(crate) fn exp_unit_pwl2(x: i32) -> i32 {
     let x = x.min(0);
     let y = x + (x >> 1) - (x >> 4);
     let k = y >> FRAC;

@@ -37,7 +37,7 @@ impl Cpx {
     }
 
     /// Builds a purely real value.
-    pub fn real(re: i32) -> Self {
+    pub(crate) fn real(re: i32) -> Self {
         Self { re, im: 0 }
     }
 
@@ -119,7 +119,7 @@ fn bit_reverse_permute(x: &mut [Cpx]) {
 ///
 /// Panics if the length is not a power of two or the twiddle table does
 /// not match.
-pub fn fft_in_place(x: &mut [Cpx], tw: &[Cpx], frac: u32) {
+pub(crate) fn fft_in_place(x: &mut [Cpx], tw: &[Cpx], frac: u32) {
     let n = x.len();
     assert!(n.is_power_of_two(), "FFT size must be a power of two");
     assert_eq!(tw.len(), n / 2, "twiddle table size mismatch");

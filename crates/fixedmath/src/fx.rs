@@ -1,10 +1,8 @@
-//! Plain `Qm.n` fixed-point conversions and arithmetic on `i32` words.
+//! Plain `Qm.n` fixed-point conversions on `i32` words.
 //!
 //! The softmax and LayerNorm pipelines run on 32-bit fixed-point words
 //! with a crate-wide fraction width of [`FRAC`] bits, giving a resolution
 //! of `2^-12 ≈ 2.4e-4` — comfortably finer than INT8 quantization noise.
-
-use crate::sat::rounding_shr;
 
 /// Fraction bits used by the nonlinear-function pipelines (Q19.12).
 pub const FRAC: u32 = 12;
@@ -33,19 +31,6 @@ pub fn to_f32(x: i32, frac: u32) -> f32 {
     x as f32 / (1i64 << frac) as f32
 }
 
-/// Fixed-point multiply: `(a * b) >> frac` with round-to-nearest.
-/// Both operands and the result share the same fraction width.
-#[inline]
-pub fn mul(a: i32, b: i32, frac: u32) -> i32 {
-    rounding_shr(a as i64 * b as i64, frac) as i32
-}
-
-/// Fixed-point multiply of a fixed-point value by an integer.
-#[inline]
-pub fn mul_int(a: i32, k: i32) -> i32 {
-    (a as i64 * k as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,19 +48,6 @@ mod tests {
     fn one_constant_matches() {
         assert_eq!(to_fx(1.0, FRAC), ONE);
         assert_eq!(to_f32(ONE, FRAC), 1.0);
-    }
-
-    #[test]
-    fn mul_is_approximately_real_product() {
-        let a = to_fx(1.5, FRAC);
-        let b = to_fx(-2.25, FRAC);
-        let p = mul(a, b, FRAC);
-        assert!((to_f32(p, FRAC) - (-3.375)).abs() < 2.0 / ONE as f32);
-    }
-
-    #[test]
-    fn mul_int_scales() {
-        assert_eq!(mul_int(to_fx(0.5, FRAC), 4), to_fx(2.0, FRAC));
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl Requantizer {
         }
     }
 
-    /// The real ratio this requantizer realises.
-    pub fn as_f64(&self) -> f64 {
-        self.mult as f64 / (1u64 << self.shift) as f64
-    }
-
     /// Applies the multiplier to an accumulator with round-to-nearest.
     #[inline]
     pub fn apply(&self, acc: i32) -> i64 {
@@ -206,7 +201,8 @@ mod tests {
     fn requantizer_is_accurate_over_ratio_range() {
         for &ratio in &[1e-6, 0.001, 0.5, 1.0, 1.5, 37.0, 60_000.0] {
             let r = Requantizer::from_ratio(ratio);
-            let rel = (r.as_f64() - ratio).abs() / ratio;
+            let realised = r.mult as f64 / (1u64 << r.shift) as f64;
+            let rel = (realised - ratio).abs() / ratio;
             assert!(rel < 1e-8, "ratio {ratio}: rel err {rel}");
         }
     }

@@ -60,14 +60,6 @@ pub fn rounding_shr(x: i64, shift: u32) -> i64 {
     (x + (half + (x >> 63))) >> shift
 }
 
-/// Truncating arithmetic right shift (the plain `>>` of Verilog on a
-/// signed value) — used where the paper's datapath shifts without
-/// rounding, e.g. the `>> 3` scale in the softmax input.
-#[inline]
-pub fn trunc_shr(x: i32, shift: u32) -> i32 {
-    x >> shift
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,12 +152,5 @@ mod tests {
                 assert_eq!(rounding_shr(-x, s), -rounding_shr(x, s), "x={x} s={s}");
             }
         }
-    }
-
-    #[test]
-    fn trunc_shr_matches_verilog_semantics() {
-        assert_eq!(trunc_shr(-1, 3), -1); // arithmetic shift keeps sign
-        assert_eq!(trunc_shr(-8, 3), -1);
-        assert_eq!(trunc_shr(7, 3), 0);
     }
 }

@@ -25,12 +25,12 @@ use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Number of priority classes (`0..PRIORITY_CLASSES`).
-pub const PRIORITY_CLASSES: usize = 3;
+pub(crate) const PRIORITY_CLASSES: usize = 3;
 
 /// A classic token bucket: `level` tokens available, refilled at
 /// `refill_per_sec` up to `capacity`.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity: f64,
     refill_per_sec: f64,
     level: f64,
@@ -39,7 +39,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A bucket that starts full.
-    pub fn new(capacity: f64, refill_per_sec: f64, now: Instant) -> Self {
+    pub(crate) fn new(capacity: f64, refill_per_sec: f64, now: Instant) -> Self {
         Self {
             capacity,
             refill_per_sec,
@@ -55,7 +55,7 @@ impl TokenBucket {
     }
 
     /// Charges `cost` tokens if available; returns whether it fit.
-    pub fn try_charge(&mut self, cost: f64, now: Instant) -> bool {
+    pub(crate) fn try_charge(&mut self, cost: f64, now: Instant) -> bool {
         self.refill(now);
         if self.level + 1e-9 >= cost {
             self.level -= cost;
@@ -63,12 +63,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Current level after refilling to `now` (for introspection).
-    pub fn level(&mut self, now: Instant) -> f64 {
-        self.refill(now);
-        self.level
     }
 }
 
@@ -156,12 +150,12 @@ impl Admission {
     }
 
     /// Weight a request charges against its tenant's bucket.
-    pub fn cost(s: &Submit) -> f64 {
+    pub(crate) fn cost(s: &Submit) -> f64 {
         (s.src.len() + s.prompt.len() + s.max_new as usize) as f64
     }
 
     /// Number of requests currently staged.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buffered
     }
 
@@ -228,7 +222,7 @@ impl Admission {
 
     /// Removes a staged request by id (client cancelled or hung up
     /// before the engine saw it). Returns whether it was present.
-    pub fn remove(&mut self, id: u64) -> bool {
+    pub(crate) fn remove(&mut self, id: u64) -> bool {
         for class in &mut self.classes {
             if let Some(pos) = class.iter().position(|s| s.submit.id == id) {
                 class.remove(pos);
@@ -242,7 +236,7 @@ impl Admission {
     /// Drains every staged request whose wall deadline (arrival +
     /// `deadline_ms`) has passed, returning them so the door can send
     /// each client a deadline-expired completion.
-    pub fn purge_expired(&mut self, now: Instant) -> Vec<Staged> {
+    pub(crate) fn purge_expired(&mut self, now: Instant) -> Vec<Staged> {
         let mut out = Vec::new();
         for class in &mut self.classes {
             let mut keep = VecDeque::with_capacity(class.len());
@@ -288,7 +282,8 @@ mod tests {
         let t1 = t0 + Duration::from_secs(1);
         assert!(b.try_charge(70.0, t1), "refilled 50 -> 70 available");
         let t2 = t1 + Duration::from_secs(100);
-        assert!((b.level(t2) - 100.0).abs() < 1e-6, "capped at capacity");
+        b.refill(t2);
+        assert!((b.level - 100.0).abs() < 1e-6, "capped at capacity");
     }
 
     #[test]

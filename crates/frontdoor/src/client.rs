@@ -48,26 +48,9 @@ impl Client {
             .write_all(&encode_client(&ClientFrame::Submit(submit)))
     }
 
-    /// Sends a `Cancel` frame.
-    pub fn cancel(&mut self, id: u64) -> io::Result<()> {
-        self.stream
-            .write_all(&encode_client(&ClientFrame::Cancel { id }))
-    }
-
     /// Writes raw bytes (the chaos harness sends garbage this way).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.stream.write_all(bytes)
-    }
-
-    /// Clones the underlying stream so a dedicated thread can send
-    /// while this client keeps receiving (open-loop benchmarking).
-    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
-
-    /// Half-closes the write side, signalling no more requests.
-    pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
     }
 
     /// Blocks until one server frame arrives, or `timeout` passes

@@ -35,11 +35,11 @@ use serving::FinishReason;
 /// this is a malformed frame (it would otherwise let one client demand
 /// an arbitrarily large allocation before sending a single payload
 /// byte).
-pub const MAX_FRAME_BYTES: usize = 256 * 1024;
+pub(crate) const MAX_FRAME_BYTES: usize = 256 * 1024;
 
 /// Sentinel id used in a REJECT when the offending frame's id could
 /// not be parsed.
-pub const UNPARSED_ID: u64 = u64::MAX;
+pub(crate) const UNPARSED_ID: u64 = u64::MAX;
 
 /// Why a byte stream failed to parse as frames. All variants are
 /// connection-fatal: after a framing error the stream offset can no
@@ -147,7 +147,7 @@ impl RejectCode {
 }
 
 /// Wire encoding of [`FinishReason`].
-pub fn reason_to_u8(r: FinishReason) -> u8 {
+pub(crate) fn reason_to_u8(r: FinishReason) -> u8 {
     match r {
         FinishReason::Eos => 0,
         FinishReason::Budget => 1,
@@ -157,7 +157,7 @@ pub fn reason_to_u8(r: FinishReason) -> u8 {
 }
 
 /// Inverse of [`reason_to_u8`].
-pub fn reason_from_u8(v: u8) -> Option<FinishReason> {
+pub(crate) fn reason_from_u8(v: u8) -> Option<FinishReason> {
     Some(match v {
         0 => FinishReason::Eos,
         1 => FinishReason::Budget,
@@ -405,11 +405,6 @@ impl Decoder {
         }
     }
 
-    /// Bytes buffered but not yet consumed as complete frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Tries to take the next complete frame's payload off the buffer.
     fn next_payload(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         if let Some(e) = &self.poisoned {
@@ -441,7 +436,7 @@ impl Decoder {
 
     /// Takes the next complete client frame, `Ok(None)` if more bytes
     /// are needed.
-    pub fn next_client(&mut self) -> Result<Option<ClientFrame>, FrameError> {
+    pub(crate) fn next_client(&mut self) -> Result<Option<ClientFrame>, FrameError> {
         match self.next_payload()? {
             None => Ok(None),
             Some(p) => {
@@ -488,7 +483,7 @@ mod tests {
             d.feed(&bytes);
             assert_eq!(d.next_client().unwrap(), Some(f));
             assert_eq!(d.next_client().unwrap(), None);
-            assert_eq!(d.buffered(), 0);
+            assert!(d.buf.is_empty());
         }
     }
 

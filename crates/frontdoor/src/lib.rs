@@ -38,9 +38,9 @@ pub mod chaos;
 pub mod client;
 pub mod frame;
 pub mod poll;
-pub mod server;
+pub(crate) mod server;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionStats, TokenBucket};
+pub use admission::{Admission, AdmissionConfig};
 pub use client::{Client, Completion};
-pub use frame::{ClientFrame, Decoder, FrameError, RejectCode, ServerFrame, Submit};
+pub use frame::{ClientFrame, Decoder, RejectCode, ServerFrame, Submit};
 pub use server::{DoorConfig, DoorStats, FrontDoor};

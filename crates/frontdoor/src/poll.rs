@@ -61,13 +61,13 @@ mod imp {
 
     /// Linux: a real `epoll` instance.
     #[derive(Debug)]
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
     }
 
     impl Poller {
         #[allow(unsafe_code)]
-        pub fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             // SAFETY: plain syscall wrapper; no pointers involved.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
@@ -77,7 +77,7 @@ mod imp {
         }
 
         #[allow(unsafe_code)]
-        pub fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
+        pub(crate) fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
             let mut ev = EpollEvent {
                 // Level-triggered readable + peer-closed interest; the
                 // event loop flushes writes opportunistically, so no
@@ -94,7 +94,7 @@ mod imp {
         }
 
         #[allow(unsafe_code)]
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
             // SAFETY: as in `register`; DEL ignores the event payload
             // (non-null for pre-2.6.9 kernel compatibility).
@@ -106,7 +106,7 @@ mod imp {
         }
 
         #[allow(unsafe_code)]
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
             const CAP: usize = 256;
             let mut events = [EpollEvent { events: 0, data: 0 }; CAP];
             // SAFETY: the buffer is a stack array of CAP entries and
@@ -150,23 +150,23 @@ mod imp {
     /// readable after a short sleep; the nonblocking reads discover
     /// the truth. Correct, just not as idle-efficient as epoll.
     #[derive(Debug, Default)]
-    pub struct Poller {
+    pub(crate) struct Poller {
         tokens: Vec<(RawFd, usize)>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             Ok(Self::default())
         }
-        pub fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
+        pub(crate) fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
             self.tokens.push((fd, token));
             Ok(())
         }
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.tokens.retain(|&(f, _)| f != fd);
             Ok(())
         }
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
             if timeout_ms > 0 {
                 std::thread::sleep(Duration::from_millis(timeout_ms.min(5) as u64));
             }
@@ -181,27 +181,27 @@ mod imp {
 
 /// The platform poller (`epoll` on Linux, scan fallback elsewhere).
 #[derive(Debug)]
-pub struct Poller(imp::Poller);
+pub(crate) struct Poller(imp::Poller);
 
 impl Poller {
     /// Creates a poller.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         imp::Poller::new().map(Self)
     }
 
     /// Watches `fd` for readability/hangup, reporting it as `token`.
-    pub fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
+    pub(crate) fn register(&mut self, fd: RawFd, token: usize) -> io::Result<()> {
         self.0.register(fd, token)
     }
 
     /// Stops watching `fd`.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.0.deregister(fd)
     }
 
     /// Waits up to `timeout_ms` (0 = just poll, -1 = block) and appends
     /// ready events to `out`.
-    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
+    pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
         self.0.wait(timeout_ms, out)
     }
 }

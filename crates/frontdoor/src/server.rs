@@ -226,11 +226,6 @@ impl<'m> FrontDoor<'m> {
         self.engine.kv_bytes_in_use()
     }
 
-    /// Logical bytes held by the shared-prefix cache.
-    pub fn prefix_cache_bytes(&self) -> usize {
-        self.engine.prefix_cache_bytes()
-    }
-
     /// True when no request is staged, queued, active, or awaiting its
     /// completion frame.
     pub fn idle(&self) -> bool {

@@ -88,7 +88,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics with a description of the first violated invariant.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         let mut defined: Vec<&str> = self.inputs.iter().map(String::as_str).collect();
         let mut last_head: Option<usize> = None;
         let mut heads_done = false;

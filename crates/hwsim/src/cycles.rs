@@ -78,7 +78,7 @@ impl Frequency {
     /// # Panics
     ///
     /// Panics if `mhz` is not finite and positive.
-    pub fn mhz(mhz: f64) -> Self {
+    pub(crate) fn mhz(mhz: f64) -> Self {
         assert!(
             mhz.is_finite() && mhz > 0.0,
             "frequency must be positive, got {mhz}"

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const BRAM36_BITS: u64 = 36 * 1024;
 
 /// Maximum single-port width of a BRAM36 (72 bits at depth 512).
-pub const BRAM36_MAX_WIDTH: u64 = 72;
+pub(crate) const BRAM36_MAX_WIDTH: u64 = 72;
 
 /// A synchronous on-chip memory specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -22,7 +22,7 @@ pub struct Resources {
 
 impl Resources {
     /// The zero vector.
-    pub const ZERO: Resources = Resources {
+    pub(crate) const ZERO: Resources = Resources {
         lut: 0.0,
         ff: 0.0,
         bram: 0.0,

@@ -1,9 +1,6 @@
-//! External-memory traffic accounting: who moved how many bytes, and
-//! how long that takes at a given link bandwidth.
+//! External-memory traffic accounting: who moved how many bytes.
 
 use serde::{Deserialize, Serialize};
-
-use crate::cycles::Cycle;
 
 /// Direction of a transfer relative to the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -16,7 +13,7 @@ pub enum Direction {
 
 /// One logical transfer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// What moved (e.g. `"mha weights"`, `"input activations"`).
     pub label: String,
     /// Direction.
@@ -46,11 +43,6 @@ impl TrafficLedger {
         });
     }
 
-    /// All transfers in record order.
-    pub fn transfers(&self) -> &[Transfer] {
-        &self.transfers
-    }
-
     /// Total bytes in one direction.
     pub fn bytes(&self, direction: Direction) -> u64 {
         self.transfers
@@ -63,17 +55,6 @@ impl TrafficLedger {
     /// Total bytes both ways.
     pub fn total_bytes(&self) -> u64 {
         self.transfers.iter().map(|t| t.bytes).sum()
-    }
-
-    /// Cycles to move everything over a half-duplex link of
-    /// `bytes_per_cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle == 0`.
-    pub fn link_cycles(&self, bytes_per_cycle: u64) -> Cycle {
-        assert!(bytes_per_cycle > 0, "bandwidth must be positive");
-        Cycle(self.total_bytes().div_ceil(bytes_per_cycle))
     }
 
     /// Arithmetic intensity of a workload against this ledger:
@@ -101,15 +82,7 @@ mod tests {
         assert_eq!(t.bytes(Direction::In), 1_048_576 + 32_768);
         assert_eq!(t.bytes(Direction::Out), 32_768);
         assert_eq!(t.total_bytes(), 1_048_576 + 2 * 32_768);
-        assert_eq!(t.transfers().len(), 3);
-    }
-
-    #[test]
-    fn link_cycles_round_up() {
-        let t = ledger();
-        let c = t.link_cycles(64);
-        assert_eq!(c.get(), t.total_bytes().div_ceil(64));
-        assert!(t.link_cycles(1).get() > c.get());
+        assert_eq!(t.transfers.len(), 3);
     }
 
     #[test]
@@ -120,16 +93,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_bandwidth_rejected() {
-        let _ = ledger().link_cycles(0);
-    }
-
-    #[test]
     fn empty_ledger_is_safe() {
         let t = TrafficLedger::new();
         assert_eq!(t.total_bytes(), 0);
-        assert_eq!(t.link_cycles(64).get(), 0);
         assert_eq!(t.arithmetic_intensity(100), 100.0);
     }
 }

@@ -7,95 +7,27 @@ use tensor::{gemm, ops, Mat};
 use transformer::linear::Linear;
 
 /// Running observer for one activation tensor: tracks the max-abs (the
-/// paper's calibration rule) and, optionally, the full magnitude sample
-/// for percentile clipping — the standard PTQ refinement that trades a
-/// little saturation for a finer step when the distribution has heavy
-/// tails.
+/// paper's calibration rule).
 #[derive(Debug, Clone, Default)]
-pub struct Observer {
+pub(crate) struct Observer {
     max_abs: f32,
-    samples: Vec<f32>,
-    keep_samples: bool,
 }
 
 impl Observer {
-    /// Creates a max-abs-only observer (the paper's scheme).
-    pub fn new() -> Self {
+    /// Creates an empty observer.
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an observer that also records magnitudes so
-    /// [`Observer::quant_params_percentile`] is available.
-    pub fn with_samples() -> Self {
-        Self {
-            keep_samples: true,
-            ..Self::default()
-        }
-    }
-
     /// Folds a matrix into the observation.
-    pub fn observe(&mut self, m: &Mat<f32>) {
+    pub(crate) fn observe(&mut self, m: &Mat<f32>) {
         self.max_abs = self.max_abs.max(ops::max_abs(m));
-        if self.keep_samples {
-            self.samples.extend(m.as_slice().iter().map(|v| v.abs()));
-        }
-    }
-
-    /// The observed maximum magnitude.
-    pub fn max_abs(&self) -> f32 {
-        self.max_abs
     }
 
     /// Converts the observation into symmetric INT8 parameters
     /// (max-abs rule).
-    pub fn quant_params(&self) -> QuantParams {
+    pub(crate) fn quant_params(&self) -> QuantParams {
         QuantParams::from_max_abs(self.max_abs)
-    }
-
-    /// Percentile-clipped parameters: the scale maps the `pct`-quantile
-    /// magnitude (e.g. 0.999) to 127, saturating the tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observer was not created with
-    /// [`Observer::with_samples`], no data was observed, or
-    /// `pct ∉ (0, 1]`.
-    pub fn quant_params_percentile(&self, pct: f64) -> QuantParams {
-        assert!(self.keep_samples, "observer was created without samples");
-        assert!(!self.samples.is_empty(), "nothing observed");
-        assert!(pct > 0.0 && pct <= 1.0, "percentile must be in (0, 1]");
-        let mut mags = self.samples.clone();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("finite magnitudes"));
-        let idx = ((mags.len() as f64 * pct).ceil() as usize).clamp(1, mags.len()) - 1;
-        QuantParams::from_max_abs(mags[idx])
-    }
-}
-
-/// How activation scales are chosen from observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CalibrationRule {
-    /// Map the observed maximum magnitude to 127 (the paper's rule).
-    MaxAbs,
-    /// Map the given magnitude quantile (e.g. 0.999) to 127, saturating
-    /// the tail — finer bulk resolution on heavy-tailed activations.
-    Percentile(f64),
-}
-
-impl CalibrationRule {
-    /// Builds the observer this rule needs.
-    pub fn observer(&self) -> Observer {
-        match self {
-            CalibrationRule::MaxAbs => Observer::new(),
-            CalibrationRule::Percentile(_) => Observer::with_samples(),
-        }
-    }
-
-    /// Resolves an observation into quantization parameters.
-    pub fn resolve(&self, o: &Observer) -> QuantParams {
-        match self {
-            CalibrationRule::MaxAbs => o.quant_params(),
-            CalibrationRule::Percentile(p) => o.quant_params_percentile(*p),
-        }
     }
 }
 
@@ -147,7 +79,7 @@ mod tests {
         let mut o = Observer::new();
         o.observe(&Mat::from_vec(1, 2, vec![1.0f32, -3.0]).unwrap());
         o.observe(&Mat::from_vec(1, 2, vec![2.0f32, 0.5]).unwrap());
-        assert_eq!(o.max_abs(), 3.0);
+        assert_eq!(o.max_abs, 3.0);
         assert_eq!(o.quant_params().quantize(3.0), 127);
     }
 
@@ -165,84 +97,5 @@ mod tests {
     fn empty_observer_degenerates_to_unit_scale() {
         let o = Observer::new();
         assert_eq!(o.quant_params().scale(), 1.0);
-    }
-
-    #[test]
-    fn percentile_clips_the_tail() {
-        let mut o = Observer::with_samples();
-        // 99 small values and one huge outlier
-        let m = Mat::from_fn(10, 10, |r, c| if r == 0 && c == 0 { 100.0 } else { 1.0 });
-        o.observe(&m);
-        let full = o.quant_params();
-        let clipped = o.quant_params_percentile(0.99);
-        assert_eq!(full.quantize(100.0), 127);
-        // clipped scale resolves the bulk ~100x finer
-        assert!(clipped.scale() < full.scale() / 50.0);
-        assert_eq!(clipped.quantize(100.0), 127, "outlier saturates");
-    }
-
-    #[test]
-    fn percentile_one_equals_max_abs() {
-        let mut o = Observer::with_samples();
-        let mut rng = StdRng::seed_from_u64(2);
-        o.observe(&tensor::init::normal(&mut rng, 8, 8, 1.0));
-        let a = o.quant_params_percentile(1.0);
-        let b = o.quant_params();
-        assert!((a.scale() - b.scale()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_trades_tail_error_for_bulk_resolution() {
-        // The clipping trade-off, measured honestly: against a tensor
-        // with a single 100x outlier, percentile calibration makes the
-        // *typical* (median) reconstruction error ~100x smaller while
-        // the outlier saturates. (On squared-error metrics like SQNR the
-        // outlier dominates and max-abs wins — which is why the paper's
-        // plain max-abs rule is a defensible default.)
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut x = tensor::init::normal(&mut rng, 10, 10, 1.0);
-        x[(0, 0)] = 100.0;
-        let mut o = Observer::with_samples();
-        o.observe(&x);
-        let median_err = |q: QuantParams| {
-            let mut errs: Vec<f32> = x
-                .as_slice()
-                .iter()
-                .map(|&v| (q.dequantize(q.quantize(v)) - v).abs())
-                .collect();
-            errs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            errs[errs.len() / 2]
-        };
-        let full = median_err(o.quant_params());
-        let clipped = median_err(o.quant_params_percentile(0.98));
-        assert!(
-            clipped < full / 20.0,
-            "clipped median {clipped} vs max-abs median {full}"
-        );
-    }
-
-    #[test]
-    fn rule_dispatch_matches_direct_calls() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = tensor::init::normal(&mut rng, 8, 8, 1.0);
-        let rule = CalibrationRule::MaxAbs;
-        let mut o = rule.observer();
-        o.observe(&m);
-        assert_eq!(rule.resolve(&o).scale(), o.quant_params().scale());
-        let rule = CalibrationRule::Percentile(0.9);
-        let mut o = rule.observer();
-        o.observe(&m);
-        assert_eq!(
-            rule.resolve(&o).scale(),
-            o.quant_params_percentile(0.9).scale()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "without samples")]
-    fn percentile_requires_samples() {
-        let mut o = Observer::new();
-        o.observe(&Mat::filled(1, 1, 1.0f32));
-        let _ = o.quant_params_percentile(0.99);
     }
 }

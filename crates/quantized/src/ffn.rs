@@ -8,7 +8,7 @@ use tensor::norm::{layernorm_rows, LAYERNORM_EPS};
 use tensor::{ops, Mat};
 use transformer::ffn::FfnResBlock;
 
-use crate::calib::{linear_f32, FfnScales};
+use crate::calib::{linear_f32, FfnScales, Observer};
 use crate::exec::PlannedGraph;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
@@ -31,24 +31,11 @@ impl QuantFfnResBlock {
     ///
     /// Panics if `calib` is empty.
     pub fn from_f32(block: &FfnResBlock, calib: &[Mat<f32>]) -> Self {
-        Self::from_f32_calibrated(block, calib, crate::calib::CalibrationRule::MaxAbs)
-    }
-
-    /// Calibrates with an explicit activation-calibration rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calib` is empty.
-    pub fn from_f32_calibrated(
-        block: &FfnResBlock,
-        calib: &[Mat<f32>],
-        rule: crate::calib::CalibrationRule,
-    ) -> Self {
         assert!(!calib.is_empty(), "empty calibration set");
         let (l1, l2) = block.sublayers();
-        let mut obs_x = rule.observer();
-        let mut obs_hidden = rule.observer();
-        let mut obs_out = rule.observer();
+        let mut obs_x = Observer::new();
+        let mut obs_hidden = Observer::new();
+        let mut obs_out = Observer::new();
         for x in calib {
             obs_x.observe(x);
             let hidden = ops::relu(&linear_f32(l1, x));
@@ -59,15 +46,15 @@ impl QuantFfnResBlock {
             obs_out.observe(&out);
         }
         let scales = FfnScales {
-            x: rule.resolve(&obs_x),
-            hidden: rule.resolve(&obs_hidden),
-            out: rule.resolve(&obs_out),
+            x: obs_x.quant_params(),
+            hidden: obs_hidden.quant_params(),
+            out: obs_out.quant_params(),
         };
         Self::from_f32_with_scales(block, scales)
     }
 
     /// Quantizes with explicit activation scales.
-    pub fn from_f32_with_scales(block: &FfnResBlock, scales: FfnScales) -> Self {
+    pub(crate) fn from_f32_with_scales(block: &FfnResBlock, scales: FfnScales) -> Self {
         Self::from_f32_with_scales_scheme(block, scales, QuantScheme::PerTensor)
     }
 

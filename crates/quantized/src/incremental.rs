@@ -74,7 +74,7 @@ pub struct KvArena {
 impl KvArena {
     /// An arena for caches `d_model` columns wide, with the page height
     /// taken from `ACCEL_KV_PAGE` (default [`DEFAULT_PAGE_ROWS`]).
-    pub fn new(d_model: usize) -> Self {
+    pub(crate) fn new(d_model: usize) -> Self {
         Self::with_page_rows(d_model, page_rows_from_env(DEFAULT_PAGE_ROWS))
     }
 
@@ -104,13 +104,9 @@ impl KvArena {
         self.k.bytes_in_use() + self.v.bytes_in_use()
     }
 
-    /// High-water bytes ever allocated (live + free-listed pages).
-    pub fn kv_bytes_allocated(&self) -> usize {
-        self.k.bytes_allocated() + self.v.bytes_allocated()
-    }
-
     /// Pages held by live sessions across both pools.
-    pub fn pages_in_use(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pages_in_use(&self) -> usize {
         self.k.pages_in_use() + self.v.pages_in_use()
     }
 }
@@ -661,12 +657,15 @@ mod tests {
         s.release(&mut arena);
         assert_eq!(arena.kv_bytes_in_use(), 0);
         // A new session reuses the freed pages without fresh allocation.
-        let allocated = arena.kv_bytes_allocated();
+        let allocated = arena.k.bytes_allocated() + arena.v.bytes_allocated();
         let mut s2 = q.start_session(&mut arena, &corpus[1].0);
         for t in 0..5 {
             let _ = q.step_session(&mut arena, &mut s2, 3 + t);
         }
-        assert_eq!(arena.kv_bytes_allocated(), allocated);
+        assert_eq!(
+            arena.k.bytes_allocated() + arena.v.bytes_allocated(),
+            allocated
+        );
     }
 
     #[test]

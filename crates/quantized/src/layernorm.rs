@@ -24,7 +24,7 @@ pub struct RowStats {
 
 impl RowStats {
     /// Accumulates one element (one cycle of streaming input).
-    pub fn push(&mut self, g: i32) {
+    pub(crate) fn push(&mut self, g: i32) {
         self.sum += g as i64;
         self.sum_sq += g as i64 * g as i64;
         self.n += 1;
@@ -32,7 +32,7 @@ impl RowStats {
 
     /// Mean in `Q.12` fixed point (round-to-nearest constant division —
     /// one fixed-point multiply in hardware).
-    pub fn mean_fx(&self) -> i64 {
+    pub(crate) fn mean_fx(&self) -> i64 {
         assert!(self.n > 0, "empty row");
         let n = self.n as i64;
         let num = self.sum << FRAC;
@@ -45,7 +45,7 @@ impl RowStats {
 
     /// Variance in `Q.12` fixed point via Eq. (9):
     /// `var = E[G²] − E[G]²` (never negative up to rounding; clamped).
-    pub fn var_fx(&self) -> i64 {
+    pub(crate) fn var_fx(&self) -> i64 {
         assert!(self.n > 0, "empty row");
         let n = self.n as i64;
         let mean = self.mean_fx();
@@ -107,13 +107,8 @@ impl HwLayerNorm {
     }
 
     /// Output scale of the produced codes.
-    pub fn out_scale(&self) -> QuantParams {
+    pub(crate) fn out_scale(&self) -> QuantParams {
         self.out_scale
-    }
-
-    /// Input (residual-domain) scale.
-    pub fn in_scale(&self) -> QuantParams {
-        self.in_scale
     }
 
     /// Row statistics of `g` — what the inline accumulators hold when
@@ -140,7 +135,7 @@ impl HwLayerNorm {
     ///
     /// Panics if `g_row`, `out` and the module differ in width, or the
     /// statistics cover a different number of elements.
-    pub fn normalize_row_into(&self, g_row: &[i32], stats: &RowStats, out: &mut [i8]) {
+    pub(crate) fn normalize_row_into(&self, g_row: &[i32], stats: &RowStats, out: &mut [i8]) {
         assert_eq!(g_row.len(), self.dim(), "row width mismatch");
         assert_eq!(out.len(), self.dim(), "output row width mismatch");
         assert_eq!(stats.n, g_row.len(), "stats cover a different row length");
@@ -174,7 +169,7 @@ impl HwLayerNorm {
     }
 
     /// Dequantizes output codes.
-    pub fn dequantize_output(&self, y: &Mat<i8>) -> Mat<f32> {
+    pub(crate) fn dequantize_output(&self, y: &Mat<i8>) -> Mat<f32> {
         y.map(|&v| self.out_scale.dequantize(v))
     }
 }

@@ -9,7 +9,7 @@ use tensor::{gemm, ops, Mat};
 use transformer::functional::softmax_rows;
 use transformer::mha::MhaResBlock;
 
-use crate::calib::{linear_f32, MhaScales};
+use crate::calib::{linear_f32, MhaScales, Observer};
 use crate::exec::PlannedGraph;
 use crate::layernorm::HwLayerNorm;
 use crate::qlinear::{QLinear, QuantScheme};
@@ -51,49 +51,29 @@ impl QuantMhaResBlock {
         Self::from_f32_with_mask(block, calib_q, calib_kv, mode, |_, _| None)
     }
 
-    /// Like [`QuantMhaResBlock::from_f32_with_mask`] with an explicit
-    /// activation-calibration rule (the max-abs vs percentile ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calibration sets are empty or of different lengths.
-    pub fn from_f32_calibrated(
-        block: &MhaResBlock,
-        calib_q: &[Mat<f32>],
-        calib_kv: &[Mat<f32>],
-        mode: SoftmaxMode,
-        rule: crate::calib::CalibrationRule,
-        mask_fn: impl Fn(usize, usize) -> Option<Mat<bool>>,
-    ) -> Self {
-        let scales = Self::calibrate(block, calib_q, calib_kv, rule, mask_fn);
-        Self::from_f32_with_scales(block, scales, mode)
-    }
-
     /// Calibrates with a mask builder `mask_fn(s_q, s_kv)` (e.g. the
     /// causal mask for decoder self-attention).
     ///
     /// # Panics
     ///
     /// Panics if the calibration sets are empty or of different lengths.
-    pub fn from_f32_with_mask(
+    pub(crate) fn from_f32_with_mask(
         block: &MhaResBlock,
         calib_q: &[Mat<f32>],
         calib_kv: &[Mat<f32>],
         mode: SoftmaxMode,
         mask_fn: impl Fn(usize, usize) -> Option<Mat<bool>>,
     ) -> Self {
-        let rule = crate::calib::CalibrationRule::MaxAbs;
-        let scales = Self::calibrate(block, calib_q, calib_kv, rule, mask_fn);
+        let scales = Self::calibrate(block, calib_q, calib_kv, mask_fn);
         Self::from_f32_with_scales(block, scales, mode)
     }
 
     /// Replays the Fig. 3a dataflow in FP32 and resolves activation
-    /// scales with `rule`.
+    /// scales with the max-abs rule.
     fn calibrate(
         block: &MhaResBlock,
         calib_q: &[Mat<f32>],
         calib_kv: &[Mat<f32>],
-        rule: crate::calib::CalibrationRule,
         mask_fn: impl Fn(usize, usize) -> Option<Mat<bool>>,
     ) -> MhaScales {
         assert!(!calib_q.is_empty(), "empty calibration set");
@@ -109,13 +89,13 @@ impl QuantMhaResBlock {
         let scale = 1.0 / (d_k as f32).sqrt();
 
         // FP32 replay of the Fig. 3a dataflow to observe activations.
-        let mut obs_xq = rule.observer();
-        let mut obs_xkv = rule.observer();
-        let mut obs_q = rule.observer();
-        let mut obs_k = rule.observer();
-        let mut obs_v = rule.observer();
-        let mut obs_p = rule.observer();
-        let mut obs_out = rule.observer();
+        let mut obs_xq = Observer::new();
+        let mut obs_xkv = Observer::new();
+        let mut obs_q = Observer::new();
+        let mut obs_k = Observer::new();
+        let mut obs_v = Observer::new();
+        let mut obs_p = Observer::new();
+        let mut obs_out = Observer::new();
         for (xq, xkv) in calib_q.iter().zip(calib_kv) {
             obs_xq.observe(xq);
             obs_xkv.observe(xkv);
@@ -148,18 +128,22 @@ impl QuantMhaResBlock {
             obs_out.observe(&out);
         }
         MhaScales {
-            x_q: rule.resolve(&obs_xq),
-            x_kv: rule.resolve(&obs_xkv),
-            q: rule.resolve(&obs_q),
-            k: rule.resolve(&obs_k),
-            v: rule.resolve(&obs_v),
-            p: rule.resolve(&obs_p),
-            out: rule.resolve(&obs_out),
+            x_q: obs_xq.quant_params(),
+            x_kv: obs_xkv.quant_params(),
+            q: obs_q.quant_params(),
+            k: obs_k.quant_params(),
+            v: obs_v.quant_params(),
+            p: obs_p.quant_params(),
+            out: obs_out.quant_params(),
         }
     }
 
     /// Quantizes with explicit, externally chosen activation scales.
-    pub fn from_f32_with_scales(block: &MhaResBlock, scales: MhaScales, mode: SoftmaxMode) -> Self {
+    pub(crate) fn from_f32_with_scales(
+        block: &MhaResBlock,
+        scales: MhaScales,
+        mode: SoftmaxMode,
+    ) -> Self {
         Self::from_f32_with_scales_scheme(block, scales, mode, QuantScheme::PerTensor)
     }
 
@@ -218,7 +202,7 @@ impl QuantMhaResBlock {
 
     /// Switches the softmax implementation (the step-1 → step-2 toggle
     /// of the quantization study).
-    pub fn set_softmax_mode(&mut self, mode: SoftmaxMode) {
+    pub(crate) fn set_softmax_mode(&mut self, mode: SoftmaxMode) {
         self.mode = mode;
     }
 
@@ -275,12 +259,12 @@ impl QuantMhaResBlock {
     }
 
     /// Quantizes a key/value-side FP32 input into block input codes.
-    pub fn quantize_input_kv(&self, x: &Mat<f32>) -> Mat<i8> {
+    pub(crate) fn quantize_input_kv(&self, x: &Mat<f32>) -> Mat<i8> {
         self.wk.quantize_input(x)
     }
 
     /// Dequantizes block output codes.
-    pub fn dequantize_output(&self, y: &Mat<i8>) -> Mat<f32> {
+    pub(crate) fn dequantize_output(&self, y: &Mat<i8>) -> Mat<f32> {
         self.ln.dequantize_output(y)
     }
 
@@ -435,35 +419,6 @@ mod tests {
         assert_eq!(qblock.softmax_mode(), SoftmaxMode::Hardware);
         let (b, _) = qblock.forward(&xq, &xq, None);
         assert_ne!(a, b, "switching softmax must change some codes");
-    }
-
-    #[test]
-    fn percentile_calibration_builds_valid_blocks() {
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(55);
-        let mut block = MhaResBlock::new(&cfg, &mut rng);
-        let calib: Vec<Mat<f32>> = (0..4)
-            .map(|_| tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0))
-            .collect();
-        let q = QuantMhaResBlock::from_f32_calibrated(
-            &block,
-            &calib,
-            &calib,
-            SoftmaxMode::Hardware,
-            crate::calib::CalibrationRule::Percentile(0.999),
-            |_, _| None,
-        );
-        let x = &calib[0];
-        let want = block.forward(x, x, x, None);
-        let got = q.forward_f32(x, x, None);
-        let err = want
-            .as_slice()
-            .iter()
-            .zip(got.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        // still accurate; at 99.9% on normal-ish data, close to max-abs
-        assert!(err < 0.35, "percentile-calibrated error {err}");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!   `quant_scheme` experiment binary.
 
 use fixedmath::quant::{QuantParams, Requantizer};
-use fixedmath::sat::sat_i8;
 use serde::{Deserialize, Serialize};
 use tensor::phase::{self, Phase};
 use tensor::prepack::{self, PackedI8, PackedI8Cols};
@@ -113,11 +112,6 @@ impl QLinear {
         }
     }
 
-    /// The weight-quantization granularity.
-    pub fn scheme(&self) -> QuantScheme {
-        self.scheme
-    }
-
     /// Input activation scale.
     pub fn in_scale(&self) -> QuantParams {
         self.in_scale
@@ -165,7 +159,7 @@ impl QLinear {
     /// # Panics
     ///
     /// Panics if `x.cols() != d_in`.
-    pub fn forward_acc(&self, x: &Mat<i8>) -> Mat<i32> {
+    pub(crate) fn forward_acc(&self, x: &Mat<i8>) -> Mat<i32> {
         let _span = phase::span(Phase::WeightGemm);
         let mut acc =
             prepack::matmul_i8_prepacked(x, &self.w_packed).expect("qlinear width mismatch");
@@ -203,11 +197,6 @@ impl QLinear {
                 faults::note_detected(bad_rows as u64);
             }
         }
-    }
-
-    /// The ABFT row-sum checksum latched at quantization time.
-    pub fn w_rowsum(&self) -> &[i64] {
-        &self.w_rowsum
     }
 
     /// Full quantized forward: accumulate, then requantize to
@@ -257,7 +246,7 @@ impl QLinear {
     /// # Panics
     ///
     /// Panics if `x.cols() != d_in`.
-    pub fn forward_relu(&self, x: &Mat<i8>) -> Mat<i8> {
+    pub(crate) fn forward_relu(&self, x: &Mat<i8>) -> Mat<i8> {
         let _span = phase::span(Phase::WeightGemm);
         if faults::hooks_active() {
             return self.forward(x).map(|&v| v.max(0));
@@ -368,21 +357,6 @@ impl QLinear {
         r.apply_sat_i8(acc)
     }
 
-    /// Requantizes with the per-tensor multiplier.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`QuantScheme::PerChannel`] — use
-    /// [`QLinear::requantize_col`].
-    pub fn requantize(&self, acc: i32) -> i8 {
-        assert_eq!(
-            self.scheme,
-            QuantScheme::PerTensor,
-            "per-channel layers need the column index; use requantize_col"
-        );
-        self.requants[0].apply_sat_i8(acc)
-    }
-
     /// Quantizes an FP32 activation into this layer's input codes.
     pub fn quantize_input(&self, x: &Mat<f32>) -> Mat<i8> {
         x.map(|&v| self.in_scale.quantize(v))
@@ -402,12 +376,6 @@ pub fn residual_add_i8(a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
     Mat::from_fn(a.rows(), a.cols(), |r, c| {
         a[(r, c)] as i32 + b[(r, c)] as i32
     })
-}
-
-/// Clamps an `i32` code matrix to INT8 (used when a residual sum must
-/// re-enter an INT8 datapath).
-pub fn saturate_codes(m: &Mat<i32>) -> Mat<i8> {
-    m.map(|&v| sat_i8(v))
 }
 
 #[cfg(test)]
@@ -473,13 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn residual_add_saturates_via_helper() {
+    fn residual_add_widens_without_saturating() {
         let a = Mat::from_vec(1, 2, vec![100i8, -100]).unwrap();
         let b = Mat::from_vec(1, 2, vec![100i8, -100]).unwrap();
         let sum = residual_add_i8(&a, &b);
         assert_eq!(sum.as_slice(), &[200, -200]);
-        let sat = saturate_codes(&sum);
-        assert_eq!(sat.as_slice(), &[127, -127]);
     }
 
     #[test]
@@ -555,13 +521,6 @@ mod tests {
     #[should_panic(expected = "per-channel")]
     fn per_tensor_accessors_guarded() {
         let (_, q, _) = make_layer(6, 8, 8, QuantScheme::PerChannel);
-        let _ = q.requantize(100);
-    }
-
-    #[test]
-    fn scheme_is_reported() {
-        let (_, q, _) = make_layer(7, 8, 8, QuantScheme::PerChannel);
-        assert_eq!(q.scheme(), QuantScheme::PerChannel);
-        let _ = q.w_scale_of(3);
+        let _ = q.w_scale();
     }
 }

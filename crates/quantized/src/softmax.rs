@@ -36,7 +36,7 @@ pub enum SoftmaxMode {
 
 /// The fixed scale of softmax probability codes: `1/127` (probabilities
 /// in `[0, 1]` map to codes `0..=127`).
-pub fn prob_scale() -> QuantParams {
+pub(crate) fn prob_scale() -> QuantParams {
     QuantParams::new(1.0 / 127.0)
 }
 

@@ -27,43 +27,20 @@ pub fn sqnr_db(reference: &Mat<f32>, approx: &Mat<f32>) -> f64 {
     10.0 * (signal / noise).log10()
 }
 
-/// The theoretical SQNR of an ideal uniform `bits`-bit quantizer driven
-/// at full scale: `6.02·bits + 1.76` dB. Symmetric INT8 tops out around
-/// 49.9 dB; real tensors (non-uniform distributions, headroom for the
-/// max-abs calibration) land well below.
-pub fn ideal_uniform_sqnr_db(bits: u32) -> f64 {
-    6.02 * bits as f64 + 1.76
-}
-
-/// One named SQNR measurement.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct SqnrReport {
-    /// Tensor name.
-    pub name: String,
-    /// Measured SQNR (dB).
-    pub sqnr_db: f64,
-}
-
-/// Measures SQNR for a set of named `(reference, approx)` pairs, sorted
-/// worst-first — the top entries are where the datapath loses accuracy.
-pub fn rank_worst(pairs: &[(String, &Mat<f32>, &Mat<f32>)]) -> Vec<SqnrReport> {
-    let mut out: Vec<SqnrReport> = pairs
-        .iter()
-        .map(|(name, r, a)| SqnrReport {
-            name: name.clone(),
-            sqnr_db: sqnr_db(r, a),
-        })
-        .collect();
-    out.sort_by(|a, b| a.sqnr_db.partial_cmp(&b.sqnr_db).expect("finite"));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fixedmath::quant::QuantParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The theoretical SQNR of an ideal uniform `bits`-bit quantizer driven
+    /// at full scale: `6.02·bits + 1.76` dB. Symmetric INT8 tops out around
+    /// 49.9 dB; real tensors (non-uniform distributions, headroom for the
+    /// max-abs calibration) land well below.
+    fn ideal_uniform_sqnr_db(bits: u32) -> f64 {
+        6.02 * bits as f64 + 1.76
+    }
 
     #[test]
     fn exact_reconstruction_is_infinite() {
@@ -98,22 +75,6 @@ mod tests {
         let approx = x.map(|&v| q.dequantize(q.quantize(v)));
         let db = sqnr_db(&x, &approx);
         assert!(db > 30.0 && db < ideal_uniform_sqnr_db(8), "{db}");
-    }
-
-    #[test]
-    fn ranking_puts_the_noisiest_first() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let x = tensor::init::normal(&mut rng, 16, 16, 1.0);
-        let fine = QuantParams::from_max_abs(tensor::ops::max_abs(&x));
-        let coarse = QuantParams::new(fine.scale() * 16.0);
-        let a_fine = x.map(|&v| fine.dequantize(fine.quantize(v)));
-        let a_coarse = x.map(|&v| coarse.dequantize(coarse.quantize(v)));
-        let ranked = rank_worst(&[
-            ("fine".into(), &x, &a_fine),
-            ("coarse".into(), &x, &a_coarse),
-        ]);
-        assert_eq!(ranked[0].name, "coarse");
-        assert!(ranked[0].sqnr_db < ranked[1].sqnr_db);
     }
 
     #[test]

@@ -41,12 +41,12 @@ use quantized::incremental::{KvArena, QuantIncrementalSession};
 /// Separator token between the source sentence and the consumed
 /// target-side tokens in a prefix key. `usize::MAX` cannot collide with
 /// a vocabulary id (token ids index embedding rows).
-pub const SRC_SEP: usize = usize::MAX;
+pub(crate) const SRC_SEP: usize = usize::MAX;
 
 /// Builds the trie key for a request: `src ++ [SRC_SEP] ++ target`,
 /// where `target` is the consumed target-side row stream
 /// (`[BOS] + prompt`).
-pub fn prefix_key(src: &[usize], target: &[usize]) -> Vec<usize> {
+pub(crate) fn prefix_key(src: &[usize], target: &[usize]) -> Vec<usize> {
     let mut key = Vec::with_capacity(src.len() + 1 + target.len());
     key.extend_from_slice(src);
     key.push(SRC_SEP);
@@ -75,7 +75,7 @@ struct Node {
 
 /// The prefix cache: a token trie whose nodes may hold session
 /// snapshots, bounded by a byte budget with LRU eviction.
-pub struct PrefixIndex {
+pub(crate) struct PrefixIndex {
     root: Node,
     /// Byte budget; `0` disables the index entirely.
     budget: usize,
@@ -97,7 +97,7 @@ impl std::fmt::Debug for PrefixIndex {
 impl PrefixIndex {
     /// An index bounded to `budget` logical KV bytes (`0` disables it:
     /// every lookup misses and every insert is dropped).
-    pub fn new(budget: usize) -> Self {
+    pub(crate) fn new(budget: usize) -> Self {
         Self {
             root: Node::default(),
             budget,
@@ -108,17 +108,17 @@ impl PrefixIndex {
     }
 
     /// Whether the index accepts entries at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.budget > 0
     }
 
     /// Logical KV bytes currently charged against the budget.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// Cached prefixes currently held.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.entries
     }
 
@@ -133,7 +133,7 @@ impl PrefixIndex {
     /// Callers cap `max_rows` at one *less* than the full consumed-row
     /// count: a session must re-ingest at least one row to produce the
     /// logits the next token is sampled from.
-    pub fn lookup(
+    pub(crate) fn lookup(
         &mut self,
         key: &[usize],
         max_rows: usize,
@@ -179,7 +179,7 @@ impl PrefixIndex {
     }
 
     /// Whether an entry is stored at exactly `key`.
-    pub fn contains(&self, key: &[usize]) -> bool {
+    pub(crate) fn contains(&self, key: &[usize]) -> bool {
         let mut node = &self.root;
         for tok in key {
             match node.children.get(tok) {
@@ -195,7 +195,7 @@ impl PrefixIndex {
     /// the index is disabled, the snapshot holds no rows, it alone
     /// exceeds the budget, or `key` is already present — the caller
     /// never has to clean up. Returns whether the snapshot was kept.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         key: &[usize],
         mut session: QuantIncrementalSession,
@@ -243,7 +243,8 @@ impl PrefixIndex {
     }
 
     /// Drops every entry, releasing all forks into `arena`.
-    pub fn clear(&mut self, arena: &mut KvArena) {
+    #[cfg(test)]
+    fn clear(&mut self, arena: &mut KvArena) {
         while self.entries > 0 {
             self.evict_lru(arena);
         }

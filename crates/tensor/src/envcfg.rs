@@ -15,7 +15,7 @@
 //!   `ACCEL_FAULT_SEED`, `ACCEL_PIN` — read **once** per process (these
 //!   sit on or gate hot paths; a `getenv` per GEMM is measurable).
 //!   In-process retuning for tests goes through the override setters
-//!   ([`set_pin_override`],
+//!   (`set_pin_override`,
 //!   [`crate::par::set_thread_override`],
 //!   [`crate::simd::set_simd_override`], `faults::set_checker`).
 //! * `ACCEL_KV_PAGE`, `ACCEL_PREFIX_CACHE` — parsed on **every** call
@@ -72,7 +72,7 @@ fn flag(var: &str) -> bool {
 /// `ACCEL_THREADS` as parsed from the environment: `Some(t)` for a
 /// positive integer, `None` otherwise (caller supplies the default and
 /// the clamp). Read once per process.
-pub fn threads_raw() -> Option<usize> {
+pub(crate) fn threads_raw() -> Option<usize> {
     static CELL: OnceLock<Option<usize>> = OnceLock::new();
     *CELL.get_or_init(|| match std::env::var(ENV_THREADS) {
         Ok(v) => match v.trim().parse::<usize>() {
@@ -85,14 +85,14 @@ pub fn threads_raw() -> Option<usize> {
 
 /// Whether `ACCEL_FORCE_SCALAR` pins the scalar kernels. Read once per
 /// process.
-pub fn force_scalar() -> bool {
+pub(crate) fn force_scalar() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
     *CELL.get_or_init(|| flag(ENV_FORCE_SCALAR))
 }
 
 /// The paged-KV page height from `ACCEL_KV_PAGE`, falling back to
 /// `default`. Parsed on every call (see module docs).
-pub fn kv_page_rows(default: usize) -> usize {
+pub(crate) fn kv_page_rows(default: usize) -> usize {
     match std::env::var(ENV_KV_PAGE) {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n > 0 => n,
@@ -170,8 +170,8 @@ pub fn fault_seed() -> Option<u64> {
 static PIN_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Whether pool workers should be pinned to cores: an explicit
-/// [`set_pin_override`], else the `ACCEL_PIN` opt-in.
-pub fn pin_enabled() -> bool {
+/// `set_pin_override` (tests only), else the `ACCEL_PIN` opt-in.
+pub(crate) fn pin_enabled() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
     match PIN_OVERRIDE.load(Ordering::Relaxed) {
         1 => false,
@@ -183,7 +183,8 @@ pub fn pin_enabled() -> bool {
 /// Overrides [`pin_enabled`] for this process (`None` restores the env
 /// resolution). Note that workers already spawned keep the affinity
 /// they were given; the override affects workers spawned afterwards.
-pub fn set_pin_override(enabled: Option<bool>) {
+#[cfg(test)]
+pub(crate) fn set_pin_override(enabled: Option<bool>) {
     let v = match enabled {
         None => 0,
         Some(false) => 1,

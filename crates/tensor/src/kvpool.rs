@@ -108,11 +108,10 @@ pub struct KvPool<T> {
     /// of every shared page.
     refs: Vec<u32>,
     free: Vec<usize>,
-    max_pages: Option<usize>,
 }
 
 impl<T: Copy + Default> KvPool<T> {
-    /// An unbounded pool of `page_rows × cols` pages.
+    /// A pool of `page_rows × cols` pages.
     ///
     /// # Panics
     ///
@@ -126,16 +125,7 @@ impl<T: Copy + Default> KvPool<T> {
             pages: Vec::new(),
             refs: Vec::new(),
             free: Vec::new(),
-            max_pages: None,
         }
-    }
-
-    /// A pool that refuses to allocate more than `max_pages` pages
-    /// (the fixed KV memory budget of a serving host).
-    pub fn with_max_pages(page_rows: usize, cols: usize, max_pages: usize) -> Self {
-        let mut p = Self::new(page_rows, cols);
-        p.max_pages = Some(max_pages);
-        p
     }
 
     /// Rows per page.
@@ -151,11 +141,6 @@ impl<T: Copy + Default> KvPool<T> {
     /// Pages handed out to live sequences.
     pub fn pages_in_use(&self) -> usize {
         self.pages.len() - self.free.len()
-    }
-
-    /// Pages on the free list, ready for reuse.
-    pub fn pages_free(&self) -> usize {
-        self.free.len()
     }
 
     /// Bytes resident in pages currently held by sequences. Free-listed
@@ -181,12 +166,6 @@ impl<T: Copy + Default> KvPool<T> {
             debug_assert_eq!(self.refs[i], 0, "free page {i} still referenced");
             self.refs[i] = 1;
             return i;
-        }
-        if let Some(max) = self.max_pages {
-            assert!(
-                self.pages.len() < max,
-                "KV pool exhausted: {max} pages allocated and none free"
-            );
         }
         self.pages.push(Mat::zeros(self.page_rows, self.cols));
         self.refs.push(1);
@@ -220,8 +199,7 @@ impl<T: Copy + Default> KvPool<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != cols`, or the pool's page budget
-    /// ([`KvPool::with_max_pages`]) is exhausted.
+    /// Panics if `row.len() != cols`.
     pub fn push_row(&mut self, seq: &mut KvSeq, row: &[T]) {
         assert_eq!(
             row.len(),
@@ -481,7 +459,7 @@ mod tests {
         fill(&mut pool, &mut seq, 9, 0); // 3 pages
         pool.truncate(&mut seq, 4); // exactly one page's worth
         assert_eq!(seq.pages_held(), 1);
-        assert_eq!(pool.pages_free(), 2);
+        assert_eq!(pool.free.len(), 2);
         // Rollback one row below a boundary from above it.
         fill(&mut pool, &mut seq, 1, 50); // row 4 -> second page
         assert_eq!(seq.pages_held(), 2);
@@ -503,7 +481,7 @@ mod tests {
         fill(&mut pool, &mut b, 6, 9);
         // No fresh allocation was needed.
         assert_eq!(pool.pages_in_use(), held);
-        assert_eq!(pool.pages_free(), 0);
+        assert_eq!(pool.free.len(), 0);
         assert_eq!(pool.row(&b, 5), &[14, 14]);
     }
 
@@ -517,14 +495,6 @@ mod tests {
         pool.release(&mut seq);
         assert_eq!(pool.bytes_in_use(), 0);
         assert_eq!(pool.bytes_allocated(), 4 * 8 * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "KV pool exhausted")]
-    fn page_budget_is_enforced() {
-        let mut pool = KvPool::<i8>::with_max_pages(2, 2, 1);
-        let mut seq = KvSeq::new();
-        fill(&mut pool, &mut seq, 3, 0);
     }
 
     #[test]
@@ -601,11 +571,11 @@ mod tests {
         let mut b = pool.fork(&a);
         pool.release(&mut a);
         // b still holds both pages; nothing recycled yet.
-        assert_eq!(pool.pages_free(), 0);
+        assert_eq!(pool.free.len(), 0);
         assert_eq!(pool.row(&b, 7), &[8, 8]);
         pool.release(&mut b);
         assert_eq!(pool.pages_in_use(), 0);
-        assert_eq!(pool.pages_free(), 2);
+        assert_eq!(pool.free.len(), 2);
     }
 
     #[test]

@@ -51,10 +51,3 @@ pub mod simd;
 
 pub use error::ShapeError;
 pub use mat::Mat;
-
-/// Convenience alias for `f32` matrices (activations, weights).
-pub type MatF = Mat<f32>;
-/// Convenience alias for INT8 matrices (quantized tensors).
-pub type MatI8 = Mat<i8>;
-/// Convenience alias for INT32 matrices (GEMM accumulators).
-pub type MatI32 = Mat<i32>;

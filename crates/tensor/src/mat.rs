@@ -67,16 +67,6 @@ impl<T: Copy + Default> Mat<T> {
         Self { rows, cols, data }
     }
 
-    /// Returns a copy of column `c` as a `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<T> {
-        assert!(c < self.cols, "column {c} out of bounds ({})", self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transposed(&self) -> Self {
         Mat::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -156,35 +146,6 @@ impl<T: Copy + Default> Mat<T> {
             }
         }
         Ok(Self { rows, cols, data })
-    }
-
-    /// Concatenates matrices top-to-bottom. All inputs must share a column
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `parts` is empty or column counts differ.
-    pub fn vconcat(parts: &[Self]) -> Result<Self, ShapeError> {
-        let first = parts
-            .first()
-            .ok_or(ShapeError::new("vconcat", (0, 0), (0, 0)))?;
-        let cols = first.cols;
-        let mut rows = 0;
-        for p in parts {
-            if p.cols != cols {
-                return Err(ShapeError::new("vconcat", (first.rows, cols), p.shape()));
-            }
-            rows += p.rows;
-        }
-        let mut out = Mat::zeros(rows, cols);
-        let mut r0 = 0;
-        for p in parts {
-            for r in 0..p.rows {
-                out.row_mut(r0 + r).copy_from_slice(p.row(r));
-            }
-            r0 += p.rows;
-        }
-        Ok(out)
     }
 
     /// Returns a copy zero-padded (with `T::default()`) to `rows x cols`.
@@ -275,16 +236,6 @@ impl<T> Mat<T> {
     /// Mutable row-major view of the whole backing storage.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing `Vec` in row-major order.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
-    /// Iterates over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Applies `f` elementwise, producing a new matrix.
@@ -387,10 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_access() {
+    fn row_access() {
         let m = Mat::from_fn(2, 3, |r, c| (r * 3 + c) as i32);
         assert_eq!(m.row(1), &[3, 4, 5]);
-        assert_eq!(m.col(2), vec![2, 5]);
     }
 
     #[test]
@@ -421,16 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn vconcat_stacks() {
-        let a = Mat::from_fn(1, 3, |_, c| c as i32);
-        let b = Mat::from_fn(2, 3, |r, c| 10 + (r * 3 + c) as i32);
-        let v = Mat::vconcat(&[a, b]).unwrap();
-        assert_eq!(v.shape(), (3, 3));
-        assert_eq!(v.row(0), &[0, 1, 2]);
-        assert_eq!(v.row(2), &[13, 14, 15]);
-    }
-
-    #[test]
     fn padded_adds_zeros() {
         let m = Mat::from_fn(2, 2, |r, c| (r + c) as i32 + 1);
         let p = m.padded(3, 4);
@@ -453,14 +393,6 @@ mod tests {
         let mut m2 = m.clone();
         m2.apply(|x| *x += 1);
         assert_eq!(m2.as_slice(), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn rows_iter_yields_each_row() {
-        let m = Mat::from_fn(3, 2, |r, c| (r * 2 + c) as i32);
-        let rows: Vec<&[i32]> = m.rows_iter().collect();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[2], &[4, 5]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use crate::envcfg::ENV_THREADS;
 
 /// Upper bound on the worker-thread count (a safety clamp for absurd
 /// `ACCEL_THREADS` values and the pool's maximum size).
-pub const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 
 /// In-process override installed by [`set_thread_override`]
 /// (`0` = no override).
@@ -311,7 +311,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (1 means run inline).
-pub fn map_with_threads<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+pub(crate) fn map_with_threads<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -350,8 +350,13 @@ where
 /// degenerate shape) the body runs inline over the whole buffer, so
 /// serial and parallel execution touch identical data. Worker panics
 /// propagate to the caller.
-pub fn row_bands<T, F>(buf: &mut [T], rows: usize, row_stride: usize, threads: usize, body: F)
-where
+pub(crate) fn row_bands<T, F>(
+    buf: &mut [T],
+    rows: usize,
+    row_stride: usize,
+    threads: usize,
+    body: F,
+) where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {

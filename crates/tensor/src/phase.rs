@@ -69,7 +69,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`]s.
-pub const PHASES: usize = 14;
+pub(crate) const PHASES: usize = 14;
 
 impl Phase {
     /// Every phase, in declaration order (the index order of totals).

@@ -53,19 +53,6 @@ pub struct PackedMat<T> {
 /// Prepacked `f32` weight matrix.
 pub type PackedF32 = PackedMat<f32>;
 
-impl<T> PackedMat<T> {
-    /// Reduction depth — the `a.cols()` this packed matrix multiplies
-    /// against.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output width — columns of the product.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
 /// Below this many weight elements the one-time pack runs serially —
 /// splitting a small pack across the pool costs more in dispatch than
 /// the byte moves it saves.
@@ -87,7 +74,7 @@ impl PackedMat<f32> {
     }
 
     /// [`Self::from_f32`] with an explicit worker count.
-    pub fn from_f32_with_threads(b: &Mat<f32>, threads: usize) -> Self {
+    pub(crate) fn from_f32_with_threads(b: &Mat<f32>, threads: usize) -> Self {
         let (k, n) = b.shape();
         let tiles = n.div_ceil(gemm::NR);
         let t = threads.min(tiles).max(1);
@@ -139,7 +126,7 @@ impl PackedI8 {
     }
 
     /// [`Self::from_i8`] with an explicit worker count.
-    pub fn from_i8_with_threads(b: &Mat<i8>, threads: usize) -> Self {
+    pub(crate) fn from_i8_with_threads(b: &Mat<i8>, threads: usize) -> Self {
         let (k, n) = b.shape();
         let tiles = n.div_ceil(gemm::NR);
         let t = threads.min(tiles).max(1);
@@ -417,7 +404,7 @@ where
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_prepacked_epilogue<F>(
+pub(crate) fn matmul_prepacked_epilogue<F>(
     a: &Mat<f32>,
     b: &PackedMat<f32>,
     threads: usize,
@@ -566,8 +553,8 @@ mod tests {
         let a = Mat::from_fn(5, 33, |r, c| (r as f32 - c as f32) * 0.37);
         let b = Mat::from_fn(33, 20, |r, c| (r * c) as f32 * 0.11 - 1.5);
         let packed = PackedMat::from_f32(&b);
-        assert_eq!(packed.k(), 33);
-        assert_eq!(packed.n(), 20);
+        assert_eq!(packed.k, 33);
+        assert_eq!(packed.n, 20);
         let got = matmul_prepacked(&a, &packed).unwrap();
         let want = gemm::matmul(&a, &b).unwrap();
         assert!(got

@@ -15,14 +15,6 @@ pub struct AttentionCache {
     scale: f32,
 }
 
-impl AttentionCache {
-    /// The attention probability matrix (post-softmax), mostly useful for
-    /// inspection and tests.
-    pub fn probs(&self) -> &Mat<f32> {
-        &self.probs
-    }
-}
-
 /// Computes `softmax(mask(Q K^T * scale)) V`.
 ///
 /// `q: [s_q, d_k]`, `k: [s_v, d_k]`, `v: [s_v, d_k]`; the optional mask is
@@ -63,7 +55,7 @@ pub fn attention_forward(
 /// # Panics
 ///
 /// Panics if `dout` does not match the forward output shape.
-pub fn attention_backward(
+pub(crate) fn attention_backward(
     cache: &AttentionCache,
     dout: &Mat<f32>,
 ) -> (Mat<f32>, Mat<f32>, Mat<f32>) {
@@ -103,7 +95,7 @@ mod tests {
         assert_eq!(out.shape(), (3, 4));
         // each probability row sums to 1
         for r in 0..3 {
-            let s: f32 = cache.probs().row(r).iter().sum();
+            let s: f32 = cache.probs.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
         // outputs bounded by value extremes
@@ -125,7 +117,7 @@ mod tests {
         let (_, cache) = attention_forward(&q, &k, &v, Some(&mask), 1.0);
         for i in 0..4 {
             for j in (i + 1)..4 {
-                assert_eq!(cache.probs()[(i, j)], 0.0, "future prob ({i},{j}) nonzero");
+                assert_eq!(cache.probs[(i, j)], 0.0, "future prob ({i},{j}) nonzero");
             }
         }
     }

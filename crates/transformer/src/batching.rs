@@ -1,9 +1,6 @@
 //! Variable-length batching: pad token sequences to a common length
-//! (the accelerator's array height `s`) and build the key-padding masks
-//! that keep attention away from the padding — how a deployment feeds
+//! (the accelerator's array height `s`) — how a deployment feeds
 //! ragged sentences to a fixed `s × 64` array.
-
-use tensor::{ops, Mat};
 
 use crate::tasks::PAD;
 
@@ -22,7 +19,8 @@ pub struct Bucket {
 impl Bucket {
     /// Padded rows wasted by this bucket:
     /// `Σ (padded_len − len_i)` over its members.
-    pub fn waste(&self) -> usize {
+    #[cfg(test)]
+    fn waste(&self) -> usize {
         self.batch
             .lengths
             .iter()
@@ -48,7 +46,7 @@ impl PaddedBatch {
     /// # Panics
     ///
     /// Panics if `seqs` is empty or contains an empty sequence.
-    pub fn new(seqs: &[Vec<usize>], min_len: usize) -> Self {
+    pub(crate) fn new(seqs: &[Vec<usize>], min_len: usize) -> Self {
         assert!(!seqs.is_empty(), "empty batch");
         assert!(
             seqs.iter().all(|s| !s.is_empty()),
@@ -124,40 +122,6 @@ impl PaddedBatch {
             indices,
         }
     }
-
-    /// Number of sequences.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True when the batch holds no sequences (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// The self-attention key-padding mask for sequence `i`:
-    /// `[padded_len, padded_len]`, `true` marks illegal (padding) keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn self_attention_mask(&self, i: usize) -> Mat<bool> {
-        let valid = self.lengths[i];
-        let flags: Vec<bool> = (0..self.padded_len).map(|p| p < valid).collect();
-        ops::padding_mask(self.padded_len, &flags)
-    }
-
-    /// Strips the padding back off sequence `i`'s output rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `out` has fewer rows than the
-    /// sequence's real length.
-    pub fn unpad(&self, i: usize, out: &Mat<f32>) -> Mat<f32> {
-        let valid = self.lengths[i];
-        assert!(out.rows() >= valid, "output shorter than the sequence");
-        out.submatrix(0, 0, valid, out.cols()).expect("in range")
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +140,7 @@ mod tests {
         assert_eq!(b.tokens[1], vec![6, 7, PAD, PAD]);
         assert_eq!(b.tokens[2], vec![8, 9, 10, 11]);
         assert_eq!(b.lengths, vec![3, 2, 4]);
-        assert_eq!(b.len(), 3);
-        assert!(!b.is_empty());
+        assert_eq!(b.tokens.len(), 3);
     }
 
     #[test]
@@ -185,58 +148,6 @@ mod tests {
         let b = PaddedBatch::new(&[vec![3, 4]], 8);
         assert_eq!(b.padded_len, 8);
         assert_eq!(b.tokens[0].len(), 8);
-    }
-
-    #[test]
-    fn masks_block_padding_keys_only() {
-        let b = batch();
-        let m = b.self_attention_mask(1); // valid = 2 of 4
-        for q in 0..4 {
-            assert!(!m[(q, 0)]);
-            assert!(!m[(q, 1)]);
-            assert!(m[(q, 2)]);
-            assert!(m[(q, 3)]);
-        }
-        // fully valid sequence: nothing masked
-        let m = b.self_attention_mask(2);
-        assert!(m.as_slice().iter().all(|&x| !x));
-    }
-
-    #[test]
-    fn unpad_recovers_the_valid_rows() {
-        let b = batch();
-        let out = Mat::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
-        let u = b.unpad(1, &out);
-        assert_eq!(u.shape(), (2, 2));
-        assert_eq!(u[(1, 1)], 3.0);
-    }
-
-    #[test]
-    fn padded_batch_runs_through_a_quantized_block_equivalently() {
-        // End-to-end: a padded+masked FP32 MHA forward agrees with the
-        // unpadded forward on the valid rows (the library-level version
-        // of tests/padding_masks.rs).
-        use crate::config::ModelConfig;
-        use crate::mha::MhaResBlock;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        let block = MhaResBlock::new(&cfg, &mut rng);
-        let x_full = tensor::init::normal(&mut rng, 6, cfg.d_model, 1.0);
-        let valid = 4;
-        let x_short = x_full.submatrix(0, 0, valid, cfg.d_model).unwrap();
-        let want = block.forward_inference(&x_short, &x_short, &x_short, None);
-
-        let b = PaddedBatch::new(&[vec![3; valid]], 6);
-        let mask = b.self_attention_mask(0);
-        let x_padded = x_short.padded(6, cfg.d_model);
-        let got = block.forward_inference(&x_padded, &x_padded, &x_padded, Some(&mask));
-        for r in 0..valid {
-            for c in 0..cfg.d_model {
-                assert!((got[(r, c)] - want[(r, c)]).abs() < 1e-4);
-            }
-        }
     }
 
     #[test]
@@ -262,7 +173,7 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..seqs.len()).collect::<Vec<_>>(), "{max_waste}");
             for b in &buckets {
-                assert_eq!(b.indices.len(), b.batch.len());
+                assert_eq!(b.indices.len(), b.batch.tokens.len());
                 for (&i, &l) in b.indices.iter().zip(&b.batch.lengths) {
                     assert_eq!(seqs[i].len(), l, "length bookkeeping");
                 }

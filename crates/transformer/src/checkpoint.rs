@@ -31,11 +31,6 @@ impl StateDict {
     pub fn param_count(&self) -> usize {
         self.entries.iter().map(|(_, v)| v.len()).sum()
     }
-
-    /// Buffer names in order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
-    }
 }
 
 /// Error restoring a [`StateDict`] into a model.
@@ -186,7 +181,7 @@ mod tests {
         let sd = state_dict(&mut m);
         assert!(!sd.is_empty());
         assert_eq!(sd.param_count(), m.param_count());
-        assert!(sd.names().all(|n| !n.is_empty()));
+        assert!(sd.entries.iter().all(|(n, _)| !n.is_empty()));
     }
 
     #[test]

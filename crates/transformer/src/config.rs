@@ -82,7 +82,7 @@ impl ModelConfig {
     }
 
     /// BERT-base (Table I row 3): `d_model=768, d_ff=3072, h=12`.
-    pub fn bert_base() -> Self {
+    pub(crate) fn bert_base() -> Self {
         Self {
             name: "BERT-base".into(),
             d_model: 768,
@@ -95,7 +95,7 @@ impl ModelConfig {
     }
 
     /// BERT-large (Table I row 4): `d_model=1024, d_ff=4096, h=16`.
-    pub fn bert_large() -> Self {
+    pub(crate) fn bert_large() -> Self {
         Self {
             name: "BERT-large".into(),
             d_model: 1024,

@@ -20,7 +20,7 @@ pub struct DecoderLayer {
 
 impl DecoderLayer {
     /// Creates a layer with parameter names scoped by `name`.
-    pub fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         Self {
             self_mha: MhaResBlock::with_name(&format!("{name}.self"), cfg, rng),
             cross_mha: MhaResBlock::with_name(&format!("{name}.cross"), cfg, rng),
@@ -35,7 +35,7 @@ impl DecoderLayer {
 
     /// Forward pass. `x: [s_tgt, d_model]` decoder stream, `memory:
     /// [s_src, d_model]` encoder output, `self_mask` the causal mask.
-    pub fn forward(
+    pub(crate) fn forward(
         &mut self,
         x: &Mat<f32>,
         memory: &Mat<f32>,
@@ -47,7 +47,7 @@ impl DecoderLayer {
     }
 
     /// Backward pass: returns `(dx, dmemory)`.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>) {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>) {
         let db = self.ffn.backward(dy);
         let (da, dmem_k, dmem_v) = self.cross_mha.backward(&db);
         let dmemory = ops::add(&dmem_k, &dmem_v).expect("shape invariant");
@@ -73,7 +73,7 @@ pub struct Decoder {
 
 impl Decoder {
     /// Creates the stack described by `cfg`.
-    pub fn new(cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         let layers = (0..cfg.n_layers)
             .map(|i| DecoderLayer::new(&format!("dec{i}"), cfg, rng))
             .collect();
@@ -91,7 +91,7 @@ impl Decoder {
     }
 
     /// Forward through all layers.
-    pub fn forward(
+    pub(crate) fn forward(
         &mut self,
         x: &Mat<f32>,
         memory: &Mat<f32>,
@@ -106,7 +106,7 @@ impl Decoder {
 
     /// Backward through all layers: returns `(dx, dmemory)` where
     /// `dmemory` accumulates every layer's cross-attention contribution.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>) {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>) {
         let mut d = dy.clone();
         let mut dmem_total: Option<Mat<f32>> = None;
         for layer in self.layers.iter_mut().rev() {

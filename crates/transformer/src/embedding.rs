@@ -25,7 +25,7 @@ fn pos_encoding(pos: usize, j: usize, d_model: usize) -> f32 {
 
 /// Sinusoidal positional encoding matrix `[s, d_model]`:
 /// `PE(pos, 2i) = sin(pos / 10000^(2i/d))`, `PE(pos, 2i+1) = cos(...)`.
-pub fn sinusoidal_pos_encoding(s: usize, d_model: usize) -> Mat<f32> {
+pub(crate) fn sinusoidal_pos_encoding(s: usize, d_model: usize) -> Mat<f32> {
     Mat::from_fn(s, d_model, |pos, j| pos_encoding(pos, j, d_model))
 }
 
@@ -59,7 +59,12 @@ pub struct Embedding {
 
 impl Embedding {
     /// Creates an embedding for `vocab` tokens of width `d_model`.
-    pub fn new(name: impl Into<String>, vocab: usize, d_model: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        vocab: usize,
+        d_model: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
         Self {
             name: name.into(),
             table: tensor::init::normal(rng, vocab, d_model, 1.0 / (d_model as f32).sqrt()),
@@ -79,18 +84,13 @@ impl Embedding {
         self.table.cols()
     }
 
-    /// Borrow of the raw embedding table.
-    pub fn table(&self) -> &Mat<f32> {
-        &self.table
-    }
-
     /// Embeds a token sequence: `emb[t] * sqrt(d_model) + PE`, caching the
     /// tokens for [`Embedding::backward`].
     ///
     /// # Panics
     ///
     /// Panics if any token id is out of vocabulary.
-    pub fn forward(&mut self, tokens: &[usize]) -> Mat<f32> {
+    pub(crate) fn forward(&mut self, tokens: &[usize]) -> Mat<f32> {
         let out = self.forward_inference(tokens);
         self.cache_tokens = Some(tokens.to_vec());
         out
@@ -177,7 +177,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if called before `forward` or with a mismatched shape.
-    pub fn backward(&mut self, dy: &Mat<f32>) {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) {
         let tokens = self
             .cache_tokens
             .take()

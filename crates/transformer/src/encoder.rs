@@ -18,7 +18,7 @@ pub struct EncoderLayer {
 
 impl EncoderLayer {
     /// Creates a layer with parameter names scoped by `name`.
-    pub fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         Self {
             mha: MhaResBlock::with_name(&format!("{name}.mha"), cfg, rng),
             ffn: FfnResBlock::with_name(&format!("{name}.ffn"), cfg, rng),
@@ -31,13 +31,13 @@ impl EncoderLayer {
     }
 
     /// Forward pass with an optional self-attention mask.
-    pub fn forward(&mut self, x: &Mat<f32>, mask: Option<&Mat<bool>>) -> Mat<f32> {
+    pub(crate) fn forward(&mut self, x: &Mat<f32>, mask: Option<&Mat<bool>>) -> Mat<f32> {
         let a = self.mha.forward(x, x, x, mask);
         self.ffn.forward(&a)
     }
 
     /// Backward pass.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let da = self.ffn.backward(dy);
         let (dq, dk, dv) = self.mha.backward(&da);
         // self-attention: x feeds q, k and v
@@ -61,7 +61,7 @@ pub struct Encoder {
 
 impl Encoder {
     /// Creates the stack described by `cfg`.
-    pub fn new(cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         let layers = (0..cfg.n_layers)
             .map(|i| EncoderLayer::new(&format!("enc{i}"), cfg, rng))
             .collect();
@@ -79,7 +79,7 @@ impl Encoder {
     }
 
     /// Forward through all layers.
-    pub fn forward(&mut self, x: &Mat<f32>, mask: Option<&Mat<bool>>) -> Mat<f32> {
+    pub(crate) fn forward(&mut self, x: &Mat<f32>, mask: Option<&Mat<bool>>) -> Mat<f32> {
         let mut h = x.clone();
         for layer in &mut self.layers {
             h = layer.forward(&h, mask);
@@ -99,7 +99,7 @@ impl Encoder {
     }
 
     /// Backward through all layers (reverse order).
-    pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let mut d = dy.clone();
         for layer in self.layers.iter_mut().rev() {
             d = layer.backward(&d);

@@ -52,7 +52,7 @@ impl<'a> FloatExec<'a> {
 
     /// Executor over a bare attention block (no LayerNorm bound; graphs
     /// must be truncated before any `LayerNorm` node).
-    pub fn mha(mha: &'a MultiHeadAttention) -> Self {
+    pub(crate) fn mha(mha: &'a MultiHeadAttention) -> Self {
         let (wq, wk, wv, wo) = mha.projections();
         Self {
             weights: [Some(wq), Some(wk), Some(wv), Some(wo), None, None],

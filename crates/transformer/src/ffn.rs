@@ -27,7 +27,7 @@ impl FfnResBlock {
     }
 
     /// Creates a named ResBlock (names scope optimizer state).
-    pub fn with_name(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn with_name(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         cfg.validate();
         Self {
             lin1: Linear::new(format!("{name}.lin1"), cfg.d_model, cfg.d_ff, rng),
@@ -87,7 +87,7 @@ impl FfnResBlock {
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let pre = self
             .cache_pre_relu
             .take()

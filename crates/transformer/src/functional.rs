@@ -68,7 +68,7 @@ pub fn softmax_row(scores: &[f32], dead: Option<&[bool]>, out: &mut [f32]) {
 /// forward output) and upstream gradient `dp`, returns the gradient with
 /// respect to the pre-softmax scores:
 /// `ds = p ⊙ (dp − rowsum(dp ⊙ p))`.
-pub fn softmax_rows_backward(p: &Mat<f32>, dp: &Mat<f32>) -> Mat<f32> {
+pub(crate) fn softmax_rows_backward(p: &Mat<f32>, dp: &Mat<f32>) -> Mat<f32> {
     assert_eq!(p.shape(), dp.shape(), "softmax backward shape mismatch");
     let (rows, cols) = p.shape();
     let mut out = Mat::zeros(rows, cols);

@@ -22,7 +22,7 @@ pub struct LayerNorm {
 impl LayerNorm {
     /// Creates a LayerNorm over `dim` features with `gamma = 1`,
     /// `beta = 0` and the paper's `eps = 1e-8`.
-    pub fn new(name: impl Into<String>, dim: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, dim: usize) -> Self {
         Self {
             name: name.into(),
             gamma: vec![1.0; dim],
@@ -39,7 +39,8 @@ impl LayerNorm {
     /// # Panics
     ///
     /// Panics if `gamma.len() != beta.len()`.
-    pub fn from_parts(name: impl Into<String>, gamma: Vec<f32>, beta: Vec<f32>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_parts(name: impl Into<String>, gamma: Vec<f32>, beta: Vec<f32>) -> Self {
         assert_eq!(gamma.len(), beta.len(), "gamma/beta length mismatch");
         let dim = gamma.len();
         Self {
@@ -54,7 +55,7 @@ impl LayerNorm {
     }
 
     /// Feature dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.gamma.len()
     }
 
@@ -73,7 +74,7 @@ impl LayerNorm {
     /// # Panics
     ///
     /// Panics if `x.cols() != self.dim()`.
-    pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
         assert_eq!(x.cols(), self.dim(), "layernorm width mismatch");
         let (out, xhat, rstds) =
             tensor::norm::layernorm_rows_stats(x, &self.gamma, &self.beta, self.eps);
@@ -91,7 +92,7 @@ impl LayerNorm {
     /// # Panics
     ///
     /// Panics if called before `forward` or with a mismatched `dy` shape.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let (xhat, rstds) = self
             .cache
             .take()

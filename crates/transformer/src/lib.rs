@@ -40,7 +40,6 @@ pub mod batching;
 pub mod bleu;
 pub mod checkpoint;
 pub mod config;
-pub mod decode;
 pub mod decoder;
 pub mod embedding;
 pub mod encoder;
@@ -55,7 +54,6 @@ pub mod metrics;
 pub mod mha;
 pub mod model;
 pub mod opt;
-pub mod positional;
 pub mod tasks;
 pub mod train;
 

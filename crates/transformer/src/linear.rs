@@ -92,7 +92,7 @@ impl Linear {
     }
 
     /// Output width.
-    pub fn d_out(&self) -> usize {
+    pub(crate) fn d_out(&self) -> usize {
         self.w.cols()
     }
 
@@ -111,7 +111,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.cols() != self.d_in()`.
-    pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
         let y = self.forward_inference(x);
         self.cache_x = Some(x.clone());
         y
@@ -186,7 +186,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.cols() != self.d_in()`.
-    pub fn forward_inference_relu(&self, x: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn forward_inference_relu(&self, x: &Mat<f32>) -> Mat<f32> {
         prepack::matmul_prepacked_fused(x, self.packed(), |_r, row| {
             for (v, b) in row.iter_mut().zip(&self.b) {
                 *v = (*v + b).max(0.0);
@@ -206,7 +206,7 @@ impl Linear {
     ///
     /// Panics if `x.cols() != self.d_in()` or `residual`'s shape differs
     /// from the output shape.
-    pub fn forward_inference_add(&self, x: &Mat<f32>, residual: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn forward_inference_add(&self, x: &Mat<f32>, residual: &Mat<f32>) -> Mat<f32> {
         assert_eq!(
             residual.shape(),
             (x.rows(), self.d_out()),
@@ -225,7 +225,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if called before `forward`, or if `dy` has the wrong shape.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> Mat<f32> {
         let x = self
             .cache_x
             .take()

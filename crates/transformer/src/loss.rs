@@ -58,7 +58,7 @@ pub fn cross_entropy(
 ///
 /// Panics on mismatched shapes, out-of-range targets, or
 /// `smoothing ∉ [0, 1)`.
-pub fn cross_entropy_smoothed(
+pub(crate) fn cross_entropy_smoothed(
     logits: &Mat<f32>,
     targets: &[usize],
     ignore: Option<usize>,
@@ -108,7 +108,7 @@ pub fn cross_entropy_smoothed(
 
 /// Fraction of positions where the argmax of the logits equals the
 /// target (ignoring `ignore` positions). Returns 1.0 for an empty batch.
-pub fn token_accuracy(logits: &Mat<f32>, targets: &[usize], ignore: Option<usize>) -> f32 {
+pub(crate) fn token_accuracy(logits: &Mat<f32>, targets: &[usize], ignore: Option<usize>) -> f32 {
     assert_eq!(targets.len(), logits.rows(), "one target per logit row");
     let mut hit = 0usize;
     let mut total = 0usize;

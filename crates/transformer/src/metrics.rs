@@ -5,7 +5,7 @@
 /// Levenshtein distance between two token sequences (insertions,
 /// deletions, substitutions all cost 1). `O(|a|·|b|)` time, `O(|b|)`
 /// space.
-pub fn edit_distance(a: &[usize], b: &[usize]) -> usize {
+pub(crate) fn edit_distance(a: &[usize], b: &[usize]) -> usize {
     if a.is_empty() {
         return b.len();
     }

@@ -30,7 +30,7 @@ pub struct MultiHeadAttention {
 
 impl MultiHeadAttention {
     /// Creates an MHA block for the given configuration.
-    pub fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         cfg.validate();
         let d = cfg.d_model;
         Self {
@@ -62,7 +62,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if widths differ from `d_model`.
-    pub fn forward(
+    pub(crate) fn forward(
         &mut self,
         xq: &Mat<f32>,
         xk: &Mat<f32>,
@@ -91,7 +91,8 @@ impl MultiHeadAttention {
     /// Inference-only forward (no gradient caches touched). Runs the
     /// [`graph::mha_graph`] dataflow truncated at the pre-residual
     /// attention output, interpreted by [`crate::exec::FloatExec`].
-    pub fn forward_inference(
+    #[cfg(test)]
+    pub(crate) fn forward_inference(
         &self,
         xq: &Mat<f32>,
         xk: &Mat<f32>,
@@ -127,7 +128,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>, Mat<f32>) {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>, Mat<f32>) {
         assert!(
             !self.head_caches.is_empty(),
             "mha backward called without forward"
@@ -183,7 +184,7 @@ impl MhaResBlock {
     }
 
     /// Creates a named ResBlock (names scope optimizer state).
-    pub fn with_name(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn with_name(name: &str, cfg: &ModelConfig, rng: &mut impl Rng) -> Self {
         Self {
             mha: MultiHeadAttention::new(name, cfg, rng),
             ln: LayerNorm::new(format!("{name}.ln"), cfg.d_model),
@@ -240,7 +241,7 @@ impl MhaResBlock {
 
     /// Backward: returns `(dxq, dxk, dxv)` with the residual path folded
     /// into `dxq`.
-    pub fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>, Mat<f32>) {
+    pub(crate) fn backward(&mut self, dy: &Mat<f32>) -> (Mat<f32>, Mat<f32>, Mat<f32>) {
         let dres = self.ln.backward(dy);
         let (dxq_mha, dxk, dxv) = self.mha.backward(&dres);
         let dxq = ops::add(&dres, &dxq_mha).expect("residual shape invariant");

@@ -118,7 +118,7 @@ impl Seq2SeqTransformer {
     /// # Panics
     ///
     /// Panics if `prefix` is empty.
-    pub fn decode_step_logits(&mut self, prefix: &[usize], memory: &Mat<f32>) -> Vec<f32> {
+    pub(crate) fn decode_step_logits(&mut self, prefix: &[usize], memory: &Mat<f32>) -> Vec<f32> {
         assert!(!prefix.is_empty(), "prefix must be non-empty");
         let tgt_x = self.tgt_emb.forward_inference(prefix);
         let mask = ops::causal_mask(prefix.len());

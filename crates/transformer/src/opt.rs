@@ -59,7 +59,7 @@ pub(crate) fn grad_buf(grad: &mut Option<Mat<f32>>, shape: (usize, usize)) -> &m
 
 /// Adam optimizer with decoupled per-buffer first/second moments.
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
@@ -73,7 +73,7 @@ impl Adam {
     /// Creates an Adam optimizer with the given learning rate and the
     /// Transformer-standard moments `beta1 = 0.9`, `beta2 = 0.98`,
     /// `eps = 1e-9` (Vaswani et al., Section 5.3).
-    pub fn new(lr: f32) -> Self {
+    pub(crate) fn new(lr: f32) -> Self {
         Self {
             lr,
             beta1: 0.9,
@@ -86,24 +86,14 @@ impl Adam {
     }
 
     /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
+    pub(crate) fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Applies one Adam update to every parameter of `model` using its
     /// accumulated gradients. Gradients are *not* cleared; call
     /// [`HasParams::zero_grad`] before the next accumulation.
-    pub fn step(&mut self, model: &mut impl HasParams) {
+    pub(crate) fn step(&mut self, model: &mut impl HasParams) {
         self.t += 1;
         let t = self.t as i32;
         let bc1 = 1.0 - self.beta1.powi(t);
@@ -134,7 +124,7 @@ impl Adam {
 /// The Noam (inverse-square-root warmup) learning-rate schedule of
 /// Vaswani et al. (2017):
 /// `lr = d_model^-0.5 * min(step^-0.5, step * warmup^-1.5)`.
-pub fn noam_lr(d_model: usize, step: u64, warmup: u64) -> f32 {
+pub(crate) fn noam_lr(d_model: usize, step: u64, warmup: u64) -> f32 {
     let step = step.max(1) as f32;
     let warmup = warmup.max(1) as f32;
     (d_model as f32).powf(-0.5) * step.powf(-0.5).min(step * warmup.powf(-1.5))
@@ -168,7 +158,7 @@ mod tests {
             adam.step(&mut bowl);
         }
         assert!(bowl.p.iter().all(|&x| x.abs() < 1e-2), "{:?}", bowl.p);
-        assert_eq!(adam.steps(), 500);
+        assert_eq!(adam.t, 500);
     }
 
     #[test]

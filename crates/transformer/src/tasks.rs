@@ -7,7 +7,7 @@
 use rand::Rng;
 
 /// Padding token id.
-pub const PAD: usize = 0;
+pub(crate) const PAD: usize = 0;
 /// Beginning-of-sequence token id.
 pub const BOS: usize = 1;
 /// End-of-sequence token id.
@@ -47,10 +47,10 @@ impl Task {
     }
 
     /// Grammar-task clause width (subject, verb, object).
-    pub const CLAUSE: usize = 3;
+    pub(crate) const CLAUSE: usize = 3;
 
     /// Applies the task's ground-truth function to a source sequence.
-    pub fn apply(&self, src: &[usize]) -> Vec<usize> {
+    pub(crate) fn apply(&self, src: &[usize]) -> Vec<usize> {
         match self {
             Task::Copy => src.to_vec(),
             Task::Reverse => src.iter().rev().copied().collect(),
@@ -109,11 +109,6 @@ impl TaskGen {
             min_len,
             max_len,
         }
-    }
-
-    /// The wrapped task.
-    pub fn task(&self) -> Task {
-        self.task
     }
 
     /// Samples one `(src, tgt)` pair. Grammar-task lengths are rounded

@@ -53,63 +53,6 @@ pub struct TrainReport {
     pub final_loss: f32,
 }
 
-/// Trains with periodic held-out evaluation and early stopping: stops
-/// as soon as a validation pass reaches `target_exact_match` (checked
-/// every `eval_every` steps on `val` via greedy decoding). Returns the
-/// loss curve plus the evaluation history.
-///
-/// # Panics
-///
-/// Panics if `eval_every == 0` or `val` is empty.
-pub fn train_with_early_stop(
-    model: &mut Seq2SeqTransformer,
-    gen: &TaskGen,
-    spec: &TrainSpec,
-    val: &[(Vec<usize>, Vec<usize>)],
-    eval_every: usize,
-    target_exact_match: f32,
-) -> (TrainReport, Vec<(usize, EvalReport)>) {
-    assert!(eval_every > 0, "eval_every must be positive");
-    assert!(!val.is_empty(), "empty validation corpus");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut adam = Adam::new(1e-3);
-    let d_model = model.config().d_model;
-    let mut losses = Vec::with_capacity(spec.steps);
-    let mut history = Vec::new();
-    for step in 1..=spec.steps {
-        adam.set_lr(spec.lr_scale * noam_lr(d_model, step as u64, spec.warmup));
-        model.zero_grad();
-        let mut step_loss = 0.0f32;
-        for _ in 0..spec.batch {
-            let (src, tgt) = gen.sample(&mut rng);
-            let (src, tgt_in, tgt_out) = teacher_forcing(&src, &tgt);
-            let logits = model.forward_train(&src, &tgt_in);
-            let (loss, dlogits) =
-                cross_entropy_smoothed(&logits, &tgt_out, None, spec.label_smoothing);
-            step_loss += loss;
-            model.backward(&dlogits);
-        }
-        model.scale_grads(1.0 / spec.batch as f32);
-        if spec.clip > 0.0 {
-            let n = model.grad_norm();
-            if n > spec.clip {
-                model.scale_grads(spec.clip / n);
-            }
-        }
-        adam.step(model);
-        losses.push(step_loss / spec.batch as f32);
-        if step % eval_every == 0 {
-            let report = evaluate(model, val);
-            history.push((step, report));
-            if report.exact_match >= target_exact_match {
-                break;
-            }
-        }
-    }
-    let final_loss = losses.last().copied().unwrap_or(f32::NAN);
-    (TrainReport { losses, final_loss }, history)
-}
-
 /// Trains `model` on `gen`'s task. Returns the per-step loss curve.
 pub fn train(model: &mut Seq2SeqTransformer, gen: &TaskGen, spec: &TrainSpec) -> TrainReport {
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -222,36 +165,6 @@ mod tests {
         let early: f32 = report.losses[..5].iter().sum::<f32>() / 5.0;
         let late: f32 = report.losses[report.losses.len() - 5..].iter().sum::<f32>() / 5.0;
         assert!(late < early * 0.5, "loss did not drop: {early} -> {late}");
-    }
-
-    #[test]
-    fn early_stopping_halts_before_the_step_budget() {
-        let mut cfg = study_config();
-        cfg.n_layers = 1;
-        cfg.d_model = 32;
-        cfg.d_ff = 64;
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut model = Seq2SeqTransformer::new(&cfg, &mut rng);
-        let gen = TaskGen::new(Task::Copy, cfg.vocab, 3, 4);
-        let val = gen.corpus(6, &mut StdRng::seed_from_u64(10));
-        let spec = TrainSpec {
-            steps: 2000,
-            batch: 4,
-            warmup: 40,
-            lr_scale: 0.5,
-            ..TrainSpec::default()
-        };
-        // a trivially reachable target: better than zero
-        let (report, history) = train_with_early_stop(&mut model, &gen, &spec, &val, 50, 0.01);
-        assert!(!history.is_empty());
-        assert!(
-            report.losses.len() < spec.steps,
-            "should stop early, ran {} steps",
-            report.losses.len()
-        );
-        let (step, last) = history.last().unwrap();
-        assert_eq!(step % 50, 0);
-        assert!(last.exact_match >= 0.01);
     }
 
     #[test]

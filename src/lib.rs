@@ -9,6 +9,7 @@
 //! |---|---|
 //! | [`tensor`] | dense matrix substrate (f32/i8/i32 GEMM) |
 //! | [`fixedmath`] | INT8 quantizers, shift-add EXP/LN units, rsqrt ROM |
+//! | [`graph`] | operator-graph IR (MHA/FFN ResBlocks) + fusion pass + executor trait |
 //! | [`transformer`] | FP32 reference model + training + BLEU |
 //! | [`quantized`] | bit-exact INT8 datapath (softmax Fig. 6, LayerNorm Fig. 8) |
 //! | [`faults`] | deterministic fault injection + ABFT checksum checking |
@@ -33,7 +34,8 @@
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench/src/bin/`
-//! for the per-table/figure experiment harness (E1–E11 in DESIGN.md).
+//! for the per-table/figure experiment harness (E1–E16, E18, E19 in
+//! DESIGN.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

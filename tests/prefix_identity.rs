@@ -5,6 +5,9 @@
 //! through an ABFT fault-rollback that lands on a shared page boundary
 //! (the rollback must copy-on-write, never mutate a page the cache
 //! still holds).
+//!
+//! The fault injector and checker are process-wide and the rollback test
+//! installs both, so every test here holds `faults::exclusive()`.
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{QuantSeq2Seq, SoftmaxMode};
@@ -60,6 +63,7 @@ fn replay_then_decode(
 
 #[test]
 fn int8_decode_from_forked_prefix_is_byte_identical_to_cold_start() {
+    let _faults = faults::exclusive();
     let (q, srcs) = quant_model();
     let src = &srcs[0];
     let prompt: Vec<usize> = src.iter().cycle().take(13).copied().collect();
@@ -117,6 +121,7 @@ fn decoded(responses: &[Response]) -> Vec<(u64, Vec<usize>, bool)> {
 
 #[test]
 fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
+    let _faults = faults::exclusive();
     let (q, srcs) = quant_model();
     let base: Vec<usize> = srcs[0].iter().cycle().take(35).copied().collect();
     let mut extended = base.clone();
