@@ -45,9 +45,7 @@ fn bench_par_gemm(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("blocked", &shape),
             &(&a, &b),
-            |bench, (a, b)| {
-                bench.iter(|| black_box(gemm::matmul_i8_with_threads(a, b, 1).unwrap()))
-            },
+            |bench, (a, b)| one_worker(|| bench.iter(|| black_box(gemm::matmul_i8(a, b).unwrap()))),
         );
         group.bench_with_input(
             BenchmarkId::new("parallel", &shape),
@@ -64,9 +62,7 @@ fn bench_par_gemm(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("blocked", &shape),
             &(&a, &b),
-            |bench, (a, b)| {
-                bench.iter(|| black_box(gemm::matmul_i8_with_threads(a, b, 1).unwrap()))
-            },
+            |bench, (a, b)| one_worker(|| bench.iter(|| black_box(gemm::matmul_i8(a, b).unwrap()))),
         );
         group.bench_with_input(
             BenchmarkId::new("prepacked", &shape),
@@ -96,6 +92,15 @@ fn bench_par_gemm(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_par_gemm);
+
+/// Runs `body` with the GEMMs pinned to the calling thread (the serial
+/// "blocked" tier), then restores the ambient worker count.
+fn one_worker<R>(body: impl FnOnce() -> R) -> R {
+    tensor::par::set_thread_override(Some(1));
+    let out = body();
+    tensor::par::set_thread_override(None);
+    out
+}
 
 /// Median nanoseconds of `f` over `reps` timed runs (plus two warm-ups).
 fn median_ns<O>(reps: usize, mut f: impl FnMut() -> O) -> u64 {
@@ -149,7 +154,7 @@ fn measure_i8(m: usize, k: usize, n: usize, rng: &mut StdRng) -> ShapeResult {
     let packed = PackedI8::from_i8(&b);
     let reps = if m * k * n > 10_000_000 { 7 } else { 15 };
     let naive_ns = median_ns(reps, || gemm::matmul_i8_ref(&a, &b).unwrap());
-    let blocked_ns = median_ns(reps, || gemm::matmul_i8_with_threads(&a, &b, 1).unwrap());
+    let blocked_ns = one_worker(|| median_ns(reps, || gemm::matmul_i8(&a, &b).unwrap()));
     let parallel_ns = median_ns(reps, || gemm::matmul_i8(&a, &b).unwrap());
     let prepacked_ns = median_ns(reps, || prepack::matmul_i8_prepacked(&a, &packed).unwrap());
     ShapeResult {
@@ -172,7 +177,7 @@ fn measure_f32(m: usize, k: usize, n: usize, rng: &mut StdRng) -> ShapeResult {
     let packed = PackedMat::from_f32(&b);
     let reps = if m * k * n > 10_000_000 { 7 } else { 15 };
     let naive_ns = median_ns(reps, || gemm::matmul_ref(&a, &b).unwrap());
-    let blocked_ns = median_ns(reps, || gemm::matmul_with_threads(&a, &b, 1).unwrap());
+    let blocked_ns = one_worker(|| median_ns(reps, || gemm::matmul(&a, &b).unwrap()));
     let parallel_ns = median_ns(reps, || gemm::matmul(&a, &b).unwrap());
     let prepacked_ns = median_ns(reps, || prepack::matmul_prepacked(&a, &packed).unwrap());
     ShapeResult {

@@ -71,7 +71,6 @@ fn run_once(q: &quantized::QuantSeq2Seq, srcs: &[Vec<usize>]) -> (Vec<Response>,
         q,
         EngineConfig {
             max_batch: MAX_BATCH,
-            bucket_max_waste: usize::MAX,
             ignore_eos: true,
             ..EngineConfig::default()
         },

@@ -1,30 +1,6 @@
-//! The [`Executor`] trait and the value environment graphs run in.
+//! The value environment graphs run in.
 
 use std::sync::Arc;
-
-use tensor::Mat;
-
-use crate::graph::Graph;
-
-/// Counters an executor reports after a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Total graph nodes interpreted (or lowered) so far.
-    pub nodes: usize,
-    /// Datapath corruptions the executor's checkers
-    /// detected (always zero for executors without a checker seam).
-    pub faults_detected: usize,
-    /// Fused nodes executed so far ([`crate::Op::LinearRelu`] /
-    /// [`crate::Op::LinearAdd`] interpretations). Zero when fusion is
-    /// disabled.
-    pub ops_fused: usize,
-    /// Bytes of intermediate tensors that fusion did **not** materialize
-    /// — for each fused node, the size of the producer output the
-    /// unfused graph would have written (at the executor's element
-    /// width). A direct read on how much memory traffic the drain-path
-    /// fusion removed.
-    pub intermediates_elided_bytes: usize,
-}
 
 /// Named tensor values produced by a graph run. Slot order matches the
 /// graph's [`ExecPlan`](crate::ExecPlan): inputs first, then node
@@ -91,37 +67,6 @@ impl<V> Env<V> {
             .take()
             .unwrap_or_else(|| panic!("tensor {name:?} was not computed (or already taken)"))
     }
-}
-
-/// A backend that can run a ResBlock graph.
-///
-/// Implementations interpret the same dataflow with their own value
-/// representation (`FP32` matrices, INT8 code matrices, or accelerator
-/// command streams) and must be **bit-identical** to the hand-rolled
-/// forward path they replaced.
-pub trait Executor {
-    /// The tensor representation this backend computes with.
-    type Value;
-
-    /// Runs `graph`, binding `inputs` by name, and returns the filled
-    /// environment. `mask` is the optional run-time attention mask
-    /// consumed by `ScaledMaskedSoftmax` nodes (ignored by the FFN
-    /// graph).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named input is missing, or the graph contains a node
-    /// this executor has no parameters for (e.g. a `LayerNorm` node on
-    /// an executor built from a bare attention module).
-    fn run(
-        &mut self,
-        graph: &Graph,
-        inputs: Vec<(&str, Self::Value)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<Self::Value>;
-
-    /// Counters accumulated across `run` calls.
-    fn stats(&self) -> ExecStats;
 }
 
 #[cfg(test)]

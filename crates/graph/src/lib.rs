@@ -1,13 +1,15 @@
-//! Operator-graph IR for the paper's two ResBlocks, plus the pluggable
-//! [`Executor`] layer that every whole-block forward path in the
-//! workspace runs through.
+//! Operator-graph IR for the paper's two ResBlocks, plus the value
+//! environment ([`Env`]) every whole-block forward path in the workspace
+//! runs it in.
 //!
 //! The paper's core claim is that **one** shared `s × 64` systolic array
 //! executes both the MHA and FFN ResBlocks under a single Algorithm-1
 //! schedule. This crate makes that "one dataflow, many backends" idea
 //! first-class in software: the ResBlock dataflow is written down once
 //! as a small graph of named-tensor operators ([`mha_graph`],
-//! [`ffn_graph`]). Two [`Executor`]s *interpret* it node by node:
+//! [`ffn_graph`]). Two executors *interpret* it node by node, each
+//! through an inherent `run` (no caller picks one generically, so there
+//! is no trait between them):
 //!
 //! | Executor | Crate | Interprets the graph as |
 //! |---|---|---|
@@ -24,9 +26,9 @@
 //! `quantized::cached_mha_rows`. It fuses the per-head group into one
 //! kernel rather than walking nodes, and its inputs are borrowed caches
 //! of differing lengths that no other executor can take (the
-//! accelerator lowering rejects the cached kind) — behind the trait it
-//! would offer no substitutability, only a name-keyed environment for
-//! its one caller to build and unwrap around every call. The dataflow
+//! accelerator lowering rejects the cached kind) — as an executor it
+//! would only add a name-keyed environment for its one caller to build
+//! and unwrap around every call. The dataflow
 //! it implements is still written down as [`mha_cached_graph`], which
 //! the fusion pass's tests consume.
 //!
@@ -45,7 +47,7 @@ mod graph;
 mod op;
 pub mod tally;
 
-pub use exec::{Env, ExecStats, Executor};
+pub use exec::Env;
 pub use fuse::fuse;
 pub use graph::{
     ffn_graph, mha_cached_graph, mha_graph, ExecPlan, Graph, GraphConfig, GraphKind, Node, PlanStep,

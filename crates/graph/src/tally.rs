@@ -1,11 +1,9 @@
 //! Process-wide fusion tallies.
 //!
-//! Each [`crate::Executor`] reports per-run fusion counters in its
-//! [`crate::ExecStats`], but the serving engine's decode path never
-//! holds one: the block `forward`s build a short-lived executor per
-//! pass, and the cached-attention ResBlock is a plain function with no
-//! stats at all. Both therefore add their fused-op counts to these
-//! monotonic process-wide counters (relaxed atomics — same pattern as
+//! The serving engine's decode path holds no executor: the block
+//! `forward`s build a short-lived one per pass, and the cached-attention
+//! ResBlock is a plain function. Both therefore add their fused-op
+//! counts to these monotonic process-wide counters (relaxed atomics — same pattern as
 //! the `faults` crate's tallies), and the engine records the per-step
 //! delta in its own stats.
 
@@ -37,9 +35,8 @@ impl FusionTally {
 }
 
 /// Adds `ops` fused nodes and `bytes` elided intermediate bytes to the
-/// process-wide tally. Executors call this alongside their per-run
-/// [`crate::ExecStats`] bumps, the cached-attention functions on their
-/// own; zero adds are skipped.
+/// process-wide tally. Executors call this per fused node, the
+/// cached-attention functions per call; zero adds are skipped.
 pub fn note_fused(ops: usize, bytes: usize) {
     if ops == 0 {
         return;

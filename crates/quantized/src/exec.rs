@@ -11,7 +11,7 @@
 //! [`cached_mha_rows`] is the cached-KV MHA ResBlock of incremental INT8
 //! decoding (and of the stacked encoder pass that opens sessions, where
 //! each source attends its own K/V) — a plain function, not an
-//! [`Executor`]: it never interprets a graph, and its inputs are
+//! executor: it never interprets a graph, and its inputs are
 //! borrowed caches no other executor could take. Each session contributes a group of consecutive
 //! rows (a prefill chunk; a decode step is a one-row chunk) that attend
 //! over its cache, each row over its own legal prefix; the softmax
@@ -48,7 +48,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use graph::{Env, ExecPlan, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
+use graph::{Env, ExecPlan, Graph, Node, Op, PlanStep, WeightId};
 use tensor::kvpool::{KvPool, KvSeq};
 use tensor::phase::{self, Phase};
 use tensor::{gemm, simd, Mat};
@@ -146,7 +146,6 @@ enum QuantBlock<'a> {
 #[derive(Debug)]
 pub struct QuantExec<'a> {
     block: QuantBlock<'a>,
-    stats: ExecStats,
 }
 
 impl<'a> QuantExec<'a> {
@@ -154,7 +153,6 @@ impl<'a> QuantExec<'a> {
     pub fn mha(block: &'a QuantMhaResBlock) -> Self {
         Self {
             block: QuantBlock::Mha(block),
-            stats: ExecStats::default(),
         }
     }
 
@@ -162,7 +160,6 @@ impl<'a> QuantExec<'a> {
     pub fn ffn(block: &'a QuantFfnResBlock) -> Self {
         Self {
             block: QuantBlock::Ffn(block),
-            stats: ExecStats::default(),
         }
     }
 
@@ -259,33 +256,38 @@ impl<'a> QuantExec<'a> {
         }
     }
 
-    /// Bumps the fusion counters when `node` is a fused op: one fused
+    /// Bumps the fusion tally when `node` is a fused op: one fused
     /// node, and the elided INT8 producer output (same shape as the
     /// fused output, one byte per code).
-    fn note_fused(&mut self, node: &Node, out: &QVal) {
+    fn note_fused(&self, node: &Node, out: &QVal) {
         if matches!(node.op, Op::LinearRelu(_) | Op::LinearAdd(_)) {
             let (r, c) = match out {
                 QVal::I8(m) => m.shape(),
                 QVal::I32(m) => m.shape(),
             };
-            self.stats.ops_fused += 1;
-            self.stats.intermediates_elided_bytes += r * c;
             graph::tally::note_fused(1, r * c);
         }
     }
 }
 
 impl QuantExec<'_> {
-    /// [`Executor::run`] on a graph whose plan is already resolved
-    /// (a block's [`PlannedGraph`]).
-    pub(crate) fn run_planned(
-        &mut self,
+    /// Runs `graph` along `plan` (its [`Graph::plan`], resolved once
+    /// per block in a [`PlannedGraph`]), binding `inputs` by name, and
+    /// returns the filled environment. `mask` is the optional run-time
+    /// attention mask consumed by `ScaledMaskedSoftmax` nodes (ignored
+    /// by the FFN graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named input is missing, or the graph contains a node
+    /// this executor has no parameters for.
+    pub fn run(
+        &self,
         graph: &Graph,
         plan: &ExecPlan,
         inputs: Vec<(&str, QVal)>,
         mask: Option<&Mat<bool>>,
     ) -> Env<QVal> {
-        let detected0 = faults::hooks_active().then(|| faults::counters().detected);
         let mut env = Env::new(plan.slot_names.clone());
         for (name, value) in inputs {
             let slot = env.slot(name);
@@ -346,28 +348,7 @@ impl QuantExec<'_> {
             self.note_fused(&graph.nodes[step.node], &out);
             env.set(step.output, out);
         }
-        self.stats.nodes += plan.steps.len();
-        if let Some(d0) = detected0 {
-            self.stats.faults_detected += faults::counters().detected.saturating_sub(d0) as usize;
-        }
         env
-    }
-}
-
-impl Executor for QuantExec<'_> {
-    type Value = QVal;
-
-    fn run(
-        &mut self,
-        graph: &Graph,
-        inputs: Vec<(&str, QVal)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<QVal> {
-        self.run_planned(graph, &graph.plan(), inputs, mask)
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
     }
 }
 
@@ -1012,9 +993,9 @@ mod tests {
             d_ff: 0,
             h: cfg.h,
         });
-        let mut exec = QuantExec::mha(&q);
-        let mut env = exec.run(
+        let mut env = QuantExec::mha(&q).run(
             &g,
+            &g.plan(),
             vec![
                 ("x_q", QVal::I8(xq.clone())),
                 ("x_k", QVal::I8(xq.clone())),
@@ -1022,7 +1003,6 @@ mod tests {
             ],
             None,
         );
-        assert_eq!(exec.stats().nodes, g.nodes.len());
         let p = env.take("p").into_i8();
         assert_eq!(p.shape(), xq.shape());
         // per-head probs survive in the environment too

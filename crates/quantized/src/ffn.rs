@@ -115,8 +115,7 @@ impl QuantFfnResBlock {
         let g = self
             .graph
             .get_or_init(|| PlannedGraph::fused(&graph::ffn_graph(&self.graph_config())));
-        let mut exec = crate::exec::QuantExec::ffn(self);
-        let mut env = exec.run_planned(
+        let mut env = crate::exec::QuantExec::ffn(self).run(
             &g.graph,
             &g.plan,
             vec![("x", crate::exec::QVal::I8(x.clone()))],

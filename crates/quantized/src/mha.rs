@@ -294,8 +294,7 @@ impl QuantMhaResBlock {
         let g = self
             .graph
             .get_or_init(|| PlannedGraph::fused(&graph::mha_graph(&self.graph_config())));
-        let mut exec = crate::exec::QuantExec::mha(self);
-        let mut env = exec.run_planned(
+        let mut env = crate::exec::QuantExec::mha(self).run(
             &g.graph,
             &g.plan,
             vec![

@@ -12,6 +12,8 @@
 //!   tightens the quantization error — quantified by the
 //!   `quant_scheme` experiment binary.
 
+use std::iter::repeat;
+
 use fixedmath::quant::{QuantParams, Requantizer};
 use serde::{Deserialize, Serialize};
 use tensor::phase::{self, Phase};
@@ -152,9 +154,10 @@ impl QLinear {
         &self.bias_q
     }
 
-    /// Raw accumulator output `x_q W_q + b_q` (`i32`, scale
-    /// `in_scale * w_scale_of(col)`). This is what the systolic array
-    /// hands to the bias adders.
+    /// Raw accumulator output `x_q W_q`, before the bias (`i32`, scale
+    /// `in_scale * w_scale_of(col)`), through the fault seam when fault
+    /// hooks are active. This is what the systolic array hands to the
+    /// bias adders.
     ///
     /// # Panics
     ///
@@ -168,12 +171,37 @@ impl QLinear {
         if faults::hooks_active() {
             self.fault_hook(x, &mut acc);
         }
-        for r in 0..acc.rows() {
-            for (v, b) in acc.row_mut(r).iter_mut().zip(&self.bias_q) {
-                *v += b;
+        acc
+    }
+
+    /// The drain every requantizing forward shares: bias add and
+    /// requantization of one accumulator row covering output columns
+    /// `c0 .. c0 + out.len()`, then `code(q, e)` makes each output
+    /// element from its INT8 code `q` and the matching item `e` of
+    /// `extra` (a residual row, or `repeat(())`). The per-tensor /
+    /// per-channel branch is taken once per row, so the requantizer
+    /// multiply vectorises over the row.
+    #[inline(always)]
+    fn drain<O, E>(
+        &self,
+        c0: usize,
+        acc: &[i32],
+        extra: impl Iterator<Item = E>,
+        out: &mut [O],
+        code: impl Fn(i8, E) -> O,
+    ) {
+        let cols = c0..c0 + out.len();
+        let bias = &self.bias_q[cols.clone()];
+        let row = out.iter_mut().zip(acc).zip(bias);
+        if let [rq] = self.requants[..] {
+            for (((o, &a), &b), e) in row.zip(extra) {
+                *o = code(rq.apply_sat_i8(a + b), e);
+            }
+        } else {
+            for ((((o, &a), &b), rq), e) in row.zip(&self.requants[cols]).zip(extra) {
+                *o = code(rq.apply_sat_i8(a + b), e);
             }
         }
-        acc
     }
 
     /// The serving path's fault seam, on the **pre-bias** accumulators:
@@ -211,24 +239,9 @@ impl QLinear {
             return self.forward_cols(x, 0, self.bias_q.len());
         }
         let acc = self.forward_acc(x);
-        let (rows, cols) = acc.shape();
-        let mut out = Mat::zeros(rows, cols);
-        // Hoist the per-tensor/per-channel branch out of the element loop
-        // so the requantizer multiply vectorises over each row.
-        if self.requants.len() == 1 {
-            let rq = self.requants[0];
-            for r in 0..rows {
-                for (o, &a) in out.row_mut(r).iter_mut().zip(acc.row(r)) {
-                    *o = rq.apply_sat_i8(a);
-                }
-            }
-        } else {
-            for r in 0..rows {
-                let dst = out.row_mut(r);
-                for ((o, &a), rq) in dst.iter_mut().zip(acc.row(r)).zip(&self.requants) {
-                    *o = rq.apply_sat_i8(a);
-                }
-            }
+        let mut out = Mat::zeros(acc.rows(), acc.cols());
+        for r in 0..acc.rows() {
+            self.drain(0, acc.row(r), repeat(()), out.row_mut(r), |q, ()| q);
         }
         out
     }
@@ -252,21 +265,7 @@ impl QLinear {
             return self.forward(x).map(|&v| v.max(0));
         }
         prepack::matmul_i8_prepacked_fused(x, &self.w_packed, |_r, acc, out: &mut [i8]| {
-            if self.requants.len() == 1 {
-                let rq = self.requants[0];
-                for ((o, &a), &b) in out.iter_mut().zip(acc).zip(&self.bias_q) {
-                    *o = rq.apply_sat_i8(a + b).max(0);
-                }
-            } else {
-                let cols = out
-                    .iter_mut()
-                    .zip(acc)
-                    .zip(&self.bias_q)
-                    .zip(&self.requants);
-                for (((o, &a), &b), rq) in cols {
-                    *o = rq.apply_sat_i8(a + b).max(0);
-                }
-            }
+            self.drain(0, acc, repeat(()), out, |q, ()| q.max(0));
         })
         .expect("qlinear width mismatch")
     }
@@ -297,23 +296,9 @@ impl QLinear {
             return residual_add_i8(&self.forward(x), residual);
         }
         prepack::matmul_i8_prepacked_fused(x, &self.w_packed, |r, acc, out: &mut [i32]| {
-            let res = residual.row(r);
-            if self.requants.len() == 1 {
-                let rq = self.requants[0];
-                for (((o, &a), &b), &rv) in out.iter_mut().zip(acc).zip(&self.bias_q).zip(res) {
-                    *o = rq.apply_sat_i8(a + b) as i32 + rv as i32;
-                }
-            } else {
-                let cols = out
-                    .iter_mut()
-                    .zip(acc)
-                    .zip(&self.bias_q)
-                    .zip(&self.requants)
-                    .zip(res);
-                for ((((o, &a), &b), rq), &rv) in cols {
-                    *o = rq.apply_sat_i8(a + b) as i32 + rv as i32;
-                }
-            }
+            self.drain(0, acc, residual.row(r).iter(), out, |q, &rv| {
+                q as i32 + rv as i32
+            });
         })
         .expect("qlinear width mismatch")
     }
@@ -334,19 +319,8 @@ impl QLinear {
     /// Panics if `x.cols() != d_in` or the column range exceeds `d_out`.
     pub fn forward_cols(&self, x: &Mat<i8>, c0: usize, width: usize) -> Mat<i8> {
         let panel = PackedI8Cols::new(&self.w_packed, c0, width);
-        let bias = &self.bias_q[c0..c0 + width];
         prepack::matmul_i8_prepacked_fused(x, panel, |_r, acc, out: &mut [i8]| {
-            if self.requants.len() == 1 {
-                let rq = self.requants[0];
-                for ((o, &a), &b) in out.iter_mut().zip(acc).zip(bias) {
-                    *o = rq.apply_sat_i8(a + b);
-                }
-            } else {
-                let requants = &self.requants[c0..c0 + width];
-                for (((o, &a), &b), rq) in out.iter_mut().zip(acc).zip(bias).zip(requants) {
-                    *o = rq.apply_sat_i8(a + b);
-                }
-            }
+            self.drain(c0, acc, repeat(()), out, |q, ()| q);
         })
         .expect("qlinear width mismatch")
     }
@@ -421,7 +395,7 @@ mod tests {
             let acc = q.forward_acc(&xq);
             let direct = q.forward(&xq);
             let via_requant = Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-                q.requantize_col(c, acc[(r, c)])
+                q.requantize_col(c, acc[(r, c)] + q.bias_q()[c])
             });
             assert_eq!(direct, via_requant, "{scheme:?}");
         }

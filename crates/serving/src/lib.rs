@@ -11,8 +11,8 @@
 //! ([`ServingStats::kv_bytes_in_use`]) instead of a per-slot
 //! `max_len` reservation.
 //!
-//! Waiting requests queue up, are admitted in length-sorted buckets
-//! ([`PaddedBatch::buckets`]), and every [`ContinuousBatcher::step`]
+//! Waiting requests queue up, are admitted first come first served, and
+//! every [`ContinuousBatcher::step`]
 //! advances *all* in-flight sessions together through one batched layer
 //! pass ([`QuantSeq2Seq::prefill_sessions_greedy`]) — one multi-row GEMM
 //! per weight matrix per step instead of one GEMM per request per layer.
@@ -23,8 +23,8 @@
 //! [`ServingStats::greedy_fallback_rows`] report what it did.
 //!
 //! **Admission** is batched the same way: each refill collects every
-//! request it admits without a prefix hit — across all of its length
-//! buckets — and opens their sessions with one stacked
+//! request it admits without a prefix hit and opens their sessions with
+//! one stacked
 //! [`QuantSeq2Seq::start_sessions`] pass, so the encoder's weights and
 //! the cross-attention `W_K`/`W_V` stream once per refill rather than
 //! once per source. [`ServingStats::admission_batches`] and
@@ -76,7 +76,7 @@
 //! chunk rows of every slot, runs each layer's weight GEMMs once over
 //! the stack (the FFN ResBlocks through `quantized::QuantExec`), and
 //! calls `quantized::cached_mha_rows` — a plain function over borrowed
-//! per-session caches, not a `graph::Executor` — for the attention
+//! per-session caches, not a graph executor — for the attention
 //! ResBlocks. A decode row, a prefill chunk, a forked session and a
 //! replayed (rolled-back) chunk all take that same path.
 
@@ -94,7 +94,6 @@ use quantized::incremental::{KvArena, QuantIncrementalSession};
 use crate::prefix::PrefixIndex;
 use quantized::QuantSeq2Seq;
 use tensor::phase::{self, Phase, PhaseRecorder, StepKind};
-use transformer::batching::PaddedBatch;
 use transformer::tasks::{BOS, EOS};
 
 /// Why the serving layer rejected an input.
@@ -247,9 +246,6 @@ pub struct EngineConfig {
     /// stacked per step (a prefilling request may contribute several
     /// rows).
     pub max_batch: usize,
-    /// Padding-waste budget handed to [`PaddedBatch::buckets`] during
-    /// admission.
-    pub bucket_max_waste: usize,
     /// Maximum prompt rows one prefilling request consumes per step.
     /// `1` degenerates to token-at-a-time prefill.
     pub prefill_chunk: usize,
@@ -299,7 +295,6 @@ impl EngineConfig {
     pub fn with_max_batch(max_batch: usize) -> Self {
         Self {
             max_batch,
-            bucket_max_waste: 4,
             prefill_chunk: 16,
             max_prefill_rows: 64,
             ignore_eos: false,
@@ -671,14 +666,11 @@ impl<'m> ContinuousBatcher<'m> {
         self.prefix.bytes()
     }
 
-    /// Length-bucketed admission: fills free (non-quarantined) slots
-    /// from the queue, admitting the bucket containing the oldest
-    /// waiting request first (so similar-length sources land together
-    /// and no request starves). Buckets are formed on source length;
-    /// prompts only shape the prefill schedule, not admission. Every
-    /// request admitted without a prefix hit — across all the buckets of
-    /// the call — is then started by one stacked
-    /// [`QuantSeq2Seq::start_sessions`] pass.
+    /// FIFO admission: fills free (non-quarantined) slots from the
+    /// front of the queue, in submit order. Every request admitted
+    /// without a prefix hit is then started by one stacked
+    /// [`QuantSeq2Seq::start_sessions`] pass, which pads nothing, so
+    /// admitting similar source lengths together would save nothing.
     fn refill(&mut self) {
         // Retire queued requests whose wall-clock deadline has already
         // passed — they finish with zero tokens and never consume a
@@ -703,89 +695,62 @@ impl<'m> ContinuousBatcher<'m> {
             self.pending = keep;
         }
         let lookup = phase::span(Phase::Admission);
+        // Admission is FIFO: each free slot, in slot order, takes the
+        // oldest queued request.
+        let free: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| self.slots[i].is_none() && !self.quarantined[i])
+            .collect();
         let mut admits: Vec<Admit> = Vec::new();
-        while self.pending.front().is_some() {
-            let free: Vec<usize> = (0..self.slots.len())
-                .filter(|&i| {
-                    self.slots[i].is_none()
-                        && !self.quarantined[i]
-                        && !admits.iter().any(|a| a.slot == i)
-                })
-                .collect();
-            if free.is_empty() {
+        for slot in free {
+            let Some(queued) = self.pending.pop_front() else {
                 break;
-            }
-            let seqs: Vec<Vec<usize>> = self.pending.iter().map(|q| q.req.src.clone()).collect();
-            let buckets = PaddedBatch::buckets(&seqs, self.cfg.bucket_max_waste);
-            let oldest_bucket = buckets
-                .iter()
-                .find(|b| b.indices.contains(&0))
-                .expect("queue position 0 is in some bucket");
-            // Admit the bucket's members in arrival (queue) order,
-            // bounded by the free slots. Positions are removed ascending,
-            // so each removal shifts the later ones left by one.
-            let whole_bucket = oldest_bucket.indices.len() <= free.len();
-            let mut queue_positions: Vec<usize> = oldest_bucket.indices.clone();
-            queue_positions.sort_unstable();
-            queue_positions.truncate(free.len());
-            for (removed, (&slot, qpos)) in free.iter().zip(queue_positions).enumerate() {
-                let queued = self
-                    .pending
-                    .remove(qpos - removed)
-                    .expect("position in range");
-                let mut target = Vec::with_capacity(1 + queued.req.prompt.len());
-                target.push(BOS);
-                target.extend(queued.req.prompt.iter().copied());
-                // Shared-prefix fast path: attach to the longest cached
-                // page-aligned prefix of (src, target) and prefill only
-                // the suffix. Capped at `target.len() - 1` rows so the
-                // session always re-ingests the row whose logits seed
-                // generation — decode from a fork is bit-identical to a
-                // cold prefill, so hits change scheduling, never tokens.
-                let (hit, reused, prefix_key) = if self.prefix.enabled() {
-                    let key = prefix::prefix_key(&queued.req.src, &target);
-                    match self.prefix.lookup(&key, target.len() - 1) {
-                        Some((snap, rows)) => {
-                            // The snapshot may hold more rows than this
-                            // prompt shares with it (diverged-tail
-                            // reuse): roll the *fork* back to the
-                            // matched depth — copy-on-write keeps the
-                            // cached entry's pages intact.
-                            let mut session = snap.fork(&mut self.arena);
-                            if session.pos() > rows {
-                                let extra = session.pos() - rows;
-                                session.rollback_rows(&mut self.arena, extra);
-                            }
-                            self.stats.prefix_hits += 1;
-                            self.stats.prefix_rows_reused += rows;
-                            self.stats.prefix_bytes_shared +=
-                                session.resident_kv_bytes(&self.arena);
-                            (Some(session), rows, key)
+            };
+            let mut target = Vec::with_capacity(1 + queued.req.prompt.len());
+            target.push(BOS);
+            target.extend(queued.req.prompt.iter().copied());
+            // Shared-prefix fast path: attach to the longest cached
+            // page-aligned prefix of (src, target) and prefill only the
+            // suffix. Capped at `target.len() - 1` rows so the session
+            // always re-ingests the row whose logits seed generation —
+            // decode from a fork is bit-identical to a cold prefill, so
+            // hits change scheduling, never tokens.
+            let (hit, reused, prefix_key) = if self.prefix.enabled() {
+                let key = prefix::prefix_key(&queued.req.src, &target);
+                match self.prefix.lookup(&key, target.len() - 1) {
+                    Some((snap, rows)) => {
+                        // The snapshot may hold more rows than this prompt
+                        // shares with it (diverged-tail reuse): roll the
+                        // *fork* back to the matched depth — copy-on-write
+                        // keeps the cached entry's pages intact.
+                        let mut session = snap.fork(&mut self.arena);
+                        if session.pos() > rows {
+                            let extra = session.pos() - rows;
+                            session.rollback_rows(&mut self.arena, extra);
                         }
-                        None => {
-                            self.stats.prefix_misses += 1;
-                            (None, 0, key)
-                        }
+                        self.stats.prefix_hits += 1;
+                        self.stats.prefix_rows_reused += rows;
+                        self.stats.prefix_bytes_shared += session.resident_kv_bytes(&self.arena);
+                        (Some(session), rows, key)
                     }
-                } else {
-                    (None, 0, Vec::new())
-                };
-                admits.push(Admit {
-                    slot,
-                    queued,
-                    pending: target[reused..].iter().copied().collect(),
-                    hit,
-                    prefix_key,
-                });
-            }
-            if !whole_bucket {
-                break; // slots exhausted mid-bucket
-            }
-            // Whole bucket admitted; maybe room for another.
+                    None => {
+                        self.stats.prefix_misses += 1;
+                        (None, 0, key)
+                    }
+                }
+            } else {
+                (None, 0, Vec::new())
+            };
+            admits.push(Admit {
+                slot,
+                queued,
+                pending: target[reused..].iter().copied().collect(),
+                hit,
+                prefix_key,
+            });
         }
         drop(lookup);
-        // Every cold admission of this refill, across buckets, is
-        // encoded and cross-projected in one stacked pass.
+        // Every cold admission of this refill is encoded and
+        // cross-projected in one stacked pass.
         let cold: Vec<&[usize]> = admits
             .iter()
             .filter(|a| a.hit.is_none())
@@ -1116,6 +1081,33 @@ mod tests {
             .iter()
             .map(|r| (r.id, r.tokens.clone(), r.hit_eos()))
             .collect()
+    }
+
+    #[test]
+    fn admission_is_fifo_across_mixed_source_lengths() {
+        // Short and long sources alternate in a queue twice as long as
+        // the slots: the first refill takes the two oldest requests, not
+        // the two whose lengths would pad best together.
+        let (q, srcs) = setup(1);
+        let short = srcs[0][..2].to_vec();
+        let long: Vec<usize> = srcs[0].iter().cycle().take(12).copied().collect();
+        let mut cfg = EngineConfig::with_max_batch(2);
+        cfg.ignore_eos = true;
+        let mut engine = ContinuousBatcher::new(&q, cfg).unwrap();
+        let queue = [&short, &long, &short, &long];
+        for (id, src) in queue.iter().enumerate() {
+            engine
+                .submit(Request::new(id as u64, src.to_vec(), 4))
+                .unwrap();
+        }
+        assert!(engine.step());
+        let in_flight: Vec<u64> = engine.slots.iter().flatten().map(|s| s.id).collect();
+        assert_eq!(in_flight, [0, 1]);
+        let responses = engine.run_to_completion();
+        for (resp, src) in responses.iter().zip(queue) {
+            let want = q.greedy_decode_incremental(src, 4);
+            assert_eq!(resp.tokens[..want.len()], want, "id {}", resp.id);
+        }
     }
 
     #[test]

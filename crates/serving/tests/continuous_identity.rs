@@ -51,12 +51,10 @@ proptest! {
         order_seed in 0u64..10_000,
         n in 3usize..=10,
         max_batch in 1usize..=5,
-        waste_pick in 0usize..3,
         max_new in 4usize..=10,
     ) {
         let q = model();
         let srcs = sources();
-        let max_waste = [0usize, 4, usize::MAX][waste_pick];
 
         // Random arrival order over a random prefix of the pool
         // (Fisher–Yates; the vendored rand has no `seq` module).
@@ -67,14 +65,7 @@ proptest! {
         }
         picks.truncate(n);
 
-        let mut engine = ContinuousBatcher::new(
-            q,
-            EngineConfig {
-                max_batch,
-                bucket_max_waste: max_waste,
-                ..EngineConfig::default()
-            },
-        ).unwrap();
+        let mut engine = ContinuousBatcher::new(q, EngineConfig::with_max_batch(max_batch)).unwrap();
         for (id, &s) in picks.iter().enumerate() {
             engine.submit(Request::new(id as u64, srcs[s].clone(), max_new)).unwrap();
         }

@@ -78,19 +78,11 @@ impl Drop for FaultGuard {
     }
 }
 
-fn engine_cfg(max_batch: usize) -> EngineConfig {
-    EngineConfig {
-        max_batch,
-        bucket_max_waste: usize::MAX, // one bucket: admission in submit order
-        ..EngineConfig::with_max_batch(max_batch)
-    }
-}
-
 /// Runs `n` requests to completion on the current global fault state.
 fn decode(max_batch: usize, n: usize) -> (Vec<Response>, serving::ServingStats) {
     let q = model();
     let srcs = sources();
-    let mut engine = ContinuousBatcher::new(q, engine_cfg(max_batch)).unwrap();
+    let mut engine = ContinuousBatcher::new(q, EngineConfig::with_max_batch(max_batch)).unwrap();
     for (id, src) in srcs.iter().take(n).enumerate() {
         engine
             .submit(Request::new(id as u64, src.clone(), MAX_NEW))
@@ -138,7 +130,7 @@ fn admission_passes_end_where_the_first_decode_step_begins() {
     for n in 1..=4 {
         let p0 = prefill_passes(n);
         faults::install(FaultPlan::empty());
-        let mut engine = ContinuousBatcher::new(model(), engine_cfg(n)).unwrap();
+        let mut engine = ContinuousBatcher::new(model(), EngineConfig::with_max_batch(n)).unwrap();
         for (id, src) in sources().iter().take(n).enumerate() {
             engine
                 .submit(Request::new(id as u64, src.clone(), MAX_NEW))
@@ -305,7 +297,7 @@ fn persistent_faults_quarantine_the_slot() {
     faults::set_checker(Some(true));
     let q = model();
     let srcs = sources();
-    let mut cfg = engine_cfg(1);
+    let mut cfg = EngineConfig::with_max_batch(1);
     cfg.max_step_retries = 1;
     cfg.quarantine_after = 2;
     let mut engine = ContinuousBatcher::new(q, cfg).unwrap();

@@ -12,15 +12,19 @@
 //!
 //! The four public entry points ([`matmul`], [`matmul_nt`], [`matmul_i8`],
 //! [`matmul_i8_nt`]) are parallelised over horizontal output bands on the
-//! persistent worker pool in [`crate::par`] (worker count from
-//! [`crate::par::threads`], i.e. the `ACCEL_THREADS` environment variable
-//! or the machine's available parallelism). Small problems below
+//! persistent worker pool in [`crate::par`]. The worker count has one
+//! source, [`crate::par::threads`] (the `ACCEL_THREADS` environment
+//! variable, the in-process [`crate::par::set_thread_override`], or the
+//! machine's available parallelism); problems at or below
 //! [`SERIAL_CUTOFF_MACS`] run on the calling thread to avoid dispatch
 //! overhead. The INT8 kernels dispatch to the AVX-512 VNNI microkernels
 //! in [`crate::simd`] when the hardware supports them (bit-identical
 //! either way); single-row INT8 GEMMs use a dedicated GEMV kernel.
-//! Weight matrices that are multiplied repeatedly should be packed once
-//! via [`crate::prepack`] instead of paying the pack per call.
+//!
+//! [`matmul`] and [`matmul_i8`] (two rows or more) are the prepacked
+//! GEMMs of [`crate::prepack`] with the pack paid per call: they pack `B`
+//! and run the same body. Weight matrices that are multiplied repeatedly
+//! should be packed once there instead.
 //!
 //! The `f32` kernel packs `B` once into `NR`-lane column tiles
 //! (`[tile][k][lane]` layout via [`pack_tiles`]) shared read-only by all
@@ -46,12 +50,8 @@
 //! zero operands — a data-dependent early-out gives data-dependent
 //! timing (unlike the fixed-schedule systolic array being modelled) and
 //! silently drops `0.0 * NaN` propagation in the float kernel.
-//!
-//! Explicit-thread-count variants ([`matmul_with_threads`] etc.) bypass
-//! both the environment lookup and the serial cutoff; they exist for
-//! equivalence tests and benchmarks that pin the worker count.
 
-use crate::{par, simd, Mat, ShapeError};
+use crate::{par, prepack, simd, Mat, ShapeError};
 
 /// Column-tile width of the register microkernel (one 512-bit vector of
 /// `i32`/`f32` lanes; also vectorises as two 256-bit ops on AVX2).
@@ -72,9 +72,7 @@ pub const SERIAL_CUTOFF_MACS: usize = 1 << 16;
 // Tile packing
 // ---------------------------------------------------------------------------
 
-/// Packs `b` (`k x n`) into `NR`-lane column tiles, widening each
-/// element with `widen` (identity for `f32`, `i8 -> i32` for the integer
-/// kernel so the inner loop multiplies without per-element conversions).
+/// Packs `b` (`k x n`) into `NR`-lane column tiles.
 ///
 /// Layout: `[tile][p][lane]` — for column tile `t`, the `NR` values of
 /// row `p` restricted to columns `t*NR..` are contiguous, so the
@@ -82,31 +80,20 @@ pub const SERIAL_CUTOFF_MACS: usize = 1 << 16;
 /// tile is zero-padded to `NR`; padded lanes are computed and discarded,
 /// which cannot perturb real lanes (lanes are independent). The packed
 /// buffer is built once per GEMM and shared read-only by every band.
-pub(crate) fn pack_tiles<T: Copy, U: Copy + Default>(b: &Mat<T>, widen: impl Fn(T) -> U) -> Vec<U> {
+pub(crate) fn pack_tiles(b: &Mat<f32>) -> Vec<f32> {
     let (k, n) = b.shape();
     let tiles = n.div_ceil(NR);
-    let mut packed = vec![U::default(); tiles * k * NR];
-    for t in 0..tiles {
-        let j0 = t * NR;
-        let w = NR.min(n - j0);
-        for p in 0..k {
-            let brow = &b.row(p)[j0..j0 + w];
-            let dst = &mut packed[(t * k + p) * NR..(t * k + p) * NR + w];
-            for (d, &v) in dst.iter_mut().zip(brow) {
-                *d = widen(v);
-            }
-        }
-    }
+    let mut packed = vec![0f32; tiles * k * NR];
+    pack_tiles_range(b, &mut packed, 0, tiles);
     packed
 }
 
 /// [`pack_tiles`] restricted to column tiles `t0 .. t1`, writing into
 /// `chunk` — the sub-slice of the full packed buffer covering exactly
-/// those tiles (`(t1 - t0) * k * NR` zero-initialised elements).
-/// Byte-identical to the corresponding range of [`pack_tiles`]; used by
-/// the prepack layer to parallelise (and first-touch-distribute) the
-/// one-time weight pack across pool workers.
-pub(crate) fn pack_tiles_f32_range(b: &Mat<f32>, chunk: &mut [f32], t0: usize, t1: usize) {
+/// those tiles (`(t1 - t0) * k * NR` zero-initialised elements). The
+/// prepack layer runs it per worker to parallelise (and
+/// first-touch-distribute) the one-time weight pack.
+pub(crate) fn pack_tiles_range(b: &Mat<f32>, chunk: &mut [f32], t0: usize, t1: usize) {
     let (k, n) = b.shape();
     for t in t0..t1 {
         let j0 = t * NR;
@@ -114,8 +101,7 @@ pub(crate) fn pack_tiles_f32_range(b: &Mat<f32>, chunk: &mut [f32], t0: usize, t
         for p in 0..k {
             let brow = &b.row(p)[j0..j0 + w];
             let base = ((t - t0) * k + p) * NR;
-            let dst = &mut chunk[base..base + w];
-            dst.copy_from_slice(brow);
+            chunk[base..base + w].copy_from_slice(brow);
         }
     }
 }
@@ -124,82 +110,72 @@ pub(crate) fn pack_tiles_f32_range(b: &Mat<f32>, chunk: &mut [f32], t0: usize, t
 // Band kernels (each runs on one worker thread over a row band)
 // ---------------------------------------------------------------------------
 
-macro_rules! band_kernel {
-    ($name:ident, $ta:ty, $to:ty, $widen:path) => {
-        /// Computes `out_band = a[first_row..][..rows] * B` from packed
-        /// `B` tiles with a register-tiled `MR x NR` microkernel: the
-        /// accumulators stay in registers across the whole `k` sweep and
-        /// each output element is written exactly once. The tile loop is
-        /// outermost so one packed tile (`k * NR` elements) stays hot in
-        /// cache across every row of the band — without this, wide-`n`
-        /// GEMMs (the FFN's `n = d_ff`) re-stream the whole packed `B`
-        /// per row quad. Per element the `k` products accumulate in
-        /// ascending-`k` order from zero, matching the naive reference
-        /// bit for bit (the loop nesting never changes what one element
-        /// sums, only the visit order across independent elements).
-        fn $name(a: &Mat<$ta>, packed: &[$to], first_row: usize, out_band: &mut [$to], n: usize) {
-            if n == 0 {
-                return;
-            }
-            let k = a.cols();
-            let rows = out_band.len() / n;
-            let tiles = n.div_ceil(NR);
-            for t in 0..tiles {
-                let bt = &packed[t * k * NR..(t + 1) * k * NR];
-                let j0 = t * NR;
-                let w = NR.min(n - j0);
-                let mut r = 0;
-                // MR-row register tiles.
-                while r + MR <= rows {
-                    let (a0, a1, a2, a3) = (
-                        a.row(first_row + r),
-                        a.row(first_row + r + 1),
-                        a.row(first_row + r + 2),
-                        a.row(first_row + r + 3),
-                    );
-                    let mut c0 = [<$to>::default(); NR];
-                    let mut c1 = [<$to>::default(); NR];
-                    let mut c2 = [<$to>::default(); NR];
-                    let mut c3 = [<$to>::default(); NR];
-                    for p in 0..k {
-                        let bv = &bt[p * NR..(p + 1) * NR];
-                        let x0 = $widen(a0[p]);
-                        let x1 = $widen(a1[p]);
-                        let x2 = $widen(a2[p]);
-                        let x3 = $widen(a3[p]);
-                        for l in 0..NR {
-                            c0[l] += x0 * bv[l];
-                            c1[l] += x1 * bv[l];
-                            c2[l] += x2 * bv[l];
-                            c3[l] += x3 * bv[l];
-                        }
-                    }
-                    for (q, c) in [c0, c1, c2, c3].iter().enumerate() {
-                        let at = (r + q) * n + j0;
-                        out_band[at..at + w].copy_from_slice(&c[..w]);
-                    }
-                    r += MR;
-                }
-                // Remainder rows, one at a time.
-                while r < rows {
-                    let a0 = a.row(first_row + r);
-                    let mut c0 = [<$to>::default(); NR];
-                    for p in 0..k {
-                        let bv = &bt[p * NR..(p + 1) * NR];
-                        let x0 = $widen(a0[p]);
-                        for l in 0..NR {
-                            c0[l] += x0 * bv[l];
-                        }
-                    }
-                    out_band[r * n + j0..r * n + j0 + w].copy_from_slice(&c0[..w]);
-                    r += 1;
+/// Computes `out_band = a[first_row..][..rows] * B` from packed `B`
+/// tiles with a register-tiled `MR x NR` microkernel: the accumulators
+/// stay in registers across the whole `k` sweep and each output element
+/// is written exactly once. The tile loop is outermost so one packed
+/// tile (`k * NR` elements) stays hot in cache across every row of the
+/// band — without this, wide-`n` GEMMs (the FFN's `n = d_ff`) re-stream
+/// the whole packed `B` per row quad. Per element the `k` products
+/// accumulate in ascending-`k` order from zero, matching the naive
+/// reference bit for bit (the loop nesting never changes what one
+/// element sums, only the visit order across independent elements).
+fn band_f32(a: &Mat<f32>, packed: &[f32], first_row: usize, out_band: &mut [f32], n: usize) {
+    if n == 0 {
+        return;
+    }
+    let k = a.cols();
+    let rows = out_band.len() / n;
+    let tiles = n.div_ceil(NR);
+    for t in 0..tiles {
+        let bt = &packed[t * k * NR..(t + 1) * k * NR];
+        let j0 = t * NR;
+        let w = NR.min(n - j0);
+        let mut r = 0;
+        // MR-row register tiles.
+        while r + MR <= rows {
+            let (a0, a1, a2, a3) = (
+                a.row(first_row + r),
+                a.row(first_row + r + 1),
+                a.row(first_row + r + 2),
+                a.row(first_row + r + 3),
+            );
+            let mut c0 = [0f32; NR];
+            let mut c1 = [0f32; NR];
+            let mut c2 = [0f32; NR];
+            let mut c3 = [0f32; NR];
+            for p in 0..k {
+                let bv = &bt[p * NR..(p + 1) * NR];
+                let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
+                for l in 0..NR {
+                    c0[l] += x0 * bv[l];
+                    c1[l] += x1 * bv[l];
+                    c2[l] += x2 * bv[l];
+                    c3[l] += x3 * bv[l];
                 }
             }
+            for (q, c) in [c0, c1, c2, c3].iter().enumerate() {
+                let at = (r + q) * n + j0;
+                out_band[at..at + w].copy_from_slice(&c[..w]);
+            }
+            r += MR;
         }
-    };
+        // Remainder rows, one at a time.
+        while r < rows {
+            let a0 = a.row(first_row + r);
+            let mut c0 = [0f32; NR];
+            for p in 0..k {
+                let bv = &bt[p * NR..(p + 1) * NR];
+                let x0 = a0[p];
+                for l in 0..NR {
+                    c0[l] += x0 * bv[l];
+                }
+            }
+            out_band[r * n + j0..r * n + j0 + w].copy_from_slice(&c0[..w]);
+            r += 1;
+        }
+    }
 }
-
-band_kernel!(band_f32, f32, f32, widen_f32);
 
 // ---------------------------------------------------------------------------
 // INT8 quad packing (the VNNI-friendly layout)
@@ -306,44 +282,18 @@ pub(crate) fn pack_quads(b: &Mat<i8>) -> (AlignedI8, Vec<i32>) {
     let mut quads = AlignedI8::zeroed(tiles * kq * NR * KQ);
     let mut colsum = vec![0i32; tiles * NR];
     if !simd::pack_quads_into(b, quads.as_mut_slice(), &mut colsum) {
-        pack_quads_scalar_range(b, quads.as_mut_slice(), &mut colsum, 0, tiles);
+        pack_quads_range(b, quads.as_mut_slice(), &mut colsum, 0, tiles);
     }
     (quads, colsum)
 }
 
 /// Scalar [`pack_quads`] body over column tiles `t0 .. t1`, writing into
-/// caller-provided (zeroed) buffers. The SIMD pack delegates ragged
-/// edges here; both producers are byte-identical.
-pub(crate) fn pack_quads_scalar_range(
-    b: &Mat<i8>,
-    quads: &mut [i8],
-    colsum: &mut [i32],
-    t0: usize,
-    t1: usize,
-) {
-    let (k, n) = b.shape();
-    let kq = k.div_ceil(KQ);
-    for t in t0..t1 {
-        let j0 = t * NR;
-        let w = NR.min(n - j0);
-        for p in 0..k {
-            let brow = &b.row(p)[j0..j0 + w];
-            let (q, u) = (p / KQ, p % KQ);
-            let base = (t * kq + q) * NR * KQ + u;
-            for (l, &v) in brow.iter().enumerate() {
-                quads[base + l * KQ] = v;
-                colsum[t * NR + l] += i32::from(v);
-            }
-        }
-    }
-}
-
-/// [`pack_quads_scalar_range`] writing into tile-relative chunks:
-/// `quads_chunk` / `colsum_chunk` are the sub-slices of the full buffers
-/// covering exactly tiles `t0 .. t1` (zero-initialised). Byte-identical
-/// to the corresponding range of [`pack_quads`]; used by the prepack
-/// layer to parallelise (and first-touch-distribute) the one-time
-/// weight pack across pool workers.
+/// tile-relative chunks: `quads_chunk` / `colsum_chunk` are the
+/// sub-slices of the full buffers covering exactly those tiles
+/// (zero-initialised). The SIMD pack delegates ragged edges here, and
+/// the prepack layer runs it per worker to parallelise (and
+/// first-touch-distribute) the one-time weight pack; every producer is
+/// byte-identical.
 pub(crate) fn pack_quads_range(
     b: &Mat<i8>,
     quads_chunk: &mut [i8],
@@ -517,13 +467,13 @@ fn gemv_i8_direct(a: &Mat<i8>, b: &Mat<i8>, out: &mut [i32]) {
 
 /// Identity widening for the `f32` dot-product kernel.
 #[inline]
-pub(crate) fn widen_f32(v: f32) -> f32 {
+fn widen_f32(v: f32) -> f32 {
     v
 }
 
 /// `i8 -> i32` widening for the integer dot-product kernel.
 #[inline]
-pub(crate) fn widen_i8(v: i8) -> i32 {
+fn widen_i8(v: i8) -> i32 {
     i32::from(v)
 }
 
@@ -639,9 +589,10 @@ pub(crate) fn auto_threads(m: usize, k: usize, n: usize) -> usize {
 
 /// `f32` GEMM: returns `a * b`.
 ///
-/// Cache-blocked over packed `B` panels and parallelised over output row
-/// bands (see the [module docs](self)); bit-identical to [`matmul_ref`]
-/// for any thread count.
+/// Packs `b` on the calling thread and runs
+/// [`crate::prepack::matmul_prepacked`] over the pack (see the
+/// [module docs](self)); bit-identical to [`matmul_ref`] for any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -659,30 +610,10 @@ pub(crate) fn auto_threads(m: usize, k: usize, n: usize) -> usize {
 /// # }
 /// ```
 pub fn matmul(a: &Mat<f32>, b: &Mat<f32>) -> Result<Mat<f32>, ShapeError> {
-    matmul_with_threads(a, b, auto_threads(a.rows(), a.cols(), b.cols()))
-}
-
-/// [`matmul`] with an explicit worker count (no cutoff, no environment
-/// lookup). `threads = 1` runs entirely on the calling thread.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.rows()`.
-pub fn matmul_with_threads(
-    a: &Mat<f32>,
-    b: &Mat<f32>,
-    threads: usize,
-) -> Result<Mat<f32>, ShapeError> {
     if a.cols() != b.rows() {
         return Err(ShapeError::new("matmul", a.shape(), b.shape()));
     }
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Mat::zeros(m, n);
-    let packed = pack_tiles(b, widen_f32);
-    par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-        run_band_f32(a, &packed, first_row, band, n);
-    });
-    Ok(out)
+    prepack::matmul_prepacked(a, &prepack::PackedF32::serial(b))
 }
 
 /// `f32` GEMM against the transpose of `b`: returns `a * b^T`.
@@ -696,25 +627,12 @@ pub fn matmul_with_threads(
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.cols()`.
 pub fn matmul_nt(a: &Mat<f32>, b: &Mat<f32>) -> Result<Mat<f32>, ShapeError> {
-    matmul_nt_with_threads(a, b, auto_threads(a.rows(), a.cols(), b.rows()))
-}
-
-/// [`matmul_nt`] with an explicit worker count (no cutoff, no
-/// environment lookup).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.cols()`.
-pub fn matmul_nt_with_threads(
-    a: &Mat<f32>,
-    b: &Mat<f32>,
-    threads: usize,
-) -> Result<Mat<f32>, ShapeError> {
     if a.cols() != b.cols() {
         return Err(ShapeError::new("matmul_nt", a.shape(), b.shape()));
     }
     let (m, n) = (a.rows(), b.rows());
     let mut out = Mat::zeros(m, n);
+    let threads = auto_threads(m, a.cols(), n);
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         band_nt_f32(a, b, first_row, band, n);
     });
@@ -724,10 +642,11 @@ pub fn matmul_nt_with_threads(
 /// INT8 GEMM with `i32` accumulation: returns `a * b` exactly as an INT8
 /// MAC array (the paper's systolic array) would compute it.
 ///
-/// Cache-blocked over packed `B` panels with the widening
-/// `i8 x i8 -> i32` microkernel and parallelised over output row bands;
-/// integer arithmetic is exact, so the result equals [`matmul_i8_ref`]
-/// for any blocking or thread count.
+/// A single row streams `b` in place (packing would cost as much as the
+/// multiply); more rows pack `b` on the calling thread and run
+/// [`crate::prepack::matmul_i8_prepacked`] over the pack. Integer
+/// arithmetic is exact, so the result equals [`matmul_i8_ref`] for any
+/// blocking or thread count.
 ///
 /// # Errors
 ///
@@ -745,39 +664,17 @@ pub fn matmul_nt_with_threads(
 /// # }
 /// ```
 pub fn matmul_i8(a: &Mat<i8>, b: &Mat<i8>) -> Result<Mat<i32>, ShapeError> {
-    matmul_i8_with_threads(a, b, auto_threads(a.rows(), a.cols(), b.cols()))
-}
-
-/// [`matmul_i8`] with an explicit worker count (no cutoff, no
-/// environment lookup).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.rows()`.
-pub fn matmul_i8_with_threads(
-    a: &Mat<i8>,
-    b: &Mat<i8>,
-    threads: usize,
-) -> Result<Mat<i32>, ShapeError> {
     if a.cols() != b.rows() {
         return Err(ShapeError::new("matmul_i8", a.shape(), b.shape()));
     }
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Mat::<i32>::zeros(m, n);
-    if m == 1 {
-        // Packing costs as much as the multiply at m = 1; stream `b`
-        // directly. (Repeatedly-multiplied weights go through
-        // `crate::prepack`, which amortises the pack and keeps the VNNI
-        // GEMV.)
+    if a.rows() == 1 {
+        // Repeatedly-multiplied weights go through `crate::prepack`,
+        // which amortises the pack and keeps the VNNI GEMV.
+        let mut out = Mat::<i32>::zeros(1, b.cols());
         gemv_i8_direct(a, b, out.as_mut_slice());
         return Ok(out);
     }
-    let (quads, colsum) = pack_quads(b);
-    let au = vnni_rows(a, threads);
-    par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-        run_band_i8q(a, &au, quads.as_slice(), &colsum, first_row, band, n);
-    });
-    Ok(out)
+    prepack::matmul_i8_prepacked(a, &prepack::PackedI8::serial(b))
 }
 
 /// INT8 GEMM against the transpose of `b`: returns `a * b^T` with `i32`
@@ -791,25 +688,12 @@ pub fn matmul_i8_with_threads(
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.cols()`.
 pub fn matmul_i8_nt(a: &Mat<i8>, b: &Mat<i8>) -> Result<Mat<i32>, ShapeError> {
-    matmul_i8_nt_with_threads(a, b, auto_threads(a.rows(), a.cols(), b.rows()))
-}
-
-/// [`matmul_i8_nt`] with an explicit worker count (no cutoff, no
-/// environment lookup).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.cols()`.
-pub fn matmul_i8_nt_with_threads(
-    a: &Mat<i8>,
-    b: &Mat<i8>,
-    threads: usize,
-) -> Result<Mat<i32>, ShapeError> {
     if a.cols() != b.cols() {
         return Err(ShapeError::new("matmul_i8_nt", a.shape(), b.shape()));
     }
     let (m, n) = (a.rows(), b.rows());
     let mut out = Mat::zeros(m, n);
+    let threads = auto_threads(m, a.cols(), n);
     if crate::simd::int8_simd_active() && m >= 8 {
         // Multi-row `a * b^T` (the chunked-prefill attention scores):
         // transpose-pack `b` into the quad layout once and run the far
@@ -977,7 +861,6 @@ mod tests {
         let b = Mat::<f32>::zeros(2, 3);
         assert!(matmul(&a, &b).is_err());
         assert!(matmul_ref(&a, &b).is_err());
-        assert!(matmul_with_threads(&a, &b, 4).is_err());
     }
 
     #[test]
@@ -1028,11 +911,6 @@ mod tests {
             let a = crate::init::uniform_i8(&mut rng, m, k);
             let b = crate::init::uniform_i8(&mut rng, k, n);
             let want = matmul_i8_ref(&a, &b).unwrap();
-            assert_eq!(
-                matmul_i8_with_threads(&a, &b, 1).unwrap(),
-                want,
-                "({m},{k},{n})"
-            );
             assert_eq!(matmul_i8(&a, &b).unwrap(), want, "({m},{k},{n})");
         }
     }
@@ -1041,7 +919,7 @@ mod tests {
     fn blocked_i8_gemm_shape_error() {
         let a = Mat::<i8>::zeros(2, 3);
         let b = Mat::<i8>::zeros(2, 3);
-        assert!(matmul_i8_with_threads(&a, &b, 1).is_err());
+        assert!(matmul_i8(&a, &b).is_err());
     }
 
     #[test]
@@ -1087,7 +965,7 @@ mod tests {
             let kq = k.div_ceil(KQ);
             let mut q_ref = vec![0i8; tiles * kq * NR * KQ];
             let mut c_ref = vec![0i32; tiles * NR];
-            pack_quads_scalar_range(&b, &mut q_ref, &mut c_ref, 0, tiles);
+            pack_quads_range(&b, &mut q_ref, &mut c_ref, 0, tiles);
             assert_eq!(q_fast.as_slice(), q_ref, "pack_quads quads ({k},{n})");
             assert_eq!(c_fast, c_ref, "pack_quads colsum ({k},{n})");
 
@@ -1108,12 +986,14 @@ mod tests {
     fn f32_parallel_is_bit_identical_to_ref() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (5, 129, 67), (64, 512, 64)] {
+        // Above the serial cutoff, so every worker count splits the rows.
+        for &(m, k, n) in &[(13usize, 129usize, 67usize), (64, 512, 64)] {
+            assert!(m * k * n > SERIAL_CUTOFF_MACS);
             let a = crate::init::uniform(&mut rng, m, k, -1.0, 1.0);
             let b = crate::init::uniform(&mut rng, k, n, -1.0, 1.0);
             let want = matmul_ref(&a, &b).unwrap();
             for t in [1usize, 2, 5] {
-                let got = matmul_with_threads(&a, &b, t).unwrap();
+                let got = par::under_thread_override(t, || matmul(&a, &b).unwrap());
                 assert!(
                     got.as_slice()
                         .iter()

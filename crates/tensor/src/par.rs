@@ -378,6 +378,29 @@ pub(crate) fn row_bands<T, F>(
     scope_run(tasks);
 }
 
+/// Held by every unit test that sets [`set_thread_override`]: the
+/// override is process-global and this crate's unit tests run on
+/// parallel threads.
+#[cfg(test)]
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `body` with [`threads`] overridden to `t` under
+/// [`OVERRIDE_LOCK`], then clears the override (also when `body`
+/// panics).
+#[cfg(test)]
+pub(crate) fn under_thread_override<R>(t: usize, body: impl FnOnce() -> R) -> R {
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            set_thread_override(None);
+        }
+    }
+    let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _clear = Clear;
+    set_thread_override(Some(t));
+    body()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +459,7 @@ mod tests {
 
     #[test]
     fn thread_override_wins_and_clears() {
+        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let base = threads();
         set_thread_override(Some(3));
         assert_eq!(threads(), 3);

@@ -18,15 +18,20 @@
 //! stream, and the quad layout moves 1x the weight bytes per token
 //! instead of 4x.
 //!
-//! The [`matmul_prepacked`] / [`matmul_i8_prepacked`] entry points (and
-//! [`matmul_prepacked_tile`], one row against one column tile) run
-//! the identical band kernels (including the VNNI microkernels from
-//! [`crate::simd`] and the dedicated `m == 1` GEMV) straight from the
-//! cached tiles. Results are **bit-identical** to
-//! [`crate::gemm::matmul`] / [`crate::gemm::matmul_i8`] and the naive
-//! references for any shape and thread count, because the packed layout
-//! and the per-element accumulation order are exactly the same — only
-//! the packing work moves from per-call to per-weight-lifetime.
+//! One body per operand layout multiplies against these packs:
+//! [`matmul_prepacked_fused`] for `f32` (a band kernel, then an
+//! epilogue over each finished row; [`matmul_prepacked`] is it with a
+//! no-op epilogue), [`matmul_i8_prepacked`] for the INT8 product stored
+//! straight into the `i32` output, and [`matmul_i8_prepacked_fused`] for
+//! the INT8 product drained through a per-row epilogue into any element
+//! type. [`matmul_prepacked_tile`] runs one row against one column tile.
+//! The per-call [`crate::gemm::matmul`] / [`crate::gemm::matmul_i8`]
+//! pack and run these same bodies, so the results are **bit-identical**
+//! to them and to the naive references for any shape and thread count
+//! — only the packing work moves from per-call to per-weight-lifetime.
+//! Like every GEMM, these take their worker count from
+//! [`crate::par::threads`], serial at or below
+//! [`crate::gemm::SERIAL_CUTOFF_MACS`].
 //!
 //! `quantized::QLinear` packs eagerly at construction (its weights are
 //! immutable); `transformer::Linear` caches lazily and invalidates when
@@ -62,35 +67,37 @@ impl PackedMat<f32> {
     /// Packs an `f32` weight matrix once, in the exact layout
     /// [`crate::gemm::matmul`] builds per call.
     ///
-    /// Large matrices pack in parallel across the persistent pool
-    /// ([`Self::from_f32_with_threads`]): each worker writes — and
-    /// therefore **first-touches** — a contiguous range of column
-    /// tiles, so the packed pages are faulted in by (and stay local to)
-    /// the workers that stream them in the band loop, instead of all
-    /// landing on the packing thread's node. The packed bytes are
-    /// identical either way.
+    /// Large matrices pack in parallel across the persistent pool: each
+    /// worker writes — and therefore **first-touches** — a contiguous
+    /// range of column tiles, so the packed pages are faulted in by (and
+    /// stay local to) the workers that stream them in the band loop,
+    /// instead of all landing on the packing thread's node. The packed
+    /// bytes are identical either way.
     pub fn from_f32(b: &Mat<f32>) -> Self {
-        Self::from_f32_with_threads(b, par::threads())
-    }
-
-    /// [`Self::from_f32`] with an explicit worker count.
-    pub(crate) fn from_f32_with_threads(b: &Mat<f32>, threads: usize) -> Self {
         let (k, n) = b.shape();
         let tiles = n.div_ceil(gemm::NR);
-        let t = threads.min(tiles).max(1);
+        let t = par::threads().min(tiles);
         if t <= 1 || k * n < PARALLEL_PACK_CUTOFF {
-            return Self {
-                packed: gemm::pack_tiles(b, gemm::widen_f32),
-                k,
-                n,
-            };
+            return Self::serial(b);
         }
         let stride = k * gemm::NR;
         let mut packed = vec![0f32; tiles * stride];
         par::row_bands(&mut packed, tiles, stride, t, |t0, chunk| {
-            gemm::pack_tiles_f32_range(b, chunk, t0, t0 + chunk.len() / stride);
+            gemm::pack_tiles_range(b, chunk, t0, t0 + chunk.len() / stride);
         });
         Self { packed, k, n }
+    }
+
+    /// [`Self::from_f32`] on the calling thread — the per-call pack of
+    /// [`crate::gemm::matmul`], whose pages are read once and gain
+    /// nothing from first-touch placement.
+    pub(crate) fn serial(b: &Mat<f32>) -> Self {
+        let (k, n) = b.shape();
+        Self {
+            packed: gemm::pack_tiles(b),
+            k,
+            n,
+        }
     }
 }
 
@@ -122,22 +129,11 @@ impl PackedI8 {
     /// [`PackedMat::from_f32`]); the packed bytes are identical either
     /// way.
     pub fn from_i8(b: &Mat<i8>) -> Self {
-        Self::from_i8_with_threads(b, par::threads())
-    }
-
-    /// [`Self::from_i8`] with an explicit worker count.
-    pub(crate) fn from_i8_with_threads(b: &Mat<i8>, threads: usize) -> Self {
         let (k, n) = b.shape();
         let tiles = n.div_ceil(gemm::NR);
-        let t = threads.min(tiles).max(1);
+        let t = par::threads().min(tiles);
         if t <= 1 || k * n < PARALLEL_PACK_CUTOFF {
-            let (quads, colsum) = gemm::pack_quads(b);
-            return Self {
-                quads,
-                colsum,
-                k,
-                n,
-            };
+            return Self::serial(b);
         }
         let qstride = k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
         let mut quads = gemm::AlignedI8::zeroed(tiles * qstride);
@@ -164,6 +160,19 @@ impl PackedI8 {
         }
     }
 
+    /// [`Self::from_i8`] on the calling thread — the per-call pack of
+    /// [`crate::gemm::matmul_i8`] (see [`PackedMat::serial`]).
+    pub(crate) fn serial(b: &Mat<i8>) -> Self {
+        let (k, n) = b.shape();
+        let (quads, colsum) = gemm::pack_quads(b);
+        Self {
+            quads,
+            colsum,
+            k,
+            n,
+        }
+    }
+
     /// Reduction depth — the `a.cols()` this packed matrix multiplies
     /// against.
     pub fn k(&self) -> usize {
@@ -181,9 +190,8 @@ impl PackedI8 {
 /// tile-major, so the column tiles covering the range are one contiguous
 /// slice of the pack: a panel GEMM streams the resident weights in place
 /// instead of copying a `k x width` sub-matrix out and re-packing it.
-/// The fused entry points ([`matmul_i8_prepacked_fused`] /
-/// [`matmul_i8_prepacked_epilogue`]) take this view; a whole
-/// `&PackedI8` converts into the full-width one.
+/// The fused entry point ([`matmul_i8_prepacked_fused`]) takes this
+/// view; a whole `&PackedI8` converts into the full-width one.
 ///
 /// A range that starts or ends inside a tile still works: the covering
 /// tiles are multiplied whole and the epilogue sees only the requested
@@ -239,33 +247,52 @@ impl<'a> From<&'a PackedI8> for PackedI8Cols<'a> {
 }
 
 /// `f32` GEMM against a prepacked `B`: returns `a * B`, bit-identical to
-/// [`crate::gemm::matmul`] on the original matrix.
+/// [`crate::gemm::matmul`] on the original matrix — it is
+/// [`matmul_prepacked_fused`] with a no-op epilogue.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
 pub fn matmul_prepacked(a: &Mat<f32>, b: &PackedMat<f32>) -> Result<Mat<f32>, ShapeError> {
-    matmul_prepacked_with_threads(a, b, gemm::auto_threads(a.rows(), a.cols(), b.n))
+    matmul_prepacked_fused(a, b, |_r, _row| {})
 }
 
-/// [`matmul_prepacked`] with an explicit worker count (no cutoff, no
-/// environment lookup).
+/// `f32` GEMM against a prepacked `B` with a **fused epilogue**: after a
+/// band's rows are computed, `epi(global_row, row)` rewrites each row in
+/// place while it is still cache-hot — bias add, ReLU, residual add —
+/// instead of a second full pass over a materialized intermediate.
+///
+/// The accumulator values handed to `epi` are bit-identical to
+/// [`matmul_prepacked`] output, and `epi` runs over rows in ascending
+/// order within each band, so any per-element epilogue that matches the
+/// unfused op sequence element-for-element yields bit-identical results
+/// to the unfused pipeline.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_prepacked_with_threads(
+pub fn matmul_prepacked_fused<F>(
     a: &Mat<f32>,
     b: &PackedMat<f32>,
-    threads: usize,
-) -> Result<Mat<f32>, ShapeError> {
+    epi: F,
+) -> Result<Mat<f32>, ShapeError>
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
     if a.cols() != b.k {
         return Err(ShapeError::new("matmul_prepacked", a.shape(), (b.k, b.n)));
     }
     let (m, n) = (a.rows(), b.n);
     let mut out = Mat::zeros(m, n);
+    if n == 0 {
+        return Ok(out);
+    }
+    let threads = gemm::auto_threads(m, b.k, n);
     par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
         gemm::run_band_f32(a, &b.packed, first_row, band, n);
+        for (r, row) in band.chunks_mut(n).enumerate() {
+            epi(first_row + r, row);
+        }
     });
     Ok(out)
 }
@@ -313,27 +340,14 @@ pub fn matmul_prepacked_tile(
 
 /// INT8 GEMM against a prepacked `B`: returns `a * B` with `i32`
 /// accumulation, bit-identical to [`crate::gemm::matmul_i8`] on the
-/// original matrix. Single-row inputs (`m == 1`, the batch-1 decode
+/// original matrix. The band kernels store straight into the output, no
+/// scratch between; single-row inputs (`m == 1`, the batch-1 decode
 /// shape) take the dedicated GEMV kernel.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
 pub fn matmul_i8_prepacked(a: &Mat<i8>, b: &PackedI8) -> Result<Mat<i32>, ShapeError> {
-    matmul_i8_prepacked_with_threads(a, b, gemm::auto_threads(a.rows(), a.cols(), b.n))
-}
-
-/// [`matmul_i8_prepacked`] with an explicit worker count (no cutoff, no
-/// environment lookup).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_i8_prepacked_with_threads(
-    a: &Mat<i8>,
-    b: &PackedI8,
-    threads: usize,
-) -> Result<Mat<i32>, ShapeError> {
     if a.cols() != b.k {
         return Err(ShapeError::new(
             "matmul_i8_prepacked",
@@ -343,6 +357,7 @@ pub fn matmul_i8_prepacked_with_threads(
     }
     let (m, n) = (a.rows(), b.n);
     let mut out = Mat::<i32>::zeros(m, n);
+    let threads = gemm::auto_threads(m, b.k, n);
     let au = gemm::vnni_rows(a, threads);
     if m == 1 {
         gemm::run_gemv_i8q(a, &au, b.quads.as_slice(), &b.colsum, out.as_mut_slice(), n);
@@ -354,84 +369,8 @@ pub fn matmul_i8_prepacked_with_threads(
     Ok(out)
 }
 
-/// [`matmul_prepacked_epilogue`] with the same automatic worker count
-/// as [`matmul_prepacked`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_prepacked_fused<F>(
-    a: &Mat<f32>,
-    b: &PackedMat<f32>,
-    epi: F,
-) -> Result<Mat<f32>, ShapeError>
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    matmul_prepacked_epilogue(a, b, gemm::auto_threads(a.rows(), a.cols(), b.n), epi)
-}
-
-/// [`matmul_i8_prepacked_epilogue`] with the same automatic worker
-/// count as [`matmul_i8_prepacked`].
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_i8_prepacked_fused<'b, O, F>(
-    a: &Mat<i8>,
-    b: impl Into<PackedI8Cols<'b>>,
-    epi: F,
-) -> Result<Mat<O>, ShapeError>
-where
-    O: Copy + Default + Send,
-    F: Fn(usize, &[i32], &mut [O]) + Sync,
-{
-    let b = b.into();
-    matmul_i8_prepacked_epilogue(a, b, gemm::auto_threads(a.rows(), a.cols(), b.width), epi)
-}
-
-/// `f32` GEMM against a prepacked `B` with a **fused epilogue**: after a
-/// band's rows are computed, `epi(global_row, row)` rewrites each row in
-/// place while it is still cache-hot — bias add, ReLU, residual add —
-/// instead of a second full pass over a materialized intermediate.
-///
-/// The accumulator values handed to `epi` are bit-identical to
-/// [`matmul_prepacked_with_threads`] output, and `epi` runs over rows in
-/// ascending order within each band, so any per-element epilogue that
-/// matches the unfused op sequence element-for-element yields
-/// bit-identical results to the unfused pipeline.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub(crate) fn matmul_prepacked_epilogue<F>(
-    a: &Mat<f32>,
-    b: &PackedMat<f32>,
-    threads: usize,
-    epi: F,
-) -> Result<Mat<f32>, ShapeError>
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if a.cols() != b.k {
-        return Err(ShapeError::new("matmul_prepacked", a.shape(), (b.k, b.n)));
-    }
-    let (m, n) = (a.rows(), b.n);
-    let mut out = Mat::zeros(m, n);
-    if n == 0 {
-        return Ok(out);
-    }
-    par::row_bands(out.as_mut_slice(), m, n, threads, |first_row, band| {
-        gemm::run_band_f32(a, &b.packed, first_row, band, n);
-        for (r, row) in band.chunks_mut(n).enumerate() {
-            epi(first_row + r, row);
-        }
-    });
-    Ok(out)
-}
-
 /// Byte budget of a worker's accumulator scratch in
-/// [`matmul_i8_prepacked_epilogue`]: a row block's `i32` accumulators
+/// [`matmul_i8_prepacked_fused`]: a row block's `i32` accumulators
 /// must still be in L2 when the epilogue drains them, beside the weight
 /// tiles streaming through.
 const ACC_SCRATCH_BYTES: usize = 256 << 10;
@@ -480,8 +419,7 @@ fn with_acc_scratch<R>(len: usize, body: impl FnOnce(&mut [i32]) -> R) -> R {
 /// nothing is allocated per call but the output.
 ///
 /// The accumulator rows handed to `epi` are bit-identical to
-/// [`matmul_i8_prepacked_with_threads`] output (integer accumulation,
-/// same kernels), so any per-element epilogue matching the unfused op
+/// [`matmul_i8_prepacked`] output (integer accumulation, same kernels), so any per-element epilogue matching the unfused op
 /// sequence yields bit-identical results to the unfused pipeline.
 ///
 /// `b` is a whole `&PackedI8` or a [`PackedI8Cols`] column range of
@@ -491,10 +429,9 @@ fn with_acc_scratch<R>(len: usize, body: impl FnOnce(&mut [i32]) -> R) -> R {
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `a.cols() != b.k()`.
-pub fn matmul_i8_prepacked_epilogue<'b, O, F>(
+pub fn matmul_i8_prepacked_fused<'b, O, F>(
     a: &Mat<i8>,
     b: impl Into<PackedI8Cols<'b>>,
-    threads: usize,
     epi: F,
 ) -> Result<Mat<O>, ShapeError>
 where
@@ -517,6 +454,7 @@ where
     if n == 0 {
         return Ok(out);
     }
+    let threads = gemm::auto_threads(m, b.k, n);
     let au = gemm::vnni_rows(a, threads);
     if m == 1 {
         with_acc_scratch(cover, |acc| {
@@ -607,14 +545,18 @@ mod tests {
     #[test]
     fn parallel_pack_bytes_match_serial() {
         // Both packers must produce identical packed bytes regardless of
-        // worker count (the parallel path is the first-touch pack).
+        // worker count (the parallel path is the first-touch pack, taken
+        // from PARALLEL_PACK_CUTOFF = 32768 elements on).
         let bf = Mat::from_fn(96, 384, |r, c| (r as f32 * 0.3 - c as f32 * 0.1).sin());
         let bi = Mat::from_fn(96, 384, |r, c| ((r * 17 + c * 3) % 253) as i8);
-        let serial_f = PackedMat::from_f32_with_threads(&bf, 1);
-        let serial_i = PackedI8::from_i8_with_threads(&bi, 1);
-        for t in [2, 3, 8] {
-            assert_eq!(PackedMat::from_f32_with_threads(&bf, t), serial_f, "t={t}");
-            assert_eq!(PackedI8::from_i8_with_threads(&bi, t), serial_i, "t={t}");
+        let serial_f = PackedMat::serial(&bf);
+        let serial_i = PackedI8::serial(&bi);
+        for t in [1, 2, 3, 8] {
+            let (f, i) = par::under_thread_override(t, || {
+                (PackedMat::from_f32(&bf), PackedI8::from_i8(&bi))
+            });
+            assert_eq!(f, serial_f, "t={t}");
+            assert_eq!(i, serial_i, "t={t}");
         }
     }
 
@@ -624,32 +566,29 @@ mod tests {
         let b = Mat::from_fn(40, 33, |r, c| (r * c) as f32 * 0.07 - 0.9);
         let bias: Vec<f32> = (0..33).map(|c| c as f32 * 0.05 - 0.4).collect();
         let packed = PackedMat::from_f32(&b);
-        for t in [1usize, 2, 4] {
-            let fused = matmul_prepacked_epilogue(&a, &packed, t, |_r, row| {
-                for (v, &bc) in row.iter_mut().zip(&bias) {
-                    *v = (*v + bc).max(0.0);
-                }
-            })
-            .unwrap();
-            let mut want = matmul_prepacked_with_threads(&a, &packed, t).unwrap();
-            for r in 0..want.rows() {
-                for c in 0..want.cols() {
-                    want[(r, c)] = (want[(r, c)] + bias[c]).max(0.0);
-                }
+        let fused = matmul_prepacked_fused(&a, &packed, |_r, row| {
+            for (v, &bc) in row.iter_mut().zip(&bias) {
+                *v = (*v + bc).max(0.0);
             }
-            assert_eq!(
-                fused
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                want.as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "t={t}"
-            );
+        })
+        .unwrap();
+        let mut want = matmul_prepacked(&a, &packed).unwrap();
+        for r in 0..want.rows() {
+            for c in 0..want.cols() {
+                want[(r, c)] = (want[(r, c)] + bias[c]).max(0.0);
+            }
         }
+        assert_eq!(
+            fused
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            want.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+        );
     }
 
     #[test]
@@ -660,13 +599,13 @@ mod tests {
             let packed = PackedI8::from_i8(&b);
             // Epilogue: add a row-dependent bias, halve with truncation,
             // saturate into i8 — stand-in for bias + requantize + ReLU.
-            let fused: Mat<i8> = matmul_i8_prepacked_epilogue(&a, &packed, 3, |r, acc, out| {
+            let fused: Mat<i8> = matmul_i8_prepacked_fused(&a, &packed, |r, acc, out| {
                 for (o, &v) in out.iter_mut().zip(acc) {
                     *o = ((v + r as i32) / 2).clamp(-127, 127) as i8;
                 }
             })
             .unwrap();
-            let raw = matmul_i8_prepacked_with_threads(&a, &packed, 3).unwrap();
+            let raw = matmul_i8_prepacked(&a, &packed).unwrap();
             let want = Mat::from_fn(m, 21, |r, c| {
                 ((raw[(r, c)] + r as i32) / 2).clamp(-127, 127) as i8
             });
@@ -693,10 +632,9 @@ mod tests {
         for m in [1usize, 2, 9] {
             let a = Mat::from_fn(m, 37, |r, c| ((r * 31 + c * 7) % 255) as i8);
             for (c0, width) in ranges {
-                let got: Mat<i32> = matmul_i8_prepacked_epilogue(
+                let got: Mat<i32> = matmul_i8_prepacked_fused(
                     &a,
                     PackedI8Cols::new(&packed, c0, width),
-                    3,
                     |_r, acc, out| out.copy_from_slice(acc),
                 )
                 .unwrap();

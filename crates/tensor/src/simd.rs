@@ -1503,7 +1503,7 @@ mod x86 {
     /// each finished group (each lane's four bytes land in their own
     /// `i32` lane). Ragged `k` tails and tiles beyond the last full
     /// four-tile group are delegated to the scalar pack, so the result
-    /// is byte-identical to [`crate::gemm::pack_quads_scalar_range`].
+    /// is byte-identical to [`crate::gemm::pack_quads_range`].
     ///
     /// # Safety
     ///
@@ -1550,7 +1550,14 @@ mod x86 {
                 }
             }
         }
-        crate::gemm::pack_quads_scalar_range(b, quads, colsum, groups * 4, tiles);
+        let t0 = groups * 4;
+        crate::gemm::pack_quads_range(
+            b,
+            &mut quads[t0 * tile_len..],
+            &mut colsum[t0 * NR..],
+            t0,
+            tiles,
+        );
     }
 
     /// SIMD [`crate::gemm::pack_quads_t`]: packs a transpose-given `bt`
@@ -2260,7 +2267,7 @@ mod tests {
                     let a = crate::Mat::from_vec(m, k, f(seed, m * k)).unwrap();
                     let b = crate::Mat::from_vec(k, n, f(seed + 500, k * n)).unwrap();
                     let want = crate::gemm::matmul_ref(&a, &b).unwrap();
-                    let packed = crate::gemm::pack_tiles(&b, crate::gemm::widen_f32);
+                    let packed = crate::gemm::pack_tiles(&b);
                     for first_row in [0, m / 3] {
                         let mut got = vec![f32::NAN; (m - first_row) * n];
                         if !band_f32(&a, &packed, first_row, &mut got, n) {

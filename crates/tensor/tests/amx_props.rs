@@ -6,12 +6,12 @@
 //! tiles, the VNNI kernels under them (`m == 1`, `k` not a multiple of
 //! 64), or the scalar kernels once the override or `ACCEL_FORCE_SCALAR`
 //! switches both SIMD tiers off — every output equals the naive
-//! reference, through the plain, fused and explicit-thread entry points
-//! and through unaligned [`PackedI8Cols`] ranges. On an AMX host the
-//! shapes with `k % 64 == 0` and `m >= 2` run on tiles and the others on
-//! VNNI, so one run covers all three kernels; the same-shape AMX-vs-VNNI
-//! comparison needs crate-internal entry points and lives in
-//! `simd::tests`.
+//! reference, through the plain and fused entry points at every swept
+//! worker count and through unaligned [`PackedI8Cols`] ranges. On an
+//! AMX host the shapes with `k % 64 == 0` and `m >= 2` run on tiles and
+//! the others on VNNI, so one run covers all three kernels; the
+//! same-shape AMX-vs-VNNI comparison needs crate-internal entry points
+//! and lives in `simd::tests`.
 //!
 //! Every test passes on a host without AMX: the identity properties
 //! hold on whatever tier is there (a notice says tiles were not
@@ -22,7 +22,10 @@
 //! binary run on parallel threads, so the tests that flip it (and the
 //! ones that assert which tier is live) hold [`OVERRIDE`]. The others
 //! may run under either setting — harmless, because of the very
-//! identity they assert.
+//! identity they assert. The worker-count sweeps set
+//! [`par::set_thread_override`] under [`THREAD_OVERRIDE`], on shapes
+//! above [`gemm::SERIAL_CUTOFF_MACS`] only: below it every count takes
+//! the one serial path.
 
 use std::sync::{Barrier, Mutex, MutexGuard};
 
@@ -30,9 +33,32 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tensor::prepack::{self, PackedI8, PackedI8Cols};
 use tensor::simd::{self, Int8Kernel};
-use tensor::{gemm, init, Mat};
+use tensor::{gemm, init, par, Mat};
 
 static OVERRIDE: Mutex<()> = Mutex::new(());
+static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Thread counts swept on shapes above the serial cutoff.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// Worker counts worth sweeping for an `m x k x n` GEMM: [`THREADS`]
+/// above the serial cutoff, none at or below it.
+fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
+    if m * k * n > gemm::SERIAL_CUTOFF_MACS {
+        &THREADS
+    } else {
+        &[]
+    }
+}
+
+/// Runs `body` at `t` workers, then restores the ambient count.
+fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
+    let _lock = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_thread_override(Some(t));
+    let out = body();
+    par::set_thread_override(None);
+    out
+}
 
 /// Serialises the tests that flip or depend on the SIMD override. A
 /// test that failed while holding it must not fail the others too.
@@ -87,14 +113,13 @@ fn check_entry_points(a: &Mat<i8>, b: &Mat<i8>, tag: &str) {
     );
     let fused: Mat<i8> = prepack::matmul_i8_prepacked_fused(a, &packed, drain).unwrap();
     assert_eq!(fused, drained(&want), "fused {tag}");
-    for t in [1usize, 2, 3] {
-        let plain = prepack::matmul_i8_prepacked_with_threads(a, &packed, t).unwrap();
+    for &t in sweep(a.rows(), a.cols(), b.cols()) {
+        let (plain, fused) = at_threads(t, || {
+            let fused: Mat<i8> = prepack::matmul_i8_prepacked_fused(a, &packed, drain).unwrap();
+            (prepack::matmul_i8_prepacked(a, &packed).unwrap(), fused)
+        });
         assert_eq!(plain, want, "plain t={t} {tag}");
-        let raw: Mat<i32> = prepack::matmul_i8_prepacked_epilogue(a, &packed, t, |_r, acc, out| {
-            out.copy_from_slice(acc)
-        })
-        .unwrap();
-        assert_eq!(raw, want, "epilogue t={t} {tag}");
+        assert_eq!(fused, drained(&want), "fused t={t} {tag}");
     }
     // The per-call-packed GEMM shares the band dispatch.
     assert_eq!(gemm::matmul_i8(a, b).unwrap(), want, "matmul_i8 {tag}");
@@ -140,14 +165,13 @@ proptest! {
             let packed = PackedI8::from_i8(&b);
             let sub = b.submatrix(0, c0, k, width).unwrap();
             let want = gemm::matmul_i8_ref(&a, &sub).unwrap();
-            for t in [1usize, 2] {
-                let got: Mat<i32> = prepack::matmul_i8_prepacked_epilogue(
-                    &a,
-                    PackedI8Cols::new(&packed, c0, width),
-                    t,
-                    |_r, acc, out| out.copy_from_slice(acc),
-                )
-                .unwrap();
+            let cols = PackedI8Cols::new(&packed, c0, width);
+            let copy = |_r: usize, acc: &[i32], out: &mut [i32]| out.copy_from_slice(acc);
+            let got: Mat<i32> = prepack::matmul_i8_prepacked_fused(&a, cols, copy).unwrap();
+            prop_assert_eq!(&got, &want, "m={} k={} cols {}..{}", m, k, c0, c0 + width);
+            for &t in sweep(m, k, width) {
+                let got: Mat<i32> =
+                    at_threads(t, || prepack::matmul_i8_prepacked_fused(&a, cols, copy).unwrap());
                 prop_assert_eq!(&got, &want, "m={} k={} cols {}..{} t={}", m, k, c0, c0 + width, t);
             }
         }
@@ -286,8 +310,8 @@ fn force_scalar_child() {
 /// running tile GEMMs at the same moment must each get the serial
 /// result. A barrier before every round makes the two GEMMs overlap
 /// (each takes tens of microseconds, the release skew is well under
-/// one); the pool path runs the same check through
-/// `*_with_threads(.., 2)`, whose bands are one GEMM's two halves.
+/// one); the pool path runs the same check at two and more workers,
+/// whose bands are one GEMM's halves.
 #[test]
 fn concurrent_tile_gemms_agree_with_serial() {
     let _guard = override_lock();
@@ -309,24 +333,29 @@ fn concurrent_tile_gemms_agree_with_serial() {
         .collect();
     let rounds = 50;
     let barrier = Barrier::new(2);
-    std::thread::scope(|scope| {
-        for (a, packed, want) in &work {
-            let barrier = &barrier;
-            scope.spawn(move || {
-                for round in 0..rounds {
-                    barrier.wait();
-                    let got = prepack::matmul_i8_prepacked_with_threads(a, packed, 1).unwrap();
-                    assert_eq!(&got, want, "round {round}");
-                }
-            });
-        }
+    // A failed assertion here leaves the override at one worker: every
+    // other test is bit-identical at any count.
+    at_threads(1, || {
+        std::thread::scope(|scope| {
+            for (a, packed, want) in &work {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        barrier.wait();
+                        let got = prepack::matmul_i8_prepacked(a, packed).unwrap();
+                        assert_eq!(&got, want, "round {round}");
+                    }
+                });
+            }
+        })
     });
     for (a, packed, want) in &work {
-        for t in [2usize, 4] {
-            let got = prepack::matmul_i8_prepacked_with_threads(a, packed, t).unwrap();
+        for &t in &THREADS[1..] {
+            let (got, fused) = at_threads(t, || {
+                let fused: Mat<i8> = prepack::matmul_i8_prepacked_fused(a, packed, drain).unwrap();
+                (prepack::matmul_i8_prepacked(a, packed).unwrap(), fused)
+            });
             assert_eq!(&got, want, "pool t={t}");
-            let fused: Mat<i8> =
-                prepack::matmul_i8_prepacked_epilogue(a, packed, t, drain).unwrap();
             assert_eq!(fused, drained(want), "pool fused t={t}");
         }
     }

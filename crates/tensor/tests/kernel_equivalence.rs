@@ -7,14 +7,43 @@
 //! Shapes deliberately cross the internal block sizes (`BK = 64`,
 //! `BN = 128`) and the serial cutoff, and degenerate dims (`m = 1`,
 //! `k = 1`, `n = 1`) are pinned explicitly.
+//!
+//! Shapes above [`gemm::SERIAL_CUTOFF_MACS`] also run at each of
+//! [`THREADS`] workers through [`par::set_thread_override`] (below it
+//! every worker count takes the one serial path). The override is
+//! process-global and the tests of this binary run on parallel threads,
+//! so the setters hold [`OVERRIDE`].
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use tensor::{gemm, init, Mat};
+use tensor::{gemm, init, par, Mat};
 
-/// Thread counts exercised for every shape: serial, a couple of
-/// odd/even splits, and more threads than rows.
+/// Thread counts exercised for every shape above the cutoff: serial, a
+/// couple of odd/even splits, and more threads than rows.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+static OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Worker counts worth sweeping for an `m x k x n` GEMM: [`THREADS`]
+/// above the serial cutoff, none at or below it.
+fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
+    if m * k * n > gemm::SERIAL_CUTOFF_MACS {
+        &THREADS
+    } else {
+        &[]
+    }
+}
+
+/// Runs `body` at `t` workers, then restores the ambient count.
+fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
+    let _lock = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_thread_override(Some(t));
+    let out = body();
+    par::set_thread_override(None);
+    out
+}
 
 fn bits(m: &Mat<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -30,8 +59,8 @@ fn check_f32(m: usize, k: usize, n: usize, seed: u64) {
         bits(&want),
         "matmul ({m},{k},{n})"
     );
-    for t in THREADS {
-        let got = gemm::matmul_with_threads(&a, &b, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || gemm::matmul(&a, &b).unwrap());
         assert_eq!(bits(&got), bits(&want), "matmul ({m},{k},{n}) t={t}");
     }
 
@@ -42,8 +71,8 @@ fn check_f32(m: usize, k: usize, n: usize, seed: u64) {
         bits(&want_nt),
         "matmul_nt ({m},{k},{n})"
     );
-    for t in THREADS {
-        let got = gemm::matmul_nt_with_threads(&a, &bt, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || gemm::matmul_nt(&a, &bt).unwrap());
         assert_eq!(bits(&got), bits(&want_nt), "matmul_nt ({m},{k},{n}) t={t}");
     }
 }
@@ -58,8 +87,8 @@ fn check_i8(m: usize, k: usize, n: usize, seed: u64) {
         want,
         "matmul_i8 ({m},{k},{n})"
     );
-    for t in THREADS {
-        let got = gemm::matmul_i8_with_threads(&a, &b, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || gemm::matmul_i8(&a, &b).unwrap());
         assert_eq!(got, want, "matmul_i8 ({m},{k},{n}) t={t}");
     }
 
@@ -70,8 +99,8 @@ fn check_i8(m: usize, k: usize, n: usize, seed: u64) {
         want_nt,
         "matmul_i8_nt ({m},{k},{n})"
     );
-    for t in THREADS {
-        let got = gemm::matmul_i8_nt_with_threads(&a, &bt, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || gemm::matmul_i8_nt(&a, &bt).unwrap());
         assert_eq!(got, want_nt, "matmul_i8_nt ({m},{k},{n}) t={t}");
     }
 }
@@ -150,7 +179,7 @@ fn env_thread_override_does_not_change_results() {
     let a = init::uniform(&mut rng, 33, 140, -1.0, 1.0);
     let b = init::uniform(&mut rng, 140, 70, -1.0, 1.0);
     let auto = gemm::matmul(&a, &b).unwrap();
-    let serial = gemm::matmul_with_threads(&a, &b, 1).unwrap();
+    let serial = at_threads(1, || gemm::matmul(&a, &b).unwrap());
     assert_eq!(bits(&auto), bits(&serial));
     assert!(tensor::par::threads() >= 1);
 }

@@ -12,12 +12,41 @@
 //! [`simd::set_simd_override`]) are process-global; the tests that flip
 //! them restore the ambient state before returning, and flipping them
 //! concurrently with the other tests in this binary is harmless
-//! *because* of the very bit-identity they assert.
+//! *because* of the very bit-identity they assert. The thread-count
+//! sweeps (on shapes above [`gemm::SERIAL_CUTOFF_MACS`], where the
+//! count splits the rows) hold [`OVERRIDE`] so each sweep step runs at
+//! the count it names.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tensor::prepack::{self, PackedI8, PackedMat};
 use tensor::{gemm, init, par, simd, Mat};
+
+/// Thread counts swept on shapes above the serial cutoff.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+static OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Worker counts worth sweeping for an `m x k x n` GEMM: [`THREADS`]
+/// above the serial cutoff, none at or below it.
+fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
+    if m * k * n > gemm::SERIAL_CUTOFF_MACS {
+        &THREADS
+    } else {
+        &[]
+    }
+}
+
+/// Runs `body` at `t` workers, then restores the ambient count.
+fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
+    let _lock = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_thread_override(Some(t));
+    let out = body();
+    par::set_thread_override(None);
+    out
+}
 
 fn bits(m: &Mat<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -39,8 +68,8 @@ fn check_prepacked_f32(m: usize, k: usize, n: usize, seed: u64) {
         bits(&want),
         "prepacked ({m},{k},{n})"
     );
-    for t in [1usize, 2, 3, 8] {
-        let got = prepack::matmul_prepacked_with_threads(&a, &packed, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || prepack::matmul_prepacked(&a, &packed).unwrap());
         assert_eq!(bits(&got), bits(&want), "prepacked ({m},{k},{n}) t={t}");
     }
 }
@@ -61,8 +90,8 @@ fn check_prepacked_i8(m: usize, k: usize, n: usize, seed: u64) {
         want,
         "prepacked_i8 ({m},{k},{n})"
     );
-    for t in [1usize, 2, 3, 8] {
-        let got = prepack::matmul_i8_prepacked_with_threads(&a, &packed, t).unwrap();
+    for &t in sweep(m, k, n) {
+        let got = at_threads(t, || prepack::matmul_i8_prepacked(&a, &packed).unwrap());
         assert_eq!(got, want, "prepacked_i8 ({m},{k},{n}) t={t}");
     }
 }
@@ -111,9 +140,9 @@ fn prepacked_pinned_boundary_shapes() {
     }
 }
 
-/// The same workloads, run with the pool pinned to 1, 2 and 7 workers
-/// through the `ACCEL_THREADS` override hook, must agree bit for bit —
-/// the issue's pool-determinism requirement.
+/// The same workloads, run with the pool pinned to each of [`THREADS`]
+/// workers through the `ACCEL_THREADS` override hook, must agree bit
+/// for bit.
 #[test]
 fn pool_is_deterministic_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -137,18 +166,15 @@ fn pool_is_deterministic_across_thread_counts() {
         )
     };
 
-    par::set_thread_override(Some(1));
-    let baseline = run();
-    for t in [2usize, 7] {
-        par::set_thread_override(Some(t));
-        let got = run();
+    let baseline = at_threads(1, run);
+    for &t in &THREADS[1..] {
+        let got = at_threads(t, run);
         assert_eq!(got.0, baseline.0, "f32 GEMM diverged at {t} threads");
         assert_eq!(got.1, baseline.1, "i8 GEMM diverged at {t} threads");
         assert_eq!(got.2, baseline.2, "prepacked f32 diverged at {t} threads");
         assert_eq!(got.3, baseline.3, "prepacked i8 diverged at {t} threads");
         assert_eq!(got.4, baseline.4, "par_map diverged at {t} threads");
     }
-    par::set_thread_override(None);
 }
 
 /// Forcing the scalar kernels and forcing the SIMD kernels (where the

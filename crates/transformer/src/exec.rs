@@ -10,7 +10,7 @@
 //! `layernorm_rows`) in the same order, and the GEMM kernels never
 //! reorder a row's accumulation.
 
-use graph::{Env, ExecStats, Executor, Graph, Node, Op, PlanStep, WeightId};
+use graph::{Env, Graph, Node, Op, PlanStep, WeightId};
 use tensor::{gemm, ops, Mat};
 
 use crate::ffn::FfnResBlock;
@@ -33,13 +33,12 @@ fn weight_index(id: WeightId) -> usize {
 /// FP32 graph interpreter over a ResBlock's parameters.
 ///
 /// Binds borrowed [`Linear`] layers to [`WeightId`] slots plus an
-/// optional [`LayerNorm`]; [`Executor::run`] then walks the plan
+/// optional [`LayerNorm`]; [`FloatExec::run`] then walks the plan
 /// sequentially, evaluating each node with the reference primitives.
 #[derive(Debug)]
 pub struct FloatExec<'a> {
     weights: [Option<&'a Linear>; 6],
     ln: Option<&'a LayerNorm>,
-    stats: ExecStats,
 }
 
 impl<'a> FloatExec<'a> {
@@ -57,7 +56,6 @@ impl<'a> FloatExec<'a> {
         Self {
             weights: [Some(wq), Some(wk), Some(wv), Some(wo), None, None],
             ln: None,
-            stats: ExecStats::default(),
         }
     }
 
@@ -67,8 +65,42 @@ impl<'a> FloatExec<'a> {
         Self {
             weights: [None, None, None, None, Some(lin1), Some(lin2)],
             ln: Some(block.layernorm()),
-            stats: ExecStats::default(),
         }
+    }
+
+    /// Runs `graph`, binding `inputs` by name, and returns the filled
+    /// environment. `mask` is the optional run-time attention mask
+    /// consumed by `ScaledMaskedSoftmax` nodes (ignored by the FFN
+    /// graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named input is missing, or the graph contains a node
+    /// this executor has no parameters for (e.g. a `LayerNorm` node on
+    /// an executor built from a bare attention module).
+    pub fn run(
+        &self,
+        graph: &Graph,
+        inputs: Vec<(&str, Mat<f32>)>,
+        mask: Option<&Mat<bool>>,
+    ) -> Env<Mat<f32>> {
+        let plan = graph.plan();
+        let mut env = Env::new(plan.slot_names.clone());
+        for (name, value) in inputs {
+            let slot = env.slot(name);
+            env.set(slot, value);
+        }
+        for step in &plan.steps {
+            let node = &graph.nodes[step.node];
+            let out = self.eval(graph, node, step, &env, mask);
+            if matches!(node.op, Op::LinearRelu(_) | Op::LinearAdd(_)) {
+                // The elided producer output has the fused node's shape.
+                let bytes = out.rows() * out.cols() * std::mem::size_of::<f32>();
+                graph::tally::note_fused(1, bytes);
+            }
+            env.set(step.output, out);
+        }
+        env
     }
 
     fn weight(&self, id: WeightId) -> &'a Linear {
@@ -126,48 +158,12 @@ impl<'a> FloatExec<'a> {
     }
 }
 
-impl Executor for FloatExec<'_> {
-    type Value = Mat<f32>;
-
-    fn run(
-        &mut self,
-        graph: &Graph,
-        inputs: Vec<(&str, Mat<f32>)>,
-        mask: Option<&Mat<bool>>,
-    ) -> Env<Mat<f32>> {
-        let plan = graph.plan();
-        let mut env = Env::new(plan.slot_names.clone());
-        for (name, value) in inputs {
-            let slot = env.slot(name);
-            env.set(slot, value);
-        }
-        for step in &plan.steps {
-            let node = &graph.nodes[step.node];
-            let out = self.eval(graph, node, step, &env, mask);
-            if matches!(node.op, Op::LinearRelu(_) | Op::LinearAdd(_)) {
-                // The elided producer output has the fused node's shape.
-                let bytes = out.rows() * out.cols() * std::mem::size_of::<f32>();
-                self.stats.ops_fused += 1;
-                self.stats.intermediates_elided_bytes += bytes;
-                graph::tally::note_fused(1, bytes);
-            }
-            env.set(step.output, out);
-            self.stats.nodes += 1;
-        }
-        env
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attention::attention_forward;
     use crate::config::ModelConfig;
-    use graph::{ffn_graph, mha_graph, GraphConfig};
+    use graph::{mha_graph, GraphConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -265,19 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_reports_node_counts() {
-        let cfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(15);
-        let block = FfnResBlock::new(&cfg, &mut rng);
-        let x = tensor::init::normal(&mut rng, 2, cfg.d_model, 1.0);
-        let g = ffn_graph(&gcfg(&cfg));
-        let mut exec = FloatExec::ffn_res(&block);
-        let mut env = exec.run(&g, vec![("x", x)], None);
-        let _ = env.take("y");
-        assert_eq!(exec.stats().nodes, g.nodes.len());
-    }
-
-    #[test]
     #[should_panic(expected = "no layernorm bound")]
     fn bare_attention_executor_rejects_layernorm_nodes() {
         let cfg = ModelConfig::tiny_for_tests();
@@ -285,7 +268,7 @@ mod tests {
         let block = MhaResBlock::new(&cfg, &mut rng);
         let x = tensor::init::normal(&mut rng, 2, cfg.d_model, 1.0);
         let g = mha_graph(&gcfg(&cfg));
-        let mut exec = FloatExec::mha(block.mha());
+        let exec = FloatExec::mha(block.mha());
         let _ = exec.run(
             &g,
             vec![("x_q", x.clone()), ("x_k", x.clone()), ("x_v", x)],

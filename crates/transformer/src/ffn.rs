@@ -1,7 +1,6 @@
 //! The position-wise feed-forward ResBlock (Eq. (2) of the paper):
 //! `LayerNorm(x + ReLU(x W1 + b1) W2 + b2)`.
 
-use graph::Executor;
 use rand::Rng;
 use tensor::{ops, Mat};
 
@@ -67,8 +66,7 @@ impl FfnResBlock {
     /// [`crate::exec::FloatExec`].
     pub fn forward_inference(&self, x: &Mat<f32>) -> Mat<f32> {
         let g = graph::fuse(&graph::ffn_graph(&self.graph_config()));
-        let mut exec = crate::exec::FloatExec::ffn_res(self);
-        let mut env = exec.run(&g, vec![("x", x.clone())], None);
+        let mut env = crate::exec::FloatExec::ffn_res(self).run(&g, vec![("x", x.clone())], None);
         env.take("y")
     }
 

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod attention;
-pub mod batching;
 pub mod bleu;
 pub mod checkpoint;
 pub mod config;

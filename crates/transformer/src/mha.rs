@@ -4,7 +4,6 @@
 //! head uses a 64-column panel, exactly the layout the accelerator's
 //! partitioning scheme (Fig. 4) exploits.
 
-use graph::Executor;
 use rand::Rng;
 use tensor::{ops, Mat};
 
@@ -100,8 +99,7 @@ impl MultiHeadAttention {
         mask: Option<&Mat<bool>>,
     ) -> Mat<f32> {
         let g = graph::mha_graph(&self.graph_config()).truncated("attn_out");
-        let mut exec = crate::exec::FloatExec::mha(self);
-        let mut env = exec.run(
+        let mut env = crate::exec::FloatExec::mha(self).run(
             &g,
             vec![
                 ("x_q", xq.clone()),
@@ -226,8 +224,7 @@ impl MhaResBlock {
         mask: Option<&Mat<bool>>,
     ) -> Mat<f32> {
         let g = graph::fuse(&graph::mha_graph(&self.mha.graph_config()));
-        let mut exec = crate::exec::FloatExec::mha_res(self);
-        let mut env = exec.run(
+        let mut env = crate::exec::FloatExec::mha_res(self).run(
             &g,
             vec![
                 ("x_q", xq.clone()),

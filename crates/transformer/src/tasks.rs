@@ -6,13 +6,12 @@
 
 use rand::Rng;
 
-/// Padding token id.
-pub(crate) const PAD: usize = 0;
 /// Beginning-of-sequence token id.
 pub const BOS: usize = 1;
 /// End-of-sequence token id.
 pub const EOS: usize = 2;
-/// First content token id (`3..vocab` are content tokens).
+/// First content token id (`3..vocab` are content tokens; `0` is
+/// reserved).
 pub const FIRST_CONTENT: usize = 3;
 
 /// A synthetic translation task: maps a source token sequence to a

@@ -4,7 +4,7 @@
 //!
 //! The pass rewrites `Linear→Relu` / `Linear→Add` pairs into fused
 //! nodes whose epilogues run inside the GEMM drain
-//! (`tensor::prepack::matmul_prepacked_epilogue` and the INT8
+//! (`tensor::prepack::matmul_prepacked_fused` and the INT8
 //! equivalent). Because the fused drains apply the identical per-element
 //! operations in the identical order, fused and unfused graphs are
 //! bit-identical — these tests pin that across the executors
@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
 use transformer_accel::faults::{self, FaultPlan, FaultSpace, SiteClass};
-use transformer_accel::graph::{self, Executor, Graph};
+use transformer_accel::graph::{self, Graph};
 use transformer_accel::quantized::qlinear::residual_add_i8;
 use transformer_accel::quantized::softmax::scaled_prefix_softmax;
 use transformer_accel::quantized::{
@@ -209,7 +209,8 @@ fn quant_exec_fused_is_bit_identical() {
     let [g, fused] = unfused_and_fused(graph::mha_graph(&layer.self_mha.graph_config()));
     let run_mha = |g: &Graph| {
         let inputs = ["x_q", "x_k", "x_v"].map(|n| (n, QVal::I8(xq.clone())));
-        let mut env = QuantExec::mha(&layer.self_mha).run(g, inputs.to_vec(), Some(&mask));
+        let mut env =
+            QuantExec::mha(&layer.self_mha).run(g, &g.plan(), inputs.to_vec(), Some(&mask));
         (env.take("y").into_i8(), env.take("p").into_i8())
     };
     let want = run_mha(&g);
@@ -219,7 +220,8 @@ fn quant_exec_fused_is_bit_identical() {
     let xf = layer.ffn.quantize_input(&x);
     let [g, fused] = unfused_and_fused(graph::ffn_graph(&layer.ffn.graph_config()));
     let run_ffn = |g: &Graph| {
-        let mut env = QuantExec::ffn(&layer.ffn).run(g, vec![("x", QVal::I8(xf.clone()))], None);
+        let x = vec![("x", QVal::I8(xf.clone()))];
+        let mut env = QuantExec::ffn(&layer.ffn).run(g, &g.plan(), x, None);
         (env.take("y").into_i8(), env.take("hidden").into_i8())
     };
     let want = run_ffn(&g);
