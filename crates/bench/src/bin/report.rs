@@ -1,53 +1,57 @@
-//! Runs every fast experiment binary in sequence (everything except the
-//! training-heavy E9 quantization study) and leaves the JSON artifacts
-//! under `results/`. Convenience driver for regenerating EXPERIMENTS.md
-//! inputs:
+//! Runs the experiments: regenerates the paper's tables and figures
+//! (and the extensions) as `results/*.json`, `rtl/*` and EXPERIMENTS.md's
+//! generated blocks, printing each as tables.
 //!
 //! ```text
-//! cargo run -p bench-harness --release --bin report
-//! cargo run -p bench-harness --release --bin quantization
+//! report                    every deterministic experiment
+//! report <name>...          the named ones, e.g. `report quantization`
+//!                           (trains two models) or `report faults_overhead`
+//!                           (wall-clock); neither is deterministic
+//! report --check            regenerate in memory, name every committed
+//!                           file that differs, exit 1 if one does
 //! ```
+//!
+//! Run with `cargo run -p bench-harness --release --bin report -- <args>`.
 
-use std::process::Command;
+use std::process::ExitCode;
 
-fn main() {
-    let bins = [
-        "table1",
-        "eq3_ratio",
-        "partition_check",
-        "cycle_counts",
-        "softmax_module",
-        "layernorm_latency",
-        "table2",
-        "table3",
-        "scaling",
-        "full_inference",
-        "quant_scheme",
-        "gpu_crossover",
-        "emit_rtl",
-        "pareto",
-    ];
-    let exe = std::env::current_exe().expect("current exe path");
-    let dir = exe.parent().expect("exe dir").to_path_buf();
-    let release = dir.ends_with("release");
-    for bin in bins {
-        println!("\n=== {bin} ===\n");
-        let direct = dir.join(bin);
-        let status = if direct.exists() {
-            Command::new(&direct).status()
-        } else {
-            // sibling binary not built yet: go through cargo with the
-            // same profile
-            let mut cmd = Command::new("cargo");
-            cmd.args(["run", "-q", "-p", "bench-harness"]);
-            if release {
-                cmd.arg("--release");
-            }
-            cmd.args(["--bin", bin]).status()
+use bench_harness::{check, render, write, Experiment, EXPERIMENTS};
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == ["--check"] {
+        let stale = check();
+        for path in &stale {
+            println!("differs: {path}");
         }
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed with {status}");
+        if !stale.is_empty() {
+            println!("regenerate with `report` and commit the result");
+            return ExitCode::FAILURE;
+        }
+        println!("every committed artifact matches its experiment");
+        return ExitCode::SUCCESS;
     }
-    println!("\nall experiments complete; JSON artifacts in results/");
-    println!("(run the training-based E9 separately: cargo run -p bench-harness --release --bin quantization)");
+    let mut chosen: Vec<&Experiment> = Vec::new();
+    for name in &args {
+        match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(exp) => chosen.push(exp),
+            None => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                eprintln!(
+                    "unknown experiment `{name}`; the experiments are {} (or --check)",
+                    names.join(", ")
+                );
+                return ExitCode::from(2);
+            }
+        }
+    }
+    if args.is_empty() {
+        chosen = EXPERIMENTS.iter().filter(|e| e.checked).collect();
+    }
+    for exp in chosen {
+        let out = (exp.run)();
+        println!("\n=== {} ({}) ===\n\n{}", exp.name, exp.id, render(&out));
+        write(exp, &out);
+    }
+    ExitCode::SUCCESS
 }

@@ -84,26 +84,15 @@ pub(crate) fn pack_tiles(b: &Mat<f32>) -> Vec<f32> {
     let (k, n) = b.shape();
     let tiles = n.div_ceil(NR);
     let mut packed = vec![0f32; tiles * k * NR];
-    pack_tiles_range(b, &mut packed, 0, tiles);
-    packed
-}
-
-/// [`pack_tiles`] restricted to column tiles `t0 .. t1`, writing into
-/// `chunk` — the sub-slice of the full packed buffer covering exactly
-/// those tiles (`(t1 - t0) * k * NR` zero-initialised elements). The
-/// prepack layer runs it per worker to parallelise (and
-/// first-touch-distribute) the one-time weight pack.
-pub(crate) fn pack_tiles_range(b: &Mat<f32>, chunk: &mut [f32], t0: usize, t1: usize) {
-    let (k, n) = b.shape();
-    for t in t0..t1 {
+    for t in 0..tiles {
         let j0 = t * NR;
         let w = NR.min(n - j0);
         for p in 0..k {
-            let brow = &b.row(p)[j0..j0 + w];
-            let base = ((t - t0) * k + p) * NR;
-            chunk[base..base + w].copy_from_slice(brow);
+            let base = (t * k + p) * NR;
+            packed[base..base + w].copy_from_slice(&b.row(p)[j0..j0 + w]);
         }
     }
+    packed
 }
 
 // ---------------------------------------------------------------------------
@@ -291,9 +280,7 @@ pub(crate) fn pack_quads(b: &Mat<i8>) -> (AlignedI8, Vec<i32>) {
 /// tile-relative chunks: `quads_chunk` / `colsum_chunk` are the
 /// sub-slices of the full buffers covering exactly those tiles
 /// (zero-initialised). The SIMD pack delegates ragged edges here, and
-/// the prepack layer runs it per worker to parallelise (and
-/// first-touch-distribute) the one-time weight pack; every producer is
-/// byte-identical.
+/// the two are byte-identical.
 pub(crate) fn pack_quads_range(
     b: &Mat<i8>,
     quads_chunk: &mut [i8],
@@ -613,7 +600,7 @@ pub fn matmul(a: &Mat<f32>, b: &Mat<f32>) -> Result<Mat<f32>, ShapeError> {
     if a.cols() != b.rows() {
         return Err(ShapeError::new("matmul", a.shape(), b.shape()));
     }
-    prepack::matmul_prepacked(a, &prepack::PackedF32::serial(b))
+    prepack::matmul_prepacked(a, &prepack::PackedF32::from_f32(b))
 }
 
 /// `f32` GEMM against the transpose of `b`: returns `a * b^T`.
@@ -674,7 +661,7 @@ pub fn matmul_i8(a: &Mat<i8>, b: &Mat<i8>) -> Result<Mat<i32>, ShapeError> {
         gemv_i8_direct(a, b, out.as_mut_slice());
         return Ok(out);
     }
-    prepack::matmul_i8_prepacked(a, &prepack::PackedI8::serial(b))
+    prepack::matmul_i8_prepacked(a, &prepack::PackedI8::from_i8(b))
 }
 
 /// INT8 GEMM against the transpose of `b`: returns `a * b^T` with `i32`

@@ -29,6 +29,9 @@
 //! pack and run these same bodies, so the results are **bit-identical**
 //! to them and to the naive references for any shape and thread count
 //! — only the packing work moves from per-call to per-weight-lifetime.
+//! The pack runs on the calling thread: every GEMM over it splits the
+//! rows into bands, so each worker streams every column tile and no
+//! tile has one reader to place it near.
 //! Like every GEMM, these take their worker count from
 //! [`crate::par::threads`], serial at or below
 //! [`crate::gemm::SERIAL_CUTOFF_MACS`].
@@ -58,40 +61,10 @@ pub struct PackedMat<T> {
 /// Prepacked `f32` weight matrix.
 pub type PackedF32 = PackedMat<f32>;
 
-/// Below this many weight elements the one-time pack runs serially —
-/// splitting a small pack across the pool costs more in dispatch than
-/// the byte moves it saves.
-const PARALLEL_PACK_CUTOFF: usize = 1 << 15;
-
 impl PackedMat<f32> {
-    /// Packs an `f32` weight matrix once, in the exact layout
-    /// [`crate::gemm::matmul`] builds per call.
-    ///
-    /// Large matrices pack in parallel across the persistent pool: each
-    /// worker writes — and therefore **first-touches** — a contiguous
-    /// range of column tiles, so the packed pages are faulted in by (and
-    /// stay local to) the workers that stream them in the band loop,
-    /// instead of all landing on the packing thread's node. The packed
-    /// bytes are identical either way.
+    /// Packs an `f32` weight matrix once, on the calling thread, in the
+    /// exact layout [`crate::gemm::matmul`] builds per call.
     pub fn from_f32(b: &Mat<f32>) -> Self {
-        let (k, n) = b.shape();
-        let tiles = n.div_ceil(gemm::NR);
-        let t = par::threads().min(tiles);
-        if t <= 1 || k * n < PARALLEL_PACK_CUTOFF {
-            return Self::serial(b);
-        }
-        let stride = k * gemm::NR;
-        let mut packed = vec![0f32; tiles * stride];
-        par::row_bands(&mut packed, tiles, stride, t, |t0, chunk| {
-            gemm::pack_tiles_range(b, chunk, t0, t0 + chunk.len() / stride);
-        });
-        Self { packed, k, n }
-    }
-
-    /// [`Self::from_f32`] on the calling thread — the per-call pack of
-    /// [`crate::gemm::matmul`], whose pages are read once and gain
-    /// nothing from first-touch placement.
-    pub(crate) fn serial(b: &Mat<f32>) -> Self {
         let (k, n) = b.shape();
         Self {
             packed: gemm::pack_tiles(b),
@@ -121,48 +94,9 @@ pub struct PackedI8 {
 }
 
 impl PackedI8 {
-    /// Packs an INT8 weight matrix once into the quad layout
-    /// [`crate::gemm::matmul_i8`] builds per call.
-    ///
-    /// Large matrices pack in parallel across the persistent pool with
-    /// per-worker first-touch of the tile ranges (see
-    /// [`PackedMat::from_f32`]); the packed bytes are identical either
-    /// way.
+    /// Packs an INT8 weight matrix once, on the calling thread, into
+    /// the quad layout [`crate::gemm::matmul_i8`] builds per call.
     pub fn from_i8(b: &Mat<i8>) -> Self {
-        let (k, n) = b.shape();
-        let tiles = n.div_ceil(gemm::NR);
-        let t = par::threads().min(tiles);
-        if t <= 1 || k * n < PARALLEL_PACK_CUTOFF {
-            return Self::serial(b);
-        }
-        let qstride = k.div_ceil(gemm::KQ) * gemm::NR * gemm::KQ;
-        let mut quads = gemm::AlignedI8::zeroed(tiles * qstride);
-        let mut colsum = vec![0i32; tiles * gemm::NR];
-        let tile_chunk = tiles.div_ceil(t);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = quads
-            .as_mut_slice()
-            .chunks_mut(tile_chunk * qstride)
-            .zip(colsum.chunks_mut(tile_chunk * gemm::NR))
-            .enumerate()
-            .map(|(idx, (qc, cc))| {
-                let t0 = idx * tile_chunk;
-                Box::new(move || {
-                    gemm::pack_quads_range(b, qc, cc, t0, t0 + cc.len() / gemm::NR);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        par::scope_run(tasks);
-        Self {
-            quads,
-            colsum,
-            k,
-            n,
-        }
-    }
-
-    /// [`Self::from_i8`] on the calling thread — the per-call pack of
-    /// [`crate::gemm::matmul_i8`] (see [`PackedMat::serial`]).
-    pub(crate) fn serial(b: &Mat<i8>) -> Self {
         let (k, n) = b.shape();
         let (quads, colsum) = gemm::pack_quads(b);
         Self {
@@ -540,24 +474,6 @@ mod tests {
         assert!(matmul_i8_prepacked(&Mat::<i8>::zeros(2, 3), &packed).is_err());
         let packed_f = PackedMat::from_f32(&Mat::<f32>::zeros(4, 4));
         assert!(matmul_prepacked(&Mat::<f32>::zeros(2, 3), &packed_f).is_err());
-    }
-
-    #[test]
-    fn parallel_pack_bytes_match_serial() {
-        // Both packers must produce identical packed bytes regardless of
-        // worker count (the parallel path is the first-touch pack, taken
-        // from PARALLEL_PACK_CUTOFF = 32768 elements on).
-        let bf = Mat::from_fn(96, 384, |r, c| (r as f32 * 0.3 - c as f32 * 0.1).sin());
-        let bi = Mat::from_fn(96, 384, |r, c| ((r * 17 + c * 3) % 253) as i8);
-        let serial_f = PackedMat::serial(&bf);
-        let serial_i = PackedI8::serial(&bi);
-        for t in [1, 2, 3, 8] {
-            let (f, i) = par::under_thread_override(t, || {
-                (PackedMat::from_f32(&bf), PackedI8::from_i8(&bi))
-            });
-            assert_eq!(f, serial_f, "t={t}");
-            assert_eq!(i, serial_i, "t={t}");
-        }
     }
 
     #[test]
