@@ -883,6 +883,8 @@ pub fn cached_mha_rows(
     // stopped materialising per-head K/V panels: each is one fused op
     // eliding `2 * ctx * d_model` bytes. Every chunk now reads its cache
     // in place; the tally keeps that definition so it stays comparable.
+    // A prefill step's last decoder layer attends each session's final
+    // row alone, so its groups are one-row and count here too.
     let (mut fused_ops, mut elided_bytes) = (0usize, 0usize);
     for (&rows, k) in groups.iter().zip(keys) {
         if rows == 1 {

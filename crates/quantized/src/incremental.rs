@@ -267,7 +267,9 @@ impl QuantSeq2Seq {
     /// — bit-identical to feeding the same tokens one [`step_session`]
     /// at a time (softmax columns beyond a row's prefix carry
     /// exactly-zero probability codes, which contribute nothing to the
-    /// context GEMM).
+    /// context GEMM). Since only those rows are emitted, the last
+    /// decoder layer runs past its `W_K`/`W_V` projections (which every
+    /// chunk row needs for the caches) on each session's final row only.
     ///
     /// Chunks may have different lengths; a length-1 chunk is exactly a
     /// decode step, so prefill chunks and decode steps can share one
@@ -295,7 +297,8 @@ impl QuantSeq2Seq {
     /// — `tensor::ops::argmax` of the logits `prefill_sessions` would
     /// return, exactly, ties included — without forming the
     /// `b x vocab` logits (`transformer::greedy`), plus what the greedy
-    /// head's screen did.
+    /// head's screen did. The last decoder layer runs only each
+    /// session's final chunk row, as in `prefill_sessions`.
     ///
     /// # Panics
     ///
@@ -313,7 +316,9 @@ impl QuantSeq2Seq {
 
     /// The decoder pass behind both heads: consumes every session's
     /// chunk and returns the dequantized last row of each (one row per
-    /// session, in order) — the output projection's input.
+    /// session, in order) — the output projection's input. Every layer
+    /// pushes K/V for all chunk rows; past that, the last layer runs
+    /// each session's final row alone (a decode step's rows as they are).
     fn prefill_last_rows(
         &self,
         arena: &mut KvArena,
@@ -329,7 +334,7 @@ impl QuantSeq2Seq {
         let b = sessions.len();
         let d_model = self.tgt_embedding().d_model();
         let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let groups: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let mut groups: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         let embed = phase::span(Phase::Embed);
         let mut emb = Mat::zeros(total, d_model);
         let mut r = 0;
@@ -342,6 +347,7 @@ impl QuantSeq2Seq {
         }
         let mut x = self.decoder_layers()[0].self_mha.quantize_input_q(&emb);
         drop(embed);
+        let n_layers = self.decoder_layers().len();
         for (l, layer) in self.decoder_layers().iter().enumerate() {
             // Extend every session's projected self-attention cache with
             // its chunk's rows of this step's batched K/V projections.
@@ -359,6 +365,19 @@ impl QuantSeq2Seq {
                 r0 += chunk.len();
             }
             drop(push);
+            if l + 1 == n_layers && total > b {
+                // Only each session's final row reaches the head: run the
+                // rest of the last layer on those b rows, one-row causal
+                // groups attending the whole cache as that row did.
+                let mut last = Mat::zeros(b, d_model);
+                let mut r0 = 0;
+                for (i, rows) in groups.iter_mut().enumerate() {
+                    r0 += *rows;
+                    last.row_mut(i).copy_from_slice(x.row(r0 - 1));
+                    *rows = 1;
+                }
+                x = last;
+            }
             let (self_k, self_v): (Vec<_>, Vec<_>) = sessions
                 .iter()
                 .map(|s| s.self_attention_caches(arena, l))
@@ -373,17 +392,9 @@ impl QuantSeq2Seq {
         for (session, chunk) in sessions.iter_mut().zip(chunks) {
             session.pos += chunk.len();
         }
-        // Only each session's last chunk row carries next-token logits;
-        // gather those b rows and project once.
         let _embed = phase::span(Phase::Embed);
-        let last_ffn = &self.decoder_layers().last().expect("nonempty decoder").ffn;
-        let mut last = Mat::zeros(b, d_model);
-        let mut r0 = 0;
-        for (i, chunk) in chunks.iter().enumerate() {
-            r0 += chunk.len();
-            last.row_mut(i).copy_from_slice(x.row(r0 - 1));
-        }
-        last_ffn.dequantize_output(&last)
+        let last_ffn = &self.decoder_layers()[n_layers - 1].ffn;
+        last_ffn.dequantize_output(&x)
     }
 
     /// Greedy decoding through the INT8 KV cache (private arena; pages
@@ -560,6 +571,7 @@ impl QuantIncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::attention_cohorts;
     use crate::softmax::SoftmaxMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -567,11 +579,16 @@ mod tests {
     use transformer::model::Seq2SeqTransformer;
     use transformer::tasks::{Task, TaskGen};
 
-    /// Every row of a paged cache, read through its page runs.
-    fn cache_rows(pool: &KvPool<i8>, seq: &KvSeq) -> Vec<i8> {
-        pool.page_runs(seq, 0..seq.rows())
-            .flat_map(|(_, run)| run.iter().copied())
-            .collect()
+    /// A session's position and every layer's self-attention `[K, V]`
+    /// rows, read through their page runs.
+    #[allow(clippy::type_complexity)]
+    fn state(arena: &KvArena, s: &QuantIncrementalSession) -> (usize, Vec<[Vec<i8>; 2]>) {
+        let rows = |pool: &KvPool<i8>, seq: &KvSeq| -> Vec<i8> {
+            let runs = pool.page_runs(seq, 0..seq.rows());
+            runs.flat_map(|(_, run)| run.iter().copied()).collect()
+        };
+        let layer = |c: &QLayerCache| [rows(&arena.k, &c.self_k), rows(&arena.v, &c.self_v)];
+        (s.pos, s.layers.iter().map(layer).collect())
     }
 
     #[allow(clippy::type_complexity)]
@@ -668,118 +685,85 @@ mod tests {
         );
     }
 
+    type Run = (KvArena, QuantIncrementalSession, Vec<f32>);
+    type Sessions<'a> = [&'a mut QuantIncrementalSession];
+
+    /// `tokens` fed to a fresh session on `src` one step at a time in an
+    /// arena of 3-row pages (mid-chunk page boundaries everywhere): the
+    /// arena, the session and the last step's logits.
+    fn sequential(q: &QuantSeq2Seq, src: &[usize], tokens: &[usize]) -> Run {
+        let mut arena = KvArena::with_page_rows(q.tgt_embedding().d_model(), 3);
+        let (mut s, mut logits) = (q.start_session(&mut arena, src), vec![]);
+        for &t in tokens {
+            logits = q.step_session(&mut arena, &mut s, t);
+        }
+        (arena, s, logits)
+    }
+
+    /// Advances four sessions at different positions in one arena (a
+    /// fresh one, one stepped once, two forks sharing a 7-row snapshot's
+    /// pages) by `chunks` in one `call`; checks each one's logits,
+    /// position and K and V rows against its tokens fed one at a time.
+    fn four_sessions_match(
+        chunks: [&[usize]; 4],
+        call: impl FnOnce(&QuantSeq2Seq, &mut KvArena, &mut Sessions) -> Vec<Vec<f32>>,
+    ) -> (QuantSeq2Seq, KvArena, [QuantIncrementalSession; 4]) {
+        let (q, corpus) = setup();
+        let head = &[&[BOS][..], &corpus[0].1, &corpus[1].1].concat()[..7];
+        let (mut arena, mut snap, _) = sequential(&q, &corpus[0].0, &[]);
+        let _ = q.prefill_sessions(&mut arena, &mut [&mut snap], &[head]);
+        let (f1, f2) = (snap.fork(&mut arena), snap.fork(&mut arena));
+        let mut d = q.start_session(&mut arena, &corpus[2].0);
+        let _ = q.step_session(&mut arena, &mut d, BOS);
+        let mut sessions = [q.start_session(&mut arena, &corpus[1].0), d, f1, f2];
+        let got = call(&q, &mut arena, &mut sessions.each_mut());
+        let fed: [(usize, &[usize]); 4] = [(1, &[]), (2, &[BOS]), (0, head), (0, head)];
+        for (i, (c, fed)) in fed.into_iter().enumerate() {
+            let (arena_ref, r, want) = sequential(&q, &corpus[c].0, &[fed, chunks[i]].concat());
+            assert_eq!(got[i], want, "session {i}");
+            assert_eq!(state(&arena, &sessions[i]), state(&arena_ref, &r));
+        }
+        (q, arena, sessions)
+    }
+
     #[test]
     fn batched_step_is_bit_identical_to_single_steps() {
-        // Advance the same sources once through step_session and once
-        // through step_sessions (all together): every logit must match
-        // bit for bit, even with sessions at different positions.
-        let (q, corpus) = setup();
-        let srcs: Vec<&Vec<usize>> = corpus.iter().map(|(s, _)| s).collect();
-        let mut arena_s = KvArena::for_model(&q);
-        let mut arena_b = KvArena::for_model(&q);
-        let mut singles: Vec<QuantIncrementalSession> = srcs
-            .iter()
-            .map(|s| q.start_session(&mut arena_s, s))
-            .collect();
-        let mut batched: Vec<QuantIncrementalSession> = srcs
-            .iter()
-            .map(|s| q.start_session(&mut arena_b, s))
-            .collect();
-        // Desynchronize positions: pre-step a prefix of the sessions.
-        for (i, (single, batch)) in singles.iter_mut().zip(&mut batched).enumerate().take(2) {
-            let tok = 3 + i;
-            let a = q.step_session(&mut arena_s, single, tok);
-            let b = q.step_sessions(&mut arena_b, &mut [batch], &[tok]);
-            assert_eq!(a, b[0]);
-        }
-        let tokens: Vec<usize> = (0..srcs.len()).map(|i| BOS + i % 3).collect();
-        let want: Vec<Vec<f32>> = singles
-            .iter_mut()
-            .zip(&tokens)
-            .map(|(s, &t)| q.step_session(&mut arena_s, s, t))
-            .collect();
-        let mut refs: Vec<&mut QuantIncrementalSession> = batched.iter_mut().collect();
-        let got = q.step_sessions(&mut arena_b, &mut refs, &tokens);
-        assert_eq!(want, got);
-        for (s, b) in singles.iter().zip(&batched) {
-            assert_eq!(s.pos(), b.pos());
-            for (lc_s, lc_b) in s.layers.iter().zip(&b.layers) {
-                assert_eq!(
-                    cache_rows(&arena_s.k, &lc_s.self_k),
-                    cache_rows(&arena_b.k, &lc_b.self_k)
-                );
-                assert_eq!(
-                    cache_rows(&arena_s.v, &lc_s.self_v),
-                    cache_rows(&arena_b.v, &lc_b.self_v)
-                );
-            }
-        }
+        let chunks: [&[usize]; 4] = [&[3], &[4], &[5], &[6]];
+        let _ = four_sessions_match(chunks, |q, a, s| q.step_sessions(a, s, &[3, 4, 5, 6]));
     }
 
     #[test]
     fn chunked_prefill_is_bit_identical_to_sequential_steps() {
-        // The same prompt consumed in one chunk, in page-straddling
-        // chunks, and token-at-a-time must leave bit-identical caches
-        // and produce bit-identical next-token logits.
+        // One prompt fed in one chunk, in page-straddling chunks and one
+        // token at a time: bit-identical logits and K and V caches.
         let (q, corpus) = setup();
-        let (src, tgt) = &corpus[0];
-        let mut prompt = vec![BOS];
-        prompt.extend_from_slice(tgt);
-        prompt.extend(corpus[1].1.iter().copied());
-        let d_model = q.tgt_embedding().d_model();
-
-        // Sequential reference (page height 3 forces mid-chunk page
-        // boundaries for every split below).
-        let mut arena_ref = KvArena::with_page_rows(d_model, 3);
-        let mut s_ref = q.start_session(&mut arena_ref, src);
-        let mut want = Vec::new();
-        for &t in &prompt {
-            want = q.step_session(&mut arena_ref, &mut s_ref, t);
-        }
-
+        let (src, prompt) = (
+            &corpus[0].0,
+            [&[BOS][..], &corpus[0].1, &corpus[1].1].concat(),
+        );
+        let (arena_ref, s_ref, want) = sequential(&q, src, &prompt);
         for split in [prompt.len(), 1, 3, 5] {
-            let mut arena = KvArena::with_page_rows(d_model, 3);
-            let mut s = q.start_session(&mut arena, src);
-            let mut got = Vec::new();
+            let (mut arena, mut s, _) = sequential(&q, src, &[]);
+            let mut got = vec![];
             for chunk in prompt.chunks(split) {
-                got = q
-                    .prefill_sessions(&mut arena, &mut [&mut s], &[chunk])
-                    .remove(0);
+                got = q.prefill_sessions(&mut arena, &mut [&mut s], &[chunk]);
             }
-            assert_eq!(want, got, "chunk size {split}");
-            assert_eq!(s.pos(), s_ref.pos());
-            for (lc, lc_ref) in s.layers.iter().zip(&s_ref.layers) {
-                assert_eq!(
-                    cache_rows(&arena.k, &lc.self_k),
-                    cache_rows(&arena_ref.k, &lc_ref.self_k),
-                    "chunk size {split}"
-                );
-            }
+            assert_eq!(want, got[0], "chunk size {split}");
+            assert_eq!(state(&arena, &s), state(&arena_ref, &s_ref), "{split}");
         }
     }
 
     #[test]
     fn mixed_prefill_and_decode_chunks_are_bit_identical() {
-        // One call carrying a 4-row prefill chunk for one session and a
-        // 1-row decode step for another must match the two advanced
-        // separately.
-        let (q, corpus) = setup();
-        let chunk: Vec<usize> = vec![BOS, 3, 4, 5];
-        let mut arena = KvArena::for_model(&q);
-        let mut a = q.start_session(&mut arena, &corpus[0].0);
-        let mut b = q.start_session(&mut arena, &corpus[1].0);
-        let _ = q.step_session(&mut arena, &mut b, BOS);
-
-        let mut arena2 = KvArena::for_model(&q);
-        let mut a2 = q.start_session(&mut arena2, &corpus[0].0);
-        let mut b2 = q.start_session(&mut arena2, &corpus[1].0);
-        let _ = q.step_session(&mut arena2, &mut b2, BOS);
-
-        let want_a = q.prefill_sessions(&mut arena, &mut [&mut a], &[&chunk]);
-        let want_b = q.step_session(&mut arena, &mut b, 7);
-        let got = q.prefill_sessions(&mut arena2, &mut [&mut a2, &mut b2], &[&chunk, &[7usize]]);
-        assert_eq!(got[0], want_a[0]);
-        assert_eq!(got[1], want_b);
+        // The two forks attend their shared pages as a cohort in every
+        // layer — the last one too, where each runs its final row alone.
+        let chunks: [&[usize]; 4] = [&[BOS, 3, 4, 5], &[7], &[5, 6, 7], &[4, 3]];
+        let (q, kv, s) = four_sessions_match(chunks, |q, a, x| q.prefill_sessions(a, x, &chunks));
+        let last = q.decoder_layers().len() - 1;
+        let caches = s[2..].iter().map(|s| s.self_attention_caches(&kv, last));
+        let (k, v): (Vec<_>, Vec<_>) = caches.unzip();
+        let cohort = attention_cohorts(&[1, 1], &k, &v, true);
+        assert_eq!((cohort[0].members.len(), cohort[0].shared), (2, 6));
     }
 
     #[test]
@@ -924,13 +908,7 @@ mod tests {
         for &t in &chunk[4..] {
             logits = q.step_session(&mut arena, &mut hit, t);
         }
-        // Cold reference.
-        let mut arena_ref = KvArena::with_page_rows(d_model, 4);
-        let mut r = q.start_session(&mut arena_ref, src);
-        let mut want = Vec::new();
-        for &t in &chunk {
-            want = q.step_session(&mut arena_ref, &mut r, t);
-        }
+        let (_, _, want) = sequential(&q, src, &chunk); // cold reference
         assert_eq!(want, logits, "replay from shared snapshot diverged");
         hit.release(&mut arena);
         snap.release(&mut arena);

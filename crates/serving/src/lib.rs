@@ -954,6 +954,7 @@ impl<'m> ContinuousBatcher<'m> {
                 // under the byte budget and drops the fork if the key
                 // is already cached.
                 if self.prefix.enabled() {
+                    let _snapshot = phase::span(Phase::Admission);
                     let pos = slot.session.pos();
                     let page = self.arena.page_rows();
                     // Align over `pos - 1`, not `pos`: an exact-repeat

@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 /// A measured phase of a serving step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Admission's stacked encoder pass over the cold sources.
+    /// Admission's stacked encoder pass over the cold sources, and the
+    /// prefix cache: lookups, and snapshots of finished prefills.
     Admission,
     /// Cross-attention `W_K` / `W_V` projections of a new session.
     CrossKv,

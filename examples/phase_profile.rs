@@ -3,13 +3,15 @@
 //!
 //! Builds the `base6L` model (Transformer-base ResBlocks, 6 layers,
 //! 8192-token vocabulary; FP32 init, calibration, INT8 quantization)
-//! and drives two closed-loop traffic shapes through one engine each:
+//! and drives three closed-loop traffic shapes through one engine each:
 //!
 //! * `decode_c16` — 16 clients in 4 waves, 16–48-token sources, no
 //!   prompt, 32 new tokens;
 //! * `prefix_decode` — the same clients with 256-token prompts whose
 //!   first 230 tokens (and the source) every request shares, so forks of
-//!   one cached prefix attend their shared KV pages as cohorts.
+//!   one cached prefix attend their shared KV pages as cohorts;
+//! * `prefill_long` — 8 clients in one wave with unshared 256-token
+//!   prompts and 4 new tokens, so most steps run 64-row prefill chunks.
 //!
 //! For each it prints milliseconds per step by phase, split by step
 //! kind (admitting, prefilling, decode-only), and the share of step time
@@ -64,6 +66,15 @@ const PREFIX_DECODE: Shape = Shape {
     prompt_len: 256,
     shared_prefix: 230,
     max_new: 32,
+};
+
+const PREFILL_LONG: Shape = Shape {
+    name: "prefill_long",
+    clients: 8,
+    waves: 1,
+    prompt_len: 256,
+    shared_prefix: 0,
+    max_new: 4,
 };
 
 fn base6l() -> ModelConfig {
@@ -251,7 +262,7 @@ fn main() {
         return;
     }
 
-    for shape in [DECODE_C16, PREFIX_DECODE] {
+    for shape in [DECODE_C16, PREFIX_DECODE, PREFILL_LONG] {
         let mut engine = ContinuousBatcher::new(&model, engine_config()).expect("engine");
         // One untimed pass warms the prefix cache and the allocator.
         drive(&mut engine, shape, cfg.vocab, shape.clients, 0, |_, _| {});

@@ -13,18 +13,21 @@
 //! graph; `quantized::cached_mha_rows` (the cached-KV decode body, with
 //! its hand-fused decode drain, shared-prefix cohorts and `W_O` +
 //! residual drain) is checked against a frozen unfused per-head
-//! reference, and the serving engine and the rollback-after-fault decode
-//! path end to end.
+//! reference, and the rollback-after-fault decode path end to end. A
+//! seeded accumulator upset also pins which GEMM passes of a prefill
+//! step see every chunk row.
 //!
-//! The fault injector and checker are process-wide and the rollback test
-//! installs both, so every test that runs INT8 code holds
-//! `faults::exclusive()`.
+//! The fault injector and checker are process-wide and two tests install
+//! them, so every test that runs INT8 code holds `faults::exclusive()`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
-use transformer_accel::faults::{self, FaultPlan, FaultSpace, SiteClass};
+use transformer_accel::faults::{
+    self, FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, SiteClass,
+};
 use transformer_accel::graph::{self, Graph};
+use transformer_accel::quantized::incremental::KvArena;
 use transformer_accel::quantized::qlinear::residual_add_i8;
 use transformer_accel::quantized::softmax::scaled_prefix_softmax;
 use transformer_accel::quantized::{
@@ -230,38 +233,35 @@ fn quant_exec_fused_is_bit_identical() {
 }
 
 #[test]
-fn serving_decode_and_chunked_prefill_are_bit_identical() {
-    // `cached_mha_rows` end to end: 3-row prefill chunks (per-head
-    // GEMMs) batched three sessions wide against one-row chunks (the
-    // fused decode drain) one session at a time, through the paged KV
-    // arena.
+fn prefill_runs_the_last_layer_on_each_sessions_final_row() {
+    // The output head reads each session's final chunk row only, and
+    // rows never mix, so a prefill step runs the last decoder layer past
+    // its `W_K`/`W_V` passes on those rows alone. An accumulator upset
+    // aimed at row 5 of a one-session 8-row chunk therefore lands in
+    // every GEMM pass of the step except the last layer's final six
+    // (self `W_Q`, `W_O`; cross `W_Q`, `W_O`; FFN `W1`, `W2`), where
+    // the step holds one row.
     let _faults = faults::exclusive();
-    let (_, quant, srcs) = models(0xF5E2);
-    let prompts: Vec<Vec<usize>> = srcs
-        .iter()
-        .map(|s| s.iter().cycle().take(11).copied().collect())
-        .collect();
-    let run = |chunk: usize, batch: usize| -> (Vec<Response>, usize, usize) {
-        let mut cfg = EngineConfig::with_max_batch(batch);
-        cfg.prefill_chunk = chunk;
-        let mut engine = ContinuousBatcher::new(&quant, cfg).unwrap();
-        for (i, (s, p)) in srcs.iter().zip(&prompts).enumerate() {
-            engine
-                .submit(Request::new(i as u64, s.clone(), 6).with_prompt(p.clone()))
-                .unwrap();
-        }
-        let resp = engine.run_to_completion();
-        let stats = engine.stats();
-        (resp, stats.ops_fused, stats.intermediates_elided_bytes)
-    };
-    let (chunked, ops, bytes) = run(3, 3);
-    let (rows, _, _) = run(1, 1);
-    assert_eq!(chunked.len(), rows.len());
-    for (c, r) in chunked.iter().zip(&rows) {
-        assert_eq!(c.tokens, r.tokens, "request {} diverged", c.id);
+    let (_, quant, srcs) = models(0xF1A5);
+    let passes = 8 * quant.decoder_layers().len() as u64;
+    for pass in 0..passes {
+        let mut arena = KvArena::for_model(&quant);
+        let mut s = quant.start_session(&mut arena, &srcs[0]);
+        let site = FaultSite::Accumulator {
+            pass,
+            row: 5,
+            col: 0,
+        };
+        let kind = FaultKind::BitFlip { bit: 3 };
+        faults::install(FaultPlan::from_events(vec![FaultEvent { site, kind }]));
+        let injected = faults::counters().injected;
+        quant.prefill_sessions(&mut arena, &mut [&mut s], &[&[BOS, 3, 4, 5, 6, 7, 8, 9]]);
+        let seen = faults::with_injector(|inj| inj.passes_seen());
+        faults::clear();
+        assert_eq!(seen, Some(passes), "GEMM passes per step");
+        let landed = faults::counters().injected > injected;
+        assert_eq!(landed, pass < passes - 6, "pass {pass}");
     }
-    assert!(ops > 0, "fused drains must be counted");
-    assert!(bytes > 0);
 }
 
 #[test]
