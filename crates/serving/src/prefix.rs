@@ -414,6 +414,46 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_takes_the_shallowest_matching_entry_ties_to_the_smaller_key() {
+        let model = tiny_model();
+        let mut arena = KvArena::with_page_rows(model.tgt_embedding().d_model(), 2);
+        let mut index = PrefixIndex::new(usize::MAX);
+        let src = vec![1, 2, 3];
+        // Inserted deepest first and the larger tie-breaker before the
+        // smaller, so neither insertion order nor recency decides.
+        for target in [
+            vec![BOS, 7, 8, 9, 7, 8],
+            vec![BOS, 7, 8, 6],
+            vec![BOS, 7, 8, 5],
+        ] {
+            let (snap, aligned) = aligned_snapshot(&model, &mut arena, &src, &target);
+            assert_eq!(aligned, target.len());
+            assert!(index.insert(&prefix_key(&src, &target), snap, &mut arena));
+        }
+        // All three agree with the request on `[BOS, 7, 8]` and no
+        // further; the 4-row snapshots are the shallowest, and of those
+        // the one whose row 3 is token 5 has the smaller key.
+        let request = vec![BOS, 7, 8, 4, 4, 4];
+        let (snap, rows) = index
+            .lookup(&prefix_key(&src, &request), request.len() - 1)
+            .expect("the shared rows must hit");
+        assert_eq!(rows, 3);
+        assert_eq!(snap.pos(), 4, "the shallowest candidate serves the hit");
+        let k_row3 = |s: &QuantIncrementalSession, arena: &KvArena| {
+            s.self_attention_caches(arena, 0).0.row(3).to_vec()
+        };
+        let served = k_row3(snap, &arena);
+        for (tok, wins) in [(5, true), (6, false)] {
+            let (mut s, _) = aligned_snapshot(&model, &mut arena, &src, &[BOS, 7, 8, tok]);
+            assert_eq!(served == k_row3(&s, &arena), wins, "row 3 is token 5's");
+            s.release(&mut arena);
+        }
+
+        index.clear(&mut arena);
+        assert_eq!(arena.kv_bytes_in_use(), 0);
+    }
+
+    #[test]
     fn disabled_index_stores_nothing_and_releases_the_offered_fork() {
         let model = tiny_model();
         let mut arena = KvArena::with_page_rows(model.tgt_embedding().d_model(), 2);
