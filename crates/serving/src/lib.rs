@@ -273,9 +273,10 @@ pub struct EngineConfig {
     /// admits another request.
     pub quarantine_after: usize,
     /// Byte budget for the shared-prefix KV cache
-    /// ([`prefix::PrefixIndex`]): completed prefills are snapshotted at
-    /// a page boundary and later requests sharing a `(src, prompt)`
-    /// prefix fork the snapshot instead of re-running its prefill. `0`
+    /// ([`prefix::PrefixIndex`], a flat list of session snapshots with
+    /// LRU eviction): a completed prefill is snapshotted at a page
+    /// boundary, and a later request sharing a `(src, prompt)` prefix
+    /// with a snapshot forks it instead of re-running that prefill. `0`
     /// disables the cache (the default unless `ACCEL_PREFIX_CACHE` is
     /// set). The budget counts *logical* entry bytes; physical pages
     /// are shared copy-on-write, so the true footprint is at most — and
@@ -709,42 +710,31 @@ impl<'m> ContinuousBatcher<'m> {
             target.push(BOS);
             target.extend(queued.req.prompt.iter().copied());
             // Shared-prefix fast path: attach to the longest cached
-            // page-aligned prefix of (src, target) and prefill only the
-            // suffix. Capped at `target.len() - 1` rows so the session
-            // always re-ingests the row whose logits seed generation —
+            // prefix of (src, target) and prefill only the suffix. The
+            // index leaves the session at least one row to re-ingest —
             // decode from a fork is bit-identical to a cold prefill, so
             // hits change scheduling, never tokens.
-            let (hit, reused, prefix_key) = if self.prefix.enabled() {
+            let (hit, prefix_key) = if self.prefix.enabled() {
                 let key = prefix::prefix_key(&queued.req.src, &target);
-                match self.prefix.lookup(&key, target.len() - 1) {
-                    Some((snap, rows)) => {
-                        // The snapshot may hold more rows than this prompt
-                        // shares with it (diverged-tail reuse): roll the
-                        // *fork* back to the matched depth — copy-on-write
-                        // keeps the cached entry's pages intact.
-                        let mut session = snap.fork(&mut self.arena);
-                        if session.pos() > rows {
-                            let extra = session.pos() - rows;
-                            session.rollback_rows(&mut self.arena, extra);
-                        }
+                let hit = self.prefix.attach(&key, &mut self.arena);
+                match &hit {
+                    Some((session, rows)) => {
                         self.stats.prefix_hits += 1;
                         self.stats.prefix_rows_reused += rows;
                         self.stats.prefix_bytes_shared += session.resident_kv_bytes(&self.arena);
-                        (Some(session), rows, key)
                     }
-                    None => {
-                        self.stats.prefix_misses += 1;
-                        (None, 0, key)
-                    }
+                    None => self.stats.prefix_misses += 1,
                 }
+                (hit, key)
             } else {
-                (None, 0, Vec::new())
+                (None, Vec::new())
             };
+            let reused = hit.as_ref().map_or(0, |(_, rows)| *rows);
             admits.push(Admit {
                 slot,
                 queued,
                 pending: target[reused..].iter().copied().collect(),
-                hit,
+                hit: hit.map(|(session, _)| session),
                 prefix_key,
             });
         }
@@ -867,36 +857,30 @@ impl<'m> ContinuousBatcher<'m> {
         let chunk_refs: Vec<&[usize]> = plan.iter().map(|(_, c)| c.as_slice()).collect();
         let verify = faults::hooks_active() && faults::checker_enabled();
         let mut persistent_fault = false;
-        let (tokens, greedy) = if verify {
-            let mut attempt = 0;
-            loop {
-                let before = faults::counters().detected;
-                let mut sessions = planned_sessions(&mut self.slots, &plan);
-                let out =
-                    model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs);
-                if faults::counters().detected == before {
-                    break out;
-                }
-                self.stats.faulty_steps += 1;
-                if attempt >= self.cfg.max_step_retries {
-                    // Still flagged after every retry: accept the output
-                    // (better degraded than lost) and charge the slots.
-                    persistent_fault = true;
-                    break out;
-                }
-                attempt += 1;
-                self.stats.retries += 1;
-                // prefill_sessions advanced every planned session by its
-                // whole chunk; rewind exactly those rows (freeing any
-                // page the rollback empties) and replay the step.
-                for (i, chunk) in &plan {
-                    let slot = self.slots[*i].as_mut().expect("planned slot is occupied");
-                    slot.session.rollback_rows(&mut self.arena, chunk.len());
-                }
-            }
-        } else {
+        let mut attempt = 0;
+        let (tokens, greedy) = loop {
+            let before = faults::counters().detected;
             let mut sessions = planned_sessions(&mut self.slots, &plan);
-            model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs)
+            let out = model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs);
+            if !verify || faults::counters().detected == before {
+                break out;
+            }
+            self.stats.faulty_steps += 1;
+            if attempt >= self.cfg.max_step_retries {
+                // Still flagged after every retry: accept the output
+                // (better degraded than lost) and charge the slots.
+                persistent_fault = true;
+                break out;
+            }
+            attempt += 1;
+            self.stats.retries += 1;
+            // prefill_sessions advanced every planned session by its
+            // whole chunk; rewind exactly those rows (freeing any
+            // page the rollback empties) and replay the step.
+            for (i, chunk) in &plan {
+                let slot = self.slots[*i].as_mut().expect("planned slot is occupied");
+                slot.session.rollback_rows(&mut self.arena, chunk.len());
+            }
         };
         self.stats.greedy_candidate_tiles += greedy.candidate_tiles;
         self.stats.greedy_fallback_rows += greedy.fallback_rows;
@@ -947,32 +931,10 @@ impl<'m> ContinuousBatcher<'m> {
             if slot.in_prefill {
                 slot.in_prefill = false;
                 slot.first_token_step = Some(self.stats.steps);
-                // Prefill just completed: snapshot it for future
-                // requests sharing this (src, prompt) prefix. Rolled
-                // back to a page boundary, the fork shares every page
-                // it keeps with this live session; `insert` LRU-evicts
-                // under the byte budget and drops the fork if the key
-                // is already cached.
-                if self.prefix.enabled() {
-                    let _snapshot = phase::span(Phase::Admission);
-                    let pos = slot.session.pos();
-                    let page = self.arena.page_rows();
-                    // Align over `pos - 1`, not `pos`: an exact-repeat
-                    // request may reuse at most `pos - 1` rows (it must
-                    // re-ingest the row whose logits seed generation),
-                    // so a snapshot at full page-aligned length would
-                    // be unreachable for the very requests it is for.
-                    let aligned = ((pos - 1) / page) * page;
-                    let key_at = slot.prefix_key.len() - (pos - aligned);
-                    if aligned > 0 && !self.prefix.contains(&slot.prefix_key[..key_at]) {
-                        let mut snap = slot.session.fork(&mut self.arena);
-                        if pos > aligned {
-                            snap.rollback_rows(&mut self.arena, pos - aligned);
-                        }
-                        self.prefix
-                            .insert(&slot.prefix_key[..key_at], snap, &mut self.arena);
-                    }
-                }
+                // Prefill just completed: offer it to the prefix cache
+                // for future requests sharing this (src, prompt) prefix.
+                self.prefix
+                    .offer(&slot.prefix_key, &slot.session, &mut self.arena);
             }
             slot.out.push(next);
             self.emitted.push((slot.id, next));

@@ -1,4 +1,4 @@
-//! Radix (token-trie) index of reusable KV-cache prefixes.
+//! Shared-prefix cache: a flat list of page-aligned session snapshots.
 //!
 //! Serving workloads repeat prompt prefixes constantly — shared system
 //! prompts, few-shot templates, multi-turn histories. Recomputing the
@@ -17,33 +17,34 @@
 //! separator keeps `src = [a, b]` + target `[c]` distinct from
 //! `src = [a]` + target `[b, c]`.
 //!
-//! Entries are stored only at **page-aligned** target depths (the
-//! engine rolls snapshots back to a page boundary before inserting), so
-//! a whole-entry hit shares pages and copies nothing. Lookup walks the
-//! trie along the request's key to the deepest *matched* node — the
-//! longest common prefix with anything cached — and then reuses **any**
-//! entry in that node's subtree: an entry whose key extends the matched
-//! prefix agrees with the request on every matched row, so the caller
-//! forks it and rolls the fork back to the divergence point
-//! (copy-on-write protects the entry's pages; rolled-back rows merely
-//! drop refcounts). This is what makes the classic shared-preamble
-//! workload (common system prompt, distinct per-request tails) hit: the
-//! first request's snapshot serves every later request up to the
-//! divergence. Eviction is LRU over entries under a byte budget
-//! ([`PrefixIndex::new`]); evicting an entry releases its fork, which
-//! only returns pages whose refcount drops to zero — pages still shared
-//! with live sessions survive untouched.
-
-use std::collections::HashMap;
+//! The engine makes two calls. [`PrefixIndex::offer`] snapshots a
+//! session whose prefill just completed, rolled back to a page
+//! boundary, so a whole-entry hit shares pages and copies nothing.
+//! [`PrefixIndex::attach`] hands an admitted request a fork of the
+//! entry sharing its longest common prefix with the request — the
+//! shallowest such entry, ties to the smaller key — rolled back to
+//! where the two diverge (copy-on-write protects the entry's pages;
+//! rolled-back rows merely drop refcounts). This is what makes the
+//! classic shared-preamble workload (common system prompt, distinct
+//! per-request tails) hit: the first request's snapshot serves every
+//! later request up to the divergence. Eviction is LRU under a byte
+//! budget ([`PrefixIndex::new`]); evicting an entry releases its fork,
+//! which only returns pages whose refcount drops to zero — pages still
+//! shared with live sessions survive untouched.
+//!
+//! A list is enough: a 256-row entry of the serving model is 1.5 MiB of
+//! K/V, so a 64 MiB budget holds ≤ 42 entries, and every operation is
+//! one pass over them.
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
+use tensor::phase::{self, Phase};
 
 /// Separator token between the source sentence and the consumed
 /// target-side tokens in a prefix key. `usize::MAX` cannot collide with
 /// a vocabulary id (token ids index embedding rows).
 pub(crate) const SRC_SEP: usize = usize::MAX;
 
-/// Builds the trie key for a request: `src ++ [SRC_SEP] ++ target`,
+/// Builds the cache key for a request: `src ++ [SRC_SEP] ++ target`,
 /// where `target` is the consumed target-side row stream
 /// (`[BOS] + prompt`).
 pub(crate) fn prefix_key(src: &[usize], target: &[usize]) -> Vec<usize> {
@@ -55,43 +56,25 @@ pub(crate) fn prefix_key(src: &[usize], target: &[usize]) -> Vec<usize> {
 }
 
 /// One cached prefix: a page-aligned forked session plus bookkeeping.
+#[derive(Debug)]
 struct Entry {
+    key: Vec<usize>,
     session: QuantIncrementalSession,
-    /// Consumed target rows (`session.pos()`), page-aligned.
-    rows: usize,
     /// Logical resident KV bytes charged against the budget.
     bytes: usize,
-    /// LRU stamp (monotone per index; unique, so it doubles as an
-    /// entry id during eviction).
+    /// LRU stamp (monotone per index).
     last_used: u64,
 }
 
-/// A trie node, one child per token id.
-#[derive(Default)]
-struct Node {
-    children: HashMap<usize, Node>,
-    entry: Option<Entry>,
-}
-
-/// The prefix cache: a token trie whose nodes may hold session
-/// snapshots, bounded by a byte budget with LRU eviction.
+/// The prefix cache: session snapshots bounded by a byte budget with
+/// LRU eviction.
+#[derive(Debug)]
 pub(crate) struct PrefixIndex {
-    root: Node,
+    entries: Vec<Entry>,
     /// Byte budget; `0` disables the index entirely.
     budget: usize,
     bytes: usize,
-    entries: usize,
     tick: u64,
-}
-
-impl std::fmt::Debug for PrefixIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefixIndex")
-            .field("budget", &self.budget)
-            .field("bytes", &self.bytes)
-            .field("entries", &self.entries)
-            .finish()
-    }
 }
 
 impl PrefixIndex {
@@ -99,10 +82,9 @@ impl PrefixIndex {
     /// every lookup misses and every insert is dropped).
     pub(crate) fn new(budget: usize) -> Self {
         Self {
-            root: Node::default(),
+            entries: Vec::new(),
             budget,
             bytes: 0,
-            entries: 0,
             tick: 0,
         }
     }
@@ -119,75 +101,94 @@ impl PrefixIndex {
 
     /// Cached prefixes currently held.
     pub(crate) fn entries(&self) -> usize {
-        self.entries
+        self.entries.len()
+    }
+
+    /// A fork of the longest reusable cached prefix of the request
+    /// `key`, rolled back to the rows it shares with the request, and
+    /// that row count; `None` on a miss. The request ingests its target
+    /// rows past the count onto the fork.
+    pub(crate) fn attach(
+        &mut self,
+        key: &[usize],
+        arena: &mut KvArena,
+    ) -> Option<(QuantIncrementalSession, usize)> {
+        let (snap, rows) = self.lookup(key)?;
+        let mut session = snap.fork(arena);
+        if session.pos() > rows {
+            let extra = session.pos() - rows;
+            session.rollback_rows(arena, extra);
+        }
+        Some((session, rows))
+    }
+
+    /// Snapshots `session`, whose prefill of the request `key` just
+    /// completed, for later requests sharing the prefix. The fork is
+    /// rolled back to the last page boundary at or below `pos - 1`, so
+    /// it shares every page it keeps with `session`. Nothing is stored
+    /// when that boundary is row 0 or the prefix is already cached.
+    pub(crate) fn offer(
+        &mut self,
+        key: &[usize],
+        session: &QuantIncrementalSession,
+        arena: &mut KvArena,
+    ) {
+        if !self.enabled() {
+            return;
+        }
+        let _snapshot = phase::span(Phase::Admission);
+        let pos = session.pos();
+        // Align over `pos - 1`, not `pos`: an exact-repeat request may
+        // reuse at most `pos - 1` rows (it must re-ingest the row whose
+        // logits seed generation), so a snapshot at full page-aligned
+        // length would be unreachable for the very requests it is for.
+        let aligned = ((pos - 1) / arena.page_rows()) * arena.page_rows();
+        let key = &key[..key.len() - (pos - aligned)];
+        if aligned == 0 || self.entries.iter().any(|e| e.key == key) {
+            return;
+        }
+        let mut snap = session.fork(arena);
+        if pos > aligned {
+            snap.rollback_rows(arena, pos - aligned);
+        }
+        self.insert(key, snap, arena);
     }
 
     /// Longest reusable cached prefix of `key`, bumping the serving
     /// entry's LRU stamp. Returns the snapshot to fork and the number of
     /// its leading target rows that are valid for this request — the
     /// snapshot may hold *more* rows (it came from a prompt that shares
-    /// only a preamble with this one); the caller must roll the fork
-    /// back to the returned count before ingesting its suffix.
-    /// Copy-on-write makes that safe for the entry's own pages.
+    /// only a preamble with this one). Reuse is capped at one row *less*
+    /// than the request's target rows: a session must re-ingest at
+    /// least one row to produce the logits the next token is sampled
+    /// from.
     ///
-    /// Callers cap `max_rows` at one *less* than the full consumed-row
-    /// count: a session must re-ingest at least one row to produce the
-    /// logits the next token is sampled from.
-    pub(crate) fn lookup(
-        &mut self,
-        key: &[usize],
-        max_rows: usize,
-    ) -> Option<(&QuantIncrementalSession, usize)> {
-        if max_rows == 0 {
-            return None;
-        }
+    /// Of the entries sharing the longest common prefix with `key`, the
+    /// shallowest (ties to the smaller key) serves, so the same
+    /// snapshot serves every hit on that prefix and the caller's
+    /// rollback is smallest.
+    fn lookup(&mut self, key: &[usize]) -> Option<(&QuantIncrementalSession, usize)> {
         let sep = key.iter().position(|&t| t == SRC_SEP)?;
-        // Pass 1 (shared): walk the longest stored prefix of `key`.
-        let mut node = &self.root;
-        let mut depth = 0;
-        while depth < key.len() {
-            match node.children.get(&key[depth]) {
-                Some(next) => {
-                    node = next;
-                    depth += 1;
-                }
-                None => break,
-            }
-        }
+        let max_rows = (key.len() - sep - 1).saturating_sub(1);
+        let common = |k: &[usize]| k.iter().zip(key).take_while(|(a, b)| a == b).count();
+        let (depth, e) = self
+            .entries
+            .iter_mut()
+            .map(|e| (common(&e.key), e))
+            .max_by(|(da, a), (db, b)| {
+                da.cmp(db)
+                    .then_with(|| (b.key.len(), &b.key).cmp(&(a.key.len(), &a.key)))
+            })?;
         // Matching must reach past the separator: a target row is only
         // reusable under the exact source that produced it.
         let usable = depth.saturating_sub(sep + 1).min(max_rows);
         if usable == 0 {
             return None;
         }
-        // Every entry in the matched node's subtree agrees with this
-        // request on its first `usable` rows (entry keys extend the
-        // matched prefix, and entries at or below the matched node hold
-        // at least that many rows). The shallowest one minimizes the
-        // caller's rollback.
-        let rel = shallowest_entry(node)?;
-        // Pass 2 (exclusive): walk to it, stamp, hand the session out.
+        debug_assert!(e.session.pos() >= usable, "entries hold >= matched rows");
         self.tick += 1;
-        let mut node = &mut self.root;
-        for tok in key[..depth].iter().chain(rel.iter()) {
-            node = node.children.get_mut(tok).expect("walked in pass 1");
-        }
-        let e = node.entry.as_mut().expect("found in pass 1");
-        debug_assert!(e.rows >= usable, "subtree entries hold >= matched rows");
         e.last_used = self.tick;
         Some((&e.session, usable))
-    }
-
-    /// Whether an entry is stored at exactly `key`.
-    pub(crate) fn contains(&self, key: &[usize]) -> bool {
-        let mut node = &self.root;
-        for tok in key {
-            match node.children.get(tok) {
-                Some(next) => node = next,
-                None => return false,
-            }
-        }
-        node.entry.is_some()
     }
 
     /// Inserts a page-aligned snapshot at `key`, evicting LRU entries
@@ -195,32 +196,29 @@ impl PrefixIndex {
     /// the index is disabled, the snapshot holds no rows, it alone
     /// exceeds the budget, or `key` is already present — the caller
     /// never has to clean up. Returns whether the snapshot was kept.
-    pub(crate) fn insert(
+    fn insert(
         &mut self,
         key: &[usize],
         mut session: QuantIncrementalSession,
         arena: &mut KvArena,
     ) -> bool {
-        let rows = session.pos();
         let bytes = session.resident_kv_bytes(arena);
-        if !self.enabled() || rows == 0 || bytes > self.budget || self.contains(key) {
+        if !self.enabled()
+            || session.pos() == 0
+            || bytes > self.budget
+            || self.entries.iter().any(|e| e.key == key)
+        {
             session.release(arena);
             return false;
         }
         self.tick += 1;
-        let mut node = &mut self.root;
-        for tok in key {
-            node = node.children.entry(*tok).or_default();
-        }
-        debug_assert!(node.entry.is_none(), "contains() checked above");
-        node.entry = Some(Entry {
+        self.entries.push(Entry {
+            key: key.to_vec(),
             session,
-            rows,
             bytes,
             last_used: self.tick,
         });
         self.bytes += bytes;
-        self.entries += 1;
         // The fresh entry carries the newest stamp, so eviction reaches
         // it last — and never needs to, since bytes <= budget held.
         while self.bytes > self.budget {
@@ -230,83 +228,24 @@ impl PrefixIndex {
     }
 
     /// Evicts the least-recently-used entry, releasing its fork into
-    /// `arena` (shared pages survive via their refcounts) and pruning
-    /// the trie path it occupied. No-op on an empty index.
+    /// `arena` (shared pages survive via their refcounts). No-op on an
+    /// empty index.
     fn evict_lru(&mut self, arena: &mut KvArena) {
-        let Some(tick) = min_tick(&self.root) else {
+        let Some(i) = (0..self.entries.len()).min_by_key(|&i| self.entries[i].last_used) else {
             return;
         };
-        let mut entry = remove_tick(&mut self.root, tick).expect("min tick exists");
+        let mut entry = self.entries.swap_remove(i);
         entry.session.release(arena);
         self.bytes -= entry.bytes;
-        self.entries -= 1;
     }
 
     /// Drops every entry, releasing all forks into `arena`.
     #[cfg(test)]
     fn clear(&mut self, arena: &mut KvArena) {
-        while self.entries > 0 {
+        while !self.entries.is_empty() {
             self.evict_lru(arena);
         }
     }
-}
-
-/// Path (token sequence) from `node` down to its shallowest entry,
-/// ties broken toward smaller tokens so the choice is deterministic.
-/// `None` only for an entry-free subtree, which the pruning in
-/// [`remove_tick`] never leaves behind below the root.
-fn shallowest_entry(node: &Node) -> Option<Vec<usize>> {
-    if node.entry.is_some() {
-        return Some(Vec::new());
-    }
-    let mut toks: Vec<usize> = node.children.keys().copied().collect();
-    toks.sort_unstable();
-    let mut best: Option<Vec<usize>> = None;
-    for t in toks {
-        if let Some(mut p) = shallowest_entry(&node.children[&t]) {
-            p.insert(0, t);
-            if best.as_ref().is_none_or(|b| p.len() < b.len()) {
-                best = Some(p);
-            }
-        }
-    }
-    best
-}
-
-/// Smallest LRU stamp in the subtree, if any entry exists.
-fn min_tick(node: &Node) -> Option<u64> {
-    let mut m = node.entry.as_ref().map(|e| e.last_used);
-    for child in node.children.values() {
-        m = match (m, min_tick(child)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-    }
-    m
-}
-
-/// Removes the entry stamped `tick` (stamps are unique) and prunes any
-/// node chain the removal leaves empty.
-fn remove_tick(node: &mut Node, tick: u64) -> Option<Entry> {
-    if node.entry.as_ref().is_some_and(|e| e.last_used == tick) {
-        return node.entry.take();
-    }
-    let mut found = None;
-    let mut empty_child = None;
-    for (tok, child) in node.children.iter_mut() {
-        if let Some(e) = remove_tick(child, tick) {
-            if child.entry.is_none() && child.children.is_empty() {
-                empty_child = Some(*tok);
-            }
-            found = Some(e);
-            break;
-        }
-    }
-    if let Some(tok) = empty_child {
-        node.children.remove(&tok);
-    }
-    found
 }
 
 #[cfg(test)]
@@ -371,19 +310,19 @@ mod tests {
 
         // The deepest stored prefix wins.
         let key = prefix_key(&src, &target);
-        let (_, rows) = index.lookup(&key, target.len() - 1).expect("hit");
+        let (_, rows) = index.lookup(&key).expect("hit");
         assert_eq!(rows, 4);
-        // Capping trims the reuse below the deepest entry's rows: the
-        // caller forks the snapshot and rolls it back to the cap.
-        let (snap, rows) = index.lookup(&key, 3).expect("hit");
-        assert_eq!(rows, 3);
-        assert!(
-            snap.pos() >= rows,
-            "snapshot holds at least the reused rows"
-        );
+        // A request re-ingests at least its last row, which trims the
+        // reuse below the deepest entry's rows: the attached fork is
+        // rolled back to the cap.
+        let (mut fork, rows) = index
+            .attach(&prefix_key(&src, &target[..4]), &mut arena)
+            .expect("hit");
+        assert_eq!((rows, fork.pos()), (3, 3));
+        fork.release(&mut arena);
         // A different source misses even with an identical target: the
         // cross-attention K/V under the hood belong to `src` alone.
-        assert!(index.lookup(&prefix_key(&[2, 2, 2], &target), 5).is_none());
+        assert!(index.lookup(&prefix_key(&[2, 2, 2], &target)).is_none());
 
         index.clear(&mut arena);
         assert_eq!(arena.kv_bytes_in_use(), 0, "clear released every fork");
@@ -404,7 +343,7 @@ mod tests {
         // The walk diverges after `[BOS, 7, 8, 9]`; the cached deeper
         // snapshot still serves those four rows (fork + roll back).
         let (snap, rows) = index
-            .lookup(&prefix_key(&src, &b), b.len() - 1)
+            .lookup(&prefix_key(&src, &b))
             .expect("preamble must hit");
         assert_eq!(rows, 4);
         assert_eq!(snap.pos(), 6, "entry itself is untrimmed");
@@ -435,7 +374,7 @@ mod tests {
         // the one whose row 3 is token 5 has the smaller key.
         let request = vec![BOS, 7, 8, 4, 4, 4];
         let (snap, rows) = index
-            .lookup(&prefix_key(&src, &request), request.len() - 1)
+            .lookup(&prefix_key(&src, &request))
             .expect("the shared rows must hit");
         assert_eq!(rows, 3);
         assert_eq!(snap.pos(), 4, "the shallowest candidate serves the hit");
@@ -488,14 +427,14 @@ mod tests {
         // Third insert evicted the first (LRU) entry.
         assert_eq!(index.entries(), 2);
         assert!(index.bytes() <= 2 * entry_bytes);
-        assert!(index.lookup(&prefix_key(&srcs[0], &target), 5).is_none());
-        assert!(index.lookup(&prefix_key(&srcs[1], &target), 5).is_some());
+        assert!(index.lookup(&prefix_key(&srcs[0], &target)).is_none());
+        assert!(index.lookup(&prefix_key(&srcs[1], &target)).is_some());
 
         // Touching srcs[1] then inserting again must evict srcs[2].
         let (snap, _) = aligned_snapshot(&model, &mut arena, &[7, 8, 9], &target[..2]);
         assert!(index.insert(&prefix_key(&[7, 8, 9], &target[..2]), snap, &mut arena));
-        assert!(index.lookup(&prefix_key(&srcs[1], &target), 5).is_some());
-        assert!(index.lookup(&prefix_key(&srcs[2], &target), 5).is_none());
+        assert!(index.lookup(&prefix_key(&srcs[1], &target)).is_some());
+        assert!(index.lookup(&prefix_key(&srcs[2], &target)).is_none());
 
         index.clear(&mut arena);
         assert_eq!(arena.kv_bytes_in_use(), 0);
