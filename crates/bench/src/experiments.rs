@@ -785,18 +785,18 @@ pub(crate) fn emit_rtl() -> Output {
 }
 
 /// E16 — design-space Pareto analysis on the VU13P: every Table-I
-/// model on arrays of 16–256 rows, and the fixed 64-token workload on
-/// arrays of 64–256 rows.
+/// model on arrays of 16–256 rows (each running a workload as long as
+/// its array is tall, so only the `fits` column compares them), and the
+/// latency-vs-LUT frontier of the fixed 64-token workload on arrays of
+/// 64–256 rows.
 pub(crate) fn pareto() -> Output {
     use accel::sweep::{evaluate_point_fixed_workload, pareto_latency_vs_lut, sweep, DesignPoint};
     #[derive(Serialize)]
     struct Out {
         grid: Vec<DesignPoint>,
-        frontier_own_s: Vec<DesignPoint>,
         frontier_fixed_s64: Vec<DesignPoint>,
     }
     let grid = sweep(&ModelConfig::table1(), &[16, 32, 64, 128, 256]);
-    let frontier_own_s = pareto_latency_vs_lut(&grid);
     let base = ModelConfig::transformer_base();
     let fixed: Vec<DesignPoint> = [64usize, 96, 128, 192, 256]
         .into_iter()
@@ -807,7 +807,6 @@ pub(crate) fn pareto() -> Output {
         "pareto",
         &Out {
             grid,
-            frontier_own_s,
             frontier_fixed_s64,
         },
     )])

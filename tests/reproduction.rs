@@ -11,7 +11,9 @@ fn e4_cycle_counts_bracket_the_paper() {
     let mut cfg = AccelConfig::paper_default();
     let mha = scheduler::schedule_mha(&cfg).cycles.get();
     let ffn = scheduler::schedule_ffn(&cfg).cycles.get();
-    // Published: 21,344 MHA / 42,099 FFN.
+    // The cycle model's exact counts, so any drift fails here...
+    assert_eq!((mha, ffn), (20_998, 35_846));
+    // ...and where they sit against the published 21,344 MHA / 42,099 FFN.
     assert!((mha as f64 - 21_344.0).abs() / 21_344.0 < 0.02, "MHA {mha}");
     assert!((ffn as f64 - 42_099.0).abs() / 42_099.0 < 0.16, "FFN {ffn}");
     // And the optimistic (double-buffered) bound stays below the paper.
