@@ -148,9 +148,7 @@ impl PrefixIndex {
             return;
         }
         let mut snap = session.fork(arena);
-        if pos > aligned {
-            snap.rollback_rows(arena, pos - aligned);
-        }
+        snap.rollback_rows(arena, pos - aligned);
         self.insert(key, snap, arena);
     }
 
@@ -191,11 +189,11 @@ impl PrefixIndex {
         Some((&e.session, usable))
     }
 
-    /// Inserts a page-aligned snapshot at `key`, evicting LRU entries
-    /// until the budget holds. The snapshot is released (not stored) if
-    /// the index is disabled, the snapshot holds no rows, it alone
-    /// exceeds the budget, or `key` is already present — the caller
-    /// never has to clean up. Returns whether the snapshot was kept.
+    /// Inserts a non-empty page-aligned snapshot at `key`, evicting LRU
+    /// entries until the budget holds. The snapshot is released (not
+    /// stored) if it alone exceeds the budget — always, on a disabled
+    /// index — or `key` is already present; the caller never has to
+    /// clean up. Returns whether the snapshot was kept.
     fn insert(
         &mut self,
         key: &[usize],
@@ -203,11 +201,7 @@ impl PrefixIndex {
         arena: &mut KvArena,
     ) -> bool {
         let bytes = session.resident_kv_bytes(arena);
-        if !self.enabled()
-            || session.pos() == 0
-            || bytes > self.budget
-            || self.entries.iter().any(|e| e.key == key)
-        {
+        if bytes > self.budget || self.entries.iter().any(|e| e.key == key) {
             session.release(arena);
             return false;
         }
