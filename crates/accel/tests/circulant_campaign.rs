@@ -9,7 +9,7 @@
 //! compression ratio must match what the backend actually stores.
 //!
 //! Like the serving fault matrix, the sweep picks its seed up from
-//! `ACCEL_FAULT_SEED` (via [`faults::env_seed`]) so CI can rerun it at
+//! `ACCEL_FAULT_SEED` (via [`tensor::envcfg::fault_seed`]) so CI can rerun it at
 //! several seeds without a recompile.
 
 use accel::circulant::{
@@ -56,7 +56,7 @@ fn seeded_flip_campaign_is_fully_detected() {
     let be = backend();
     let (q, xq) = fixture(0x5EED);
     let prog = be.lower_ffn(&ffn_graph(&q.graph_config()));
-    let mut rng = StdRng::seed_from_u64(faults::env_seed().unwrap_or(0xCAFA_0117));
+    let mut rng = StdRng::seed_from_u64(tensor::envcfg::fault_seed().unwrap_or(0xCAFA_0117));
     let d_model = 32usize;
     let d_ff = 64usize;
     for trial in 0..32 {

@@ -873,15 +873,9 @@ pub(crate) fn faults_overhead() -> Output {
         .into_iter()
         .map(|(s, _)| s)
         .collect();
-    assert!(
-        !faults::plan_active(),
-        "the overhead bench runs without a fault plan"
-    );
-
-    // One full decode of the workload: the responses, the wall-clock
-    // seconds and the checker counter deltas.
-    let run_once = || -> (Vec<Response>, f64, u64, u64) {
-        let before = faults::counters();
+    // One full decode of the workload without a fault plan: the
+    // responses, the wall-clock seconds and the checker counters.
+    let run_once = |checker: bool| -> (Vec<Response>, f64, u64, u64) {
         let mut engine = ContinuousBatcher::new(
             &q,
             EngineConfig {
@@ -890,7 +884,8 @@ pub(crate) fn faults_overhead() -> Output {
                 ..EngineConfig::default()
             },
         )
-        .expect("nonzero max_batch");
+        .expect("nonzero max_batch")
+        .with_checker(checker);
         for (id, src) in srcs.iter().enumerate() {
             engine
                 .submit(Request::new(id as u64, src.clone(), MAX_NEW))
@@ -902,21 +897,19 @@ pub(crate) fn faults_overhead() -> Output {
         assert!(
             responses.len() == N_REQUESTS && responses.iter().all(|r| r.tokens.len() == MAX_NEW)
         );
-        let after = faults::counters();
+        let stats = engine.stats();
         (
             responses,
             elapsed,
-            after.checked - before.checked,
-            after.detected - before.detected,
+            stats.checked as u64,
+            stats.detected as u64,
         )
     };
     let measure = |checker: bool| {
-        faults::set_checker(Some(checker));
         let best = (0..REPS)
-            .map(|_| run_once())
+            .map(|_| run_once(checker))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("REPS > 0");
-        faults::set_checker(None);
         let (responses, elapsed_s, checked, detected) = best;
         let tokens = N_REQUESTS * MAX_NEW;
         let point = CheckerPoint {

@@ -11,28 +11,29 @@
 //! plan against the same workload corrupts the same bits — which is what
 //! makes fault-tolerance machinery testable at all.
 //!
-//! Two consumption styles:
+//! Both consumers own their fault state:
 //!
-//! * **Per-engine** — `accel::ArrayEngine` owns an [`Injector`] directly
-//!   and addresses events by its private pass/call counters. Race-free,
-//!   used by unit tests and the golden-model cross-check.
-//! * **Global** — the serving decode path flows through
-//!   `quantized::QLinear`, whose call sites cannot thread an injector
-//!   handle; [`install`] publishes a process-wide injector addressed by
-//!   a global GEMM-pass counter. The decode loop is deterministic when
-//!   `ACCEL_THREADS=1` (all `QLinear` forwards run on the caller
-//!   thread), which is how the CI fault matrix pins it.
+//! * `accel::ArrayEngine` holds an [`Injector`] directly and addresses
+//!   events by its private pass/call counters.
+//! * The serving engine holds a [`FaultState`] — injector, checker flag
+//!   and [`FaultCounters`] — and makes it its stepping thread's active
+//!   state for the length of a step ([`FaultState::run`]). The serving
+//!   path's `quantized::QLinear` passes, which cannot thread a handle
+//!   through their call sites, reach it there ([`with_active`]). Every
+//!   such pass runs on the stepping thread, so pass numbering is per
+//!   engine and does not depend on the worker count, and two engines on
+//!   two threads never see each other's plan. A pass with no state
+//!   active runs no hook.
 //!
 //! The hooks are **zero-cost when off**: every instrumented hot path
-//! gates on [`hooks_active`] (one relaxed atomic load) and the checker
-//! never modifies values, so fault-free runs — checker on or off — stay
+//! gates on [`active`] (one thread-local read) and the checker never
+//! modifies values, so fault-free runs — checker on or off — stay
 //! bit-identical to an uninstrumented build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -393,89 +394,11 @@ impl Injector {
 }
 
 // ---------------------------------------------------------------------
-// Global controller: the serving decode path's process-wide injector,
-// checker switch, and detection counters.
+// Engine seam: one engine's fault state, active on the thread that steps
+// it.
 // ---------------------------------------------------------------------
 
-static PLAN_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// 0 = follow the `ACCEL_ABFT` env var, 1 = forced off, 2 = forced on.
-static CHECKER_STATE: AtomicU8 = AtomicU8::new(0);
-static CHECKED: AtomicU64 = AtomicU64::new(0);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-static DETECTED: AtomicU64 = AtomicU64::new(0);
-
-fn global_injector() -> &'static Mutex<Option<Injector>> {
-    static CELL: OnceLock<Mutex<Option<Injector>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
-}
-
-fn env_checker() -> bool {
-    // Parsing consolidated in `tensor::envcfg` with the other ACCEL_*
-    // variables; the in-process `set_checker` override layers on top.
-    tensor::envcfg::abft_env()
-}
-
-/// The seed from `ACCEL_FAULT_SEED`, if set to a parseable `u64`.
-pub fn env_seed() -> Option<u64> {
-    tensor::envcfg::fault_seed()
-}
-
-/// Installs `plan` as the process-wide injector (fresh counters) and
-/// activates the hooks. Use [`exclusive`] to serialize tests that do
-/// this.
-pub fn install(plan: FaultPlan) {
-    *lock_recovering(global_injector()) = Some(Injector::new(plan));
-    PLAN_ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Removes the process-wide injector.
-pub fn clear() {
-    *lock_recovering(global_injector()) = None;
-    PLAN_ACTIVE.store(false, Ordering::SeqCst);
-}
-
-/// True when a process-wide plan is installed.
-pub fn plan_active() -> bool {
-    PLAN_ACTIVE.load(Ordering::Relaxed)
-}
-
-/// True when the ABFT checker should run on the serving path: an
-/// explicit [`set_checker`] override, else the `ACCEL_ABFT` env var.
-pub fn checker_enabled() -> bool {
-    match CHECKER_STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => env_checker(),
-    }
-}
-
-/// Forces the checker on/off (`None` reverts to the env default).
-pub fn set_checker(on: Option<bool>) {
-    let state = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    CHECKER_STATE.store(state, Ordering::SeqCst);
-}
-
-/// The single gate instrumented hot paths test before doing any fault
-/// work: true iff a plan is installed or the checker is on. One-two
-/// relaxed atomic loads — fault-free production runs pay nothing else.
-pub fn hooks_active() -> bool {
-    plan_active() || checker_enabled()
-}
-
-/// Runs `f` against the process-wide injector, if one is installed.
-pub fn with_injector<R>(f: impl FnOnce(&mut Injector) -> R) -> Option<R> {
-    if !plan_active() {
-        return None;
-    }
-    lock_recovering(global_injector()).as_mut().map(f)
-}
-
-/// Process-wide fault/checker counters (monotonic until
-/// [`reset_counters`]).
+/// What one [`FaultState`]'s injector and checker have done so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// ABFT verifications performed.
@@ -486,49 +409,73 @@ pub struct FaultCounters {
     pub detected: u64,
 }
 
-/// Records `n` checker invocations.
-pub fn note_checked(n: u64) {
-    CHECKED.fetch_add(n, Ordering::Relaxed);
+/// The fault state a serving engine owns: an optional [`Injector`]
+/// (GEMM passes are numbered per state, from 0), whether the ABFT row
+/// check runs, and the counters of both. [`FaultState::run`] makes it
+/// the calling thread's active state; instrumented hot paths reach it
+/// through [`active`] and [`with_active`].
+#[derive(Debug, Clone, Default)]
+pub struct FaultState {
+    /// The installed plan's injector, if any.
+    pub injector: Option<Injector>,
+    /// Whether every pass runs the ABFT row check.
+    pub checker: bool,
+    /// What the injector and checker have done so far.
+    pub counters: FaultCounters,
 }
 
-/// Records `n` injected faults.
-pub fn note_injected(n: u64) {
-    INJECTED.fetch_add(n, Ordering::Relaxed);
+thread_local! {
+    static ACTIVE: RefCell<Option<FaultState>> = const { RefCell::new(None) };
 }
 
-/// Records `n` detected mismatches.
-pub fn note_detected(n: u64) {
-    DETECTED.fetch_add(n, Ordering::Relaxed);
-}
+impl FaultState {
+    /// A state with `plan` installed (fresh pass counters) and the
+    /// checker on or off.
+    pub fn new(plan: Option<FaultPlan>, checker: bool) -> Self {
+        Self {
+            injector: plan.map(Injector::new),
+            checker,
+            counters: FaultCounters::default(),
+        }
+    }
 
-/// Snapshot of the process-wide counters.
-pub fn counters() -> FaultCounters {
-    FaultCounters {
-        checked: CHECKED.load(Ordering::Relaxed),
-        injected: INJECTED.load(Ordering::Relaxed),
-        detected: DETECTED.load(Ordering::Relaxed),
+    /// Runs `f` with this state active on the calling thread: the
+    /// instrumented passes `f` runs there are numbered, checked and
+    /// counted here. A state with no plan and the checker off leaves no
+    /// state active, so `f` takes the uninstrumented paths. The thread's
+    /// previous state is restored afterwards, panic or not.
+    pub fn run<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        struct Restore<'a> {
+            state: &'a mut FaultState,
+            prev: Option<FaultState>,
+        }
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                if let Some(state) = ACTIVE.replace(self.prev.take()) {
+                    *self.state = state;
+                }
+            }
+        }
+        let live = self.injector.is_some() || self.checker;
+        let mine = live.then(|| std::mem::take(self));
+        let _restore = Restore {
+            prev: ACTIVE.replace(mine),
+            state: self,
+        };
+        f()
     }
 }
 
-/// Zeroes the process-wide counters.
-pub fn reset_counters() {
-    CHECKED.store(0, Ordering::SeqCst);
-    INJECTED.store(0, Ordering::SeqCst);
-    DETECTED.store(0, Ordering::SeqCst);
+/// The single gate instrumented hot paths test before doing any fault
+/// work: true iff a [`FaultState`] is active on this thread. One
+/// thread-local read — fault-free production runs pay nothing else.
+pub fn active() -> bool {
+    ACTIVE.with_borrow(Option::is_some)
 }
 
-/// Serializes tests that install process-wide plans or toggle the
-/// checker, mirroring the `set_thread_override` idiom elsewhere in the
-/// workspace. Hold the returned guard for the duration of the test.
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    static CELL: OnceLock<Mutex<()>> = OnceLock::new();
-    lock_recovering(CELL.get_or_init(|| Mutex::new(())))
-}
-
-/// Locks `m`, recovering from poisoning (a panicking fault test must
-/// not wedge every later test in the binary).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `f` against this thread's active [`FaultState`], if any.
+pub fn with_active<R>(f: impl FnOnce(&mut FaultState) -> R) -> Option<R> {
+    ACTIVE.with_borrow_mut(|state| state.as_mut().map(f))
 }
 
 #[cfg(test)]
@@ -636,37 +583,31 @@ mod tests {
     }
 
     #[test]
-    fn global_install_and_counters_round_trip() {
-        let _guard = exclusive();
-        reset_counters();
-        assert!(with_injector(|_| ()).is_none());
-        install(FaultPlan::empty());
-        assert!(plan_active() && hooks_active());
-        assert_eq!(with_injector(|i| i.begin_pass()), Some(0));
-        assert_eq!(with_injector(|i| i.begin_pass()), Some(1));
-        note_checked(2);
-        note_detected(1);
-        assert_eq!(
-            counters(),
-            FaultCounters {
-                checked: 2,
-                injected: 0,
-                detected: 1
-            }
-        );
-        reset_counters();
-        assert_eq!(counters(), FaultCounters::default());
-        clear();
-        assert!(!plan_active());
+    fn run_activates_the_state_on_this_thread_only() {
+        assert!(!active() && with_active(|_| ()).is_none());
+        let mut state = FaultState::new(Some(FaultPlan::empty()), true);
+        let passes = state.run(|| {
+            assert!(active());
+            // Another thread sees no state.
+            assert!(!std::thread::scope(|s| s.spawn(active).join().unwrap()));
+            with_active(|s| s.counters.checked += 2);
+            (0..2)
+                .map(|_| with_active(|s| s.injector.as_mut().unwrap().begin_pass()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(passes, [Some(0), Some(1)]);
+        assert!(!active());
+        assert_eq!(state.counters.checked, 2);
+        assert_eq!(state.injector.as_ref().map(Injector::passes_seen), Some(2));
     }
 
     #[test]
-    fn checker_override_wins_over_env() {
-        let _guard = exclusive();
-        set_checker(Some(true));
-        assert!(checker_enabled() && hooks_active());
-        set_checker(Some(false));
-        assert!(!checker_enabled());
-        set_checker(None);
+    fn a_state_without_plan_or_checker_runs_uninstrumented() {
+        let mut outer = FaultState::new(None, true);
+        outer.run(|| {
+            FaultState::default().run(|| assert!(!active()));
+            assert!(active(), "the outer state is restored");
+        });
+        assert!(outer.checker && !active());
     }
 }

@@ -53,4 +53,4 @@ pub use graph::{
     ffn_graph, mha_cached_graph, mha_graph, ExecPlan, Graph, GraphConfig, GraphKind, Node, PlanStep,
 };
 pub use op::{Op, WeightId};
-pub use tally::{fusion_tally, FusionTally};
+pub use tally::FusionTally;

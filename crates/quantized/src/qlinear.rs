@@ -166,9 +166,9 @@ impl QLinear {
         let _span = phase::span(Phase::WeightGemm);
         let mut acc =
             prepack::matmul_i8_prepacked(x, &self.w_packed).expect("qlinear width mismatch");
-        // Zero-cost when off: one relaxed atomic load guards the whole
+        // Zero-cost when off: one thread-local read guards the whole
         // fault/checker seam, and the checker never modifies `acc`.
-        if faults::hooks_active() {
+        if faults::active() {
             self.fault_hook(x, &mut acc);
         }
         acc
@@ -209,22 +209,19 @@ impl QLinear {
     /// accumulator deltas — arithmetically identical to streaming the
     /// corrupted word — then accumulator upsets), then run the ABFT row
     /// check against the rowsum latched at quantization time. Counters
-    /// go to the process-wide [`faults::counters`] tallies the serving
-    /// layer watches.
+    /// go to the thread's active [`faults::FaultState`] — the serving
+    /// engine stepping on this thread.
     #[cold]
     fn fault_hook(&self, x: &Mat<i8>, acc: &mut Mat<i32>) {
-        let injected =
-            faults::with_injector(|inj| inj.apply_gemm_pass(x, &self.w_q, acc)).unwrap_or(0);
-        if injected > 0 {
-            faults::note_injected(injected as u64);
-        }
-        if faults::checker_enabled() {
-            faults::note_checked(1);
-            let bad_rows = abft::verify_rows(x, &self.w_rowsum, acc);
-            if bad_rows > 0 {
-                faults::note_detected(bad_rows as u64);
+        faults::with_active(|state| {
+            if let Some(inj) = state.injector.as_mut() {
+                state.counters.injected += inj.apply_gemm_pass(x, &self.w_q, acc) as u64;
             }
-        }
+            if state.checker {
+                state.counters.checked += 1;
+                state.counters.detected += abft::verify_rows(x, &self.w_rowsum, acc) as u64;
+            }
+        });
     }
 
     /// Full quantized forward: accumulate, then requantize to
@@ -235,7 +232,7 @@ impl QLinear {
     /// ([`QLinear::forward_acc`]), which the drain never forms.
     pub fn forward(&self, x: &Mat<i8>) -> Mat<i8> {
         let _span = phase::span(Phase::WeightGemm);
-        if !faults::hooks_active() {
+        if !faults::active() {
             return self.forward_cols(x, 0, self.bias_q.len());
         }
         let acc = self.forward_acc(x);
@@ -261,7 +258,7 @@ impl QLinear {
     /// Panics if `x.cols() != d_in`.
     pub(crate) fn forward_relu(&self, x: &Mat<i8>) -> Mat<i8> {
         let _span = phase::span(Phase::WeightGemm);
-        if faults::hooks_active() {
+        if faults::active() {
             return self.forward(x).map(|&v| v.max(0));
         }
         prepack::matmul_i8_prepacked_fused(x, &self.w_packed, |_r, acc, out: &mut [i8]| {
@@ -292,7 +289,7 @@ impl QLinear {
             "residual shape must match the linear output"
         );
         let _span = phase::span(Phase::WeightGemm);
-        if faults::hooks_active() {
+        if faults::active() {
             return residual_add_i8(&self.forward(x), residual);
         }
         prepack::matmul_i8_prepacked_fused(x, &self.w_packed, |r, acc, out: &mut [i32]| {

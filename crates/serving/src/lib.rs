@@ -55,10 +55,15 @@
 //! this.
 //!
 //! **Graceful degradation:** invalid inputs return typed
-//! [`ServingError`]s instead of panicking. When the `faults` crate's
-//! ABFT checker is live ([`faults::checker_enabled`]), every batched
-//! step is bracketed by the process-wide detection counter: a
-//! checker-flagged step is rolled back chunk-for-chunk
+//! [`ServingError`]s instead of panicking. Each engine owns its fault
+//! state ([`faults::FaultState`]: a plan from
+//! [`ContinuousBatcher::with_fault_plan`], the ABFT checker from
+//! `ACCEL_ABFT` or [`ContinuousBatcher::with_checker`]) and makes it
+//! the stepping thread's active one for each step, so two engines on two
+//! threads never see each other's faults. When the checker is on, every
+//! batched model call is bracketed by the engine's detection counter
+//! ([`ServingStats::detected`]): a checker-flagged step is rolled back
+//! chunk-for-chunk
 //! ([`QuantIncrementalSession::rollback_rows`] — paged truncation frees
 //! any page the rollback empties) and recomputed up to
 //! [`EngineConfig::max_step_retries`] times — a transient upset fires
@@ -92,6 +97,7 @@ use std::time::{Duration, Instant};
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 
 use crate::prefix::PrefixIndex;
+use faults::{FaultPlan, FaultState, Injector};
 use quantized::QuantSeq2Seq;
 use tensor::phase::{self, Phase, PhaseRecorder, StepKind};
 use transformer::tasks::{BOS, EOS};
@@ -358,6 +364,13 @@ tensor::counters! {
         pub faulty_steps: usize => sum,
         /// Rollback-and-recompute retries performed.
         pub retries: usize => sum,
+        /// ABFT row checks run (one per `QLinear` pass while the checker is
+        /// on, admission's encoder pass included).
+        pub checked: usize => sum,
+        /// Faults the engine's plan injected.
+        pub injected: usize => sum,
+        /// Checksum mismatches the checker detected.
+        pub detected: usize => sum,
         /// Slots quarantined after repeated persistent faults.
         pub quarantined: usize => sum,
         /// Requests cut off by a deadline.
@@ -509,6 +522,9 @@ pub struct ContinuousBatcher<'m> {
     /// Step phase recorder; `None` until
     /// [`ContinuousBatcher::record_phases`] switches it on.
     phases: Option<Arc<PhaseRecorder>>,
+    /// Fault plan, checker flag and their counters; the stepping
+    /// thread's active state for the length of each step.
+    faults: FaultState,
 }
 
 impl<'m> ContinuousBatcher<'m> {
@@ -536,7 +552,22 @@ impl<'m> ContinuousBatcher<'m> {
             stats: ServingStats::default(),
             prefix: PrefixIndex::new(cfg.prefix_cache_bytes),
             phases: None,
+            faults: FaultState::new(None, tensor::envcfg::abft_env()),
         })
+    }
+
+    /// Installs a fault plan on this engine; its GEMM passes are
+    /// numbered from this engine's first. Builder-style; pair with
+    /// [`ContinuousBatcher::with_checker`].
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.faults.injector = Some(Injector::new(plan));
+        self
+    }
+
+    /// Switches the ABFT checker on or off, overriding `ACCEL_ABFT`.
+    pub fn with_checker(mut self, on: bool) -> Self {
+        self.faults.checker = on;
+        self
     }
 
     /// Queues a request (it enters a slot at the next refill).
@@ -633,7 +664,13 @@ impl<'m> ContinuousBatcher<'m> {
 
     /// The engine's lifetime counters so far.
     pub fn stats(&self) -> ServingStats {
-        self.stats
+        let c = self.faults.counters;
+        ServingStats {
+            checked: c.checked as usize,
+            injected: c.injected as usize,
+            detected: c.detected as usize,
+            ..self.stats
+        }
     }
 
     /// Switches the step phase recorder (`tensor::phase`) on for every
@@ -821,12 +858,23 @@ impl<'m> ContinuousBatcher<'m> {
     /// (check [`ContinuousBatcher::pending_len`] for stranded
     /// requests).
     ///
-    /// When the ABFT checker is live, a step that raises the
-    /// process-wide detection counter is rolled back chunk-for-chunk
-    /// and recomputed (up to `max_step_retries` times); the
-    /// transient-upset replay is bit-identical to a fault-free step, so
-    /// detected faults are invisible in the output stream.
+    /// When the ABFT checker is on, a step that raises the engine's
+    /// detection counter is rolled back chunk-for-chunk and recomputed
+    /// (up to `max_step_retries` times); the transient-upset replay is
+    /// bit-identical to a fault-free step, so detected faults are
+    /// invisible in the output stream.
     pub fn step(&mut self) -> bool {
+        // Every `QLinear` pass of a step — admission's encoder pass and
+        // the model call — runs on this thread, under this engine's
+        // fault state.
+        let mut faults = std::mem::take(&mut self.faults);
+        let ran = faults.run(|| self.recorded_step());
+        self.faults = faults;
+        ran
+    }
+
+    /// [`ContinuousBatcher::step`] under the phase recorder, if on.
+    fn recorded_step(&mut self) -> bool {
         let Some(rec) = self.phases.clone() else {
             return self.run_step();
         };
@@ -845,24 +893,26 @@ impl<'m> ContinuousBatcher<'m> {
         ran
     }
 
-    /// [`ContinuousBatcher::step`]'s body.
+    /// [`ContinuousBatcher::recorded_step`]'s body.
     fn run_step(&mut self) -> bool {
         self.refill();
         let plan = self.plan_step();
         if plan.is_empty() {
             return false;
         }
-        let fusion0 = graph::fusion_tally();
+        // The fusion tally covers the model call only, not admission.
+        graph::tally::take();
         let model = self.model;
         let chunk_refs: Vec<&[usize]> = plan.iter().map(|(_, c)| c.as_slice()).collect();
-        let verify = faults::hooks_active() && faults::checker_enabled();
+        let verify = faults::with_active(|f| f.checker).unwrap_or(false);
+        let detected = || faults::with_active(|f| f.counters.detected);
         let mut persistent_fault = false;
         let mut attempt = 0;
         let (tokens, greedy) = loop {
-            let before = faults::counters().detected;
+            let before = detected();
             let mut sessions = planned_sessions(&mut self.slots, &plan);
             let out = model.prefill_sessions_greedy(&mut self.arena, &mut sessions, &chunk_refs);
-            if !verify || faults::counters().detected == before {
+            if !verify || detected() == before {
                 break out;
             }
             self.stats.faulty_steps += 1;
@@ -882,6 +932,11 @@ impl<'m> ContinuousBatcher<'m> {
                 slot.session.rollback_rows(&mut self.arena, chunk.len());
             }
         };
+        // Fused-op work of the model call (retried attempts count —
+        // they ran).
+        let fusion = graph::tally::take();
+        self.stats.ops_fused += fusion.ops_fused as usize;
+        self.stats.intermediates_elided_bytes += fusion.intermediates_elided_bytes as usize;
         self.stats.greedy_candidate_tiles += greedy.candidate_tiles;
         self.stats.greedy_fallback_rows += greedy.fallback_rows;
         // High-water mark before retirement hands pages back.
@@ -985,11 +1040,6 @@ impl<'m> ContinuousBatcher<'m> {
         self.stats.rows += b;
         self.stats.peak_batch = self.stats.peak_batch.max(b);
         self.stats.kv_bytes_in_use = self.arena.kv_bytes_in_use();
-        // Fused-op work this step performed, read as a delta of the
-        // process-wide tally (retried attempts count — they ran).
-        let fusion = graph::fusion_tally().since(&fusion0);
-        self.stats.ops_fused += fusion.ops_fused as usize;
-        self.stats.intermediates_elided_bytes += fusion.intermediates_elided_bytes as usize;
         true
     }
 
@@ -1555,6 +1605,9 @@ mod tests {
             kv_bytes_in_use: 8,
             kv_bytes_peak: 9,
             faulty_steps: 10,
+            checked: 27,
+            injected: 28,
+            detected: 29,
             retries: 11,
             quarantined: 12,
             deadline_expired: 13,
@@ -1587,6 +1640,9 @@ mod tests {
         want.kv_bytes_in_use *= 2;
         want.kv_bytes_peak *= 2;
         want.faulty_steps *= 2;
+        want.checked *= 2;
+        want.injected *= 2;
+        want.detected *= 2;
         want.retries *= 2;
         want.quarantined *= 2;
         want.deadline_expired *= 2;

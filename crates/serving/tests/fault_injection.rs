@@ -2,20 +2,20 @@
 //!
 //! These tests drive the full serving path — admission, batched decode
 //! steps, ABFT checking in `quantized::QLinear`, rollback-and-retry —
-//! against the `faults` crate's process-wide injector. They pin the
-//! worker count to 1 (`tensor::par::set_thread_override`) so the global
-//! GEMM-pass numbering is deterministic, and serialize on
-//! [`faults::exclusive`] because the injector, checker switch, and
-//! counters are process-wide.
+//! against each engine's own fault plan and checker
+//! (`ContinuousBatcher::with_fault_plan` / `with_checker`). GEMM passes
+//! are numbered per engine and every one runs on the stepping thread,
+//! so the numbering does not depend on the worker count and the tests
+//! share no state.
 //!
 //! The CI fault matrix runs this binary with `ACCEL_FAULT_SEED` set at
-//! several seeds, `ACCEL_ABFT=1`, and `ACCEL_THREADS=1`; the
+//! several seeds, `ACCEL_ABFT=1`, and `ACCEL_THREADS` at 1 and 2; the
 //! `env_seeded_fault_is_detected_and_healed` test picks the seed up via
-//! [`faults::env_seed`].
+//! [`tensor::envcfg::fault_seed`].
 
-use std::sync::{MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
-use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, SiteClass};
+use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, FaultState, SiteClass};
 use proptest::prelude::*;
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{attention_cohorts, CacheRef, Cohort, QuantSeq2Seq, SoftmaxMode};
@@ -53,37 +53,27 @@ fn sources() -> &'static Vec<Vec<usize>> {
     })
 }
 
-/// Serializes a test on the process-wide fault state, pins the worker
-/// count to 1 (deterministic global pass numbering), and restores
-/// everything on drop — even when the test panics.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl FaultGuard {
-    fn acquire() -> Self {
-        let g = faults::exclusive();
-        tensor::par::set_thread_override(Some(1));
-        faults::clear();
-        faults::set_checker(Some(false));
-        faults::reset_counters();
-        FaultGuard(g)
+/// An engine with `max_batch` slots, `plan` installed and the checker
+/// on or off (`ACCEL_ABFT` notwithstanding).
+fn engine(max_batch: usize, plan: Option<FaultPlan>, checker: bool) -> ContinuousBatcher<'static> {
+    let engine = ContinuousBatcher::new(model(), EngineConfig::with_max_batch(max_batch))
+        .unwrap()
+        .with_checker(checker);
+    match plan {
+        Some(plan) => engine.with_fault_plan(plan),
+        None => engine,
     }
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear();
-        faults::set_checker(None);
-        faults::reset_counters();
-        tensor::par::set_thread_override(None);
-    }
-}
-
-/// Runs `n` requests to completion on the current global fault state.
-fn decode(max_batch: usize, n: usize) -> (Vec<Response>, serving::ServingStats) {
-    let q = model();
-    let srcs = sources();
-    let mut engine = ContinuousBatcher::new(q, EngineConfig::with_max_batch(max_batch)).unwrap();
-    for (id, src) in srcs.iter().take(n).enumerate() {
+/// Runs the first `n` sources to completion with `plan` and the checker.
+fn decode(
+    max_batch: usize,
+    n: usize,
+    plan: Option<FaultPlan>,
+    checker: bool,
+) -> (Vec<Response>, serving::ServingStats) {
+    let mut engine = engine(max_batch, plan, checker);
+    for (id, src) in sources().iter().take(n).enumerate() {
         engine
             .submit(Request::new(id as u64, src.clone(), MAX_NEW))
             .unwrap();
@@ -91,26 +81,24 @@ fn decode(max_batch: usize, n: usize) -> (Vec<Response>, serving::ServingStats) 
     (engine.run_to_completion(), engine.stats())
 }
 
-/// Fault-free responses, computed once with every hook off.
+/// Fault-free responses, with every hook off.
 fn baseline(n: usize) -> Vec<Response> {
-    // Caller holds the exclusive guard with hooks cleared.
-    assert!(!faults::hooks_active(), "baseline needs hooks off");
-    decode(4, n).0
+    let (responses, stats) = decode(4, n, None, false);
+    assert_eq!(stats.checked, 0, "baseline needs hooks off");
+    responses
 }
 
-/// Global GEMM-pass count consumed by admitting the first `n` sources
-/// the way the engine's first refill does (every test here admits them
-/// all at once): one stacked `start_sessions` over them. Every later
-/// pass index lands inside batched decode steps (the retry-protected
+/// GEMM-pass count consumed by admitting the first `n` sources the way
+/// the engine's first refill does (every test here admits them all at
+/// once): one stacked `start_sessions` over them. Every later pass
+/// index lands inside batched decode steps (the retry-protected
 /// region), starting with the first.
 fn prefill_passes(n: usize) -> u64 {
-    faults::install(FaultPlan::empty());
-    let mut arena = quantized::incremental::KvArena::for_model(model());
+    let mut state = FaultState::new(Some(FaultPlan::empty()), false);
+    let mut arena = KvArena::for_model(model());
     let srcs: Vec<&[usize]> = sources().iter().take(n).map(|s| s.as_slice()).collect();
-    let _ = model().start_sessions(&mut arena, &srcs);
-    let p = faults::with_injector(|i| i.passes_seen()).expect("plan installed");
-    faults::clear();
-    p
+    state.run(|| model().start_sessions(&mut arena, &srcs));
+    state.injector.expect("plan installed").passes_seen()
 }
 
 /// GEMM passes per batched decode step for the 2-layer tiny model: each
@@ -126,19 +114,17 @@ fn admission_passes_end_where_the_first_decode_step_begins() {
     // admission runs: one engine step (admission, then the first decode
     // step) consumes it plus one step's worth, so the pass windows the
     // tests below schedule from it open inside the first decode step.
-    let _g = FaultGuard::acquire();
+    // The checker runs once per pass, so its count is the pass count.
     for n in 1..=4 {
         let p0 = prefill_passes(n);
-        faults::install(FaultPlan::empty());
-        let mut engine = ContinuousBatcher::new(model(), EngineConfig::with_max_batch(n)).unwrap();
+        let mut engine = engine(n, None, true);
         for (id, src) in sources().iter().take(n).enumerate() {
             engine
                 .submit(Request::new(id as u64, src.clone(), MAX_NEW))
                 .unwrap();
         }
         assert!(engine.step());
-        let seen = faults::with_injector(|i| i.passes_seen()).expect("plan installed");
-        faults::clear();
+        let seen = engine.stats().checked as u64;
         assert_eq!(seen, p0 + PASSES_PER_STEP, "{n} sources");
         assert_eq!(engine.stats().admission_batches, 1, "{n} sources");
         assert_eq!(engine.stats().sources_encoded, n, "{n} sources");
@@ -147,14 +133,11 @@ fn admission_passes_end_where_the_first_decode_step_begins() {
 
 #[test]
 fn checker_on_without_plan_changes_no_output_bits() {
-    let _g = FaultGuard::acquire();
     let want = baseline(3);
-    faults::set_checker(Some(true));
-    let (got, stats) = decode(4, 3);
+    let (got, c) = decode(4, 3, None, true);
     assert_eq!(got, want, "checker-on fault-free run must be bit-identical");
-    assert_eq!(stats.faulty_steps, 0);
-    assert_eq!(stats.retries, 0);
-    let c = faults::counters();
+    assert_eq!(c.faulty_steps, 0);
+    assert_eq!(c.retries, 0);
     assert!(c.checked > 0, "checker must actually have run");
     assert_eq!(c.injected, 0);
     assert_eq!(c.detected, 0);
@@ -167,11 +150,8 @@ proptest! {
     /// checker on — produces bit-identical outputs at every batch shape.
     #[test]
     fn empty_plan_is_bit_identical(max_batch in 1usize..=4, n in 2usize..=4) {
-        let _g = FaultGuard::acquire();
         let want = baseline(n);
-        faults::install(FaultPlan::empty());
-        faults::set_checker(Some(true));
-        let (got, stats) = decode(max_batch, n);
+        let (got, stats) = decode(max_batch, n, Some(FaultPlan::empty()), true);
         // Compare the decoded content; `first_token_step` is queueing
         // metadata and legitimately shifts with `max_batch`.
         let strip = |rs: &[Response]| -> Vec<(u64, Vec<usize>, bool)> {
@@ -179,14 +159,13 @@ proptest! {
         };
         prop_assert_eq!(strip(&got), strip(&want));
         prop_assert_eq!(stats.faulty_steps, 0);
-        prop_assert_eq!(faults::counters().injected, 0);
-        prop_assert_eq!(faults::counters().detected, 0);
+        prop_assert_eq!(stats.injected, 0);
+        prop_assert_eq!(stats.detected, 0);
     }
 }
 
 #[test]
 fn weight_sram_flip_is_detected_and_healed_by_retry() {
-    let _g = FaultGuard::acquire();
     let n = 2;
     let want = baseline(n);
     let p0 = prefill_passes(n);
@@ -204,10 +183,8 @@ fn weight_sram_flip_is_detected_and_healed_by_retry() {
             });
         }
     }
-    faults::install(FaultPlan::from_events(events));
-    faults::set_checker(Some(true));
-    let (got, stats) = decode(n, n);
-    let c = faults::counters();
+    let (got, stats) = decode(n, n, Some(FaultPlan::from_events(events)), true);
+    let c = stats;
     assert!(c.injected > 0, "weight faults must have fired");
     assert!(c.detected >= 1, "row checksum must flag the corruption");
     // Every event lies in the first decode step: that one step is
@@ -223,24 +200,14 @@ fn weight_sram_flip_is_detected_and_healed_by_retry() {
 
 #[test]
 fn accumulator_flip_is_detected_and_healed_by_retry() {
-    let _g = FaultGuard::acquire();
     let n = 1;
     let want = baseline(n);
     let p0 = prefill_passes(n);
     // One flipped accumulator register in the first decode step. Bit 20
     // shifts the drained value by ±2^20 — a guaranteed row-checksum
     // mismatch, unlike a weight fault.
-    faults::install(FaultPlan::from_events(vec![FaultEvent {
-        site: FaultSite::Accumulator {
-            pass: p0 + 3,
-            row: 0,
-            col: 2,
-        },
-        kind: FaultKind::BitFlip { bit: 20 },
-    }]));
-    faults::set_checker(Some(true));
-    let (got, stats) = decode(n, n);
-    let c = faults::counters();
+    let (got, stats) = decode(n, n, Some(accumulator_flip(p0 + 3)), true);
+    let c = stats;
     assert_eq!(c.injected, 1, "exactly the one scheduled fault fires");
     assert!(c.detected >= 1);
     assert_eq!(stats.faulty_steps, 1);
@@ -255,20 +222,10 @@ fn undetected_faults_without_checker_corrupt_silently() {
     // recorded. (Whether the output token stream changes depends on
     // where the flip lands in the argmax margin, so only the counters
     // are asserted.)
-    let _g = FaultGuard::acquire();
     let n = 1;
     let p0 = prefill_passes(n);
-    faults::install(FaultPlan::from_events(vec![FaultEvent {
-        site: FaultSite::Accumulator {
-            pass: p0 + 3,
-            row: 0,
-            col: 2,
-        },
-        kind: FaultKind::BitFlip { bit: 20 },
-    }]));
-    faults::set_checker(Some(false));
-    let (_, stats) = decode(n, n);
-    let c = faults::counters();
+    let (_, stats) = decode(n, n, Some(accumulator_flip(p0 + 3)), false);
+    let c = stats;
     assert_eq!(c.injected, 1);
     assert_eq!(c.detected, 0);
     assert_eq!(c.checked, 0);
@@ -278,7 +235,6 @@ fn undetected_faults_without_checker_corrupt_silently() {
 
 #[test]
 fn persistent_faults_quarantine_the_slot() {
-    let _g = FaultGuard::acquire();
     let n = 2;
     let p0 = prefill_passes(1); // max_batch 1: only request 0 prefills
                                 // A stuck-at-style barrage: every decode pass for a long horizon is
@@ -293,14 +249,15 @@ fn persistent_faults_quarantine_the_slot() {
             kind: FaultKind::BitFlip { bit: 20 },
         })
         .collect();
-    faults::install(FaultPlan::from_events(events));
-    faults::set_checker(Some(true));
     let q = model();
     let srcs = sources();
     let mut cfg = EngineConfig::with_max_batch(1);
     cfg.max_step_retries = 1;
     cfg.quarantine_after = 2;
-    let mut engine = ContinuousBatcher::new(q, cfg).unwrap();
+    let mut engine = ContinuousBatcher::new(q, cfg)
+        .unwrap()
+        .with_fault_plan(FaultPlan::from_events(events))
+        .with_checker(true);
     for (id, src) in srcs.iter().take(n).enumerate() {
         engine
             .submit(Request::new(id as u64, src.clone(), MAX_NEW))
@@ -319,36 +276,61 @@ fn persistent_faults_quarantine_the_slot() {
     assert!(stats.faulty_steps >= 2, "every attempt stays flagged");
 }
 
-#[test]
-fn env_seeded_fault_is_detected_and_healed() {
-    // The CI fault-matrix entry point: `ACCEL_FAULT_SEED=<seed>
-    // ACCEL_ABFT=1 ACCEL_THREADS=1 cargo test --test fault_injection`.
-    // Without the env var it still runs at a pinned seed.
-    let _g = FaultGuard::acquire();
-    let seed = faults::env_seed().unwrap_or(7);
-    let n = 2;
-    let want = baseline(n);
-    let p0 = prefill_passes(n);
-    // One seeded accumulator flip somewhere in the first batched decode
-    // step (2 active rows, well inside d_model columns): guaranteed to
-    // fire, guaranteed to mismatch the row checksum, healed by retry.
-    let plan = FaultPlan::seeded(
+/// A single accumulator bit-20 flip on GEMM pass `pass`: a guaranteed
+/// row-checksum mismatch.
+fn accumulator_flip(pass: u64) -> FaultPlan {
+    FaultPlan::from_events(vec![FaultEvent {
+        site: FaultSite::Accumulator {
+            pass,
+            row: 0,
+            col: 2,
+        },
+        kind: FaultKind::BitFlip { bit: 20 },
+    }])
+}
+
+/// The seeded campaign's plan: one accumulator flip somewhere in the
+/// first batched decode step after `p0` admission passes (`rows` active
+/// rows, well inside d_model columns) — guaranteed to fire, guaranteed
+/// to mismatch the row checksum, healed by retry.
+fn campaign_plan(seed: u64, p0: u64, rows: usize) -> FaultPlan {
+    FaultPlan::seeded(
         seed,
         1,
         &FaultSpace {
             index_lo: p0 + 1,
             index_hi: p0 + PASSES_PER_STEP - 1,
-            rows: 2,
+            rows,
             cols: 8,
             classes: vec![SiteClass::Accumulator],
         },
+    )
+}
+
+#[test]
+fn env_seeded_fault_is_detected_and_healed() {
+    // The CI fault-matrix entry point: `ACCEL_FAULT_SEED=<seed>
+    // ACCEL_ABFT=1 cargo test --test fault_injection`. Without the env
+    // var it still runs at a pinned seed. The campaign runs at one and
+    // two workers and must land on the same pass and heal to the same
+    // tokens at both: passes are numbered on the stepping thread.
+    let seed = tensor::envcfg::fault_seed().unwrap_or(7);
+    let n = 2;
+    let want = baseline(n);
+    let campaign = |threads: usize| {
+        tensor::par::set_thread_override(Some(threads));
+        let p0 = prefill_passes(n);
+        let plan = campaign_plan(seed, p0, n);
+        let (got, stats) = decode(n, n, Some(plan.clone()), true);
+        tensor::par::set_thread_override(None);
+        (p0, plan, got, stats)
+    };
+    let (p0, plan, got, stats) = campaign(1);
+    assert_eq!(
+        stats.injected, 1,
+        "seed {seed}: the scheduled flip must fire"
     );
-    faults::install(plan.clone());
-    faults::set_checker(Some(true));
-    let (got, stats) = decode(n, n);
-    let c = faults::counters();
-    assert_eq!(c.injected, 1, "seed {seed}: the scheduled flip must fire");
-    assert!(c.detected >= 1, "seed {seed}: must be detected");
+    assert!(stats.detected >= 1, "seed {seed}: must be detected");
     assert_eq!(
         stats.faulty_steps, 1,
         "seed {seed}: the flip lands in the first decode step"
@@ -356,20 +338,51 @@ fn env_seeded_fault_is_detected_and_healed() {
     assert_eq!(stats.retries, 1, "seed {seed}: must be retried once");
     assert_eq!(got, want, "seed {seed}: retry must restore bit-identity");
     // Reproducibility: the same seed regenerates the same plan.
+    assert_eq!(plan, campaign_plan(seed, p0, n));
     assert_eq!(
-        plan,
-        FaultPlan::seeded(
-            seed,
-            1,
-            &FaultSpace {
-                index_lo: p0 + 1,
-                index_hi: p0 + PASSES_PER_STEP - 1,
-                rows: 2,
-                cols: 8,
-                classes: vec![SiteClass::Accumulator],
-            }
-        )
+        campaign(2),
+        (p0, plan, got, stats),
+        "seed {seed}: two workers run the campaign as one does"
     );
+}
+
+#[test]
+fn two_engines_on_two_threads_keep_their_own_faults() {
+    // Engine A carries a seeded single upset and the checker; engine B,
+    // stepping at the same time on another thread, has no plan and the
+    // checker on. Neither sees the other's fault state or fusion tally.
+    let seed = tensor::envcfg::fault_seed().unwrap_or(7);
+    let n = 2;
+    let plan = campaign_plan(seed, prefill_passes(n), n);
+    let a = || decode(n, n, Some(plan.clone()), true);
+    let b = || decode(n, n, None, true);
+    let (solo_a, solo_b) = (a(), b());
+    let ((got_a, stats_a), (got_b, stats_b)) = std::thread::scope(|s| {
+        let a = s.spawn(a);
+        let b = s.spawn(b);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (got, src) in got_b.iter().zip(sources()) {
+        assert_eq!(got.tokens, model().greedy_decode_incremental(src, MAX_NEW));
+    }
+    let clean = (stats_b.faulty_steps, stats_b.retries, stats_b.detected);
+    assert_eq!(clean, (0, 0, 0), "B sees none of A's upset");
+    assert!(stats_b.checked > 0, "B's checker ran");
+    assert_eq!(stats_a.injected, 1, "A's upset fires");
+    assert!(stats_a.detected >= 1 && stats_a.retries == 1);
+    assert_eq!(got_a, baseline(n), "A heals bit-identically");
+    for ((got, stats), (want, solo)) in [(got_a, stats_a), (got_b, stats_b)]
+        .into_iter()
+        .zip([solo_a, solo_b])
+    {
+        assert_eq!(got, want);
+        assert_eq!(
+            (stats.ops_fused, stats.intermediates_elided_bytes),
+            (solo.ops_fused, solo.intermediates_elided_bytes),
+            "fusion tally of a solo run"
+        );
+        assert_eq!(stats, solo);
+    }
 }
 
 /// Layer 0's self- and cross-attention cohort plans for one decode row
@@ -397,8 +410,7 @@ fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
     // cohort throughout — through the same fused decode drains as a
     // checker-off run — and every step's logits equal that run's bit for
     // bit.
-    let _g = FaultGuard::acquire();
-    let seed = faults::env_seed().unwrap_or(7);
+    let seed = tensor::envcfg::fault_seed().unwrap_or(7);
     let (q, src, page) = (model(), &sources()[0], 4);
     let mut prompt = vec![BOS];
     prompt.extend(src.iter().cycle().take(11));
@@ -413,20 +425,20 @@ fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
     };
     let planned = [cohort(prompt.len() / page * page), cohort(src.len())];
 
-    let mut run = |checker: bool| {
+    let mut run = |state: &mut FaultState| {
+        let checker = state.checker;
         let mut forks: Vec<QuantIncrementalSession> =
             (0..3).map(|_| snap.fork(&mut arena)).collect();
         let (mut tokens, mut steps, mut retries, mut fused_ops) = (vec![5, 6, 7], vec![], 0, 0);
-        faults::set_checker(Some(checker));
         for _ in 0..4 {
             let chunks: Vec<[usize; 1]> = tokens.iter().map(|&t| [t]).collect();
             let chunks: Vec<&[usize]> = chunks.iter().map(|c| c.as_slice()).collect();
-            let before = graph::fusion_tally();
+            graph::tally::take();
             let logits = loop {
-                let detected = faults::counters().detected;
+                let detected = state.counters.detected;
                 let mut refs: Vec<&mut QuantIncrementalSession> = forks.iter_mut().collect();
-                let logits = q.prefill_sessions(&mut arena, &mut refs, &chunks);
-                if faults::counters().detected == detected {
+                let logits = state.run(|| q.prefill_sessions(&mut arena, &mut refs, &chunks));
+                if state.counters.detected == detected {
                     break logits;
                 }
                 retries += 1;
@@ -434,7 +446,7 @@ fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
                     .iter_mut()
                     .for_each(|f| f.rollback_rows(&mut arena, 1));
             };
-            fused_ops = graph::fusion_tally().since(&before).ops_fused;
+            fused_ops = graph::tally::take().ops_fused;
             assert_eq!(decode_plans(&arena, &forks), planned, "checker {checker}");
             tokens = logits.iter().map(|l| tensor::ops::argmax(l)).collect();
             steps.push(
@@ -445,15 +457,12 @@ fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
                     .collect::<Vec<u32>>(),
             );
         }
-        faults::clear();
-        faults::set_checker(Some(false));
         forks.iter_mut().for_each(|f| f.release(&mut arena));
         (steps, retries, fused_ops)
     };
 
-    let (want, clean_retries, clean_fused) = run(false);
+    let (want, clean_retries, clean_fused) = run(&mut FaultState::default());
     assert_eq!(clean_retries, 0);
-    faults::reset_counters();
     let space = FaultSpace {
         index_lo: 1,
         index_hi: PASSES_PER_STEP - 1,
@@ -461,9 +470,9 @@ fn checker_on_forks_keep_their_cohort_and_heal_a_seeded_flip() {
         cols: 8,
         classes: vec![SiteClass::Accumulator],
     };
-    faults::install(FaultPlan::seeded(seed, 1, &space));
-    let (got, retries, fused) = run(true);
-    let c = faults::counters();
+    let mut state = FaultState::new(Some(FaultPlan::seeded(seed, 1, &space)), true);
+    let (got, retries, fused) = run(&mut state);
+    let c = state.counters;
     assert_eq!(c.injected, 1, "seed {seed}: the scheduled flip must fire");
     assert!(c.detected >= 1, "seed {seed}: must be detected");
     assert_eq!(retries, 1, "seed {seed}: the first step replays once");

@@ -17,7 +17,8 @@
 //!   In-process retuning for tests goes through the override setters
 //!   (`set_pin_override`,
 //!   [`crate::par::set_thread_override`],
-//!   [`crate::simd::set_simd_override`], `faults::set_checker`).
+//!   [`crate::simd::set_simd_override`]; a serving engine's
+//!   `with_checker` builder overrides `ACCEL_ABFT`).
 //! * `ACCEL_KV_PAGE`, `ACCEL_PREFIX_CACHE` — parsed on **every** call
 //!   (once per arena/engine construction, cheap), so tests and CI
 //!   matrices can vary them without process-global caching.
@@ -37,11 +38,11 @@ pub const ENV_FORCE_SCALAR: &str = "ACCEL_FORCE_SCALAR";
 pub const ENV_KV_PAGE: &str = "ACCEL_KV_PAGE";
 
 /// Enables the ABFT checker on the serving path (`1`/`true`/`on`,
-/// case-insensitive). Consumed by the `faults` crate.
+/// case-insensitive). Read by `serving::ContinuousBatcher::new`.
 pub const ENV_ABFT: &str = "ACCEL_ABFT";
 
-/// Seed for the env-driven fault-injection campaign (`u64`). Consumed
-/// by the `faults` crate.
+/// Seed for the env-driven fault-injection campaigns (`u64`). Read by
+/// their tests.
 pub const ENV_FAULT_SEED: &str = "ACCEL_FAULT_SEED";
 
 /// Opts in to pinning pool workers to cores (any non-empty value other
@@ -142,8 +143,8 @@ pub fn max_queue(default: usize) -> usize {
 }
 
 /// Whether `ACCEL_ABFT` asks for the checker (`1`/`true`/`on`,
-/// case-insensitive). Read once per process; the `faults` crate layers
-/// its in-process `set_checker` override on top.
+/// case-insensitive). Read once per process; each serving engine reads
+/// it once, when it is built.
 pub fn abft_env() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
     *CELL.get_or_init(|| {

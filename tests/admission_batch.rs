@@ -24,8 +24,8 @@ use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS, EOS};
 
-/// Worker count, SIMD dispatch and the checker are process-wide; the
-/// tests of this binary take turns.
+/// Worker count and SIMD dispatch are process-wide; the tests of this
+/// binary take turns.
 static SETTINGS: Mutex<()> = Mutex::new(());
 
 /// Decode steps each batch is driven for after admission.
@@ -51,7 +51,6 @@ impl Drop for Restore {
     fn drop(&mut self) {
         tensor::par::set_thread_override(None);
         tensor::simd::set_simd_override(None);
-        faults::set_checker(None);
     }
 }
 
@@ -246,17 +245,16 @@ fn stacked_admission_is_bit_identical_to_the_frozen_per_source_body() {
 fn checker_on_admission_is_bit_identical_and_clean() {
     let q = model();
     let refs = references(q);
-    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-    let _faults = faults::exclusive();
-    let _restore = Restore;
-    faults::set_checker(Some(true));
-    let before = faults::counters();
-    for (b, (batch, opened, decoded)) in refs.iter().enumerate() {
-        check_batch(q, batch, opened, decoded, &format!("checker on, batch {b}"));
-    }
-    let after = faults::counters();
-    assert!(after.checked > before.checked, "the checker must have run");
-    assert_eq!(after.detected, before.detected, "nothing was injected");
+    // Admission runs under the serving engine's fault state; this one
+    // has the checker on and no plan.
+    let mut state = faults::FaultState::new(None, true);
+    state.run(|| {
+        for (b, (batch, opened, decoded)) in refs.iter().enumerate() {
+            check_batch(q, batch, opened, decoded, &format!("checker on, batch {b}"));
+        }
+    });
+    assert!(state.counters.checked > 0, "the checker must have run");
+    assert_eq!(state.counters.detected, 0, "nothing was injected");
 }
 
 fn singles(n: usize) -> Vec<Cohort> {

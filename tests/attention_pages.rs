@@ -549,3 +549,25 @@ fn lone_chunks_cut_across_workers_match_the_frozen_segments() {
         "33 rows over a flat cache",
     );
 }
+
+#[test]
+fn checker_on_blocks_match_the_frozen_segments_too() {
+    // Under a serving engine's ABFT checker the block's `W_Q` and `W_O`
+    // passes take the unfused drains; attention has no fault seam and
+    // reads its pages as it does with the checker off.
+    let block = block(128, 2, SoftmaxMode::Hardware);
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut kp = KvPool::new(16, 128);
+    let mut vp = KvPool::new(16, 128);
+    let seqs: Vec<(KvSeq, KvSeq)> = [17usize, 40]
+        .iter()
+        .map(|&ctx| paged(&mut kp, &mut vp, &kv_rows(&block, &mut rng, ctx)))
+        .collect();
+    let keys: Vec<CacheRef<'_>> = seqs.iter().map(|s| CacheRef::paged(&kp, &s.0)).collect();
+    let vals: Vec<CacheRef<'_>> = seqs.iter().map(|s| CacheRef::paged(&vp, &s.1)).collect();
+    let x = tensor::init::uniform_i8(&mut rng, 4, 128);
+    let mut state = faults::FaultState::new(None, true);
+    state.run(|| check(&block, &x, &[1, 3], &keys, &vals, true, "checker on"));
+    assert!(state.counters.checked > 0, "the checker must have run");
+    assert_eq!(state.counters.detected, 0, "nothing was injected");
+}

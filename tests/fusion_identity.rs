@@ -16,15 +16,12 @@
 //! reference, and the rollback-after-fault decode path end to end. A
 //! seeded accumulator upset also pins which GEMM passes of a prefill
 //! step see every chunk row.
-//!
-//! The fault injector and checker are process-wide and two tests install
-//! them, so every test that runs INT8 code holds `faults::exclusive()`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
 use transformer_accel::faults::{
-    self, FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, SiteClass,
+    FaultEvent, FaultKind, FaultPlan, FaultSite, FaultSpace, FaultState, SiteClass,
 };
 use transformer_accel::graph::{self, Graph};
 use transformer_accel::quantized::incremental::KvArena;
@@ -33,7 +30,7 @@ use transformer_accel::quantized::softmax::scaled_prefix_softmax;
 use transformer_accel::quantized::{
     cached_mha_rows, CacheRef, QVal, QuantExec, QuantMhaResBlock, QuantSeq2Seq, SoftmaxMode,
 };
-use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request, Response};
+use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request};
 use transformer_accel::tensor::{gemm, init, Mat};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::exec::FloatExec;
@@ -108,7 +105,6 @@ fn fp32_fused_inference_equals_the_training_forward() {
     // `greedy_decode` and backprop run): teacher-forced logits agree bit
     // for bit, so the full-recompute oracle and the blocks the INT8
     // model is calibrated from compute the same function.
-    let _faults = faults::exclusive();
     let (mut model, _, srcs) = models(0xF0F0);
     for src in srcs.iter().take(3) {
         let mut tgt = vec![BOS];
@@ -174,7 +170,6 @@ fn row_exec_incremental_decode_is_bit_identical() {
     // `cached_mha_rows` — one-row decode drains, a multi-row chunk, and
     // two groups on one cache (a shared-prefix cohort) — against the
     // frozen unfused per-head body, self- and cross-attention alike.
-    let _faults = faults::exclusive();
     let (_, quant, _) = models(0xF10A);
     let block = &quant.decoder_layers()[0].self_mha;
     let (_, wk, wv, _) = block.projections();
@@ -200,7 +195,6 @@ fn row_exec_incremental_decode_is_bit_identical() {
 
 #[test]
 fn quant_exec_fused_is_bit_identical() {
-    let _faults = faults::exclusive();
     let (_, quant, _) = models(0xF1A7);
     let layer = &quant.decoder_layers()[0];
     let mut rng = StdRng::seed_from_u64(0xF1A8);
@@ -241,7 +235,6 @@ fn prefill_runs_the_last_layer_on_each_sessions_final_row() {
     // every GEMM pass of the step except the last layer's final six
     // (self `W_Q`, `W_O`; cross `W_Q`, `W_O`; FFN `W1`, `W2`), where
     // the step holds one row.
-    let _faults = faults::exclusive();
     let (_, quant, srcs) = models(0xF1A5);
     let passes = 8 * quant.decoder_layers().len() as u64;
     for pass in 0..passes {
@@ -253,13 +246,14 @@ fn prefill_runs_the_last_layer_on_each_sessions_final_row() {
             col: 0,
         };
         let kind = FaultKind::BitFlip { bit: 3 };
-        faults::install(FaultPlan::from_events(vec![FaultEvent { site, kind }]));
-        let injected = faults::counters().injected;
-        quant.prefill_sessions(&mut arena, &mut [&mut s], &[&[BOS, 3, 4, 5, 6, 7, 8, 9]]);
-        let seen = faults::with_injector(|inj| inj.passes_seen());
-        faults::clear();
+        let plan = FaultPlan::from_events(vec![FaultEvent { site, kind }]);
+        let mut state = FaultState::new(Some(plan), false);
+        state.run(|| {
+            quant.prefill_sessions(&mut arena, &mut [&mut s], &[&[BOS, 3, 4, 5, 6, 7, 8, 9]])
+        });
+        let seen = state.injector.as_ref().map(|inj| inj.passes_seen());
         assert_eq!(seen, Some(passes), "GEMM passes per step");
-        let landed = faults::counters().injected > injected;
+        let landed = state.counters.injected > 0;
         assert_eq!(landed, pass < passes - 6, "pass {pass}");
     }
 }
@@ -268,7 +262,6 @@ fn prefill_runs_the_last_layer_on_each_sessions_final_row() {
 fn accel_exec_runs_fused_graphs_identically() {
     // The accelerator lowering is fusion-transparent: the fused graph
     // must execute to the same codes AND the same cycle count.
-    let _faults = faults::exclusive();
     let cfg = ModelConfig::tiny_for_tests();
     let mut rng = StdRng::seed_from_u64(0xACCE);
     let mha = MhaResBlock::new(&cfg, &mut rng);
@@ -321,35 +314,33 @@ fn rollback_after_fault_decode_is_fusion_invariant() {
     // hooks are live (the ABFT check needs the pre-bias accumulators);
     // attention runs its one fused path either way. The heal must be
     // identical to the fault-free decode.
-    let _faults = faults::exclusive();
-    transformer_accel::tensor::par::set_thread_override(Some(1));
-    faults::clear();
-    faults::set_checker(Some(false));
-    faults::reset_counters();
-
     let (_, quant, srcs) = models(0xFA57);
-    let decode = |n: usize| -> (Vec<Response>, transformer_accel::serving::ServingStats) {
-        let mut engine = ContinuousBatcher::new(&quant, EngineConfig::with_max_batch(2)).unwrap();
-        for (id, src) in srcs.iter().take(n).enumerate() {
+    let decode = |plan: Option<FaultPlan>, checker: bool| {
+        let mut engine = ContinuousBatcher::new(&quant, EngineConfig::with_max_batch(2))
+            .unwrap()
+            .with_checker(checker);
+        if let Some(plan) = plan {
+            engine = engine.with_fault_plan(plan);
+        }
+        for (id, src) in srcs.iter().take(2).enumerate() {
             engine
                 .submit(Request::new(id as u64, src.clone(), 6).with_prompt(vec![1, 2, 3]))
                 .unwrap();
         }
         (engine.run_to_completion(), engine.stats())
     };
-    let want = decode(2).0;
+    let want = decode(None, false).0;
 
     // Count the GEMM passes prefill consumes, then schedule one
     // accumulator flip inside the first batched decode step's window.
-    faults::install(FaultPlan::empty());
-    {
+    let mut state = FaultState::new(Some(FaultPlan::empty()), false);
+    state.run(|| {
         let mut arena = transformer_accel::quantized::incremental::KvArena::for_model(&quant);
         for src in srcs.iter().take(2) {
             let _ = quant.start_session(&mut arena, src);
         }
-    }
-    let p0 = faults::with_injector(|i| i.passes_seen()).unwrap();
-    faults::clear();
+    });
+    let p0 = state.injector.unwrap().passes_seen();
     let plan = FaultPlan::seeded(
         7,
         1,
@@ -362,23 +353,13 @@ fn rollback_after_fault_decode_is_fusion_invariant() {
         },
     );
 
-    faults::install(plan);
-    faults::set_checker(Some(true));
-    faults::reset_counters();
-    let (resp, stats) = decode(2);
-    let c = faults::counters();
-    faults::clear();
-    faults::set_checker(Some(false));
+    let (resp, c) = decode(Some(plan), true);
     assert_eq!(c.injected, 1, "the scheduled flip must fire");
     assert!(c.detected >= 1, "flip must be detected");
-    assert!(stats.retries >= 1, "step must be retried");
+    assert!(c.retries >= 1, "step must be retried");
     assert_eq!(
         resp.iter().map(|r| &r.tokens).collect::<Vec<_>>(),
         want.iter().map(|r| &r.tokens).collect::<Vec<_>>(),
         "healed decode must match the fault-free decode"
     );
-
-    faults::set_checker(None);
-    faults::reset_counters();
-    transformer_accel::tensor::par::set_thread_override(None);
 }

@@ -5,9 +5,6 @@
 //! through an ABFT fault-rollback that lands on a shared page boundary
 //! (the rollback must copy-on-write, never mutate a page the cache
 //! still holds).
-//!
-//! The fault injector and checker are process-wide and the rollback test
-//! installs both, so every test here holds `faults::exclusive()`.
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{QuantSeq2Seq, SoftmaxMode};
@@ -63,7 +60,6 @@ fn replay_then_decode(
 
 #[test]
 fn int8_decode_from_forked_prefix_is_byte_identical_to_cold_start() {
-    let _faults = faults::exclusive();
     let (q, srcs) = quant_model();
     let src = &srcs[0];
     let prompt: Vec<usize> = src.iter().cycle().take(13).copied().collect();
@@ -121,7 +117,6 @@ fn decoded(responses: &[Response]) -> Vec<(u64, Vec<usize>, bool)> {
 
 #[test]
 fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
-    let _faults = faults::exclusive();
     let (q, srcs) = quant_model();
     let base: Vec<usize> = srcs[0].iter().cycle().take(35).copied().collect();
     let mut extended = base.clone();
@@ -185,84 +180,70 @@ fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
 fn fault_rollback_on_shared_page_boundary_heals_without_mutating_the_cache() {
     use faults::{FaultEvent, FaultKind, FaultPlan, FaultSite};
 
-    // Serialize on the process-wide fault state and pin the worker
-    // count so GEMM-pass numbering is deterministic.
-    let _g = faults::exclusive();
-    tensor::par::set_thread_override(Some(1));
-    faults::clear();
-    faults::set_checker(Some(false));
-    faults::reset_counters();
-    let result = std::panic::catch_unwind(|| {
-        let (q, srcs) = quant_model();
-        let prompt: Vec<usize> = srcs[0].iter().cycle().take(35).copied().collect();
-        let want = q.greedy_decode_with_prompt(&srcs[0], &prompt, 6);
+    let (q, srcs) = quant_model();
+    let prompt: Vec<usize> = srcs[0].iter().cycle().take(35).copied().collect();
+    let want = q.greedy_decode_with_prompt(&srcs[0], &prompt, 6);
+    let mut cfg = EngineConfig::with_max_batch(1);
+    cfg.prefix_cache_bytes = usize::MAX;
+    let request = |id| Request::new(id, srcs[0].clone(), 6).with_prompt(prompt.clone());
 
-        let mut cfg = EngineConfig::with_max_batch(1);
-        cfg.prefix_cache_bytes = usize::MAX;
-        let mut engine = ContinuousBatcher::new(&q, cfg).unwrap();
+    // The GEMM passes request 0 runs on a cold engine: the checker
+    // runs once per pass.
+    let mut warm = ContinuousBatcher::new(&q, cfg).unwrap().with_checker(true);
+    warm.submit(request(0)).unwrap();
+    warm.run_to_completion();
+    let p0 = warm.stats().checked as u64;
 
-        // Request 0 warms the cache fault-free.
-        engine
-            .submit(Request::new(0, srcs[0].clone(), 6).with_prompt(prompt.clone()))
-            .unwrap();
-        let r0 = engine.run_to_completion();
-        assert_eq!(r0[0].tokens, want);
-        assert!(
-            engine.prefix_cache_entries() >= 1,
-            "prefill was snapshotted"
-        );
-
-        // Request 1 hits the cache: its session forks the snapshot at a
-        // page boundary and prefills only the suffix. Corrupt an
-        // accumulator early in that first post-hit step — the detected
-        // fault rolls the session back to the *shared* boundary and
-        // replays. A rollback that freed or wrote a shared page would
-        // corrupt the cache entry (caught below) or the replay (caught
-        // here).
-        faults::install(FaultPlan::from_events(vec![FaultEvent {
+    // Request 1 hits the cache: its session forks the snapshot at a
+    // page boundary and prefills only the suffix. Corrupt an
+    // accumulator early in that first post-hit step — the detected
+    // fault rolls the session back to the *shared* boundary and
+    // replays. A rollback that freed or wrote a shared page would
+    // corrupt the cache entry (caught below) or the replay (caught
+    // here).
+    let mut engine = ContinuousBatcher::new(&q, cfg)
+        .unwrap()
+        .with_fault_plan(FaultPlan::from_events(vec![FaultEvent {
             site: FaultSite::Accumulator {
-                pass: 3,
+                pass: p0 + 3,
                 row: 0,
                 col: 2,
             },
             kind: FaultKind::BitFlip { bit: 20 },
-        }]));
-        faults::set_checker(Some(true));
-        engine
-            .submit(Request::new(1, srcs[0].clone(), 6).with_prompt(prompt.clone()))
-            .unwrap();
-        let r1 = engine.run_to_completion();
-        let stats = engine.stats();
-        let c = faults::counters();
-        assert_eq!(c.injected, 1, "the scheduled flip must fire");
-        assert!(c.detected >= 1, "the checker must flag it");
-        assert!(stats.retries >= 1, "the flagged step must be replayed");
-        assert_eq!(stats.prefix_hits, 1);
-        assert_eq!(
-            r1[0].tokens, want,
-            "retry from the shared boundary must heal"
-        );
+        }]))
+        .with_checker(true);
 
-        // Request 2 hits the same entry with faults cleared: identical
-        // output proves the faulty attempt's rows never reached the
-        // shared pages.
-        faults::clear();
-        faults::set_checker(Some(false));
-        engine
-            .submit(Request::new(2, srcs[0].clone(), 6).with_prompt(prompt.clone()))
-            .unwrap();
-        let r2 = engine.run_to_completion();
-        assert_eq!(engine.stats().prefix_hits, 2);
-        assert_eq!(
-            r2[0].tokens, want,
-            "cache entry must survive the rollback intact"
-        );
-    });
-    faults::clear();
-    faults::set_checker(None);
-    faults::reset_counters();
-    tensor::par::set_thread_override(None);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
+    // Request 0 warms the cache fault-free.
+    engine.submit(request(0)).unwrap();
+    let r0 = engine.run_to_completion();
+    assert_eq!(r0[0].tokens, want);
+    assert!(
+        engine.prefix_cache_entries() >= 1,
+        "prefill was snapshotted"
+    );
+    assert_eq!(engine.stats().injected, 0, "request 0 ran fault-free");
+
+    engine.submit(request(1)).unwrap();
+    let r1 = engine.run_to_completion();
+    let stats = engine.stats();
+    assert_eq!(stats.injected, 1, "the scheduled flip must fire");
+    assert!(stats.detected >= 1, "the checker must flag it");
+    assert!(stats.retries >= 1, "the flagged step must be replayed");
+    assert_eq!(stats.prefix_hits, 1);
+    assert_eq!(
+        r1[0].tokens, want,
+        "retry from the shared boundary must heal"
+    );
+
+    // Request 2 hits the same entry past the plan's one event:
+    // identical output proves the faulty attempt's rows never reached
+    // the shared pages.
+    engine.submit(request(2)).unwrap();
+    let r2 = engine.run_to_completion();
+    assert_eq!(engine.stats().prefix_hits, 2);
+    assert_eq!(engine.stats().injected, 1);
+    assert_eq!(
+        r2[0].tokens, want,
+        "cache entry must survive the rollback intact"
+    );
 }

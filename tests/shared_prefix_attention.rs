@@ -22,8 +22,8 @@ use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS};
 
-/// Worker count, SIMD dispatch and the fault hooks are process-wide;
-/// the tests of this binary take turns.
+/// Worker count and SIMD dispatch are process-wide; the tests of this
+/// binary take turns.
 static SETTINGS: Mutex<()> = Mutex::new(());
 
 #[derive(Clone, Copy)]
@@ -537,30 +537,28 @@ fn checker_on_engine_serves_prefix_hits_like_checker_off() {
     // engine returns the same tokens and counts the same fused drains as
     // with it off — it runs the production attention path.
     let (q, srcs) = model();
-    // Same lock order as `fault_hooks_live_keep_the_cohort_path`.
-    let _faults = faults::exclusive();
-    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
     let prompt: Vec<usize> = tokens(35, 15);
     let serve = |checker: bool| {
-        faults::set_checker(Some(checker));
         let mut cfg = serving::EngineConfig::with_max_batch(3);
         cfg.prefix_cache_bytes = usize::MAX;
-        let mut engine = serving::ContinuousBatcher::new(&q, cfg).unwrap();
+        let mut engine = serving::ContinuousBatcher::new(&q, cfg)
+            .unwrap()
+            .with_checker(checker);
         let request =
             |id: u64| serving::Request::new(id, srcs[2].clone(), 6).with_prompt(prompt.clone());
         engine.submit(request(0)).unwrap();
         let mut out = engine.run_to_completion();
         (1..4).for_each(|id| engine.submit(request(id)).unwrap());
         out.extend(engine.run_to_completion());
-        faults::set_checker(None);
         let stats = engine.stats();
         assert_eq!(stats.prefix_hits, 3, "checker {checker}");
+        assert_eq!(stats.checked > 0, checker, "checker {checker}");
+        assert_eq!(stats.detected, 0, "nothing was injected");
         let tokens: Vec<(u64, Vec<usize>)> = out.into_iter().map(|r| (r.id, r.tokens)).collect();
         (tokens, stats.ops_fused, stats.intermediates_elided_bytes)
     };
     let off = serve(false);
     let on = serve(true);
-    assert_eq!(faults::counters().detected, 0, "nothing was injected");
     assert_eq!(on, off, "(tokens, fused drains, elided bytes)");
 }
 
@@ -572,7 +570,6 @@ fn fault_hooks_live_keep_the_cohort_path() {
     // not change; the fused-drain tally shows the path taken.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    let _faults = faults::exclusive();
     each_config(|cfg| {
         let p = cfg.page;
         let what = cfg.label();
@@ -588,29 +585,27 @@ fn fault_hooks_live_keep_the_cohort_path() {
         }
         let mut fused_ops = Vec::new();
         let mut cohorts = Vec::new();
-        let detected = faults::counters().detected;
+        let mut detected = 0;
         for checker in [false, true] {
-            faults::set_checker(Some(checker));
-            let before = graph::fusion_tally();
-            step(
-                &q,
-                &mut oracle,
-                &mut arena,
-                &mut [&mut a, &mut b],
-                &chunks,
-                &format!("{what} checker {checker}"),
-            );
-            fused_ops.push(graph::fusion_tally().since(&before).ops_fused);
+            let mut state = faults::FaultState::new(None, checker);
+            graph::tally::take();
+            state.run(|| {
+                step(
+                    &q,
+                    &mut oracle,
+                    &mut arena,
+                    &mut [&mut a, &mut b],
+                    &chunks,
+                    &format!("{what} checker {checker}"),
+                )
+            });
+            fused_ops.push(graph::tally::take().ops_fused);
+            detected += state.counters.detected;
             cohorts.push(plans(&q, &arena, &[&a, &b], &[1, 1]));
             a.rollback(&mut arena, 1);
             b.rollback(&mut arena, 1);
         }
-        faults::set_checker(None);
-        assert_eq!(
-            faults::counters().detected,
-            detected,
-            "{what}: nothing was injected"
-        );
+        assert_eq!(detected, 0, "{what}: nothing was injected");
         assert_eq!(
             fused_ops[0], fused_ops[1],
             "{what}: checker changed the drains"
