@@ -24,15 +24,15 @@
 //! Implementations:
 //!
 //! * [`PaperBackend`] — the SOCC'20 engine: the graph lowering
-//!   ([`crate::exec`]), the two interpreters of the lowered command
-//!   stream ([`crate::isa`]: bit-exact execution and the one timing
-//!   walk) and the Table-II area model. It is the public way to run a
-//!   ResBlock on the modelled array — [`crate::top::Accelerator`] is a
-//!   length-checked wrapper over it (golden ISA programs, schedules and
-//!   the MHA 20998 / FFN 35846 cycle pins are asserted by
-//!   `tests/isa_golden.rs`);
+//!   ([`crate::exec`]), the two semantics of the lowered command stream
+//!   (bit-exact execution on [`crate::engine::ArrayEngine`] and the one
+//!   timing walk in [`crate::isa`]) and the Table-II area model. It is
+//!   the public way to run a ResBlock on the modelled array (golden ISA
+//!   programs, schedules and the MHA 20998 / FFN 35846 cycle pins are
+//!   asserted by `tests/isa_golden.rs`);
 //! * [`crate::tiled::TiledBackend`] — a KV260-style small tiled array
-//!   with explicit DDR tile traffic and a bandwidth-aware cycle model;
+//!   with explicit DDR tile traffic and a bandwidth-aware cycle model,
+//!   executing the same command stream on the same engine;
 //! * [`crate::circulant::CirculantBackend`] — FTRANS-style
 //!   block-circulant FFN weights executed via a fixed-point FFT unit.
 //!
@@ -47,6 +47,7 @@ use tensor::Mat;
 
 use crate::area::AreaModel;
 use crate::config::AccelConfig;
+use crate::engine::ArrayEngine;
 use crate::isa::{self, Command};
 
 /// What a backend can do and how it is built — the static half of the
@@ -150,7 +151,9 @@ pub trait Backend {
     ///
     /// # Panics
     ///
-    /// Panics if MHA is unsupported or the program is foreign.
+    /// Panics if MHA is unsupported or the program is foreign, or if
+    /// `xq` or `xkv` has no rows or more rows than the backend's array
+    /// is provisioned for (`s` of its configuration).
     fn run_mha(
         &self,
         prog: &BackendProgram,
@@ -164,15 +167,17 @@ pub trait Backend {
     ///
     /// # Panics
     ///
-    /// Panics if FFN is unsupported or the program is foreign.
+    /// Panics if FFN is unsupported or the program is foreign, or if `x`
+    /// has no rows or more rows than the backend's array is provisioned
+    /// for.
     fn run_ffn(&self, prog: &BackendProgram, block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8>;
 }
 
 /// The SOCC'20 design as a [`Backend`]: the graph lowering
 /// ([`crate::exec::lower_mha`] / [`crate::exec::lower_ffn`]), the
-/// bit-exact interpreter of the lowered command stream, the timing walk
-/// of the same stream ([`crate::isa::schedule_program`]) and the
-/// Table-II area model.
+/// lowered command stream executed on an `s × 64`
+/// [`crate::engine::ArrayEngine`], the timing walk of the same stream
+/// ([`crate::isa::schedule_program`]) and the Table-II area model.
 #[derive(Debug, Clone)]
 pub struct PaperBackend {
     cfg: AccelConfig,
@@ -195,7 +200,7 @@ impl PaperBackend {
         &self.cfg
     }
 
-    pub(crate) fn isa<'p>(&self, prog: &'p BackendProgram) -> &'p [Command] {
+    fn isa<'p>(&self, prog: &'p BackendProgram) -> &'p [Command] {
         match prog {
             BackendProgram::Isa(p) => p,
             other => panic!("paper backend fed a foreign program ({} ops)", other.len()),
@@ -239,11 +244,15 @@ impl Backend for PaperBackend {
         xkv: &Mat<i8>,
         mask: Option<&Mat<bool>>,
     ) -> Mat<i8> {
-        isa::execute_mha(self.isa(prog), block, xq, xkv, mask)
+        ArrayEngine::new(self.cfg.s)
+            .run_mha(self.isa(prog), block, xq, xkv, mask)
+            .out
     }
 
     fn run_ffn(&self, prog: &BackendProgram, block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
-        isa::execute_ffn(self.isa(prog), block, x)
+        ArrayEngine::new(self.cfg.s)
+            .run_ffn(self.isa(prog), block, x)
+            .out
     }
 }
 
@@ -332,6 +341,24 @@ mod tests {
         let blocks = crate::scheduler::schedule_mha(be.config()).cycles
             + crate::scheduler::schedule_ffn(be.config()).cycles;
         assert_eq!(layer, blocks.get());
+    }
+
+    #[test]
+    #[should_panic(expected = "more rows than the array")]
+    fn oversized_sequence_panics() {
+        // The array's own row check is the length check: 17 rows on a
+        // 16-row array.
+        let mcfg = ModelConfig::tiny_for_tests();
+        let mut rng = StdRng::seed_from_u64(0xBF);
+        let ffn = FfnResBlock::new(&mcfg, &mut rng);
+        let calib = vec![tensor::init::normal(&mut rng, 17, mcfg.d_model, 1.0)];
+        let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
+        let mut acfg = AccelConfig::paper_default();
+        acfg.model = mcfg;
+        acfg.s = 16;
+        let be = PaperBackend::new(acfg);
+        let prog = BackendProgram::Isa(isa::ffn_program(32, 64));
+        let _ = be.run_ffn(&prog, &qffn, &qffn.quantize_input(&calib[0]));
     }
 
     #[test]

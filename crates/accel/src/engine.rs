@@ -1,24 +1,35 @@
-//! Array-level execution engine: Algorithm 1 executed *literally* on
-//! the register-true systolic array.
+//! The array executor: the one interpreter of Algorithm 1's command
+//! stream, running every GEMM command as passes through the `s × 64`
+//! systolic array.
 //!
-//! Where [`crate::top::Accelerator`] delegates numerics to the
-//! `quantized` crate wholesale, this engine drives the hardware the way
-//! the RTL does — GEMM pass by GEMM pass, one 64-column weight panel at
-//! a time (Fig. 4), each pass clocked through the
-//! [`crate::systolic::SystolicArray`] PE grid, with bias/requantization
-//! on the drain path, the softmax module between the score and context
-//! passes, and the LayerNorm module at the end. Its outputs are
-//! bit-identical to [`quantized::QuantMhaResBlock::forward`] /
-//! [`quantized::QuantFfnResBlock::forward`] (asserted by tests), which
-//! closes the loop: *the paper's dataflow, executed on the paper's
-//! array, computes the paper's datapath.*
+//! [`ArrayEngine::run_mha`] / [`ArrayEngine::run_ffn`] step through a
+//! program lowered by [`crate::exec`] ([`crate::isa::mha_program`] /
+//! [`crate::isa::ffn_program`]) command by command: every projection,
+//! `W_G`, `W_1` and `W_2` panel streams through the array in ≤ 64-column
+//! passes (Fig. 4) with bias and requantization on the drain path, each
+//! score tile is one pass against its zero-padded 64-row `K_i` tile
+//! ([`qk_plan`]), the softmax module runs between the score and context
+//! passes, and the LayerNorm module at the end. [`crate::PaperBackend`]
+//! and [`crate::TiledBackend`] both execute their command streams here.
+//! Outputs are bit-identical to [`quantized::QuantMhaResBlock::forward`]
+//! / [`quantized::QuantFfnResBlock::forward`] (asserted by tests): *the
+//! paper's dataflow, executed on the paper's array, computes the paper's
+//! datapath.*
+//!
+//! A pass runs on the analytic model or the register-true PE grid
+//! ([`Fidelity`]), optionally under a fault plan and an ABFT / golden
+//! checker ([`CheckMode`]). With neither, a weight panel runs on the
+//! sublayer's resident prepacked weights with the drain fused
+//! ([`QLinear::forward_cols`]) and its passes are booked in closed form.
 
 use faults::{abft, FaultPlan, Injector};
 use hwsim::cycles::Cycle;
+use quantized::layernorm::HwLayerNorm;
 use quantized::softmax::scaled_masked_softmax;
 use quantized::{QLinear, QuantFfnResBlock, QuantMhaResBlock};
-use tensor::Mat;
+use tensor::{gemm, Mat};
 
+use crate::isa::Command;
 use crate::partition::{qk_plan, PANEL_COLS};
 use crate::systolic::SystolicArray;
 
@@ -102,7 +113,7 @@ impl std::iter::Sum for EngineStats {
 }
 
 /// Result of executing a ResBlock on the array.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
     /// The block's INT8 output codes.
     pub out: Mat<i8>,
@@ -158,28 +169,12 @@ impl ArrayEngine {
         Self::with_fidelity(s_max, Fidelity::RegisterTrue)
     }
 
-    /// One GEMM pass through the PE grid, with bookkeeping. The fault
-    /// hooks are zero-cost when off: a fault-free engine takes the
-    /// first branch, which is byte-for-byte the pre-instrumentation
-    /// path.
+    /// One GEMM pass through the array, with bookkeeping: latch ABFT
+    /// checksums from the pristine operands, corrupt the resident weight
+    /// tile and drained accumulators per the fault plan, verify at
+    /// drain. With no plan and the checker off, every hook is a skipped
+    /// `None`.
     fn pass(&mut self, a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
-        if self.injector.is_none() && self.check == CheckMode::Off {
-            let sim = match self.fidelity {
-                Fidelity::RegisterTrue => self.sa.simulate(a, b),
-                Fidelity::Analytic => self.sa.simulate_analytic(a, b),
-            };
-            self.stats.gemm_passes += 1;
-            self.stats.macs += (a.rows() * a.cols() * b.cols()) as u64;
-            self.stats.isolated_cycles += sim.total;
-            return sim.out;
-        }
-        self.checked_pass(a, b)
-    }
-
-    /// The instrumented pass: latch ABFT checksums from the pristine
-    /// operands, corrupt the resident weight tile and drained
-    /// accumulators per the fault plan, verify at drain.
-    fn checked_pass(&mut self, a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
         // Checksums latch at tile *load*, before any fault can strike.
         let sums = (self.check != CheckMode::Off).then(|| abft::tile_checksums(a, b));
         let pass_idx = self.injector.as_mut().map(Injector::begin_pass);
@@ -211,7 +206,7 @@ impl ArrayEngine {
             // tile, as a hardware checker sharing the SRAM port would.
             let mut detected = !abft::verify(a, b_used, &out, sums).ok();
             if self.check == CheckMode::AbftGolden {
-                let golden = tensor::gemm::matmul_i8(a, b).expect("pass shapes");
+                let golden = gemm::matmul_i8(a, b).expect("pass shapes");
                 if golden != out && !detected {
                     self.stats.faults_escaped += 1;
                     detected = true;
@@ -221,163 +216,265 @@ impl ArrayEngine {
                 self.stats.faults_detected += 1;
             }
         }
-        self.stats.gemm_passes += 1;
-        self.stats.macs += (a.rows() * a.cols() * b.cols()) as u64;
-        self.stats.isolated_cycles += sim.total;
+        self.book(a.rows(), a.cols(), b.cols(), sim.total);
         out
     }
 
-    /// A full linear sublayer: every 64-column weight panel streamed
-    /// through the array, bias added and requantized on the drain path.
-    fn linear(&mut self, lin: &QLinear, x: &Mat<i8>) -> Mat<i8> {
-        let acc = self.linear_acc(lin, x);
-        Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-            lin.requantize_col(c, acc[(r, c)])
-        })
+    /// Whether nothing observes this engine's passes: no fault plan, the
+    /// checker off and the analytic model — the case where a pass may
+    /// skip the operand copies a checker or the PE grid needs.
+    fn unobserved(&self) -> bool {
+        self.injector.is_none()
+            && self.check == CheckMode::Off
+            && self.fidelity == Fidelity::Analytic
     }
 
-    /// Like [`ArrayEngine::linear`] but the raw accumulators (+bias) are
-    /// returned for a caller-owned drain transform (ReLU, residual...).
-    fn linear_acc(&mut self, lin: &QLinear, x: &Mat<i8>) -> Mat<i32> {
-        let panels = lin.weight_q().col_panels(PANEL_COLS);
-        let mut outs = Vec::with_capacity(panels.len());
-        let mut c0 = 0usize;
-        for panel in &panels {
-            let acc = self.pass(x, panel);
-            let bias = &lin.bias_q()[c0..c0 + panel.cols()];
-            outs.push(Mat::from_fn(acc.rows(), acc.cols(), |r, c| {
-                acc[(r, c)] + bias[c]
-            }));
-            c0 += panel.cols();
+    /// One pass whose `B` operand arrives transposed (`bt` is `n × k`),
+    /// as a score tile's `K_i` rows do: an unobserved pass multiplies
+    /// against the rows directly, any other transposes them into the
+    /// array's `k × n` operand.
+    fn pass_nt(&mut self, a: &Mat<i8>, bt: &Mat<i8>) -> Mat<i32> {
+        if !self.unobserved() {
+            return self.pass(a, &bt.transposed());
         }
+        let (m, k, n) = (a.rows(), a.cols(), bt.rows());
+        let (compute, drain) = self.sa.pass_timing(m, k, n);
+        self.book(m, k, n, compute + drain);
+        gemm::matmul_i8_nt(a, bt).expect("reduction depths match")
+    }
+
+    /// Books one `m × k × n` pass of `cycles` isolated cycles.
+    fn book(&mut self, m: usize, k: usize, n: usize, cycles: Cycle) {
+        self.stats.gemm_passes += 1;
+        self.stats.macs += (m * k * n) as u64;
+        self.stats.isolated_cycles += cycles;
+    }
+
+    /// `a · b` streamed through the array one ≤ 64-column panel of `b`
+    /// per pass.
+    fn stream(&mut self, a: &Mat<i8>, b: &Mat<i8>) -> Mat<i32> {
+        if b.cols() <= PANEL_COLS {
+            return self.pass(a, b);
+        }
+        let outs: Vec<Mat<i32>> = b
+            .col_panels(PANEL_COLS)
+            .iter()
+            .map(|panel| self.pass(a, panel))
+            .collect();
         Mat::hconcat(&outs).expect("panels share rows")
     }
 
-    /// `Q_i K_i^T` through the array, following the Section-III
-    /// padding/tiling plan.
-    fn qk(&mut self, qi: &Mat<i8>, ki: &Mat<i8>) -> Mat<i32> {
-        let s = ki.rows();
-        let plan = qk_plan(s);
-        let k_padded = if plan.padded_k_rows > s {
-            ki.padded(plan.padded_k_rows, ki.cols())
-        } else {
-            ki.clone()
-        };
-        let mut tiles = Vec::with_capacity(plan.tiles);
-        for t in 0..plan.tiles {
-            let r0 = t * PANEL_COLS;
-            let rows = PANEL_COLS.min(k_padded.rows() - r0);
-            let k_tile = k_padded
-                .submatrix(r0, 0, rows, k_padded.cols())
-                .expect("tile in range");
-            tiles.push(self.pass(qi, &k_tile.transposed()));
+    /// Output columns `c0 .. c0 + width` of a linear sublayer — the one
+    /// executor of every `Project*`, `OutputPanel`, `FfnHidden` and
+    /// `FfnOutput` command: the weight panel streams through the array
+    /// and bias and requantization run on the drain path.
+    fn panel(&mut self, lin: &QLinear, x: &Mat<i8>, c0: usize, width: usize) -> Mat<i8> {
+        if self.unobserved() {
+            // The resident prepacked weights with the fused drain, and
+            // the same ≤ 64-column passes booked in closed form.
+            let (m, k) = x.shape();
+            for w0 in (0..width).step_by(PANEL_COLS) {
+                let n = PANEL_COLS.min(width - w0);
+                let (compute, drain) = self.sa.pass_timing(m, k, n);
+                self.book(m, k, n, compute + drain);
+            }
+            return lin.forward_cols(x, c0, width);
         }
-        Mat::hconcat(&tiles)
-            .expect("tiles share rows")
-            .submatrix(0, 0, qi.rows(), s)
-            .expect("crop padding")
+        let w = lin.weight_q();
+        let w = w.submatrix(0, c0, w.rows(), width).expect("panel in range");
+        let acc = self.stream(x, &w);
+        let bias = &lin.bias_q()[c0..c0 + width];
+        Mat::from_fn(acc.rows(), width, |r, c| {
+            lin.requantize_col(c0 + c, acc[(r, c)] + bias[c])
+        })
     }
 
-    /// Executes the MHA ResBlock (Algorithm 1 lines 1–13) on the array.
+    /// The LayerNorm module over the residual sums `g`, where the
+    /// LayerNorm fault site fires.
+    fn layernorm(&mut self, ln: &HwLayerNorm, mut g: Mat<i32>) -> Mat<i8> {
+        if let Some(inj) = self.injector.as_mut() {
+            self.stats.faults_injected += inj.corrupt_layernorm(&mut g);
+        }
+        ln.forward(&g)
+    }
+
+    /// Closes a run: under [`CheckMode::AbftGolden`] the block output is
+    /// compared with the reference datapath on the same inputs — the
+    /// only checker that sees softmax/LayerNorm datapath faults, which
+    /// carry no checksum.
+    fn finish(&mut self, out: Option<Mat<i8>>, reference: impl FnOnce() -> Mat<i8>) -> EngineRun {
+        let out = out.expect("program must end with LayerNorm");
+        if self.check == CheckMode::AbftGolden && reference() != out {
+            self.stats.faults_detected += 1;
+        }
+        EngineRun {
+            out,
+            stats: self.stats,
+        }
+    }
+
+    /// Executes an MHA program ([`crate::isa::mha_program`], Algorithm 1
+    /// lines 1–13) against a quantized block, command by command.
     ///
     /// # Panics
     ///
-    /// Panics if the inputs exceed the array's rows.
-    pub fn execute_mha(
+    /// Panics if `xq` or `xkv` has no rows or more rows than the array,
+    /// or on a malformed program (commands out of Algorithm-1 order, or
+    /// not MHA commands).
+    pub fn run_mha(
         &mut self,
+        program: &[Command],
         block: &QuantMhaResBlock,
         xq: &Mat<i8>,
         xkv: &Mat<i8>,
         mask: Option<&Mat<bool>>,
     ) -> EngineRun {
         self.stats = EngineStats::default();
-        let (wq, wk, wv, wo) = block.projections();
         let d_k = block.d_k();
-        // Lines 3-4 + line 6: the three projections (panel per head).
-        let q = self.linear(wq, xq);
-        let k = self.linear(wk, xkv);
-        let v = self.linear(wv, xkv);
-        // Lines 5-7, per head: scores -> softmax module -> context.
-        let mut p_panels = Vec::with_capacity(block.heads());
-        for i in 0..block.heads() {
-            let c0 = i * d_k;
-            let qi = q.submatrix(0, c0, q.rows(), d_k).expect("panel");
-            let ki = k.submatrix(0, c0, k.rows(), d_k).expect("panel");
-            let vi = v.submatrix(0, c0, v.rows(), d_k).expect("panel");
-            let d = self.qk(&qi, &ki);
-            let mut probs =
-                scaled_masked_softmax(&d, block.d_scale(), d_k, mask, block.softmax_mode());
-            if let Some(inj) = self.injector.as_mut() {
-                self.stats.faults_injected += inj.corrupt_softmax(&mut probs);
+        let h = block.heads();
+        let s_kv = xkv.rows();
+        let (wq, wk, wv, wo) = block.projections();
+        let plan = qk_plan(s_kv);
+        let mut q: Vec<Option<Mat<i8>>> = vec![None; h];
+        let mut k: Vec<Option<Mat<i8>>> = vec![None; h];
+        let mut v: Vec<Option<Mat<i8>>> = vec![None; h];
+        let mut scores: Vec<Option<Mat<i32>>> = vec![None; h];
+        let mut probs: Vec<Option<Mat<i8>>> = vec![None; h];
+        // P is assembled in place as each head's Context lands; every
+        // OutputPanel then streams the one shared matrix.
+        let mut p = Mat::<i8>::zeros(xq.rows(), h * d_k);
+        let mut ctx_done = vec![false; h];
+        let mut g = Mat::<i32>::zeros(xq.rows(), h * d_k);
+        let mut out = None;
+
+        for cmd in program {
+            match *cmd {
+                Command::ProjectQ { head } => {
+                    q[head] = Some(self.panel(wq, xq, head * d_k, d_k));
+                }
+                Command::ProjectK { head } => {
+                    k[head] = Some(self.panel(wk, xkv, head * d_k, d_k));
+                }
+                Command::ProjectV { head } => {
+                    v[head] = Some(self.panel(wv, xkv, head * d_k, d_k));
+                }
+                Command::ScoreTile { head, tile } => {
+                    assert!(tile < plan.tiles, "tile out of plan");
+                    let qi = q[head].as_ref().expect("ProjectQ before ScoreTile");
+                    let ki = k[head].as_ref().expect("ProjectK before ScoreTile");
+                    // Rows `r0..` of K_i, zero-padded to the plan's rows,
+                    // are this tile's B, transposed.
+                    let r0 = tile * PANEL_COLS;
+                    let n = PANEL_COLS.min(plan.padded_k_rows - r0);
+                    let kept = n.min(s_kv - r0);
+                    let mut k_tile = ki.submatrix(r0, 0, kept, d_k).expect("tile in plan");
+                    if kept < n {
+                        k_tile = k_tile.padded(n, d_k);
+                    }
+                    let acc = self.pass_nt(qi, &k_tile);
+                    // Padding columns are zero products, cropped here.
+                    let d = scores[head].get_or_insert_with(|| Mat::zeros(qi.rows(), s_kv));
+                    for r in 0..acc.rows() {
+                        d.row_mut(r)[r0..r0 + kept].copy_from_slice(&acc.row(r)[..kept]);
+                    }
+                }
+                Command::Softmax { head } => {
+                    let d = scores[head].as_ref().expect("ScoreTile before Softmax");
+                    let mut pr =
+                        scaled_masked_softmax(d, block.d_scale(), d_k, mask, block.softmax_mode());
+                    if let Some(inj) = self.injector.as_mut() {
+                        self.stats.faults_injected += inj.corrupt_softmax(&mut pr);
+                    }
+                    probs[head] = Some(pr);
+                }
+                Command::Context { head } => {
+                    let pr = probs[head].as_ref().expect("Softmax before Context");
+                    let vi = v[head].as_ref().expect("ProjectV before Context");
+                    let acc = self.stream(pr, vi);
+                    for r in 0..p.rows() {
+                        let dst = &mut p.row_mut(r)[head * d_k..(head + 1) * d_k];
+                        block.requantize_p_into(acc.row(r), dst);
+                    }
+                    ctx_done[head] = true;
+                }
+                Command::OutputPanel { panel } => {
+                    assert!(
+                        ctx_done.iter().all(|&done| done),
+                        "all Contexts before OutputPanel"
+                    );
+                    let c0 = panel * d_k;
+                    let g_cols = self.panel(wo, &p, c0, d_k);
+                    for r in 0..g.rows() {
+                        for c in 0..d_k {
+                            g[(r, c0 + c)] = g_cols[(r, c)] as i32 + xq[(r, c0 + c)] as i32;
+                        }
+                    }
+                }
+                Command::LayerNorm => {
+                    out = Some(self.layernorm(block.layernorm(), std::mem::take(&mut g)));
+                }
+                other => panic!("command {other:?} is not part of an MHA program"),
             }
-            let p_acc = self.pass(&probs, &vi);
-            p_panels.push(block.requantize_p_panel(&p_acc));
         }
-        let p = Mat::hconcat(&p_panels).expect("heads share rows");
-        // Lines 9-11: G = P·W_G + bias (+ residual), panel per head.
-        let g_codes = self.linear(wo, &p);
-        let mut g = Mat::from_fn(g_codes.rows(), g_codes.cols(), |r, c| {
-            g_codes[(r, c)] as i32 + xq[(r, c)] as i32
-        });
-        if let Some(inj) = self.injector.as_mut() {
-            self.stats.faults_injected += inj.corrupt_layernorm(&mut g);
-        }
-        // Line 12: the LayerNorm module.
-        let out = block.layernorm().forward(&g);
-        // The golden cross-check re-runs the reference datapath on the
-        // same inputs — the only checker that sees softmax/LayerNorm
-        // datapath faults, which carry no checksum.
-        if self.check == CheckMode::AbftGolden {
-            let (want, _) = block.forward(xq, xkv, mask);
-            if want != out {
-                self.stats.faults_detected += 1;
-            }
-        }
-        EngineRun {
-            out,
-            stats: self.stats,
-        }
+        self.finish(out, || block.forward(xq, xkv, mask).0)
     }
 
-    /// Executes the FFN ResBlock (Algorithm 1 lines 14–22) on the array.
+    /// Executes an FFN program ([`crate::isa::ffn_program`], Algorithm 1
+    /// lines 14–22) against a quantized block, command by command.
     ///
     /// # Panics
     ///
-    /// Panics if the input exceeds the array's rows.
-    pub fn execute_ffn(&mut self, block: &QuantFfnResBlock, x: &Mat<i8>) -> EngineRun {
+    /// Panics if `x` has no rows or more rows than the array, or on a
+    /// malformed program.
+    pub fn run_ffn(
+        &mut self,
+        program: &[Command],
+        block: &QuantFfnResBlock,
+        x: &Mat<i8>,
+    ) -> EngineRun {
         self.stats = EngineStats::default();
         let (w1, w2) = block.sublayers();
-        // Lines 15-17: P_i = ReLU(X W_1i + b_1i), ReLU fused on drain.
-        let hidden_acc = self.linear_acc(w1, x);
-        let hidden = Mat::from_fn(hidden_acc.rows(), hidden_acc.cols(), |r, c| {
-            w1.requantize_col(c, hidden_acc[(r, c)]).max(0)
-        });
-        // Lines 18-20: G_i = P W_2i + b_2i + X_i.
-        let g_codes = self.linear(w2, &hidden);
-        let mut g = Mat::from_fn(g_codes.rows(), g_codes.cols(), |r, c| {
-            g_codes[(r, c)] as i32 + x[(r, c)] as i32
-        });
-        if let Some(inj) = self.injector.as_mut() {
-            self.stats.faults_injected += inj.corrupt_layernorm(&mut g);
-        }
-        // Line 21.
-        let out = block.layernorm().forward(&g);
-        if self.check == CheckMode::AbftGolden {
-            let (want, _) = block.forward(x);
-            if want != out {
-                self.stats.faults_detected += 1;
+        let d_ff = w1.weight_q().cols();
+        let d_model = w2.weight_q().cols();
+        let mut hidden = Mat::<i8>::zeros(x.rows(), d_ff);
+        let mut g = Mat::<i32>::zeros(x.rows(), d_model);
+        let mut out = None;
+        for cmd in program {
+            match *cmd {
+                Command::FfnHidden { panel } => {
+                    let c0 = panel * PANEL_COLS;
+                    let width = PANEL_COLS.min(d_ff - c0);
+                    let cols = self.panel(w1, x, c0, width);
+                    for r in 0..hidden.rows() {
+                        for c in 0..width {
+                            hidden[(r, c0 + c)] = cols[(r, c)].max(0); // fused ReLU
+                        }
+                    }
+                }
+                Command::FfnOutput { panel } => {
+                    let c0 = panel * PANEL_COLS;
+                    let width = PANEL_COLS.min(d_model - c0);
+                    let cols = self.panel(w2, &hidden, c0, width);
+                    for r in 0..g.rows() {
+                        for c in 0..width {
+                            g[(r, c0 + c)] = cols[(r, c)] as i32 + x[(r, c0 + c)] as i32;
+                        }
+                    }
+                }
+                Command::LayerNorm => {
+                    out = Some(self.layernorm(block.layernorm(), std::mem::take(&mut g)));
+                }
+                other => panic!("command {other:?} is not part of an FFN program"),
             }
         }
-        EngineRun {
-            out,
-            stats: self.stats,
-        }
+        self.finish(out, || block.forward(x).0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{ffn_program, mha_program};
     use quantized::SoftmaxMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -399,13 +496,32 @@ mod tests {
         (qmha, qffn, codes)
     }
 
+    /// Runs the MHA program at `xkv`'s length.
+    fn mha(
+        engine: &mut ArrayEngine,
+        block: &QuantMhaResBlock,
+        xq: &Mat<i8>,
+        xkv: &Mat<i8>,
+        mask: Option<&Mat<bool>>,
+    ) -> EngineRun {
+        let program = mha_program(block.heads(), xkv.rows());
+        engine.run_mha(&program, block, xq, xkv, mask)
+    }
+
+    /// Runs the FFN program of the block's shape.
+    fn ffn(engine: &mut ArrayEngine, block: &QuantFfnResBlock, x: &Mat<i8>) -> EngineRun {
+        let (w1, w2) = block.sublayers();
+        let program = ffn_program(w2.weight_q().cols(), w1.weight_q().cols());
+        engine.run_ffn(&program, block, x)
+    }
+
     #[test]
     fn mha_execution_is_bit_identical_to_datapath() {
         let (qmha, _, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
         for xq in &codes {
             let (want, _) = qmha.forward(xq, xq, None);
-            let run = engine.execute_mha(&qmha, xq, xq, None);
+            let run = mha(&mut engine, &qmha, xq, xq, None);
             assert_eq!(run.out, want);
         }
     }
@@ -416,7 +532,7 @@ mod tests {
         let mut engine = ArrayEngine::new(8);
         let mask = tensor::ops::causal_mask(8);
         let (want, _) = qmha.forward(&codes[0], &codes[0], Some(&mask));
-        let run = engine.execute_mha(&qmha, &codes[0], &codes[0], Some(&mask));
+        let run = mha(&mut engine, &qmha, &codes[0], &codes[0], Some(&mask));
         assert_eq!(run.out, want);
     }
 
@@ -430,20 +546,20 @@ mod tests {
             let x = tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0);
             let xq = qffn.quantize_input(&x);
             let (want, _) = qffn.forward(&xq);
-            let run = engine.execute_ffn(&qffn, &xq);
+            let run = ffn(&mut engine, &qffn, &xq);
             assert_eq!(run.out, want);
         }
     }
 
     #[test]
     fn mha_pass_count_matches_algorithm1() {
-        // tiny config: h = 4 heads, d_model = 32 -> each projection has
-        // ceil(32/64) = 1 panel; per head: QK^T 1 tile + PV 1; W_G 1
-        // panel. passes = 3 proj + h*(1+1) + 1 = 12.
+        // tiny config: h = 4 heads, d_k = 8 -> per head one d_k-wide
+        // panel each of W_Q, W_K, W_V and W_G, one QK^T tile and one PV
+        // pass. passes = h * (3 + 1 + 1 + 1) = 24.
         let (qmha, _, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
-        let run = engine.execute_mha(&qmha, &codes[0], &codes[0], None);
-        assert_eq!(run.stats.gemm_passes, 3 + 4 * 2 + 1);
+        let run = mha(&mut engine, &qmha, &codes[0], &codes[0], None);
+        assert_eq!(run.stats.gemm_passes, 4 * 6);
         assert!(run.stats.macs > 0);
         assert!(run.stats.isolated_cycles.get() > 0);
     }
@@ -453,7 +569,7 @@ mod tests {
         // d_ff = 64 -> 1 W1 panel; d_model = 32 -> 1 W2 panel.
         let (_, qffn, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
-        let run = engine.execute_ffn(&qffn, &codes[0]);
+        let run = ffn(&mut engine, &qffn, &codes[0]);
         assert_eq!(run.stats.gemm_passes, 2);
     }
 
@@ -463,7 +579,7 @@ mod tests {
         let mut engine = ArrayEngine::new(8);
         let xq = codes[0].submatrix(0, 0, 3, codes[0].cols()).unwrap();
         let (want, _) = qmha.forward(&xq, &codes[1], None);
-        let run = engine.execute_mha(&qmha, &xq, &codes[1], None);
+        let run = mha(&mut engine, &qmha, &xq, &codes[1], None);
         assert_eq!(run.out, want);
     }
 
@@ -482,8 +598,8 @@ mod tests {
             for xq in &codes {
                 let x = xq.submatrix(0, 0, s, xq.cols()).unwrap();
                 for mask in [None, Some(&mask)] {
-                    let a = fast.execute_mha(&qmha, &x, &x, mask);
-                    let b = slow.execute_mha(&qmha, &x, &x, mask);
+                    let a = mha(&mut fast, &qmha, &x, &x, mask);
+                    let b = mha(&mut slow, &qmha, &x, &x, mask);
                     assert_eq!(a.out, b.out, "s={s}");
                     assert_eq!(a.stats, b.stats, "s={s}");
                 }
@@ -499,8 +615,8 @@ mod tests {
             let mut slow = ArrayEngine::with_fidelity(8, Fidelity::RegisterTrue);
             for xq in &codes {
                 let x = xq.submatrix(0, 0, s, xq.cols()).unwrap();
-                let a = fast.execute_ffn(&qffn, &x);
-                let b = slow.execute_ffn(&qffn, &x);
+                let a = ffn(&mut fast, &qffn, &x);
+                let b = ffn(&mut slow, &qffn, &x);
                 assert_eq!(a.out, b.out, "s={s}");
                 assert_eq!(a.stats, b.stats, "s={s}");
             }
@@ -511,8 +627,8 @@ mod tests {
     fn stats_merge_and_sum_aggregate_batches() {
         let (qmha, qffn, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
-        let a = engine.execute_mha(&qmha, &codes[0], &codes[0], None).stats;
-        let b = engine.execute_ffn(&qffn, &codes[1]).stats;
+        let a = mha(&mut engine, &qmha, &codes[0], &codes[0], None).stats;
+        let b = ffn(&mut engine, &qffn, &codes[1]).stats;
         let mut merged = a;
         merged.merge(&b);
         assert_eq!(merged.gemm_passes, a.gemm_passes + b.gemm_passes);
@@ -535,8 +651,8 @@ mod tests {
             .with_fault_plan(faults::FaultPlan::empty())
             .with_check_mode(CheckMode::AbftGolden);
         for xq in &codes {
-            let a = plain.execute_mha(&qmha, xq, xq, None);
-            let b = checked.execute_mha(&qmha, xq, xq, None);
+            let a = mha(&mut plain, &qmha, xq, xq, None);
+            let b = mha(&mut checked, &qmha, xq, xq, None);
             assert_eq!(a.out, b.out);
             assert_eq!(a.stats.gemm_passes, b.stats.gemm_passes);
             assert_eq!(a.stats.macs, b.stats.macs);
@@ -545,8 +661,8 @@ mod tests {
             assert_eq!(b.stats.faults_injected, 0);
             assert_eq!(b.stats.faults_detected, 0);
             assert_eq!(b.stats.faults_escaped, 0);
-            let f = plain.execute_ffn(&qffn, xq);
-            let g = checked.execute_ffn(&qffn, xq);
+            let f = ffn(&mut plain, &qffn, xq);
+            let g = ffn(&mut checked, &qffn, xq);
             assert_eq!(f.out, g.out);
             assert_eq!(g.stats.faults_detected, 0);
         }
@@ -565,18 +681,18 @@ mod tests {
             kind: FaultKind::BitFlip { bit: 6 },
         }]);
         let mut pristine = ArrayEngine::new(8);
-        let want = pristine.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let want = mha(&mut pristine, &qmha, &codes[0], &codes[0], None);
         let mut faulty = ArrayEngine::new(8)
             .with_fault_plan(plan)
             .with_check_mode(CheckMode::Abft);
-        let run = faulty.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let run = mha(&mut faulty, &qmha, &codes[0], &codes[0], None);
         assert_eq!(run.stats.faults_injected, 1);
         assert!(run.stats.faults_detected >= 1, "ABFT must flag the tile");
         assert_eq!(run.stats.faults_escaped, 0);
         assert_ne!(run.out, want.out, "the flip corrupts the block output");
         // The next run re-uses the engine: pass indices have advanced
         // past the plan, so the fault never refires (one-shot SEU).
-        let clean = faulty.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let clean = mha(&mut faulty, &qmha, &codes[0], &codes[0], None);
         assert_eq!(clean.out, want.out);
         assert_eq!(clean.stats.faults_detected, 0);
     }
@@ -594,11 +710,11 @@ mod tests {
             kind: FaultKind::BitFlip { bit: 20 },
         }]);
         let mut pristine = ArrayEngine::new(8);
-        let want = pristine.execute_ffn(&qffn, &codes[0]);
+        let want = ffn(&mut pristine, &qffn, &codes[0]);
         let mut faulty = ArrayEngine::new(8)
             .with_fault_plan(plan)
             .with_check_mode(CheckMode::Abft);
-        let run = faulty.execute_ffn(&qffn, &codes[0]);
+        let run = ffn(&mut faulty, &qffn, &codes[0]);
         assert_eq!(run.stats.faults_injected, 1);
         assert!(run.stats.faults_detected >= 1);
         assert_ne!(run.out, want.out);
@@ -617,13 +733,13 @@ mod tests {
             kind: FaultKind::BitFlip { bit: 6 },
         }]);
         let mut pristine = ArrayEngine::new(8);
-        let want = pristine.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let want = mha(&mut pristine, &qmha, &codes[0], &codes[0], None);
         // ABFT alone: the corrupted probabilities *are* the stream the
         // checksums latch from, so the context pass verifies clean.
         let mut abft_only = ArrayEngine::new(8)
             .with_fault_plan(plan.clone())
             .with_check_mode(CheckMode::Abft);
-        let run = abft_only.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let run = mha(&mut abft_only, &qmha, &codes[0], &codes[0], None);
         assert_eq!(run.stats.faults_injected, 1);
         assert_eq!(
             run.stats.faults_detected, 0,
@@ -635,7 +751,7 @@ mod tests {
         let mut golden = ArrayEngine::new(8)
             .with_fault_plan(plan)
             .with_check_mode(CheckMode::AbftGolden);
-        let run = golden.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let run = mha(&mut golden, &qmha, &codes[0], &codes[0], None);
         assert!(run.stats.faults_detected >= 1);
     }
 
@@ -654,7 +770,7 @@ mod tests {
         let mut engine = ArrayEngine::new(8)
             .with_fault_plan(plan)
             .with_check_mode(CheckMode::AbftGolden);
-        let run = engine.execute_ffn(&qffn, &codes[0]);
+        let run = ffn(&mut engine, &qffn, &codes[0]);
         assert_eq!(run.stats.faults_injected, 1);
         assert!(run.stats.faults_detected >= 1);
     }
@@ -667,7 +783,7 @@ mod tests {
         let (qmha, _, codes) = setup(8);
         let space = FaultSpace {
             index_lo: 0,
-            index_hi: 12,
+            index_hi: 24,
             rows: 8,
             cols: 8,
             classes: vec![
@@ -683,8 +799,8 @@ mod tests {
         let mut slow = ArrayEngine::with_fidelity(8, Fidelity::RegisterTrue)
             .with_fault_plan(plan)
             .with_check_mode(CheckMode::Abft);
-        let a = fast.execute_mha(&qmha, &codes[0], &codes[0], None);
-        let b = slow.execute_mha(&qmha, &codes[0], &codes[0], None);
+        let a = mha(&mut fast, &qmha, &codes[0], &codes[0], None);
+        let b = mha(&mut slow, &qmha, &codes[0], &codes[0], None);
         assert_eq!(a.out, b.out);
         assert_eq!(a.stats, b.stats);
     }
@@ -693,8 +809,8 @@ mod tests {
     fn stats_reset_between_runs() {
         let (qmha, _, codes) = setup(8);
         let mut engine = ArrayEngine::new(8);
-        let a = engine.execute_mha(&qmha, &codes[0], &codes[0], None);
-        let b = engine.execute_mha(&qmha, &codes[1], &codes[1], None);
+        let a = mha(&mut engine, &qmha, &codes[0], &codes[0], None);
+        let b = mha(&mut engine, &qmha, &codes[1], &codes[1], None);
         assert_eq!(a.stats.gemm_passes, b.stats.gemm_passes);
         assert_eq!(a.stats.macs, b.stats.macs);
     }

@@ -4,14 +4,15 @@
 //!
 //! A real implementation of the paper's design has a small control unit
 //! stepping through a static schedule; this module makes that program
-//! first-class and gives it one interpreter per semantics:
+//! first-class and gives it its two semantics:
 //!
 //! * [`mha_program`] / [`ffn_program`] — the instruction list for one
 //!   ResBlock, lowered from the operator graph;
-//! * the **bit-exact interpreter** (`execute_mha` / `execute_ffn`,
-//!   reached through [`crate::backend::Backend::run_mha`] /
-//!   [`crate::backend::Backend::run_ffn`]) driving the quantized
-//!   datapath command by command (outputs equal
+//! * the **bit-exact interpreter**,
+//!   [`crate::engine::ArrayEngine::run_mha`] /
+//!   [`crate::engine::ArrayEngine::run_ffn`], which every backend that
+//!   executes the stream calls: it runs each GEMM command as passes
+//!   through the systolic array (outputs equal
 //!   [`quantized::QuantMhaResBlock::forward`] exactly);
 //! * the **timing walk** behind [`schedule_program`] and every
 //!   [`crate::scheduler`] report — the *only* schedule: Algorithm 1's
@@ -24,14 +25,11 @@
 
 use hwsim::cycles::Cycle;
 use hwsim::timeline::{EventId, Timeline, UnitId};
-use quantized::softmax::scaled_masked_softmax;
-use quantized::{QuantFfnResBlock, QuantMhaResBlock};
 use serde::Serialize;
-use tensor::{gemm, Mat};
 
 use crate::config::AccelConfig;
 use crate::layernorm_module;
-use crate::partition::{qk_plan, PANEL_COLS};
+use crate::partition::PANEL_COLS;
 use crate::softmax_module;
 
 /// One command of the static schedule.
@@ -113,143 +111,6 @@ pub fn ffn_program(d_model: usize, d_ff: usize) -> Vec<Command> {
         h: 1,
     });
     crate::exec::lower_ffn(&g)
-}
-
-/// Bit-exact execution of [`mha_program`] against a quantized block.
-///
-/// # Panics
-///
-/// Panics on malformed programs (commands out of Algorithm-1 order).
-pub(crate) fn execute_mha(
-    program: &[Command],
-    block: &QuantMhaResBlock,
-    xq: &Mat<i8>,
-    xkv: &Mat<i8>,
-    mask: Option<&Mat<bool>>,
-) -> Mat<i8> {
-    let d_k = block.d_k();
-    let h = block.heads();
-    let (wq, wk, wv, wo) = block.projections();
-    let mut q: Vec<Option<Mat<i8>>> = vec![None; h];
-    let mut k: Vec<Option<Mat<i8>>> = vec![None; h];
-    let mut v: Vec<Option<Mat<i8>>> = vec![None; h];
-    let mut scores: Vec<Option<Mat<i32>>> = vec![None; h];
-    let mut probs: Vec<Option<Mat<i8>>> = vec![None; h];
-    // P is assembled in place as each head's Context lands; every
-    // OutputPanel then streams the one shared matrix.
-    let mut p = Mat::<i8>::zeros(xq.rows(), h * d_k);
-    let mut ctx_done = vec![false; h];
-    let mut g: Mat<i32> = Mat::zeros(xq.rows(), wq.weight_q().cols());
-    let mut ln_out: Option<Mat<i8>> = None;
-    let score_tiles = qk_plan(xkv.rows()).tiles;
-
-    for cmd in program {
-        match *cmd {
-            Command::ProjectQ { head } => {
-                q[head] = Some(wq.forward_cols(xq, head * d_k, d_k));
-            }
-            Command::ProjectK { head } => {
-                k[head] = Some(wk.forward_cols(xkv, head * d_k, d_k));
-            }
-            Command::ProjectV { head } => {
-                v[head] = Some(wv.forward_cols(xkv, head * d_k, d_k));
-            }
-            Command::ScoreTile { head, tile } => {
-                // tiles are produced in order; compute the whole score
-                // matrix on the first tile (the engine-level tiling is
-                // exercised in crate::engine; here we keep the
-                // command-stream semantics minimal).
-                if tile == 0 {
-                    let qi = q[head].as_ref().expect("ProjectQ before ScoreTile");
-                    let ki = k[head].as_ref().expect("ProjectK before ScoreTile");
-                    scores[head] = Some(crate::partition::qk_matmul_i8(qi, ki).expect("shapes"));
-                } else {
-                    assert!(tile < score_tiles, "tile out of plan");
-                }
-            }
-            Command::Softmax { head } => {
-                let d = scores[head].as_ref().expect("ScoreTile before Softmax");
-                probs[head] = Some(scaled_masked_softmax(
-                    d,
-                    block.d_scale(),
-                    d_k,
-                    mask,
-                    block.softmax_mode(),
-                ));
-            }
-            Command::Context { head } => {
-                let pr = probs[head].as_ref().expect("Softmax before Context");
-                let vi = v[head].as_ref().expect("ProjectV before Context");
-                let acc = gemm::matmul_i8(pr, vi).expect("shapes");
-                for r in 0..p.rows() {
-                    let dst = &mut p.row_mut(r)[head * d_k..(head + 1) * d_k];
-                    block.requantize_p_into(acc.row(r), dst);
-                }
-                ctx_done[head] = true;
-            }
-            Command::OutputPanel { panel } => {
-                assert!(
-                    ctx_done.iter().all(|&done| done),
-                    "all Contexts before OutputPanel"
-                );
-                let c0 = panel * d_k;
-                let g_cols = wo.forward_cols(&p, c0, d_k);
-                for r in 0..g.rows() {
-                    for c in 0..d_k {
-                        g[(r, c0 + c)] = g_cols[(r, c)] as i32 + xq[(r, c0 + c)] as i32;
-                    }
-                }
-            }
-            Command::LayerNorm => {
-                ln_out = Some(block.layernorm().forward(&g));
-            }
-            other => panic!("command {other:?} is not part of an MHA program"),
-        }
-    }
-    ln_out.expect("program must end with LayerNorm")
-}
-
-/// Bit-exact execution of [`ffn_program`] against a quantized block.
-///
-/// # Panics
-///
-/// Panics on malformed programs.
-pub(crate) fn execute_ffn(program: &[Command], block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
-    let (w1, w2) = block.sublayers();
-    let d_ff = w1.weight_q().cols();
-    let d_model = w2.weight_q().cols();
-    let mut hidden = Mat::<i8>::zeros(x.rows(), d_ff);
-    let mut g = Mat::<i32>::zeros(x.rows(), d_model);
-    let mut ln_out: Option<Mat<i8>> = None;
-    for cmd in program {
-        match *cmd {
-            Command::FfnHidden { panel } => {
-                let c0 = panel * PANEL_COLS;
-                let width = PANEL_COLS.min(d_ff - c0);
-                let cols = w1.forward_cols(x, c0, width);
-                for r in 0..hidden.rows() {
-                    for c in 0..width {
-                        hidden[(r, c0 + c)] = cols[(r, c)].max(0); // fused ReLU
-                    }
-                }
-            }
-            Command::FfnOutput { panel } => {
-                let c0 = panel * PANEL_COLS;
-                let width = PANEL_COLS.min(d_model - c0);
-                let cols = w2.forward_cols(&hidden, c0, width);
-                for r in 0..g.rows() {
-                    for c in 0..width {
-                        g[(r, c0 + c)] = cols[(r, c)] as i32 + x[(r, c0 + c)] as i32;
-                    }
-                }
-            }
-            Command::LayerNorm => {
-                ln_out = Some(block.layernorm().forward(&g));
-            }
-            other => panic!("command {other:?} is not part of an FFN program"),
-        }
-    }
-    ln_out.expect("program must end with LayerNorm")
 }
 
 /// The one Algorithm-1 timing walk: maps every command onto the
@@ -368,9 +229,11 @@ pub fn schedule_program(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quantized::SoftmaxMode;
+    use crate::engine::ArrayEngine;
+    use quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tensor::{gemm, Mat};
     use transformer::config::ModelConfig;
     use transformer::ffn::FfnResBlock;
     use transformer::mha::MhaResBlock;
@@ -402,9 +265,10 @@ mod tests {
     }
 
     /// The interpreter's panel GEMM as it was before panels ran against
-    /// the resident prepacked weights, frozen as the reference: copy the
-    /// `k x width` weight panel out, re-pack and multiply it, then bias
-    /// and requantize element by element.
+    /// the resident prepacked weights, frozen as the reference for the
+    /// engine's unchecked fast path: copy the `k x width` weight panel
+    /// out, re-pack and multiply it, then bias and requantize element by
+    /// element.
     fn linear_cols_reference(
         lin: &quantized::QLinear,
         x: &Mat<i8>,
@@ -466,7 +330,8 @@ mod tests {
     fn ragged_ffn_execution_is_bit_identical_to_the_datapath() {
         let cfg = ragged_cfg();
         let (_, qffn, xq) = blocks(&cfg, 8);
-        let got = execute_ffn(&ffn_program(cfg.d_model, cfg.d_ff), &qffn, &xq);
+        let program = ffn_program(cfg.d_model, cfg.d_ff);
+        let got = ArrayEngine::new(8).run_ffn(&program, &qffn, &xq).out;
         assert_eq!(got, qffn.forward(&xq).0);
     }
 
@@ -496,7 +361,9 @@ mod tests {
         ] {
             let (qmha, _, xq) = blocks(&cfg, 8);
             let program = mha_program(cfg.h, 8);
-            let got = execute_mha(&program, &qmha, &xq, &xq, None);
+            let got = ArrayEngine::new(8)
+                .run_mha(&program, &qmha, &xq, &xq, None)
+                .out;
             let (want, _) = qmha.forward(&xq, &xq, None);
             assert_eq!(got, want, "{}", cfg.name);
         }
@@ -508,7 +375,9 @@ mod tests {
         let (qmha, _, xq) = blocks(&cfg, 8);
         let mask = tensor::ops::causal_mask(8);
         let program = mha_program(cfg.h, 8);
-        let got = execute_mha(&program, &qmha, &xq, &xq, Some(&mask));
+        let got = ArrayEngine::new(8)
+            .run_mha(&program, &qmha, &xq, &xq, Some(&mask))
+            .out;
         let (want, _) = qmha.forward(&xq, &xq, Some(&mask));
         assert_eq!(got, want);
     }
@@ -520,7 +389,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF0);
         let x = qffn.quantize_input(&tensor::init::normal(&mut rng, 8, cfg.d_model, 1.0));
         let program = ffn_program(cfg.d_model, cfg.d_ff);
-        let got = execute_ffn(&program, &qffn, &x);
+        let got = ArrayEngine::new(8).run_ffn(&program, &qffn, &x).out;
         let (want, _) = qffn.forward(&x);
         assert_eq!(got, want);
     }
@@ -530,6 +399,7 @@ mod tests {
     fn ffn_commands_rejected_in_mha_execution() {
         let cfg = ModelConfig::tiny_for_tests();
         let (qmha, _, xq) = blocks(&cfg, 8);
-        let _ = execute_mha(&[Command::FfnHidden { panel: 0 }], &qmha, &xq, &xq, None);
+        let program = [Command::FfnHidden { panel: 0 }];
+        let _ = ArrayEngine::new(8).run_mha(&program, &qmha, &xq, &xq, None);
     }
 }

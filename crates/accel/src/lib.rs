@@ -13,38 +13,35 @@
 //! * [`layernorm_module`] — the Fig. 7 latency-optimised LayerNorm
 //!   timing in all three published variants;
 //! * [`exec`] / [`isa`] — Algorithm 1 as data: the ResBlock operator
-//!   graphs lowered to a command stream, its bit-exact interpreter and
-//!   the one timing walk that places each command on the SA / drain /
-//!   Softmax / LayerNorm units, with the paper's two overlap
-//!   optimisations as toggleable policies;
+//!   graphs lowered to a command stream and the one timing walk that
+//!   places each command on the SA / drain / Softmax / LayerNorm units,
+//!   with the paper's two overlap optimisations as toggleable policies;
+//! * [`engine`] — the one bit-exact interpreter of that stream: every
+//!   GEMM command runs as passes through the array (analytic or
+//!   register-true PE grid), with the ABFT and fault-injection seams;
 //! * [`scheduler`] — [`ScheduleReport`]s (cycles, SA utilization,
 //!   Gantt timeline) read off that walk for the MHA and FFN ResBlocks;
 //! * [`backend`] — the [`Backend`] trait, the public way to lower and
 //!   run a ResBlock; [`PaperBackend`] is this paper's design, beside the
 //!   tiled and block-circulant alternatives;
-//! * [`engine`] — the register-true PE-grid reference with the ABFT and
-//!   fault-injection seams, kept independent of the interpreter so the
-//!   two can be compared;
 //! * [`area`] — a parametric LUT/FF/BRAM/DSP model calibrated to the
 //!   paper's Table II, plus the 16.7 W power point;
-//! * [`analysis`] — Eq. (3) and MAC/parameter counting;
-//! * [`top`] — the [`Accelerator`] facade: loaded weights and length
-//!   checks over [`PaperBackend`].
+//! * [`analysis`] — Eq. (3) and MAC/parameter counting.
 //!
 //! # Example
 //!
 //! ```
-//! use accel::{AccelConfig, Accelerator};
-//! use transformer::config::ModelConfig;
+//! use accel::area::{estimate_power, AreaModel};
+//! use accel::{scheduler, AccelConfig};
 //!
 //! let cfg = AccelConfig::paper_default(); // Transformer-base, s = 64
-//! let accel = Accelerator::new(cfg);
-//! let mha = accel.schedule_mha();
-//! let ffn = accel.schedule_ffn();
+//! let mha = scheduler::schedule_mha(&cfg);
+//! let ffn = scheduler::schedule_ffn(&cfg);
 //! // Paper: 21,344 and 42,099 cycles; the model is within ~15%.
 //! assert!((mha.cycles.get() as f64 - 21_344.0).abs() / 21_344.0 < 0.15);
 //! assert!((ffn.cycles.get() as f64 - 42_099.0).abs() / 42_099.0 < 0.20);
-//! let _ = ModelConfig::transformer_base();
+//! let power = estimate_power(&AreaModel::new(cfg.clone()), &cfg);
+//! assert!((power.total_w() - 16.7).abs() < 0.1); // Table II: 16.7 W
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,7 +67,6 @@ pub mod softmax_module;
 pub mod sweep;
 pub mod systolic;
 pub mod tiled;
-pub mod top;
 pub mod weights;
 
 pub use backend::{Backend, BackendProgram, PaperBackend};
@@ -80,4 +76,3 @@ pub use engine::{ArrayEngine, CheckMode, EngineStats};
 pub use exec::{lower_ffn, lower_mha};
 pub use scheduler::ScheduleReport;
 pub use tiled::{TiledBackend, TiledConfig};
-pub use top::Accelerator;

@@ -40,7 +40,7 @@ pub struct ScheduleReport {
 }
 
 /// Walks a lowered program and reads the report off its timeline.
-pub(crate) fn report(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> ScheduleReport {
+fn report(cfg: &AccelConfig, program: &[Command], s_kv: usize) -> ScheduleReport {
     let (timeline, sa) = isa::walk(cfg, program, s_kv);
     let cycles = timeline.makespan();
     let sa_busy = timeline.busy(sa);

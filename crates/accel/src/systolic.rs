@@ -122,6 +122,23 @@ impl SystolicArray {
         }
     }
 
+    /// Closed-form `(compute, drain)` cycles of one `rows_a × k × cols_b`
+    /// pass (`compute = k + rows_a + cols_b − 2`, `drain = cols_b`), with
+    /// [`SystolicArray::simulate`]'s operand-size validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands exceed the array or are empty.
+    pub(crate) fn pass_timing(&self, rows_a: usize, k: usize, cols_b: usize) -> (Cycle, Cycle) {
+        assert!(rows_a <= self.rows, "A has more rows than the array");
+        assert!(cols_b <= self.cols, "B has more columns than the array");
+        assert!(k > 0 && rows_a > 0 && cols_b > 0, "empty operands");
+        (
+            Cycle((k + rows_a + cols_b - 2) as u64),
+            Cycle(cols_b as u64),
+        )
+    }
+
     /// Analytic model of one GEMM `a · b`: the product from the fast
     /// blocked [`tensor::gemm::matmul_i8`] kernel plus the closed-form
     /// cycle counts (`compute = k + rows_a + cols_b − 2`,
@@ -141,13 +158,8 @@ impl SystolicArray {
         let (rows_a, k) = a.shape();
         let (kb, cols_b) = b.shape();
         assert_eq!(k, kb, "reduction depth mismatch: {k} vs {kb}");
-        assert!(rows_a <= self.rows, "A has more rows than the array");
-        assert!(cols_b <= self.cols, "B has more columns than the array");
-        assert!(k > 0 && rows_a > 0 && cols_b > 0, "empty operands");
-
+        let (compute, drain) = self.pass_timing(rows_a, k, cols_b);
         let out = gemm::matmul_i8(a, b).expect("widths checked above");
-        let compute = Cycle((k + rows_a + cols_b - 2) as u64);
-        let drain = Cycle(cols_b as u64);
         SimResult {
             out,
             compute,

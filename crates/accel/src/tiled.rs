@@ -25,9 +25,12 @@
 //! cannot overflow here (the accumulator headroom argument is the same
 //! as the paper datapath's), so the tiled array produces exactly the
 //! untiled result. Execution therefore replays the embedded command
-//! stream through the [`crate::isa`] interpreter [`crate::PaperBackend`]
-//! runs on — a faithful bit-level model of the tiled datapath, asserted bit-identical against the quantized
-//! reference in `tests/backend_identity.rs`.
+//! stream on the [`crate::engine::ArrayEngine`] [`crate::PaperBackend`]
+//! runs on — a faithful bit-level model of the tiled datapath, asserted
+//! bit-identical against the quantized reference in
+//! `crates/accel/tests/backend_identity.rs`. The same engine takes a
+//! fault plan and an ABFT checker, so a tiled program can be
+//! fault-injected exactly like the paper's.
 
 use graph::Graph;
 use hwsim::memory::MemorySpec;
@@ -39,7 +42,8 @@ use tensor::Mat;
 use crate::area;
 use crate::backend::{Backend, BackendCaps, BackendProgram};
 use crate::config::AccelConfig;
-use crate::isa::{self, Command};
+use crate::engine::ArrayEngine;
+use crate::isa::Command;
 use crate::layernorm_module;
 use crate::partition::PANEL_COLS;
 use crate::softmax_module;
@@ -466,17 +470,22 @@ impl Backend for TiledBackend {
         xkv: &Mat<i8>,
         mask: Option<&Mat<bool>>,
     ) -> Mat<i8> {
-        isa::execute_mha(&self.program(prog).commands(), block, xq, xkv, mask)
+        ArrayEngine::new(self.cfg.base.s)
+            .run_mha(&self.program(prog).commands(), block, xq, xkv, mask)
+            .out
     }
 
     fn run_ffn(&self, prog: &BackendProgram, block: &QuantFfnResBlock, x: &Mat<i8>) -> Mat<i8> {
-        isa::execute_ffn(&self.program(prog).commands(), block, x)
+        ArrayEngine::new(self.cfg.base.s)
+            .run_ffn(&self.program(prog).commands(), block, x)
+            .out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa;
     use graph::{ffn_graph, mha_graph, GraphConfig};
 
     fn paper_graph_cfg() -> GraphConfig {

@@ -8,7 +8,9 @@
 //!   byte-for-byte the pre-refactor stack (golden command streams and
 //!   the MHA 20998 / FFN 35846 cycle pins);
 //! * the tiled-SA backend must be **bit-identical** to the quantized
-//!   reference — tiling only regroups integer partial sums;
+//!   reference — tiling only regroups integer partial sums — and its
+//!   command stream runs on the paper's pass executor, fault plan and
+//!   ABFT checker included;
 //! * the circulant backend is lossy by design and must stay above its
 //!   documented SQNR floor on block-circulant weights;
 //! * the explorer's Pareto fronts must span more than one backend.
@@ -16,8 +18,12 @@
 use accel::circulant::{CirculantConfig, CIRC_SQNR_FLOOR_DB};
 use accel::config::AccelConfig;
 use accel::explorer::{self, ExploreConfig, ExplorerReport};
-use accel::isa;
-use accel::{Backend, BackendProgram, CirculantBackend, PaperBackend, TiledBackend, TiledConfig};
+use accel::isa::{self, Command};
+use accel::{
+    ArrayEngine, Backend, BackendProgram, CheckMode, CirculantBackend, PaperBackend, TiledBackend,
+    TiledConfig,
+};
+use faults::{FaultPlan, FaultSpace, SiteClass};
 use graph::{ffn_graph, mha_graph, GraphConfig};
 use quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use rand::rngs::StdRng;
@@ -44,12 +50,20 @@ fn tiny_accel() -> AccelConfig {
 
 /// Quantized tiny blocks plus calibration-derived INT8 inputs.
 fn tiny_quantized(seed: u64) -> (QuantMhaResBlock, QuantFfnResBlock, Mat<i8>, Mat<i8>) {
-    let mcfg = ModelConfig::tiny_for_tests();
+    quantized_blocks(&ModelConfig::tiny_for_tests(), 8, seed)
+}
+
+/// Quantized `mcfg` blocks plus calibration-derived `s`-row INT8 inputs.
+fn quantized_blocks(
+    mcfg: &ModelConfig,
+    s: usize,
+    seed: u64,
+) -> (QuantMhaResBlock, QuantFfnResBlock, Mat<i8>, Mat<i8>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mha = MhaResBlock::new(&mcfg, &mut rng);
-    let ffn = FfnResBlock::new(&mcfg, &mut rng);
+    let mha = MhaResBlock::new(mcfg, &mut rng);
+    let ffn = FfnResBlock::new(mcfg, &mut rng);
     let calib: Vec<Mat<f32>> = (0..3)
-        .map(|_| tensor::init::normal(&mut rng, 8, mcfg.d_model, 1.0))
+        .map(|_| tensor::init::normal(&mut rng, s, mcfg.d_model, 1.0))
         .collect();
     let qmha = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
     let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
@@ -133,6 +147,79 @@ fn tiled_backend_is_bit_identical_to_the_quantized_reference() {
     let got = be.run_ffn(&prog, &qffn, &xf);
     let (want, _) = qffn.forward(&xf);
     assert_eq!(got, want, "tiled FFN diverged from the reference");
+}
+
+#[test]
+fn seeded_fault_campaign_runs_through_the_tiled_program() {
+    // The tiled program's command stream replays on the paper backend's
+    // pass executor, so a seeded weight-SRAM / accumulator campaign runs
+    // through it under the ABFT + golden checker, and lands exactly as
+    // on the paper program: the streams are equal.
+    let mini64h = ModelConfig {
+        name: "mini64h".into(),
+        d_model: 128,
+        d_ff: 256,
+        h: 2,
+        n_layers: 1,
+        vocab: 16,
+        max_len: 16,
+    };
+    for (model, s) in [(ModelConfig::tiny_for_tests(), 8), (mini64h, 16)] {
+        let (qmha, qffn, xq, xf) = quantized_blocks(&model, s, 0x7AB);
+        let base = AccelConfig {
+            model: model.clone(),
+            s,
+            ..AccelConfig::paper_default()
+        };
+        let gcfg = graph_config(&base);
+        let tiled = TiledBackend::new(TiledConfig {
+            base: base.clone(),
+            ..TiledBackend::kv260_default().config().clone()
+        });
+        let paper = PaperBackend::new(base);
+        for mha in [true, false] {
+            let lower = |be: &dyn Backend| match mha {
+                true => be.lower_mha(&mha_graph(&gcfg), s),
+                false => be.lower_ffn(&ffn_graph(&gcfg)),
+            };
+            let (BackendProgram::Tiled(tiled_prog), BackendProgram::Isa(paper_prog)) =
+                (lower(&tiled), lower(&paper))
+            else {
+                panic!("each backend lowers to its own program")
+            };
+            let run = |program: &[Command], plan: Option<FaultPlan>| {
+                let mut engine = ArrayEngine::new(s).with_check_mode(CheckMode::AbftGolden);
+                if let Some(plan) = plan {
+                    engine = engine.with_fault_plan(plan);
+                }
+                match mha {
+                    true => engine.run_mha(program, &qmha, &xq, &xq, None),
+                    false => engine.run_ffn(program, &qffn, &xf),
+                }
+            };
+            let tiled_prog = tiled_prog.commands();
+            let clean = run(&tiled_prog, None);
+            assert_eq!(clean.stats.faults_detected, 0);
+            // Rows below `s` and columns below the narrowest tile width:
+            // every drawn site lies inside its pass's tiles.
+            let space = FaultSpace {
+                index_lo: 0,
+                index_hi: clean.stats.gemm_passes as u64,
+                rows: s,
+                cols: model.d_k().min(64),
+                classes: vec![SiteClass::WeightSram, SiteClass::Accumulator],
+            };
+            for seed in 0..12 {
+                let plan = FaultPlan::seeded(seed, 1, &space);
+                let got = run(&tiled_prog, Some(plan.clone()));
+                let at = format!("{} mha={mha} seed {seed}", model.name);
+                assert_eq!(got, run(&paper_prog, Some(plan)), "{at}");
+                assert_eq!(got.stats.faults_injected, 1, "{at}: the event lands");
+                assert!(got.stats.faults_detected >= 1, "{at}: and is detected");
+                assert_eq!(got.stats.faults_escaped, 0, "{at}: by ABFT");
+            }
+        }
+    }
 }
 
 #[test]

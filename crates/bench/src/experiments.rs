@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use accel::area::{energy_uj, estimate_power, AreaModel, V100_TDP_W};
 use accel::config::LayerNormMode;
-use accel::{AccelConfig, Accelerator, SchedPolicy};
+use accel::{AccelConfig, SchedPolicy};
 use baseline::gpu::{ffn_trace, mha_trace, GpuModel};
 use quantized::{QuantScheme, SoftmaxMode};
 use rand::rngs::StdRng;
@@ -365,18 +365,17 @@ pub(crate) fn table3() -> Output {
         paper_speedup: f64,
     }
     let cfg = AccelConfig::paper_default();
-    let accel = Accelerator::new(cfg.clone());
     let gpu = GpuModel::v100_pytorch();
     let layers = [
         (
             "MHA ResBlock",
-            accel.schedule_mha(),
+            accel::scheduler::schedule_mha(&cfg),
             mha_trace(&cfg.model, cfg.s),
             (106.7, 1557.8, 14.6),
         ),
         (
             "FFN ResBlock",
-            accel.schedule_ffn(),
+            accel::scheduler::schedule_ffn(&cfg),
             ffn_trace(&cfg.model, cfg.s),
             (210.5, 713.4, 3.4),
         ),
@@ -735,10 +734,9 @@ pub(crate) fn gpu_crossover() -> Output {
         ffn_speedup: f64,
     }
     let cfg = AccelConfig::paper_default();
-    let accel = Accelerator::new(cfg.clone());
     let gpu = GpuModel::v100_pytorch();
-    let fpga_mha = accel.schedule_mha().latency_us;
-    let fpga_ffn = accel.schedule_ffn().latency_us;
+    let fpga_mha = accel::scheduler::schedule_mha(&cfg).latency_us;
+    let fpga_ffn = accel::scheduler::schedule_ffn(&cfg).latency_us;
     let mha_t = mha_trace(&cfg.model, cfg.s);
     let ffn_t = ffn_trace(&cfg.model, cfg.s);
     let rows: Vec<Row> = [1usize, 2, 4, 8, 16, 32, 64, 128]

@@ -13,8 +13,10 @@
 //!
 //! Both consumers own their fault state:
 //!
-//! * `accel::ArrayEngine` holds an [`Injector`] directly and addresses
-//!   events by its private pass/call counters.
+//! * `accel::ArrayEngine`, the accelerator's one command-stream
+//!   interpreter, holds an [`Injector`] directly and addresses events by
+//!   its private pass/call counters, so a plan reaches every backend
+//!   that executes the stream.
 //! * The serving engine holds a [`FaultState`] — injector, checker flag
 //!   and [`FaultCounters`] — and makes it its stepping thread's active
 //!   state for the length of a step ([`FaultState::run`]). The serving

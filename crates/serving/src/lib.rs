@@ -61,14 +61,16 @@
 //! `ACCEL_ABFT` or [`ContinuousBatcher::with_checker`]) and makes it
 //! the stepping thread's active one for each step, so two engines on two
 //! threads never see each other's faults. When the checker is on, every
-//! batched model call is bracketed by the engine's detection counter
+//! batched model call and every admission's stacked encoder pass is
+//! bracketed by the engine's detection counter
 //! ([`ServingStats::detected`]): a checker-flagged step is rolled back
 //! chunk-for-chunk
 //! ([`QuantIncrementalSession::rollback_rows`] — paged truncation frees
-//! any page the rollback empties) and recomputed up to
+//! any page the rollback empties), a flagged encoder pass releases the
+//! sessions it opened, and either is recomputed up to
 //! [`EngineConfig::max_step_retries`] times — a transient upset fires
 //! once per GEMM-pass index, so the replay is clean and the affected
-//! request still completes bit-identically. Steps that stay flagged
+//! request still completes bit-identically. Passes that stay flagged
 //! after all retries charge every slot that shared them; a slot charged
 //! [`EngineConfig::quarantine_after`] times is **quarantined** (its
 //! occupant retires degraded and the slot never refills). Per-request
@@ -709,7 +711,8 @@ impl<'m> ContinuousBatcher<'m> {
     /// without a prefix hit is then started by one stacked
     /// [`QuantSeq2Seq::start_sessions`] pass, which pads nothing, so
     /// admitting similar source lengths together would save nothing.
-    fn refill(&mut self) {
+    /// `verify` says whether the ABFT checker is on.
+    fn refill(&mut self, verify: bool) {
         // Retire queued requests whose wall-clock deadline has already
         // passed — they finish with zero tokens and never consume a
         // slot or a KV page (the answer would be dead on arrival).
@@ -778,17 +781,17 @@ impl<'m> ContinuousBatcher<'m> {
         drop(lookup);
         // Every cold admission of this refill is encoded and
         // cross-projected in one stacked pass.
-        let cold: Vec<&[usize]> = admits
+        let (cold_slots, cold): (Vec<usize>, Vec<&[usize]>) = admits
             .iter()
             .filter(|a| a.hit.is_none())
-            .map(|a| a.queued.req.src.as_slice())
-            .collect();
+            .map(|a| (a.slot, a.queued.req.src.as_slice()))
+            .unzip();
         let mut started = if cold.is_empty() {
             Vec::new()
         } else {
             self.stats.admission_batches += 1;
             self.stats.sources_encoded += cold.len();
-            self.model.start_sessions(&mut self.arena, &cold)
+            self.start_cold(&cold, &cold_slots, verify)
         }
         .into_iter();
         for a in admits {
@@ -810,6 +813,61 @@ impl<'m> ContinuousBatcher<'m> {
                 wall_deadline,
             });
             self.stats.admitted += 1;
+        }
+    }
+
+    /// Opens the cold admissions' sessions with one stacked
+    /// [`QuantSeq2Seq::start_sessions`] pass. With the checker on
+    /// (`verify`), a pass that raised the detection counter is released
+    /// and re-run — the encode is deterministic and a transient upset
+    /// fires once — up to `max_step_retries` times; a pass still flagged
+    /// after that is accepted and charged to `slots`, as the model
+    /// call's retry loop does.
+    fn start_cold(
+        &mut self,
+        cold: &[&[usize]],
+        slots: &[usize],
+        verify: bool,
+    ) -> Vec<QuantIncrementalSession> {
+        let model = self.model;
+        if !verify {
+            return model.start_sessions(&mut self.arena, cold);
+        }
+        let detected = || faults::with_active(|f| f.counters.detected);
+        let mut attempt = 0;
+        loop {
+            let before = detected();
+            let sessions = model.start_sessions(&mut self.arena, cold);
+            if detected() == before {
+                return sessions;
+            }
+            self.stats.faulty_steps += 1;
+            if attempt >= self.cfg.max_step_retries {
+                self.charge(slots.iter().copied());
+                return sessions;
+            }
+            attempt += 1;
+            self.stats.retries += 1;
+            for mut session in sessions {
+                session.release(&mut self.arena);
+            }
+        }
+    }
+
+    /// Charges each of `slots` for a pass that stayed checker-flagged
+    /// after every retry: the checker cannot attribute a mismatch to a
+    /// row, so every slot that shared the pass is charged, and a slot
+    /// charged `quarantine_after` times is withdrawn from service.
+    fn charge(&mut self, slots: impl IntoIterator<Item = usize>) {
+        for i in slots {
+            self.slot_faults[i] += 1;
+            if self.cfg.quarantine_after > 0
+                && self.slot_faults[i] >= self.cfg.quarantine_after
+                && !self.quarantined[i]
+            {
+                self.quarantined[i] = true;
+                self.stats.quarantined += 1;
+            }
         }
     }
 
@@ -895,7 +953,8 @@ impl<'m> ContinuousBatcher<'m> {
 
     /// [`ContinuousBatcher::recorded_step`]'s body.
     fn run_step(&mut self) -> bool {
-        self.refill();
+        let verify = faults::with_active(|f| f.checker).unwrap_or(false);
+        self.refill(verify);
         let plan = self.plan_step();
         if plan.is_empty() {
             return false;
@@ -904,7 +963,6 @@ impl<'m> ContinuousBatcher<'m> {
         graph::tally::take();
         let model = self.model;
         let chunk_refs: Vec<&[usize]> = plan.iter().map(|(_, c)| c.as_slice()).collect();
-        let verify = faults::with_active(|f| f.checker).unwrap_or(false);
         let detected = || faults::with_active(|f| f.counters.detected);
         let mut persistent_fault = false;
         let mut attempt = 0;
@@ -942,19 +1000,8 @@ impl<'m> ContinuousBatcher<'m> {
         // High-water mark before retirement hands pages back.
         self.stats.kv_bytes_peak = self.stats.kv_bytes_peak.max(self.arena.kv_bytes_in_use());
         if persistent_fault {
-            // The checker cannot attribute a mismatch to a row, so every
-            // slot that shared the flagged step is charged; repeat
-            // offenders are withdrawn from service below.
-            for (i, _) in &plan {
-                self.slot_faults[*i] += 1;
-                if self.cfg.quarantine_after > 0
-                    && self.slot_faults[*i] >= self.cfg.quarantine_after
-                    && !self.quarantined[*i]
-                {
-                    self.quarantined[*i] = true;
-                    self.stats.quarantined += 1;
-                }
-            }
+            // Repeat offenders are evicted below.
+            self.charge(plan.iter().map(|(i, _)| *i));
         }
         let b = plan.len();
         // One clock read per step covers every wall-clock deadline

@@ -91,8 +91,7 @@ fn baseline(n: usize) -> Vec<Response> {
 /// GEMM-pass count consumed by admitting the first `n` sources the way
 /// the engine's first refill does (every test here admits them all at
 /// once): one stacked `start_sessions` over them. Every later pass
-/// index lands inside batched decode steps (the retry-protected
-/// region), starting with the first.
+/// index lands inside batched decode steps, starting with the first.
 fn prefill_passes(n: usize) -> u64 {
     let mut state = FaultState::new(Some(FaultPlan::empty()), false);
     let mut arena = KvArena::for_model(model());
@@ -213,6 +212,24 @@ fn accumulator_flip_is_detected_and_healed_by_retry() {
     assert_eq!(stats.faulty_steps, 1);
     assert_eq!(stats.retries, 1, "one rollback-and-recompute heals it");
     assert_eq!(got, want);
+}
+
+#[test]
+fn admission_flip_is_detected_and_healed_by_retry() {
+    // An upset inside admission's stacked encoder pass corrupts the
+    // encoder memory and cross K/V every later step attends. Pass 1 is
+    // one of the passes where the flip changes the decoded tokens, so
+    // the detection must release the opened sessions and re-encode.
+    let n = 2;
+    let want = baseline(n);
+    assert!(1 < prefill_passes(n), "pass 1 lies inside the admission");
+    let (got, stats) = decode(n, n, Some(accumulator_flip(1)), true);
+    assert_eq!(got, want, "the re-encode must heal admission");
+    assert_eq!(stats.injected, 1);
+    assert!(stats.detected >= 1);
+    assert_eq!(stats.faulty_steps, 1, "only the admission pass is hit");
+    assert_eq!(stats.retries, 1, "one re-encode heals it");
+    assert_eq!(stats.quarantined, 0);
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Runs one full encoder layer *through the accelerator facade* —
-//! quantized weights loaded into the weight memory, INT8 activations in,
-//! INT8 activations out — and validates the result against the FP32
-//! reference block, reporting numeric error and cycle-accurate timing.
+//! Runs one full encoder layer *through the paper's accelerator* — each
+//! quantized ResBlock lowered to its Algorithm-1 command stream and
+//! executed on the `s × 64` array, INT8 activations in, INT8 activations
+//! out — and validates the result against the FP32 reference block,
+//! reporting numeric error and cycle-accurate timing.
 //!
 //! ```text
 //! cargo run --release --example accelerated_encoder
@@ -9,7 +10,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transformer_accel::accel::{AccelConfig, Accelerator};
+use transformer_accel::accel::{scheduler, AccelConfig, Backend, PaperBackend};
+use transformer_accel::graph::{ffn_graph, mha_graph};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
@@ -27,7 +29,7 @@ fn main() {
     let calib: Vec<_> = (0..2)
         .map(|_| tensor::init::normal(&mut rng, s, model_cfg.d_model, 1.0))
         .collect();
-    println!("calibrating INT8 scales and loading the weight memory...");
+    println!("calibrating INT8 scales...");
     let qmha = QuantMhaResBlock::from_f32(&mha_f32, &calib, &calib, SoftmaxMode::Hardware);
     let qffn = {
         let mha_outs: Vec<_> = calib
@@ -37,20 +39,23 @@ fn main() {
         QuantFfnResBlock::from_f32(&ffn_f32, &mha_outs)
     };
 
-    let mut accel = Accelerator::new(AccelConfig::paper_default());
-    accel.load_mha(qmha);
-    accel.load_ffn(qffn);
+    let cfg = AccelConfig::paper_default();
+    let accel = PaperBackend::new(cfg.clone());
+    let mha_prog = accel.lower_mha(&mha_graph(&qmha.graph_config()), s);
+    let ffn_prog = accel.lower_ffn(&ffn_graph(&qffn.graph_config()));
 
     // Drive the layer: x -> MHA ResBlock -> FFN ResBlock.
     let x = &calib[0];
-    let xq = accel.mha_block().unwrap().quantize_input_q(x);
-    let (mha_out, mha_report) = accel.run_mha(&xq, &xq, None).expect("mha run");
-    let (ffn_out, ffn_report) = accel.run_ffn(&mha_out).expect("ffn run");
+    let xq = qmha.quantize_input_q(x);
+    let mha_out = accel.run_mha(&mha_prog, &qmha, &xq, &xq, None);
+    let ffn_out = accel.run_ffn(&ffn_prog, &qffn, &mha_out);
+    let mha_report = scheduler::schedule_mha(&cfg);
+    let ffn_report = scheduler::schedule_ffn(&cfg);
 
     // FP32 reference for the same layer.
     let ref_mha = mha_f32.forward(x, x, x, None);
     let ref_ffn = ffn_f32.forward(&ref_mha);
-    let got = accel.ffn_block().unwrap().dequantize_output(&ffn_out);
+    let got = qffn.dequantize_output(&ffn_out);
     let max_err = got
         .as_slice()
         .iter()
@@ -66,22 +71,22 @@ fn main() {
     println!("max abs error vs FP32 reference (LayerNorm-domain values): {max_err:.3}");
     println!(
         "MHA ResBlock: {} cycles ({:.1} us), SA utilization {:.1}%",
-        mha_report.schedule.cycles.get(),
-        mha_report.schedule.latency_us,
-        100.0 * mha_report.schedule.sa_utilization
+        mha_report.cycles.get(),
+        mha_report.latency_us,
+        100.0 * mha_report.sa_utilization
     );
     println!(
         "FFN ResBlock: {} cycles ({:.1} us), SA utilization {:.1}%",
-        ffn_report.schedule.cycles.get(),
-        ffn_report.schedule.latency_us,
-        100.0 * ffn_report.schedule.sa_utilization
+        ffn_report.cycles.get(),
+        ffn_report.latency_us,
+        100.0 * ffn_report.sa_utilization
     );
     println!(
         "encoder layer total: {:.1} us @ 200 MHz",
-        mha_report.schedule.latency_us + ffn_report.schedule.latency_us
+        mha_report.latency_us + ffn_report.latency_us
     );
 
     println!("\nMHA schedule (first head), Gantt view:");
-    let gantt = mha_report.schedule.timeline.gantt(110);
+    let gantt = mha_report.timeline.gantt(110);
     println!("{gantt}");
 }

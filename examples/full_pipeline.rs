@@ -16,6 +16,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::engine::ArrayEngine;
+use transformer_accel::accel::isa::mha_program;
 use transformer_accel::accel::pipeline::{full_inference, PipelineConfig};
 use transformer_accel::accel::weights::WeightImage;
 use transformer_accel::accel::{scheduler, AccelConfig};
@@ -82,8 +83,8 @@ fn main() {
     let (src, _) = &test[0];
     let x = restored.src_embedding().forward_inference(src);
     let xq = layer0.mha.quantize_input_q(&x);
-    let mut engine = ArrayEngine::new(cfg.max_len);
-    let run = engine.execute_mha(&layer0.mha, &xq, &xq, None);
+    let program = mha_program(cfg.h, src.len());
+    let run = ArrayEngine::new(cfg.max_len).run_mha(&program, &layer0.mha, &xq, &xq, None);
     let (want, _) = layer0.mha.forward(&xq, &xq, None);
     assert_eq!(
         run.out, want,

@@ -5,16 +5,15 @@
 //! cargo run --example quickstart
 //! ```
 
-use transformer_accel::accel::{AccelConfig, Accelerator};
+use transformer_accel::accel::area::{estimate_power, AreaModel};
+use transformer_accel::accel::{scheduler, AccelConfig};
 use transformer_accel::baseline::gpu::{ffn_trace, mha_trace, GpuModel};
 
 fn main() {
     // The paper's evaluation point: Transformer-base, s = 64, 200 MHz.
     let cfg = AccelConfig::paper_default();
-    let accel = Accelerator::new(cfg.clone());
-
-    let mha = accel.schedule_mha();
-    let ffn = accel.schedule_ffn();
+    let mha = scheduler::schedule_mha(&cfg);
+    let ffn = scheduler::schedule_ffn(&cfg);
 
     println!(
         "accelerator: {} at s = {}, {:.0} MHz",
@@ -51,9 +50,9 @@ fn main() {
     );
 
     // Resources and power (Table II).
-    let area = accel.area();
+    let area = AreaModel::new(cfg.clone());
     let top = area.top();
-    let power = accel.power();
+    let power = estimate_power(&area, &cfg);
     println!();
     println!(
         "resources: {:.0} LUT / {:.0} FF / {:.0} BRAM / {:.0} DSP; power {:.1} W",

@@ -21,10 +21,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use transformer_accel::accel::{AccelConfig, Accelerator};
+//! use transformer_accel::accel::{scheduler, AccelConfig};
 //!
-//! let accel = Accelerator::new(AccelConfig::paper_default());
-//! let mha = accel.schedule_mha();
+//! let mha = scheduler::schedule_mha(&AccelConfig::paper_default());
 //! println!(
 //!     "MHA ResBlock: {} cycles = {:.1} us @ 200 MHz (paper: 21,344 / 106.7 us)",
 //!     mha.cycles.get(),

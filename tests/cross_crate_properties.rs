@@ -106,6 +106,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         use transformer_accel::accel::engine::ArrayEngine;
+        use transformer_accel::accel::isa::mha_program;
         use transformer_accel::quantized::QuantMhaResBlock;
         use transformer_accel::transformer::config::ModelConfig;
         use transformer_accel::transformer::mha::MhaResBlock;
@@ -126,8 +127,7 @@ proptest! {
         let q = QuantMhaResBlock::from_f32(&block, &calib, &calib, SoftmaxMode::Hardware);
         let xq = q.quantize_input_q(&calib[0]);
         let (want, _) = q.forward(&xq, &xq, None);
-        let mut engine = ArrayEngine::new(s);
-        let run = engine.execute_mha(&q, &xq, &xq, None);
+        let run = ArrayEngine::new(s).run_mha(&mha_program(h, s), &q, &xq, &xq, None);
         prop_assert_eq!(run.out, want);
     }
 }

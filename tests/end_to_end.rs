@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: FP32 reference → INT8 datapath →
-//! accelerator facade, end to end.
+//! the paper's accelerator backend, end to end.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transformer_accel::accel::{AccelConfig, Accelerator};
+use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
+use transformer_accel::graph::{ffn_graph, mha_graph};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
@@ -36,26 +37,25 @@ fn full_encoder_layer_through_accelerator_tracks_fp32() {
         .collect();
     let qffn = QuantFfnResBlock::from_f32(&ffn_f32, &mha_outs);
 
-    let cfg = AccelConfig {
+    let accel = PaperBackend::new(AccelConfig {
         model: model_cfg,
         s: 16,
         ..AccelConfig::paper_default()
-    };
-    let mut accel = Accelerator::new(cfg);
-    accel.load_mha(qmha);
-    accel.load_ffn(qffn);
+    });
+    let mha_prog = accel.lower_mha(&mha_graph(&qmha.graph_config()), s);
+    let ffn_prog = accel.lower_ffn(&ffn_graph(&qffn.graph_config()));
 
     let x = &calib[0];
-    let xq = accel.mha_block().unwrap().quantize_input_q(x);
-    let (mha_out, rep1) = accel.run_mha(&xq, &xq, None).unwrap();
-    let (ffn_out, rep2) = accel.run_ffn(&mha_out).unwrap();
+    let xq = qmha.quantize_input_q(x);
+    let mha_out = accel.run_mha(&mha_prog, &qmha, &xq, &xq, None);
+    let ffn_out = accel.run_ffn(&ffn_prog, &qffn, &mha_out);
 
     let want = ffn_f32.forward(&mha_f32.forward(x, x, x, None));
-    let got = accel.ffn_block().unwrap().dequantize_output(&ffn_out);
+    let got = qffn.dequantize_output(&ffn_out);
     let err = max_abs_diff(&got, &want);
     assert!(err < 0.35, "layer error {err}");
-    assert!(rep1.schedule.cycles.get() > 0);
-    assert!(rep2.schedule.cycles.get() > 0);
+    assert!(accel.cycles(&mha_prog, s) > 0);
+    assert!(accel.cycles(&ffn_prog, s) > 0);
 }
 
 #[test]
@@ -67,18 +67,17 @@ fn accelerator_numerics_are_exactly_the_quantized_datapath() {
         .map(|_| tensor::init::normal(&mut rng, 6, model_cfg.d_model, 1.0))
         .collect();
     let qmha = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
-    let cfg = AccelConfig {
+    let accel = PaperBackend::new(AccelConfig {
         model: model_cfg,
         s: 8,
         ..AccelConfig::paper_default()
-    };
-    let mut accel = Accelerator::new(cfg);
-    accel.load_mha(qmha.clone());
+    });
+    let prog = accel.lower_mha(&mha_graph(&qmha.graph_config()), 6);
 
     for x in &calib {
         let xq = qmha.quantize_input_q(x);
         let (want, _) = qmha.forward(&xq, &xq, None);
-        let (got, _) = accel.run_mha(&xq, &xq, None).unwrap();
+        let got = accel.run_mha(&prog, &qmha, &xq, &xq, None);
         assert_eq!(got, want, "accelerator must be bit-identical");
     }
 }
@@ -130,20 +129,20 @@ fn sequence_lengths_flow_through_all_layers_of_the_stack() {
         .map(|_| tensor::init::normal(&mut rng, 11, model_cfg.d_model, 1.0))
         .collect();
     let qmha = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
-    let cfg = AccelConfig {
+    let accel = PaperBackend::new(AccelConfig {
         model: model_cfg.clone(),
         s: 16,
         ..AccelConfig::paper_default()
-    };
-    let mut accel = Accelerator::new(cfg);
-    accel.load_mha(qmha);
+    });
+    let graph = mha_graph(&qmha.graph_config());
     for s in [1usize, 3, 7, 11] {
         let x = tensor::init::normal(&mut rng, s, model_cfg.d_model, 1.0);
-        let xq = accel.mha_block().unwrap().quantize_input_q(&x);
+        let xq = qmha.quantize_input_q(&x);
         let mask = tensor::ops::causal_mask(s);
-        let (out, rep) = accel.run_mha(&xq, &xq, Some(&mask)).unwrap();
+        let prog = accel.lower_mha(&graph, s);
+        let out = accel.run_mha(&prog, &qmha, &xq, &xq, Some(&mask));
         assert_eq!(out.shape(), (s, model_cfg.d_model));
-        assert!(rep.schedule.cycles.get() > 0, "s={s}");
+        assert!(accel.cycles(&prog, s) > 0, "s={s}");
     }
 }
 
@@ -155,6 +154,7 @@ fn sequence_lengths_flow_through_all_layers_of_the_stack() {
 #[ignore = "paper-scale; run with --release -- --ignored"]
 fn paper_scale_engine_bit_identity() {
     use transformer_accel::accel::engine::ArrayEngine;
+    use transformer_accel::accel::isa::mha_program;
     let model_cfg = ModelConfig::transformer_base();
     let mut rng = StdRng::seed_from_u64(0xB16);
     let mha = MhaResBlock::new(&model_cfg, &mut rng);
@@ -164,8 +164,8 @@ fn paper_scale_engine_bit_identity() {
     let qmha = QuantMhaResBlock::from_f32(&mha, &calib, &calib, SoftmaxMode::Hardware);
     let xq = qmha.quantize_input_q(&calib[0]);
     let (want, _) = qmha.forward(&xq, &xq, None);
-    let mut engine = ArrayEngine::new(64);
-    let run = engine.execute_mha(&qmha, &xq, &xq, None);
+    let program = mha_program(model_cfg.h, 64);
+    let run = ArrayEngine::register_true(64).run_mha(&program, &qmha, &xq, &xq, None);
     assert_eq!(run.out, want);
     assert_eq!(run.stats.gemm_passes, 48, "Algorithm 1 at base scale");
 }

@@ -1,16 +1,14 @@
-//! Cross-validation between the two views of the accelerator: the
-//! array-level execution engine (what the PE grid actually does, pass by
-//! pass) and the scheduler (when each pass happens). Their op
+//! Cross-validation between the two semantics of the command stream:
+//! the array-level execution engine (what the PE grid actually does,
+//! pass by pass) and the scheduler (when each pass happens). Their op
 //! inventories must agree exactly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transformer_accel::accel::engine::ArrayEngine;
-use transformer_accel::accel::isa::{ffn_program, Command};
+use transformer_accel::accel::isa::{ffn_program, mha_program, Command};
 use transformer_accel::accel::scheduler::ScheduleReport;
-use transformer_accel::accel::{
-    scheduler, AccelConfig, Accelerator, Backend, BackendProgram, PaperBackend,
-};
+use transformer_accel::accel::{scheduler, AccelConfig, Backend, BackendProgram, PaperBackend};
 use transformer_accel::quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::ffn::FfnResBlock;
@@ -66,7 +64,7 @@ fn mha_gemm_pass_counts_agree() {
     let s = 16;
     let (qmha, _, codes) = quantized_blocks(s);
     let mut engine = ArrayEngine::new(s);
-    let run = engine.execute_mha(&qmha, &codes, &codes, None);
+    let run = engine.run_mha(&mha_program(2, s), &qmha, &codes, &codes, None);
 
     let rep = scheduler::schedule_mha_cross(&accel_cfg(s), s, s);
     let scheduled_gemms = sa_events(&rep);
@@ -84,7 +82,7 @@ fn ffn_gemm_pass_counts_agree() {
     let mut rng = StdRng::seed_from_u64(0xFEED);
     let x = qffn.quantize_input(&tensor::init::normal(&mut rng, s, 128, 1.0));
     let mut engine = ArrayEngine::new(s);
-    let run = engine.execute_ffn(&qffn, &x);
+    let run = engine.run_ffn(&ffn_program(128, 512), &qffn, &x);
 
     let rep = scheduler::schedule_ffn_len(&accel_cfg(s), s);
     assert_eq!(run.stats.gemm_passes, sa_events(&rep));
@@ -117,9 +115,9 @@ fn ffn_gemm_pass_counts_agree() {
         ..AccelConfig::paper_default()
     };
 
-    let run = ArrayEngine::new(s).execute_ffn(&qffn, &x);
-    let rep = scheduler::schedule_ffn_len(&cfg, s);
     let program = ffn_program(model.d_model, model.d_ff);
+    let run = ArrayEngine::new(s).run_ffn(&program, &qffn, &x);
+    let rep = scheduler::schedule_ffn_len(&cfg, s);
     let program_gemms = program
         .iter()
         .filter(|c| !matches!(c, Command::LayerNorm))
@@ -128,13 +126,10 @@ fn ffn_gemm_pass_counts_agree() {
     assert_eq!(sa_events(&rep), 7);
     assert_eq!(program_gemms, 7);
 
-    let mut accel = Accelerator::new(cfg.clone());
-    accel.load_ffn(qffn.clone());
-    let (out, report) = accel.run_ffn(&x).unwrap();
-    assert_eq!(out, run.out);
-    let ran = PaperBackend::new(cfg).cycles(&BackendProgram::Isa(program), s);
-    assert_eq!(report.schedule.cycles.get(), ran);
-    assert_eq!(ran, 1654);
+    let accel = PaperBackend::new(cfg);
+    let program = BackendProgram::Isa(program);
+    assert_eq!(accel.run_ffn(&program, &qffn, &x), run.out);
+    assert_eq!(accel.cycles(&program, s), 1654);
 }
 
 #[test]
@@ -144,7 +139,7 @@ fn engine_macs_match_analysis_counts() {
     let cfg = table1_mini();
     let mut engine = ArrayEngine::new(s);
 
-    let run = engine.execute_mha(&qmha, &codes, &codes, None);
+    let run = engine.run_mha(&mha_program(2, s), &qmha, &codes, &codes, None);
     let analytic = transformer_accel::accel::analysis::mha_macs(&cfg, s);
     // the engine pads K to 64 rows for the QK^T pass, so its MAC count
     // includes the zero-padding work: qk/av terms count 64 columns
@@ -152,7 +147,7 @@ fn engine_macs_match_analysis_counts() {
     let padded_qk_extra = (64 - s) as u64 * s as u64 * cfg.d_k() as u64 * cfg.h as u64;
     assert_eq!(run.stats.macs, analytic.total() + padded_qk_extra);
 
-    let run = engine.execute_ffn(&qffn, &codes);
+    let run = engine.run_ffn(&ffn_program(128, 512), &qffn, &codes);
     assert_eq!(
         run.stats.macs,
         transformer_accel::accel::analysis::ffn_macs(&cfg, s)
@@ -168,7 +163,7 @@ fn scheduler_streams_at_least_the_engine_work() {
     let s = 16;
     let (qmha, _, codes) = quantized_blocks(s);
     let mut engine = ArrayEngine::new(s);
-    let run = engine.execute_mha(&qmha, &codes, &codes, None);
+    let run = engine.run_mha(&mha_program(2, s), &qmha, &codes, &codes, None);
     let rep = scheduler::schedule_mha_cross(&accel_cfg(s), s, s);
     assert!(rep.sa_busy <= run.stats.isolated_cycles);
     assert!(rep.cycles <= run.stats.isolated_cycles + hwsim::cycles::Cycle(2048));

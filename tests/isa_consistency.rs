@@ -1,9 +1,10 @@
-//! Three-way consistency: the same MHA ResBlock computed by (1) the
-//! quantized datapath, (2) the register-true array engine, and (3) the
-//! command-stream interpreter (through `PaperBackend::run_*`) must
-//! agree bit for bit; and the scheduler's reports must be the timing
-//! walk of the same programs for every policy and sequence length (the
-//! numbers themselves are pinned in `tests/isa_golden.rs`).
+//! Three-way consistency: the same ResBlock computed by (1) the
+//! quantized datapath, (2) the command-stream interpreter on the
+//! register-true PE grid, and (3) the interpreter's unchecked fast path
+//! (through `PaperBackend::run_*`) must agree bit for bit; and the
+//! scheduler's reports must be the timing walk of the same programs for
+//! every policy and sequence length (the numbers themselves are pinned
+//! in `tests/isa_golden.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,12 +52,15 @@ fn three_way_mha_bit_identity() {
     let xq = q.quantize_input_q(&calib[0]);
 
     let (datapath, _) = q.forward(&xq, &xq, None);
-    let engine_out = ArrayEngine::new(s).execute_mha(&q, &xq, &xq, None).out;
-    let program = BackendProgram::Isa(mha_program(cfg.h, s));
-    let isa_out = backend(&cfg, s).run_mha(&program, &q, &xq, &xq, None);
+    let program = mha_program(cfg.h, s);
+    let grid_out = ArrayEngine::register_true(s)
+        .run_mha(&program, &q, &xq, &xq, None)
+        .out;
+    let program = BackendProgram::Isa(program);
+    let fast_out = backend(&cfg, s).run_mha(&program, &q, &xq, &xq, None);
 
-    assert_eq!(datapath, engine_out, "datapath vs PE-grid engine");
-    assert_eq!(datapath, isa_out, "datapath vs command stream");
+    assert_eq!(datapath, grid_out, "datapath vs register-true PE grid");
+    assert_eq!(datapath, fast_out, "datapath vs fast path");
 }
 
 #[test]
@@ -72,12 +76,13 @@ fn three_way_ffn_bit_identity() {
     let x = q.quantize_input(&calib[1]);
 
     let (datapath, _) = q.forward(&x);
-    let engine_out = ArrayEngine::new(s).execute_ffn(&q, &x).out;
-    let program = BackendProgram::Isa(ffn_program(cfg.d_model, cfg.d_ff));
-    let isa_out = backend(&cfg, s).run_ffn(&program, &q, &x);
+    let program = ffn_program(cfg.d_model, cfg.d_ff);
+    let grid_out = ArrayEngine::register_true(s).run_ffn(&program, &q, &x).out;
+    let program = BackendProgram::Isa(program);
+    let fast_out = backend(&cfg, s).run_ffn(&program, &q, &x);
 
-    assert_eq!(datapath, engine_out);
-    assert_eq!(datapath, isa_out);
+    assert_eq!(datapath, grid_out);
+    assert_eq!(datapath, fast_out);
 }
 
 #[test]

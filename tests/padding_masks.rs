@@ -1,12 +1,13 @@
 //! Padding-mask behaviour end to end: variable-length sequences padded
 //! to the array's row count must produce the same results for the valid
 //! positions as running the unpadded sequence — in FP32, in the INT8
-//! datapath, and through the accelerator facade.
+//! datapath, and through the paper's accelerator backend.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::{ops, Mat};
-use transformer_accel::accel::{AccelConfig, Accelerator};
+use transformer_accel::accel::{AccelConfig, Backend, PaperBackend};
+use transformer_accel::graph::mha_graph;
 use transformer_accel::quantized::{QuantMhaResBlock, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::mha::MhaResBlock;
@@ -72,20 +73,19 @@ fn quantized_padded_rows_match_unpadded() {
 #[test]
 fn accelerator_honours_padding_masks() {
     let (_, qblock, x) = setup();
-    let cfg = AccelConfig {
+    let accel = PaperBackend::new(AccelConfig {
         model: ModelConfig::tiny_for_tests(),
         s: 8,
         ..AccelConfig::paper_default()
-    };
-    let mut accel = Accelerator::new(cfg);
-    accel.load_mha(qblock.clone());
+    });
+    let prog = accel.lower_mha(&mha_graph(&qblock.graph_config()), 8);
 
     let valid = 6;
     let x_short = x.submatrix(0, 0, valid, x.cols()).unwrap();
     let x_padded = x_short.padded(8, x.cols());
     let xq = qblock.quantize_input_q(&x_padded);
     let mask = key_padding_mask(8, valid);
-    let (out, report) = accel.run_mha(&xq, &xq, Some(&mask)).unwrap();
+    let out = accel.run_mha(&prog, &qblock, &xq, &xq, Some(&mask));
 
     let xq_short = qblock.quantize_input_q(&x_short);
     let (want, _) = qblock.forward(&xq_short, &xq_short, None);
@@ -93,5 +93,5 @@ fn accelerator_honours_padding_masks() {
         assert_eq!(out.row(r), want.row(r), "accelerator row {r} differs");
     }
     // padded run is scheduled at the full 8 rows
-    assert!(report.schedule.cycles.get() > 0);
+    assert!(accel.cycles(&prog, 8) > 0);
 }
