@@ -344,24 +344,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more rows than the array")]
-    fn oversized_sequence_panics() {
-        // The array's own row check is the length check: 17 rows on a
-        // 16-row array.
-        let mcfg = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(0xBF);
-        let ffn = FfnResBlock::new(&mcfg, &mut rng);
-        let calib = vec![tensor::init::normal(&mut rng, 17, mcfg.d_model, 1.0)];
-        let qffn = QuantFfnResBlock::from_f32(&ffn, &calib);
-        let mut acfg = AccelConfig::paper_default();
-        acfg.model = mcfg;
-        acfg.s = 16;
-        let be = PaperBackend::new(acfg);
-        let prog = BackendProgram::Isa(isa::ffn_program(32, 64));
-        let _ = be.run_ffn(&prog, &qffn, &qffn.quantize_input(&calib[0]));
-    }
-
-    #[test]
     #[should_panic(expected = "foreign program")]
     fn foreign_program_rejected() {
         let be = PaperBackend::paper_default();

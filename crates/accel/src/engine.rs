@@ -425,7 +425,7 @@ impl ArrayEngine {
     /// # Panics
     ///
     /// Panics if `x` has no rows or more rows than the array, or on a
-    /// malformed program.
+    /// malformed program (one with more panels than the block's shape).
     pub fn run_ffn(
         &mut self,
         program: &[Command],
@@ -443,6 +443,7 @@ impl ArrayEngine {
             match *cmd {
                 Command::FfnHidden { panel } => {
                     let c0 = panel * PANEL_COLS;
+                    assert!(c0 < d_ff, "FFN program does not match the block's shape");
                     let width = PANEL_COLS.min(d_ff - c0);
                     let cols = self.panel(w1, x, c0, width);
                     for r in 0..hidden.rows() {
@@ -453,6 +454,7 @@ impl ArrayEngine {
                 }
                 Command::FfnOutput { panel } => {
                     let c0 = panel * PANEL_COLS;
+                    assert!(c0 < d_model, "FFN program does not match the block's shape");
                     let width = PANEL_COLS.min(d_model - c0);
                     let cols = self.panel(w2, &hidden, c0, width);
                     for r in 0..g.rows() {

@@ -49,3 +49,6 @@ pub use quantized;
 pub use serving;
 pub use tensor;
 pub use transformer;
+
+#[cfg(test)]
+mod top;
