@@ -233,7 +233,8 @@ mod tests {
     use quantized::{QuantFfnResBlock, QuantMhaResBlock, SoftmaxMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tensor::{gemm, Mat};
+    use tensor::simd::Int8Kernel;
+    use tensor::{gemm, Mat, Policy};
     use transformer::config::ModelConfig;
     use transformer::ffn::FfnResBlock;
     use transformer::mha::MhaResBlock;
@@ -290,40 +291,44 @@ mod tests {
         // Every panel the interpreter issues against Q/K/V/O/W1/W2: the
         // tiny shape (d_k = 8, panels start inside a pack tile) and a
         // 64-wide-head shape whose d_ff leaves a ragged last panel —
-        // on the dispatched kernels and with the scalar ones forced.
-        for force_scalar in [false, true] {
-            tensor::simd::set_simd_override(force_scalar.then_some(false));
-            for cfg in [ModelConfig::tiny_for_tests(), ragged_cfg()] {
-                let (qmha, qffn, xq) = blocks(&cfg, 8);
-                let d_k = qmha.d_k();
-                let (wq, wk, wv, wo) = qmha.projections();
-                for (name, lin) in [("Q", wq), ("K", wk), ("V", wv), ("O", wo)] {
-                    for head in 0..cfg.h {
-                        assert_eq!(
-                            lin.forward_cols(&xq, head * d_k, d_k),
-                            linear_cols_reference(lin, &xq, head * d_k, d_k),
-                            "{} W_{name} panel {head} scalar={force_scalar}",
-                            cfg.name
-                        );
+        // on the host's fastest kernels and on the scalar ones.
+        for tier in [Int8Kernel::Amx, Int8Kernel::Scalar] {
+            let policy = Policy {
+                int8_cap: tier,
+                ..Policy::current()
+            };
+            policy.run(|| {
+                for cfg in [ModelConfig::tiny_for_tests(), ragged_cfg()] {
+                    let (qmha, qffn, xq) = blocks(&cfg, 8);
+                    let d_k = qmha.d_k();
+                    let (wq, wk, wv, wo) = qmha.projections();
+                    for (name, lin) in [("Q", wq), ("K", wk), ("V", wv), ("O", wo)] {
+                        for head in 0..cfg.h {
+                            assert_eq!(
+                                lin.forward_cols(&xq, head * d_k, d_k),
+                                linear_cols_reference(lin, &xq, head * d_k, d_k),
+                                "{} W_{name} panel {head} {tier:?}",
+                                cfg.name
+                            );
+                        }
+                    }
+                    let (w1, w2) = qffn.sublayers();
+                    let hidden = w1.forward(&xq);
+                    for (name, lin, x) in [("1", w1, &xq), ("2", w2, &hidden)] {
+                        let d_out = lin.weight_q().cols();
+                        for c0 in (0..d_out).step_by(PANEL_COLS) {
+                            let width = PANEL_COLS.min(d_out - c0);
+                            assert_eq!(
+                                lin.forward_cols(x, c0, width),
+                                linear_cols_reference(lin, x, c0, width),
+                                "{} W_{name} cols {c0}+{width} {tier:?}",
+                                cfg.name
+                            );
+                        }
                     }
                 }
-                let (w1, w2) = qffn.sublayers();
-                let hidden = w1.forward(&xq);
-                for (name, lin, x) in [("1", w1, &xq), ("2", w2, &hidden)] {
-                    let d_out = lin.weight_q().cols();
-                    for c0 in (0..d_out).step_by(PANEL_COLS) {
-                        let width = PANEL_COLS.min(d_out - c0);
-                        assert_eq!(
-                            lin.forward_cols(x, c0, width),
-                            linear_cols_reference(lin, x, c0, width),
-                            "{} W_{name} cols {c0}+{width} scalar={force_scalar}",
-                            cfg.name
-                        );
-                    }
-                }
-            }
+            });
         }
-        tensor::simd::set_simd_override(None);
     }
 
     #[test]

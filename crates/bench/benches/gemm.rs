@@ -40,9 +40,11 @@ fn bench_gemm(c: &mut Criterion) {
     let a = tensor::init::uniform_i8(&mut rng, 64, 2048);
     let b = tensor::init::uniform_i8(&mut rng, 2048, 64);
     c.bench_function("gemm_i8_blocked/64x2048x64", |bench| {
-        tensor::par::set_thread_override(Some(1));
-        bench.iter(|| black_box(gemm::matmul_i8(&a, &b).unwrap()));
-        tensor::par::set_thread_override(None);
+        let one = tensor::Policy {
+            threads: 1,
+            ..tensor::Policy::current()
+        };
+        one.run(|| bench.iter(|| black_box(gemm::matmul_i8(&a, &b).unwrap())));
     });
 
     // The QK^T path (no materialised transpose).

@@ -94,12 +94,13 @@ fn bench_par_gemm(c: &mut Criterion) {
 criterion_group!(benches, bench_par_gemm);
 
 /// Runs `body` with the GEMMs pinned to the calling thread (the serial
-/// "blocked" tier), then restores the ambient worker count.
+/// "blocked" tier).
 fn one_worker<R>(body: impl FnOnce() -> R) -> R {
-    tensor::par::set_thread_override(Some(1));
-    let out = body();
-    tensor::par::set_thread_override(None);
-    out
+    tensor::Policy {
+        threads: 1,
+        ..tensor::Policy::current()
+    }
+    .run(body)
 }
 
 /// Median nanoseconds of `f` over `reps` timed runs (plus two warm-ups).

@@ -48,7 +48,7 @@
 
 use std::sync::Arc;
 
-use tensor::kvpool::{page_rows_from_env, KvPool, KvSeq, DEFAULT_PAGE_ROWS};
+use tensor::kvpool::{KvPool, KvSeq};
 use tensor::phase::{self, Phase};
 use tensor::Mat;
 use transformer::greedy::GreedyStats;
@@ -63,8 +63,9 @@ use crate::model::{split_rows, QuantSeq2Seq};
 /// serving engine (or one per decode for the convenience entry points)
 /// and pass it to every session call.
 ///
-/// Page height defaults to [`DEFAULT_PAGE_ROWS`] and is overridable via
-/// the `ACCEL_KV_PAGE` environment variable (read at construction).
+/// Page height comes from the [`tensor::Policy`] active at construction
+/// (`ACCEL_KV_PAGE`, else [`tensor::kvpool::DEFAULT_PAGE_ROWS`], by
+/// default).
 #[derive(Debug)]
 pub struct KvArena {
     pub(crate) k: KvPool<i8>,
@@ -73,9 +74,9 @@ pub struct KvArena {
 
 impl KvArena {
     /// An arena for caches `d_model` columns wide, with the page height
-    /// taken from `ACCEL_KV_PAGE` (default [`DEFAULT_PAGE_ROWS`]).
+    /// of the calling thread's [`tensor::Policy`].
     pub(crate) fn new(d_model: usize) -> Self {
-        Self::with_page_rows(d_model, page_rows_from_env(DEFAULT_PAGE_ROWS))
+        Self::with_page_rows(d_model, tensor::Policy::current().kv_page_rows)
     }
 
     /// An arena sized for `model`'s decoder caches.
@@ -84,7 +85,7 @@ impl KvArena {
     }
 
     /// An arena with an explicit page height (tests pin this so their
-    /// page-boundary assertions hold under any `ACCEL_KV_PAGE`).
+    /// page-boundary assertions hold under any policy).
     pub fn with_page_rows(d_model: usize, page_rows: usize) -> Self {
         Self {
             k: KvPool::new(page_rows, d_model),

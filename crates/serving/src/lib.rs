@@ -60,7 +60,9 @@
 //! [`ContinuousBatcher::with_fault_plan`], the ABFT checker from
 //! `ACCEL_ABFT` or [`ContinuousBatcher::with_checker`]) and makes it
 //! the stepping thread's active one for each step, so two engines on two
-//! threads never see each other's faults. When the checker is on, every
+//! threads never see each other's faults. It keeps the
+//! [`tensor::Policy`] it was built under (worker count, INT8 tier cap,
+//! KV page height) the same way. When the checker is on, every
 //! batched model call and every admission's stacked encoder pass is
 //! bracketed by the engine's detection counter
 //! ([`ServingStats::detected`]): a checker-flagged step is rolled back
@@ -102,6 +104,7 @@ use crate::prefix::PrefixIndex;
 use faults::{FaultPlan, FaultState, Injector};
 use quantized::QuantSeq2Seq;
 use tensor::phase::{self, Phase, PhaseRecorder, StepKind};
+use tensor::Policy;
 use transformer::tasks::{BOS, EOS};
 
 /// Why the serving layer rejected an input.
@@ -527,11 +530,15 @@ pub struct ContinuousBatcher<'m> {
     /// Fault plan, checker flag and their counters; the stepping
     /// thread's active state for the length of each step.
     faults: FaultState,
+    /// Worker count, INT8 tier cap and page height, captured from the
+    /// thread that built the engine; active for the length of each step.
+    policy: Policy,
 }
 
 impl<'m> ContinuousBatcher<'m> {
     /// Creates an engine with `cfg.max_batch` empty slots and a fresh
-    /// KV arena sized for `model`.
+    /// KV arena sized for `model`. The engine keeps the calling thread's
+    /// [`Policy`] and steps under it, whichever thread steps it.
     ///
     /// # Errors
     ///
@@ -555,6 +562,7 @@ impl<'m> ContinuousBatcher<'m> {
             prefix: PrefixIndex::new(cfg.prefix_cache_bytes),
             phases: None,
             faults: FaultState::new(None, tensor::envcfg::abft_env()),
+            policy: Policy::current(),
         })
     }
 
@@ -924,9 +932,10 @@ impl<'m> ContinuousBatcher<'m> {
     pub fn step(&mut self) -> bool {
         // Every `QLinear` pass of a step — admission's encoder pass and
         // the model call — runs on this thread, under this engine's
-        // fault state.
+        // fault state and policy.
         let mut faults = std::mem::take(&mut self.faults);
-        let ran = faults.run(|| self.recorded_step());
+        let policy = self.policy;
+        let ran = faults.run(|| policy.run(|| self.recorded_step()));
         self.faults = faults;
         ran
     }

@@ -13,6 +13,7 @@ use quantized::{QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serving::{ContinuousBatcher, EngineConfig, Request};
+use tensor::Policy;
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS, EOS};
@@ -154,38 +155,48 @@ fn a_decode_c16_shaped_engine_encodes_a_whole_wave_per_pass() {
 /// the sequential logits-and-argmax reference token for token, and the
 /// head's counters reach the operator through `stats()` — every step row
 /// verified at least one tile, none fell back to the full projection.
+/// Each engine is built under, and so steps under, one policy of the
+/// sweep; the references run under the default.
 #[test]
 fn greedy_head_serves_every_row_and_reports_it() {
     let q = model();
     let srcs = sources();
-    let mut engine = ContinuousBatcher::new(
-        q,
-        EngineConfig {
-            max_batch: 3,
-            prefill_chunk: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
     let prompts: Vec<Vec<usize>> = (0..6)
         .map(|i| srcs[i].iter().copied().take(i).collect())
         .collect();
-    for (id, prompt) in prompts.iter().enumerate() {
-        let req = Request::new(id as u64, srcs[id].clone(), 6).with_prompt(prompt.clone());
-        engine.submit(req).unwrap();
+    let want: Vec<Vec<usize>> = prompts
+        .iter()
+        .enumerate()
+        .map(|(id, prompt)| q.greedy_decode_with_prompt(&srcs[id], prompt, 6))
+        .collect();
+    for policy in Policy::sweep() {
+        eprintln!("continuous_identity: {policy:?}");
+        let cfg = EngineConfig {
+            max_batch: 3,
+            prefill_chunk: 2,
+            ..EngineConfig::default()
+        };
+        let mut engine = policy.run(|| ContinuousBatcher::new(q, cfg)).unwrap();
+        for (id, prompt) in prompts.iter().enumerate() {
+            let req = Request::new(id as u64, srcs[id].clone(), 6).with_prompt(prompt.clone());
+            engine.submit(req).unwrap();
+        }
+        let responses = engine.run_to_completion();
+        assert_eq!(responses.len(), prompts.len());
+        for resp in &responses {
+            assert_eq!(
+                resp.tokens, want[resp.id as usize],
+                "id {}, {policy:?}",
+                resp.id
+            );
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.greedy_fallback_rows, 0);
+        assert!(
+            stats.greedy_candidate_tiles >= stats.rows,
+            "{} tiles over {} step rows, {policy:?}",
+            stats.greedy_candidate_tiles,
+            stats.rows
+        );
     }
-    let responses = engine.run_to_completion();
-    assert_eq!(responses.len(), prompts.len());
-    for (resp, prompt) in responses.iter().zip(&prompts) {
-        let want = q.greedy_decode_with_prompt(&srcs[resp.id as usize], prompt, 6);
-        assert_eq!(resp.tokens, want, "id {}", resp.id);
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.greedy_fallback_rows, 0);
-    assert!(
-        stats.greedy_candidate_tiles >= stats.rows,
-        "{} tiles over {} step rows",
-        stats.greedy_candidate_tiles,
-        stats.rows
-    );
 }

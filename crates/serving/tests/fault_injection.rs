@@ -335,12 +335,16 @@ fn env_seeded_fault_is_detected_and_healed() {
     let n = 2;
     let want = baseline(n);
     let campaign = |threads: usize| {
-        tensor::par::set_thread_override(Some(threads));
-        let p0 = prefill_passes(n);
-        let plan = campaign_plan(seed, p0, n);
-        let (got, stats) = decode(n, n, Some(plan.clone()), true);
-        tensor::par::set_thread_override(None);
-        (p0, plan, got, stats)
+        let policy = tensor::Policy {
+            threads,
+            ..tensor::Policy::current()
+        };
+        policy.run(|| {
+            let p0 = prefill_passes(n);
+            let plan = campaign_plan(seed, p0, n);
+            let (got, stats) = decode(n, n, Some(plan.clone()), true);
+            (p0, plan, got, stats)
+        })
     };
     let (p0, plan, got, stats) = campaign(1);
     assert_eq!(

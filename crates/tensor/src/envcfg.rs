@@ -11,30 +11,32 @@
 //!
 //! Caching policy:
 //!
-//! * `ACCEL_THREADS`, `ACCEL_FORCE_SCALAR`, `ACCEL_ABFT`,
-//!   `ACCEL_FAULT_SEED`, `ACCEL_PIN` — read **once** per process (these
-//!   sit on or gate hot paths; a `getenv` per GEMM is measurable).
-//!   In-process retuning for tests goes through the override setters
-//!   (`set_pin_override`,
-//!   [`crate::par::set_thread_override`],
-//!   [`crate::simd::set_simd_override`]; a serving engine's
-//!   `with_checker` builder overrides `ACCEL_ABFT`).
-//! * `ACCEL_KV_PAGE`, `ACCEL_PREFIX_CACHE` — parsed on **every** call
-//!   (once per arena/engine construction, cheap), so tests and CI
-//!   matrices can vary them without process-global caching.
+//! * `ACCEL_THREADS`, `ACCEL_FORCE_SCALAR`, `ACCEL_KV_PAGE` — read
+//!   **once** per process into the default [`crate::Policy`]
+//!   ([`crate::Policy::from_env`]; parsing in
+//!   [`crate::Policy::from_lookup`]). The worker count and the INT8 tier
+//!   are read per GEMM, so they are never re-parsed. Code that needs
+//!   another configuration runs under [`crate::Policy::run`], on the
+//!   calling thread; a serving engine keeps the policy it was built
+//!   under.
+//! * `ACCEL_ABFT`, `ACCEL_FAULT_SEED`, `ACCEL_PIN` — read **once** per
+//!   process (a serving engine's `with_checker` builder overrides
+//!   `ACCEL_ABFT`; `ACCEL_PIN` is read when a pool worker spawns).
+//! * `ACCEL_PREFIX_CACHE`, `ACCEL_MAX_QUEUE` — parsed on **every** call
+//!   (once per engine configuration, cheap), so tests and CI matrices
+//!   can vary them without process-global caching.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Worker-thread count override; unset/empty/`0`/unparsable mean "use
-/// the machine's available parallelism". See [`crate::par::threads`].
+/// Worker-thread count; unset/empty/`0`/unparsable mean "use the
+/// machine's available parallelism". See [`crate::Policy::from_lookup`].
 pub const ENV_THREADS: &str = "ACCEL_THREADS";
 
 /// Forces the scalar INT8 kernels (any non-empty value other than `0`).
-/// See [`crate::simd::simd_enabled`].
+/// See [`crate::Policy::from_lookup`].
 pub const ENV_FORCE_SCALAR: &str = "ACCEL_FORCE_SCALAR";
 
-/// Paged-KV page height in rows. See [`crate::kvpool::page_rows_from_env`].
+/// Paged-KV page height in rows. See [`crate::Policy::from_lookup`].
 pub const ENV_KV_PAGE: &str = "ACCEL_KV_PAGE";
 
 /// Enables the ABFT checker on the serving path (`1`/`true`/`on`,
@@ -60,55 +62,19 @@ pub const ENV_MAX_QUEUE: &str = "ACCEL_MAX_QUEUE";
 
 /// "Set and truthy" predicate shared by the boolean flags: any
 /// non-empty value other than `0` counts as set.
-fn flag(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        }
-        Err(_) => false,
-    }
-}
-
-/// `ACCEL_THREADS` as parsed from the environment: `Some(t)` for a
-/// positive integer, `None` otherwise (caller supplies the default and
-/// the clamp). Read once per process.
-pub(crate) fn threads_raw() -> Option<usize> {
-    static CELL: OnceLock<Option<usize>> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var(ENV_THREADS) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(t) if t > 0 => Some(t),
-            _ => None,
-        },
-        Err(_) => None,
+pub(crate) fn flag(value: Option<String>) -> bool {
+    value.is_some_and(|v| {
+        let v = v.trim();
+        !v.is_empty() && v != "0"
     })
-}
-
-/// Whether `ACCEL_FORCE_SCALAR` pins the scalar kernels. Read once per
-/// process.
-pub(crate) fn force_scalar() -> bool {
-    static CELL: OnceLock<bool> = OnceLock::new();
-    *CELL.get_or_init(|| flag(ENV_FORCE_SCALAR))
-}
-
-/// The paged-KV page height from `ACCEL_KV_PAGE`, falling back to
-/// `default`. Parsed on every call (see module docs).
-pub(crate) fn kv_page_rows(default: usize) -> usize {
-    match std::env::var(ENV_KV_PAGE) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => default,
-        },
-        Err(_) => default,
-    }
 }
 
 /// The shared-prefix KV-cache byte budget from `ACCEL_PREFIX_CACHE`,
 /// falling back to `default`; `0` (or an unparsable value) disables the
 /// cache. Accepts a plain byte count or a `k`/`m` suffix
-/// (case-insensitive, powers of 1024). Parsed on **every** call, like
-/// [`kv_page_rows`]: it is read once per engine construction, and CI
-/// matrices / tests vary it without process-global caching.
+/// (case-insensitive, powers of 1024). Parsed on **every** call: it is
+/// read once per engine configuration, and CI matrices / tests vary it
+/// without process-global caching.
 pub fn prefix_cache_bytes(default: usize) -> usize {
     match std::env::var(ENV_PREFIX_CACHE) {
         Ok(v) => {
@@ -129,9 +95,8 @@ pub fn prefix_cache_bytes(default: usize) -> usize {
 
 /// The serving engine's waiting-queue bound from `ACCEL_MAX_QUEUE`,
 /// falling back to `default`; `0` (or an unparsable value) leaves the
-/// queue unbounded. Parsed on **every** call, like [`kv_page_rows`]:
-/// it is read once per engine construction, and tests / CI matrices
-/// vary it without process-global caching.
+/// queue unbounded. Parsed on **every** call, like
+/// [`prefix_cache_bytes`].
 pub fn max_queue(default: usize) -> usize {
     match std::env::var(ENV_MAX_QUEUE) {
         Ok(v) => match v.trim().parse::<usize>() {
@@ -166,55 +131,9 @@ pub fn fault_seed() -> Option<u64> {
     })
 }
 
-/// In-process override for [`pin_enabled`]:
-/// 0 = follow env, 1 = force off, 2 = force on.
-static PIN_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether pool workers should be pinned to cores: an explicit
-/// `set_pin_override` (tests only), else the `ACCEL_PIN` opt-in.
+/// Whether pool workers should be pinned to cores: the `ACCEL_PIN`
+/// opt-in, read once per process.
 pub(crate) fn pin_enabled() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
-    match PIN_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *CELL.get_or_init(|| flag(ENV_PIN)),
-    }
-}
-
-/// Overrides [`pin_enabled`] for this process (`None` restores the env
-/// resolution). Note that workers already spawned keep the affinity
-/// they were given; the override affects workers spawned afterwards.
-#[cfg(test)]
-pub(crate) fn set_pin_override(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    PIN_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kv_page_rows_falls_back_on_default() {
-        // Unset in the plain test environment (the CI page-stress leg
-        // sets it process-wide, in which case the parsed value wins —
-        // only check the contract that holds either way).
-        let got = kv_page_rows(16);
-        assert!(got > 0);
-    }
-
-    #[test]
-    fn pin_override_wins_and_clears() {
-        let base = pin_enabled();
-        set_pin_override(Some(true));
-        assert!(pin_enabled());
-        set_pin_override(Some(false));
-        assert!(!pin_enabled());
-        set_pin_override(None);
-        assert_eq!(pin_enabled(), base);
-    }
+    *CELL.get_or_init(|| flag(std::env::var(ENV_PIN).ok()))
 }

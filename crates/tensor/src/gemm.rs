@@ -13,13 +13,14 @@
 //! The four public entry points ([`matmul`], [`matmul_nt`], [`matmul_i8`],
 //! [`matmul_i8_nt`]) are parallelised over horizontal output bands on the
 //! persistent worker pool in [`crate::par`]. The worker count has one
-//! source, [`crate::par::threads`] (the `ACCEL_THREADS` environment
-//! variable, the in-process [`crate::par::set_thread_override`], or the
-//! machine's available parallelism); problems at or below
-//! [`SERIAL_CUTOFF_MACS`] run on the calling thread to avoid dispatch
-//! overhead. The INT8 kernels dispatch to the AVX-512 VNNI microkernels
-//! in [`crate::simd`] when the hardware supports them (bit-identical
-//! either way); single-row INT8 GEMMs use a dedicated GEMV kernel.
+//! source, [`crate::par::threads`]: the calling thread's
+//! [`crate::Policy`] (by default `ACCEL_THREADS` or the machine's
+//! available parallelism); problems at or below [`SERIAL_CUTOFF_MACS`]
+//! run on the calling thread to avoid dispatch overhead. The INT8
+//! kernels dispatch to the AVX-512 VNNI and AMX microkernels in
+//! [`crate::simd`] up to the policy's tier cap where the hardware has
+//! them (bit-identical either way); single-row INT8 GEMMs use a
+//! dedicated GEMV kernel.
 //!
 //! [`matmul`] and [`matmul_i8`] (two rows or more) are the prepacked
 //! GEMMs of [`crate::prepack`] with the pack paid per call: they pack `B`
@@ -980,7 +981,11 @@ mod tests {
             let b = crate::init::uniform(&mut rng, k, n, -1.0, 1.0);
             let want = matmul_ref(&a, &b).unwrap();
             for t in [1usize, 2, 5] {
-                let got = par::under_thread_override(t, || matmul(&a, &b).unwrap());
+                let policy = crate::Policy {
+                    threads: t,
+                    ..crate::Policy::current()
+                };
+                let got = policy.run(|| matmul(&a, &b).unwrap());
                 assert!(
                     got.as_slice()
                         .iter()

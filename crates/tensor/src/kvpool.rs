@@ -35,9 +35,9 @@
 //! row range so the shared rows and each sequence's own rows are walked
 //! apart.
 //!
-//! The page size is tunable via the `ACCEL_KV_PAGE` environment
-//! variable (see [`page_rows_from_env`]); CI runs a tiny-page stress
-//! matrix so page-boundary paths are exercised on every change.
+//! An arena's page height comes from the [`crate::Policy`] it is built
+//! under (`ACCEL_KV_PAGE` sets the default); the identity suites sweep
+//! 4- and 16-row pages, so page-boundary paths run on every change.
 
 use std::ops::Range;
 
@@ -45,14 +45,6 @@ use crate::Mat;
 
 /// Default page height (rows per page) when `ACCEL_KV_PAGE` is unset.
 pub const DEFAULT_PAGE_ROWS: usize = 16;
-
-/// Reads the page height from the `ACCEL_KV_PAGE` environment variable,
-/// falling back to `default`. Parsed on every call (cheap — once per
-/// arena construction), so tests and CI matrices can vary it without
-/// process-global caching. Parsing lives in [`crate::envcfg`].
-pub fn page_rows_from_env(default: usize) -> usize {
-    crate::envcfg::kv_page_rows(default)
-}
 
 /// A sequence's block table: the ordered pages it owns inside one
 /// [`KvPool`], plus its logical row count. Create with [`KvSeq::new`],
@@ -587,18 +579,5 @@ mod tests {
         let _b = pool.fork(&a);
         // Fully page-aligned fork: zero extra bytes.
         assert_eq!(pool.bytes_in_use(), 64);
-    }
-
-    #[test]
-    fn env_page_rows_parsing() {
-        // Only exercises the fallback path (the variable is not set in
-        // the test environment unless the CI page-stress matrix sets it,
-        // in which case the parsed value must be positive).
-        let v = page_rows_from_env(16);
-        assert!(v > 0);
-        match std::env::var("ACCEL_KV_PAGE") {
-            Ok(s) => assert_eq!(v, s.trim().parse::<usize>().unwrap_or(16).max(1)),
-            Err(_) => assert_eq!(v, 16),
-        }
     }
 }

@@ -46,8 +46,10 @@ pub mod norm;
 pub mod ops;
 pub mod par;
 pub mod phase;
+mod policy;
 pub mod prepack;
 pub mod simd;
 
 pub use error::ShapeError;
 pub use mat::Mat;
+pub use policy::Policy;

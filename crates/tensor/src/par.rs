@@ -18,70 +18,40 @@
 //! makes pool-worker deadlock impossible (no worker ever blocks on
 //! another batch).
 //!
-//! The worker count comes from [`threads`], which reads the
-//! `ACCEL_THREADS` environment variable **once** (cached in a
-//! [`OnceLock`] — the old implementation issued a `getenv` syscall per
-//! matmul) and otherwise falls back to
-//! [`std::thread::available_parallelism`]. Tests and benchmarks that
-//! need to vary the count in-process use [`set_thread_override`].
+//! The worker count comes from [`threads`]: the calling thread's
+//! [`Policy`], whose process default reads `ACCEL_THREADS` **once** and
+//! otherwise falls back to [`std::thread::available_parallelism`]. A
+//! batch's tasks run under the policy of the thread that dispatched it,
+//! so a count or INT8 tier set with [`Policy::run`] holds on every pool
+//! worker the batch reaches.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
-/// Environment variable overriding the worker-thread count.
+use crate::Policy;
+
+/// Environment variable setting the default worker-thread count.
 ///
 /// Unset, empty, unparsable, or `0` all mean "use the machine's
 /// available parallelism". Values are clamped to [`MAX_THREADS`]. Read
-/// once per process; see [`set_thread_override`] for in-process retuning.
+/// once per process; see [`Policy::from_lookup`].
 pub use crate::envcfg::ENV_THREADS;
 
 /// Upper bound on the worker-thread count (a safety clamp for absurd
 /// `ACCEL_THREADS` values and the pool's maximum size).
 pub(crate) const MAX_THREADS: usize = 256;
 
-/// In-process override installed by [`set_thread_override`]
-/// (`0` = no override).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// The `ACCEL_THREADS` / `available_parallelism` resolution, computed on
-/// first use — no syscalls on the per-GEMM hot path.
-static ENV_RESOLVED: OnceLock<usize> = OnceLock::new();
-
-/// The worker-thread count used by the parallel kernels.
-///
-/// Resolution order: the in-process override ([`set_thread_override`]),
-/// then [`ENV_THREADS`] (parsed once via [`crate::envcfg`] and cached),
-/// then [`std::thread::available_parallelism`]. Always in
-/// `1..=MAX_THREADS`.
+/// The worker-thread count used by the parallel kernels: the calling
+/// thread's [`Policy::current`] count, in `1..=MAX_THREADS`.
+#[inline]
 pub fn threads() -> usize {
-    let ov = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if ov > 0 {
-        return ov.min(MAX_THREADS);
-    }
-    *ENV_RESOLVED.get_or_init(|| {
-        crate::envcfg::threads_raw()
-            .map(|t| t.min(MAX_THREADS))
-            .unwrap_or_else(default_threads)
-    })
+    Policy::current().threads.clamp(1, MAX_THREADS)
 }
 
-/// Overrides [`threads`] for this process (`None` restores the cached
-/// environment resolution). Intended for tests and benchmarks that pin
-/// the worker count — e.g. the pool-determinism suite running the same
-/// workload at 1, 2 and 7 workers; production embedders should set
-/// `ACCEL_THREADS` before the first parallel call instead.
-///
-/// The override is global and unsynchronized with concurrently running
-/// parallel sections; that is safe here only because every kernel in
-/// this crate is bit-identical across thread counts.
-pub fn set_thread_override(count: Option<usize>) {
-    THREAD_OVERRIDE.store(count.unwrap_or(0), Ordering::Relaxed);
-}
-
-fn default_threads() -> usize {
+/// The machine's available parallelism, clamped to [`MAX_THREADS`].
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
@@ -98,10 +68,12 @@ fn default_threads() -> usize {
 type Job = Box<dyn FnOnce() + Send>;
 
 /// One dispatched batch of tasks: a shared queue the caller *and* any
-/// number of workers drain, a remaining-task counter the caller waits
-/// on, and the first captured worker panic (re-thrown at the caller).
+/// number of workers drain, the caller's policy every task runs under, a
+/// remaining-task counter the caller waits on, and the first captured
+/// worker panic (re-thrown at the caller).
 struct Batch {
     tasks: Mutex<VecDeque<Job>>,
+    policy: Policy,
     remaining: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -114,7 +86,8 @@ impl Batch {
     fn run_next(&self) -> bool {
         let job = { self.tasks.lock().expect("pool batch queue").pop_front() };
         let Some(job) = job else { return false };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.policy.run(job)));
         if let Err(payload) = result {
             let mut slot = self.panic.lock().expect("pool panic slot");
             if slot.is_none() {
@@ -203,29 +176,33 @@ impl Pool {
         let want = want.min(MAX_THREADS);
         let mut n = self.spawned.lock().expect("pool spawn counter");
         while *n < want {
-            let rx = Arc::clone(&self.shared_rx);
-            let index = *n;
-            std::thread::Builder::new()
-                .name(format!("accel-pool-{n}"))
-                .spawn(move || {
-                    IN_POOL_WORKER.with(|f| f.set(true));
-                    if crate::envcfg::pin_enabled() {
-                        pin_to_core(index % default_threads());
-                    }
-                    loop {
-                        let batch = {
-                            let guard = rx.lock().expect("pool receiver");
-                            guard.recv()
-                        };
-                        match batch {
-                            Ok(batch) => while batch.run_next() {},
-                            Err(_) => return,
-                        }
-                    }
-                })
-                .expect("spawn pool worker");
+            self.spawn_worker(*n, crate::envcfg::pin_enabled());
             *n += 1;
         }
+    }
+
+    /// Spawns worker `index`, pinned to core `index % cores` if `pin`.
+    fn spawn_worker(&'static self, index: usize, pin: bool) {
+        let rx = Arc::clone(&self.shared_rx);
+        std::thread::Builder::new()
+            .name(format!("accel-pool-{index}"))
+            .spawn(move || {
+                IN_POOL_WORKER.with(|f| f.set(true));
+                if pin {
+                    pin_to_core(index % default_threads());
+                }
+                loop {
+                    let batch = {
+                        let guard = rx.lock().expect("pool receiver");
+                        guard.recv()
+                    };
+                    match batch {
+                        Ok(batch) => while batch.run_next() {},
+                        Err(_) => return,
+                    }
+                }
+            })
+            .expect("spawn pool worker");
     }
 }
 
@@ -235,9 +212,10 @@ impl Pool {
 /// responsibility (each task must own a disjoint output region —
 /// [`row_bands`] and [`map_with_threads`] arrange exactly that).
 ///
-/// Single-task batches and batches dispatched from inside a pool worker
-/// run inline, in submission order. The first task panic is re-thrown
-/// here after the whole batch has drained.
+/// Every task runs under the caller's [`Policy`]. Single-task batches
+/// and batches dispatched from inside a pool worker run inline, in
+/// submission order. The first task panic is re-thrown here after the
+/// whole batch has drained.
 pub(crate) fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     let n = tasks.len();
     if n == 0 {
@@ -266,6 +244,7 @@ pub(crate) fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
             .collect();
     let batch = Arc::new(Batch {
         tasks: Mutex::new(jobs),
+        policy: Policy::current(),
         remaining: Mutex::new(n),
         done: Condvar::new(),
         panic: Mutex::new(None),
@@ -378,29 +357,6 @@ pub(crate) fn row_bands<T, F>(
     scope_run(tasks);
 }
 
-/// Held by every unit test that sets [`set_thread_override`]: the
-/// override is process-global and this crate's unit tests run on
-/// parallel threads.
-#[cfg(test)]
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `body` with [`threads`] overridden to `t` under
-/// [`OVERRIDE_LOCK`], then clears the override (also when `body`
-/// panics).
-#[cfg(test)]
-pub(crate) fn under_thread_override<R>(t: usize, body: impl FnOnce() -> R) -> R {
-    struct Clear;
-    impl Drop for Clear {
-        fn drop(&mut self) {
-            set_thread_override(None);
-        }
-    }
-    let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _clear = Clear;
-    set_thread_override(Some(t));
-    body()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,12 +415,18 @@ mod tests {
 
     #[test]
     fn thread_override_wins_and_clears() {
-        let _lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let base = threads();
-        set_thread_override(Some(3));
-        assert_eq!(threads(), 3);
-        set_thread_override(None);
+        let policy = Policy {
+            threads: 3,
+            ..Policy::current()
+        };
+        assert_eq!(policy.run(threads), 3);
         assert_eq!(threads(), base);
+        let clamped = Policy {
+            threads: 0,
+            ..Policy::current()
+        };
+        assert_eq!(clamped.run(threads), 1);
     }
 
     #[test]
@@ -533,15 +495,14 @@ mod tests {
 
     #[test]
     fn pinned_workers_stay_bit_identical() {
-        // Pinning is a performance hint: with the opt-in forced on, the
-        // pool must keep producing exactly the serial results. (Workers
-        // spawned by earlier tests keep their old affinity; this only
-        // exercises the pinned spawn path plus determinism.)
-        crate::envcfg::set_pin_override(Some(true));
+        // Pinning is a performance hint: a pinned worker serving the
+        // pool's batches must leave every result exactly the serial one.
+        pool().spawn_worker(MAX_THREADS, true);
         let items: Vec<u64> = (0..512).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * 7 + 1).collect();
-        assert_eq!(map_with_threads(&items, 4, |x| x * 7 + 1), serial);
-        crate::envcfg::set_pin_override(None);
+        for _ in 0..8 {
+            assert_eq!(map_with_threads(&items, 4, |x| x * 7 + 1), serial);
+        }
     }
 
     #[test]

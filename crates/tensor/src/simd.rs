@@ -95,14 +95,14 @@
 //!
 //! # Dispatch
 //!
-//! Dispatch is runtime-gated: [`simd_enabled`] checks AVX-512
-//! F/BW/VNNI support via `is_x86_feature_detected!` (cached) and
-//! honours the [`ENV_FORCE_SCALAR`] environment variable, read once per
-//! process, plus an in-process override for tests
-//! ([`set_simd_override`]); both switch AMX off together with VNNI. On
-//! hardware without VNNI (or non-x86_64 targets) the entry points
-//! report "not handled" and callers fall back to the scalar kernels.
-//! [`int8_kernel`] reports the tier in force.
+//! Dispatch is runtime-gated: [`int8_kernel`] is the smaller of the
+//! host's tier (AVX-512 F/BW/VNNI via `is_x86_feature_detected!`, AMX
+//! via the probe below, both cached) and the calling thread's
+//! [`crate::Policy`] cap, whose process default [`ENV_FORCE_SCALAR`]
+//! sets to scalar. [`simd_enabled`] follows from it, and the AVX-512F
+//! `f32` band is on wherever it is. On hardware without VNNI (or
+//! non-x86_64 targets) the entry points report "not handled" and
+//! callers fall back to the scalar kernels.
 //!
 //! # Unsafe inventory
 //!
@@ -123,22 +123,14 @@
 //! [`band_i8_amx`] wrapper on every call and `debug_assert!`ed again
 //! where the pointers are formed.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::Policy;
+
 /// Environment variable forcing the scalar kernels (any non-empty value
-/// other than `0`). Useful for debugging and for CI legs that pin the
-/// fallback path. Read once per process and cached (parsing lives in
-/// [`crate::envcfg`]).
+/// other than `0`): the default [`Policy`]'s INT8 cap. Read once per
+/// process (parsing lives in [`Policy::from_lookup`]).
 pub use crate::envcfg::ENV_FORCE_SCALAR;
-
-/// In-process override: 0 = follow env + detection, 1 = force scalar,
-/// 2 = force SIMD (still requires hardware support).
-static SIMD_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn force_scalar_env() -> bool {
-    crate::envcfg::force_scalar()
-}
 
 #[cfg(target_arch = "x86_64")]
 fn vnni_available() -> bool {
@@ -161,25 +153,13 @@ fn avx512f_available() -> bool {
     *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-/// Whether a hand-written tier the hardware offers (`available`) is
-/// switched on: the in-process override first, then
-/// [`ENV_FORCE_SCALAR`].
-fn tier_enabled(available: fn() -> bool) -> bool {
-    match SIMD_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => available(),
-        _ => !force_scalar_env() && available(),
-    }
-}
-
-/// Whether the SIMD kernels will be used for the next INT8 GEMM.
-///
-/// `true` iff the target is x86_64 with AVX-512 VNNI,
-/// [`ENV_FORCE_SCALAR`] is not set, and no in-process override forces
-/// scalar. Because SIMD and scalar kernels are bit-identical, this only
-/// affects speed.
+/// Whether the SIMD kernels will be used for the next INT8 GEMM on this
+/// thread: the target is x86_64 with AVX-512 VNNI and the active
+/// [`Policy`] does not cap the tier at scalar. Because SIMD and scalar
+/// kernels are bit-identical, this only affects speed.
+#[inline]
 pub fn simd_enabled() -> bool {
-    tier_enabled(vnni_available)
+    Policy::current().int8_cap != Int8Kernel::Scalar && vnni_available()
 }
 
 /// Crate-internal alias for [`simd_enabled`] used by the GEMM entry
@@ -190,9 +170,9 @@ pub(crate) fn int8_simd_active() -> bool {
     simd_enabled()
 }
 
-/// The INT8 GEMM microkernel tiers, slowest to fastest. All three are
-/// bit-identical; see [`int8_kernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The INT8 GEMM microkernel tiers, slowest to fastest (the order is
+/// the derived `Ord`). All three are bit-identical; see [`int8_kernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Int8Kernel {
     /// Portable scalar quad kernels ([`crate::gemm`]).
     Scalar,
@@ -204,12 +184,20 @@ pub enum Int8Kernel {
     Amx,
 }
 
-/// The best microkernel tier the next INT8 GEMM can dispatch to — what
-/// the hardware offers minus what [`ENV_FORCE_SCALAR`] /
-/// [`set_simd_override`] switch off (they disable VNNI and AMX
-/// together). Read-only; it only ever affects speed.
+/// The microkernel tier the next INT8 GEMM on this thread dispatches
+/// to: the smaller of [`Policy::current`]'s cap and what the hardware
+/// offers. Read-only; it only ever affects speed.
+#[inline]
 pub fn int8_kernel() -> Int8Kernel {
-    if !simd_enabled() {
+    match Policy::current().int8_cap {
+        Int8Kernel::Scalar => Int8Kernel::Scalar,
+        cap => cap.min(host_kernel()),
+    }
+}
+
+/// The fastest tier the hardware offers, whatever the policy.
+pub(crate) fn host_kernel() -> Int8Kernel {
+    if !vnni_available() {
         Int8Kernel::Scalar
     } else if amx_available() {
         Int8Kernel::Amx
@@ -250,25 +238,11 @@ fn amx_available() -> bool {
 /// Whether an `m`-row GEMM of reduction depth `k` runs on AMX tiles.
 /// The GEMM entry points ask once per call (tiles read the signed
 /// activations, so the `a + 128` copy is skipped) and [`band_i8_amx`]
-/// asks again per band, so an override flipped in between only changes
-/// which bit-identical kernel runs.
+/// asks again per band, on the thread that runs it, under the same
+/// policy (pool tasks run under the dispatching thread's).
 #[inline]
 pub(crate) fn amx_takes(m: usize, k: usize) -> bool {
     m >= AMX_MIN_ROWS && k > 0 && k.is_multiple_of(AMX_K_STEP) && int8_kernel() == Int8Kernel::Amx
-}
-
-/// Overrides SIMD dispatch for this process: `Some(false)` forces the
-/// scalar kernels, `Some(true)` requests the SIMD kernels (still subject
-/// to hardware support), `None` restores env + runtime detection.
-/// Intended for the SIMD-vs-scalar identity tests; safe to flip at any
-/// time because both paths produce bit-identical results.
-pub fn set_simd_override(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    SIMD_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -351,7 +325,7 @@ pub(crate) fn band_f32(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if n > 0 && tier_enabled(avx512f_available) {
+        if n > 0 && Policy::current().int8_cap != Int8Kernel::Scalar && avx512f_available() {
             let k = a.cols();
             assert_eq!(out_band.len() % n, 0, "band must hold whole rows");
             let rows = &a.as_slice()[first_row * k..(first_row + out_band.len() / n) * k];
@@ -2119,40 +2093,40 @@ mod x86 {
 mod tests {
     use super::*;
 
-    /// The override is process-global and this binary's tests run on
-    /// parallel threads: the tests that flip it, and the ones that need
-    /// a tier to stay live while they call its kernel, hold this.
-    static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-        OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+    /// `body` under the calling thread's policy with the INT8 tier
+    /// capped at `cap`.
+    fn capped<R>(cap: Int8Kernel, body: impl FnOnce() -> R) -> R {
+        Policy {
+            int8_cap: cap,
+            ..Policy::current()
+        }
+        .run(body)
     }
 
     #[test]
     fn override_controls_dispatch() {
-        let _guard = override_lock();
-        let ambient = (simd_enabled(), int8_kernel());
-        set_simd_override(Some(false));
-        assert!(!simd_enabled());
-        assert_eq!(int8_kernel(), Int8Kernel::Scalar);
-        assert!(
-            !amx_takes(64, 512),
-            "the override switches AMX off with VNNI"
-        );
-        set_simd_override(Some(true));
-        // Forcing SIMD on still requires hardware support.
-        assert_eq!(simd_enabled(), vnni_available());
-        assert_eq!(
-            int8_kernel() == Int8Kernel::Amx,
-            vnni_available() && amx_available()
-        );
-        set_simd_override(None);
-        assert_eq!((simd_enabled(), int8_kernel()), ambient);
+        capped(Int8Kernel::Scalar, || {
+            assert!(!simd_enabled());
+            assert_eq!(int8_kernel(), Int8Kernel::Scalar);
+            assert!(!amx_takes(64, 512), "the cap switches AMX off with VNNI");
+        });
+        capped(Int8Kernel::Vnni, || {
+            assert_eq!(simd_enabled(), vnni_available());
+            assert_eq!(int8_kernel(), host_kernel().min(Int8Kernel::Vnni));
+            assert!(!amx_takes(64, 512), "a VNNI cap keeps tiles off");
+        });
+        // The top cap is whatever the hardware has.
+        capped(Int8Kernel::Amx, || {
+            assert_eq!(simd_enabled(), vnni_available());
+            assert_eq!(
+                int8_kernel() == Int8Kernel::Amx,
+                vnni_available() && amx_available()
+            );
+        });
     }
 
     #[test]
     fn tile_tier_declines_what_it_cannot_take() {
-        let _guard = override_lock();
         // Whatever the host: one row is the GEMV's, and a reduction depth
         // off the 64-byte step stays on VNNI.
         assert!(!amx_takes(1, 512));
@@ -2161,13 +2135,13 @@ mod tests {
         assert!(!amx_takes(64, 66));
         assert_eq!(amx_takes(2, 64), int8_kernel() == Int8Kernel::Amx);
         // A declined band leaves the output alone and says so.
-        set_simd_override(Some(false));
-        let a = crate::Mat::from_vec(2, 64, i8_stream(9, 128)).unwrap();
-        let (quads, _) = crate::gemm::pack_quads(&crate::Mat::filled(64, 16, 1i8));
-        let mut out = vec![i32::MIN; 32];
-        assert!(!band_i8_amx(&a, quads.as_slice(), 0, &mut out, 16));
-        assert!(out.iter().all(|&v| v == i32::MIN));
-        set_simd_override(None);
+        capped(Int8Kernel::Scalar, || {
+            let a = crate::Mat::from_vec(2, 64, i8_stream(9, 128)).unwrap();
+            let (quads, _) = crate::gemm::pack_quads(&crate::Mat::filled(64, 16, 1i8));
+            let mut out = vec![i32::MIN; 32];
+            assert!(!band_i8_amx(&a, quads.as_slice(), 0, &mut out, 16));
+            assert!(out.iter().all(|&v| v == i32::MIN));
+        });
     }
 
     /// The three band kernels on one pack: AMX tiles, VNNI, and the
@@ -2179,8 +2153,6 @@ mod tests {
     /// (signed x signed, no `+ 128` offset anywhere).
     #[test]
     fn amx_band_matches_vnni_band_and_reference() {
-        let _guard = override_lock();
-        set_simd_override(None);
         if int8_kernel() != Int8Kernel::Amx {
             eprintln!(
                 "amx_band_matches_vnni_band_and_reference: skipped, no AMX tier on this host \
@@ -2247,8 +2219,6 @@ mod tests {
     /// bands that start inside `a`, and signed zeros / subnormals.
     #[test]
     fn f32_band_matches_reference_bitwise() {
-        let _guard = override_lock();
-        set_simd_override(None);
         let mut seed = 7;
         for k in [1usize, 3, 64, 130] {
             for n in [1usize, 15, 16, 17, 33, 48, 64, 65, 100] {
@@ -2284,12 +2254,12 @@ mod tests {
             }
         }
         // Switched off, the band is declined and left alone.
-        set_simd_override(Some(false));
-        let a = crate::Mat::filled(1, 4, 1.0f32);
-        let mut out = [f32::NAN; 16];
-        assert!(!band_f32(&a, &[0.0; 64], 0, &mut out, 16));
-        assert!(out.iter().all(|v| v.is_nan()));
-        set_simd_override(None);
+        capped(Int8Kernel::Scalar, || {
+            let a = crate::Mat::filled(1, 4, 1.0f32);
+            let mut out = [f32::NAN; 16];
+            assert!(!band_f32(&a, &[0.0; 64], 0, &mut out, 16));
+            assert!(out.iter().all(|v| v.is_nan()));
+        });
     }
 
     /// Deterministic pseudo-random i8 stream for the kernel tests.
@@ -2383,7 +2353,6 @@ mod tests {
 
     #[test]
     fn attention_blocks_match_the_drain_kernels_in_every_tier() {
-        let _guard = override_lock();
         // d_k = 64 takes the VNNI tier where the host has it; 16 and 96
         // always run the scalar loops. Block heights straddle the
         // 16-row key block and the 4-row value quad; query counts
@@ -2405,35 +2374,35 @@ mod tests {
                 .map(|&x| x & 0x7f)
                 .collect();
             let (want_s, want_acc) = attn_reference(&q, &k, &p, d, d_k);
-            for simd in [Some(false), None] {
-                set_simd_override(simd);
-                let mut scores = vec![i32::MIN; h * m * n];
-                attn_scores_i8(&q, &k, d, d_k, &mut scores, m * n, n);
-                assert_eq!(scores, want_s, "scores d={d} m={m} n={n} simd={simd:?}");
-                let mut acc = vec![0i32; m * d];
-                attn_pv_i8(&p, m * n, n, &k, d, d_k, &mut acc);
-                assert_eq!(acc, want_acc, "P·V d={d} m={m} n={n} simd={simd:?}");
-                // Mostly-zero probabilities, as a long context's softmax
-                // leaves them: whole zero block rows are skipped.
-                let sparse: Vec<i8> = p
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| if i % 23 == 0 { x } else { 0 })
-                    .collect();
-                let (_, want_sparse) = attn_reference(&q, &k, &sparse, d, d_k);
-                let mut acc = vec![0i32; m * d];
-                attn_pv_i8(&sparse, m * n, n, &k, d, d_k, &mut acc);
-                assert_eq!(acc, want_sparse, "sparse P·V d={d} m={m} n={n}");
-                // A negative code is outside the unsigned tier's domain
-                // and still sums exactly.
-                let mut neg = p.clone();
-                neg[0] = -5;
-                let (_, want_neg) = attn_reference(&q, &k, &neg, d, d_k);
-                let mut acc = vec![0i32; m * d];
-                attn_pv_i8(&neg, m * n, n, &k, d, d_k, &mut acc);
-                assert_eq!(acc, want_neg, "negative code d={d} m={m} n={n}");
+            for tier in [Int8Kernel::Scalar, Int8Kernel::Amx] {
+                capped(tier, || {
+                    let mut scores = vec![i32::MIN; h * m * n];
+                    attn_scores_i8(&q, &k, d, d_k, &mut scores, m * n, n);
+                    assert_eq!(scores, want_s, "scores d={d} m={m} n={n} {tier:?}");
+                    let mut acc = vec![0i32; m * d];
+                    attn_pv_i8(&p, m * n, n, &k, d, d_k, &mut acc);
+                    assert_eq!(acc, want_acc, "P·V d={d} m={m} n={n} {tier:?}");
+                    // Mostly-zero probabilities, as a long context's softmax
+                    // leaves them: whole zero block rows are skipped.
+                    let sparse: Vec<i8> = p
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &x)| if i % 23 == 0 { x } else { 0 })
+                        .collect();
+                    let (_, want_sparse) = attn_reference(&q, &k, &sparse, d, d_k);
+                    let mut acc = vec![0i32; m * d];
+                    attn_pv_i8(&sparse, m * n, n, &k, d, d_k, &mut acc);
+                    assert_eq!(acc, want_sparse, "sparse P·V d={d} m={m} n={n} {tier:?}");
+                    // A negative code is outside the unsigned tier's domain
+                    // and still sums exactly.
+                    let mut neg = p.clone();
+                    neg[0] = -5;
+                    let (_, want_neg) = attn_reference(&q, &k, &neg, d, d_k);
+                    let mut acc = vec![0i32; m * d];
+                    attn_pv_i8(&neg, m * n, n, &k, d, d_k, &mut acc);
+                    assert_eq!(acc, want_neg, "negative code d={d} m={m} n={n} {tier:?}");
+                });
             }
-            set_simd_override(None);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! The invariant is the one `prepack_props` asserts for VNNI:
 //! **bit-identity**. Whatever [`simd::int8_kernel`] dispatches to — AMX
 //! tiles, the VNNI kernels under them (`m == 1`, `k` not a multiple of
-//! 64), or the scalar kernels once the override or `ACCEL_FORCE_SCALAR`
-//! switches both SIMD tiers off — every output equals the naive
+//! 64), or the scalar kernels once a policy's cap (`ACCEL_FORCE_SCALAR`
+//! in the default) switches both SIMD tiers off — every output equals the naive
 //! reference, through the plain and fused entry points at every swept
 //! worker count and through unaligned [`PackedI8Cols`] ranges. On an
 //! AMX host the shapes with `k % 64 == 0` and `m >= 2` run on tiles and
@@ -18,25 +18,18 @@
 //! covered), and the tests that are about tile state skip with a
 //! notice.
 //!
-//! [`simd::set_simd_override`] is process-global and the tests of one
-//! binary run on parallel threads, so the tests that flip it (and the
-//! ones that assert which tier is live) hold [`OVERRIDE`]. The others
-//! may run under either setting — harmless, because of the very
-//! identity they assert. The worker-count sweeps set
-//! [`par::set_thread_override`] under [`THREAD_OVERRIDE`], on shapes
-//! above [`gemm::SERIAL_CUTOFF_MACS`] only: below it every count takes
-//! the one serial path.
+//! The worker-count sweeps run under a [`Policy`] of that count, on
+//! shapes above [`gemm::SERIAL_CUTOFF_MACS`] only: below it every count
+//! takes the one serial path. A policy is the calling thread's, so no
+//! test here waits for another.
 
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::Barrier;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tensor::prepack::{self, PackedI8, PackedI8Cols};
 use tensor::simd::{self, Int8Kernel};
-use tensor::{gemm, init, par, Mat};
-
-static OVERRIDE: Mutex<()> = Mutex::new(());
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
+use tensor::{gemm, init, Mat, Policy};
 
 /// Thread counts swept on shapes above the serial cutoff.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -51,22 +44,24 @@ fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
     }
 }
 
-/// Runs `body` at `t` workers, then restores the ambient count.
+/// Runs `body` at `t` workers.
 fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
-    let _lock = THREAD_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(t));
-    let out = body();
-    par::set_thread_override(None);
-    out
+    Policy {
+        threads: t,
+        ..Policy::current()
+    }
+    .run(body)
 }
 
-/// Serialises the tests that flip or depend on the SIMD override. A
-/// test that failed while holding it must not fail the others too.
-fn override_lock() -> MutexGuard<'static, ()> {
-    OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+/// The calling thread's policy with the INT8 cap at `cap`.
+fn capped(cap: Int8Kernel) -> Policy {
+    Policy {
+        int8_cap: cap,
+        ..Policy::current()
+    }
 }
 
-/// `true` when the ambient tier is AMX; otherwise prints why the
+/// `true` when the tier in force is AMX; otherwise prints why the
 /// calling test covers less (or nothing) on this host.
 fn amx_or_notice(test: &str) -> bool {
     let kernel = simd::int8_kernel();
@@ -230,34 +225,22 @@ fn extreme_codes_take_the_signed_path() {
     check_entry_points(&a, &b, "alternating extremes");
 }
 
-/// `set_simd_override(Some(false))` switches AMX off together with
-/// VNNI, and back: the reported tier follows, and the scalar results
-/// are the tile results.
+/// A scalar cap switches AMX off together with VNNI: the reported tier
+/// follows, and the scalar results are the tile results.
 #[test]
 fn override_bypasses_amx() {
-    let _guard = override_lock();
-    simd::set_simd_override(None);
-    let ambient = simd::int8_kernel();
-    amx_or_notice("override_bypasses_amx");
+    let top = capped(Int8Kernel::Amx);
+    top.run(|| amx_or_notice("override_bypasses_amx"));
     let mut rng = StdRng::seed_from_u64(21);
     let a = init::uniform_i8(&mut rng, 48, 128);
     let b = init::uniform_i8(&mut rng, 128, 80);
     let packed = PackedI8::from_i8(&b);
-    let on = prepack::matmul_i8_prepacked(&a, &packed).unwrap();
-
-    simd::set_simd_override(Some(false));
-    assert_eq!(simd::int8_kernel(), Int8Kernel::Scalar);
-    assert!(!simd::simd_enabled());
-    let off = prepack::matmul_i8_prepacked(&a, &packed).unwrap();
-
-    // `Some(true)` asks for the hardware's best tier; where the ambient
-    // tier is not scalar, that is the ambient one.
-    simd::set_simd_override(Some(true));
-    if ambient != Int8Kernel::Scalar {
-        assert_eq!(simd::int8_kernel(), ambient);
-    }
-    simd::set_simd_override(None);
-    assert_eq!(simd::int8_kernel(), ambient);
+    let on = top.run(|| prepack::matmul_i8_prepacked(&a, &packed).unwrap());
+    let off = capped(Int8Kernel::Scalar).run(|| {
+        assert_eq!(simd::int8_kernel(), Int8Kernel::Scalar);
+        assert!(!simd::simd_enabled());
+        prepack::matmul_i8_prepacked(&a, &packed).unwrap()
+    });
     assert_eq!(on, off);
     assert_eq!(on, gemm::matmul_i8_ref(&a, &b).unwrap());
 }
@@ -314,8 +297,6 @@ fn force_scalar_child() {
 /// whose bands are one GEMM's halves.
 #[test]
 fn concurrent_tile_gemms_agree_with_serial() {
-    let _guard = override_lock();
-    simd::set_simd_override(None);
     if !amx_or_notice("concurrent_tile_gemms_agree_with_serial") {
         eprintln!("concurrent_tile_gemms_agree_with_serial: skipped");
         return;
@@ -333,21 +314,24 @@ fn concurrent_tile_gemms_agree_with_serial() {
         .collect();
     let rounds = 50;
     let barrier = Barrier::new(2);
-    // A failed assertion here leaves the override at one worker: every
-    // other test is bit-identical at any count.
-    at_threads(1, || {
-        std::thread::scope(|scope| {
-            for (a, packed, want) in &work {
-                let barrier = &barrier;
-                scope.spawn(move || {
+    // Each thread runs its GEMMs itself, on tiles.
+    let one = Policy {
+        threads: 1,
+        ..Policy::current()
+    };
+    std::thread::scope(|scope| {
+        for (a, packed, want) in &work {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                one.run(|| {
                     for round in 0..rounds {
                         barrier.wait();
                         let got = prepack::matmul_i8_prepacked(a, packed).unwrap();
                         assert_eq!(&got, want, "round {round}");
                     }
-                });
-            }
-        })
+                })
+            });
+        }
     });
     for (a, packed, want) in &work {
         for &t in &THREADS[1..] {

@@ -9,22 +9,16 @@
 //! `k = 1`, `n = 1`) are pinned explicitly.
 //!
 //! Shapes above [`gemm::SERIAL_CUTOFF_MACS`] also run at each of
-//! [`THREADS`] workers through [`par::set_thread_override`] (below it
-//! every worker count takes the one serial path). The override is
-//! process-global and the tests of this binary run on parallel threads,
-//! so the setters hold [`OVERRIDE`].
-
-use std::sync::Mutex;
+//! [`THREADS`] workers, each under a [`Policy`] of that count (below the
+//! cutoff every worker count takes the one serial path).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use tensor::{gemm, init, par, Mat};
+use tensor::{gemm, init, Mat, Policy};
 
 /// Thread counts exercised for every shape above the cutoff: serial, a
 /// couple of odd/even splits, and more threads than rows.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-static OVERRIDE: Mutex<()> = Mutex::new(());
 
 /// Worker counts worth sweeping for an `m x k x n` GEMM: [`THREADS`]
 /// above the serial cutoff, none at or below it.
@@ -36,13 +30,13 @@ fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
     }
 }
 
-/// Runs `body` at `t` workers, then restores the ambient count.
+/// Runs `body` at `t` workers.
 fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
-    let _lock = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(t));
-    let out = body();
-    par::set_thread_override(None);
-    out
+    Policy {
+        threads: t,
+        ..Policy::current()
+    }
+    .run(body)
 }
 
 fn bits(m: &Mat<f32>) -> Vec<u32> {

@@ -8,26 +8,18 @@
 //! microkernels must never change a single output bit relative to the
 //! per-call-packed kernels and the naive references.
 //!
-//! The override hooks ([`par::set_thread_override`],
-//! [`simd::set_simd_override`]) are process-global; the tests that flip
-//! them restore the ambient state before returning, and flipping them
-//! concurrently with the other tests in this binary is harmless
-//! *because* of the very bit-identity they assert. The thread-count
-//! sweeps (on shapes above [`gemm::SERIAL_CUTOFF_MACS`], where the
-//! count splits the rows) hold [`OVERRIDE`] so each sweep step runs at
-//! the count it names.
-
-use std::sync::Mutex;
+//! Worker counts and kernel tiers are set per test with a [`Policy`],
+//! on the calling thread only; the thread-count sweeps run on shapes
+//! above [`gemm::SERIAL_CUTOFF_MACS`], where the count splits the rows.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tensor::prepack::{self, PackedI8, PackedMat};
-use tensor::{gemm, init, par, simd, Mat};
+use tensor::simd::Int8Kernel;
+use tensor::{gemm, init, par, Mat, Policy};
 
 /// Thread counts swept on shapes above the serial cutoff.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-static OVERRIDE: Mutex<()> = Mutex::new(());
 
 /// Worker counts worth sweeping for an `m x k x n` GEMM: [`THREADS`]
 /// above the serial cutoff, none at or below it.
@@ -39,13 +31,13 @@ fn sweep(m: usize, k: usize, n: usize) -> &'static [usize] {
     }
 }
 
-/// Runs `body` at `t` workers, then restores the ambient count.
+/// Runs `body` at `t` workers.
 fn at_threads<R>(t: usize, body: impl FnOnce() -> R) -> R {
-    let _lock = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    par::set_thread_override(Some(t));
-    let out = body();
-    par::set_thread_override(None);
-    out
+    Policy {
+        threads: t,
+        ..Policy::current()
+    }
+    .run(body)
 }
 
 fn bits(m: &Mat<f32>) -> Vec<u32> {
@@ -141,7 +133,7 @@ fn prepacked_pinned_boundary_shapes() {
 }
 
 /// The same workloads, run with the pool pinned to each of [`THREADS`]
-/// workers through the `ACCEL_THREADS` override hook, must agree bit
+/// workers through a [`Policy`] of that count, must agree bit
 /// for bit.
 #[test]
 fn pool_is_deterministic_across_thread_counts() {
@@ -193,15 +185,20 @@ fn simd_and_scalar_kernels_agree() {
         let b = init::uniform_i8(&mut rng, k, n);
         let packed = PackedI8::from_i8(&b);
 
-        simd::set_simd_override(Some(false));
-        let scalar_plain = gemm::matmul_i8(&a, &b).unwrap();
-        let scalar_packed = prepack::matmul_i8_prepacked(&a, &packed).unwrap();
-
-        simd::set_simd_override(Some(true));
-        let simd_plain = gemm::matmul_i8(&a, &b).unwrap();
-        let simd_packed = prepack::matmul_i8_prepacked(&a, &packed).unwrap();
-
-        simd::set_simd_override(None);
+        let both = |cap| {
+            Policy {
+                int8_cap: cap,
+                ..Policy::current()
+            }
+            .run(|| {
+                (
+                    gemm::matmul_i8(&a, &b).unwrap(),
+                    prepack::matmul_i8_prepacked(&a, &packed).unwrap(),
+                )
+            })
+        };
+        let (scalar_plain, scalar_packed) = both(Int8Kernel::Scalar);
+        let (simd_plain, simd_packed) = both(Int8Kernel::Amx);
         let want = gemm::matmul_i8_ref(&a, &b).unwrap();
         assert_eq!(scalar_plain, want, "scalar ({m},{k},{n})");
         assert_eq!(scalar_packed, want, "scalar prepacked ({m},{k},{n})");

@@ -303,14 +303,8 @@ fn result_is_independent_of_kernel_tier_and_threads() {
     let want = reference(&lin, &x);
     let base = lin.argmax_rows(&x);
     assert_eq!(base.0, want);
-    for threads in [1usize, 2, 5] {
-        for simd in [None, Some(false)] {
-            tensor::par::set_thread_override(Some(threads));
-            tensor::simd::set_simd_override(simd);
-            let got = lin.argmax_rows(&x);
-            tensor::simd::set_simd_override(None);
-            tensor::par::set_thread_override(None);
-            assert_eq!(got, base, "threads {threads} simd {simd:?}");
-        }
+    for policy in tensor::Policy::sweep() {
+        eprintln!("greedy_head: {policy:?}");
+        assert_eq!(policy.run(|| lin.argmax_rows(&x)), base, "{policy:?}");
     }
 }

@@ -35,6 +35,7 @@ use rand::{Rng, SeedableRng};
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request};
 use transformer_accel::tensor::phase::{Phase, StepKind, StepTotals, SAMPLE_EVERY};
+use transformer_accel::tensor::Policy;
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::model::Seq2SeqTransformer;
 use transformer_accel::transformer::tasks::{Task, TaskGen, FIRST_CONTENT};
@@ -225,8 +226,16 @@ fn main() {
     let requests = value("--requests").unwrap_or(96);
     let threads = value("--threads").unwrap_or(1);
     let overhead = args.iter().any(|a| a == "--overhead");
-    transformer_accel::tensor::par::set_thread_override(Some(threads));
+    let policy = Policy {
+        threads,
+        ..Policy::current()
+    };
+    policy.run(|| profile(requests, overhead));
+}
 
+/// Builds the model and prints the recorder's tables (or, with
+/// `overhead`, the recorder's cost), under the calling thread's policy.
+fn profile(requests: usize, overhead: bool) {
     let cfg = base6l();
     let fp32 = Seq2SeqTransformer::new(&cfg, &mut StdRng::seed_from_u64(0x0D00_DE06));
     let calib = TaskGen::new(Task::Reverse, cfg.vocab, 16, 48)

@@ -5,52 +5,33 @@
 //! decoder layer's cross-attention `W_K`/`W_V` run once over all the
 //! sources' rows, attention runs per source. Every session must be
 //! bit-identical to the per-source body `start_session` ran before
-//! admission was batched — frozen below as [`frozen_session`] — at one
-//! and two workers, SIMD kernels on and off, and with the ABFT checker
-//! on. Batches hold 1–8 sources of 1–48 tokens, duplicates included.
+//! admission was batched — frozen below as [`frozen_session`] — under
+//! every policy of `Policy::sweep` (each INT8 tier the host has, one and
+//! two workers, 4- and 16-row pages) and with the ABFT checker on. Batches hold 1–8 sources of 1–48 tokens, duplicates included.
 //! Sessions started together must also hold their cross K/V in
 //! allocations of their own, so they never plan as a shared-storage
 //! cohort, while forks of them still do.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{attention_cohorts, CacheRef, Cohort, QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::Mat;
+use tensor::{Mat, Policy};
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS, EOS};
 
-/// Worker count and SIMD dispatch are process-wide; the tests of this
-/// binary take turns.
-static SETTINGS: Mutex<()> = Mutex::new(());
-
 /// Decode steps each batch is driven for after admission.
 const STEPS: usize = 4;
 
-/// Runs `body` at one and two workers with SIMD on and off (checker
-/// off), restoring the process-wide settings afterwards, panic or not.
+/// Runs `body` under every policy of the sweep (checker off).
 fn each_config(mut body: impl FnMut(&str)) {
-    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore;
-    for threads in [1, 2] {
-        for simd in [true, false] {
-            tensor::par::set_thread_override(Some(threads));
-            tensor::simd::set_simd_override(Some(simd));
-            body(&format!("{threads} workers, simd {simd}"));
-        }
-    }
-}
-
-struct Restore;
-
-impl Drop for Restore {
-    fn drop(&mut self) {
-        tensor::par::set_thread_override(None);
-        tensor::simd::set_simd_override(None);
+    for policy in Policy::sweep() {
+        eprintln!("admission_batch: {policy:?}");
+        policy.run(|| body(&format!("{policy:?}")));
     }
 }
 

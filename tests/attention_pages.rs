@@ -19,11 +19,10 @@
 //! rows; cohorts of 2–16 members with shared rows; causal chunks of 1–64
 //! rows, alone or cut across workers (a call's rows are cut into
 //! per-worker tasks, mid-chunk and mid-cohort, once a cohort holds more
-//! than its share); the SIMD tiers on and off, at one, two and three
-//! workers.
+//! than its share); every policy of `Policy::sweep` (each INT8 tier the
+//! host has, at one and two workers).
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use quantized::softmax::{scaled_masked_softmax, scaled_prefix_softmax};
 use quantized::{attention_cohorts, cached_mha_rows, CacheRef, Cohort};
@@ -31,30 +30,19 @@ use quantized::{QuantMhaResBlock, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::kvpool::{KvPool, KvSeq};
-use tensor::{gemm, Mat};
+use tensor::simd::Int8Kernel;
+use tensor::{gemm, Mat, Policy};
 use transformer::config::ModelConfig;
 use transformer::mha::MhaResBlock;
 
-/// SIMD dispatch and the worker count are process-wide; this binary's
-/// tests take turns.
-static SETTINGS: Mutex<()> = Mutex::new(());
-
-/// Runs `body` with the SIMD tiers off and as detected, at one, two and
-/// three workers, restoring the process-wide settings afterwards.
+/// Runs `body` under every policy of the sweep (page heights here are
+/// the tests' own), naming them on the first call.
 fn each_tier(mut body: impl FnMut(&str)) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            tensor::simd::set_simd_override(None);
-            tensor::par::set_thread_override(None);
-        }
-    }
-    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore;
-    for (simd, threads) in [(Some(false), 1), (None, 1), (None, 2), (None, 3)] {
-        tensor::simd::set_simd_override(simd);
-        tensor::par::set_thread_override(Some(threads));
-        body(&format!("simd {simd:?}, {threads} workers"));
+    static NAMED: std::sync::Once = std::sync::Once::new();
+    let sweep = Policy::sweep();
+    NAMED.call_once(|| eprintln!("attention_pages ran on: {sweep:?}"));
+    for policy in sweep {
+        policy.run(|| body(&format!("{policy:?}")));
     }
 }
 
@@ -334,13 +322,11 @@ fn check(
     causal: bool,
     what: &str,
 ) {
-    let want = {
-        let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-        tensor::simd::set_simd_override(Some(false));
-        let want = frozen_mha_rows(block, x, groups, keys, vals, causal);
-        tensor::simd::set_simd_override(None);
-        want
+    let scalar = Policy {
+        int8_cap: Int8Kernel::Scalar,
+        ..Policy::current()
     };
+    let want = scalar.run(|| frozen_mha_rows(block, x, groups, keys, vals, causal));
     each_tier(|tier| {
         let got = cached_mha_rows(block, x, groups, keys, vals, causal);
         let mut r0 = 0;

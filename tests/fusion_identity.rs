@@ -13,7 +13,8 @@
 //! graph; `quantized::cached_mha_rows` (the cached-KV decode body, with
 //! its hand-fused decode drain, shared-prefix cohorts and `W_O` +
 //! residual drain) is checked against a frozen unfused per-head
-//! reference, and the rollback-after-fault decode path end to end. A
+//! reference, and the rollback-after-fault decode path end to end. The
+//! fused side runs under every policy of `Policy::sweep`. A
 //! seeded accumulator upset also pins which GEMM passes of a prefill
 //! step see every chunk row.
 
@@ -31,7 +32,7 @@ use transformer_accel::quantized::{
     cached_mha_rows, CacheRef, QVal, QuantExec, QuantMhaResBlock, QuantSeq2Seq, SoftmaxMode,
 };
 use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request};
-use transformer_accel::tensor::{gemm, init, Mat};
+use transformer_accel::tensor::{gemm, init, Mat, Policy};
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::exec::FloatExec;
 use transformer_accel::transformer::ffn::FfnResBlock;
@@ -184,11 +185,14 @@ fn row_exec_incremental_decode_is_bit_identical() {
     let caches = [(&sk, &sv), (&sk, &sv), (&ok, &ov)];
     let keys: Vec<CacheRef<'_>> = caches.iter().map(|c| CacheRef::flat(c.0)).collect();
     let vals: Vec<CacheRef<'_>> = caches.iter().map(|c| CacheRef::flat(c.1)).collect();
-    for groups in [[1usize, 1, 2], [2, 1, 1]] {
-        for causal in [true, false] {
-            let got = cached_mha_rows(block, &x, &groups, &keys, &vals, causal);
-            let want = cached_mha_rows_unfused(block, &x, &groups, &caches, causal);
-            assert_eq!(got, want, "groups {groups:?}, causal {causal}");
+    for policy in Policy::sweep() {
+        eprintln!("fusion_identity: {policy:?}");
+        for groups in [[1usize, 1, 2], [2, 1, 1]] {
+            for causal in [true, false] {
+                let got = policy.run(|| cached_mha_rows(block, &x, &groups, &keys, &vals, causal));
+                let want = cached_mha_rows_unfused(block, &x, &groups, &caches, causal);
+                assert_eq!(got, want, "groups {groups:?}, causal {causal}, {policy:?}");
+            }
         }
     }
 }
@@ -211,7 +215,10 @@ fn quant_exec_fused_is_bit_identical() {
         (env.take("y").into_i8(), env.take("p").into_i8())
     };
     let want = run_mha(&g);
-    assert_eq!(run_mha(&fused), want, "QuantExec MHA diverged under fusion");
+    for policy in Policy::sweep() {
+        let got = policy.run(|| run_mha(&fused));
+        assert_eq!(got, want, "QuantExec MHA diverged under fusion, {policy:?}");
+    }
     assert_eq!(layer.self_mha.forward(&xq, &xq, Some(&mask)), want);
 
     let xf = layer.ffn.quantize_input(&x);
@@ -222,7 +229,10 @@ fn quant_exec_fused_is_bit_identical() {
         (env.take("y").into_i8(), env.take("hidden").into_i8())
     };
     let want = run_ffn(&g);
-    assert_eq!(run_ffn(&fused), want, "QuantExec FFN diverged under fusion");
+    for policy in Policy::sweep() {
+        let got = policy.run(|| run_ffn(&fused));
+        assert_eq!(got, want, "QuantExec FFN diverged under fusion, {policy:?}");
+    }
     assert_eq!(layer.ffn.forward(&xf), want);
 }
 

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::Mat;
+use tensor::{Mat, Policy};
 use transformer_accel::quantized::incremental::{KvArena, QuantIncrementalSession};
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::transformer::config::ModelConfig;
@@ -64,44 +64,44 @@ fn quant_single_row_and_batched_decodes_agree() {
 /// The greedy head's batched entry point against the logits one: on
 /// forks of the same sessions, `prefill_sessions_greedy` returns the
 /// `argmax` of the logits `prefill_sessions` returns — for mixed chunk
-/// lengths (prefill chunks and single decode rows in one call), whatever
-/// the worker count and with the SIMD tiers forced off.
+/// lengths (prefill chunks and single decode rows in one call), under
+/// every policy of the sweep.
 #[test]
 fn greedy_prefill_tokens_are_the_argmax_of_the_logits() {
     let (quant, srcs) = setup();
     let prompts: [&[usize]; 4] = [&[BOS, 5, 9, 4, 11], &[BOS], &[BOS, 7, 7], &[BOS, 3]];
-    for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
-        tensor::par::set_thread_override(Some(threads));
-        tensor::simd::set_simd_override(simd);
-        let mut arena = KvArena::for_model(&quant);
-        let mut base: Vec<QuantIncrementalSession> = srcs
-            .iter()
-            .map(|s| quant.start_session(&mut arena, s))
-            .collect();
-        let mut chunks: Vec<Vec<usize>> = prompts.iter().map(|p| p.to_vec()).collect();
-        let mut screened = 0;
-        for step in 0..5 {
-            let mut forks: Vec<QuantIncrementalSession> =
-                base.iter().map(|s| s.fork(&mut arena)).collect();
-            let chunk_refs: Vec<&[usize]> = chunks.iter().map(|c| c.as_slice()).collect();
-            let mut refs: Vec<&mut QuantIncrementalSession> = forks.iter_mut().collect();
-            let logits = quant.prefill_sessions(&mut arena, &mut refs, &chunk_refs);
-            let want: Vec<usize> = logits.iter().map(|l| tensor::ops::argmax(l)).collect();
-            let mut refs: Vec<&mut QuantIncrementalSession> = base.iter_mut().collect();
-            let (got, stats) = quant.prefill_sessions_greedy(&mut arena, &mut refs, &chunk_refs);
-            assert_eq!(got, want, "step {step}, threads {threads}, simd {simd:?}");
-            for (fork, live) in forks.iter_mut().zip(&base) {
-                assert_eq!(fork.pos(), live.pos(), "both heads advance alike");
-                fork.release(&mut arena);
+    for policy in Policy::sweep() {
+        eprintln!("greedy_prefill_tokens_are_the_argmax_of_the_logits: {policy:?}");
+        policy.run(|| {
+            let mut arena = KvArena::for_model(&quant);
+            let mut base: Vec<QuantIncrementalSession> = srcs
+                .iter()
+                .map(|s| quant.start_session(&mut arena, s))
+                .collect();
+            let mut chunks: Vec<Vec<usize>> = prompts.iter().map(|p| p.to_vec()).collect();
+            let mut screened = 0;
+            for step in 0..5 {
+                let mut forks: Vec<QuantIncrementalSession> =
+                    base.iter().map(|s| s.fork(&mut arena)).collect();
+                let chunk_refs: Vec<&[usize]> = chunks.iter().map(|c| c.as_slice()).collect();
+                let mut refs: Vec<&mut QuantIncrementalSession> = forks.iter_mut().collect();
+                let logits = quant.prefill_sessions(&mut arena, &mut refs, &chunk_refs);
+                let want: Vec<usize> = logits.iter().map(|l| tensor::ops::argmax(l)).collect();
+                let mut refs: Vec<&mut QuantIncrementalSession> = base.iter_mut().collect();
+                let (got, stats) =
+                    quant.prefill_sessions_greedy(&mut arena, &mut refs, &chunk_refs);
+                assert_eq!(got, want, "step {step}, {policy:?}");
+                for (fork, live) in forks.iter_mut().zip(&base) {
+                    assert_eq!(fork.pos(), live.pos(), "both heads advance alike");
+                    fork.release(&mut arena);
+                }
+                screened += stats.candidate_tiles;
+                assert_eq!(stats.fallback_rows, 0, "step {step}");
+                // Next step: every session decodes one row.
+                chunks = got.into_iter().map(|t| vec![t]).collect();
             }
-            screened += stats.candidate_tiles;
-            assert_eq!(stats.fallback_rows, 0, "step {step}");
-            // Next step: every session decodes one row.
-            chunks = got.into_iter().map(|t| vec![t]).collect();
-        }
-        assert!(screened >= 5 * srcs.len(), "every row verifies a tile");
-        tensor::simd::set_simd_override(None);
-        tensor::par::set_thread_override(None);
+            assert!(screened >= 5 * srcs.len(), "every row verifies a tile");
+        });
     }
 }
 
@@ -162,34 +162,32 @@ fn check_ragged_chunks(
 
 /// Chunk-shape independence: the logits after each ragged chunk must
 /// equal, bit for bit, the logits `step_session` (one-row chunks of one
-/// session) gives at that position, whatever the worker count and with
-/// the SIMD tiers forced off.
+/// session) gives at that position, under every policy of the sweep.
 #[test]
 fn ragged_prefill_chunks_match_sequential_steps() {
     let (quant, srcs) = setup();
     let (_, prompts) = ragged_schedule(&srcs);
-    for (threads, simd) in [(1, None), (2, None), (1, Some(false)), (2, Some(false))] {
-        tensor::par::set_thread_override(Some(threads));
-        tensor::simd::set_simd_override(simd);
-        // Sequential logits at every position of both prompts.
-        let mut arena = KvArena::for_model(&quant);
-        let sequential: Vec<Vec<Vec<f32>>> = (0..2)
-            .map(|s| {
-                let mut session = quant.start_session(&mut arena, &srcs[s]);
-                prompts[s]
-                    .iter()
-                    .map(|&t| quant.step_session(&mut arena, &mut session, t))
-                    .collect()
-            })
-            .collect();
-        check_ragged_chunks(
-            &quant,
-            &srcs,
-            |s, rows| sequential[s][rows - 1].clone(),
-            &format!("threads {threads}, simd {simd:?}"),
-        );
-        tensor::simd::set_simd_override(None);
-        tensor::par::set_thread_override(None);
+    for policy in Policy::sweep() {
+        eprintln!("ragged_prefill_chunks_match_sequential_steps: {policy:?}");
+        policy.run(|| {
+            // Sequential logits at every position of both prompts.
+            let mut arena = KvArena::for_model(&quant);
+            let sequential: Vec<Vec<Vec<f32>>> = (0..2)
+                .map(|s| {
+                    let mut session = quant.start_session(&mut arena, &srcs[s]);
+                    prompts[s]
+                        .iter()
+                        .map(|&t| quant.step_session(&mut arena, &mut session, t))
+                        .collect()
+                })
+                .collect();
+            check_ragged_chunks(
+                &quant,
+                &srcs,
+                |s, rows| sequential[s][rows - 1].clone(),
+                &format!("{policy:?}"),
+            );
+        });
     }
 }
 
@@ -197,8 +195,7 @@ fn ragged_prefill_chunks_match_sequential_steps() {
 /// code with it: the logits after each ragged chunk must equal, bit for
 /// bit, the matching row of `forward_logits` — the full recompute of the
 /// whole prompt through `QuantExec`, dense per-head GEMMs and a causal
-/// mask matrix — whatever the worker count and with the SIMD tiers
-/// forced off.
+/// mask matrix — under every policy of the sweep.
 #[test]
 fn ragged_prefill_chunks_match_full_recompute() {
     let (quant, srcs) = setup();
@@ -206,18 +203,15 @@ fn ragged_prefill_chunks_match_full_recompute() {
     let full: Vec<Mat<f32>> = (0..2)
         .map(|s| quant.forward_logits(&srcs[s], &prompts[s]))
         .collect();
-    for threads in [1, 2] {
-        for simd in [None, Some(false)] {
-            tensor::par::set_thread_override(Some(threads));
-            tensor::simd::set_simd_override(simd);
+    for policy in Policy::sweep() {
+        eprintln!("ragged_prefill_chunks_match_full_recompute: {policy:?}");
+        policy.run(|| {
             check_ragged_chunks(
                 &quant,
                 &srcs,
                 |s, rows| full[s].row(rows - 1).to_vec(),
-                &format!("threads {threads}, simd {simd:?}"),
-            );
-            tensor::simd::set_simd_override(None);
-            tensor::par::set_thread_override(None);
-        }
+                &format!("{policy:?}"),
+            )
+        });
     }
 }

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use transformer_accel::quantized::incremental::KvArena;
 use transformer_accel::quantized::{QuantSeq2Seq, SoftmaxMode};
 use transformer_accel::serving::{ContinuousBatcher, EngineConfig, Request};
+use transformer_accel::tensor::Policy;
 use transformer_accel::transformer::config::ModelConfig;
 use transformer_accel::transformer::model::Seq2SeqTransformer;
 use transformer_accel::transformer::tasks::{Task, TaskGen, BOS, EOS};
@@ -40,9 +41,9 @@ fn prompts(srcs: &[Vec<usize>], len: usize) -> Vec<Vec<usize>> {
 fn chunked_prefill_paged_int8_matches_sequential_reference() {
     // The serving engine (chunked prefill, paged INT8 KV, mixed
     // prefill/decode batches) against the single-session token-at-a-time
-    // golden path, across chunk sizes and prefill budgets. Page size
-    // follows ACCEL_KV_PAGE here, so the CI page-stress matrix also
-    // exercises 1-row pages through this test.
+    // golden path, across chunk sizes and prefill budgets, each engine
+    // built under (and so stepping under) the next policy of the sweep:
+    // its tier, worker count and page height.
     let (quant, srcs) = setup(0xC0FFEE);
     let prompts = prompts(&srcs, 19);
     let want: Vec<Vec<usize>> = srcs
@@ -50,11 +51,20 @@ fn chunked_prefill_paged_int8_matches_sequential_reference() {
         .zip(&prompts)
         .map(|(s, p)| quant.greedy_decode_with_prompt(s, p, 8))
         .collect();
-    for (chunk, budget) in [(1usize, 64usize), (3, 64), (16, 64), (8, 6), (64, 64)] {
+    let shapes = [
+        (1usize, 64usize),
+        (3, 64),
+        (16, 64),
+        (8, 6),
+        (64, 64),
+        (5, 12),
+    ];
+    for ((chunk, budget), policy) in shapes.into_iter().zip(Policy::sweep().into_iter().cycle()) {
+        eprintln!("paged_prefill: chunk {chunk} budget {budget}, {policy:?}");
         let mut cfg = EngineConfig::with_max_batch(4);
         cfg.prefill_chunk = chunk;
         cfg.max_prefill_rows = budget;
-        let mut engine = ContinuousBatcher::new(&quant, cfg).unwrap();
+        let mut engine = policy.run(|| ContinuousBatcher::new(&quant, cfg)).unwrap();
         for (i, (s, p)) in srcs.iter().zip(&prompts).enumerate() {
             engine
                 .submit(Request::new(i as u64, s.clone(), 8).with_prompt(p.clone()))
@@ -65,7 +75,7 @@ fn chunked_prefill_paged_int8_matches_sequential_reference() {
         for (resp, want) in responses.iter().zip(&want) {
             assert_eq!(
                 &resp.tokens, want,
-                "chunk {chunk} budget {budget} id {} diverged from sequential",
+                "chunk {chunk} budget {budget} {policy:?} id {} diverged from sequential",
                 resp.id
             );
         }

@@ -1,8 +1,8 @@
 //! The serving engine's step phase recorder (`tensor::phase`, switched
 //! on by `ContinuousBatcher::record_phases`) observes and never steers:
 //! the same requests through an engine with the recorder and one
-//! without give the same responses and the same `ServingStats`, at one
-//! and two workers. The recorder's totals must be usable as a layer
+//! without give the same responses and the same `ServingStats`, under
+//! every policy of `Policy::sweep`. The recorder's totals must be usable as a layer
 //! table: admitting and decode-only steps both recorded, every kind's
 //! phases summing to no more than its steps' wall time, and the spans
 //! of a step never overlapping.
@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serving::{ContinuousBatcher, EngineConfig, Request, Response, ServingStats};
 use tensor::phase::{Phase, StepKind};
+use tensor::Policy;
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen};
@@ -84,33 +85,26 @@ fn serve(
 #[test]
 fn recording_changes_nothing_and_totals_add_up() {
     let model = model();
-    let _restore = RestoreThreads;
-    for threads in [1, 2] {
-        tensor::par::set_thread_override(Some(threads));
-        let (want, want_stats, plain) = serve(&model, false);
+    for policy in Policy::sweep() {
+        eprintln!("phase_recorder: {policy:?}");
+        let (want, want_stats, plain) = policy.run(|| serve(&model, false));
         assert!(plain.phase_recorder().is_none());
-        let (got, got_stats, engine) = serve(&model, true);
-        assert_eq!(got, want, "{threads} workers: responses");
-        assert_eq!(got_stats, want_stats, "{threads} workers: stats");
+        let (got, got_stats, engine) = policy.run(|| serve(&model, true));
+        assert_eq!(got, want, "{policy:?}: responses");
+        assert_eq!(got_stats, want_stats, "{policy:?}: stats");
         assert!(want_stats.prefix_hits > 0, "the forks hit the prefix cache");
 
         let rec = engine.phase_recorder().expect("switched on");
         let totals = rec.totals();
         let admit = totals[StepKind::Admit as usize];
         let decode = totals[StepKind::Decode as usize];
-        assert!(
-            admit.steps > 0,
-            "{threads} workers: no admitting step recorded"
-        );
-        assert!(
-            decode.steps > 0,
-            "{threads} workers: no decode step recorded"
-        );
+        assert!(admit.steps > 0, "{policy:?}: no admitting step recorded");
+        assert!(decode.steps > 0, "{policy:?}: no decode step recorded");
         assert!(admit.phases[Phase::Admission as usize] > Duration::ZERO);
         for phase in [Phase::WeightGemm, Phase::LayerNorm, Phase::GreedyHead] {
             assert!(
                 decode.phases[phase as usize] > Duration::ZERO,
-                "{threads} workers: decode steps record {}",
+                "{policy:?}: decode steps record {}",
                 phase.name()
             );
         }
@@ -118,7 +112,7 @@ fn recording_changes_nothing_and_totals_add_up() {
             let t = totals[kind as usize];
             assert!(
                 t.phases.iter().sum::<Duration>() <= t.step,
-                "{threads} workers, {} steps: phases exceed the step",
+                "{policy:?}, {} steps: phases exceed the step",
                 kind.name()
             );
         }
@@ -128,18 +122,10 @@ fn recording_changes_nothing_and_totals_add_up() {
             assert!(w[0].start <= w[0].end);
             assert!(
                 w[0].end <= w[1].start,
-                "{threads} workers: {} overlaps {}",
+                "{policy:?}: {} overlaps {}",
                 w[0].phase.name(),
                 w[1].phase.name()
             );
         }
-    }
-}
-
-struct RestoreThreads;
-
-impl Drop for RestoreThreads {
-    fn drop(&mut self) {
-        tensor::par::set_thread_override(None);
     }
 }

@@ -11,6 +11,7 @@ use quantized::{QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serving::{ContinuousBatcher, EngineConfig, Request, Response};
+use tensor::Policy;
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS};
@@ -147,25 +148,8 @@ fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
         (decoded(&engine.run_to_completion()), engine.stats())
     };
     let (cold_tokens, cold) = run(0);
-    let (warm_tokens, warm) = run(usize::MAX);
-    assert_eq!(
-        warm_tokens, cold_tokens,
-        "prefix reuse must not change any token"
-    );
-    // Request 1 reuses request 0's full aligned prefix; request 2 finds
-    // the same entry as a *proper prefix* of its longer prompt; request
-    // 3 must miss despite an identical prompt; request 4 reuses only
-    // the 20 shared tokens (plus BOS) via rollback of a deeper fork.
-    assert_eq!(warm.prefix_hits, 3);
-    assert!(warm.prefix_misses >= 2);
-    assert_eq!(
-        cold.prefill_rows - warm.prefill_rows,
-        warm.prefix_rows_reused,
-        "every reused row is a prefill row the warm engine skipped"
-    );
-    assert!(warm.prefix_rows_reused > 0);
-    // The sequential references pin absolute correctness of both runs.
-    for (resp, (s, p)) in warm_tokens.iter().zip([
+    // The sequential references pin absolute correctness of the cold run.
+    for (resp, (s, p)) in cold_tokens.iter().zip([
         (&srcs[0], &base),
         (&srcs[0], &base),
         (&srcs[0], &extended),
@@ -173,6 +157,29 @@ fn int8_engine_shared_prefix_serving_is_bit_identical_to_cold() {
         (&srcs[0], &diverged),
     ]) {
         assert_eq!(resp.1, q.greedy_decode_with_prompt(s, p, 6));
+    }
+    // The warm engine runs under every policy of the sweep: its snapshot
+    // boundaries follow the page height.
+    for policy in Policy::sweep() {
+        eprintln!("prefix_identity: {policy:?}");
+        let (warm_tokens, warm) = policy.run(|| run(usize::MAX));
+        assert_eq!(
+            warm_tokens, cold_tokens,
+            "prefix reuse must not change any token, {policy:?}"
+        );
+        // Request 1 reuses request 0's full aligned prefix; request 2
+        // finds the same entry as a *proper prefix* of its longer prompt;
+        // request 3 must miss despite an identical prompt; request 4
+        // reuses only the 20 shared tokens (plus BOS) via rollback of a
+        // deeper fork.
+        assert_eq!(warm.prefix_hits, 3, "{policy:?}");
+        assert!(warm.prefix_misses >= 2, "{policy:?}");
+        assert_eq!(
+            cold.prefill_rows - warm.prefill_rows,
+            warm.prefix_rows_reused,
+            "every reused row is a prefill row the warm engine skipped, {policy:?}"
+        );
+        assert!(warm.prefix_rows_reused > 0, "{policy:?}");
     }
 }
 

@@ -6,64 +6,27 @@
 //! score GEMM and one `P·V` GEMM per head over the cohort's stacked rows
 //! (`quantized::attention_cohorts`). Every session's logits and greedy
 //! token must be bit-identical to the same session stepped alone, token
-//! by token, in a fresh arena with nothing shared — at 4- and 16-row
-//! pages, one and two workers, SIMD kernels on and off. The cohort plans
-//! are asserted too: which groups attend together, over how many rows.
+//! by token, in a fresh arena with nothing shared — under every policy
+//! of `Policy::sweep` (each INT8 tier the host has, one and two workers,
+//! 4- and 16-row pages). The cohort plans are asserted too: which groups
+//! attend together, over how many rows.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use quantized::incremental::{KvArena, QuantIncrementalSession};
 use quantized::{attention_cohorts, cached_mha_rows, CacheRef, Cohort, QuantSeq2Seq, SoftmaxMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tensor::Mat;
+use tensor::{Mat, Policy};
 use transformer::config::ModelConfig;
 use transformer::model::Seq2SeqTransformer;
 use transformer::tasks::{Task, TaskGen, BOS};
 
-/// Worker count and SIMD dispatch are process-wide; the tests of this
-/// binary take turns.
-static SETTINGS: Mutex<()> = Mutex::new(());
-
-#[derive(Clone, Copy)]
-struct Config {
-    page: usize,
-    threads: usize,
-    simd: bool,
-}
-
-impl Config {
-    fn label(&self) -> String {
-        let (p, t, s) = (self.page, self.threads, self.simd);
-        format!("{p}-row pages, {t} workers, simd {s}")
-    }
-}
-
-/// Runs `body` under every page height × worker count × kernel tier,
-/// restoring the process-wide settings afterwards, panic or not.
-fn each_config(mut body: impl FnMut(Config)) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            tensor::par::set_thread_override(None);
-            tensor::simd::set_simd_override(None);
-        }
-    }
-    let _turn = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore;
-    for page in [4, 16] {
-        for threads in [1, 2] {
-            for simd in [true, false] {
-                tensor::par::set_thread_override(Some(threads));
-                tensor::simd::set_simd_override(Some(simd));
-                body(Config {
-                    page,
-                    threads,
-                    simd,
-                });
-            }
-        }
+/// Runs `body` under every policy of the sweep.
+fn each_config(mut body: impl FnMut(Policy)) {
+    for policy in Policy::sweep() {
+        eprintln!("shared_prefix_attention: {policy:?}");
+        policy.run(|| body(policy));
     }
 }
 
@@ -282,9 +245,9 @@ fn direct_self_attention_matches_alone(
 fn forks_of_one_snapshot_decode_together() {
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[0], 3 * p, 1);
@@ -309,9 +272,9 @@ fn forks_of_one_snapshot_decode_together() {
 fn decode_rows_and_prefill_chunks_attend_shared_pages_together() {
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[1], 2 * p, 2);
@@ -355,9 +318,9 @@ fn shared_rows_stop_before_every_groups_own_chunk() {
     // before each group's chunk (a causal chunk row must not see the
     // rows after it), here at 2P - 2, not at the 2P rows the pages hold.
     let (q, srcs) = model();
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[2], 2 * p, 3);
@@ -376,9 +339,9 @@ fn fork_rolled_back_mid_page_excludes_its_partial_page() {
     // pages full in every member are shared.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[3], 2 * p, 4);
@@ -417,9 +380,9 @@ fn fork_rolled_back_mid_page_excludes_its_partial_page() {
 fn forks_of_two_snapshots_form_two_cohorts() {
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let sa = Live::prefilled(&q, &mut arena, &srcs[4], 2 * p, 5);
@@ -462,9 +425,9 @@ fn a_fork_beside_unrelated_sessions_is_a_cohort_of_one() {
     // the step: nothing is attended together.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[6], 2 * p, 7);
@@ -502,9 +465,9 @@ fn one_source_started_twice_forms_no_cross_cohort() {
     // and fed the same prompt they hold equal self K/V in separate pages.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let mut a = Live::prefilled(&q, &mut arena, &srcs[0], 2 * p + 1, 9);
@@ -570,9 +533,9 @@ fn fault_hooks_live_keep_the_cohort_path() {
     // not change; the fused-drain tally shows the path taken.
     let (q, srcs) = model();
     let mut oracle = Oracle::new(&q);
-    each_config(|cfg| {
-        let p = cfg.page;
-        let what = cfg.label();
+    each_config(|policy| {
+        let p = policy.kv_page_rows;
+        let what = format!("{policy:?}");
         let d = q.tgt_embedding().d_model();
         let mut arena = KvArena::with_page_rows(d, p);
         let snap = Live::prefilled(&q, &mut arena, &srcs[1], 2 * p, 10);
