@@ -137,3 +137,26 @@ pub(crate) fn pin_enabled() -> bool {
     static CELL: OnceLock<bool> = OnceLock::new();
     *CELL.get_or_init(|| flag(std::env::var(ENV_PIN).ok()))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kvpool::DEFAULT_PAGE_ROWS;
+    use crate::Policy;
+
+    #[test]
+    fn kv_page_rows_falls_back_on_default() {
+        // No ACCEL_KV_PAGE means the default page height.
+        let unset = Policy::from_lookup(|_| None);
+        assert_eq!(unset.kv_page_rows, DEFAULT_PAGE_ROWS);
+        // The process default: the page-stress leg sets the variable
+        // process-wide, in which case its positive value wins.
+        let got = Policy::from_env().kv_page_rows;
+        let want = std::env::var(ENV_KV_PAGE)
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(DEFAULT_PAGE_ROWS);
+        assert_eq!(got, want);
+    }
+}

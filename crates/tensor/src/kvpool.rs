@@ -381,6 +381,27 @@ impl<'a, T> Iterator for PageRuns<'a, T> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn env_page_rows_parsing() {
+        // A pool built under the process default takes the page height
+        // ACCEL_KV_PAGE gives (unset in a plain test run; the
+        // page-stress leg sets it process-wide).
+        let rows = crate::Policy::from_env().kv_page_rows;
+        assert!(rows > 0);
+        match std::env::var(crate::envcfg::ENV_KV_PAGE) {
+            Ok(s) => assert_eq!(
+                rows,
+                s.trim()
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or(DEFAULT_PAGE_ROWS)
+            ),
+            Err(_) => assert_eq!(rows, DEFAULT_PAGE_ROWS),
+        }
+        assert_eq!(KvPool::<i8>::new(rows, 8).page_rows(), rows);
+    }
+
     /// All of `seq`'s rows, read through [`KvPool::page_runs`].
     fn rows_of<T: Copy + Default>(pool: &KvPool<T>, seq: &KvSeq) -> Vec<T> {
         pool.page_runs(seq, 0..seq.rows())
